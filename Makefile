@@ -53,9 +53,12 @@ bench-json:
 	     END { print "\n]" }' > BENCH_10.json
 	@cat BENCH_10.json
 
-# Fuzz smoke: ten seconds per target. FuzzNetlistReset proves
+# Fuzz smoke: ten seconds per target. FuzzCompiledLU proves the
+# symbolic-once sparse LU (sparse.Analyze + Symbolic.Solve) bit-identical
+# to sparse.Solver.Solve on random diagonally dominant systems with stored
+# zeros, zero multipliers and zero pivots; FuzzNetlistReset proves
 # spice.Engine.Reset stays bit-identical to a fresh engine under random
-# topology-stable netlist mutations; FuzzP2Quantile checks the P² sketch
+# netlist mutations that bounce between two topologies; FuzzP2Quantile checks the P² sketch
 # (and its deterministic Merge) against exact quantiles on random streams;
 # FuzzControlVariate checks the paired-moment accumulator (β̂, ρ̂, residual
 # variance and its split-anywhere Merge) against exact two-pass statistics.
@@ -63,6 +66,7 @@ bench-json:
 # encode→decode→Merge must stay bit-identical to merging the live
 # accumulators, on random streams split at random points.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz 'FuzzCompiledLU' -fuzztime 10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz 'FuzzNetlistReset' -fuzztime 10s ./internal/spice
 	$(GO) test -run '^$$' -fuzz 'FuzzP2Quantile' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz 'FuzzControlVariate$$' -fuzztime 10s ./internal/stats

@@ -531,52 +531,6 @@ func BenchmarkSparseLadderSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkSparseVsDense compares the solvers at a size where both run.
-func BenchmarkSparseVsDense(b *testing.B) {
-	n := 200
-	build := func() (*sparse.Matrix, [][]float64, []float64) {
-		rng := rand.New(rand.NewSource(5))
-		m := sparse.NewMatrix(n)
-		d := make([][]float64, n)
-		rhs := make([]float64, n)
-		for i := range d {
-			d[i] = make([]float64, n)
-		}
-		for i := 0; i < n; i++ {
-			m.Add(i, i, 4)
-			d[i][i] = 4
-			if i > 0 {
-				v := rng.Float64()
-				m.Add(i, i-1, -v)
-				d[i][i-1] = -v
-			}
-			if i < n-1 {
-				v := rng.Float64()
-				m.Add(i, i+1, -v)
-				d[i][i+1] = -v
-			}
-			rhs[i] = 1
-		}
-		return m, d, rhs
-	}
-	b.Run("sparse", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m, _, rhs := build()
-			if _, err := m.Solve(rhs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, d, rhs := build()
-			if _, err := sparse.DenseSolve(d, rhs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkDeviceEval measures the MOSFET model evaluation.
 func BenchmarkDeviceEval(b *testing.B) {
 	nm := device.NewNMOS(tech.N10().FEOL)

@@ -42,10 +42,19 @@
 // The two engines also compose: mc.SpiceTdpAcrossSizes hosts a full read
 // transient inside every Monte-Carlo trial (SPICE-in-the-loop), with each
 // worker owning a sram.ColumnBuilder session whose resident spice.Engine
-// is re-targeted per trial through Engine.Reset — the sparse matrices,
+// is re-targeted per trial through Engine.Reset — the matrix values,
 // Newton scratch and waveform storage are allocated once per worker, not
 // once per trial, and Reset is bit-identical to a fresh engine (fuzzed in
-// FuzzNetlistReset). Numeric drift across refactors is pinned by golden
+// FuzzNetlistReset). The engine compiles each circuit topology once: at
+// Reset it fingerprints the netlist's terminal lists and, on a miss in
+// its small topology cache, runs sparse.Analyze on the stamp pattern —
+// fill-in under the natural order and a value slot for every stamp.
+// Every trial, and every array size with the same column shape, reuses
+// that symbolic LU; a Newton iteration is a copy of the base values, the
+// MOSFET slot adds and Symbolic.Solve, a numeric refactorization that
+// repeats sparse.Solver's arithmetic bit for bit (fuzzed in
+// FuzzCompiledLU) without allocating. A warm read transient allocates
+// three times in all. Numeric drift across refactors is pinned by golden
 // CSVs under internal/exp/testdata/golden (regenerate with
 // go test ./internal/exp -run Golden -update).
 //

@@ -26,8 +26,9 @@ import (
 // is the simulated tdp penalty in percent at sizes[j]. The lithography
 // pipeline runs once per trial no matter how many sizes are requested;
 // every worker owns a sram.ColumnBuilder session with a resident SPICE
-// engine, so the hot loop reuses the netlist scratch, the sparse matrices
-// and the Newton/waveform buffers across all trials.
+// engine, so the hot loop reuses the netlist scratch, the compiled
+// topology and matrix values, and the Newton/waveform buffers across all
+// trials.
 //
 // The per-trial sample stream is identical to the analytic
 // TdpAcrossSizes for the same (Seed, Samples): both consume the same

@@ -399,3 +399,41 @@ func TestFrameCodec(t *testing.T) {
 		t.Fatalf("empty stream: %v", err)
 	}
 }
+
+// TestWorkerCloseRemovesOnlyOwnedDir: Close removes the temporary scratch
+// directory NewWorker made, leaves a caller-supplied one alone, and
+// refuses dispatches afterwards with 503.
+func TestWorkerCloseRemovesOnlyOwnedDir(t *testing.T) {
+	given := t.TempDir()
+	if err := NewWorker(1, 1, given).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(given); err != nil {
+		t.Fatalf("Close removed a caller-supplied dir: %v", err)
+	}
+
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	w := NewWorker(1, 1, "")
+	if made, _ := filepath.Glob(filepath.Join(tmp, "mpvar-shardwork-*")); len(made) != 1 {
+		t.Fatalf("NewWorker made %d scratch dirs, want 1", len(made))
+	}
+	ts, _ := newWorkerServer(t, w)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "mpvar-shardwork-*")); len(left) != 0 {
+		t.Fatalf("Close left the owned scratch dir: %v", left)
+	}
+	resp, err := http.Post(ts.URL+ShardsPath, "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("dispatch to a closed worker: %d, want 503", resp.StatusCode)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+}

@@ -42,32 +42,73 @@ type Worker struct {
 	CheckpointEvery time.Duration
 
 	dir           string
+	ownsDir       bool // dir was made by NewWorker; Close removes it
 	engineWorkers int
 	sem           chan struct{}
 	stats         WorkerStats
+
+	mu       sync.Mutex
+	closed   bool
+	inflight sync.WaitGroup // ServeShard calls past the closed check
 }
 
 // NewWorker builds a worker executing at most slots shards concurrently,
 // each with engineWorkers Monte-Carlo workers (0 = all CPUs), keeping
 // scratch artifacts under dir. An empty dir gets a unique temp
 // directory, so coordinator and worker instances sharing one machine
-// (or one test process) never collide on scratch files.
+// (or one test process) never collide on scratch files; the worker owns
+// that directory and Close removes it. A caller-supplied dir is never
+// removed.
 func NewWorker(slots, engineWorkers int, dir string) *Worker {
 	if slots <= 0 {
 		slots = 1
 	}
+	owns := false
 	if dir == "" {
 		var err error
 		if dir, err = os.MkdirTemp("", "mpvar-shardwork-"); err != nil {
+			// The per-process fallback may be shared by every worker of
+			// this process, so no single one owns it.
 			dir = filepath.Join(os.TempDir(), fmt.Sprintf("mpvar-shardwork-%d", os.Getpid()))
+		} else {
+			owns = true
 		}
 	}
 	return &Worker{
 		CheckpointEvery: defaultCheckpointEvery,
 		dir:             dir,
+		ownsDir:         owns,
 		engineWorkers:   engineWorkers,
 		sem:             make(chan struct{}, slots),
 	}
+}
+
+// Close refuses further dispatches, waits for the in-flight ones to
+// return and removes the scratch directory if the worker made it. Its
+// artifacts are of no use to anyone once the worker is gone: a
+// coordinator resumes from the checkpoints shipped to it, never from this
+// directory. Close is idempotent.
+func (w *Worker) Close() error {
+	w.mu.Lock()
+	w.closed = true
+	w.mu.Unlock()
+	w.inflight.Wait()
+	if w.ownsDir {
+		return os.RemoveAll(w.dir)
+	}
+	return nil
+}
+
+// enter registers a dispatch unless the worker is closed; a true return
+// must be paired with w.inflight.Done.
+func (w *Worker) enter() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return false
+	}
+	w.inflight.Add(1)
+	return true
 }
 
 // Stats exposes the worker counters for the healthz body.
@@ -91,9 +132,15 @@ func mustQuote(s string) string {
 // the stream ends with an error frame (the coordinator re-dispatches
 // elsewhere from the shipped checkpoint). Refusals before the stream
 // starts use plain HTTP status codes — 400 for malformed dispatches,
-// 409 for engine/run-key drift, 503 when ctx is already done — so a
-// coordinator can tell a refusing peer from a failing shard.
+// 409 for engine/run-key drift, 503 when ctx is already done or the
+// worker is closed — so a coordinator can tell a refusing peer from a
+// failing shard.
 func (w *Worker) ServeShard(ctx context.Context, rw http.ResponseWriter, req *http.Request) {
+	if !w.enter() {
+		jsonError(rw, http.StatusServiceUnavailable, "worker is closed")
+		return
+	}
+	defer w.inflight.Done()
 	dec := json.NewDecoder(req.Body)
 	dec.DisallowUnknownFields()
 	var sr ShardRequest

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"strconv"
 	"sync"
 	"time"
@@ -268,7 +269,10 @@ func (s *Server) renderBody(r *run, res *exp.Result) ([]byte, error) {
 // every queued and in-flight run, and Drain returns when the pool is
 // idle. If ctx expires first, in-flight runs are hard-canceled through
 // the base context and Drain still waits for the workers to return
-// before reporting the deadline error.
+// before reporting the deadline error. Last, the shard-worker role
+// closes: once its in-flight dispatches return (the drain canceled them
+// through the fan-out context), its temporary scratch directory is
+// removed.
 func (s *Server) Drain(ctx context.Context) error {
 	s.beginDrain()
 	idle := make(chan struct{})
@@ -276,14 +280,15 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.workers.Wait()
 		close(idle)
 	}()
+	var err error
 	select {
 	case <-idle:
-		return nil
 	case <-ctx.Done():
 		s.stop() // hard-cancel in-flight runs between blocks/transients
 		<-idle
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	return errors.Join(err, s.remoteWorker.Close())
 }
 
 // beginDrain flips the server into draining mode and closes the queue

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -690,5 +691,31 @@ func TestListenAndServe(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("ListenAndServe did not return after cancel")
+	}
+}
+
+// TestDrainRemovesShardScratch: every server's shard-worker role makes a
+// temporary scratch directory; Drain removes it, so a server leaves
+// nothing behind in TMPDIR.
+func TestDrainRemovesShardScratch(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	s := New(Config{})
+	made, _ := filepath.Glob(filepath.Join(tmp, "mpvar-shardwork-*"))
+	if len(made) != 1 {
+		t.Fatalf("server made %d shard scratch dirs, want 1", len(made))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "mpvar-shardwork-*")); len(left) != 0 {
+		t.Fatalf("drain left shard scratch behind: %v", left)
+	}
+	// A second Drain (the CLI path drains after its own beginDrain) is a
+	// no-op.
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("second drain: %v", err)
 	}
 }

@@ -1,15 +1,25 @@
 // Package sparse implements the linear-algebra kernel of the SPICE engine:
-// a row-sparse matrix with in-place Gaussian elimination tuned for the
-// diagonally dominant nodal matrices that RC ladders with embedded
-// transistors produce, plus a dense LUP solver used as the gold standard
-// for small systems and in tests.
+// a symbolic-once LU for the diagonally dominant nodal matrices that RC
+// ladders with embedded transistors produce.
 //
-// The sparse elimination keeps per-column occupancy lists and uses a dense
-// scratch accumulator per pivot row (Gilbert–Peierls style scatter/gather),
-// so a bit-line ladder of thousands of nodes factors in near-linear time.
-// Pivoting is diagonal-only: the engine guarantees strictly positive
-// diagonals (gmin, source series conductances), which is the standard
-// SPICE contract; a vanishing pivot is reported as a structural error.
+// The engine's path splits the factorization the way KLU does (Davis &
+// Palamadai Natarajan, 2010). Analyze computes, once per circuit
+// topology, the matrix pattern with its fill-in under the natural order,
+// laid out as value slots, and for every below-diagonal slot the slots its
+// elimination updates. Each Newton iteration then assembles the values
+// into a flat []float64 over those slots and calls Symbolic.Solve, a
+// numeric refactorization plus substitution that does no searching,
+// sorting or allocation. Pivoting is diagonal-only: the engine guarantees
+// strictly positive diagonals (gmin, source series conductances), which is
+// the standard SPICE contract; a vanishing pivot is reported as an error.
+//
+// Matrix and Solver are the row-sparse form with in-place Gaussian
+// elimination (per-column occupancy lists and a dense scatter accumulator,
+// Gilbert–Peierls style) that derives its pattern on the fly. They serve
+// callers that assemble an arbitrary system once, and they are the
+// reference the symbolic path is fuzzed against: Symbolic.Solve performs
+// Solver.Solve's arithmetic operation for operation, so the two agree bit
+// for bit.
 package sparse
 
 import (
@@ -71,9 +81,9 @@ func (m *Matrix) NNZ() int {
 	return n
 }
 
-// Clone returns a deep copy with fresh storage. Hot loops that refill the
-// same destination repeatedly (the SPICE engine's Newton work matrix)
-// use CopyFrom instead, which reuses the destination's row storage.
+// Clone returns a deep copy with fresh storage. Loops that refill the
+// same destination repeatedly use CopyFrom instead, which reuses the
+// destination's row storage.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.N)
 	for i, r := range m.Rows {
@@ -101,7 +111,7 @@ func (m *Matrix) Reuse(n int) {
 
 // CopyFrom overwrites m with the contents of src, reusing m's row storage.
 // It is the allocation-free counterpart of Clone for matrices that are
-// refilled every iteration (the SPICE engine's Newton work matrix).
+// refilled every iteration.
 func (m *Matrix) CopyFrom(src *Matrix) {
 	m.Reuse(src.N)
 	for i, r := range src.Rows {
@@ -125,8 +135,8 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 // Solve performs in-place Gaussian elimination on the matrix and
 // right-hand side b, returning the solution. The matrix is destroyed.
 // Diagonal pivots below tol×(row max) are rejected. It is a convenience
-// wrapper over Solver.Solve with throwaway scratch; hot loops should hold
-// a Solver.
+// wrapper over Solver.Solve with throwaway scratch; loops should hold a
+// Solver, or a Symbolic when the pattern repeats.
 func (m *Matrix) Solve(b []float64) ([]float64, error) {
 	var s Solver
 	sol, err := s.Solve(m, b)
@@ -139,8 +149,8 @@ func (m *Matrix) Solve(b []float64) ([]float64, error) {
 
 // Solver carries the factorization scratch of Matrix.Solve — the column
 // occupancy lists, the dense scatter accumulator and the solution vector —
-// so a hot loop (the SPICE engine's Newton iterations) can solve many
-// same-size systems without reallocating any of it. The elimination
+// so a loop can solve many same-size systems without reallocating any of
+// it. The elimination
 // arithmetic is identical to the scratch-free path, so solutions are
 // bit-for-bit the same for the same inputs.
 //
@@ -296,55 +306,6 @@ func (s *Solver) Solve(m *Matrix, b []float64) ([]float64, error) {
 		sol[i] = acc / diag
 	}
 	return sol, nil
-}
-
-// DenseSolve solves A·x = b by LU with partial pivoting, used as the gold
-// standard in tests and for small systems. A and b are destroyed.
-func DenseSolve(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	if n == 0 || len(b) != n {
-		return nil, fmt.Errorf("dense: bad dimensions")
-	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for k := 0; k < n; k++ {
-		// Partial pivot.
-		p := k
-		for i := k + 1; i < n; i++ {
-			if math.Abs(a[i][k]) > math.Abs(a[p][k]) {
-				p = i
-			}
-		}
-		if a[p][k] == 0 {
-			return nil, fmt.Errorf("dense: singular at column %d", k)
-		}
-		if p != k {
-			a[p], a[k] = a[k], a[p]
-			b[p], b[k] = b[k], b[p]
-		}
-		for i := k + 1; i < n; i++ {
-			f := a[i][k] / a[k][k]
-			if f == 0 {
-				continue
-			}
-			a[i][k] = 0
-			for j := k + 1; j < n; j++ {
-				a[i][j] -= f * a[k][j]
-			}
-			b[i] -= f * b[k]
-		}
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for j := i + 1; j < n; j++ {
-			s -= a[i][j] * x[j]
-		}
-		x[i] = s / a[i][i]
-	}
-	return x, nil
 }
 
 // ToDense expands the sparse matrix, for tests and debugging.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestAddAtNNZ(t *testing.T) {
@@ -116,7 +115,7 @@ func TestSolveMatchesDenseRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: sparse: %v", trial, err)
 		}
-		xd, err := DenseSolve(d, bCopy)
+		xd, err := denseSolve(d, bCopy)
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
@@ -173,12 +172,6 @@ func TestSolveErrors(t *testing.T) {
 	if _, err := m2.Solve([]float64{1}); err == nil {
 		t.Fatal("bad rhs length must error")
 	}
-	if _, err := DenseSolve([][]float64{{0, 1}, {0, 1}}, []float64{1, 1}); err == nil {
-		t.Fatal("singular dense must error")
-	}
-	if _, err := DenseSolve(nil, nil); err == nil {
-		t.Fatal("empty dense must error")
-	}
 }
 
 func TestCloneIndependence(t *testing.T) {
@@ -210,25 +203,6 @@ func TestToDense(t *testing.T) {
 	d := m.ToDense()
 	if d[0][1] != 7 || d[0][0] != 0 {
 		t.Fatalf("ToDense = %v", d)
-	}
-}
-
-func TestDensePermutationProperty(t *testing.T) {
-	// DenseSolve with partial pivoting handles row-swapped systems the
-	// diagonal-pivot sparse solver cannot.
-	f := func(a, b, c float64) bool {
-		if math.IsNaN(a+b+c) || math.IsInf(a+b+c, 0) {
-			return true
-		}
-		// [[0, 1], [1, 0]] x = [a, b] → x = [b, a]
-		x, err := DenseSolve([][]float64{{0, 1}, {1, 0}}, []float64{a, b})
-		if err != nil {
-			return false
-		}
-		return x[0] == b && x[1] == a
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"mpsram/internal/circuit"
-	"mpsram/internal/sparse"
 )
 
 // AdaptiveOptions tunes TransientAdaptive.
@@ -44,10 +43,10 @@ func (o AdaptiveOptions) withDefaults(tEnd float64) AdaptiveOptions {
 	return o
 }
 
-// breakpoints collects the time points where pulse sources have corners;
-// steps are clipped so no corner is jumped over.
-func (e *Engine) breakpoints(tEnd float64) []float64 {
-	var bps []float64
+// breakpoints appends to dst[:0] the time points where pulse sources
+// have corners; steps are clipped so no corner is jumped over.
+func (e *Engine) breakpoints(dst []float64, tEnd float64) []float64 {
+	bps := dst[:0]
 	add := func(t float64) {
 		if t > 0 && t < tEnd {
 			bps = append(bps, t)
@@ -78,29 +77,28 @@ func (e *Engine) breakpoints(tEnd float64) []float64 {
 
 // beStep advances the state x at time t by h with one backward-Euler
 // solve (no trapezoidal state involved, which is what makes step-doubling
-// safe here). The base matrix reuses the DC-stage scratch (the operating
-// point is long done by the time stepping starts); the result is detached
-// from the engine's Newton buffers because step-doubling holds three
-// solutions live at once.
-func (e *Engine) beStep(x []float64, t, h float64) ([]float64, error) {
-	if e.dcBase == nil {
-		e.dcBase = new(sparse.Matrix)
-	}
-	e.dcBase.CopyFrom(e.static)
+// safe here) and writes the result to dst. The base matrix reuses the
+// DC-stage scratch (the operating point is long done by the time stepping
+// starts); the result is copied out of the engine's Newton buffers
+// because step-doubling holds three solutions live at once.
+func (e *Engine) beStep(dst, x []float64, t, h float64) error {
+	e.dcBase = grow(e.dcBase, len(e.static))
 	m := e.dcBase
+	copy(m, e.static)
 	rhs := e.rhsBuf()
 	e.sourceRHS(rhs, t+h)
-	for _, c := range e.ckt.Cs {
+	for ci, c := range e.ckt.Cs {
 		g := c.C / h
-		stampG(m, c.A, c.B, g)
+		stampG(m, e.topo.cs[4*ci:], g)
 		vPrev := vAt(x, c.A) - vAt(x, c.B)
 		rhsI(rhs, c.A, c.B, g*vPrev)
 	}
 	sol, err := e.newtonSolve(m, rhs, x)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return append([]float64(nil), sol...), nil
+	copy(dst, sol)
+	return nil
 }
 
 // TransientAdaptive integrates from 0 to tEnd with backward Euler under
@@ -125,9 +123,15 @@ func (e *Engine) TransientAdaptive(tEnd float64, opt AdaptiveOptions, probes []c
 	// buffer-resident x would be silently overwritten by the third solve
 	// (its x0 is already a detached copy, so solutionBuf could hand back
 	// the buffer still holding x — corrupting the retry state of a
-	// rejected step).
-	x := append([]float64(nil), xDC...)
-	bps := e.breakpoints(tEnd)
+	// rejected step). x, the full step x1, the half step xh and the
+	// composite x2 each get one of the engine's adaptive buffers.
+	for i := range e.adapt {
+		e.adapt[i] = grow(e.adapt[i], e.n)
+	}
+	x, x1, xh, x2 := e.adapt[0], e.adapt[1], e.adapt[2], e.adapt[3]
+	copy(x, xDC)
+	e.bps = e.breakpoints(e.bps, tEnd)
+	bps := e.bps
 	res := &Result{Nodes: probes, V: make([][]float64, len(probes))}
 	record := func(t float64, x []float64) {
 		res.T = append(res.T, t)
@@ -136,6 +140,7 @@ func (e *Engine) TransientAdaptive(tEnd float64, opt AdaptiveOptions, probes []c
 		}
 	}
 	record(0, x)
+	probe := func(id circuit.NodeID) float64 { return vAt(x, id) }
 	t := 0.0
 	h := o.DtInit
 	bpIdx := 0
@@ -155,16 +160,13 @@ func (e *Engine) TransientAdaptive(tEnd float64, opt AdaptiveOptions, probes []c
 			hEff = math.Min(o.DtMin, tEnd-t)
 		}
 		// Full step and two half steps.
-		x1, err := e.beStep(x, t, hEff)
-		if err != nil {
+		if err := e.beStep(x1, x, t, hEff); err != nil {
 			return nil, fmt.Errorf("spice: adaptive step at t=%g: %w", t, err)
 		}
-		xh, err := e.beStep(x, t, hEff/2)
-		if err != nil {
+		if err := e.beStep(xh, x, t, hEff/2); err != nil {
 			return nil, err
 		}
-		x2, err := e.beStep(xh, t+hEff/2, hEff/2)
-		if err != nil {
+		if err := e.beStep(x2, xh, t+hEff/2, hEff/2); err != nil {
 			return nil, err
 		}
 		errEst := 0.0
@@ -178,11 +180,12 @@ func (e *Engine) TransientAdaptive(tEnd float64, opt AdaptiveOptions, probes []c
 			h = math.Max(hEff/2, o.DtMin)
 			continue
 		}
-		// Accept the more accurate composite solution.
-		x = x2
+		// Accept the more accurate composite solution; the old state's
+		// buffer takes the next composite.
+		x, x2 = x2, x
 		t += hEff
 		record(t, x)
-		if stop != nil && stop(t, func(id circuit.NodeID) float64 { return vAt(x, id) }) {
+		if stop != nil && stop(t, probe) {
 			break
 		}
 		// Grow the step toward the tolerance (BE is first order:

@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,12 +10,14 @@ import (
 	"mpsram/internal/tech"
 )
 
-// FuzzNetlistReset drives the engine-reuse contract with random
-// topology-stable parameter mutations: a netlist rebuilt in place
+// FuzzNetlistReset drives the engine-reuse contract with random parameter
+// mutations on two random topologies: a netlist rebuilt in place
 // (circuit.Netlist.Reset) and re-targeted through spice.Engine.Reset must
 // produce transients bit-for-bit identical to a fresh New on an
-// identically built netlist. Any divergence means the scratch reuse leaked
-// state between runs.
+// identically built netlist. The resident engine bounces from the first
+// ladder depth to the second and back, so the compiled-topology cache is
+// fuzzed on both a miss and a hit after invalidation. Any divergence
+// means the scratch reuse leaked state between runs.
 func FuzzNetlistReset(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(42))
@@ -24,10 +27,7 @@ func FuzzNetlistReset(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		// One topology per seed, two parameter mutations on it: the
-		// resident engine runs the first, then Resets onto the second.
-		segs := 1 + rng.Intn(4)
-		draw := func() dischargeParams {
+		draw := func(segs int) dischargeParams {
 			return dischargeParams{
 				segs: segs,
 				r:    50 * (1 + 3*rng.Float64()),
@@ -36,25 +36,17 @@ func FuzzNetlistReset(f *testing.F) {
 				rpre: 1e6 * (1 + 9*rng.Float64()),
 			}
 		}
-		pA, pB := draw(), draw()
+		segsA, segsB := 1+rng.Intn(4), 1+rng.Intn(4)
+		pA, pB, pC := draw(segsA), draw(segsB), draw(segsA)
 		const tEnd, dt = 20e-12, 0.25e-12
 
-		run := func(e *Engine, nl *circuit.Netlist, probes []circuit.NodeID) (*Result, error) {
+		run := func(e *Engine, probes []circuit.NodeID) (*Result, error) {
 			res, err := e.Transient(tEnd, dt, probes, nil)
 			if err != nil {
 				return nil, err
 			}
 			return snapshotResult(res), nil
 		}
-
-		// Reference: fresh netlist + fresh engine per mutation.
-		nlB := circuit.New()
-		probesB := buildDischarge(nlB, nm, pB)
-		freshB, err := New(nlB, Options{})
-		if err != nil {
-			t.Skipf("fresh New rejected circuit: %v", err)
-		}
-		want, wantErr := run(freshB, nlB, probesB)
 
 		// Reused path: one netlist object rebuilt in place, one engine
 		// re-targeted with Reset after simulating mutation A.
@@ -67,19 +59,32 @@ func FuzzNetlistReset(f *testing.F) {
 		if _, err := resident.Transient(tEnd, dt, probesA, nil); err != nil {
 			t.Skipf("transient A failed: %v", err)
 		}
-		nl.Reset()
-		probes := buildDischarge(nl, nm, pB)
-		if err := resident.Reset(nl, Options{}); err != nil {
-			t.Fatalf("Engine.Reset: %v", err)
-		}
-		got, gotErr := run(resident, nl, probes)
+		prev := segsA
+		for i, p := range []dischargeParams{pB, pC} {
+			// Reference: fresh netlist + fresh engine per mutation.
+			nlRef := circuit.New()
+			probesRef := buildDischarge(nlRef, nm, p)
+			fresh, err := New(nlRef, Options{})
+			if err != nil {
+				t.Skipf("fresh New rejected circuit: %v", err)
+			}
+			want, wantErr := run(fresh, probesRef)
 
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("fresh err=%v, reused err=%v", wantErr, gotErr)
+			nl.Reset()
+			probes := buildDischarge(nl, nm, p)
+			if err := resident.Reset(nl, Options{}); err != nil {
+				t.Fatalf("Engine.Reset: %v", err)
+			}
+			got, gotErr := run(resident, probes)
+
+			label := fmt.Sprintf("fuzz reset %d (segs %d→%d)", i, prev, p.segs)
+			prev = p.segs
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("%s: fresh err=%v, reused err=%v", label, wantErr, gotErr)
+			}
+			if wantErr == nil {
+				requireIdenticalResults(t, label, want, got)
+			}
 		}
-		if wantErr != nil {
-			return
-		}
-		requireIdenticalResults(t, "fuzz reset", want, got)
 	})
 }

@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"mpsram/internal/circuit"
-	"mpsram/internal/sparse"
 )
 
 // Integrator selects the companion model used for capacitors.
@@ -65,23 +64,36 @@ func (o Options) withDefaults() Options {
 }
 
 // Engine simulates one netlist. An Engine owns all the scratch a transient
-// needs — the sparse matrices, the Newton iteration buffers, the solver's
-// factorization scratch and the waveform storage — and Reset re-targets
-// the whole bundle at a mutated netlist without going back to the
-// allocator, which is what makes SPICE-in-the-loop Monte-Carlo affordable
-// (one resident Engine per worker instead of a New per trial).
+// needs — the compiled topology, the matrix value arrays, the Newton
+// iteration buffers and the waveform storage — and Reset re-targets the
+// whole bundle at a mutated netlist without going back to the allocator,
+// which is what makes SPICE-in-the-loop Monte-Carlo affordable (one
+// resident Engine per worker instead of a New per trial).
+//
+// The matrices are flat value arrays over the slots of the current
+// topology's symbolic LU (see topology): assembling one is a copy plus
+// indexed adds, and solving it is a numeric refactorization with no
+// searching, sorting or allocation.
 type Engine struct {
 	ckt  *circuit.Netlist
 	opts Options
 	n    int // unknowns (nodes minus ground)
 
+	// topo is the compiled topology of ckt; topos caches the most
+	// recently used ones (most recent first) so Resets that bounce
+	// between a few netlist shapes compile each only once. key is the
+	// fingerprint scratch.
+	topo  *topology
+	topos []*topology
+	key   []int32
+
 	// static holds the time-invariant resistive stamps: resistors,
 	// voltage-source series conductances, gmin.
-	static *sparse.Matrix
-	// capG holds the capacitor companion conductances for the current
-	// step size (rebuilt when dt changes).
+	static []float64
+	// capBase holds static plus the capacitor companion conductances for
+	// step capDt (rebuilt when dt changes).
 	capDt   float64
-	capBase *sparse.Matrix
+	capBase []float64
 	// capState tracks per-capacitor branch current (trapezoidal).
 	capI []float64
 	// nodeset seeds the DC solve (SPICE .nodeset): during the early gmin
@@ -90,18 +102,23 @@ type Engine struct {
 	// cells have a metastable saddle Newton would otherwise find).
 	nodeset map[circuit.NodeID]float64
 
-	// Reusable scratch. work is the per-Newton-iteration matrix (refilled
-	// from the base by CopyFrom instead of Clone), dcBase the per-stage DC
-	// matrix, solver the factorization scratch, rhsStep/rhsIter the
-	// per-step and per-iteration right-hand sides, xA/xB the ping-pong
-	// Newton solution buffers, and resT/resV the waveform storage behind
-	// the Result of the fixed-step Transient.
-	work    *sparse.Matrix
-	dcBase  *sparse.Matrix
-	solver  sparse.Solver
+	// Reusable scratch. work is the per-Newton-iteration matrix (a copy
+	// of the base plus the MOSFET stamps, factored in place), dcBase the
+	// per-stage DC and per-step adaptive matrix, rhsStep/rhsIter the
+	// per-step and per-iteration right-hand sides, sol the solver output,
+	// x0 the DC initial guess, xA/xB the ping-pong Newton solution
+	// buffers, adapt the adaptive integrator's detached states, bps its
+	// breakpoints, and resT/resV the waveform storage behind the Result
+	// of the fixed-step Transient.
+	work    []float64
+	dcBase  []float64
 	rhsStep []float64
 	rhsIter []float64
+	sol     []float64
+	x0      []float64
 	xA, xB  []float64
+	adapt   [4][]float64
+	bps     []float64
 	resT    []float64
 	resV    [][]float64
 }
@@ -119,13 +136,14 @@ func New(ckt *circuit.Netlist, opts Options) (*Engine, error) {
 }
 
 // Reset re-targets the engine at netlist ckt under options opts, reusing
-// every internal allocation: the sparse matrix storage, the Newton and
-// right-hand-side scratch, the solver's factorization workspace and the
-// waveform buffers. The netlist may differ arbitrarily from the previous
-// one (parameter mutations, different size); when the topology is stable
-// the rebuild performs no heap allocation at all. Results are bit-for-bit
-// identical to a freshly constructed engine on the same netlist: Reset
-// only removes reallocation, never changes an arithmetic step.
+// every internal allocation: the compiled topology, the matrix value
+// arrays, the Newton and right-hand-side scratch and the waveform
+// buffers. The netlist may differ arbitrarily from the previous one
+// (parameter mutations, different size); when its topology is one of the
+// engine's recently compiled ones the rebuild performs no heap allocation
+// at all. Results are bit-for-bit identical to a freshly constructed
+// engine on the same netlist: Reset only removes reallocation, never
+// changes an arithmetic step.
 //
 // Reset clears any installed nodeset and invalidates Results returned by
 // earlier Transient calls on this engine (their waveform storage is
@@ -141,41 +159,32 @@ func (e *Engine) Reset(ckt *circuit.Netlist, opts Options) error {
 	e.ckt = ckt
 	e.opts = opts.withDefaults()
 	e.n = n
-	if e.static == nil {
-		e.static = new(sparse.Matrix)
+	if err := e.useTopology(); err != nil {
+		return err
 	}
+	e.static = grow(e.static, e.topo.slots())
 	e.buildStaticInto(e.static, e.opts.Gmin)
 	// Invalidate the capacitor companion cache: NaN never compares equal
 	// to a valid dt, so the next Transient rebuilds it from the new
 	// element values.
 	e.capDt = math.NaN()
-	if cap(e.capI) >= len(ckt.Cs) {
-		e.capI = e.capI[:len(ckt.Cs)]
-	} else {
-		e.capI = make([]float64, len(ckt.Cs))
-	}
+	e.capI = grow(e.capI, len(ckt.Cs))
 	clear(e.capI)
 	e.nodeset = nil
 	return nil
 }
 
+// grow returns buf resliced to length n, reallocating only when its
+// capacity is short. The contents are unspecified.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]float64, n)
+}
+
 // ix maps a node to its matrix index; ground is −1.
 func ix(id circuit.NodeID) int { return int(id) - 1 }
-
-// stamp adds conductance g between nodes a and b.
-func stampG(m *sparse.Matrix, a, b circuit.NodeID, g float64) {
-	ia, ib := ix(a), ix(b)
-	if ia >= 0 {
-		m.Add(ia, ia, g)
-	}
-	if ib >= 0 {
-		m.Add(ib, ib, g)
-	}
-	if ia >= 0 && ib >= 0 {
-		m.Add(ia, ib, -g)
-		m.Add(ib, ia, -g)
-	}
-}
 
 // rhsI injects current i into node a and out of node b.
 func rhsI(rhs []float64, a, b circuit.NodeID, i float64) {
@@ -187,37 +196,33 @@ func rhsI(rhs []float64, a, b circuit.NodeID, i float64) {
 	}
 }
 
-// buildStaticInto assembles the time-invariant resistive stamps into m,
-// reusing its row storage.
-func (e *Engine) buildStaticInto(m *sparse.Matrix, gmin float64) {
-	m.Reuse(e.n)
+// buildStaticInto assembles the time-invariant resistive stamps into m.
+func (e *Engine) buildStaticInto(m []float64, gmin float64) {
+	clear(m)
 	for i := 0; i < e.n; i++ {
-		m.Add(i, i, gmin)
+		m[e.topo.sym.Diag(i)] += gmin
 	}
-	for _, r := range e.ckt.Rs {
-		stampG(m, r.A, r.B, 1/r.R)
+	for k, r := range e.ckt.Rs {
+		stampG(m, e.topo.rs[4*k:], 1/r.R)
 	}
-	for _, v := range e.ckt.Vs {
-		stampG(m, v.P, v.N, 1/v.RS)
+	for k, v := range e.ckt.Vs {
+		stampG(m, e.topo.vs[4*k:], 1/v.RS)
 	}
 }
 
 // buildCapBase caches static + capacitor companion conductances for dt.
 func (e *Engine) buildCapBase(dt float64) {
-	if e.capBase != nil && e.capDt == dt {
+	if e.capDt == dt {
 		return
 	}
-	if e.capBase == nil {
-		e.capBase = new(sparse.Matrix)
-	}
-	e.capBase.CopyFrom(e.static)
-	m := e.capBase
+	e.capBase = grow(e.capBase, len(e.static))
+	copy(e.capBase, e.static)
 	k := 1.0
 	if e.opts.Method == Trapezoidal {
 		k = 2.0
 	}
-	for _, c := range e.ckt.Cs {
-		stampG(m, c.A, c.B, k*c.C/dt)
+	for ci, c := range e.ckt.Cs {
+		stampG(e.capBase, e.topo.cs[4*ci:], k*c.C/dt)
 	}
 	e.capDt = dt
 }
@@ -225,11 +230,7 @@ func (e *Engine) buildCapBase(dt float64) {
 // rhsBuf returns the per-step right-hand-side buffer, zeroed and sized to
 // the current unknown count.
 func (e *Engine) rhsBuf() []float64 {
-	if cap(e.rhsStep) >= e.n {
-		e.rhsStep = e.rhsStep[:e.n]
-	} else {
-		e.rhsStep = make([]float64, e.n)
-	}
+	e.rhsStep = grow(e.rhsStep, e.n)
 	clear(e.rhsStep)
 	return e.rhsStep
 }
@@ -244,16 +245,8 @@ func (e *Engine) solutionBuf(avoid []float64) []float64 {
 	// allocation-free; newtonSolve fully overwrites the buffer, and the
 	// identity check below survives reslicing (the base pointer does not
 	// move).
-	if cap(e.xA) >= e.n {
-		e.xA = e.xA[:e.n]
-	} else {
-		e.xA = make([]float64, e.n)
-	}
-	if cap(e.xB) >= e.n {
-		e.xB = e.xB[:e.n]
-	} else {
-		e.xB = make([]float64, e.n)
-	}
+	e.xA = grow(e.xA, e.n)
+	e.xB = grow(e.xB, e.n)
 	if len(avoid) > 0 && &avoid[0] == &e.xA[0] {
 		return e.xB
 	}
@@ -285,51 +278,40 @@ func vAt(x []float64, id circuit.NodeID) float64 {
 // holding x0) and stays valid until the buffer's next reuse — callers
 // consume it before the second-following newtonSolve call. x0 is left
 // untouched on failure.
-func (e *Engine) newtonSolve(base *sparse.Matrix, rhsBase []float64, x0 []float64) ([]float64, error) {
+func (e *Engine) newtonSolve(base []float64, rhsBase []float64, x0 []float64) ([]float64, error) {
 	x := e.solutionBuf(x0)
 	copy(x, x0)
-	if e.work == nil {
-		e.work = new(sparse.Matrix)
-	}
-	if cap(e.rhsIter) >= e.n {
-		e.rhsIter = e.rhsIter[:e.n]
-	} else {
-		e.rhsIter = make([]float64, e.n)
-	}
+	e.work = grow(e.work, len(base))
+	e.rhsIter = grow(e.rhsIter, e.n)
+	e.sol = grow(e.sol, e.n)
+	m, rhs, xNew := e.work, e.rhsIter, e.sol
+	sym, slots := e.topo.sym, e.topo.ms
 	o := e.opts
 	for iter := 0; iter < o.MaxNewton; iter++ {
-		e.work.CopyFrom(base)
-		m := e.work
-		rhs := e.rhsIter
+		copy(m, base)
 		copy(rhs, rhsBase)
-		for _, mos := range e.ckt.Ms {
+		for k, mos := range e.ckt.Ms {
 			vgs := vAt(x, mos.G) - vAt(x, mos.S)
 			vds := vAt(x, mos.D) - vAt(x, mos.S)
 			id, gm, gds := mos.Model.Eval(mos.W, vgs, vds)
 			// Linearized drain current: id + gm·Δvgs + gds·Δvds.
 			// Stamp conductances and the Norton residual current.
 			ieq := id - gm*vgs - gds*vds
-			iD, iG, iS := ix(mos.D), ix(mos.G), ix(mos.S)
-			add := func(r, c int, v float64) {
-				if r >= 0 && c >= 0 {
-					m.Add(r, c, v)
-				}
-			}
-			add(iD, iG, gm)
-			add(iD, iD, gds)
-			add(iD, iS, -gm-gds)
-			add(iS, iG, -gm)
-			add(iS, iD, -gds)
-			add(iS, iS, gm+gds)
-			if iD >= 0 {
+			s := slots[6*k : 6*k+6]
+			m[s[0]] += gm
+			m[s[1]] += gds
+			m[s[2]] += -gm - gds
+			m[s[3]] += -gm
+			m[s[4]] += -gds
+			m[s[5]] += gm + gds
+			if iD := ix(mos.D); iD >= 0 {
 				rhs[iD] -= ieq
 			}
-			if iS >= 0 {
+			if iS := ix(mos.S); iS >= 0 {
 				rhs[iS] += ieq
 			}
 		}
-		xNew, err := e.solver.Solve(m, rhs)
-		if err != nil {
+		if err := sym.Solve(m[:sym.NNZ()], rhs, xNew); err != nil {
 			return nil, fmt.Errorf("spice: newton iteration %d: %w", iter, err)
 		}
 		// Damped update with per-node step clamp.
@@ -364,20 +346,20 @@ func (e *Engine) newtonSolve(base *sparse.Matrix, rhsBase []float64, x0 []float6
 // TransientAdaptive call on this engine; callers comparing bias points
 // across runs must copy it first.
 func (e *Engine) DCOperatingPoint() ([]float64, error) {
-	x := make([]float64, e.n)
+	e.x0 = grow(e.x0, e.n)
+	x := e.x0
+	clear(x)
 	for id, v := range e.nodeset {
 		if i := ix(id); i >= 0 {
 			x[i] = v
 		}
 	}
 	var lastErr error
-	stages := []float64{1e-3, 1e-5, 1e-7, 1e-9, e.opts.Gmin}
-	if e.dcBase == nil {
-		e.dcBase = new(sparse.Matrix)
-	}
+	stages := [...]float64{1e-3, 1e-5, 1e-7, 1e-9, e.opts.Gmin}
+	e.dcBase = grow(e.dcBase, len(e.static))
+	base := e.dcBase
 	for si, gmin := range stages {
-		e.buildStaticInto(e.dcBase, gmin)
-		base := e.dcBase
+		e.buildStaticInto(base, gmin)
 		rhs := e.rhsBuf()
 		e.sourceRHS(rhs, 0)
 		if si < len(stages)-1 {
@@ -386,7 +368,7 @@ func (e *Engine) DCOperatingPoint() ([]float64, error) {
 			const gns = 1e-3
 			for id, v := range e.nodeset {
 				if i := ix(id); i >= 0 {
-					base.Add(i, i, gns)
+					base[e.topo.sym.Diag(i)] += gns
 					rhs[i] += gns * v
 				}
 			}
@@ -497,6 +479,9 @@ func (e *Engine) Transient(tEnd, dt float64, probes []circuit.NodeID, stop StopF
 		}
 	}
 	record(0, x)
+	// One voltage accessor for the whole run: it reads x as the loop
+	// advances it, so stop costs no allocation per step.
+	probe := func(id circuit.NodeID) float64 { return vAt(x, id) }
 	trap := e.opts.Method == Trapezoidal
 	k := 1.0
 	if trap {
@@ -528,7 +513,7 @@ func (e *Engine) Transient(tEnd, dt float64, probes []circuit.NodeID, stop StopF
 		}
 		x = xNew
 		record(t, x)
-		if stop != nil && stop(t, func(id circuit.NodeID) float64 { return vAt(x, id) }) {
+		if stop != nil && stop(t, probe) {
 			break
 		}
 	}

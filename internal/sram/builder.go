@@ -38,13 +38,15 @@ type ColumnBuilder struct {
 	nom     CellParasitics
 	ratios  map[ratioKey]extract.Ratios
 
-	// scratch is the reused netlist; the Column returned by Build aliases
-	// it and stays valid only until the next Build call.
-	scratch *circuit.Netlist
+	// scratch is the reused netlist and build storage; the Column
+	// returned by Build aliases it and stays valid only until the next
+	// Build call.
+	scratch *columnScratch
 
 	// eng is the resident SPICE engine, re-targeted with
-	// spice.Engine.Reset on every MeasureTd so the sparse matrices, the
-	// Newton scratch and the waveform storage survive across trials.
+	// spice.Engine.Reset on every MeasureTd so the compiled topology, the
+	// matrix values, the Newton scratch and the waveform storage survive
+	// across trials.
 	eng *spice.Engine
 }
 
@@ -103,11 +105,11 @@ func (b *ColumnBuilder) Ratios(o litho.Option, s litho.Sample) (extract.Ratios, 
 // only until the next Build call on this session.
 func (b *ColumnBuilder) Build(n int, cp CellParasitics, opt BuildOptions) (*Column, error) {
 	if b.scratch == nil {
-		b.scratch = circuit.New()
+		b.scratch = &columnScratch{nl: circuit.New()}
 	} else {
-		b.scratch.Reset()
+		b.scratch.nl.Reset()
 	}
-	return buildColumnInto(b.scratch, b.nmos, b.pmos, b.Proc, n, cp, opt)
+	return b.scratch.build(b.nmos, b.pmos, b.Proc, n, cp, opt)
 }
 
 // MeasureTd builds the column for parasitics cp at size n and runs the

@@ -65,7 +65,7 @@ func TestColumnBuilderScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if col.Netlist != b.scratch {
+	if col.Netlist != b.scratch.nl {
 		t.Fatal("Build must reuse the session scratch netlist")
 	}
 	if got, want := col.Netlist.WriteSpice("x"), ref.Netlist.WriteSpice("x"); got != want {
@@ -101,5 +101,40 @@ func TestColumnBuilderRatioCache(t *testing.T) {
 	}
 	if len(b.ratios) != 1 {
 		t.Fatalf("ratio cache size %d, want 1", len(b.ratios))
+	}
+}
+
+// TestMeasureTdSteadyStateAllocations pins the allocation count of a warm
+// ColumnBuilder.MeasureTd: the netlist rebuild reuses its labels and
+// storage, the engine reuses its compiled topology and value arrays, and
+// the transient loop allocates nothing per step. A per-step or per-element
+// allocation coming back (hundreds per transient) fails this at once.
+func TestMeasureTdSteadyStateAllocations(t *testing.T) {
+	const maxAllocs = 32
+	p := tech.N10()
+	b := NewColumnBuilder(p, extract.SakuraiTamaru{})
+	nom, err := b.Nominal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(n int) {
+		if _, err := b.MeasureTd(n, nom, BuildOptions{}, SimOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm both column shapes: n = 16 has its own topology, n = 64 the
+	// one every larger array shares.
+	measure(64)
+	measure(16)
+	got := testing.AllocsPerRun(2, func() { measure(64) })
+	t.Logf("warm MeasureTd(n=64): %v allocations per transient", got)
+	if got > maxAllocs {
+		t.Fatalf("warm MeasureTd(n=64) allocates %v times per transient, want ≤ %d", got, maxAllocs)
+	}
+	// Bouncing between the two shapes re-targets the cached topologies.
+	got = testing.AllocsPerRun(2, func() { measure(16); measure(64) }) / 2
+	t.Logf("MeasureTd bouncing n=16/64: %v allocations per transient", got)
+	if got > maxAllocs {
+		t.Fatalf("MeasureTd bouncing n=16/64 allocates %v times per transient, want ≤ %d", got, maxAllocs)
 	}
 }

@@ -74,6 +74,11 @@ type Column struct {
 	proc tech.Process
 	nmos *device.MOS
 	pmos *device.MOS
+
+	// nodeset and probes are measureTdOn's storage, kept with the Column
+	// so a ColumnBuilder's reused Column reuses them too.
+	nodeset map[circuit.NodeID]float64
+	probes  []circuit.NodeID
 }
 
 // CellParasitics carries the per-cell interconnect values used to build a
@@ -123,15 +128,61 @@ func CFE(f tech.FEOL) float64 { return f.WPassGate * f.CJPerM }
 //	                 │C+Cpre      │C                │C          [6T cell]
 //	gnd ──(tap)──  vss_S ──R── vss_{S-1} ── … ── vss_0 ──[M_pd src]
 func BuildColumn(p tech.Process, n int, cp CellParasitics, opt BuildOptions) (*Column, error) {
-	return buildColumnInto(circuit.New(), device.NewNMOS(p.FEOL), device.NewPMOS(p.FEOL),
-		p, n, cp, opt)
+	sc := &columnScratch{nl: circuit.New()}
+	return sc.build(device.NewNMOS(p.FEOL), device.NewPMOS(p.FEOL), p, n, cp, opt)
 }
 
-// buildColumnInto is BuildColumn with caller-supplied netlist storage and
-// device cards — the reuse hook behind ColumnBuilder. The netlist must be
+// columnScratch is the storage a column build fills — the netlist, the
+// Column, the per-segment node ids — plus what a rebuild can reuse as is:
+// the per-segment labels, formatted once per segment index, and the
+// source waveforms, boxed once per supply voltage. ColumnBuilder keeps
+// one across builds, so a rebuild on the reused netlist allocates almost
+// nothing and calls no fmt.Sprintf.
+type columnScratch struct {
+	nl           *circuit.Netlist
+	col          Column
+	bl, blb, vss []circuit.NodeID
+
+	blName, blbName, vssName, leakBLName, leakBLBName []string
+
+	vdd           float64
+	supply, pulse circuit.Waveform
+}
+
+// labels makes the per-segment labels of segments 0..segs available.
+func (sc *columnScratch) labels(segs int) {
+	for i := len(sc.blName); i <= segs; i++ {
+		sc.blName = append(sc.blName, fmt.Sprintf("bl%d", i))
+		sc.blbName = append(sc.blbName, fmt.Sprintf("blb%d", i))
+		sc.vssName = append(sc.vssName, fmt.Sprintf("vss%d", i))
+		sc.leakBLName = append(sc.leakBLName, fmt.Sprintf("leak_bl%d", i))
+		sc.leakBLBName = append(sc.leakBLBName, fmt.Sprintf("leak_blb%d", i))
+	}
+}
+
+// waves returns the supply and the word-line/precharge pulse for vdd.
+func (sc *columnScratch) waves(vdd float64) (supply, pulse circuit.Waveform) {
+	if sc.supply == nil || sc.vdd != vdd {
+		sc.vdd = vdd
+		sc.supply = circuit.DC(vdd)
+		sc.pulse = circuit.Pulse{V0: 0, V1: vdd, Delay: 1e-12, Rise: 2e-12, Width: 1}
+	}
+	return sc.supply, sc.pulse
+}
+
+// nodes returns ids reusing buf's storage, resized to n.
+func nodes(buf []circuit.NodeID, n int) []circuit.NodeID {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]circuit.NodeID, n)
+}
+
+// build constructs the column into the scratch, whose netlist must be
 // empty (fresh or Reset); construction is deterministic, so a reused
-// netlist yields element-for-element the same circuit as a fresh one.
-func buildColumnInto(nl *circuit.Netlist, nmos, pmos *device.MOS, p tech.Process, n int, cp CellParasitics, opt BuildOptions) (*Column, error) {
+// scratch yields element-for-element the same circuit as a fresh one. The
+// returned Column aliases the scratch.
+func (sc *columnScratch) build(nmos, pmos *device.MOS, p tech.Process, n int, cp CellParasitics, opt BuildOptions) (*Column, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("sram: array size %d < 1", n)
 	}
@@ -139,33 +190,40 @@ func buildColumnInto(nl *circuit.Netlist, nmos, pmos *device.MOS, p tech.Process
 		return nil, fmt.Errorf("sram: non-positive parasitics %+v", cp)
 	}
 	f := p.FEOL
-	col := &Column{
+	nl := sc.nl
+	col := &sc.col
+	*col = Column{
 		Netlist: nl,
 		N:       n,
 		proc:    p,
 		nmos:    nmos,
 		pmos:    pmos,
+		nodeset: col.nodeset,
+		probes:  col.probes,
 	}
 
 	segs := opt.segments(n)
 	cellsPerSeg := float64(n) / float64(segs)
 	cfe := CFE(f)
+	sc.labels(segs)
+	supply, pulse := sc.waves(f.Vdd)
 
 	vdd := nl.Node("vdd")
-	nl.AddV("vdd", vdd, circuit.Ground, circuit.DC(f.Vdd))
+	nl.AddV("vdd", vdd, circuit.Ground, supply)
 
 	// Bit-line ladders (bl and blb are geometrically identical).
-	blNodes := make([]circuit.NodeID, segs+1)
-	blbNodes := make([]circuit.NodeID, segs+1)
+	blNodes := nodes(sc.bl, segs+1)
+	blbNodes := nodes(sc.blb, segs+1)
+	sc.bl, sc.blb = blNodes, blbNodes
 	for i := 0; i <= segs; i++ {
-		blNodes[i] = nl.Node(fmt.Sprintf("bl%d", i))
-		blbNodes[i] = nl.Node(fmt.Sprintf("blb%d", i))
+		blNodes[i] = nl.Node(sc.blName[i])
+		blbNodes[i] = nl.Node(sc.blbName[i])
 	}
 	segR := cp.Rbl * cellsPerSeg
 	segC := (cp.Cbl + cfe) * cellsPerSeg
 	for i := 0; i < segs; i++ {
-		nl.AddR(fmt.Sprintf("bl%d", i), blNodes[i], blNodes[i+1], segR)
-		nl.AddR(fmt.Sprintf("blb%d", i), blbNodes[i], blbNodes[i+1], segR)
+		nl.AddR(sc.blName[i], blNodes[i], blNodes[i+1], segR)
+		nl.AddR(sc.blbName[i], blbNodes[i], blbNodes[i+1], segR)
 	}
 	for i := 0; i <= segs; i++ {
 		// Node i carries the wire+pass-gate load of its share of cells;
@@ -178,8 +236,8 @@ func buildColumnInto(nl *circuit.Netlist, nmos, pmos *device.MOS, p tech.Process
 			share = 0.5 // two end nodes, half each
 		}
 		c := segC * share
-		nl.AddC(fmt.Sprintf("bl%d", i), blNodes[i], circuit.Ground, c)
-		nl.AddC(fmt.Sprintf("blb%d", i), blbNodes[i], circuit.Ground, c)
+		nl.AddC(sc.blName[i], blNodes[i], circuit.Ground, c)
+		nl.AddC(sc.blbName[i], blbNodes[i], circuit.Ground, c)
 	}
 
 	// Unselected-cell pass-gate leakage, lumped per segment.
@@ -193,20 +251,21 @@ func buildColumnInto(nl *circuit.Netlist, nmos, pmos *device.MOS, p tech.Process
 				share = 0.5
 			}
 			il := opt.LeakagePerCell * cellsPerSeg * share
-			nl.AddI(fmt.Sprintf("leak_bl%d", i), circuit.Ground, blNodes[i], circuit.DC(il))
-			nl.AddI(fmt.Sprintf("leak_blb%d", i), circuit.Ground, blbNodes[i], circuit.DC(il))
+			nl.AddI(sc.leakBLName[i], circuit.Ground, blNodes[i], circuit.DC(il))
+			nl.AddI(sc.leakBLBName[i], circuit.Ground, blbNodes[i], circuit.DC(il))
 		}
 	}
 
 	// VSS rail ladder, tapped to ground at the sense end (and optionally
 	// at the cell end).
-	vssNodes := make([]circuit.NodeID, segs+1)
+	vssNodes := nodes(sc.vss, segs+1)
+	sc.vss = vssNodes
 	for i := 0; i <= segs; i++ {
-		vssNodes[i] = nl.Node(fmt.Sprintf("vss%d", i))
+		vssNodes[i] = nl.Node(sc.vssName[i])
 	}
 	segRvss := cp.Rvss * cellsPerSeg
 	for i := 0; i < segs; i++ {
-		nl.AddR(fmt.Sprintf("vss%d", i), vssNodes[i], vssNodes[i+1], segRvss)
+		nl.AddR(sc.vssName[i], vssNodes[i], vssNodes[i+1], segRvss)
 	}
 	nl.AddR("vsstap", vssNodes[segs], circuit.Ground, 0.1)
 	if opt.VssTapBothEnds {
@@ -218,9 +277,7 @@ func buildColumnInto(nl *circuit.Netlist, nmos, pmos *device.MOS, p tech.Process
 	// junction capacitance is added explicitly (the compact model is
 	// resistive).
 	pre := nl.Node("pre")
-	nl.AddV("pre", pre, circuit.Ground, circuit.Pulse{
-		V0: 0, V1: f.Vdd, Delay: 1e-12, Rise: 2e-12, Width: 1,
-	})
+	nl.AddV("pre", pre, circuit.Ground, pulse)
 	wpre := f.WPre(n)
 	nl.AddM("pre_bl", blNodes[segs], pre, vdd, col.pmos, wpre)
 	nl.AddM("pre_blb", blbNodes[segs], pre, vdd, col.pmos, wpre)
@@ -231,9 +288,7 @@ func buildColumnInto(nl *circuit.Netlist, nmos, pmos *device.MOS, p tech.Process
 	// Word line driver; the word line only loads the active cell's pass
 	// gates (other rows have their own word lines, held low).
 	wl := nl.Node("wl")
-	nl.AddV("wl", wl, circuit.Ground, circuit.Pulse{
-		V0: 0, V1: f.Vdd, Delay: 1e-12, Rise: 2e-12, Width: 1,
-	})
+	nl.AddV("wl", wl, circuit.Ground, pulse)
 	nl.AddC("wl", wl, circuit.Ground, 2*f.WPassGate*f.CGatePerM)
 
 	// Active 6T cell at the far end, storing q=0 (read discharges bl).
@@ -333,11 +388,15 @@ func (c *Column) measureTdOn(eng *spice.Engine, cp CellParasitics, opt SimOption
 		}
 	}
 	// Seed the bistable cell in the q=0 state (read discharges bl).
-	eng.SetNodeset(map[circuit.NodeID]float64{
-		c.Q:  0,
-		c.QB: f.Vdd,
-	})
-	probes := []circuit.NodeID{c.BLSense, c.BLBSense, c.BLFar, c.Q, c.QB, c.WL}
+	if c.nodeset == nil {
+		c.nodeset = make(map[circuit.NodeID]float64, 2)
+	}
+	clear(c.nodeset)
+	c.nodeset[c.Q] = 0
+	c.nodeset[c.QB] = f.Vdd
+	eng.SetNodeset(c.nodeset)
+	probes := append(c.probes[:0], c.BLSense, c.BLBSense, c.BLFar, c.Q, c.QB, c.WL)
+	c.probes = probes
 	target := f.SenseDeltaV
 	stopAt := func(t float64, v func(circuit.NodeID) float64) bool {
 		return v(c.BLBSense)-v(c.BLSense) >= 1.5*target
