@@ -64,7 +64,11 @@ bench-json:
 # variance and its split-anywhere Merge) against exact two-pass statistics.
 # The three *Codec targets gate the shard-artifact serialization surface:
 # encode→decode→Merge must stay bit-identical to merging the live
-# accumulators, on random streams split at random points.
+# accumulators, on random streams split at random points. The two decoders
+# of untrusted bytes never panic and round-trip what they accept:
+# FuzzShardArtifact (a shard file or shipped artifact through
+# core.ReadShardArtifactFrom + Verify) and FuzzReadFrame (the remote
+# fabric's response-stream frames).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCompiledLU' -fuzztime 10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz 'FuzzNetlistReset' -fuzztime 10s ./internal/spice
@@ -73,6 +77,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzWelfordCodec' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz 'FuzzP2Codec' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz 'FuzzControlVariateCodec' -fuzztime 10s ./internal/stats
+	$(GO) test -run '^$$' -fuzz 'FuzzShardArtifact' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime 10s ./internal/remote
 
 # Coverage over the -short suite (the fast deterministic core).
 cover:

@@ -294,7 +294,7 @@ func BenchmarkAblationMCConvergence(b *testing.B) {
 	for _, samples := range []int{250, 1000, 4000} {
 		b.Run(itoa(samples), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := mc.TdpDistribution(e.Proc, litho.LE3, m, e.Cap, 64,
+				res, err := mc.TdpDistribution(context.Background(), e.Proc, litho.LE3, m, e.Cap, 64,
 					mc.Config{Samples: samples, Seed: 9})
 				if err != nil {
 					b.Fatal(err)
@@ -357,7 +357,7 @@ func BenchmarkSpiceSweepSharedVsSerial(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, n := range exp.PaperSizes {
-				if _, _, _, err := sram.TdPenaltyPct(e.Proc, o, wc.Sample, e.Cap, n, e.Build, e.Sim); err != nil {
+				if _, _, _, err := sram.NewColumnBuilder(e.Proc, e.Cap).TdPenaltyPct(o, wc.Sample, n, e.Build, e.Sim); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -368,7 +368,7 @@ func BenchmarkSpiceSweepSharedVsSerial(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			serialPenalties(b)                 // Fig. 4
 			for _, n := range exp.PaperSizes { // Table II
-				if _, err := sram.SimulateTd(e.Proc, litho.EUV, litho.Nominal, e.Cap, n, e.Build, e.Sim); err != nil {
+				if _, err := sram.NewColumnBuilder(e.Proc, e.Cap).SimulateTd(litho.EUV, litho.Nominal, n, e.Build, e.Sim); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -816,7 +816,7 @@ func BenchmarkSpiceMCCV(b *testing.B) {
 	ctx := context.Background()
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			vr, err := mc.SpiceTdpAcrossSizesShared(ctx, p, o, cm, []int{size}, nom, nomTd, e.Build, e.Sim, cfg)
+			vr, err := mc.SpiceTdpAcrossSizes(ctx, p, o, cm, []int{size}, nom, nomTd, e.Build, e.Sim, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -827,7 +827,7 @@ func BenchmarkSpiceMCCV(b *testing.B) {
 	})
 	b.Run("cv", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cvr, err := mc.SpiceTdpCVAcrossSizesShared(ctx, p, o, m, cm, []int{size}, nom, nomTd, e.Build, e.Sim, cfg)
+			cvr, err := mc.SpiceTdpCVAcrossSizes(ctx, p, o, m, cm, []int{size}, nom, nomTd, e.Build, e.Sim, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -846,7 +846,7 @@ func BenchmarkSpiceMCCV(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			cvr, err := mc.SpiceTdpCVAcrossSizesShared(ctx, p, o, m, cm, []int{size}, nom, adTd, e.Build, sopt, cfg)
+			cvr, err := mc.SpiceTdpCVAcrossSizes(ctx, p, o, m, cm, []int{size}, nom, adTd, e.Build, sopt, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

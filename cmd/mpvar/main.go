@@ -365,7 +365,7 @@ func serveMain(args []string) {
 	engineWorkers := fs.Int("engine-workers", 0, "worker count inside each run's engines (0 = all CPUs; never changes results)")
 	fanout := fs.Int("fanout", 0, "shard count heavy runs fan out into (0 = the pool size, 1 = disabled; never changes response bytes)")
 	fanoutMinSamples := fs.Int("fanout-min-samples", 0, "estimated-cost threshold (samples x workload cost hint) above which a run fans out (0 = 50000)")
-	fanoutExec := fs.String("fanout-exec", "goroutine", "shard execution vehicle: goroutine (in-process), process (mpvar shard children, crash-isolated) or remote (peer mpvar serve workers; needs -peers)")
+	fanoutExec := fs.String("fanout-exec", "goroutine", "shard execution vehicle: goroutine (in-process) or remote (peer mpvar serve workers; needs -peers)")
 	fanoutDir := fs.String("fanout-dir", "", "scratch dir for shard artifacts and drain checkpoints (default <tmp>/mpvar-fanout; reuse it across restarts to resume)")
 	peers := fs.String("peers", "", "comma-separated peer mpvar serve workers (host:port or URLs) for -fanout-exec=remote")
 	fs.Usage = func() {
@@ -377,8 +377,8 @@ func serveMain(args []string) {
 	if fs.NArg() > 0 {
 		fatal(fmt.Errorf("unexpected argument %q after serve", fs.Arg(0)))
 	}
-	if *fanoutExec != "goroutine" && *fanoutExec != "process" && *fanoutExec != "remote" {
-		fatal(fmt.Errorf("unknown -fanout-exec %q (goroutine, process or remote)", *fanoutExec))
+	if *fanoutExec != "goroutine" && *fanoutExec != "remote" {
+		fatal(fmt.Errorf("unknown -fanout-exec %q (goroutine or remote)", *fanoutExec))
 	}
 	var peerList []string
 	for _, p := range strings.Split(*peers, ",") {
@@ -392,10 +392,6 @@ func serveMain(args []string) {
 	if len(peerList) > 0 && *fanoutExec != "remote" {
 		fatal(fmt.Errorf("-peers only applies with -fanout-exec=remote"))
 	}
-	bin, err := os.Executable()
-	if err != nil {
-		bin = os.Args[0]
-	}
 	srv := serve.New(serve.Config{
 		Workers:          *workers,
 		MaxQueue:         *maxQueue,
@@ -408,11 +404,10 @@ func serveMain(args []string) {
 		FanoutExec:       *fanoutExec,
 		Peers:            peerList,
 		FanoutDir:        *fanoutDir,
-		FanoutBinary:     bin,
 	})
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	err = srv.ListenAndServe(ctx, *addr, func(a net.Addr) {
+	err := srv.ListenAndServe(ctx, *addr, func(a net.Addr) {
 		fmt.Printf("mpvar serve: listening on http://%s\n", a)
 	})
 	if err != nil {

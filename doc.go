@@ -69,10 +69,9 @@
 // its usage, per-workload flags and smoke coverage from the registry;
 // registering a workload (one file with an init block — see
 // internal/exp/mcspicex.go for the template) adds its command, flags,
-// json output and CI smoke with no edits elsewhere. The pre-registry
-// Study methods (WorstCases, SigmaTable, …) remain as deprecation shims
-// over Run — same signatures, byte-identical results; the shim set is
-// frozen and new experiments appear only as workloads.
+// json output and CI smoke with no edits elsewhere. Study.Run is the one
+// experiment entry point; a caller wanting typed rows type-asserts
+// Result.Data.
 //
 // SPICE-in-the-loop draws are priced down by a paired estimator
 // (stats.ControlVariate, mc.RunVectorPaired): each trial measures tdp
@@ -158,39 +157,37 @@
 // (internal/serve/fanout.go): a submission whose estimated cost
 // (normalized samples × the workload's Hints.Cost weight) crosses a
 // threshold is dispatched as N concurrent shard executions — goroutines
-// by default, opt-in `mpvar shard` child processes (-fanout-exec=process)
-// whose crashes cost one shard attempt, not the server — and reduced
-// through the same exact left-fold replay, so the response body is
-// byte-identical to direct execution and lands in the same cache entry:
-// fan-out is pure execution detail, invisible in the run key (the
-// X-Mpvar-Fanout header is the only trace). The whole fan-out occupies
-// one executor slot; per-shard frontiers aggregate into one monotone SSE
-// progress stream; failed shards re-dispatch from their persisted
-// checkpoint; and a graceful drain cancels only fan-out runs, leaving
-// every shard's frontier checkpointed in -fanout-dir so a restarted
-// server pointed at the same directory resumes instead of recomputing
-// (CI proves the bytes, the drain checkpoints and the restart-resume
-// over the real binary).
+// by default — and reduced through the same exact left-fold replay, so
+// the response body is byte-identical to direct execution and lands in
+// the same cache entry: fan-out is pure execution detail, invisible in
+// the run key (the X-Mpvar-Fanout header is the only trace). The whole
+// fan-out occupies one executor slot; per-shard frontiers aggregate into
+// one monotone SSE progress stream; failed shards re-dispatch from their
+// persisted checkpoint; and a graceful drain cancels only fan-out runs,
+// leaving every shard's frontier checkpointed in -fanout-dir so a
+// restarted server pointed at the same directory resumes instead of
+// recomputing (CI proves the bytes, the drain checkpoints and the
+// restart-resume over the real binary).
 //
-// The third execution vehicle crosses machines (internal/remote,
-// -fanout-exec=remote): every `mpvar serve` process also mounts the
-// worker side of a shard fabric — POST /v1/shards accepts a normalized
-// RunSpec + ShardSpec (plus an optional checkpoint to resume), executes
-// it through the same core.RunShard in a bounded pool, and streams
-// progress frames, periodic checkpoint frames and finally the complete
-// artifact back, validating the embedded run key on both ends so a
-// version-drifted peer refuses before any bytes fold. The coordinator
-// side is a health-checked peer pool: each shard dispatches to the
-// live, least-loaded peer (draining or engine-drifted peers are
+// The other execution vehicle crosses processes and machines
+// (internal/remote, -fanout-exec=remote): every `mpvar serve` process
+// also mounts the worker side of a shard fabric — POST /v1/shards
+// accepts a normalized RunSpec + ShardSpec (plus an optional checkpoint
+// to resume), executes it through the same core.RunShard in a bounded
+// pool, and streams progress frames, periodic checkpoint frames and
+// finally the complete artifact back, validating the embedded run key on
+// both ends so a version-drifted peer refuses before any bytes fold. The
+// coordinator side is a health-checked peer pool: each shard dispatches
+// to the live, least-loaded peer (draining or engine-drifted peers are
 // excluded by their own /v1/healthz), under a single watchdog covering
 // dispatch and mid-stream stalls. The failure ladder trades only time,
 // never correctness: a dead peer is marked down and the shard
 // re-dispatches to another worker resuming from the last shipped
 // checkpoint frame; a fleet with no live peers falls back to in-process
 // execution; and a coordinator drain leaves the shipped checkpoints in
-// -fanout-dir, where a restarted coordinator resumes them like any
-// local fan-out. The reduce stays the exact left-fold, so remote bodies
-// are byte-identical to direct execution and share its cache entry (CI
+// -fanout-dir, where a restarted coordinator resumes them like any local
+// fan-out. The reduce stays the exact left-fold, so remote bodies are
+// byte-identical to direct execution and share its cache entry (CI
 // proves it over real processes and sockets, including a worker killed
 // mid-run).
 //

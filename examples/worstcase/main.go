@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"mpsram/internal/core"
+	"mpsram/internal/exp"
 	"mpsram/internal/extract"
 	"mpsram/internal/litho"
 	"mpsram/internal/tech"
@@ -47,11 +48,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nRelaxed 64 nm pitch stack:")
-	rows, err := study.WorstCases()
+	res, err := study.Run("table1", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range rows {
+	for _, r := range res.Data.([]exp.Table1Row) {
 		fmt.Printf("  %-8v ΔCbl %+7.2f%%  ΔRbl %+6.2f%%\n", r.Option, r.CblPct, r.RblPct)
 	}
 
@@ -62,11 +63,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nStock N10 with the plate+fringe ablation model:")
-	rows2, err := study2.WorstCases()
+	res2, err := study2.Run("table1", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range rows2 {
+	for _, r := range res2.Data.([]exp.Table1Row) {
 		fmt.Printf("  %-8v ΔCbl %+7.2f%%  ΔRbl %+6.2f%%\n", r.Option, r.CblPct, r.RblPct)
 	}
 }

@@ -1,6 +1,7 @@
 package analytic_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestPropagateMatchesMonteCarloForLinearOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mc.TdpDistribution(p, o, m, cm, 64, mc.Config{Samples: 8000, Seed: 21})
+		res, err := mc.TdpDistribution(context.Background(), p, o, m, cm, 64, mc.Config{Samples: 8000, Seed: 21})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +46,7 @@ func TestPropagateLE3NonlinearityShowsInTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mc.TdpDistribution(p, litho.LE3, m, cm, 64, mc.Config{Samples: 8000, Seed: 22})
+	res, err := mc.TdpDistribution(context.Background(), p, litho.LE3, m, cm, 64, mc.Config{Samples: 8000, Seed: 22})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,18 +14,14 @@
 //	td, _ := study.ReadTime(litho.LE3, s, 64) // one SPICE read
 //	study.RunAll(os.Stdout)                   // every table and figure
 //
-// The per-experiment convenience methods (WorstCases, SigmaTable, …)
-// remain as deprecation shims over Run: same signatures, same results,
-// byte-identical outputs. New experiments only appear as workloads; the
-// shim set is frozen and will not grow.
+// A workload's typed rows are Result.Data; assert them to the workload's
+// row type (e.g. []exp.Table1Row for "table1").
 package core
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"mpsram/internal/analytic"
 	"mpsram/internal/exp"
@@ -49,7 +45,7 @@ type Option func(*exp.Env)
 func WithProcess(p tech.Process) Option { return func(e *exp.Env) { e.Proc = p } }
 
 // WithProcesses replaces the node comparison set of the cross-process
-// experiments (Nodes, SigmaSurfaces). The default set is the full
+// workloads (nodes, table4xp). The default set is the full
 // registry: N10, N7, N5.
 func WithProcesses(procs ...tech.Process) Option {
 	return func(e *exp.Env) { e.Procs = append([]tech.Process(nil), procs...) }
@@ -148,136 +144,10 @@ func (s *Study) Workloads() []exp.Workload { return exp.Workloads() }
 // Model returns the analytical formula parameters for this study.
 func (s *Study) Model() (analytic.Params, error) { return s.Env.Model() }
 
-// data runs a workload and type-asserts its typed rows — the shim path
-// of the deprecated per-experiment methods.
-func data[T any](s *Study, name string, p exp.Params) (T, error) {
-	res, err := s.Run(name, p)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return res.Data.(T), nil
-}
-
-// WorstCases runs the Table I corner search.
-//
-// Deprecated: use Run("table1", nil).
-func (s *Study) WorstCases() ([]exp.Table1Row, error) {
-	return data[[]exp.Table1Row](s, "table1", nil)
-}
-
-// Distortions runs the Fig. 2 worst-case geometry dump.
-//
-// Deprecated: use Run("fig2", nil).
-func (s *Study) Distortions() ([]exp.Fig2Entry, error) {
-	return data[[]exp.Fig2Entry](s, "fig2", nil)
-}
-
-// ArrayOverview runs the Fig. 3 DOE floorplans.
-//
-// Deprecated: use Run("fig3", nil).
-func (s *Study) ArrayOverview() ([]exp.Fig3Row, error) {
-	return data[[]exp.Fig3Row](s, "fig3", nil)
-}
-
-// TdVsSize runs the Fig. 4 SPICE sweep.
-//
-// Deprecated: use Run("fig4", nil).
-func (s *Study) TdVsSize() ([]exp.Fig4Point, error) {
-	return data[[]exp.Fig4Point](s, "fig4", nil)
-}
-
-// SpiceTables runs Fig. 4, Table II and Table III as views over one
-// shared, deduplicated SPICE sweep: every unique transient (one nominal
-// per DOE size, one worst case per option and size) is simulated exactly
-// once and consumed by all three reproductions.
-//
-// Deprecated: use Run("spicetables", nil).
-func (s *Study) SpiceTables() (*exp.SpiceResults, error) {
-	return data[*exp.SpiceResults](s, "spicetables", nil)
-}
-
-// TdnomComparison runs Table II.
-//
-// Deprecated: use Run("table2", nil).
-func (s *Study) TdnomComparison() ([]exp.Table2Row, error) {
-	return data[[]exp.Table2Row](s, "table2", nil)
-}
-
-// TdpComparison runs Table III.
-//
-// Deprecated: use Run("table3", nil).
-func (s *Study) TdpComparison() ([]exp.Table3Row, error) {
-	return data[[]exp.Table3Row](s, "table3", nil)
-}
-
-// Distribution runs the Fig. 5 Monte-Carlo at the paper's 8 nm / n=64.
-//
-// Deprecated: use Run("fig5", …) with the n and ol parameters.
-func (s *Study) Distribution() ([]exp.Fig5Result, error) {
-	return data[[]exp.Fig5Result](s, "fig5", exp.Params{"n": 64, "ol": 8.0})
-}
-
-// SigmaTable runs Table IV.
-//
-// Deprecated: use Run("table4", nil).
-func (s *Study) SigmaTable() ([]mc.SigmaSweepRow, error) {
-	return data[[]mc.SigmaSweepRow](s, "table4", nil)
-}
-
-// SigmaSurface runs the extended Table IV: tdp σ per option and overlay
-// budget at every DOE array size, one shared sample stream per option.
-//
-// Deprecated: use Run("table4x", nil).
-func (s *Study) SigmaSurface() ([]mc.SigmaSurfaceRow, error) {
-	return data[[]mc.SigmaSurfaceRow](s, "table4x", nil)
-}
-
-// SigmaSurfaces runs the extended Table IV on every process of the
-// study's node set: one σ surface per node.
-//
-// Deprecated: use Run("table4xp", nil).
-func (s *Study) SigmaSurfaces() ([]mc.ProcessSurface, error) {
-	return data[[]mc.ProcessSurface](s, "table4xp", nil)
-}
-
-// Nodes runs the cross-node σ comparison (Table IV layout with the
-// process as the horizontal axis) at the paper's n = 64.
-//
-// Deprecated: use Run("nodes", nil).
-func (s *Study) Nodes() ([]exp.NodesRow, error) {
-	return data[[]exp.NodesRow](s, "nodes", nil)
-}
-
-// NodesAt is Nodes at an explicit array size.
-//
-// Deprecated: use Run("nodes", …) with the n parameter.
-func (s *Study) NodesAt(n int) ([]exp.NodesRow, error) {
-	return data[[]exp.NodesRow](s, "nodes", exp.Params{"n": n})
-}
-
-// SpiceMC runs the SPICE-in-the-loop Monte-Carlo at the given array
-// sizes: one full read transient per draw and size, on per-worker
-// resident engines. The transient budget is Samples × len(sizes) per
-// option, so this wants a budget of hundreds of samples rather than the
-// analytic default of ten thousand.
-//
-// Deprecated: use Run("mcspice", …) with the sizes parameter.
-func (s *Study) SpiceMC(sizes []int) ([]exp.SpiceMCRow, error) {
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("core: no array sizes requested")
-	}
-	specs := make([]string, len(sizes))
-	for i, n := range sizes {
-		specs[i] = strconv.Itoa(n)
-	}
-	return data[[]exp.SpiceMCRow](s, "mcspice", exp.Params{"sizes": strings.Join(specs, ",")})
-}
-
 // ReadTime simulates one read and returns td for option o under variation
 // sample smp at array size n.
 func (s *Study) ReadTime(o litho.Option, smp litho.Sample, n int) (float64, error) {
-	return sram.SimulateTd(s.Env.Proc, o, smp, s.Env.Cap, n, s.Env.Build, s.Env.Sim)
+	return sram.NewColumnBuilder(s.Env.Proc, s.Env.Cap).SimulateTd(o, smp, n, s.Env.Build, s.Env.Sim)
 }
 
 // Ratios extracts the variability ratios for a sample.
@@ -296,7 +166,7 @@ func (s *Study) TdpDistribution(o litho.Option, n int) (stats.Summary, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	res, err := mc.TdpDistributionCtx(ctx, s.Env.Proc, o, m, s.Env.Cap, n, s.Env.MC)
+	res, err := mc.TdpDistribution(ctx, s.Env.Proc, o, m, s.Env.Cap, n, s.Env.MC)
 	if err != nil {
 		return stats.Summary{}, err
 	}

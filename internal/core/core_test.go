@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"mpsram/internal/exp"
 	"mpsram/internal/extract"
 	"mpsram/internal/litho"
 	"mpsram/internal/mc"
@@ -124,10 +125,11 @@ func TestStudySigmaSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := s.SigmaSurface()
+	res, err := s.Run("table4x", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Data.([]mc.SigmaSurfaceRow)
 	if len(rows) != 6 {
 		t.Fatalf("rows %d", len(rows))
 	}
@@ -168,7 +170,7 @@ func TestStudyContextAndProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.SigmaTable(); err == nil {
+	if _, err := s2.Run("table4", nil); err == nil {
 		t.Fatal("canceled study must not run Table IV")
 	}
 }
@@ -221,11 +223,11 @@ func TestWithWorkersAndProgressReachBothEngines(t *testing.T) {
 		t.Fatal("progress callback not propagated to both engines")
 	}
 	// The sweep engine reports through the shared callback.
-	sp, err := s.TdnomComparison()
+	res, err := s.Run("table2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sp) == 0 {
+	if len(res.Data.([]exp.Table2Row)) == 0 {
 		t.Fatal("no Table II rows")
 	}
 	mu.Lock()
@@ -257,11 +259,15 @@ func TestProcessRegistryThroughFacade(t *testing.T) {
 	if s.Env.Proc.Name != "N7" || len(s.Env.Procs) != 3 {
 		t.Fatalf("env: proc %s, %d nodes", s.Env.Proc.Name, len(s.Env.Procs))
 	}
-	rows, err := s.NodesAt(16)
-	if err != nil {
-		t.Fatal(err)
+	nodesAt16 := func(s *Study) []exp.NodesRow {
+		t.Helper()
+		res, err := s.Run("nodes", exp.Params{"n": 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Data.([]exp.NodesRow)
 	}
-	if len(rows) != 3*6 {
+	if rows := nodesAt16(s); len(rows) != 3*6 {
 		t.Fatalf("%d node rows", len(rows))
 	}
 	// Trimming the node set trims the comparison.
@@ -269,11 +275,7 @@ func TestProcessRegistryThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows2, err := s2.NodesAt(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows2) != 6 || rows2[0].Process != "N7" {
+	if rows2 := nodesAt16(s2); len(rows2) != 6 || rows2[0].Process != "N7" {
 		t.Fatalf("trimmed node set: %d rows, first %q", len(rows2), rows2[0].Process)
 	}
 	// An invalid preset in the node set fails construction.

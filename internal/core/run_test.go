@@ -36,52 +36,32 @@ func TestStudyRunSurface(t *testing.T) {
 	}
 }
 
-// TestShimsMatchRun pins the deprecation-shim contract on a cheap
-// workload: the typed convenience method returns exactly the registry
-// path's rows.
-func TestShimsMatchRun(t *testing.T) {
-	s, err := NewStudy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	shim, err := s.WorstCases()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run("table1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := res.Data.([]exp.Table1Row)
-	if len(shim) != len(rows) || shim[0] != rows[0] || shim[len(shim)-1] != rows[len(rows)-1] {
-		t.Fatal("shim rows drifted from Run rows")
-	}
-}
-
-// TestCheapShims keeps the fast deprecation shims covered on the short
-// path: each returns non-empty typed rows through Run.
-func TestCheapShims(t *testing.T) {
+// TestCheapWorkloadRows keeps the fast workloads' typed rows covered on
+// the short path: each returns its expected row count through Run.
+func TestCheapWorkloadRows(t *testing.T) {
 	s, err := NewStudy(WithMC(mc.Config{Samples: 20, Seed: 2015}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows, err := s.Distortions(); err != nil || len(rows) != 3 {
-		t.Fatalf("Distortions: %d rows, %v", len(rows), err)
-	}
-	if rows, err := s.ArrayOverview(); err != nil || len(rows) != 4 {
-		t.Fatalf("ArrayOverview: %d rows, %v", len(rows), err)
-	}
-	if rows, err := s.Distribution(); err != nil || len(rows) != 3 {
-		t.Fatalf("Distribution: %d rows, %v", len(rows), err)
-	}
-	if rows, err := s.Nodes(); err != nil || len(rows) != 18 {
-		t.Fatalf("Nodes: %d rows, %v", len(rows), err)
-	}
-	if surfs, err := s.SigmaSurfaces(); err != nil || len(surfs) != 3 {
-		t.Fatalf("SigmaSurfaces: %d surfaces, %v", len(surfs), err)
-	}
-	if _, err := s.SpiceMC(nil); err == nil {
-		t.Fatal("SpiceMC with no sizes must fail")
+	for _, tc := range []struct {
+		name string
+		p    exp.Params
+		rows func(any) int
+		want int
+	}{
+		{"fig2", nil, func(d any) int { return len(d.([]exp.Fig2Entry)) }, 3},
+		{"fig3", nil, func(d any) int { return len(d.([]exp.Fig3Row)) }, 4},
+		{"fig5", exp.Params{"n": 64, "ol": 8.0}, func(d any) int { return len(d.([]exp.Fig5Result)) }, 3},
+		{"nodes", nil, func(d any) int { return len(d.([]exp.NodesRow)) }, 18},
+		{"table4xp", nil, func(d any) int { return len(d.([]mc.ProcessSurface)) }, 3},
+	} {
+		res, err := s.Run(tc.name, tc.p)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := tc.rows(res.Data); got != tc.want {
+			t.Fatalf("%s: %d rows, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -173,10 +173,10 @@ func (a *ShardArtifact) Verify(runKey string, shard mc.ShardSpec) error {
 		return fmt.Errorf("core: artifact spec no longer validates: %w", err)
 	}
 	if key != h.RunKey {
-		return fmt.Errorf("core: artifact run key %s does not reproduce under the current engines (%s) — regenerate the shards", h.RunKey[:12], key[:12])
+		return fmt.Errorf("core: artifact run key %.12s does not reproduce under the current engines (%.12s) — regenerate the shards", h.RunKey, key)
 	}
 	if runKey != "" && key != runKey {
-		return fmt.Errorf("core: artifact belongs to run %s, want %s", h.RunKey[:12], runKey[:12])
+		return fmt.Errorf("core: artifact belongs to run %.12s, want %.12s", h.RunKey, runKey)
 	}
 	return nil
 }
@@ -236,8 +236,8 @@ func RunShard(spec RunSpec, shard mc.ShardSpec, path string, opt ShardRunOptions
 		switch art, rerr := ReadShardArtifact(path); {
 		case rerr == nil:
 			if art.Header.RunKey != key || art.Header.ShardIndex != shard.Index || art.Header.ShardCount != shard.Count {
-				return fmt.Errorf("core: %s belongs to a different run or shard (run %s shard %d/%d, want %s shard %d/%d)",
-					path, art.Header.RunKey[:12], art.Header.ShardIndex, art.Header.ShardCount, key[:12], shard.Index, shard.Count)
+				return fmt.Errorf("core: %s belongs to a different run or shard (run %.12s shard %d/%d, want %.12s shard %d/%d)",
+					path, art.Header.RunKey, art.Header.ShardIndex, art.Header.ShardCount, key, shard.Index, shard.Count)
 			}
 			if art.Header.Complete {
 				return nil // nothing to resume — the shard already finished
@@ -306,26 +306,26 @@ func Reduce(paths []string, extra ...Option) (*exp.Result, error) {
 	base := arts[0].Header
 	count := base.ShardCount
 	if len(paths) != count {
-		return nil, fmt.Errorf("core: run %s was split into %d shards, got %d artifacts", base.RunKey[:12], count, len(paths))
+		return nil, fmt.Errorf("core: run %.12s was split into %d shards, got %d artifacts", base.RunKey, count, len(paths))
 	}
 	parts := make([]*mc.ShardPayload, count)
 	for i, a := range arts {
 		h := a.Header
 		if h.RunKey != base.RunKey || h.ShardCount != count {
-			return nil, fmt.Errorf("core: %s belongs to run %s (%d shards), the set is run %s (%d shards)",
-				paths[i], h.RunKey[:12], h.ShardCount, base.RunKey[:12], count)
+			return nil, fmt.Errorf("core: %s belongs to run %.12s (%d shards), the set is run %.12s (%d shards)",
+				paths[i], h.RunKey, h.ShardCount, base.RunKey, count)
 		}
 		if h.ShardIndex < 0 || h.ShardIndex >= count {
 			return nil, fmt.Errorf("core: %s claims shard %d of %d", paths[i], h.ShardIndex, count)
 		}
 		if parts[h.ShardIndex] != nil {
-			return nil, fmt.Errorf("core: duplicate artifact for shard %d of run %s", h.ShardIndex, base.RunKey[:12])
+			return nil, fmt.Errorf("core: duplicate artifact for shard %d of run %.12s", h.ShardIndex, base.RunKey)
 		}
 		parts[h.ShardIndex] = a.Payload
 	}
 	for i, p := range parts {
 		if p == nil {
-			return nil, fmt.Errorf("core: shard %d of run %s is missing from the artifact set", i, base.RunKey[:12])
+			return nil, fmt.Errorf("core: shard %d of run %.12s is missing from the artifact set", i, base.RunKey)
 		}
 	}
 	spec := base.spec()
@@ -334,7 +334,7 @@ func Reduce(paths []string, extra ...Option) (*exp.Result, error) {
 		return nil, fmt.Errorf("core: artifact spec no longer validates: %w", err)
 	}
 	if key != base.RunKey {
-		return nil, fmt.Errorf("core: artifact run key %s does not reproduce under the current engines (%s) — regenerate the shards", base.RunKey[:12], key[:12])
+		return nil, fmt.Errorf("core: artifact run key %.12s does not reproduce under the current engines (%.12s) — regenerate the shards", base.RunKey, key)
 	}
 	rp, err := mc.NewReplay(parts)
 	if err != nil {

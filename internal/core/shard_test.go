@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -375,6 +376,64 @@ func TestShardArtifactVerify(t *testing.T) {
 	if err := drifted.Verify(drifted.Header.RunKey, shard); err == nil ||
 		!strings.Contains(err.Error(), "does not reproduce") {
 		t.Fatalf("drifted spec: %v", err)
+	}
+}
+
+// TestShortRunKeys: a run key read from a file or a peer can have any
+// length, so every check that prints one must refuse it with an error —
+// never slice it past its end.
+func TestShortRunKeys(t *testing.T) {
+	dir := t.TempDir()
+	spec := RunSpec{Workload: "fig3"}
+	shard := mc.ShardSpec{Index: 0, Count: 2}
+	good := filepath.Join(dir, "good.shard")
+	if err := RunShard(spec, shard, good, ShardRunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	art, err := ReadShardArtifact(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := data[len(shardMagic)+4+int(binary.BigEndian.Uint32(data[len(shardMagic):])):]
+	for _, short := range []string{"", "x", "short"} {
+		bad := *art
+		bad.Header.RunKey = short
+		if err := bad.Verify("", shard); err == nil || !strings.Contains(err.Error(), "does not reproduce") {
+			t.Fatalf("Verify of key %q: %v", short, err)
+		}
+		if short != "" {
+			if err := art.Verify(short, shard); err == nil || !strings.Contains(err.Error(), "belongs to run") {
+				t.Fatalf("Verify against key %q: %v", short, err)
+			}
+		}
+		paths := make([]string, 2)
+		for i := range paths {
+			h := bad.Header
+			h.ShardIndex = i
+			paths[i] = filepath.Join(dir, fmt.Sprintf("short%d.shard", i))
+			if err := writeShardArtifact(paths[i], h, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := Reduce(paths[:1]); err == nil || !strings.Contains(err.Error(), "got 1 artifacts") {
+			t.Fatalf("Reduce of a 1-of-2 set keyed %q: %v", short, err)
+		}
+		if _, err := Reduce(paths); err == nil || !strings.Contains(err.Error(), "does not reproduce") {
+			t.Fatalf("Reduce of a set keyed %q: %v", short, err)
+		}
+		ckpt := bad.Header
+		ckpt.Complete = false
+		if err := writeShardArtifact(paths[0], ckpt, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := RunShard(spec, shard, paths[0], ShardRunOptions{Resume: true}); err == nil ||
+			!strings.Contains(err.Error(), "different run") {
+			t.Fatalf("resume over a checkpoint keyed %q: %v", short, err)
+		}
 	}
 }
 

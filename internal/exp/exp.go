@@ -478,7 +478,7 @@ func Fig5(e Env, ol float64, n int) ([]Fig5Result, error) {
 		if o == litho.LE3 {
 			p = p.WithOL(ol)
 		}
-		res, err := mc.TdpDistributionCtx(e.ctx(), p, o, m, e.Cap, n, e.MC)
+		res, err := mc.TdpDistribution(e.ctx(), p, o, m, e.Cap, n, e.MC)
 		if err != nil {
 			return nil, fmt.Errorf("fig5 %v: %w", o, err)
 		}
@@ -510,7 +510,7 @@ func Table4(e Env) ([]mc.SigmaSweepRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mc.SigmaSweepCtx(e.ctx(), e.Proc, m, e.Cap, 64, PaperOLBudgets, e.MC)
+	return mc.SigmaSweep(e.ctx(), e.Proc, m, e.Cap, 64, PaperOLBudgets, e.MC)
 }
 
 // Table4Surface extends Table IV across the whole array DOE: the tdp σ

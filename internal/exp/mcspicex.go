@@ -141,7 +141,7 @@ func MCSpiceX(e Env, sizes []int) ([]MCSpiceXRow, error) {
 	}
 	var rows []MCSpiceXRow
 	for _, o := range litho.Options {
-		sp, err := mc.SpiceTdpAcrossSizesShared(e.ctx(), e.Proc, o, e.Cap, sizes, nom, nomTd, e.Build, e.Sim, e.MC)
+		sp, err := mc.SpiceTdpAcrossSizes(e.ctx(), e.Proc, o, e.Cap, sizes, nom, nomTd, e.Build, e.Sim, e.MC)
 		if err != nil {
 			return nil, fmt.Errorf("mcspicex %v (spice): %w", o, err)
 		}

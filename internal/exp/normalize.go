@@ -43,40 +43,15 @@ func CanonicalParams(p Params) string {
 	sort.Strings(keys)
 	parts := make([]string, len(keys))
 	for i, k := range keys {
-		parts[i] = k + "=" + CanonicalValue(p[k])
+		parts[i] = k + "=" + canonicalValue(p[k])
 	}
 	return strings.Join(parts, ",")
 }
 
-// ParamFlags renders a normalized parameter map as sorted `-name=value`
-// CLI arguments — the spelling the schema-generated per-workload flags
-// parse back to the identical post-coercion value, which is what lets a
-// fan-out coordinator hand a spec to an `mpvar shard` child and have the
-// child recompute the same run key. Int/float/bool use the canonical
-// spellings from CanonicalValue; strings pass raw, NOT quoted — argv is
-// never shell-parsed, the flag package reads the value literally, so
-// quoting here would embed quote characters into the parameter.
-func ParamFlags(p Params) []string {
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	flags := make([]string, len(keys))
-	for i, k := range keys {
-		v := CanonicalValue(p[k])
-		if s, ok := p[k].(string); ok {
-			v = s
-		}
-		flags[i] = "-" + k + "=" + v
-	}
-	return flags
-}
-
-// CanonicalValue spells one post-coercion parameter value
+// canonicalValue spells one post-coercion parameter value
 // deterministically; it is the per-value half of CanonicalParams and
 // shares its frozen-format contract.
-func CanonicalValue(v any) string {
+func canonicalValue(v any) string {
 	switch x := v.(type) {
 	case int:
 		return strconv.Itoa(x)

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"flag"
-	"io"
 	"strings"
 	"testing"
 )
@@ -67,61 +65,6 @@ func TestCanonicalParamsDeterministic(t *testing.T) {
 	}
 	if CanonicalParams(nil) != "" {
 		t.Fatalf("nil params must render empty, got %q", CanonicalParams(nil))
-	}
-}
-
-// TestParamFlagsRoundTrip pins the spec-serialization contract every
-// fan-out vehicle rides on: rendering a normalized parameter map with
-// ParamFlags and parsing it back through the same flag bindings the
-// `mpvar shard` CLI uses must reproduce a map with the identical
-// canonical form (and therefore the identical run key). The values
-// deliberately include the historical failure cases — strings with
-// spaces, '=' and commas, negative and full-precision floats — that the
-// old fmt.Sprintf("-%s=%v") encoding mangled into extra argv words.
-func TestParamFlagsRoundTrip(t *testing.T) {
-	cases := []Params{
-		{"n": 64, "ol": 0.75, "cv": true},
-		{"sizes": "16,32", "label": "a b=c", "path": `x="q" z`},
-		{"ol": -1.0 / 3.0, "thk": 1e-12, "flag": false, "count": -7},
-		{},
-	}
-	for _, p := range cases {
-		args := ParamFlags(p)
-		fs := flag.NewFlagSet("roundtrip", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		bound := map[string]func() any{}
-		for name, v := range p {
-			name := name
-			switch v.(type) {
-			case int:
-				x := fs.Int(name, 0, "")
-				bound[name] = func() any { return *x }
-			case float64:
-				x := fs.Float64(name, 0, "")
-				bound[name] = func() any { return *x }
-			case bool:
-				x := fs.Bool(name, false, "")
-				bound[name] = func() any { return *x }
-			case string:
-				x := fs.String(name, "", "")
-				bound[name] = func() any { return *x }
-			default:
-				t.Fatalf("unhandled kind %T for %s", v, name)
-			}
-		}
-		if err := fs.Parse(args); err != nil {
-			t.Fatalf("parse %q: %v", args, err)
-		}
-		if fs.NArg() > 0 {
-			t.Fatalf("encoding %q leaked positional args %q", args, fs.Args())
-		}
-		back := Params{}
-		for name, get := range bound {
-			back[name] = get()
-		}
-		if got, want := CanonicalParams(back), CanonicalParams(p); got != want {
-			t.Fatalf("round trip drifted:\nflags %q\n got  %q\n want %q", args, got, want)
-		}
 	}
 }
 

@@ -107,7 +107,7 @@ func SpiceMC(e Env, sizes []int) ([]SpiceMCRow, error) {
 	}
 	var rows []SpiceMCRow
 	for _, o := range litho.Options {
-		vr, err := mc.SpiceTdpAcrossSizesShared(e.ctx(), e.Proc, o, e.Cap, sizes, nom, nomTd, e.Build, e.Sim, e.MC)
+		vr, err := mc.SpiceTdpAcrossSizes(e.ctx(), e.Proc, o, e.Cap, sizes, nom, nomTd, e.Build, e.Sim, e.MC)
 		if err != nil {
 			return nil, fmt.Errorf("spice mc %v: %w", o, err)
 		}

@@ -98,7 +98,7 @@ func SpiceMCCV(e Env, sizes []int) ([]SpiceMCCVRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("spice mc cv %v (reference): %w", o, err)
 		}
-		cvr, err := mc.SpiceTdpCVAcrossSizesShared(e.ctx(), e.Proc, o, m, e.Cap, sizes, nom, nomTd, e.Build, e.Sim, e.MC)
+		cvr, err := mc.SpiceTdpCVAcrossSizes(e.ctx(), e.Proc, o, m, e.Cap, sizes, nom, nomTd, e.Build, e.Sim, e.MC)
 		if err != nil {
 			return nil, fmt.Errorf("spice mc cv %v: %w", o, err)
 		}

@@ -104,8 +104,8 @@ type Hints struct {
 // internal/report, and the paper-style plain-text rendering.
 type Result struct {
 	// Data holds the workload's native typed rows (e.g. []Table1Row) for
-	// programmatic consumers; the deprecated Study convenience methods
-	// are type-asserting shims over it.
+	// programmatic consumers, who type-assert it to the workload's row
+	// type.
 	Data any
 	// Tables is the machine-readable view. Most workloads emit one
 	// table; composite workloads (spicetables, ext, all) emit several.

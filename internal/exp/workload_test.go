@@ -156,8 +156,8 @@ func TestCheapWorkloadsThroughRun(t *testing.T) {
 	}
 }
 
-// TestWorkloadTable1MatchesDriver pins the shim contract: the registry
-// path returns the same typed rows as the direct driver call.
+// TestWorkloadTable1MatchesDriver: the registry path returns the same
+// typed rows as the direct driver call.
 func TestWorkloadTable1MatchesDriver(t *testing.T) {
 	e := tinyEnv()
 	res, err := Run(nil, e, "table1", nil)

@@ -5,10 +5,8 @@ import (
 	"math"
 	"testing"
 
-	"mpsram/internal/extract"
 	"mpsram/internal/litho"
 	"mpsram/internal/sram"
-	"mpsram/internal/tech"
 )
 
 // TestAdaptiveSigmaMatchesFixed is the distribution-level half of the
@@ -23,18 +21,14 @@ func TestAdaptiveSigmaMatchesFixed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SPICE-in-the-loop σ gate (≈ 300 transients); run without -short")
 	}
-	p := tech.N10()
-	cm := extract.SakuraiTamaru{}
 	sizes := []int{16, 64}
 	cfg := Config{Samples: 24, Seed: 2015}
 	for _, o := range litho.Options {
-		fixed, err := SpiceTdpAcrossSizes(context.Background(), p, o, cm, sizes,
-			sram.BuildOptions{}, sram.SimOptions{}, cfg)
+		fixed, err := spiceTdp(t, context.Background(), o, sizes, sram.SimOptions{}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		adapt, err := SpiceTdpAcrossSizes(context.Background(), p, o, cm, sizes,
-			sram.BuildOptions{}, sram.SimOptions{Adaptive: true}, cfg)
+		adapt, err := spiceTdp(t, context.Background(), o, sizes, sram.SimOptions{Adaptive: true}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -213,7 +213,7 @@ func TestWelfordMatchesSummarize(t *testing.T) {
 func TestSharedStreamMatchesPerCell(t *testing.T) {
 	p, m := model(t)
 	cfg := Config{Samples: 2000, Seed: 7}
-	single, err := TdpDistribution(p, litho.LE3, m, cm, 64, cfg)
+	single, err := TdpDistribution(context.Background(), p, litho.LE3, m, cm, 64, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestSigmaSurfaceAgreesWithSweep(t *testing.T) {
 	p, m := model(t)
 	cfg := Config{Samples: 1500, Seed: 9}
 	budgets := []float64{3e-9, 8e-9}
-	sweep, err := SigmaSweep(p, m, cm, 64, budgets, cfg)
+	sweep, err := SigmaSweep(context.Background(), p, m, cm, 64, budgets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,21 +291,6 @@ func TestSummaryPreservesTrialOrder(t *testing.T) {
 		if vr.Values[1][i] != -v {
 			t.Fatalf("cross-observable pairing broken at trial %d", i)
 		}
-	}
-}
-
-func TestRunCtxMatchesRun(t *testing.T) {
-	f := func(rng *rand.Rand) (float64, bool) { return rng.Float64(), true }
-	a, err := Run(Config{Samples: 500, Seed: 12}, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunCtx(context.Background(), Config{Samples: 500, Seed: 12}, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Summary != b.Summary {
-		t.Fatal("RunCtx diverges from Run")
 	}
 }
 

@@ -96,15 +96,10 @@ type Result struct {
 
 // Run executes cfg.Samples trials of f. Each trial i uses an independent
 // PRNG seeded from (cfg.Seed, i), making results bit-identical across
-// worker counts.
-func Run(cfg Config, f SampleFunc) (Result, error) {
-	return RunCtx(context.Background(), cfg, f)
-}
-
-// RunCtx is Run with cancellation: the context aborts the run between
-// trial blocks. It is a single-observable, value-collecting view of the
-// streaming engine in RunVector.
-func RunCtx(ctx context.Context, cfg Config, f SampleFunc) (Result, error) {
+// worker counts; the context aborts the run between trial blocks. It is
+// a single-observable, value-collecting view of the streaming engine in
+// RunVector.
+func Run(ctx context.Context, cfg Config, f SampleFunc) (Result, error) {
 	cfg.Collect = true
 	vr, err := RunVector(ctx, cfg, 1, func(rng *rand.Rand, out []float64) bool {
 		v, ok := f(rng)
@@ -164,16 +159,11 @@ func TdpAcrossSizes(ctx context.Context, p tech.Process, o litho.Option, m analy
 // TdpDistribution runs the paper's Monte-Carlo: sample process variation
 // for option o, extract Rvar/Cvar, evaluate the analytical tdp formula at
 // array size n. Returns the aggregated distribution of tdp in percent.
-func TdpDistribution(p tech.Process, o litho.Option, m analytic.Params, cm extract.CapModel, n int, cfg Config) (Result, error) {
-	return TdpDistributionCtx(context.Background(), p, o, m, cm, n, cfg)
-}
-
-// TdpDistributionCtx is TdpDistribution with cancellation.
-func TdpDistributionCtx(ctx context.Context, p tech.Process, o litho.Option, m analytic.Params, cm extract.CapModel, n int, cfg Config) (Result, error) {
+func TdpDistribution(ctx context.Context, p tech.Process, o litho.Option, m analytic.Params, cm extract.CapModel, n int, cfg Config) (Result, error) {
 	if err := m.Validate(); err != nil {
 		return Result{}, err
 	}
-	return RunCtx(ctx, cfg, func(rng *rand.Rand) (float64, bool) {
+	return Run(ctx, cfg, func(rng *rand.Rand) (float64, bool) {
 		r, ok := SampleRatios(p, o, cm, rng)
 		if !ok {
 			return 0, false
@@ -303,14 +293,9 @@ func SigmaSurfaceAcross(ctx context.Context, cases []ProcessCase, cm extract.Cap
 }
 
 // SigmaSweep reproduces Table IV: the tdp σ for LE3 at each overlay budget
-// plus SADP and EUV, all at array size n.
-func SigmaSweep(p tech.Process, m analytic.Params, cm extract.CapModel, n int, olBudgets []float64, cfg Config) ([]SigmaSweepRow, error) {
-	return SigmaSweepCtx(context.Background(), p, m, cm, n, olBudgets, cfg)
-}
-
-// SigmaSweepCtx is SigmaSweep with cancellation. It is the
-// single-size view of SigmaSurface.
-func SigmaSweepCtx(ctx context.Context, p tech.Process, m analytic.Params, cm extract.CapModel, n int, olBudgets []float64, cfg Config) ([]SigmaSweepRow, error) {
+// plus SADP and EUV, all at array size n. It is the single-size view of
+// SigmaSurface.
+func SigmaSweep(ctx context.Context, p tech.Process, m analytic.Params, cm extract.CapModel, n int, olBudgets []float64, cfg Config) ([]SigmaSweepRow, error) {
 	surf, err := SigmaSurface(ctx, p, m, cm, []int{n}, olBudgets, cfg)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,7 +30,7 @@ func model(t *testing.T) (tech.Process, analytic.Params) {
 }
 
 func TestRunGaussianMoments(t *testing.T) {
-	res, err := Run(Config{Samples: 20000, Seed: 11}, func(rng *rand.Rand) (float64, bool) {
+	res, err := Run(context.Background(), Config{Samples: 20000, Seed: 11}, func(rng *rand.Rand) (float64, bool) {
 		return rng.NormFloat64()*3 + 5, true
 	})
 	if err != nil {
@@ -48,11 +49,11 @@ func TestRunGaussianMoments(t *testing.T) {
 
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	f := func(rng *rand.Rand) (float64, bool) { return rng.NormFloat64(), true }
-	r1, err := Run(Config{Samples: 500, Seed: 42, Workers: 1}, f)
+	r1, err := Run(context.Background(), Config{Samples: 500, Seed: 42, Workers: 1}, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := Run(Config{Samples: 500, Seed: 42, Workers: 8}, f)
+	r8, err := Run(context.Background(), Config{Samples: 500, Seed: 42, Workers: 8}, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +61,14 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal("results depend on worker count")
 	}
 	// Different seed → different stream.
-	r2, _ := Run(Config{Samples: 500, Seed: 43, Workers: 1}, f)
+	r2, _ := Run(context.Background(), Config{Samples: 500, Seed: 43, Workers: 1}, f)
 	if r1.Summary.Mean == r2.Summary.Mean {
 		t.Fatal("seed has no effect")
 	}
 }
 
 func TestRunRejections(t *testing.T) {
-	res, err := Run(Config{Samples: 100, Seed: 1}, func(rng *rand.Rand) (float64, bool) {
+	res, err := Run(context.Background(), Config{Samples: 100, Seed: 1}, func(rng *rand.Rand) (float64, bool) {
 		v := rng.Float64()
 		return v, v > 0.5
 	})
@@ -81,13 +82,13 @@ func TestRunRejections(t *testing.T) {
 		t.Fatal("counts do not add up")
 	}
 	// All rejected → error.
-	if _, err := Run(Config{Samples: 10, Seed: 1}, func(rng *rand.Rand) (float64, bool) {
+	if _, err := Run(context.Background(), Config{Samples: 10, Seed: 1}, func(rng *rand.Rand) (float64, bool) {
 		return 0, false
 	}); err == nil {
 		t.Fatal("all-rejected run must error")
 	}
 	// Bad config.
-	if _, err := Run(Config{Samples: 0}, f0); err == nil {
+	if _, err := Run(context.Background(), Config{Samples: 0}, f0); err == nil {
 		t.Fatal("zero samples must error")
 	}
 }
@@ -115,7 +116,7 @@ func TestSampleRatiosRejectsCollapse(t *testing.T) {
 func TestTableIVShape(t *testing.T) {
 	p, m := model(t)
 	cfg := Config{Samples: 4000, Seed: 7}
-	rows, err := SigmaSweep(p, m, cm, 64, []float64{3e-9, 5e-9, 7e-9, 8e-9}, cfg)
+	rows, err := SigmaSweep(context.Background(), p, m, cm, 64, []float64{3e-9, 5e-9, 7e-9, 8e-9}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func itoa(v int) string {
 
 func TestTdpDistributionHistogram(t *testing.T) {
 	p, m := model(t)
-	res, err := TdpDistribution(p, litho.LE3, m, cm, 64, Config{Samples: 2000, Seed: 3})
+	res, err := TdpDistribution(context.Background(), p, litho.LE3, m, cm, 64, Config{Samples: 2000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestTdpDistributionHistogram(t *testing.T) {
 func TestTdpDistributionValidatesModel(t *testing.T) {
 	p, m := model(t)
 	m.CPre = nil
-	if _, err := TdpDistribution(p, litho.EUV, m, cm, 64, Config{Samples: 10, Seed: 1}); err == nil {
+	if _, err := TdpDistribution(context.Background(), p, litho.EUV, m, cm, 64, Config{Samples: 10, Seed: 1}); err == nil {
 		t.Fatal("invalid model must be rejected")
 	}
 }

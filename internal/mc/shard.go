@@ -255,8 +255,8 @@ type payloadStream struct {
 
 // Frontier reports the payload's trial progress for the given shard
 // coordinates — ShardRun.Frontier for an artifact at rest, which is how
-// an external observer (the serve layer polling a child process's
-// checkpoint file) derives progress without attaching to the run.
+// an external observer (the serve layer resuming a checkpoint a drained
+// predecessor left) derives progress without attaching to the run.
 func (p *ShardPayload) Frontier(spec ShardSpec) (done, total int) {
 	for _, ps := range p.streams {
 		lo, hi := spec.blockRange(ps.header.nblocks())
@@ -385,6 +385,11 @@ func decodeRecord(r *stats.CodecReader, h streamHeader) (StreamRecord, error) {
 	if rec.Rejected < 0 || rec.Rejected > blockSize {
 		return rec, fmt.Errorf("mc: record rejects %d trials of a %d-trial block", rec.Rejected, blockSize)
 	}
+	// Every observable encodes at least one 8-byte word; refuse a count
+	// the remaining bytes cannot hold before allocating per observable.
+	if h.Nobs > r.Rest()/8 {
+		return rec, fmt.Errorf("mc: record of %d observables truncated at %d bytes", h.Nobs, r.Rest())
+	}
 	decodeSketches := func() []QuantileSketch {
 		qs := make([]QuantileSketch, h.Nobs)
 		for j := range qs {
@@ -452,6 +457,12 @@ func DecodeShardPayload(data []byte) (*ShardPayload, error) {
 		}
 		if nrecs < 0 || nrecs > h.nblocks() {
 			return nil, fmt.Errorf("mc: stream %d holds %d records for %d blocks", s, nrecs, h.nblocks())
+		}
+		// A record opens with its block and reject counts (16 bytes): a
+		// count the remaining bytes cannot hold is corrupt, refused before
+		// anything is allocated for it.
+		if nrecs > r.Rest()/16 {
+			return nil, fmt.Errorf("mc: stream %d claims %d records in %d bytes", s, nrecs, r.Rest())
 		}
 		recs := make([]StreamRecord, 0, nrecs)
 		for k := 0; k < nrecs; k++ {

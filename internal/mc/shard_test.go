@@ -2,6 +2,7 @@ package mc
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -234,18 +235,19 @@ func TestShardCheckpointResume(t *testing.T) {
 	}
 	want := ref.EncodePayload()
 
-	// Killed run: cancel mid-stream, keep whatever the frontier reached.
+	// Killed run: cancel once the frontier holds two blocks, keep whatever
+	// it reached. Progress is serialized with emission, so the frontier is
+	// at least 2 of 8 blocks, and each of the 2 workers lands at most one
+	// more block after the cancel.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var seen atomic.Int32
 	killed, _ := NewShardRun(ShardSpec{Index: 0, Count: 1})
-	_, err := RunVector(ctx, Config{Samples: samples, Seed: seed, Workers: 2, Shard: killed}, 1, func(rng *rand.Rand, out []float64) bool {
-		out[0] = rng.NormFloat64()
-		if seen.Add(1) == 700 {
+	killed.Progress = func(done, total int) {
+		if done >= 2*blockSize {
 			cancel()
 		}
-		return true
-	})
+	}
+	_, err := RunVector(ctx, Config{Samples: samples, Seed: seed, Workers: 2, Shard: killed}, 1, plain)
 	if err == nil {
 		t.Fatal("canceled shard run reported success")
 	}
@@ -373,6 +375,22 @@ func TestShardPayloadRejects(t *testing.T) {
 	if _, err := DecodeShardPayload(append(append([]byte(nil), good...), 0)); err == nil {
 		t.Fatal("decoded trailing garbage")
 	}
+	// Counts the remaining bytes cannot hold refuse before anything is
+	// allocated for them. Offsets: the stream header's observable count
+	// at 13, its sample count at 21, the record count at 37.
+	set := func(b []byte, at int, v uint64) []byte {
+		b = append([]byte(nil), b...)
+		binary.BigEndian.PutUint64(b[at:], v)
+		return b
+	}
+	for name, bad := range map[string][]byte{
+		"observables": set(good, 13, 1<<62),
+		"records":     set(set(good, 21, 1<<62), 37, 1<<50),
+	} {
+		if _, err := DecodeShardPayload(bad); err == nil {
+			t.Fatalf("decoded a payload with a corrupt %s count", name)
+		}
+	}
 }
 
 // TestReplayValidation: the reducer refuses drifted runs — wrong seed,
@@ -493,8 +511,8 @@ func TestShardSpecValidate(t *testing.T) {
 
 // TestShardFrontierAccessors pins the external progress surface: the
 // live ShardRun frontier after a completed run covers exactly the
-// shard's trial range, and the at-rest payload (what the serve layer's
-// child-process poller reads) reports the identical frontier.
+// shard's trial range, and the at-rest payload (what the serve layer
+// reads from a resumed checkpoint) reports the identical frontier.
 func TestShardFrontierAccessors(t *testing.T) {
 	f := func(rng *rand.Rand, out []float64) bool {
 		out[0] = rng.NormFloat64()

@@ -22,10 +22,26 @@ func spiceMCCfg(samples, workers int) Config {
 	return Config{Samples: samples, Seed: 2015, Workers: workers}
 }
 
+// spiceTdp runs SpiceTdpAcrossSizes on N10 with the nominal inputs
+// resolved here, the way the workload drivers resolve them once per sweep.
+func spiceTdp(t *testing.T, ctx context.Context, o litho.Option, sizes []int, sopt sram.SimOptions, cfg Config) (*VectorResult, error) {
+	t.Helper()
+	p, cm := tech.N10(), extract.SakuraiTamaru{}
+	b := sram.NewColumnBuilder(p, cm)
+	nom, err := b.Nominal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nomTd, err := b.NominalTds(sizes, sram.BuildOptions{}, sopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return SpiceTdpAcrossSizes(ctx, p, o, cm, sizes, nom, nomTd, sram.BuildOptions{}, sopt, cfg)
+}
+
 func runSpiceMC(t *testing.T, ctx context.Context, cfg Config) (*VectorResult, error) {
 	t.Helper()
-	return SpiceTdpAcrossSizes(ctx, tech.N10(), litho.EUV, extract.SakuraiTamaru{},
-		spiceMCSizes, sram.BuildOptions{}, sram.SimOptions{}, cfg)
+	return spiceTdp(t, ctx, litho.EUV, spiceMCSizes, sram.SimOptions{}, cfg)
 }
 
 func TestSpiceTdpAcrossSizesBitIdenticalAcrossWorkers(t *testing.T) {
@@ -132,8 +148,7 @@ func TestSpiceTdpAcrossSizesCancellation(t *testing.T) {
 	// Coarse-step trials (forced 1 ps step, tiny column) keep the
 	// block-granular cancellation latency cheap: accuracy is irrelevant
 	// here, only the engine's control flow.
-	_, err := SpiceTdpAcrossSizes(ctx, tech.N10(), litho.EUV, extract.SakuraiTamaru{},
-		[]int{2}, sram.BuildOptions{}, sram.SimOptions{Dt: 1e-12}, cfg)
+	_, err := spiceTdp(t, ctx, litho.EUV, []int{2}, sram.SimOptions{Dt: 1e-12}, cfg)
 	if err == nil {
 		t.Fatal("canceled run returned no error")
 	}
@@ -150,13 +165,19 @@ func TestSpiceTdpAcrossSizesCancellation(t *testing.T) {
 }
 
 func TestSpiceTdpAcrossSizesValidatesInputs(t *testing.T) {
-	if _, err := SpiceTdpAcrossSizes(context.Background(), tech.N10(), litho.EUV,
-		nil, spiceMCSizes, sram.BuildOptions{}, sram.SimOptions{}, spiceMCCfg(4, 1)); err == nil {
+	run := func(cm extract.CapModel, sizes []int, nomTd []float64) error {
+		_, err := SpiceTdpAcrossSizes(context.Background(), tech.N10(), litho.EUV, cm, sizes,
+			sram.CellParasitics{}, nomTd, sram.BuildOptions{}, sram.SimOptions{}, spiceMCCfg(4, 1))
+		return err
+	}
+	if run(nil, spiceMCSizes, []float64{1, 1}) == nil {
 		t.Fatal("nil capacitance model accepted")
 	}
-	if _, err := SpiceTdpAcrossSizes(context.Background(), tech.N10(), litho.EUV,
-		extract.SakuraiTamaru{}, nil, sram.BuildOptions{}, sram.SimOptions{}, spiceMCCfg(4, 1)); err == nil {
+	if run(extract.SakuraiTamaru{}, nil, nil) == nil {
 		t.Fatal("empty size list accepted")
+	}
+	if run(extract.SakuraiTamaru{}, spiceMCSizes, []float64{1}) == nil {
+		t.Fatal("nominal read times for the wrong number of sizes accepted")
 	}
 }
 

@@ -21,6 +21,7 @@ package remote
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -203,14 +204,16 @@ func readFrame(br *bufio.Reader) (*frame, error) {
 		if err != nil || n < 0 || n > maxBlobBytes {
 			return nil, fmt.Errorf("remote: bad %s frame length %q", kind, rest)
 		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(br, data); err != nil {
+		// Copy rather than allocate n up front: the length comes from the
+		// peer, so memory must track the bytes that actually arrive.
+		var data bytes.Buffer
+		if _, err := io.CopyN(&data, br, int64(n)); err != nil {
 			return nil, fmt.Errorf("remote: %s frame truncated at %d bytes: %w", kind, n, err)
 		}
 		if nl, err := br.ReadByte(); err != nil || nl != '\n' {
 			return nil, fmt.Errorf("remote: %s frame missing terminator", kind)
 		}
-		return &frame{kind: kind, data: data}, nil
+		return &frame{kind: kind, data: data.Bytes()}, nil
 	case frameError:
 		msg, err := strconv.Unquote(rest)
 		if err != nil {

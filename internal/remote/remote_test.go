@@ -12,6 +12,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -163,6 +165,13 @@ func TestWorkerRefusals(t *testing.T) {
 	badKey := NewShardRequest(spec, shard, strings.Repeat("0", len(key)), nil)
 	if code, msg := post(badKey); code != http.StatusConflict || !strings.Contains(msg, "run-key drift") {
 		t.Fatalf("run-key drift: %d %q", code, msg)
+	}
+	// Keys shorter than the printed prefix come from the peer's bytes and
+	// must still answer 409, not panic the handler.
+	for _, short := range []string{"", "x"} {
+		if code, msg := post(NewShardRequest(spec, shard, short, nil)); code != http.StatusConflict || !strings.Contains(msg, "run-key drift") {
+			t.Fatalf("run key %q: %d %q", short, code, msg)
+		}
 	}
 	unknown := NewShardRequest(core.RunSpec{Workload: "nope"}, shard, key, nil)
 	if code, _ := post(unknown); code != http.StatusBadRequest {
@@ -366,6 +375,18 @@ func TestRemoteLeastLoadedPick(t *testing.T) {
 	}
 }
 
+// malformedFrames are streams readFrame must refuse.
+var malformedFrames = []string{
+	"artifact 10\nshort\n",  // truncated blob
+	"checkpoint 3\nabcX",    // missing terminator
+	"progress nope\n",       // malformed counts
+	"mystery 1\n",           // unknown kind
+	"artifact -1\n",         // negative length
+	"error unquoted text\n", // unparseable message
+	"progress 1 10",         // torn header (no newline)
+	"artifact 1073741823\n", // announced far beyond what arrives
+}
+
 // TestFrameCodec pins the stream framing against torn and malformed
 // input — the reader must error loudly, never yield a short blob.
 func TestFrameCodec(t *testing.T) {
@@ -381,23 +402,64 @@ func TestFrameCodec(t *testing.T) {
 	if f, err := read(`error "boom went \"it\""` + "\n"); err != nil || f.msg != `boom went "it"` {
 		t.Fatalf("error frame: %+v %v", f, err)
 	}
-	for _, bad := range []string{
-		"artifact 10\nshort\n",  // truncated blob
-		"checkpoint 3\nabcX",    // missing terminator
-		"progress nope\n",       // malformed counts
-		"mystery 1\n",           // unknown kind
-		"artifact -1\n",         // negative length
-		"error unquoted text\n", // unparseable message
-		"progress 1 10",         // torn header (no newline)
-	} {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, bad := range malformedFrames {
 		if _, err := read(bad); err == nil {
 			t.Errorf("accepted malformed frame %q", bad)
 		}
+	}
+	runtime.ReadMemStats(&after)
+	// An announced length costs only the bytes that actually arrive.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("reading malformed frames allocated %d bytes", grew)
 	}
 	// Plain EOF at a frame boundary surfaces as io.EOF, not a parse error.
 	if _, err := read(""); err != io.EOF {
 		t.Fatalf("empty stream: %v", err)
 	}
+}
+
+// FuzzReadFrame feeds arbitrary peer bytes to the frame reader: it must
+// never panic, and any frame it accepts must survive a frameWriter round
+// trip unchanged.
+func FuzzReadFrame(f *testing.F) {
+	for _, s := range append([]string{
+		"progress 3 10\n",
+		"checkpoint 3\nabc\n",
+		`error "boom went \"it\""` + "\n",
+		"artifact 0\n\n",
+	}, malformedFrames...) {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		fw := &frameWriter{w: &buf}
+		switch fr.kind {
+		case frameProgress:
+			err = fw.progress(fr.done, fr.total)
+		case frameCheckpoint, frameArtifact:
+			err = fw.blob(fr.kind, fr.data)
+		case frameError:
+			err = fw.sendError(fr.msg)
+		default:
+			t.Fatalf("readFrame accepted unknown kind %q", fr.kind)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := readFrame(bufio.NewReader(&buf))
+		if err != nil {
+			t.Fatalf("re-encoded frame %q does not decode: %v", buf.String(), err)
+		}
+		if !reflect.DeepEqual(fr, back) {
+			t.Fatalf("frame round trip drifted: %+v -> %+v", fr, back)
+		}
+	})
 }
 
 // TestWorkerCloseRemovesOnlyOwnedDir: Close removes the temporary scratch

@@ -173,7 +173,7 @@ func (w *Worker) ServeShard(ctx context.Context, rw http.ResponseWriter, req *ht
 		// hashing drift between builds. Refusing here is what keeps a
 		// drifted peer from contributing wrong blocks to a reduce.
 		jsonError(rw, http.StatusConflict,
-			"run-key drift: dispatch says %s, this worker computes %s — upgrade one side", sr.RunKey[:12], key[:12])
+			"run-key drift: dispatch says %.12s, this worker computes %.12s — upgrade one side", sr.RunKey, key)
 		return
 	}
 	select {

@@ -23,21 +23,16 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mpsram/internal/core"
-	"mpsram/internal/exp"
 	"mpsram/internal/mc"
 	"mpsram/internal/remote"
 )
@@ -54,15 +49,10 @@ const (
 	maxShardAttempts = 3
 	// shardRetryBackoff / shardRetryBackoffCap pace re-dispatches: the
 	// wait doubles per attempt up to the cap, so a transiently sick
-	// vehicle (a peer mid-restart, an OOM-killed child) gets a beat to
-	// recover instead of burning the whole attempt budget instantly.
+	// vehicle (a peer mid-restart) gets a beat to recover instead of
+	// burning the whole attempt budget instantly.
 	shardRetryBackoff    = 50 * time.Millisecond
 	shardRetryBackoffCap = 2 * time.Second
-	// processCheckpointEvery / processPollEvery pace the child-process
-	// mode: children persist their frontier at most this often, the
-	// parent polls the checkpoint files for progress at the same order.
-	processCheckpointEvery = 500 * time.Millisecond
-	processPollEvery       = 300 * time.Millisecond
 )
 
 // fanoutStats are the /v1/healthz counters for the fan-out executor.
@@ -81,8 +71,8 @@ type shardExec interface {
 }
 
 // goroutineExec executes a shard in-process — a core.RunShard call on a
-// goroutine inside the fan-out's executor slot. The default vehicle: no
-// spawn cost, shared address space, cancellation between blocks.
+// goroutine inside the fan-out's executor slot. The default vehicle:
+// shared address space, cancellation between blocks.
 type goroutineExec struct{ workers int }
 
 func (e goroutineExec) runShard(ctx context.Context, spec core.RunSpec, shard mc.ShardSpec, path string, progress func(done, total int)) error {
@@ -91,91 +81,11 @@ func (e goroutineExec) runShard(ctx context.Context, spec core.RunSpec, shard mc
 		core.WithContext(ctx), core.WithWorkers(e.workers))
 }
 
-// processExec executes a shard as an `mpvar shard` child process — the
-// opt-in isolation mode: a child crash (OOM kill, a panic in workload
-// code) loses one shard attempt, not the server, and the re-dispatch
-// resumes from the child's last checkpoint. Progress is observed from
-// the outside by polling the checkpoint artifact.
-type processExec struct {
-	bin     string
-	workers int
-}
-
-func (e processExec) runShard(ctx context.Context, spec core.RunSpec, shard mc.ShardSpec, path string, progress func(done, total int)) error {
-	args := []string{
-		"shard",
-		"-index", strconv.Itoa(shard.Index),
-		"-of", strconv.Itoa(shard.Count),
-		"-o", path,
-		"-resume",
-		"-checkpoint", processCheckpointEvery.String(),
-		"-samples", strconv.Itoa(spec.Samples),
-		"-seed", strconv.FormatInt(spec.Seed, 10),
-		"-process", spec.Process,
-		"-workers", strconv.Itoa(e.workers),
-		"-fastseed=" + strconv.FormatBool(spec.FastSeed),
-		spec.Workload,
-	}
-	// The spec is normalized, so passing every parameter explicitly is
-	// canonical — the child recomputes the identical run key. ParamFlags
-	// is the pinned spelling (a %v here would mangle strings with spaces
-	// or '=' into multiple argv words).
-	args = append(args, exp.ParamFlags(spec.Params)...)
-	cmd := exec.CommandContext(ctx, e.bin, args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	// Cancellation delivers SIGINT so the child takes its CLI interrupt
-	// path — persist the frontier, exit — with a bounded grace period
-	// before the hard kill.
-	cmd.Cancel = func() error { return cmd.Process.Signal(os.Interrupt) }
-	cmd.WaitDelay = 15 * time.Second
-
-	stop := make(chan struct{})
-	var poll sync.WaitGroup
-	if progress != nil {
-		poll.Add(1)
-		go func() {
-			defer poll.Done()
-			t := time.NewTicker(processPollEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					if art, err := core.ReadShardArtifact(path); err == nil {
-						progress(art.Payload.Frontier(shard))
-					}
-				}
-			}
-		}()
-	}
-	err := cmd.Run()
-	close(stop)
-	poll.Wait()
-	if err != nil {
-		msg := strings.TrimSpace(stderr.String())
-		if len(msg) > 300 {
-			msg = "… " + msg[len(msg)-300:]
-		}
-		if msg != "" {
-			return fmt.Errorf("shard %d/%d child: %w: %s", shard.Index, shard.Count, err, msg)
-		}
-		return fmt.Errorf("shard %d/%d child: %w", shard.Index, shard.Count, err)
-	}
-	if progress != nil {
-		if art, rerr := core.ReadShardArtifact(path); rerr == nil {
-			progress(art.Payload.Frontier(shard))
-		}
-	}
-	return nil
-}
-
 // shardProgress merges per-shard frontier observations into one monotone
 // global (done, total) stream for the run's SSE subscribers. Per-shard
 // done is monotone at the source; stale observations (a re-dispatched
-// attempt warming back up to its checkpoint, an old artifact poll racing
-// a newer one) are dropped, so the published aggregate never regresses.
+// attempt warming back up to its checkpoint) are dropped, so the
+// published aggregate never regresses.
 type shardProgress struct {
 	mu      sync.Mutex
 	done    []int
@@ -300,9 +210,9 @@ func (s *Server) executeFanout(r *run, nshards int) ([]byte, error) {
 }
 
 // shardDispatcher drives one shard to completion through an execution
-// vehicle — the single attempt-budget + resume policy all three vehicles
-// (goroutine, process, remote) share. A failed attempt (child crash,
-// dead peer, flaky transport) re-dispatches after a capped exponential
+// vehicle — the single attempt-budget + resume policy both vehicles
+// (goroutine, remote) share. A failed attempt (a shard error, a dead
+// peer, a flaky transport) re-dispatches after a capped exponential
 // backoff, resuming from whatever frontier the failed attempt persisted,
 // so completed blocks are never re-executed. Cancellation is terminal —
 // a drain must not fight the retry loop.

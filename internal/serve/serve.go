@@ -84,9 +84,7 @@ type Config struct {
 	// without a Cost hint never fan out regardless.
 	FanoutMinSamples int
 	// FanoutExec selects the shard execution vehicle: "goroutine"
-	// (default, in-process), "process" (spawn `mpvar shard` children
-	// via FanoutBinary; a child crash re-dispatches that shard from its
-	// last checkpoint), or "remote" (dispatch shards to the peer
+	// (default, in-process) or "remote" (dispatch shards to the peer
 	// `mpvar serve` workers in Peers; a dead peer re-dispatches from the
 	// last shipped checkpoint, and no live peers falls back to
 	// in-process execution).
@@ -101,9 +99,6 @@ type Config struct {
 	// pointed at the same directory resumes checkpointed shards instead
 	// of recomputing them.
 	FanoutDir string
-	// FanoutBinary is the mpvar executable for FanoutExec "process"
-	// (default: the current executable).
-	FanoutBinary string
 }
 
 func (c Config) withDefaults() Config {
@@ -186,18 +181,11 @@ func New(cfg Config) *Server {
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	s.fanoutCtx, s.fanoutStop = context.WithCancel(s.baseCtx)
 	s.remoteWorker = remote.NewWorker(cfg.Workers, cfg.EngineWorkers, "")
-	switch cfg.FanoutExec {
-	case "process":
-		bin := cfg.FanoutBinary
-		if bin == "" {
-			bin, _ = os.Executable()
-		}
-		s.shardRunner = processExec{bin: bin, workers: cfg.EngineWorkers}
-	case "remote":
+	if cfg.FanoutExec == "remote" {
 		s.remotePool = remote.NewPool(cfg.Peers, remote.PoolConfig{})
 		s.shardRunner = remoteExec{pool: s.remotePool, local: goroutineExec{workers: cfg.EngineWorkers}}
 		go s.remotePool.Run(s.baseCtx)
-	default:
+	} else {
 		s.shardRunner = goroutineExec{workers: cfg.EngineWorkers}
 	}
 	s.workers.Add(cfg.Workers)
@@ -544,7 +532,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 // healthFanout is the fan-out block of the healthz body: configuration
 // plus the executor counters that make load behavior under fan-out
 // observable (how many shards are executing right now, how much resumed
-// from checkpoints instead of recomputing, how often children crashed).
+// from checkpoints instead of recomputing, how often shards re-dispatched).
 type healthFanout struct {
 	Shards             int    `json:"shards"`
 	Exec               string `json:"exec"`

@@ -12,16 +12,16 @@ import (
 )
 
 // ColumnBuilder is a per-worker column construction and simulation
-// session — the reusable path behind the SPICE sweep engine. The one-shot
-// SimulateTd/TdPenaltyPct path re-extracts the nominal parasitics,
-// re-instantiates the device cards and reallocates the whole netlist for
-// every trial; a ColumnBuilder amortizes all three across however many
+// session — the reusable path behind the SPICE sweep engine. A fresh
+// builder per point re-extracts the nominal parasitics, re-instantiates
+// the device cards and reallocates the whole netlist for every trial; a
+// held ColumnBuilder amortizes all three across however many
 // (sample, size) points a sweep visits: it caches the nominal per-cell
 // parasitics and the extracted variability ratios per (option, sample),
 // shares one NMOS/PMOS model card pair across builds, and rebuilds every
 // column into one reusable netlist.
 //
-// Results are bit-identical to the one-shot path: construction is
+// Results are bit-identical to a fresh builder per point: construction is
 // deterministic and the cached values are pure functions of the inputs, so
 // caching only removes recomputation, never changes a float.
 //
@@ -139,7 +139,7 @@ func (b *ColumnBuilder) MeasureTd(n int, cp CellParasitics, bopt BuildOptions, s
 }
 
 // SimulateTd simulates one read for option o under variation sample s at
-// array size n — the session equivalent of the package-level SimulateTd.
+// array size n and returns td in seconds.
 func (b *ColumnBuilder) SimulateTd(o litho.Option, s litho.Sample, n int, bopt BuildOptions, sopt SimOptions) (float64, error) {
 	nom, err := b.Nominal()
 	if err != nil {
@@ -153,8 +153,7 @@ func (b *ColumnBuilder) SimulateTd(o litho.Option, s litho.Sample, n int, bopt B
 }
 
 // TdPenaltyPct simulates the nominal and perturbed reads and returns the
-// paper's tdp figure — the session equivalent of the package-level
-// TdPenaltyPct.
+// paper's tdp figure: (td/tdnom − 1)·100.
 func (b *ColumnBuilder) TdPenaltyPct(o litho.Option, s litho.Sample, n int, bopt BuildOptions, sopt SimOptions) (tdp, td, tdnom float64, err error) {
 	tdnom, err = b.SimulateTd(o, litho.Nominal, n, bopt, sopt)
 	if err != nil {

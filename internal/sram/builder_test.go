@@ -8,6 +8,9 @@ import (
 	"mpsram/internal/tech"
 )
 
+// TestColumnBuilderMatchesOneShotPath: a session reused across sizes and
+// calls returns exactly what a fresh builder per call (the one-shot path)
+// returns.
 func TestColumnBuilderMatchesOneShotPath(t *testing.T) {
 	p := tech.N10()
 	cm := extract.SakuraiTamaru{}
@@ -21,7 +24,7 @@ func TestColumnBuilderMatchesOneShotPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := SimulateTd(p, litho.SADP, wc.Sample, cm, n, BuildOptions{}, SimOptions{})
+		want, err := NewColumnBuilder(p, cm).SimulateTd(litho.SADP, wc.Sample, n, BuildOptions{}, SimOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,12 +32,12 @@ func TestColumnBuilderMatchesOneShotPath(t *testing.T) {
 			t.Fatalf("n=%d: builder td %g != one-shot td %g", n, got, want)
 		}
 	}
-	// Penalty wrapper agrees too (and exercises the nominal cache twice).
+	// The penalty agrees too (and exercises the nominal cache twice).
 	tdp1, td1, nom1, err := b.TdPenaltyPct(litho.SADP, wc.Sample, 16, BuildOptions{}, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tdp2, td2, nom2, err := TdPenaltyPct(p, litho.SADP, wc.Sample, cm, 16, BuildOptions{}, SimOptions{})
+	tdp2, td2, nom2, err := NewColumnBuilder(p, cm).TdPenaltyPct(litho.SADP, wc.Sample, 16, BuildOptions{}, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

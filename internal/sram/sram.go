@@ -432,23 +432,6 @@ func (c *Column) measureTdOn(eng *spice.Engine, cp CellParasitics, opt SimOption
 	return ReadResult{Td: td, TEnd: tEnd, Dt: dt, Result: res}, nil
 }
 
-// SimulateTd is the one-call convenience used by the examples and kept as
-// a thin compatibility wrapper: build the column for process p, option o,
-// variation sample s, array size n, and return td in seconds. Callers that
-// simulate more than one point should hold a ColumnBuilder (or drive the
-// sweep engine in internal/sweep), which caches the nominal extraction and
-// reuses netlist storage across trials.
-func SimulateTd(p tech.Process, o litho.Option, s litho.Sample, cm extract.CapModel, n int, bopt BuildOptions, sopt SimOptions) (float64, error) {
-	return NewColumnBuilder(p, cm).SimulateTd(o, s, n, bopt, sopt)
-}
-
-// TdPenaltyPct simulates the nominal and perturbed reads and returns the
-// paper's tdp figure: (td/tdnom − 1)·100. Like SimulateTd it is a
-// compatibility wrapper over ColumnBuilder.
-func TdPenaltyPct(p tech.Process, o litho.Option, s litho.Sample, cm extract.CapModel, n int, bopt BuildOptions, sopt SimOptions) (tdp, td, tdnom float64, err error) {
-	return NewColumnBuilder(p, cm).TdPenaltyPct(o, s, n, bopt, sopt)
-}
-
 // SenseMargin reports the read-disturb peak on the internal q node during
 // a read, a standard SRAM health metric exposed for the examples.
 func (c *Column) SenseMargin(res *spice.Result) float64 {

@@ -182,7 +182,7 @@ func TestWorstCaseTdpFig4Shape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tdp, _, _, err := TdPenaltyPct(p, o, wc.Sample, cm, 64, BuildOptions{}, SimOptions{})
+		tdp, _, _, err := NewColumnBuilder(p, cm).TdPenaltyPct(o, wc.Sample, 64, BuildOptions{}, SimOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestEUVTdpTurnsNegativeAtLargeArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tdp, _, _, err := TdPenaltyPct(p, litho.EUV, wc.Sample, cm, 1024, BuildOptions{}, SimOptions{})
+	tdp, _, _, err := NewColumnBuilder(p, cm).TdPenaltyPct(litho.EUV, wc.Sample, 1024, BuildOptions{}, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestEUVTdpTurnsNegativeAtLargeArrays(t *testing.T) {
 	}
 	// SADP stays positive at n=1024 (the RVSS anti-correlation effect).
 	wcS, _ := extract.WorstCase(p, litho.SADP, cm)
-	tdpS, _, _, err := TdPenaltyPct(p, litho.SADP, wcS.Sample, cm, 1024, BuildOptions{}, SimOptions{})
+	tdpS, _, _, err := NewColumnBuilder(p, cm).TdPenaltyPct(litho.SADP, wcS.Sample, 1024, BuildOptions{}, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,10 +291,10 @@ func TestVssTapOption(t *testing.T) {
 
 func TestSimulateTdErrors(t *testing.T) {
 	p, _ := nominal(t)
-	if _, err := SimulateTd(p, litho.LE3, litho.Sample{OLB: 30e-9}, cm, 16, BuildOptions{}, SimOptions{}); err == nil {
+	if _, err := NewColumnBuilder(p, cm).SimulateTd(litho.LE3, litho.Sample{OLB: 30e-9}, 16, BuildOptions{}, SimOptions{}); err == nil {
 		t.Fatal("collapsed geometry must propagate an error")
 	}
-	if _, _, _, err := TdPenaltyPct(p, litho.LE3, litho.Sample{OLB: 30e-9}, cm, 16, BuildOptions{}, SimOptions{}); err == nil {
+	if _, _, _, err := NewColumnBuilder(p, cm).TdPenaltyPct(litho.LE3, litho.Sample{OLB: 30e-9}, 16, BuildOptions{}, SimOptions{}); err == nil {
 		t.Fatal("TdPenaltyPct must propagate errors")
 	}
 }

@@ -32,7 +32,7 @@
 // are serialized and strictly increasing. Every job is an independent,
 // deterministic simulation written to its own result slot, so a sweep's
 // results are bit-identical for any worker count — and bit-identical to
-// the serial one-shot sram.SimulateTd/TdPenaltyPct path they replace.
+// simulating each point serially on a fresh sram.ColumnBuilder.
 package sweep
 
 import (

@@ -92,8 +92,8 @@ func TestRunMatchesSerialOneShotPath(t *testing.T) {
 			t.Fatalf("%v: worst case mismatch", o)
 		}
 		for _, n := range testSizes {
-			wantTdp, wantTd, wantNom, err := sram.TdPenaltyPct(
-				env.Proc, o, wc.Sample, env.Cap, n, env.Build, env.Sim)
+			wantTdp, wantTd, wantNom, err := sram.NewColumnBuilder(env.Proc, env.Cap).TdPenaltyPct(
+				o, wc.Sample, n, env.Build, env.Sim)
 			if err != nil {
 				t.Fatal(err)
 			}
