@@ -7,7 +7,7 @@ GO ?= go
 # Raise it when coverage grows; never lower it without a written reason.
 COVER_MIN ?= 80.5
 
-.PHONY: all build test test-race bench bench-smoke bench-json fuzz-smoke cover cover-check lint fmt clean
+.PHONY: all build test test-race bench bench-smoke fuzz-smoke cover cover-check lint fmt clean
 
 all: build lint test
 
@@ -29,29 +29,6 @@ bench:
 # CI smoke: every benchmark once, just to prove the harness still runs.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# Machine-readable fan-out benchmarks: the serve-layer fan-out pair
-# (direct vs 3 shards), the shard run/reduce split that bounds its
-# speedup, the remote-fabric dispatch round trip (its per-shard overhead
-# floor), and the SPICE-MC control-variate baseline — emitted as one
-# JSON object per benchmark into BENCH_10.json (CI uploads it as an
-# artifact; numbers are per-machine, so the file is advisory, not a gate).
-bench-json:
-	@{ $(GO) test -run '^$$' -bench 'ServeFanout' -benchmem -benchtime 2x ./internal/serve; \
-	   $(GO) test -run '^$$' -bench 'BenchmarkShard' -benchmem -benchtime 2x ./internal/core; \
-	   $(GO) test -run '^$$' -bench 'RemoteShardRoundtrip' -benchmem -benchtime 5x ./internal/remote; \
-	   $(GO) test -run '^$$' -bench 'SpiceMCCV$$' -benchmem -benchtime 1x .; } | \
-	awk 'BEGIN { print "[" } \
-	     /^Benchmark/ { ns="null"; bop="null"; aop="null"; \
-	       for (i = 2; i < NF; i++) { \
-	         if ($$(i+1) == "ns/op") ns = $$i; \
-	         else if ($$(i+1) == "B/op") bop = $$i; \
-	         else if ($$(i+1) == "allocs/op") aop = $$i; \
-	       } \
-	       if (n++) printf(",\n"); \
-	       printf("  {\"name\":\"%s\",\"iters\":%s,\"ns_op\":%s,\"b_op\":%s,\"allocs_op\":%s}", $$1, $$2, ns, bop, aop) } \
-	     END { print "\n]" }' > BENCH_10.json
-	@cat BENCH_10.json
 
 # Fuzz smoke: ten seconds per target. FuzzCompiledLU proves the
 # symbolic-once sparse LU (sparse.Analyze + Symbolic.Solve) bit-identical

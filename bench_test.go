@@ -294,13 +294,13 @@ func BenchmarkAblationMCConvergence(b *testing.B) {
 	for _, samples := range []int{250, 1000, 4000} {
 		b.Run(itoa(samples), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := mc.TdpDistribution(context.Background(), e.Proc, litho.LE3, m, e.Cap, 64,
-					mc.Config{Samples: samples, Seed: 9})
+				res, err := mc.TdpAcrossSizes(context.Background(), e.Proc, litho.LE3, m, e.Cap, []int{64},
+					mc.Config{Samples: samples, Seed: 9, Collect: true})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					b.ReportMetric(res.Summary.Std, "sigma_pp")
+					b.ReportMetric(res.Summary(0).Std, "sigma_pp")
 				}
 			}
 		})

@@ -77,17 +77,46 @@ func (g *globals) register(fs *flag.FlagSet) {
 	fs.BoolVar(&g.list, "list", g.list, "print the registered workload names, one per line, and exit")
 }
 
-// globalNames is the set of flag names register defines; workload
-// parameters with these names are fed by the global flag instead of a
-// duplicate per-workload binding.
-var globalNames = func() map[string]bool {
-	g := defaultGlobals()
-	fs := flag.NewFlagSet("", flag.ContinueOnError)
-	g.register(fs)
-	names := map[string]bool{}
-	fs.VisitAll(func(f *flag.Flag) { names[f.Name] = true })
-	return names
-}()
+// bindParams defines one flag on fs per schema parameter of wl. A flag
+// already on the set — a global or shard spec flag — feeds the parameter
+// of the same name instead of a duplicate binding: every standard
+// flag.Value implements flag.Getter, and the registry's coercion accepts
+// its native type. Once fs is parsed, the returned function collects the
+// parameters named in seen. Only explicitly set parameters enter the
+// spec; Normalize fills the schema defaults, so the run key matches
+// every other spelling of the same run (CLI, serve, shard, reduce).
+func bindParams(fs *flag.FlagSet, wl exp.Workload) func(seen map[string]bool) exp.Params {
+	bound := map[string]func() any{}
+	for _, ps := range wl.Params {
+		if f := fs.Lookup(ps.Name); f != nil {
+			bound[ps.Name] = func() any { return f.Value.(flag.Getter).Get() }
+			continue
+		}
+		switch ps.Kind {
+		case exp.IntParam:
+			p := fs.Int(ps.Name, ps.Default.(int), ps.Help)
+			bound[ps.Name] = func() any { return *p }
+		case exp.FloatParam:
+			p := fs.Float64(ps.Name, ps.Default.(float64), ps.Help)
+			bound[ps.Name] = func() any { return *p }
+		case exp.BoolParam:
+			p := fs.Bool(ps.Name, ps.Default.(bool), ps.Help)
+			bound[ps.Name] = func() any { return *p }
+		case exp.StringParam:
+			p := fs.String(ps.Name, ps.Default.(string), ps.Help)
+			bound[ps.Name] = func() any { return *p }
+		}
+	}
+	return func(seen map[string]bool) exp.Params {
+		params := exp.Params{}
+		for _, ps := range wl.Params {
+			if seen[ps.Name] {
+				params[ps.Name] = bound[ps.Name]()
+			}
+		}
+		return params
+	}
+}
 
 // usage renders the generated help: the workload listing straight from
 // the registry plus the static utility commands and the global flags.
@@ -196,7 +225,6 @@ func main() {
 	var (
 		wl       exp.Workload
 		utility  = name == "gds" || name == "deck"
-		bound    = map[string]func() any{}
 		fs2      = flag.NewFlagSet("mpvar "+name, flag.ExitOnError)
 		wlookErr error
 	)
@@ -218,31 +246,7 @@ func main() {
 		fs2.SetOutput(os.Stderr)
 		fs2.PrintDefaults()
 	}
-	for _, ps := range wl.Params {
-		if globalNames[ps.Name] {
-			// Fed by the (re-registered) global flag of the same name:
-			// every standard flag.Value implements flag.Getter, and the
-			// registry's coercion accepts its native type.
-			f := fs2.Lookup(ps.Name)
-			bound[ps.Name] = func() any { return f.Value.(flag.Getter).Get() }
-			continue
-		}
-		ps := ps
-		switch ps.Kind {
-		case exp.IntParam:
-			p := fs2.Int(ps.Name, ps.Default.(int), ps.Help)
-			bound[ps.Name] = func() any { return *p }
-		case exp.FloatParam:
-			p := fs2.Float64(ps.Name, ps.Default.(float64), ps.Help)
-			bound[ps.Name] = func() any { return *p }
-		case exp.BoolParam:
-			p := fs2.Bool(ps.Name, ps.Default.(bool), ps.Help)
-			bound[ps.Name] = func() any { return *p }
-		case exp.StringParam:
-			p := fs2.String(ps.Name, ps.Default.(string), ps.Help)
-			bound[ps.Name] = func() any { return *p }
-		}
-	}
+	explicitParams := bindParams(fs2, wl)
 	_ = fs2.Parse(fs1.Args()[1:])
 	fs2.Visit(func(f *flag.Flag) { seen[f.Name] = true })
 	if fs2.NArg() > 0 {
@@ -275,12 +279,7 @@ func main() {
 	// Assemble the workload parameters: schema defaults are implicit;
 	// explicit flags win; -smoke fills its overrides where nothing was
 	// chosen.
-	params := exp.Params{}
-	for _, ps := range wl.Params {
-		if seen[ps.Name] {
-			params[ps.Name] = bound[ps.Name]()
-		}
-	}
+	params := explicitParams(seen)
 	if g.smoke {
 		for k, v := range wl.Hints.Smoke {
 			if _, explicit := params[k]; !explicit {

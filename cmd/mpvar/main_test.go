@@ -120,8 +120,29 @@ func TestGlobalsTwoPassParse(t *testing.T) {
 			t.Fatalf("global feed for %s = %v (%T), want %v", name, got, got, want)
 		}
 	}
-	if !globalNames["n"] || !globalNames["format"] || globalNames["sizes"] {
-		t.Fatalf("global name set drifted: %v", globalNames)
+	// The parameter binder defines flags only for parameters that are not
+	// already on the set: "n" stays the global flag, "sizes" gets its own,
+	// and only explicitly set parameters are collected.
+	wl := exp.Workload{Params: []exp.ParamSpec{
+		{Name: "n", Kind: exp.IntParam, Default: 64},
+		{Name: "sizes", Kind: exp.StringParam, Default: "16,64"},
+		{Name: "cv", Kind: exp.BoolParam, Default: false},
+	}}
+	fs3 := flag.NewFlagSet("mpvar bound", flag.ContinueOnError)
+	g.register(fs3)
+	nFlag := fs3.Lookup("n")
+	explicit := bindParams(fs3, wl)
+	if fs3.Lookup("n") != nFlag || fs3.Lookup("sizes") == nil || fs3.Lookup("format") == nil {
+		t.Fatal("binder redefined a global or skipped a schema parameter")
+	}
+	if err := fs3.Parse([]string{"-n", "32", "-sizes", "8,16"}); err != nil {
+		t.Fatal(err)
+	}
+	seen = map[string]bool{}
+	fs3.Visit(func(f *flag.Flag) { seen[f.Name] = true })
+	got := explicit(seen)
+	if len(got) != 2 || got["n"] != 32 || got["sizes"] != "8,16" {
+		t.Fatalf("explicit parameters %v, want n=32 sizes=8,16 only", got)
 	}
 }
 

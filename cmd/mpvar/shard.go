@@ -108,29 +108,7 @@ flags:
 	// parameters.
 	fs2 := flag.NewFlagSet("mpvar shard "+name, flag.ExitOnError)
 	g.register(fs2)
-	bound := map[string]func() any{}
-	for _, ps := range wl.Params {
-		if fs2.Lookup(ps.Name) != nil {
-			f := fs2.Lookup(ps.Name)
-			bound[ps.Name] = func() any { return f.Value.(flag.Getter).Get() }
-			continue
-		}
-		ps := ps
-		switch ps.Kind {
-		case exp.IntParam:
-			p := fs2.Int(ps.Name, ps.Default.(int), ps.Help)
-			bound[ps.Name] = func() any { return *p }
-		case exp.FloatParam:
-			p := fs2.Float64(ps.Name, ps.Default.(float64), ps.Help)
-			bound[ps.Name] = func() any { return *p }
-		case exp.BoolParam:
-			p := fs2.Bool(ps.Name, ps.Default.(bool), ps.Help)
-			bound[ps.Name] = func() any { return *p }
-		case exp.StringParam:
-			p := fs2.String(ps.Name, ps.Default.(string), ps.Help)
-			bound[ps.Name] = func() any { return *p }
-		}
-	}
+	explicitParams := bindParams(fs2, wl)
 	_ = fs2.Parse(fs.Args()[1:])
 	if fs2.NArg() > 0 {
 		fatal(fmt.Errorf("unexpected argument %q after workload %s", fs2.Arg(0), name))
@@ -138,18 +116,8 @@ flags:
 	seen := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { seen[f.Name] = true })
 	fs2.Visit(func(f *flag.Flag) { seen[f.Name] = true })
-
-	// Only explicitly set parameters enter the spec; Normalize fills the
-	// schema defaults, so the run key matches every other spelling of the
-	// same run (CLI, serve, reduce).
-	params := exp.Params{}
-	for _, ps := range wl.Params {
-		if seen[ps.Name] {
-			params[ps.Name] = bound[ps.Name]()
-		}
-	}
 	spec := core.RunSpec{
-		Workload: name, Params: params, Process: g.process,
+		Workload: name, Params: explicitParams(seen), Process: g.process,
 		Seed: g.seed, Samples: g.samples, FastSeed: g.fastSeed,
 	}
 	path := *out

@@ -64,10 +64,10 @@
 // Run(ctx, Env, Params) returning a Result whose typed rows feed one
 // rendering contract, so csv, markdown and json encoding live once in
 // internal/report instead of per table. core.Study.Run dispatches by
-// name, Study.Workloads lists the registry, and RunAll is a plan over the
-// workloads marked for the paper-order report. The mpvar CLI generates
-// its usage, per-workload flags and smoke coverage from the registry;
-// registering a workload (one file with an init block — see
+// name, Study.Workloads lists the registry, and the "all" workload is a
+// plan over the workloads marked for the paper-order report. The mpvar
+// CLI generates its usage, per-workload flags and smoke coverage from
+// the registry; registering a workload (one file with an init block — see
 // internal/exp/mcspicex.go for the template) adds its command, flags,
 // json output and CI smoke with no edits elsewhere. Study.Run is the one
 // experiment entry point; a caller wanting typed rows type-asserts
@@ -141,7 +141,11 @@
 // single-process run performs, bit for bit. On top of that sit
 // mc.ShardSpec/ShardRun/Replay — execute one contiguous block range of
 // every stream a workload runs, capture the records, or fold recorded
-// ones instead of executing — and core.RunShard/Reduce, which wrap the
+// ones instead of executing. These are not a second engine: every
+// stream runs through one path (runStream in internal/mc/sched.go), and
+// a direct run is simply the whole-stream capture — shard 0 of 1, kept
+// in memory and folded on the spot. Above them sit
+// core.RunShard/Reduce, which wrap the
 // capture in a self-identifying artifact file: a JSON header carrying
 // the full normalized RunSpec plus its run key, then the mc payload.
 // Reduce recomputes the key from the header, so artifacts from an older

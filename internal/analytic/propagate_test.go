@@ -23,14 +23,15 @@ func TestPropagateMatchesMonteCarloForLinearOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mc.TdpDistribution(context.Background(), p, o, m, cm, 64, mc.Config{Samples: 8000, Seed: 21})
+		res, err := mc.TdpAcrossSizes(context.Background(), p, o, m, cm, []int{64}, mc.Config{Samples: 8000, Seed: 21, Collect: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ratio := prop.SigmaPP / res.Summary.Std
+		sum := res.Summary(0)
+		ratio := prop.SigmaPP / sum.Std
 		if ratio < 0.85 || ratio > 1.15 {
 			t.Errorf("%v: linearized σ %.3f vs MC σ %.3f (ratio %.2f)",
-				o, prop.SigmaPP, res.Summary.Std, ratio)
+				o, prop.SigmaPP, sum.Std, ratio)
 		}
 	}
 }
@@ -46,21 +47,22 @@ func TestPropagateLE3NonlinearityShowsInTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mc.TdpDistribution(context.Background(), p, litho.LE3, m, cm, 64, mc.Config{Samples: 8000, Seed: 22})
+	res, err := mc.TdpAcrossSizes(context.Background(), p, litho.LE3, m, cm, []int{64}, mc.Config{Samples: 8000, Seed: 22, Collect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(res.Summary.Std > prop.SigmaPP) {
+	sum := res.Summary(0)
+	if !(sum.Std > prop.SigmaPP) {
 		t.Errorf("sampled σ %.3f not above linearized %.3f under convex coupling",
-			res.Summary.Std, prop.SigmaPP)
+			sum.Std, prop.SigmaPP)
 	}
-	if res.Summary.Skew <= 0 {
-		t.Errorf("LE3 skew %.3f, want positive", res.Summary.Skew)
+	if sum.Skew <= 0 {
+		t.Errorf("LE3 skew %.3f, want positive", sum.Skew)
 	}
 	// Still the same order of magnitude.
-	if res.Summary.Std > 2*prop.SigmaPP {
+	if sum.Std > 2*prop.SigmaPP {
 		t.Errorf("linearization off by more than 2x: %.3f vs %.3f",
-			prop.SigmaPP, res.Summary.Std)
+			prop.SigmaPP, sum.Std)
 	}
 }
 

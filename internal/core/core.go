@@ -5,14 +5,15 @@
 //
 // Experiments are addressed through the workload registry: Run executes
 // any registered workload by name with typed, schema-validated
-// parameters, Workloads lists the registry, and RunAll executes the
-// paper-order plan. Typical use:
+// parameters — "all" is the paper-order plan — and Workloads lists the
+// registry. Typical use:
 //
 //	study, _ := core.NewStudy()
 //	res, _ := study.Run("table4", nil)        // Table IV as a Result
 //	res.Write(os.Stdout, report.FormatJSON)   // any format, one encoder
 //	td, _ := study.ReadTime(litho.LE3, s, 64) // one SPICE read
-//	study.RunAll(os.Stdout)                   // every table and figure
+//	all, _ := study.Run("all", nil)           // every table and figure
+//	fmt.Print(all.Text)                       // as the paper-style report
 //
 // A workload's typed rows are Result.Data; assert them to the workload's
 // row type (e.g. []exp.Table1Row for "table1").
@@ -21,7 +22,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"mpsram/internal/analytic"
 	"mpsram/internal/exp"
@@ -29,7 +29,6 @@ import (
 	"mpsram/internal/litho"
 	"mpsram/internal/mc"
 	"mpsram/internal/sram"
-	"mpsram/internal/stats"
 	"mpsram/internal/tech"
 )
 
@@ -153,34 +152,4 @@ func (s *Study) ReadTime(o litho.Option, smp litho.Sample, n int) (float64, erro
 // Ratios extracts the variability ratios for a sample.
 func (s *Study) Ratios(o litho.Option, smp litho.Sample) (extract.Ratios, error) {
 	return extract.VarRatios(s.Env.Proc, o, smp, s.Env.Cap)
-}
-
-// TdpDistribution runs a Monte-Carlo tdp distribution at array size n for
-// option o with this study's sample budget.
-func (s *Study) TdpDistribution(o litho.Option, n int) (stats.Summary, error) {
-	m, err := s.Model()
-	if err != nil {
-		return stats.Summary{}, err
-	}
-	ctx := s.Env.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res, err := mc.TdpDistribution(ctx, s.Env.Proc, o, m, s.Env.Cap, n, s.Env.MC)
-	if err != nil {
-		return stats.Summary{}, err
-	}
-	return res.Summary, nil
-}
-
-// RunAll executes every experiment of the paper-order plan — the
-// registry workloads marked for it, including the shared-sweep
-// spicetables composite — and writes the paper-style report.
-func (s *Study) RunAll(w io.Writer) error {
-	res, err := s.Run("all", nil)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, res.Text)
-	return err
 }

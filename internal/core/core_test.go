@@ -84,17 +84,21 @@ func TestStudyReadTimeAndRatios(t *testing.T) {
 	}
 }
 
-func TestStudyTdpDistribution(t *testing.T) {
+// TestStudyFig5Distribution: the facade's Monte-Carlo tdp distribution
+// is the fig5 workload — one full-budget summary per option.
+func TestStudyFig5Distribution(t *testing.T) {
 	s, err := NewStudy(WithMC(mc.Config{Samples: 800, Seed: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := s.TdpDistribution(litho.SADP, 64)
+	res, err := s.Run("fig5", exp.Params{"n": 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.N != 800 || sum.Std <= 0 {
-		t.Fatalf("summary %+v", sum)
+	for _, r := range res.Data.([]exp.Fig5Result) {
+		if r.Option == litho.SADP && (r.Summary.N != 800 || r.Summary.Std <= 0) {
+			t.Fatalf("SADP summary %+v", r.Summary)
+		}
 	}
 }
 
@@ -112,7 +116,7 @@ func TestWithMCPreservesProgress(t *testing.T) {
 	if s.Env.MC.Samples != 300 || s.Env.MC.Progress == nil {
 		t.Fatalf("config not composed: %+v", s.Env.MC)
 	}
-	if _, err := s.TdpDistribution(litho.EUV, 16); err != nil {
+	if _, err := s.Run("fig5", exp.Params{"n": 16}); err != nil {
 		t.Fatal(err)
 	}
 	if !fired {
@@ -157,7 +161,7 @@ func TestStudyContextAndProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.TdpDistribution(litho.EUV, 64); err != nil {
+	if _, err := s.Run("fig5", nil); err != nil {
 		t.Fatal(err)
 	}
 	if last != 500 {
@@ -185,11 +189,11 @@ func TestRunAllEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := s.RunAll(&b); err != nil {
+	res, err := s.Run("all", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
+	out := res.Text
 	for _, want := range []string{
 		"Table I:", "Fig. 2:", "Fig. 3:", "Fig. 4:",
 		"Table II:", "Table III:", "Fig. 5:", "Table IV:",

@@ -472,23 +472,45 @@ func Fig5(e Env, ol float64, n int) ([]Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg := e.MC
+	cfg.Collect = true
 	var out []Fig5Result
 	for _, o := range litho.Options {
 		p := e.Proc
 		if o == litho.LE3 {
 			p = p.WithOL(ol)
 		}
-		res, err := mc.TdpDistribution(e.ctx(), p, o, m, e.Cap, n, e.MC)
+		vr, err := mc.TdpAcrossSizes(e.ctx(), p, o, m, e.Cap, []int{n}, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fig5 %v: %w", o, err)
 		}
-		h, err := res.Histogram(17)
+		// Summarize sorts in place; nothing here needs the trial order.
+		vals := vr.Values[0]
+		s := stats.Summarize(vals)
+		h, err := fig5Histogram(vals, s)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Fig5Result{Option: o, N: n, OL: ol, Summary: res.Summary, Hist: h})
+		out = append(out, Fig5Result{Option: o, N: n, OL: ol, Summary: s, Hist: h})
 	}
 	return out, nil
+}
+
+// fig5Histogram bins the accepted values into 17 uniform bins spanning
+// slightly beyond their observed range [s.Min, s.Max].
+func fig5Histogram(vals []float64, s stats.Summary) (*stats.Histogram, error) {
+	span := s.Max - s.Min
+	if span <= 0 {
+		span = 1e-9
+	}
+	h, err := stats.NewHistogram(s.Min-0.02*span, s.Max+0.02*span, 17)
+	if err != nil {
+		return nil, err
+	}
+	for _, v := range vals {
+		h.Add(v)
+	}
+	return h, nil
 }
 
 // FormatFig5 renders the histograms.

@@ -7,6 +7,7 @@ import (
 
 	"mpsram/internal/litho"
 	"mpsram/internal/mc"
+	"mpsram/internal/stats"
 )
 
 // testEnv trims the Monte-Carlo budget for test speed.
@@ -196,6 +197,39 @@ func TestFig5Distributions(t *testing.T) {
 	}
 	if !strings.Contains(FormatFig5(res), "Fig. 5") {
 		t.Fatal("format")
+	}
+}
+
+// TestFig5Histogram: every accepted draw of every Fig. 5 distribution
+// lands inside its histogram's range, and the LE3 distribution is
+// right-skewed (coupling blows up faster when lines approach than it
+// relaxes when they separate).
+func TestFig5Histogram(t *testing.T) {
+	res, err := Fig5(testEnv(), 8e-9, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		if r.Hist.Total() != r.Summary.N {
+			t.Fatalf("%v: histogram holds %d of %d values", r.Option, r.Hist.Total(), r.Summary.N)
+		}
+		if u, o := r.Hist.Outliers(); u != 0 || o != 0 {
+			t.Fatalf("%v: range should cover all values: %d/%d", r.Option, u, o)
+		}
+		if r.Option == litho.LE3 && r.Summary.Skew <= 0 {
+			t.Fatalf("LE3 tdp skew %g, want positive", r.Summary.Skew)
+		}
+	}
+}
+
+func TestDegenerateHistogramRange(t *testing.T) {
+	vals := []float64{1, 1, 1}
+	h, err := fig5Histogram(vals, stats.Summarize(vals))
+	if err != nil {
+		t.Fatalf("degenerate range must still histogram: %v", err)
+	}
+	if u, o := h.Outliers(); h.Total() != 3 || u != 0 || o != 0 {
+		t.Fatalf("degenerate range lost values: total %d outliers %d/%d", h.Total(), u, o)
 	}
 }
 

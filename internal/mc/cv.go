@@ -75,37 +75,13 @@ func (r *CVVectorResult) CVSummary(i int, muX, sigmaX float64) CVSummary {
 // order, so results are bit-identical across worker counts. The paired
 // path is streaming-only: cfg.Collect is rejected.
 func RunVectorPaired(ctx context.Context, cfg Config, nobs int, f PairedStateVectorFunc) (*CVVectorResult, error) {
-	if cfg.Samples < 1 {
-		return nil, fmt.Errorf("mc: sample count %d < 1", cfg.Samples)
-	}
-	if nobs < 1 {
-		return nil, fmt.Errorf("mc: observable count %d < 1", nobs)
-	}
 	if cfg.Collect {
 		return nil, fmt.Errorf("mc: the paired path is streaming-only (Collect unsupported)")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	n := cfg.Samples
-	hdr := streamHeader{Kind: streamPaired, FastReseed: cfg.FastReseed, Nobs: nobs, Samples: n, Seed: cfg.Seed}
-
-	if rp := cfg.Replay; rp != nil {
-		recs, err := rp.nextStream(hdr)
-		if err != nil {
-			return nil, err
-		}
-		res := foldPaired(recs, nobs)
-		if res.Stats[0].N() == 0 {
-			return nil, fmt.Errorf("mc: every one of %d trials was rejected", n)
-		}
-		return res, nil
-	}
-
-	newEval := func() evalFunc {
+	recs, err := runStream(ctx, cfg, streamPaired, nobs, func() evalFunc {
 		y := make([]float64, nobs)
 		x := make([]float64, nobs)
-		return func(state any, rng *rand.Rand, b, lo, hi int) (StreamRecord, bool) {
+		return func(ctx context.Context, state any, rng *rand.Rand, b, lo, hi int) (StreamRecord, bool) {
 			rec := StreamRecord{Block: b, CV: make([]stats.ControlVariate, nobs), Quant: make([]QuantileSketch, nobs)}
 			for j := range rec.Quant {
 				rec.Quant[j] = newQuantileSketch()
@@ -128,37 +104,9 @@ func RunVectorPaired(ctx context.Context, cfg Config, nobs int, f PairedStateVec
 			}
 			return rec, true
 		}
-	}
-
-	if sh := cfg.Shard; sh != nil {
-		st, err := sh.beginStream(hdr)
-		if err != nil {
-			return nil, err
-		}
-		first := st.lo + len(st.recs)
-		emitted := runBlocks(ctx, cfg, n, first, st.hi, newEval, func(rec StreamRecord) {
-			st.recs = append(st.recs, rec)
-			sh.advance()
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("mc: run canceled after %d of %d trials: %w", trialsIn(st.lo, first, n)+emitted, n, err)
-		}
-		return foldPaired(st.recs, nobs), nil
-	}
-
-	nblocks := hdr.nblocks()
-	recs := make([]StreamRecord, 0, nblocks)
-	emitted := runBlocks(ctx, cfg, n, 0, nblocks, newEval, func(rec StreamRecord) {
-		recs = append(recs, rec)
 	})
-	if err := ctx.Err(); err != nil {
-		// Same partial-progress invariant as the plain path: the count
-		// covers the contiguous emitted prefix only (see sched.go).
-		return nil, fmt.Errorf("mc: run canceled after %d of %d trials: %w", emitted, n, err)
+	if err != nil {
+		return nil, err
 	}
-	res := foldPaired(recs, nobs)
-	if res.Stats[0].N() == 0 {
-		return nil, fmt.Errorf("mc: every one of %d trials was rejected", n)
-	}
-	return res, nil
+	return foldPaired(recs, nobs), nil
 }

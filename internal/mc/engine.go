@@ -15,7 +15,6 @@ package mc
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"mpsram/internal/stats"
@@ -129,34 +128,9 @@ func RunVector(ctx context.Context, cfg Config, nobs int, f VectorFunc) (*Vector
 // provided the state honours the purity contract documented on
 // Config.WorkerState.
 func RunVectorState(ctx context.Context, cfg Config, nobs int, f StateVectorFunc) (*VectorResult, error) {
-	if cfg.Samples < 1 {
-		return nil, fmt.Errorf("mc: sample count %d < 1", cfg.Samples)
-	}
-	if nobs < 1 {
-		return nil, fmt.Errorf("mc: observable count %d < 1", nobs)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	n := cfg.Samples
-	hdr := streamHeader{Kind: streamPlain, Collect: cfg.Collect, FastReseed: cfg.FastReseed, Nobs: nobs, Samples: n, Seed: cfg.Seed}
-
-	// Reduce mode: fold the recorded blocks instead of executing trials.
-	if rp := cfg.Replay; rp != nil {
-		recs, err := rp.nextStream(hdr)
-		if err != nil {
-			return nil, err
-		}
-		res := foldPlain(recs, nobs, cfg.Collect)
-		if res.Stats[0].N() == 0 {
-			return nil, fmt.Errorf("mc: every one of %d trials was rejected", n)
-		}
-		return res, nil
-	}
-
-	newEval := func() evalFunc {
+	recs, err := runStream(ctx, cfg, streamPlain, nobs, func() evalFunc {
 		out := make([]float64, nobs)
-		return func(state any, rng *rand.Rand, b, lo, hi int) (StreamRecord, bool) {
+		return func(ctx context.Context, state any, rng *rand.Rand, b, lo, hi int) (StreamRecord, bool) {
 			rec := StreamRecord{Block: b, Agg: make([]stats.Welford, nobs)}
 			var quant []QuantileSketch
 			if !cfg.Collect {
@@ -194,44 +168,9 @@ func RunVectorState(ctx context.Context, cfg Config, nobs int, f StateVectorFunc
 			rec.Quant = quant
 			return rec, true
 		}
-	}
-
-	// Shard mode: execute only the shard's block range (continuing past
-	// a resumed checkpoint's frontier) and capture the records. The
-	// partial fold below is the shard's own view; the real result comes
-	// from the reducer.
-	if sh := cfg.Shard; sh != nil {
-		st, err := sh.beginStream(hdr)
-		if err != nil {
-			return nil, err
-		}
-		first := st.lo + len(st.recs)
-		emitted := runBlocks(ctx, cfg, n, first, st.hi, newEval, func(rec StreamRecord) {
-			st.recs = append(st.recs, rec)
-			sh.advance()
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("mc: run canceled after %d of %d trials: %w", trialsIn(st.lo, first, n)+emitted, n, err)
-		}
-		return foldPlain(st.recs, nobs, cfg.Collect), nil
-	}
-
-	nblocks := hdr.nblocks()
-	recs := make([]StreamRecord, 0, nblocks)
-	emitted := runBlocks(ctx, cfg, n, 0, nblocks, newEval, func(rec StreamRecord) {
-		recs = append(recs, rec)
 	})
-	if err := ctx.Err(); err != nil {
-		// The reported count is the partial-progress invariant: trials
-		// of the contiguous emitted prefix only. Completed-but-unmerged
-		// blocks beyond the frontier and the torn in-flight blocks are
-		// excluded, so a checkpoint resume re-runs exactly the blocks at
-		// or after the frontier — nothing is double-counted.
-		return nil, fmt.Errorf("mc: run canceled after %d of %d trials: %w", emitted, n, err)
+	if err != nil {
+		return nil, err
 	}
-	res := foldPlain(recs, nobs, cfg.Collect)
-	if res.Stats[0].N() == 0 {
-		return nil, fmt.Errorf("mc: every one of %d trials was rejected", n)
-	}
-	return res, nil
+	return foldPlain(recs, nobs, cfg.Collect), nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mpsram/internal/stats"
@@ -81,6 +82,56 @@ func TestRunVectorRejectedOnlyBlocks(t *testing.T) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("summary %s is %v after a rejected-only block", name, v)
 		}
+	}
+}
+
+// TestRunRejections pins where rejections end a run now that runStream
+// owns the verdict for every path: partial rejection is counted, never
+// an error; a whole stream whose every trial is rejected errors both
+// direct and replayed, while each shard capture of that stream returns
+// its empty partial view.
+func TestRunRejections(t *testing.T) {
+	half := func(rng *rand.Rand, out []float64) bool {
+		out[0] = rng.Float64()
+		return out[0] > 0.5
+	}
+	res, err := RunVector(context.Background(), Config{Samples: 100, Seed: 1, Collect: true}, 1, half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rejected == 0 || res.Rejected == 100 || len(res.Values[0])+res.Rejected != 100 {
+		t.Fatalf("rejected %d accepted %d: counts do not add up to 100", res.Rejected, len(res.Values[0]))
+	}
+
+	none := func(*rand.Rand, []float64) bool { return false }
+	cfg := Config{Samples: 600, Seed: 1}
+	const allRejected = "every one of 600 trials was rejected"
+	if _, err := RunVector(context.Background(), cfg, 1, none); err == nil || !strings.Contains(err.Error(), allRejected) {
+		t.Fatalf("direct all-rejected run: %v", err)
+	}
+	parts := make([]*ShardPayload, 2)
+	for i := range parts {
+		sr, err := NewShardRun(ShardSpec{Index: i, Count: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scfg := cfg
+		scfg.Shard = sr
+		view, err := RunVector(context.Background(), scfg, 1, none)
+		if err != nil || view.Accepted() != 0 || view.Rejected == 0 {
+			t.Fatalf("shard %d of an all-rejected stream: %v (view %+v)", i, err, view)
+		}
+		if parts[i], err = DecodeShardPayload(sr.EncodePayload()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rp, err := NewReplay(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Replay = rp
+	if _, err := RunVector(context.Background(), cfg, 1, none); err == nil || !strings.Contains(err.Error(), allRejected) {
+		t.Fatalf("replayed all-rejected stream: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -104,6 +105,14 @@ func TestRunVectorBitIdenticalAcrossWorkers(t *testing.T) {
 				}
 			}
 		}
+	}
+	// Different seed → different stream.
+	other, err := RunVector(context.Background(), Config{Samples: 3000, Seed: 43, Workers: 1, Collect: true}, 2, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Stats[0] == ref.Stats[0] {
+		t.Fatal("seed has no effect")
 	}
 }
 
@@ -209,26 +218,24 @@ func TestWelfordMatchesSummarize(t *testing.T) {
 
 // TestSharedStreamMatchesPerCell: evaluating n=64 as one observable of the
 // shared 4-size stream must give bit-identical per-trial values to the
-// dedicated single-size distribution (same draws, same formula).
+// dedicated single-size stream (same draws, same formula).
 func TestSharedStreamMatchesPerCell(t *testing.T) {
 	p, m := model(t)
-	cfg := Config{Samples: 2000, Seed: 7}
-	single, err := TdpDistribution(context.Background(), p, litho.LE3, m, cm, 64, cfg)
+	cfg := Config{Samples: 2000, Seed: 7, Collect: true}
+	single, err := TdpAcrossSizes(context.Background(), p, litho.LE3, m, cm, []int{64}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Collect = true
 	shared, err := TdpAcrossSizes(context.Background(), p, litho.LE3, m, cm, []int{16, 64, 256, 1024}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedAt64 := append([]float64(nil), shared.Values[1]...)
-	exact := stats.Summarize(sharedAt64)
-	if exact != single.Summary {
-		t.Fatalf("shared-stream n=64 summary differs from per-cell run:\n%v\n%v", exact, single.Summary)
+	if !reflect.DeepEqual(shared.Values[1], single.Values[0]) {
+		t.Fatal("shared-stream n=64 values differ from the single-size stream")
 	}
-	if shared.Rejected != single.Rejected {
-		t.Fatalf("rejected %d vs %d", shared.Rejected, single.Rejected)
+	if shared.Stats[1] != single.Stats[0] || shared.Rejected != single.Rejected {
+		t.Fatalf("shared-stream n=64 moments/rejects differ: %+v/%d vs %+v/%d",
+			shared.Stats[1], shared.Rejected, single.Stats[0], single.Rejected)
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"mpsram/internal/analytic"
 	"mpsram/internal/extract"
 	"mpsram/internal/litho"
-	"mpsram/internal/stats"
 	"mpsram/internal/tech"
 )
 
@@ -56,6 +55,8 @@ type Config struct {
 	// shard's partial view — possibly empty, never an all-rejected error
 	// — and exist only so workload code can complete its control flow;
 	// the authoritative result comes from reducing the shard artifacts.
+	// Nil runs each stream whole as shard 0 of 1, kept in memory and
+	// folded on the spot: the direct run is the same capture.
 	Shard *ShardRun
 	// Replay, if non-nil, skips trial execution entirely: every engine
 	// run validates its stream identity against the recording and folds
@@ -80,38 +81,6 @@ func (c Config) workers() int {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// SampleFunc evaluates one Monte-Carlo trial with the given PRNG and
-// returns the observable plus ok=false when the trial must be rejected
-// (e.g. collapsed geometry).
-type SampleFunc func(rng *rand.Rand) (float64, bool)
-
-// Result aggregates a run.
-type Result struct {
-	Values   []float64 // accepted observations, sorted by Summarize
-	Summary  stats.Summary
-	Rejected int
-}
-
-// Run executes cfg.Samples trials of f. Each trial i uses an independent
-// PRNG seeded from (cfg.Seed, i), making results bit-identical across
-// worker counts; the context aborts the run between trial blocks. It is
-// a single-observable, value-collecting view of the streaming engine in
-// RunVector.
-func Run(ctx context.Context, cfg Config, f SampleFunc) (Result, error) {
-	cfg.Collect = true
-	vr, err := RunVector(ctx, cfg, 1, func(rng *rand.Rand, out []float64) bool {
-		v, ok := f(rng)
-		out[0] = v
-		return ok
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Values: vr.Values[0], Rejected: vr.Rejected}
-	res.Summary = stats.Summarize(res.Values)
-	return res, nil
 }
 
 // SampleRatios draws one Gaussian process-variation sample for option o
@@ -154,40 +123,6 @@ func TdpAcrossSizes(ctx context.Context, p tech.Process, o litho.Option, m analy
 		return nil, fmt.Errorf("mc: no array sizes requested")
 	}
 	return RunVector(ctx, cfg, len(sizes), TdpVector(p, o, m, cm, sizes))
-}
-
-// TdpDistribution runs the paper's Monte-Carlo: sample process variation
-// for option o, extract Rvar/Cvar, evaluate the analytical tdp formula at
-// array size n. Returns the aggregated distribution of tdp in percent.
-func TdpDistribution(ctx context.Context, p tech.Process, o litho.Option, m analytic.Params, cm extract.CapModel, n int, cfg Config) (Result, error) {
-	if err := m.Validate(); err != nil {
-		return Result{}, err
-	}
-	return Run(ctx, cfg, func(rng *rand.Rand) (float64, bool) {
-		r, ok := SampleRatios(p, o, cm, rng)
-		if !ok {
-			return 0, false
-		}
-		return m.TdpPct(n, r.Rvar, r.Cvar), true
-	})
-}
-
-// Histogram bins the result values into uniform bins spanning slightly
-// beyond the observed range (Fig. 5 rendering).
-func (r Result) Histogram(bins int) (*stats.Histogram, error) {
-	lo, hi := r.Summary.Min, r.Summary.Max
-	span := hi - lo
-	if span <= 0 {
-		span = 1e-9
-	}
-	h, err := stats.NewHistogram(lo-0.02*span, hi+0.02*span, bins)
-	if err != nil {
-		return nil, err
-	}
-	for _, v := range r.Values {
-		h.Add(v)
-	}
-	return h, nil
 }
 
 // SigmaSweepRow is one Table IV row: an option/overlay configuration and

@@ -2,7 +2,6 @@ package mc
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -10,6 +9,7 @@ import (
 	"mpsram/internal/extract"
 	"mpsram/internal/litho"
 	"mpsram/internal/sram"
+	"mpsram/internal/stats"
 	"mpsram/internal/tech"
 )
 
@@ -29,72 +29,6 @@ func model(t *testing.T) (tech.Process, analytic.Params) {
 	return p, m
 }
 
-func TestRunGaussianMoments(t *testing.T) {
-	res, err := Run(context.Background(), Config{Samples: 20000, Seed: 11}, func(rng *rand.Rand) (float64, bool) {
-		return rng.NormFloat64()*3 + 5, true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Summary.Mean-5) > 0.1 {
-		t.Fatalf("mean %g", res.Summary.Mean)
-	}
-	if math.Abs(res.Summary.Std-3) > 0.1 {
-		t.Fatalf("std %g", res.Summary.Std)
-	}
-	if res.Rejected != 0 {
-		t.Fatalf("rejected %d", res.Rejected)
-	}
-}
-
-func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	f := func(rng *rand.Rand) (float64, bool) { return rng.NormFloat64(), true }
-	r1, err := Run(context.Background(), Config{Samples: 500, Seed: 42, Workers: 1}, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r8, err := Run(context.Background(), Config{Samples: 500, Seed: 42, Workers: 8}, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Summary.Mean != r8.Summary.Mean || r1.Summary.Std != r8.Summary.Std {
-		t.Fatal("results depend on worker count")
-	}
-	// Different seed → different stream.
-	r2, _ := Run(context.Background(), Config{Samples: 500, Seed: 43, Workers: 1}, f)
-	if r1.Summary.Mean == r2.Summary.Mean {
-		t.Fatal("seed has no effect")
-	}
-}
-
-func TestRunRejections(t *testing.T) {
-	res, err := Run(context.Background(), Config{Samples: 100, Seed: 1}, func(rng *rand.Rand) (float64, bool) {
-		v := rng.Float64()
-		return v, v > 0.5
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rejected == 0 || res.Rejected == 100 {
-		t.Fatalf("rejected = %d", res.Rejected)
-	}
-	if len(res.Values)+res.Rejected != 100 {
-		t.Fatal("counts do not add up")
-	}
-	// All rejected → error.
-	if _, err := Run(context.Background(), Config{Samples: 10, Seed: 1}, func(rng *rand.Rand) (float64, bool) {
-		return 0, false
-	}); err == nil {
-		t.Fatal("all-rejected run must error")
-	}
-	// Bad config.
-	if _, err := Run(context.Background(), Config{Samples: 0}, f0); err == nil {
-		t.Fatal("zero samples must error")
-	}
-}
-
-func f0(rng *rand.Rand) (float64, bool) { return 0, true }
-
 func TestSampleRatiosRejectsCollapse(t *testing.T) {
 	// With a huge overlay budget some LE3 draws must collapse and be
 	// rejected rather than crash.
@@ -109,6 +43,29 @@ func TestSampleRatiosRejectsCollapse(t *testing.T) {
 	}
 	if rejected == 0 {
 		t.Fatal("expected some collapsed-geometry rejections")
+	}
+}
+
+func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
+	f := func(rng *rand.Rand, out []float64) bool {
+		out[0] = rng.NormFloat64()
+		return true
+	}
+	run := func(seed int64, workers int) stats.Summary {
+		t.Helper()
+		r, err := RunVector(context.Background(), Config{Samples: 500, Seed: seed, Workers: workers, Collect: true}, 1, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Summary(0)
+	}
+	r1, r8 := run(42, 1), run(42, 8)
+	if r1.Mean != r8.Mean || r1.Std != r8.Std {
+		t.Fatal("results depend on worker count")
+	}
+	// Different seed → different stream.
+	if r2 := run(43, 1); r1.Mean == r2.Mean {
+		t.Fatal("seed has no effect")
 	}
 }
 
@@ -158,42 +115,10 @@ func itoa(v int) string {
 	return string(rune('0' + v))
 }
 
-func TestTdpDistributionHistogram(t *testing.T) {
-	p, m := model(t)
-	res, err := TdpDistribution(context.Background(), p, litho.LE3, m, cm, 64, Config{Samples: 2000, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := res.Histogram(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total() != len(res.Values) {
-		t.Fatal("histogram lost samples")
-	}
-	u, o := h.Outliers()
-	if u != 0 || o != 0 {
-		t.Fatalf("range should cover all values: %d/%d", u, o)
-	}
-	// The LE3 tdp distribution is right-skewed (coupling blows up faster
-	// when lines approach than it relaxes when they separate).
-	if res.Summary.Skew <= 0 {
-		t.Fatalf("LE3 tdp skew %g, want positive", res.Summary.Skew)
-	}
-}
-
-func TestTdpDistributionValidatesModel(t *testing.T) {
+func TestTdpAcrossSizesValidatesModel(t *testing.T) {
 	p, m := model(t)
 	m.CPre = nil
-	if _, err := TdpDistribution(context.Background(), p, litho.EUV, m, cm, 64, Config{Samples: 10, Seed: 1}); err == nil {
+	if _, err := TdpAcrossSizes(context.Background(), p, litho.EUV, m, cm, []int{64}, Config{Samples: 10, Seed: 1}); err == nil {
 		t.Fatal("invalid model must be rejected")
-	}
-}
-
-func TestDegenerateHistogramRange(t *testing.T) {
-	res := Result{Values: []float64{1, 1, 1}}
-	res.Summary.Min, res.Summary.Max = 1, 1
-	if _, err := res.Histogram(5); err != nil {
-		t.Fatalf("degenerate range must still histogram: %v", err)
 	}
 }

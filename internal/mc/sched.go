@@ -1,6 +1,8 @@
 // The block scheduler — the layer under RunVectorState and
 // RunVectorPaired that owns the worker pool, the block cursor, and the
-// deterministic in-order delivery of per-block partial aggregates.
+// deterministic in-order delivery of per-block partial aggregates — and
+// runStream above it, the one execution path every engine invocation
+// takes: a direct run is the whole-stream capture of shard 0 of 1.
 //
 // Every trial stream is cut into fixed blockSize blocks. Workers pull
 // block indices from an atomic cursor and evaluate them independently;
@@ -17,12 +19,15 @@
 // all. A cancellation mid-block abandons the in-flight block — its trials
 // appear in no count, no record and no checkpoint — so a resumed run
 // re-executes exactly the blocks at or after the frontier, never
-// double-counting a torn block. The trial count in the cancellation
-// error reports emitted (frontier) trials only.
+// double-counting a torn block. Nothing is emitted once the run is
+// canceled, so completed blocks parked past the frontier are dropped
+// like torn ones. The trial count in the cancellation error reports
+// emitted (frontier) trials only.
 package mc
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -94,10 +99,80 @@ func trialsIn(first, last, n int) int {
 	return hi - lo
 }
 
+// accepted returns the number of trials the record's block accepted.
+func (r *StreamRecord) accepted() int {
+	if r.CV != nil {
+		return r.CV[0].N()
+	}
+	return r.Agg[0].N()
+}
+
 // evalFunc evaluates one block of trials into its record. It returns
-// ok=false when the run was canceled mid-block; the torn block is then
+// ok=false when ctx was canceled mid-block; the torn block is then
 // abandoned — never emitted, never counted.
-type evalFunc func(state any, rng *rand.Rand, block, lo, hi int) (rec StreamRecord, ok bool)
+type evalFunc func(ctx context.Context, state any, rng *rand.Rand, block, lo, hi int) (rec StreamRecord, ok bool)
+
+// runStream is the one execution path under RunVectorState and
+// RunVectorPaired, and the only reader of the Replay and Shard hooks. A
+// replay hands back the recorded blocks; a ShardRun executes its block
+// range (past a resumed checkpoint's frontier) and keeps each block's
+// record; with neither set, the whole stream runs as shard 0 of 1, kept
+// in memory. The records come back in block order for the caller's fold.
+//
+// The run's two verdicts live here once for both stream kinds: a
+// cancellation reports the emitted frontier (the partial-progress
+// invariant above), and a whole stream, executed or replayed, whose
+// every trial was rejected is an error — a shard's partial view never
+// is, because the authoritative result comes from the reducer.
+func runStream(ctx context.Context, cfg Config, kind uint8, nobs int, newEval func() evalFunc) ([]StreamRecord, error) {
+	n := cfg.Samples
+	if n < 1 {
+		return nil, fmt.Errorf("mc: sample count %d < 1", n)
+	}
+	if nobs < 1 {
+		return nil, fmt.Errorf("mc: observable count %d < 1", nobs)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	hdr := streamHeader{Kind: kind, Collect: cfg.Collect, FastReseed: cfg.FastReseed, Nobs: nobs, Samples: n, Seed: cfg.Seed}
+	var recs []StreamRecord
+	if rp := cfg.Replay; rp != nil {
+		var err error
+		if recs, err = rp.nextStream(hdr); err != nil {
+			return nil, err
+		}
+	} else {
+		sh := cfg.Shard
+		if sh == nil {
+			sh = &ShardRun{spec: ShardSpec{Index: 0, Count: 1}}
+		}
+		st, err := sh.beginStream(hdr)
+		if err != nil {
+			return nil, err
+		}
+		first := st.lo + len(st.recs)
+		emitted := runBlocks(ctx, cfg, n, first, st.hi, newEval, func(rec StreamRecord) {
+			st.recs = append(st.recs, rec)
+			sh.advance()
+		})
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("mc: run canceled after %d of %d trials: %w", trialsIn(st.lo, first, n)+emitted, n, err)
+		}
+		if cfg.Shard != nil {
+			return st.recs, nil
+		}
+		recs = st.recs
+	}
+	accepted := 0
+	for i := range recs {
+		accepted += recs[i].accepted()
+	}
+	if accepted == 0 {
+		return nil, fmt.Errorf("mc: every one of %d trials was rejected", n)
+	}
+	return recs, nil
+}
 
 // runBlocks drives the worker pool over blocks [first,last) of an
 // n-trial stream. newEval is invoked once per worker and the returned
@@ -163,13 +238,16 @@ func runBlocks(ctx context.Context, cfg Config, n, first, last int, newEval func
 					return
 				}
 				lo, hi := blockBounds(b, n)
-				rec, ok := eval(state, rng, b, lo, hi)
+				rec, ok := eval(ctx, state, rng, b, lo, hi)
 				if !ok {
 					return
 				}
 				mu.Lock()
 				pending[b] = rec
-				for {
+				// Emission stops at the cancellation, even with
+				// completed blocks still parked: a cancel from emit or
+				// Progress lands at the block that triggered it.
+				for ctx.Err() == nil {
 					r, ready := pending[frontier]
 					if !ready {
 						break

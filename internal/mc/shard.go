@@ -155,7 +155,7 @@ func (sr *ShardRun) beginStream(hdr streamHeader) (*capturedStream, error) {
 		}
 		return st, nil
 	}
-	st := &capturedStream{header: hdr, lo: lo, hi: hi}
+	st := &capturedStream{header: hdr, lo: lo, hi: hi, recs: make([]StreamRecord, 0, hi-lo)}
 	sr.streams = append(sr.streams, st)
 	return st, nil
 }

@@ -33,6 +33,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -326,6 +327,11 @@ type runRequest struct {
 	FastSeed bool           `json:"fastseed"`
 }
 
+// maxRunRequestBytes caps the POST /v1/runs body. A real run request is
+// under 1 KiB; a longer body answers 413 once the cap is read, so no
+// submission buffers more than this.
+const maxRunRequestBytes = 1 << 20
+
 // statusEnvelope reports a run's lifecycle state. Every status-shaped
 // response — live, failed, or the SSE "done" frame for a cached run —
 // uses this one envelope, so the field set cannot drift between paths.
@@ -360,10 +366,14 @@ func doneEnvelope(id, workload string) statusEnvelope {
 // or sheds) one run submission.
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	started := time.Now()
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxRunRequestBytes))
 	dec.DisallowUnknownFields()
 	var rr runRequest
 	if err := dec.Decode(&rr); err != nil {
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}

@@ -254,6 +254,22 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyLimit: a submission past the 1 MiB body cap answers 413
+// with the error envelope instead of being decoded, even when a valid
+// request follows the padding; a normal submission still runs.
+func TestSubmitBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	padded := strings.Repeat(" ", maxRunRequestBytes) + `{"workload":"table1"}`
+	resp, b := postRun(t, ts, "", padded)
+	var env errorEnvelope
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(b, &env) != nil || !strings.Contains(env.Error, "exceeds") {
+		t.Fatalf("padded submission: status %d body %s, want 413 with the error envelope", resp.StatusCode, b)
+	}
+	if resp, b := postRun(t, ts, "", `{"workload":"table1"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("normal submission: status %d: %s", resp.StatusCode, b)
+	}
+}
+
 // TestCacheHitByteIdentical drives a real registry workload (fig3)
 // twice: the cold run executes, the re-submission is a cache hit that is
 // byte-identical and answers in single-digit milliseconds, and
