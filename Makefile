@@ -45,7 +45,11 @@ bench-smoke:
 # of untrusted bytes never panic and round-trip what they accept:
 # FuzzShardArtifact (a shard file or shipped artifact through
 # core.ReadShardArtifactFrom + Verify) and FuzzReadFrame (the remote
-# fabric's response-stream frames).
+# fabric's response-stream frames). FuzzVarRatios proves the fixed-size
+# litho windows and the per-stream extract.RatioModel bit-identical
+# (Float64bits of every ratio, error text included) to a test-file copy
+# of the slice-based realizers and two-window VarRatios they replaced, on
+# random samples that collapse or merge wires and thin the metal away.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCompiledLU' -fuzztime 10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz 'FuzzNetlistReset' -fuzztime 10s ./internal/spice
@@ -56,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzControlVariateCodec' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz 'FuzzShardArtifact' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime 10s ./internal/remote
+	$(GO) test -run '^$$' -fuzz 'FuzzVarRatios' -fuzztime 10s ./internal/extract
 
 # Coverage over the -short suite (the fast deterministic core).
 cover:

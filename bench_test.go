@@ -480,17 +480,33 @@ func BenchmarkMCEngineOverhead(b *testing.B) {
 
 // ---------------------------------------------------------- micro-benches
 
-// BenchmarkExtraction measures one realize+extract round trip.
+// BenchmarkExtraction measures one LE3 ratio extraction: one-shot
+// VarRatios (nominal and sampled windows) and a per-stream RatioModel's
+// Ratios (the sampled window only, as the Monte-Carlo trials run it).
 func BenchmarkExtraction(b *testing.B) {
 	p := tech.N10()
 	cm := extract.SakuraiTamaru{}
 	s := litho.Sample{CDA: 1e-9, OLB: 2e-9}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := extract.VarRatios(p, litho.LE3, s, cm); err != nil {
+	b.Run("VarRatios", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := extract.VarRatios(p, litho.LE3, s, cm); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("RatioModel", func(b *testing.B) {
+		m, err := extract.NewRatioModel(p, litho.LE3, cm)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.Ratios(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkFieldSolver measures the 2-D Laplace reference at 1 nm grid.
@@ -569,14 +585,15 @@ func BenchmarkMCThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	f, err := mc.TdpVector(e.Proc, litho.LE3, m, e.Cap, []int{64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]float64, 1)
 	rng := rand.New(rand.NewSource(3))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, ok := mc.SampleRatios(e.Proc, litho.LE3, e.Cap, rng)
-		if !ok {
-			continue
-		}
-		m.TdpPct(64, r.Rvar, r.Cvar)
+		f(rng, out)
 	}
 }
 

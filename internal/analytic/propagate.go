@@ -46,13 +46,17 @@ func PropagateTdp(p tech.Process, o litho.Option, m Params, cm extract.CapModel,
 	if len(params) == 0 {
 		return Propagation{}, fmt.Errorf("analytic: option %v has no variation parameters", o)
 	}
+	rm, err := extract.NewRatioModel(p, o, cm)
+	if err != nil {
+		return Propagation{}, fmt.Errorf("analytic: propagate: %w", err)
+	}
 	out := Propagation{Option: o, N: n}
 	var variance float64
 	for _, prm := range params {
 		tdpAt := func(mult float64) (float64, error) {
 			var s litho.Sample
 			prm.Apply(&s, mult*prm.Sigma)
-			r, err := extract.VarRatios(p, o, s, cm)
+			r, err := rm.Ratios(s)
 			if err != nil {
 				return 0, err
 			}

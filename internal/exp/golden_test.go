@@ -114,6 +114,41 @@ func TestGoldenTable4SurfacesPerProcess(t *testing.T) {
 	checkGolden(t, "table4surfaces.csv", Table4SurfacesReport(surfs))
 }
 
+// TestGoldenFig5 snapshots the Fig. 5 distributions through the registry:
+// the collect path's exact summaries and the 17-bin histograms built from
+// the collected values.
+func TestGoldenFig5(t *testing.T) {
+	res, err := Run(nil, goldenEnv(), "fig5", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig5.csv", res.Tables[0])
+	hist := report.New("Fig. 5 histograms", "option", "bin", "center_pp", "count")
+	for _, r := range res.Data.([]Fig5Result) {
+		if under, over := r.Hist.Outliers(); under != 0 || over != 0 || r.Hist.Total() != r.Summary.N {
+			t.Fatalf("%v: histogram holds %d of %d values (%d under, %d over)",
+				r.Option, r.Hist.Total(), r.Summary.N, under, over)
+		}
+		for i, c := range r.Hist.Counts {
+			_ = hist.Appendf(r.Option.String(), i, r.Hist.BinCenter(i), c)
+		}
+	}
+	checkGolden(t, "fig5hist.csv", hist)
+}
+
+// TestGoldenExtThickness snapshots the extension tables with the
+// thickness source on: the worst-case search over every option including
+// LE2 (the THK parameter widens each corner set) and the write penalty at
+// each paper option's worst corner.
+func TestGoldenExtThickness(t *testing.T) {
+	res, err := Run(nil, goldenEnv(), "ext", Params{"thk": 2.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "ext_table1_thk2.csv", res.Tables[0])
+	checkGolden(t, "ext_write_thk2.csv", res.Tables[1])
+}
+
 // TestGoldenSpiceMC snapshots the SPICE-in-the-loop Monte-Carlo at a
 // minimal budget — the one table whose every float crosses the resident
 // engine Reset path.

@@ -13,6 +13,7 @@
 package extract
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -133,8 +134,7 @@ func ResistancePerM(m tech.MetalLayer, w float64) float64 {
 func ExtractWire(p tech.Process, w litho.Window, i int, cm CapModel) WireRC {
 	wire := w.Wires[i]
 	width := wire.Width()
-	m := p.M1
-	m.Thickness += w.DThk // etch/CMP extension; zero in the paper's experiments
+	m := metal(p, w)
 	d := p.Diel
 	eps := d.Eps()
 	out := WireRC{
@@ -152,6 +152,14 @@ func ExtractWire(p tech.Process, w litho.Window, i int, cm CapModel) WireRC {
 		out.CcAbovePerM = cm.CouplingPerM(eps, width, m.Thickness, s, hAvg)
 	}
 	return out
+}
+
+// metal returns the process's metal1 layer at the window's thickness: the
+// etch/CMP extension's delta, zero in the paper's experiments.
+func metal(p tech.Process, w litho.Window) tech.MetalLayer {
+	m := p.M1
+	m.Thickness += w.DThk
+	return m
 }
 
 // ExtractVictim extracts the bit line of the window.
@@ -182,27 +190,72 @@ type Ratios struct {
 	RvssVar float64
 }
 
-// VarRatios realizes the nominal and sampled geometries for option o and
-// returns the variability ratios of the victim bit line (and the below-
-// victim VSS rail).
-func VarRatios(p tech.Process, o litho.Option, s litho.Sample, cm CapModel) (Ratios, error) {
-	nomWin, err := litho.Realize(p, o, litho.Nominal)
-	if err != nil {
-		return Ratios{}, fmt.Errorf("nominal geometry: %w", err)
+// RatioModel computes the variability ratios of one patterning option on
+// one process under one capacitance model. Construction realizes and
+// extracts the nominal window once; each Ratios call then realizes and
+// extracts only the sampled window. A RatioModel is never modified after
+// construction, so one value may serve any number of goroutines.
+type RatioModel struct {
+	proc   tech.Process
+	option litho.Option
+	cm     CapModel
+	// nomR, nomC and nomRvss are the nominal victim resistance and total
+	// capacitance and the nominal VSS-rail resistance, per metre.
+	nomR, nomC, nomRvss float64
+}
+
+// NewRatioModel realizes and extracts option o's nominal window on process
+// p under capacitance model cm.
+func NewRatioModel(p tech.Process, o litho.Option, cm CapModel) (RatioModel, error) {
+	if cm == nil {
+		return RatioModel{}, errors.New("nil capacitance model")
 	}
-	win, err := litho.Realize(p, o, s)
+	win, err := litho.Realize(p, o, litho.Nominal)
+	if err != nil {
+		return RatioModel{}, fmt.Errorf("nominal geometry: %w", err)
+	}
+	nom := ExtractVictim(p, win, cm)
+	return RatioModel{
+		proc: p, option: o, cm: cm,
+		nomR: nom.RPerM, nomC: nom.CTotalPerM(), nomRvss: vssRPerM(p, win),
+	}, nil
+}
+
+// Option returns the patterning option the model extracts.
+func (m *RatioModel) Option() litho.Option { return m.option }
+
+// Ratios realizes sample s and returns the variability ratios of the
+// victim bit line (and the below-victim VSS rail) against the nominal.
+func (m *RatioModel) Ratios(s litho.Sample) (Ratios, error) {
+	win, err := litho.Realize(m.proc, m.option, s)
 	if err != nil {
 		return Ratios{}, err
 	}
-	nom := ExtractVictim(p, nomWin, cm)
-	act := ExtractVictim(p, win, cm)
-	nomVss := ExtractWire(p, nomWin, nomWin.Victim-1, cm)
-	actVss := ExtractWire(p, win, win.Victim-1, cm)
+	act := ExtractVictim(m.proc, win, m.cm)
 	return Ratios{
-		Rvar:    act.RPerM / nom.RPerM,
-		Cvar:    act.CTotalPerM() / nom.CTotalPerM(),
-		RvssVar: actVss.RPerM / nomVss.RPerM,
+		Rvar:    act.RPerM / m.nomR,
+		Cvar:    act.CTotalPerM() / m.nomC,
+		RvssVar: vssRPerM(m.proc, win) / m.nomRvss,
 	}, nil
+}
+
+// vssRPerM is the resistance per metre of the VSS rail below the victim:
+// ExtractWire's RPerM for that wire, without the capacitances that no
+// ratio reads.
+func vssRPerM(p tech.Process, w litho.Window) float64 {
+	return ResistancePerM(metal(p, w), w.Wires[w.Victim-1].Width())
+}
+
+// VarRatios realizes the nominal and sampled geometries for option o and
+// returns the variability ratios of the victim bit line (and the below-
+// victim VSS rail). It is the one-shot form of RatioModel: callers that
+// evaluate many samples of one option build the model once instead.
+func VarRatios(p tech.Process, o litho.Option, s litho.Sample, cm CapModel) (Ratios, error) {
+	m, err := NewRatioModel(p, o, cm)
+	if err != nil {
+		return Ratios{}, err
+	}
+	return m.Ratios(s)
 }
 
 // WorstCaseResult describes the corner that maximizes the bit-line
@@ -226,10 +279,15 @@ func (r WorstCaseResult) RvarPct() float64 { return (r.Ratios.Rvar - 1) * 100 }
 // (merged or vanished lines) are skipped: they are yield, not variability.
 func WorstCase(p tech.Process, o litho.Option, cm CapModel) (WorstCaseResult, error) {
 	best := WorstCaseResult{Option: o}
+	m, err := NewRatioModel(p, o, cm)
+	if err != nil {
+		return best, fmt.Errorf("option %v: %w", o, err)
+	}
+	params := litho.Params(p, o)
 	found := false
 	for _, c := range litho.Corners(p, o) {
-		s := litho.CornerSample(p, o, c)
-		r, err := VarRatios(p, o, s, cm)
+		s := litho.CornerSample(params, c)
+		r, err := m.Ratios(s)
 		if err != nil {
 			continue
 		}

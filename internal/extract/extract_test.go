@@ -168,6 +168,26 @@ func TestVarRatiosNominalIsUnity(t *testing.T) {
 	}
 }
 
+// TestVarRatiosAllocationFree pins the one-shot extraction at zero heap
+// allocations: the RatioModel it builds is a stack value and both windows
+// are fixed-size arrays.
+func TestVarRatiosAllocationFree(t *testing.T) {
+	p := tech.N10()
+	var cm CapModel = SakuraiTamaru{}
+	s := litho.Sample{CDA: 1e-9, CDB: -1e-9, CDC: 0.5e-9, OLB: 2e-9, OLC: -1e-9,
+		CDCore: 1e-9, CDSpacer: -0.5e-9, CDEUV: 1e-9, DThk: 1e-9}
+	for _, o := range litho.AllOptions {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := VarRatios(p, o, s, cm); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: VarRatios allocates %v times per call", o, allocs)
+		}
+	}
+}
+
 func TestVarRatiosErrorPropagation(t *testing.T) {
 	p := tech.N10()
 	if _, err := VarRatios(p, litho.LE3, litho.Sample{OLB: 30e-9}, SakuraiTamaru{}); err == nil {

@@ -164,10 +164,12 @@ type Wire struct {
 func (w Wire) Width() float64 { return w.Span.Width() }
 
 // Window is the realized neighbourhood of the victim bit line: an odd
-// number of parallel wires with the victim in the middle.
+// number of parallel wires with the victim in the middle. The wires live
+// in a fixed-size array, so a realized window is a plain value that never
+// touches the heap.
 type Window struct {
 	Option Option
-	Wires  []Wire
+	Wires  [windowWires]Wire
 	Victim int // index of the bit line in Wires
 	// DThk carries the sample's global thickness delta through to
 	// extraction (zero unless the thickness extension is enabled).
@@ -212,24 +214,26 @@ func (w Window) Validate() error {
 // windowHalf is the number of wires on each side of the victim.
 const windowHalf = 3
 
+// windowWires is the number of wires in a realized window.
+const windowWires = 2*windowHalf + 1
+
 // Realize maps a variation sample to the realized window for the given
 // option on process p. The returned window has 2·windowHalf+1 wires with
 // the bit line in the centre.
 func Realize(p tech.Process, o Option, s Sample) (Window, error) {
-	var w Window
+	w := Window{Option: o, Victim: windowHalf, DThk: s.DThk}
 	switch o {
 	case LE3:
-		w = realizeLE3(p, s)
+		realizeLE3(p, s, &w.Wires)
 	case SADP:
-		w = realizeSADP(p, s)
+		realizeSADP(p, s, &w.Wires)
 	case EUV:
-		w = realizeEUV(p, s)
+		realizeEUV(p, s, &w.Wires)
 	case LE2:
-		w = realizeLE2(p, s)
+		realizeLE2(p, s, &w.Wires)
 	default:
 		return Window{}, fmt.Errorf("unknown patterning option %d", int(o))
 	}
-	w.DThk = s.DThk
 	if s.DThk <= -p.M1.Thickness {
 		return Window{}, fmt.Errorf("%v: thickness delta %.3g collapses the metal", o, s.DThk)
 	}
@@ -258,32 +262,25 @@ func trackNet(rel int) Net {
 // realizeLE3 builds the LE3 window: track k sits nominally at k·pitch;
 // masks cycle C,B,A,B,C around the victim so that, per the paper's worst
 // case, the victim is on mask A with its two neighbours on B (below) and
-// C (above). Mask A is the alignment reference: no overlay term.
-func realizeLE3(p tech.Process, s Sample) Window {
+// C (above). Mask A is the alignment reference: its overlay term is zero.
+func realizeLE3(p tech.Process, s Sample, wires *[windowWires]Wire) {
 	pitch := p.M1.Pitch
 	w0 := p.M1.Width
-	cd := map[Mask]float64{MaskA: s.CDA, MaskB: s.CDB, MaskC: s.CDC}
-	ol := map[Mask]float64{MaskA: 0, MaskB: s.OLB, MaskC: s.OLC}
-	var wires []Wire
-	for rel := -windowHalf; rel <= windowHalf; rel++ {
-		var m Mask
+	for i := range wires {
+		rel := i - windowHalf
+		m, cd, ol := MaskA, s.CDA, 0.0
 		switch ((rel % 3) + 3) % 3 {
-		case 0:
-			m = MaskA
 		case 1:
-			m = MaskC // above the victim
-		default:
-			m = MaskB // below the victim
+			m, cd, ol = MaskC, s.CDC, s.OLC // above the victim
+		case 2:
+			m, cd, ol = MaskB, s.CDB, s.OLB // below the victim
 		}
-		center := float64(rel)*pitch + ol[m]
-		width := w0 + cd[m]
-		wires = append(wires, Wire{
+		wires[i] = Wire{
 			Net:  trackNet(rel),
 			Mask: m,
-			Span: geom.CenterWidth(center, width),
-		})
+			Span: geom.CenterWidth(float64(rel)*pitch+ol, w0+cd),
+		}
 	}
-	return Window{Option: LE3, Wires: wires, Victim: windowHalf}
 }
 
 // realizeSADP builds the SADP window. Core (mandrel-defined) lines sit on
@@ -293,44 +290,42 @@ func realizeLE3(p tech.Process, s Sample) Window {
 //	core center k·P, width m' = m+ΔCDcore
 //	spacers of thickness t' = t+ΔCDspacer on both core sidewalls
 //	gap line filling the remainder: width P − m' − 2t'
-func realizeSADP(p tech.Process, s Sample) Window {
+func realizeSADP(p tech.Process, s Sample, wires *[windowWires]Wire) {
 	P := p.SADP.Period
 	m := p.SADP.MandrelWidth + s.CDCore
 	t := p.SADP.SpacerThk + s.CDSpacer
-	// Place cores at ...,−1.5P, −0.5P, +0.5P, +1.5P,... so the victim gap
-	// line is centred at 0.
-	var wires []Wire
-	for k := -2; k <= 1; k++ {
+	// Place cores k = −2..1 at −1.5P, −0.5P, +0.5P, +1.5P so the victim
+	// gap line is centred at 0. Wires alternate core, gap: the 7-wire
+	// window is 4 cores and the 3 gaps between them, and the victim gap
+	// (after core k = −1) is index 3.
+	for i := range wires {
+		k := i/2 - 2
 		coreCenter := (float64(k) + 0.5) * P
-		core := Wire{
-			Net:  trackNet(2*k + 1),
-			Mask: MaskCore,
-			Span: geom.CenterWidth(coreCenter, m),
+		if i%2 == 0 {
+			wires[i] = Wire{
+				Net:  trackNet(2*k + 1),
+				Mask: MaskCore,
+				Span: geom.CenterWidth(coreCenter, m),
+			}
+			continue
 		}
 		// Gap line after this core (between core k and core k+1).
-		gapLo := coreCenter + m/2 + t
-		gapHi := coreCenter + P - m/2 - t
-		gap := Wire{
+		wires[i] = Wire{
 			Net:  trackNet(2*k + 2),
 			Mask: MaskGap,
-			Span: geom.Interval{Lo: gapLo, Hi: gapHi},
+			Span: geom.Interval{Lo: coreCenter + m/2 + t, Hi: coreCenter + P - m/2 - t},
 		}
-		wires = append(wires, core, gap)
 	}
-	// wires: [core,gap,core,gap,core,gap,core,gap]; victim gap is the one
-	// centred at 0, which is index 3 (k=-1 gap).
-	wires = wires[:7] // 7-wire window: 4 cores + 3 gaps
-	return Window{Option: SADP, Wires: wires, Victim: 3}
 }
 
 // realizeLE2 builds the double litho-etch window: masks alternate A,B with
 // the victim on A, both neighbours on B. Mask B is aligned to A, so a
 // single overlay term shifts the whole B comb rigidly.
-func realizeLE2(p tech.Process, s Sample) Window {
+func realizeLE2(p tech.Process, s Sample, wires *[windowWires]Wire) {
 	pitch := p.M1.Pitch
 	w0 := p.M1.Width
-	var wires []Wire
-	for rel := -windowHalf; rel <= windowHalf; rel++ {
+	for i := range wires {
+		rel := i - windowHalf
 		m := MaskA
 		width := w0 + s.CDA
 		center := float64(rel) * pitch
@@ -339,36 +334,75 @@ func realizeLE2(p tech.Process, s Sample) Window {
 			width = w0 + s.CDB
 			center += s.OLB
 		}
-		wires = append(wires, Wire{
+		wires[i] = Wire{
 			Net:  trackNet(rel),
 			Mask: m,
 			Span: geom.CenterWidth(center, width),
-		})
+		}
 	}
-	return Window{Option: LE2, Wires: wires, Victim: windowHalf}
 }
 
 // realizeEUV builds the single-exposure window: every line carries the same
 // CD bias, centres stay on the pitch grid.
-func realizeEUV(p tech.Process, s Sample) Window {
+func realizeEUV(p tech.Process, s Sample, wires *[windowWires]Wire) {
 	pitch := p.M1.Pitch
 	width := p.M1.Width + s.CDEUV
-	var wires []Wire
-	for rel := -windowHalf; rel <= windowHalf; rel++ {
-		wires = append(wires, Wire{
+	for i := range wires {
+		rel := i - windowHalf
+		wires[i] = Wire{
 			Net:  trackNet(rel),
 			Mask: MaskEUV,
 			Span: geom.CenterWidth(float64(rel)*pitch, width),
-		})
+		}
 	}
-	return Window{Option: EUV, Wires: wires, Victim: windowHalf}
 }
 
 // Param identifies one scalar variation source of an option.
 type Param struct {
 	Name  string
-	Sigma float64                // 1σ amplitude in metres
-	Apply func(*Sample, float64) // writes a delta in metres into the sample
+	Sigma float64 // 1σ amplitude in metres
+	field sampleField
+}
+
+// sampleField selects the Sample field a Param drives.
+type sampleField uint8
+
+const (
+	fieldCDA sampleField = iota
+	fieldCDB
+	fieldCDC
+	fieldOLB
+	fieldOLC
+	fieldCDCore
+	fieldCDSpacer
+	fieldCDEUV
+	fieldDThk
+)
+
+// Apply writes a delta d in metres into the sample field the parameter
+// drives. It is a plain switch, not a stored func, so a sample it writes
+// can stay on the caller's stack.
+func (prm Param) Apply(s *Sample, d float64) {
+	switch prm.field {
+	case fieldCDA:
+		s.CDA = d
+	case fieldCDB:
+		s.CDB = d
+	case fieldCDC:
+		s.CDC = d
+	case fieldOLB:
+		s.OLB = d
+	case fieldOLC:
+		s.OLC = d
+	case fieldCDCore:
+		s.CDCore = d
+	case fieldCDSpacer:
+		s.CDSpacer = d
+	case fieldCDEUV:
+		s.CDEUV = d
+	case fieldDThk:
+		s.DThk = d
+	}
 }
 
 // Params returns the independent variation sources for option o on process
@@ -379,10 +413,7 @@ type Param struct {
 func Params(p tech.Process, o Option) []Param {
 	base := baseParams(p, o)
 	if base != nil && p.Var.Thk3Sigma > 0 {
-		base = append(base, Param{
-			"THK", p.Var.Thk3Sigma / 3,
-			func(s *Sample, d float64) { s.DThk = d },
-		})
+		base = append(base, Param{"THK", p.Var.Thk3Sigma / 3, fieldDThk})
 	}
 	return base
 }
@@ -392,7 +423,11 @@ func Params(p tech.Process, o Option) []Param {
 // slice order. This is THE canonical draw — the analytic and
 // SPICE-in-the-loop Monte-Carlo paths both consume it, which is what
 // makes their per-trial sample streams identical draw for draw; the
-// parameter order and draw count are a compatibility surface.
+// parameter order and draw count are a compatibility surface. The same
+// PRNG state maps through each process's own variation budgets, so
+// streams are deterministic per (process, option): two nodes consume
+// identical normal deviates scaled by their own σ amplitudes. Callers
+// build params once per stream; a draw allocates nothing.
 func Draw(params []Param, rng *rand.Rand) Sample {
 	var s Sample
 	for _, prm := range params {
@@ -401,41 +436,31 @@ func Draw(params []Param, rng *rand.Rand) Sample {
 	return s
 }
 
-// DrawFor draws one Gaussian variation sample for option o on process p:
-// the canonical per-(process, option) stream. The same PRNG state maps
-// through the process's own variation budgets (Params), so streams are
-// deterministic per (process, option) — two nodes consume identical
-// normal deviates scaled by their own σ amplitudes — and identical
-// between the analytic and SPICE-in-the-loop Monte-Carlo paths.
-func DrawFor(p tech.Process, o Option, rng *rand.Rand) Sample {
-	return Draw(Params(p, o), rng)
-}
-
 func baseParams(p tech.Process, o Option) []Param {
 	v := p.Var
 	switch o {
 	case LE3:
 		return []Param{
-			{"CD_A", v.CD3Sigma / 3, func(s *Sample, d float64) { s.CDA = d }},
-			{"CD_B", v.CD3Sigma / 3, func(s *Sample, d float64) { s.CDB = d }},
-			{"CD_C", v.CD3Sigma / 3, func(s *Sample, d float64) { s.CDC = d }},
-			{"OL_B", v.OL3Sigma / 3, func(s *Sample, d float64) { s.OLB = d }},
-			{"OL_C", v.OL3Sigma / 3, func(s *Sample, d float64) { s.OLC = d }},
+			{"CD_A", v.CD3Sigma / 3, fieldCDA},
+			{"CD_B", v.CD3Sigma / 3, fieldCDB},
+			{"CD_C", v.CD3Sigma / 3, fieldCDC},
+			{"OL_B", v.OL3Sigma / 3, fieldOLB},
+			{"OL_C", v.OL3Sigma / 3, fieldOLC},
 		}
 	case SADP:
 		return []Param{
-			{"CD_core", v.CD3Sigma / 3, func(s *Sample, d float64) { s.CDCore = d }},
-			{"CD_spacer", v.Spacer3Sigma / 3, func(s *Sample, d float64) { s.CDSpacer = d }},
+			{"CD_core", v.CD3Sigma / 3, fieldCDCore},
+			{"CD_spacer", v.Spacer3Sigma / 3, fieldCDSpacer},
 		}
 	case EUV:
 		return []Param{
-			{"CD", v.CD3Sigma / 3, func(s *Sample, d float64) { s.CDEUV = d }},
+			{"CD", v.CD3Sigma / 3, fieldCDEUV},
 		}
 	case LE2:
 		return []Param{
-			{"CD_A", v.CD3Sigma / 3, func(s *Sample, d float64) { s.CDA = d }},
-			{"CD_B", v.CD3Sigma / 3, func(s *Sample, d float64) { s.CDB = d }},
-			{"OL_B", v.OL3Sigma / 3, func(s *Sample, d float64) { s.OLB = d }},
+			{"CD_A", v.CD3Sigma / 3, fieldCDA},
+			{"CD_B", v.CD3Sigma / 3, fieldCDB},
+			{"OL_B", v.OL3Sigma / 3, fieldOLB},
 		}
 	default:
 		return nil
@@ -447,7 +472,8 @@ type Corner []int
 
 // Corners enumerates every combination of {−3σ, 0, +3σ} over the option's
 // parameters (3^k corners). The paper's worst-case study uses exactly this
-// kind of exhaustive corner search over CD and OL errors.
+// kind of exhaustive corner search over CD and OL errors. The corners
+// share one backing array, each capped to its own k entries.
 func Corners(p tech.Process, o Option) []Corner {
 	k := len(Params(p, o))
 	n := 1
@@ -455,8 +481,9 @@ func Corners(p tech.Process, o Option) []Corner {
 		n *= 3
 	}
 	corners := make([]Corner, 0, n)
+	flat := make([]int, n*k)
 	for idx := 0; idx < n; idx++ {
-		c := make(Corner, k)
+		c := Corner(flat[idx*k : (idx+1)*k : (idx+1)*k])
 		x := idx
 		for i := 0; i < k; i++ {
 			c[i] = x%3 - 1 // −1, 0, +1
@@ -467,10 +494,9 @@ func Corners(p tech.Process, o Option) []Corner {
 	return corners
 }
 
-// CornerSample turns a corner (±1/0 multipliers) into a concrete Sample at
-// ±3σ amplitudes.
-func CornerSample(p tech.Process, o Option, c Corner) Sample {
-	params := Params(p, o)
+// CornerSample turns a corner (±1/0 multipliers over params, as returned
+// by Params) into a concrete Sample at ±3σ amplitudes.
+func CornerSample(params []Param, c Corner) Sample {
 	var s Sample
 	for i, prm := range params {
 		prm.Apply(&s, float64(c[i])*3*prm.Sigma)

@@ -246,7 +246,7 @@ func TestCornerSampleAndString(t *testing.T) {
 	corners := Corners(p, EUV)
 	var sawPlus bool
 	for _, c := range corners {
-		s := CornerSample(p, EUV, c)
+		s := CornerSample(Params(p, EUV), c)
 		if c[0] == 1 {
 			sawPlus = true
 			if math.Abs(s.CDEUV-3e-9) > 1e-15 {

@@ -2,6 +2,7 @@ package litho
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"mpsram/internal/tech"
@@ -56,5 +57,29 @@ func TestThicknessPropagatesToWindow(t *testing.T) {
 	// Collapsing thickness is rejected.
 	if _, err := Realize(p, EUV, Sample{DThk: -p.M1.Thickness}); err == nil {
 		t.Fatal("metal collapse accepted")
+	}
+}
+
+// TestDrawAndRealizeAllocationFree pins the closure-free draw and the
+// fixed-size window at zero heap allocations, on every option with the
+// thickness source on (the longest parameter list).
+func TestDrawAndRealizeAllocationFree(t *testing.T) {
+	p := tech.N10()
+	p.Var.Thk3Sigma = 2e-9
+	rng := rand.New(rand.NewSource(1))
+	for _, o := range AllOptions {
+		params := Params(p, o)
+		var s Sample
+		if allocs := testing.AllocsPerRun(50, func() { s = Draw(params, rng) }); allocs != 0 {
+			t.Errorf("%v: Draw allocates %v times per draw", o, allocs)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := Realize(p, o, s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: Realize allocates %v times per window", o, allocs)
+		}
 	}
 }

@@ -9,8 +9,12 @@
 // Determinism: trial i always derives its PRNG stream from (Seed, i), and
 // trials are aggregated in fixed-size blocks that are merged in block
 // order, so every statistic is bit-identical regardless of the worker
-// count. Workers own one reusable PRNG and one scratch vector each; the
-// engine performs no per-trial allocation.
+// count. Workers own one reusable PRNG and one scratch vector each, so
+// the scheduler allocates per block (accumulators, collected values),
+// never per trial. The analytic trial it runs is allocation-free as well:
+// TdpVector builds the stream's parameters and ratio model once, and
+// TestTdpVectorTrialAllocationFree pins a warm trial at zero allocations
+// on every option.
 package mc
 
 import (

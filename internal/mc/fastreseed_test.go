@@ -83,11 +83,16 @@ func TestFastReseedBitIdenticalAcrossWorkers(t *testing.T) {
 	p := tech.N10()
 	cm := extract.SakuraiTamaru{}
 	ctx := context.Background()
+	rm, err := extract.NewRatioModel(p, litho.LE3, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := litho.Params(p, litho.LE3)
 	run := func(workers int) *VectorResult {
 		cfg := Config{Samples: 2000, Seed: 2015, Workers: workers, FastReseed: true, Collect: true}
 		vr, err := RunVector(ctx, cfg, 1, func(rng *rand.Rand, out []float64) bool {
-			r, ok := SampleRatios(p, litho.LE3, cm, rng)
-			if !ok {
+			r, err := rm.Ratios(litho.Draw(params, rng))
+			if err != nil {
 				return false
 			}
 			out[0] = r.Cvar
@@ -120,11 +125,16 @@ func TestFastReseedChangesStreamKeepsStatistics(t *testing.T) {
 	p := tech.N10()
 	cm := extract.SakuraiTamaru{}
 	ctx := context.Background()
+	rm, err := extract.NewRatioModel(p, litho.LE3, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := litho.Params(p, litho.LE3)
 	run := func(fast bool) *VectorResult {
 		cfg := Config{Samples: 4000, Seed: 2015, FastReseed: fast, Collect: true}
 		vr, err := RunVector(ctx, cfg, 1, func(rng *rand.Rand, out []float64) bool {
-			r, ok := SampleRatios(p, litho.LE3, cm, rng)
-			if !ok {
+			r, err := rm.Ratios(litho.Draw(params, rng))
+			if err != nil {
 				return false
 			}
 			out[0] = (r.Cvar - 1) * 100

@@ -83,32 +83,29 @@ func (c Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// SampleRatios draws one Gaussian process-variation sample for option o
-// (via the canonical litho.Draw stream) and returns the extracted
-// variability ratios.
-func SampleRatios(p tech.Process, o litho.Option, cm extract.CapModel, rng *rand.Rand) (extract.Ratios, bool) {
-	s := litho.DrawFor(p, o, rng)
-	r, err := extract.VarRatios(p, o, s, cm)
-	if err != nil {
-		return extract.Ratios{}, false
-	}
-	return r, true
-}
-
 // TdpVector returns the multi-observable trial function behind the shared
-// sample stream: one SampleRatios draw, evaluated through the analytical
-// tdp formula at every array size in sizes.
-func TdpVector(p tech.Process, o litho.Option, m analytic.Params, cm extract.CapModel, sizes []int) VectorFunc {
+// sample stream: one canonical litho.Draw of option o's parameters and
+// one ratio extraction per trial, evaluated through the analytical tdp
+// formula at every array size in sizes. Draws whose geometry collapses
+// reject the trial. The parameters and the ratio model are built here,
+// once per stream, so a trial allocates nothing; a nil capacitance model
+// or an unrealizable nominal window is reported here, before any trial.
+func TdpVector(p tech.Process, o litho.Option, m analytic.Params, cm extract.CapModel, sizes []int) (VectorFunc, error) {
+	rm, err := extract.NewRatioModel(p, o, cm)
+	if err != nil {
+		return nil, fmt.Errorf("mc: %w", err)
+	}
+	params := litho.Params(p, o)
 	return func(rng *rand.Rand, out []float64) bool {
-		r, ok := SampleRatios(p, o, cm, rng)
-		if !ok {
+		r, err := rm.Ratios(litho.Draw(params, rng))
+		if err != nil {
 			return false
 		}
 		for j, n := range sizes {
 			out[j] = m.TdpPct(n, r.Rvar, r.Cvar)
 		}
 		return true
-	}
+	}, nil
 }
 
 // TdpAcrossSizes runs one Monte-Carlo stream for option o and evaluates
@@ -122,7 +119,11 @@ func TdpAcrossSizes(ctx context.Context, p tech.Process, o litho.Option, m analy
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("mc: no array sizes requested")
 	}
-	return RunVector(ctx, cfg, len(sizes), TdpVector(p, o, m, cm, sizes))
+	f, err := TdpVector(p, o, m, cm, sizes)
+	if err != nil {
+		return nil, err
+	}
+	return RunVector(ctx, cfg, len(sizes), f)
 }
 
 // SigmaSweepRow is one Table IV row: an option/overlay configuration and

@@ -3,6 +3,7 @@ package mc
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mpsram/internal/analytic"
@@ -29,20 +30,59 @@ func model(t *testing.T) (tech.Process, analytic.Params) {
 	return p, m
 }
 
-func TestSampleRatiosRejectsCollapse(t *testing.T) {
+func TestTdpVectorRejectsCollapse(t *testing.T) {
 	// With a huge overlay budget some LE3 draws must collapse and be
 	// rejected rather than crash.
-	p, _ := model(t)
+	p, m := model(t)
 	p = p.WithOL(40e-9)
+	f, err := TdpVector(p, litho.LE3, m, cm, []int{64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, 1)
 	rejected := 0
 	for i := 0; i < 200; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
-		if _, ok := SampleRatios(p, litho.LE3, cm, rng); !ok {
+		if !f(rng, out) {
 			rejected++
 		}
 	}
 	if rejected == 0 {
 		t.Fatal("expected some collapsed-geometry rejections")
+	}
+}
+
+// TestTdpVectorTrialAllocationFree pins the analytic trial at zero heap
+// allocations once warm: TdpVector builds the stream's params and ratio
+// model, and the draw and both windows stay on the stack. It holds on
+// every option, with the thickness source off and on.
+func TestTdpVectorTrialAllocationFree(t *testing.T) {
+	p, m := model(t)
+	sizes := []int{16, 64, 256, 1024}
+	out := make([]float64, len(sizes))
+	rng := rand.New(rand.NewSource(0))
+	for _, thk := range []float64{0, 2e-9} {
+		p.Var.Thk3Sigma = thk
+		for _, o := range litho.AllOptions {
+			f, err := TdpVector(p, o, m, cm, sizes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i, accepted := 0, 0
+			allocs := testing.AllocsPerRun(100, func() {
+				rng.Seed(trialSeed(2015, i))
+				i++
+				if f(rng, out) {
+					accepted++
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%v (thk 3σ %g): %v allocations per trial", o, thk, allocs)
+			}
+			if accepted == 0 {
+				t.Errorf("%v (thk 3σ %g): every trial rejected", o, thk)
+			}
+		}
 	}
 }
 
@@ -120,5 +160,34 @@ func TestTdpAcrossSizesValidatesModel(t *testing.T) {
 	m.CPre = nil
 	if _, err := TdpAcrossSizes(context.Background(), p, litho.EUV, m, cm, []int{64}, Config{Samples: 10, Seed: 1}); err == nil {
 		t.Fatal("invalid model must be rejected")
+	}
+}
+
+// TestTdpAcrossSizesValidatesStream checks that a nil capacitance model
+// and an unrealizable nominal window are reported before any trial runs,
+// rather than panicking inside a worker or surfacing as an all-rejected
+// run.
+func TestTdpAcrossSizesValidatesStream(t *testing.T) {
+	p, m := model(t)
+	merged := p
+	merged.M1.Width = merged.M1.Pitch + 1e-9 // nominal neighbours overlap
+	for _, tc := range []struct {
+		name string
+		p    tech.Process
+		cm   extract.CapModel
+		want string
+	}{
+		{"nil cap model", p, nil, "mc: nil capacitance model"},
+		{"merged nominal", merged, cm, "mc: nominal geometry: EUV: wires 0 and 1 merged"},
+	} {
+		trials := 0
+		cfg := Config{Samples: 10, Seed: 1, Progress: func(done, _ int) { trials = done }}
+		_, err := TdpAcrossSizes(context.Background(), tc.p, litho.EUV, m, tc.cm, []int{64}, cfg)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want prefix %q", tc.name, err, tc.want)
+		}
+		if trials != 0 {
+			t.Errorf("%s: %d trials ran before the error", tc.name, trials)
+		}
 	}
 }

@@ -42,19 +42,14 @@ import (
 // litho.Params draws in the same order, so the two paths are directly
 // comparable draw by draw.
 func SpiceTdpAcrossSizes(ctx context.Context, p tech.Process, o litho.Option, cm extract.CapModel, sizes []int, nom sram.CellParasitics, nomTd []float64, bopt sram.BuildOptions, sopt sram.SimOptions, cfg Config) (*VectorResult, error) {
-	if cm == nil {
-		return nil, fmt.Errorf("mc: nil capacitance model")
-	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("mc: no array sizes requested")
-	}
-	if len(nomTd) != len(sizes) {
-		return nil, fmt.Errorf("mc: %d nominal read times for %d sizes", len(nomTd), len(sizes))
+	rm, err := spiceStream(p, o, cm, sizes, nomTd)
+	if err != nil {
+		return nil, err
 	}
 	cfg.WorkerState = func() any {
 		b := sram.NewColumnBuilder(p, cm)
 		b.SetNominal(nom)
-		return b.TrialFunc(o, sizes, nomTd, bopt, sopt)
+		return b.TrialFunc(rm, sizes, nomTd, bopt, sopt)
 	}
 	return RunVectorState(ctx, cfg, len(sizes), func(state any, rng *rand.Rand, out []float64) bool {
 		return state.(func(*rand.Rand, []float64) bool)(rng, out)
@@ -71,25 +66,37 @@ func SpiceTdpAcrossSizes(ctx context.Context, p tech.Process, o litho.Option, cm
 // rides the extraction the SPICE trial already performs, it never
 // consumes extra deviates.
 func SpiceTdpCVAcrossSizes(ctx context.Context, p tech.Process, o litho.Option, m analytic.Params, cm extract.CapModel, sizes []int, nom sram.CellParasitics, nomTd []float64, bopt sram.BuildOptions, sopt sram.SimOptions, cfg Config) (*CVVectorResult, error) {
-	if cm == nil {
-		return nil, fmt.Errorf("mc: nil capacitance model")
-	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("mc: no array sizes requested")
-	}
-	if len(nomTd) != len(sizes) {
-		return nil, fmt.Errorf("mc: %d nominal read times for %d sizes", len(nomTd), len(sizes))
+	rm, err := spiceStream(p, o, cm, sizes, nomTd)
+	if err != nil {
+		return nil, err
 	}
 	ctrl := func(n int, r extract.Ratios) float64 { return m.TdpPct(n, r.Rvar, r.Cvar) }
 	cfg.WorkerState = func() any {
 		b := sram.NewColumnBuilder(p, cm)
 		b.SetNominal(nom)
-		return b.PairedTrialFunc(o, sizes, nomTd, ctrl, bopt, sopt)
+		return b.PairedTrialFunc(rm, sizes, nomTd, ctrl, bopt, sopt)
 	}
 	return RunVectorPaired(ctx, cfg, len(sizes), func(state any, rng *rand.Rand, y, x []float64) bool {
 		return state.(func(*rand.Rand, []float64, []float64) bool)(rng, y, x)
 	})
+}
+
+// spiceStream validates a SPICE-in-the-loop stream's sizes and nominal
+// read times and builds its ratio model, once per stream: the workers'
+// trial functions share the read-only model.
+func spiceStream(p tech.Process, o litho.Option, cm extract.CapModel, sizes []int, nomTd []float64) (extract.RatioModel, error) {
+	if len(sizes) == 0 {
+		return extract.RatioModel{}, fmt.Errorf("mc: no array sizes requested")
+	}
+	if len(nomTd) != len(sizes) {
+		return extract.RatioModel{}, fmt.Errorf("mc: %d nominal read times for %d sizes", len(nomTd), len(sizes))
+	}
+	rm, err := extract.NewRatioModel(p, o, cm)
+	if err != nil {
+		return extract.RatioModel{}, fmt.Errorf("mc: %w", err)
+	}
+	return rm, nil
 }

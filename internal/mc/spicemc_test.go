@@ -2,6 +2,7 @@ package mc
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -97,7 +98,11 @@ func TestSpiceTdpAcrossSizesMatchesSerialTrialLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trial := b.TrialFunc(litho.EUV, spiceMCSizes, nomTd, sram.BuildOptions{}, sram.SimOptions{})
+	rm, err := extract.NewRatioModel(p, litho.EUV, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trial := b.TrialFunc(rm, spiceMCSizes, nomTd, sram.BuildOptions{}, sram.SimOptions{})
 	rng := rand.New(rand.NewSource(0))
 	out := make([]float64, len(spiceMCSizes))
 	var want [][]float64
@@ -183,27 +188,36 @@ func TestSpiceTdpAcrossSizesValidatesInputs(t *testing.T) {
 
 // TestSpiceAndAnalyticConsumeIdenticalDraws pins the draw-for-draw
 // comparability contract: for the same seeded PRNG state, the analytic
-// path's SampleRatios and the SPICE-MC path's litho.Draw + VarRatios must
-// produce bit-identical ratios (both are views over the one canonical
-// litho.Draw stream).
+// trial (TdpVector) must reject exactly the draws that litho.Draw +
+// extract.VarRatios rejects (the draw and extraction the SPICE-MC trial
+// performs) and evaluate the tdp formula on bit-identical ratios (both
+// paths are views over the one canonical litho.Draw stream).
 func TestSpiceAndAnalyticConsumeIdenticalDraws(t *testing.T) {
-	p, cm := tech.N10(), extract.SakuraiTamaru{}
+	p, m := model(t)
+	sizes := []int{16, 64}
 	for _, o := range litho.Options {
+		f, err := TdpVector(p, o, m, cm, sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
 		params := litho.Params(p, o)
 		rngA := rand.New(rand.NewSource(0))
 		rngB := rand.New(rand.NewSource(0))
+		out := make([]float64, len(sizes))
 		for i := 0; i < 50; i++ {
 			seed := trialSeed(2015, i)
 			rngA.Seed(seed)
 			rngB.Seed(seed)
-			ra, okA := SampleRatios(p, o, cm, rngA)
+			okA := f(rngA, out)
 			rb, errB := extract.VarRatios(p, o, litho.Draw(params, rngB), cm)
 			okB := errB == nil
 			if okA != okB {
 				t.Fatalf("%v trial %d: analytic ok=%v, spice-path ok=%v", o, i, okA, okB)
 			}
-			if okA && ra != rb {
-				t.Fatalf("%v trial %d: ratios diverge: %+v vs %+v", o, i, ra, rb)
+			for j, n := range sizes {
+				if want := m.TdpPct(n, rb.Rvar, rb.Cvar); okA && math.Float64bits(out[j]) != math.Float64bits(want) {
+					t.Fatalf("%v trial %d n=%d: analytic tdp %v, spice-path ratios give %v", o, i, n, out[j], want)
+				}
 			}
 		}
 	}

@@ -40,25 +40,26 @@ func (b *ColumnBuilder) NominalTds(sizes []int, bopt BuildOptions, sopt SimOptio
 }
 
 // TrialFunc returns the SPICE-in-the-loop Monte-Carlo trial function for
-// option o: each invocation draws one Gaussian lithography sample from
-// rng (litho.Draw — the same canonical stream the analytic
-// mc.SampleRatios consumes, so the two paths see identical draws),
-// extracts the variability ratios, and simulates the read at every size,
+// rm's option: each invocation draws one Gaussian lithography sample from
+// rng (litho.Draw — the same canonical stream the analytic mc.TdpVector
+// consumes, so the two paths see identical draws), extracts the
+// variability ratios through rm, and simulates the read at every size,
 // writing the tdp penalty in percent into out[j] for sizes[j]. Draws whose
 // geometry collapses (extraction error) or whose transient fails reject
 // the trial by returning false.
 //
-// nomTd must hold the nominal read times for sizes (see NominalTds). The
-// returned closure drives this builder's netlist scratch and resident
-// engine, so it inherits the session's concurrency contract: one builder
-// per worker.
-func (b *ColumnBuilder) TrialFunc(o litho.Option, sizes []int, nomTd []float64, bopt BuildOptions, sopt SimOptions) func(*rand.Rand, []float64) bool {
-	params := litho.Params(b.Proc, o)
+// rm must be built on the builder's process and capacitance model; it is
+// never modified, so the caller builds it once per stream and hands it to
+// every worker. nomTd must hold the nominal read times for sizes (see
+// NominalTds). The returned closure drives this builder's netlist scratch
+// and resident engine, so it inherits the session's concurrency contract:
+// one builder per worker.
+func (b *ColumnBuilder) TrialFunc(rm extract.RatioModel, sizes []int, nomTd []float64, bopt BuildOptions, sopt SimOptions) func(*rand.Rand, []float64) bool {
+	params := litho.Params(b.Proc, rm.Option())
 	return func(rng *rand.Rand, out []float64) bool {
-		s := litho.Draw(params, rng)
-		// VarRatios directly, not the session memo: continuous random
+		// The model directly, not the session memo: continuous random
 		// samples never repeat, so memoizing them would only grow the map.
-		r, err := extract.VarRatios(b.Proc, o, s, b.Cap)
+		r, err := rm.Ratios(litho.Draw(params, rng))
 		if err != nil {
 			return false
 		}
@@ -90,11 +91,10 @@ func (b *ColumnBuilder) TrialFunc(o litho.Option, sizes []int, nomTd []float64, 
 //
 // ctrl must be deterministic and reentrant: one closure is shared across
 // workers (it closes over read-only model parameters, not sessions).
-func (b *ColumnBuilder) PairedTrialFunc(o litho.Option, sizes []int, nomTd []float64, ctrl func(n int, r extract.Ratios) float64, bopt BuildOptions, sopt SimOptions) func(*rand.Rand, []float64, []float64) bool {
-	params := litho.Params(b.Proc, o)
+func (b *ColumnBuilder) PairedTrialFunc(rm extract.RatioModel, sizes []int, nomTd []float64, ctrl func(n int, r extract.Ratios) float64, bopt BuildOptions, sopt SimOptions) func(*rand.Rand, []float64, []float64) bool {
+	params := litho.Params(b.Proc, rm.Option())
 	return func(rng *rand.Rand, y, x []float64) bool {
-		s := litho.Draw(params, rng)
-		r, err := extract.VarRatios(b.Proc, o, s, b.Cap)
+		r, err := rm.Ratios(litho.Draw(params, rng))
 		if err != nil {
 			return false
 		}
