@@ -736,9 +736,10 @@ func BenchmarkAblationAdaptiveStep(b *testing.B) {
 // BenchmarkSpiceMC prices the SPICE-in-the-loop Monte-Carlo trial loop
 // and isolates what engine residency buys: both arms draw the same
 // lithography samples, extract the same perturbed parasitics and simulate
-// the same read transients on one reused ColumnBuilder netlist — but the
+// the same read transients on reused netlist storage — but the
 // baseline constructs a fresh spice.New engine per trial (the pre-Reset
-// access pattern) while the resident arm re-targets one engine with
+// access pattern) while the resident arm reads through
+// ColumnBuilder.MeasureTd, which re-targets a pooled warm engine with
 // spice.Engine.Reset. The allocs/op gap is the engine construction cost
 // the Reset path removes from every trial of every worker.
 func BenchmarkSpiceMC(b *testing.B) {

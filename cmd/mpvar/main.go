@@ -362,7 +362,7 @@ func serveMain(args []string) {
 	runTimeout := fs.Duration("run-timeout", 15*time.Minute, "per-run wall-clock budget")
 	drainTimeout := fs.Duration("drain-timeout", 2*time.Minute, "graceful-shutdown budget before in-flight runs are canceled")
 	engineWorkers := fs.Int("engine-workers", 0, "worker count inside each run's engines (0 = all CPUs; never changes results)")
-	fanout := fs.Int("fanout", 0, "shard count heavy runs fan out into (0 = the pool size, 1 = disabled; never changes response bytes)")
+	fanout := fs.Int("fanout", 0, "shard count heavy runs fan out into, capped at the stream's 256-trial block count (0 = the pool size, 1 = disabled; never changes response bytes)")
 	fanoutMinSamples := fs.Int("fanout-min-samples", 0, "estimated-cost threshold (samples x workload cost hint) above which a run fans out (0 = 50000)")
 	fanoutExec := fs.String("fanout-exec", "goroutine", "shard execution vehicle: goroutine (in-process) or remote (peer mpvar serve workers; needs -peers)")
 	fanoutDir := fs.String("fanout-dir", "", "scratch dir for shard artifacts and drain checkpoints (default <tmp>/mpvar-fanout; reuse it across restarts to resume)")

@@ -40,12 +40,13 @@
 // requires re-baselining; the default stream stays bit-exact.
 //
 // The two engines also compose: mc.SpiceTdpAcrossSizes hosts a full read
-// transient inside every Monte-Carlo trial (SPICE-in-the-loop), with each
-// worker owning a sram.ColumnBuilder session whose resident spice.Engine
-// is re-targeted per trial through Engine.Reset — the matrix values,
-// Newton scratch and waveform storage are allocated once per worker, not
-// once per trial, and Reset is bit-identical to a fresh engine (fuzzed in
-// FuzzNetlistReset). The engine compiles each circuit topology once: at
+// transient inside every Monte-Carlo trial (SPICE-in-the-loop). Each read
+// borrows a session — a column netlist scratch and a resident
+// spice.Engine re-targeted through Engine.Reset — from a process-wide free
+// list in sram, so the matrix values, Newton scratch and waveform storage
+// are allocated once per concurrently running read, not once per trial,
+// worker or stream, and Reset is bit-identical to a fresh engine (fuzzed
+// in FuzzNetlistReset). The engine compiles each circuit topology once: at
 // Reset it fingerprints the netlist's terminal lists and, on a miss in
 // its small topology cache, runs sparse.Analyze on the stamp pattern —
 // fill-in under the natural order and a value slot for every stamp.
@@ -54,8 +55,9 @@
 // MOSFET slot adds and Symbolic.Solve, a numeric refactorization that
 // repeats sparse.Solver's arithmetic bit for bit (fuzzed in
 // FuzzCompiledLU) without allocating. A warm read transient allocates
-// three times in all. Numeric drift across refactors is pinned by golden
-// CSVs under internal/exp/testdata/golden (regenerate with
+// nothing, on the fixed-step and the adaptive integrator alike. Numeric
+// drift across refactors is pinned by golden CSVs under
+// internal/exp/testdata/golden (regenerate with
 // go test ./internal/exp -run Golden -update).
 //
 // Experiments are addressed through the workload registry (internal/exp):

@@ -40,9 +40,8 @@ type VectorFunc func(rng *rand.Rand, out []float64) bool
 // StateVectorFunc is a VectorFunc that additionally receives the worker's
 // state (the value Config.WorkerState returned for this worker, nil when
 // no hook is installed). State gives heavyweight trials a home for
-// per-worker sessions — netlist scratch, resident SPICE engines, memoized
-// extractions — that plain closures over shared data cannot provide
-// without locking.
+// per-worker sessions — builders with memoized extractions — that plain
+// closures over shared data cannot provide without locking.
 type StateVectorFunc func(state any, rng *rand.Rand, out []float64) bool
 
 // QuantileSketch bundles the streaming P² order-statistic estimators the

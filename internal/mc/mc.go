@@ -67,7 +67,7 @@ type Config struct {
 	// its return value handed to every trial that worker evaluates (see
 	// StateVectorFunc). It is the hook that lets heavyweight trials own
 	// per-worker sessions — a SPICE-in-the-loop trial keeps a
-	// sram.ColumnBuilder with a resident engine here — without any
+	// sram.ColumnBuilder with its memos here — without any
 	// synchronisation. Determinism contract: the state must only cache
 	// pure functions of the trial inputs (memoized extractions, reused
 	// scratch), never values that depend on which trials the worker

@@ -70,8 +70,12 @@ type streamHeader struct {
 }
 
 // nblocks returns the stream's block count.
-func (h streamHeader) nblocks() int {
-	return (h.Samples + blockSize - 1) / blockSize
+func (h streamHeader) nblocks() int { return Blocks(h.Samples) }
+
+// Blocks returns the number of blocks an n-trial stream is cut into, the
+// most shards that can divide its trials.
+func Blocks(n int) int {
+	return (n + blockSize - 1) / blockSize
 }
 
 // blockBounds returns the trial range [lo,hi) of block b in an n-trial

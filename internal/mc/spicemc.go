@@ -2,7 +2,7 @@
 // distributions driven by full transients instead of the closed-form tdp
 // formula. Every trial draws one lithography sample, extracts the
 // perturbed parasitics and simulates the read at every requested array
-// size on the worker's resident engine (sram.ColumnBuilder +
+// size on a pooled warm engine (sram.ColumnBuilder.MeasureTd +
 // spice.Engine.Reset), streamed through the same block-deterministic
 // aggregation as the analytic path — results are bit-identical for any
 // worker count.
@@ -25,10 +25,11 @@ import (
 // transient at every array size in sizes, and observable j of the result
 // is the simulated tdp penalty in percent at sizes[j] against nomTd[j].
 // The lithography pipeline runs once per trial no matter how many sizes
-// are requested; every worker owns a sram.ColumnBuilder session with a
-// resident SPICE engine, so the hot loop reuses the netlist scratch, the
-// compiled topology and matrix values, and the Newton/waveform buffers
-// across all trials.
+// are requested. Every worker owns a sram.ColumnBuilder, whose reads
+// borrow a session from sram's process-wide free list: the hot loop
+// reuses the netlist scratch, the compiled topology and matrix values,
+// and the Newton/waveform buffers across all trials, workers and streams,
+// so a stream starts on warm sessions rather than cold ones.
 //
 // The nominal inputs (sram.NominalParasitics and ColumnBuilder.NominalTds)
 // come from the caller: nominal geometry is option-independent, so a

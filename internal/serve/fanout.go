@@ -7,11 +7,12 @@
 //
 // A run fans out when its estimated cost (normalized samples × the
 // workload's Hints.Cost weight) crosses Config.FanoutMinSamples and the
-// fan-out width is ≥ 2. The whole fan-out occupies ONE executor slot:
-// the worker that picked the run up dispatches the shards, aggregates
-// their frontiers into the run's monotone progress stream, and blocks
-// until the reduce renders the body — the pool size keeps bounding
-// concurrent submissions while each heavy one uses more of the machine.
+// fan-out width — Config.Fanout, capped at the stream's block count — is
+// ≥ 2. The whole fan-out occupies ONE executor slot: the worker that
+// picked the run up dispatches the shards, aggregates their frontiers
+// into the run's monotone progress stream, and blocks until the reduce
+// renders the body — the pool size keeps bounding concurrent
+// submissions while each heavy one uses more of the machine.
 //
 // Shards write self-identifying artifacts to Config.FanoutDir under
 // their run key, which buys three properties at once: a crashed or
@@ -118,20 +119,24 @@ func (a *shardProgress) update(i, done, total int) {
 }
 
 // fanoutShards decides whether a normalized spec fans out, and into how
-// many shards: Config.Fanout when the width is ≥ 2 and the estimated
+// many shards: Config.Fanout capped at the stream's block count
+// (mc.Blocks of the budget) when that width is ≥ 2 and the estimated
 // cost crosses the threshold, 0 (single-process) otherwise. Workloads
 // without a Cost hint never fan out — their runtime is not in the
 // shardable Monte-Carlo stream, so shards would multiply work instead
-// of dividing it.
+// of dividing it. The cap keeps a SPICE budget of one block per stream
+// direct: one shard would run every trial while the others and the
+// reduce only repeated its nominal reads.
 func (s *Server) fanoutShards(spec core.RunSpec) int {
-	if s.cfg.Fanout < 2 {
+	width := min(s.cfg.Fanout, mc.Blocks(spec.Samples))
+	if width < 2 {
 		return 0
 	}
 	cost, err := spec.EstimatedCost()
 	if err != nil || cost < float64(s.cfg.FanoutMinSamples) {
 		return 0
 	}
-	return s.cfg.Fanout
+	return width
 }
 
 // executeFanout runs one submission as nshards concurrent shard

@@ -112,6 +112,36 @@ func TestFanoutDegeneratesToDirect(t *testing.T) {
 	}
 }
 
+// TestFanoutCappedAtStreamBlocks: the fan-out width is capped at the
+// stream's block count, so a SPICE budget that fits in one block per
+// stream runs direct even on a server whose width and threshold would
+// fan it out. Fanning it out would leave one shard running every trial
+// while the others and the reduce only repeated the nominal reads.
+func TestFanoutCappedAtStreamBlocks(t *testing.T) {
+	body := `{"workload":"mcspice","params":{"n":16},"samples":8}`
+	direct := directBody(t, body)
+	s, ts := newTestServer(t, Config{Workers: 1, Fanout: 2, FanoutMinSamples: 1, EngineWorkers: 1, FanoutDir: t.TempDir()})
+	resp, b := postRun(t, ts, "", body)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Mpvar-Fanout") != "" {
+		t.Fatalf("one-block mcspice: %d fanout header %q: %s", resp.StatusCode, resp.Header.Get("X-Mpvar-Fanout"), b)
+	}
+	if got := s.fanout.runs.Load(); got != 0 {
+		t.Fatalf("one-block mcspice executed %d fan-outs", got)
+	}
+	if !bytes.Equal(direct, b) {
+		t.Fatalf("capped run diverged from the Fanout 1 server:\ndirect: %s\ncapped: %s", direct, b)
+	}
+	_, hb := getJSON(t, ts.URL+"/v1/healthz")
+	var hz struct {
+		Fanout struct {
+			Runs int64 `json:"runs"`
+		} `json:"fanout"`
+	}
+	if err := json.Unmarshal(hb, &hz); err != nil || hz.Fanout.Runs != 0 {
+		t.Fatalf("healthz fan-out runs %d, want 0 (%v): %s", hz.Fanout.Runs, err, hb)
+	}
+}
+
 // flakyExec fails shard 0's first attempt after the inner vehicle has
 // already persisted a partial checkpoint, so the re-dispatch exercises
 // the real resume path, not just the retry counter.

@@ -72,9 +72,10 @@ type Config struct {
 	// DrainTimeout bounds ListenAndServe's graceful shutdown; past it,
 	// in-flight runs are hard-canceled (default 2 minutes).
 	DrainTimeout time.Duration
-	// Fanout is the shard count heavy submissions are split into; ≥ 2
-	// enables the fan-out executor, 1 disables it, and 0 (the default)
-	// adopts the executor pool size. Fan-out never changes response
+	// Fanout is the shard count heavy submissions are split into, capped
+	// per run at its stream's block count (mc.Blocks); ≥ 2 enables the
+	// fan-out executor, 1 disables it, and 0 (the default) adopts the
+	// executor pool size. Fan-out never changes response
 	// bytes — the reduce replays the exact single-process left-fold —
 	// so it is not part of the run key.
 	Fanout int

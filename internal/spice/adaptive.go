@@ -105,6 +105,7 @@ func (e *Engine) beStep(dst, x []float64, t, h float64) error {
 // step-doubling error control: each step h is also taken as two h/2
 // sub-steps; the difference is the local error estimate. On acceptance
 // the more accurate two-half-step solution is kept (local extrapolation).
+// The returned Result is engine-owned storage with Transient's lifetime.
 func (e *Engine) TransientAdaptive(tEnd float64, opt AdaptiveOptions, probes []circuit.NodeID, stop StopFunc) (*Result, error) {
 	if tEnd <= 0 {
 		return nil, fmt.Errorf("spice: bad adaptive window tEnd=%g", tEnd)
@@ -132,15 +133,8 @@ func (e *Engine) TransientAdaptive(tEnd float64, opt AdaptiveOptions, probes []c
 	copy(x, xDC)
 	e.bps = e.breakpoints(e.bps, tEnd)
 	bps := e.bps
-	res := &Result{Nodes: probes, V: make([][]float64, len(probes))}
-	record := func(t float64, x []float64) {
-		res.T = append(res.T, t)
-		for i, p := range probes {
-			res.V[i] = append(res.V[i], vAt(x, p))
-		}
-	}
-	record(0, x)
-	probe := func(id circuit.NodeID) float64 { return vAt(x, id) }
+	res := e.beginResult(probes, 0)
+	res.record(0, x)
 	t := 0.0
 	h := o.DtInit
 	bpIdx := 0
@@ -184,8 +178,8 @@ func (e *Engine) TransientAdaptive(tEnd float64, opt AdaptiveOptions, probes []c
 		// buffer takes the next composite.
 		x, x2 = x2, x
 		t += hEff
-		record(t, x)
-		if stop != nil && stop(t, probe) {
+		res.record(t, x)
+		if e.stopped(stop, t, x) {
 			break
 		}
 		// Grow the step toward the tolerance (BE is first order:

@@ -65,10 +65,11 @@ func (o Options) withDefaults() Options {
 
 // Engine simulates one netlist. An Engine owns all the scratch a transient
 // needs — the compiled topology, the matrix value arrays, the Newton
-// iteration buffers and the waveform storage — and Reset re-targets the
-// whole bundle at a mutated netlist without going back to the allocator,
-// which is what makes SPICE-in-the-loop Monte-Carlo affordable (one
-// resident Engine per worker instead of a New per trial).
+// iteration buffers and the returned Result with its waveform storage —
+// and Reset re-targets the whole bundle at a mutated netlist without
+// going back to the allocator, which is what makes SPICE-in-the-loop
+// Monte-Carlo affordable (a resident Engine re-targeted per read instead
+// of a New per trial).
 //
 // The matrices are flat value arrays over the slots of the current
 // topology's symbolic LU (see topology): assembling one is a copy plus
@@ -107,9 +108,8 @@ type Engine struct {
 	// per-stage DC and per-step adaptive matrix, rhsStep/rhsIter the
 	// per-step and per-iteration right-hand sides, sol the solver output,
 	// x0 the DC initial guess, xA/xB the ping-pong Newton solution
-	// buffers, adapt the adaptive integrator's detached states, bps its
-	// breakpoints, and resT/resV the waveform storage behind the Result
-	// of the fixed-step Transient.
+	// buffers, adapt the adaptive integrator's detached states and bps
+	// its breakpoints.
 	work    []float64
 	dcBase  []float64
 	rhsStep []float64
@@ -119,8 +119,14 @@ type Engine struct {
 	xA, xB  []float64
 	adapt   [4][]float64
 	bps     []float64
-	resT    []float64
-	resV    [][]float64
+
+	// res is the Result both integrators return, waveform storage
+	// included. probe is the voltage accessor handed to a StopFunc, built
+	// once per engine; it reads probeX, the state of the step being
+	// checked.
+	res    Result
+	probe  func(circuit.NodeID) float64
+	probeX []float64
 }
 
 // SetNodeset installs DC solution hints (see the nodeset field).
@@ -145,8 +151,8 @@ func New(ckt *circuit.Netlist, opts Options) (*Engine, error) {
 // engine on the same netlist: Reset only removes reallocation, never
 // changes an arithmetic step.
 //
-// Reset clears any installed nodeset and invalidates Results returned by
-// earlier Transient calls on this engine (their waveform storage is
+// Reset clears any installed nodeset and invalidates the Result returned
+// by an earlier Transient or TransientAdaptive call on this engine (it is
 // recycled).
 func (e *Engine) Reset(ckt *circuit.Netlist, opts Options) error {
 	if err := ckt.Validate(); err != nil {
@@ -427,17 +433,65 @@ func (r *Result) FirstCrossing(f func(step int) float64, threshold float64, dir 
 }
 
 // StopFunc lets callers terminate a transient early; it receives the step
-// index and a voltage accessor.
+// time and a voltage accessor, which is valid only during the call.
 type StopFunc func(t float64, v func(circuit.NodeID) float64) bool
+
+// beginResult readies the engine-owned Result for a run probing probes,
+// every waveform empty with room for steps samples (a longer run grows
+// them, and the grown storage serves the next run).
+func (e *Engine) beginResult(probes []circuit.NodeID, steps int) *Result {
+	r := &e.res
+	r.Nodes = probes
+	r.T = emptyCap(r.T, steps)
+	if cap(r.V) < len(probes) {
+		v := make([][]float64, len(probes))
+		copy(v, r.V[:cap(r.V)])
+		r.V = v
+	}
+	r.V = r.V[:len(probes)]
+	for i := range r.V {
+		r.V[i] = emptyCap(r.V[i], steps)
+	}
+	return r
+}
+
+// emptyCap returns buf emptied, reallocated only when its capacity is
+// below n.
+func emptyCap(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, 0, n)
+	}
+	return buf[:0]
+}
+
+// record appends the probed voltages of state x at time t.
+func (r *Result) record(t float64, x []float64) {
+	r.T = append(r.T, t)
+	for i, p := range r.Nodes {
+		r.V[i] = append(r.V[i], vAt(x, p))
+	}
+}
+
+// stopped reports whether stop ends the run at time t in state x.
+func (e *Engine) stopped(stop StopFunc, t float64, x []float64) bool {
+	if stop == nil {
+		return false
+	}
+	if e.probe == nil {
+		e.probe = func(id circuit.NodeID) float64 { return vAt(e.probeX, id) }
+	}
+	e.probeX = x
+	return stop(t, e.probe)
+}
 
 // Transient integrates from 0 to tEnd with fixed step dt, starting from
 // the DC operating point, probing the given nodes each step. If stop is
 // non-nil the run ends once it returns true (after recording that step).
 //
-// The returned Result's waveform storage belongs to the engine and is
-// recycled by the next Transient or Reset call on this engine; callers
-// that keep an engine resident across runs must extract what they need
-// (crossings, measurements, copies) before reusing the engine.
+// The returned Result, waveforms included, belongs to the engine and is
+// recycled by the next Transient, TransientAdaptive or Reset call on this
+// engine; callers that keep an engine resident across runs must extract
+// what they need (crossings, measurements, copies) before reusing it.
 func (e *Engine) Transient(tEnd, dt float64, probes []circuit.NodeID, stop StopFunc) (*Result, error) {
 	if dt <= 0 || tEnd <= 0 || tEnd < dt {
 		return nil, fmt.Errorf("spice: bad transient window tEnd=%g dt=%g", tEnd, dt)
@@ -451,37 +505,8 @@ func (e *Engine) Transient(tEnd, dt float64, probes []circuit.NodeID, stop StopF
 	for i := range e.capI {
 		e.capI[i] = 0
 	}
-	steps := int(math.Ceil(tEnd/dt)) + 1
-	res := &Result{Nodes: probes}
-	if cap(e.resT) < steps {
-		e.resT = make([]float64, 0, steps)
-	}
-	res.T = e.resT[:0]
-	if cap(e.resV) >= len(probes) {
-		e.resV = e.resV[:len(probes)]
-	} else {
-		old := e.resV
-		e.resV = make([][]float64, len(probes))
-		copy(e.resV, old)
-	}
-	res.V = e.resV
-	for i := range res.V {
-		if cap(res.V[i]) < steps {
-			res.V[i] = make([]float64, 0, steps)
-		} else {
-			res.V[i] = res.V[i][:0]
-		}
-	}
-	record := func(t float64, x []float64) {
-		res.T = append(res.T, t)
-		for i, p := range probes {
-			res.V[i] = append(res.V[i], vAt(x, p))
-		}
-	}
-	record(0, x)
-	// One voltage accessor for the whole run: it reads x as the loop
-	// advances it, so stop costs no allocation per step.
-	probe := func(id circuit.NodeID) float64 { return vAt(x, id) }
+	res := e.beginResult(probes, int(math.Ceil(tEnd/dt))+1)
+	res.record(0, x)
 	trap := e.opts.Method == Trapezoidal
 	k := 1.0
 	if trap {
@@ -512,12 +537,10 @@ func (e *Engine) Transient(tEnd, dt float64, probes []circuit.NodeID, stop StopF
 			}
 		}
 		x = xNew
-		record(t, x)
-		if stop != nil && stop(t, probe) {
+		res.record(t, x)
+		if e.stopped(stop, t, x) {
 			break
 		}
 	}
-	// Retain grown waveform storage for the next run on this engine.
-	e.resT = res.T
 	return res, nil
 }

@@ -2,8 +2,9 @@ package sram
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
-	"mpsram/internal/circuit"
 	"mpsram/internal/device"
 	"mpsram/internal/extract"
 	"mpsram/internal/litho"
@@ -11,22 +12,27 @@ import (
 	"mpsram/internal/tech"
 )
 
-// ColumnBuilder is a per-worker column construction and simulation
-// session — the reusable path behind the SPICE sweep engine. A fresh
-// builder per point re-extracts the nominal parasitics, re-instantiates
-// the device cards and reallocates the whole netlist for every trial; a
-// held ColumnBuilder amortizes all three across however many
-// (sample, size) points a sweep visits: it caches the nominal per-cell
-// parasitics and the extracted variability ratios per (option, sample),
-// shares one NMOS/PMOS model card pair across builds, and rebuilds every
-// column into one reusable netlist.
+// ColumnBuilder is a column construction and simulation session for one
+// process and capacitance model — the reusable path behind the SPICE
+// sweep and Monte-Carlo engines. It holds what depends on the process:
+// one NMOS/PMOS model card pair shared by every build, the memoized
+// nominal per-cell parasitics and the extracted variability ratios per
+// (option, sample). What a read needs that does not depend on the
+// process — the column netlist scratch and the resident SPICE engine,
+// with its compiled topologies, value arrays and Newton and waveform
+// buffers — lives in sessions that MeasureTd borrows from a process-wide
+// free list for one call. Every builder in the process, so every mc and
+// sweep worker and every nominal read, reuses those warm sessions, and
+// only the first reads pay for allocating them.
 //
 // Results are bit-identical to a fresh builder per point: construction is
-// deterministic and the cached values are pure functions of the inputs, so
-// caching only removes recomputation, never changes a float.
+// deterministic, spice.Engine.Reset is bit-identical to a fresh engine
+// and the cached values are pure functions of the inputs, so caching and
+// pooling only remove recomputation, never change a float.
 //
 // A ColumnBuilder is not safe for concurrent use; give each worker its
-// own.
+// own. The sessions are shared safely: a MeasureTd call holds its session
+// exclusively.
 type ColumnBuilder struct {
 	Proc tech.Process
 	Cap  extract.CapModel
@@ -38,16 +44,10 @@ type ColumnBuilder struct {
 	nom     CellParasitics
 	ratios  map[ratioKey]extract.Ratios
 
-	// scratch is the reused netlist and build storage; the Column
-	// returned by Build aliases it and stays valid only until the next
-	// Build call.
+	// scratch is Build's netlist storage, made on the first Build. The
+	// builder owns it because the Column that Build returns aliases it
+	// and outlives the call.
 	scratch *columnScratch
-
-	// eng is the resident SPICE engine, re-targeted with
-	// spice.Engine.Reset on every MeasureTd so the compiled topology, the
-	// matrix values, the Newton scratch and the waveform storage survive
-	// across trials.
-	eng *spice.Engine
 }
 
 type ratioKey struct {
@@ -100,38 +100,91 @@ func (b *ColumnBuilder) Ratios(o litho.Option, s litho.Sample) (extract.Ratios, 
 	return r, nil
 }
 
-// Build constructs the column into the session's reusable netlist scratch.
-// The returned Column (and its Netlist) aliases that scratch and is valid
-// only until the next Build call on this session.
+// Build constructs the column into the builder's reusable netlist
+// scratch. The returned Column (and its Netlist) aliases that scratch and
+// is valid only until the next Build call on this builder.
 func (b *ColumnBuilder) Build(n int, cp CellParasitics, opt BuildOptions) (*Column, error) {
 	if b.scratch == nil {
-		b.scratch = &columnScratch{nl: circuit.New()}
-	} else {
-		b.scratch.nl.Reset()
+		b.scratch = new(columnScratch)
 	}
 	return b.scratch.build(b.nmos, b.pmos, b.Proc, n, cp, opt)
 }
 
 // MeasureTd builds the column for parasitics cp at size n and runs the
-// read transient on the session's resident engine, returning td in
-// seconds. The first call constructs the engine; later calls re-target it
-// with spice.Engine.Reset, which reuses every internal allocation and is
-// bit-identical to a fresh engine.
+// read transient, returning td in seconds. Both run on a session borrowed
+// from the process-wide free list for this call alone, so a warm read
+// allocates nothing.
 func (b *ColumnBuilder) MeasureTd(n int, cp CellParasitics, bopt BuildOptions, sopt SimOptions) (float64, error) {
-	col, err := b.Build(n, cp, bopt)
+	s := acquireSession()
+	td, err := s.measureTd(b, n, cp, bopt, sopt)
+	// Not deferred: a session a panic left half-written is dropped.
+	releaseSession(s)
+	return td, err
+}
+
+// session is the process-independent half of a read: the column netlist
+// scratch and the resident SPICE engine, re-targeted at each rebuilt
+// netlist with spice.Engine.Reset.
+type session struct {
+	sc  columnScratch
+	eng *spice.Engine
+}
+
+// idleSessions is the free list behind MeasureTd: a mutex-guarded stack
+// of at most GOMAXPROCS idle sessions, the most recently used on top. It
+// is not a sync.Pool, which may drop any item it holds (under the race
+// detector it drops a quarter of its Puts) and would leave a warm read's
+// cost to chance.
+var idleSessions struct {
+	mu   sync.Mutex
+	free []*session
+}
+
+// acquireSession takes the most recently used idle session, or makes one.
+func acquireSession() *session {
+	idleSessions.mu.Lock()
+	defer idleSessions.mu.Unlock()
+	free := idleSessions.free
+	if len(free) == 0 {
+		return new(session)
+	}
+	s := free[len(free)-1]
+	free[len(free)-1] = nil
+	idleSessions.free = free[:len(free)-1]
+	return s
+}
+
+// releaseSession puts s back on the free list. A full list drops its
+// least recently used sessions, so the warmest stay.
+func releaseSession(s *session) {
+	limit := runtime.GOMAXPROCS(0)
+	idleSessions.mu.Lock()
+	defer idleSessions.mu.Unlock()
+	free := idleSessions.free
+	if over := len(free) + 1 - limit; over > 0 {
+		n := copy(free, free[over:])
+		clear(free[n:])
+		free = free[:n]
+	}
+	idleSessions.free = append(free, s)
+}
+
+// measureTd is MeasureTd on this session.
+func (s *session) measureTd(b *ColumnBuilder, n int, cp CellParasitics, bopt BuildOptions, sopt SimOptions) (float64, error) {
+	col, err := s.sc.build(b.nmos, b.pmos, b.Proc, n, cp, bopt)
 	if err != nil {
 		return 0, err
 	}
 	opts := spice.Options{Method: sopt.Method}
-	if b.eng == nil {
-		b.eng, err = spice.New(col.Netlist, opts)
+	if s.eng == nil {
+		s.eng, err = spice.New(col.Netlist, opts)
 	} else {
-		err = b.eng.Reset(col.Netlist, opts)
+		err = s.eng.Reset(col.Netlist, opts)
 	}
 	if err != nil {
 		return 0, err
 	}
-	res, err := col.measureTdOn(b.eng, cp, sopt)
+	res, err := col.measureTdOn(s.eng, cp, sopt)
 	if err != nil {
 		return 0, err
 	}

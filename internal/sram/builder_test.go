@@ -1,10 +1,14 @@
 package sram
 
 import (
+	"fmt"
+	"math"
+	"sync"
 	"testing"
 
 	"mpsram/internal/extract"
 	"mpsram/internal/litho"
+	"mpsram/internal/spice"
 	"mpsram/internal/tech"
 )
 
@@ -69,7 +73,7 @@ func TestColumnBuilderScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if col.Netlist != b.scratch.nl {
-		t.Fatal("Build must reuse the session scratch netlist")
+		t.Fatal("Build must reuse the builder scratch netlist")
 	}
 	if got, want := col.Netlist.WriteSpice("x"), ref.Netlist.WriteSpice("x"); got != want {
 		t.Fatalf("reused-scratch netlist differs from fresh build:\n%s\nvs\n%s", got, want)
@@ -107,37 +111,135 @@ func TestColumnBuilderRatioCache(t *testing.T) {
 	}
 }
 
-// TestMeasureTdSteadyStateAllocations pins the allocation count of a warm
-// ColumnBuilder.MeasureTd: the netlist rebuild reuses its labels and
-// storage, the engine reuses its compiled topology and value arrays, and
-// the transient loop allocates nothing per step. A per-step or per-element
-// allocation coming back (hundreds per transient) fails this at once.
+// TestMeasureTdSteadyStateAllocations pins a warm ColumnBuilder.MeasureTd
+// at zero allocations on both integrators: the pooled session's netlist
+// rebuild reuses its labels and storage, its engine reuses the compiled
+// topology, the value arrays and the engine-owned Result and waveforms,
+// and the transient loops allocate nothing per step.
 func TestMeasureTdSteadyStateAllocations(t *testing.T) {
-	const maxAllocs = 32
 	p := tech.N10()
 	b := NewColumnBuilder(p, extract.SakuraiTamaru{})
 	nom, err := b.Nominal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := func(n int) {
-		if _, err := b.MeasureTd(n, nom, BuildOptions{}, SimOptions{}); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		sopt SimOptions
+	}{
+		{"fixed-step", SimOptions{}},
+		{"adaptive", SimOptions{Adaptive: true}},
+	} {
+		measure := func(n int) {
+			if _, err := b.MeasureTd(n, nom, BuildOptions{}, tc.sopt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Warm both column shapes: n = 16 has its own topology, n = 64
+		// the one every larger array shares.
+		measure(64)
+		measure(16)
+		got := testing.AllocsPerRun(2, func() { measure(64) })
+		t.Logf("%s: warm MeasureTd(n=64): %v allocations per transient", tc.name, got)
+		if got != 0 {
+			t.Errorf("%s: warm MeasureTd(n=64) allocates %v times per transient, want 0", tc.name, got)
+		}
+		// Bouncing between the two shapes re-targets the cached topologies.
+		got = testing.AllocsPerRun(2, func() { measure(16); measure(64) }) / 2
+		t.Logf("%s: MeasureTd bouncing n=16/64: %v allocations per transient", tc.name, got)
+		if got != 0 {
+			t.Errorf("%s: MeasureTd bouncing n=16/64 allocates %v times per transient, want 0", tc.name, got)
 		}
 	}
-	// Warm both column shapes: n = 16 has its own topology, n = 64 the
-	// one every larger array shares.
-	measure(64)
-	measure(16)
-	got := testing.AllocsPerRun(2, func() { measure(64) })
-	t.Logf("warm MeasureTd(n=64): %v allocations per transient", got)
-	if got > maxAllocs {
-		t.Fatalf("warm MeasureTd(n=64) allocates %v times per transient, want ≤ %d", got, maxAllocs)
+}
+
+// TestPooledSessionsBitIdenticalUnderConcurrency: goroutines that
+// interleave MeasureTd calls over processes, array sizes, integrators and
+// build options share the pooled sessions, so every read re-targets a
+// session last used for a different circuit, often under another
+// process. Each td must still equal, bit for bit, a fresh BuildColumn +
+// Column.MeasureTd on the same inputs.
+func TestPooledSessionsBitIdenticalUnderConcurrency(t *testing.T) {
+	type point struct {
+		p    tech.Process
+		n    int
+		cp   CellParasitics
+		bopt BuildOptions
+		sopt SimOptions
 	}
-	// Bouncing between the two shapes re-targets the cached topologies.
-	got = testing.AllocsPerRun(2, func() { measure(16); measure(64) }) / 2
-	t.Logf("MeasureTd bouncing n=16/64: %v allocations per transient", got)
-	if got > maxAllocs {
-		t.Fatalf("MeasureTd bouncing n=16/64 allocates %v times per transient, want ≤ %d", got, maxAllocs)
+	cm := extract.SakuraiTamaru{}
+	sims := []SimOptions{
+		{Method: spice.Trapezoidal},
+		{Method: spice.BackwardEuler},
+		{Adaptive: true},
+	}
+	var pts []point
+	for _, p := range []tech.Process{tech.N10(), tech.N7(), tech.N5()} {
+		nom, err := NominalParasitics(p, cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{16, 64, 1024} {
+			for _, sopt := range sims {
+				// Alternate the two build variants and a perturbed draw
+				// so neighbouring points differ in topology and values.
+				k := len(pts)
+				bopt := BuildOptions{Lumped: k%2 == 0, VssTapBothEnds: k%2 == 1}
+				cp := nom
+				if k%4 < 2 {
+					cp = nom.Scale(extract.Ratios{Rvar: 1.07, Cvar: 0.96, RvssVar: 1.12})
+				}
+				pts = append(pts, point{p, n, cp, bopt, sopt})
+			}
+		}
+	}
+	want := make([]float64, len(pts))
+	for i, pt := range pts {
+		col, err := BuildColumn(pt.p, pt.n, pt.cp, pt.bopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := col.MeasureTd(pt.cp, pt.sopt)
+		if err != nil {
+			t.Fatalf("%s n=%d: fresh read: %v", pt.p.Name, pt.n, err)
+		}
+		want[i] = res.Td
+	}
+	const workers = 3
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			builders := map[string]*ColumnBuilder{}
+			// Each worker walks the points from its own offset, so the
+			// workers' reads interleave on the shared sessions.
+			for k := range pts {
+				i := (k + w*len(pts)/workers) % len(pts)
+				pt := pts[i]
+				b, ok := builders[pt.p.Name]
+				if !ok {
+					b = NewColumnBuilder(pt.p, cm)
+					builders[pt.p.Name] = b
+				}
+				got, err := b.MeasureTd(pt.n, pt.cp, pt.bopt, pt.sopt)
+				if err != nil {
+					errs[w] = fmt.Errorf("%s n=%d %+v %+v: %w", pt.p.Name, pt.n, pt.bopt, pt.sopt, err)
+					return
+				}
+				if math.Float64bits(got) != math.Float64bits(want[i]) {
+					errs[w] = fmt.Errorf("%s n=%d %+v %+v: pooled td %v != fresh td %v",
+						pt.p.Name, pt.n, pt.bopt, pt.sopt, got, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -3,10 +3,11 @@
 // the paper's closed-form tdp formula on each process-variation draw, this
 // path realizes the drawn lithography sample into perturbed parasitics and
 // runs the full read transient per array size — the experiment the paper's
-// Tables II–IV actually rest on. The ColumnBuilder session keeps the cost
-// per trial sane: one reusable netlist scratch and one resident SPICE
-// engine (re-targeted with spice.Engine.Reset) per worker, so the hot loop
-// performs no per-trial engine construction.
+// Tables II–IV actually rest on. Every transient runs on a pooled session
+// (see ColumnBuilder.MeasureTd): a reusable netlist scratch and a resident
+// SPICE engine re-targeted with spice.Engine.Reset, shared process-wide
+// across workers, streams and jobs, so the hot loop constructs no engine
+// and a warm read allocates nothing.
 package sram
 
 import (
@@ -51,13 +52,13 @@ func (b *ColumnBuilder) NominalTds(sizes []int, bopt BuildOptions, sopt SimOptio
 // rm must be built on the builder's process and capacitance model; it is
 // never modified, so the caller builds it once per stream and hands it to
 // every worker. nomTd must hold the nominal read times for sizes (see
-// NominalTds). The returned closure drives this builder's netlist scratch
-// and resident engine, so it inherits the session's concurrency contract:
-// one builder per worker.
+// NominalTds). The returned closure reads through this builder's memos,
+// so it inherits the builder's concurrency contract: one builder per
+// worker.
 func (b *ColumnBuilder) TrialFunc(rm extract.RatioModel, sizes []int, nomTd []float64, bopt BuildOptions, sopt SimOptions) func(*rand.Rand, []float64) bool {
 	params := litho.Params(b.Proc, rm.Option())
 	return func(rng *rand.Rand, out []float64) bool {
-		// The model directly, not the session memo: continuous random
+		// The model directly, not the builder memo: continuous random
 		// samples never repeat, so memoizing them would only grow the map.
 		r, err := rm.Ratios(litho.Draw(params, rng))
 		if err != nil {
@@ -90,7 +91,7 @@ func (b *ColumnBuilder) TrialFunc(rm extract.RatioModel, sizes []int, nomTd []fl
 // identical to TrialFunc's for the same (Seed, trial).
 //
 // ctrl must be deterministic and reentrant: one closure is shared across
-// workers (it closes over read-only model parameters, not sessions).
+// workers (it closes over read-only model parameters, not builders).
 func (b *ColumnBuilder) PairedTrialFunc(rm extract.RatioModel, sizes []int, nomTd []float64, ctrl func(n int, r extract.Ratios) float64, bopt BuildOptions, sopt SimOptions) func(*rand.Rand, []float64, []float64) bool {
 	params := litho.Params(b.Proc, rm.Option())
 	return func(rng *rand.Rand, y, x []float64) bool {

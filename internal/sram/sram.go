@@ -76,7 +76,7 @@ type Column struct {
 	pmos *device.MOS
 
 	// nodeset and probes are measureTdOn's storage, kept with the Column
-	// so a ColumnBuilder's reused Column reuses them too.
+	// so a reused scratch's Column reuses them too.
 	nodeset map[circuit.NodeID]float64
 	probes  []circuit.NodeID
 }
@@ -128,16 +128,16 @@ func CFE(f tech.FEOL) float64 { return f.WPassGate * f.CJPerM }
 //	                 │C+Cpre      │C                │C          [6T cell]
 //	gnd ──(tap)──  vss_S ──R── vss_{S-1} ── … ── vss_0 ──[M_pd src]
 func BuildColumn(p tech.Process, n int, cp CellParasitics, opt BuildOptions) (*Column, error) {
-	sc := &columnScratch{nl: circuit.New()}
-	return sc.build(device.NewNMOS(p.FEOL), device.NewPMOS(p.FEOL), p, n, cp, opt)
+	return new(columnScratch).build(device.NewNMOS(p.FEOL), device.NewPMOS(p.FEOL), p, n, cp, opt)
 }
 
 // columnScratch is the storage a column build fills — the netlist, the
 // Column, the per-segment node ids — plus what a rebuild can reuse as is:
 // the per-segment labels, formatted once per segment index, and the
-// source waveforms, boxed once per supply voltage. ColumnBuilder keeps
-// one across builds, so a rebuild on the reused netlist allocates almost
-// nothing and calls no fmt.Sprintf.
+// source waveforms, boxed once per supply voltage. None of it depends on
+// the process, so one scratch serves builds for any: a rebuild on the
+// reused netlist allocates nothing and calls no fmt.Sprintf. The zero
+// value is ready to use.
 type columnScratch struct {
 	nl           *circuit.Netlist
 	col          Column
@@ -178,16 +178,21 @@ func nodes(buf []circuit.NodeID, n int) []circuit.NodeID {
 	return make([]circuit.NodeID, n)
 }
 
-// build constructs the column into the scratch, whose netlist must be
-// empty (fresh or Reset); construction is deterministic, so a reused
-// scratch yields element-for-element the same circuit as a fresh one. The
-// returned Column aliases the scratch.
+// build constructs the column into the scratch, emptying its netlist
+// first; construction is deterministic, so a reused scratch yields
+// element-for-element the same circuit as a fresh one. The returned
+// Column aliases the scratch.
 func (sc *columnScratch) build(nmos, pmos *device.MOS, p tech.Process, n int, cp CellParasitics, opt BuildOptions) (*Column, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("sram: array size %d < 1", n)
 	}
 	if cp.Rbl <= 0 || cp.Cbl <= 0 || cp.Rvss <= 0 {
 		return nil, fmt.Errorf("sram: non-positive parasitics %+v", cp)
+	}
+	if sc.nl == nil {
+		sc.nl = circuit.New()
+	} else {
+		sc.nl.Reset()
 	}
 	f := p.FEOL
 	nl := sc.nl
@@ -359,9 +364,9 @@ type ReadResult struct {
 
 // MeasureTd runs the read transient and extracts td: the time from the
 // word-line-enable instant until |Vbl − Vblb| at the sense end reaches
-// the sense-amplifier sensitivity. It constructs a fresh engine per call;
-// hot loops should hold a ColumnBuilder, whose resident engine is
-// re-targeted with spice.Engine.Reset instead.
+// the sense-amplifier sensitivity. It constructs a fresh engine per call,
+// so the returned waveforms stay valid; hot loops should use
+// ColumnBuilder.MeasureTd, which reads td on a pooled warm engine.
 func (c *Column) MeasureTd(cp CellParasitics, opt SimOptions) (ReadResult, error) {
 	eng, err := spice.New(c.Netlist, spice.Options{Method: opt.Method})
 	if err != nil {
@@ -371,8 +376,8 @@ func (c *Column) MeasureTd(cp CellParasitics, opt SimOptions) (ReadResult, error
 }
 
 // measureTdOn is MeasureTd on a caller-supplied engine already targeted at
-// c.Netlist — the reuse hook behind ColumnBuilder's resident engine. The
-// returned ReadResult's waveforms alias the engine's recycled storage.
+// c.Netlist — the reuse hook behind the pooled sessions' resident engines.
+// The returned ReadResult's waveforms alias the engine's recycled storage.
 func (c *Column) measureTdOn(eng *spice.Engine, cp CellParasitics, opt SimOptions) (ReadResult, error) {
 	f := c.proc.FEOL
 	est := c.estimateTd(cp)

@@ -24,15 +24,17 @@
 // exactly as before.
 //
 // The deduped job set executes on a worker pool. Each worker owns one
-// sram.ColumnBuilder per process — a session that caches the nominal
-// extraction and rebuilds every column into one reusable netlist — and
-// pulls jobs off a shared cursor. Worst-case corner searches and the
-// nominal extractions run once, up front, and are shared read-only by all
-// workers. The context cancels the sweep between jobs; progress callbacks
-// are serialized and strictly increasing. Every job is an independent,
-// deterministic simulation written to its own result slot, so a sweep's
-// results are bit-identical for any worker count — and bit-identical to
-// simulating each point serially on a fresh sram.ColumnBuilder.
+// sram.ColumnBuilder per process, which caches the nominal extraction,
+// and pulls jobs off a shared cursor; every read borrows a warm netlist
+// scratch and resident engine from sram's process-wide session free
+// list, so workers and successive sweeps stop paying a cold start.
+// Worst-case corner searches and the nominal extractions run once, up
+// front, and are shared read-only by all workers. The context cancels
+// the sweep between jobs; progress callbacks are serialized and strictly
+// increasing. Every job is an independent, deterministic simulation
+// written to its own result slot, so a sweep's results are bit-identical
+// for any worker count — and bit-identical to simulating each point
+// serially on a fresh sram.ColumnBuilder.
 package sweep
 
 import (
@@ -335,7 +337,7 @@ func (r *Result) Jobs() int { return len(r.td) }
 // results. The shared inputs — nominal parasitics per process and one
 // worst-case corner search per (process, option) — are resolved once
 // before the pool starts; each worker then simulates with its own
-// reusable per-process ColumnBuilder sessions.
+// per-process ColumnBuilder, reading on pooled sessions.
 func Run(ctx context.Context, env Env, plan *Plan, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -430,9 +432,9 @@ func Run(ctx context.Context, env Env, plan *Plan, cfg Config) (*Result, error) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One reusable build/simulate session per (worker, process),
-			// created lazily on the first job that needs it; the
-			// coordinator's nominal extractions seed the caches.
+			// One builder per (worker, process), created lazily on the
+			// first job that needs it; the coordinator's nominal
+			// extractions seed the caches.
 			builders := make(map[string]*sram.ColumnBuilder, len(procs))
 			builderFor := func(key string) *sram.ColumnBuilder {
 				b, ok := builders[key]
