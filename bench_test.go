@@ -350,6 +350,29 @@ func BenchmarkTable4SurfaceSharedVsPerCell(b *testing.B) {
 // reads all three tables from the memoized results.
 func BenchmarkSpiceSweepSharedVsSerial(b *testing.B) {
 	e := env(b)
+	// oneShot is one pre-sweep-engine call: a fresh builder extracts the
+	// nominal and reads it, then, for a corner sample, extracts the
+	// corner's ratios and reads the perturbed column too.
+	oneShot := func(b *testing.B, o litho.Option, s *litho.Sample, n int) {
+		builder := sram.NewColumnBuilder(e.Proc, e.Cap)
+		nom, err := builder.Nominal()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := builder.MeasureTd(n, nom, e.Build, e.Sim); err != nil {
+			b.Fatal(err)
+		}
+		if s == nil {
+			return
+		}
+		r, err := extract.VarRatios(e.Proc, o, *s, e.Cap)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := builder.MeasureTd(n, nom.Scale(r), e.Build, e.Sim); err != nil {
+			b.Fatal(err)
+		}
+	}
 	serialPenalties := func(b *testing.B) {
 		for _, o := range litho.Options {
 			wc, err := extract.WorstCase(e.Proc, o, e.Cap)
@@ -357,9 +380,7 @@ func BenchmarkSpiceSweepSharedVsSerial(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, n := range exp.PaperSizes {
-				if _, _, _, err := sram.NewColumnBuilder(e.Proc, e.Cap).TdPenaltyPct(o, wc.Sample, n, e.Build, e.Sim); err != nil {
-					b.Fatal(err)
-				}
+				oneShot(b, o, &wc.Sample, n)
 			}
 		}
 	}
@@ -368,9 +389,7 @@ func BenchmarkSpiceSweepSharedVsSerial(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			serialPenalties(b)                 // Fig. 4
 			for _, n := range exp.PaperSizes { // Table II
-				if _, err := sram.NewColumnBuilder(e.Proc, e.Cap).SimulateTd(litho.EUV, litho.Nominal, n, e.Build, e.Sim); err != nil {
-					b.Fatal(err)
-				}
+				oneShot(b, litho.EUV, nil, n)
 			}
 			serialPenalties(b) // Table III
 		}
@@ -764,7 +783,6 @@ func BenchmarkSpiceMC(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			builder := sram.NewColumnBuilder(p, cm)
-			builder.SetNominal(nom)
 			rng := rand.New(rand.NewSource(0))
 			for tr := 0; tr < trials; tr++ {
 				rng.Seed(2015 + int64(tr))
@@ -817,16 +835,12 @@ func BenchmarkSpiceMCCV(b *testing.B) {
 	const size = 16
 	cfg := e.MC
 	cfg.Samples = 8
-	p, cm, o := e.Proc, e.Cap, litho.EUV
+	o := litho.EUV
 	m, err := e.Model()
 	if err != nil {
 		b.Fatal(err)
 	}
-	seedBuilder := sram.NewColumnBuilder(p, cm)
-	nom, err := seedBuilder.Nominal()
-	if err != nil {
-		b.Fatal(err)
-	}
+	seedBuilder := sram.NewColumnBuilder(e.Proc, e.Cap)
 	nomTd, err := seedBuilder.NominalTds([]int{size}, e.Build, e.Sim)
 	if err != nil {
 		b.Fatal(err)
@@ -834,7 +848,7 @@ func BenchmarkSpiceMCCV(b *testing.B) {
 	ctx := context.Background()
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			vr, err := mc.SpiceTdpAcrossSizes(ctx, p, o, cm, []int{size}, nom, nomTd, e.Build, e.Sim, cfg)
+			vr, err := mc.SpiceTdpAcrossSizes(ctx, seedBuilder, o, []int{size}, nomTd, e.Build, e.Sim, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -845,7 +859,7 @@ func BenchmarkSpiceMCCV(b *testing.B) {
 	})
 	b.Run("cv", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cvr, err := mc.SpiceTdpCVAcrossSizes(ctx, p, o, m, cm, []int{size}, nom, nomTd, e.Build, e.Sim, cfg)
+			cvr, err := mc.SpiceTdpCVAcrossSizes(ctx, seedBuilder, o, m, []int{size}, nomTd, e.Build, e.Sim, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -864,7 +878,7 @@ func BenchmarkSpiceMCCV(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			cvr, err := mc.SpiceTdpCVAcrossSizes(ctx, p, o, m, cm, []int{size}, nom, adTd, e.Build, sopt, cfg)
+			cvr, err := mc.SpiceTdpCVAcrossSizes(ctx, seedBuilder, o, m, []int{size}, adTd, e.Build, sopt, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -20,12 +20,14 @@
 //
 // The two execution engines share one design: callers declare work
 // (a sweep.Plan of simulation points; a Monte-Carlo sample budget), the
-// engine deduplicates or streams it across a worker pool with per-worker
-// reusable scratch, and deterministic aggregation makes every result
-// bit-identical for any worker count. Fig. 4, Table II and Table III are
-// views over one shared sweep (16 unique transients instead of the 52 a
-// serial reproduction issues); Fig. 5 and Table IV are views over shared
-// Monte-Carlo streams.
+// engine deduplicates or streams it across a worker pool, and
+// deterministic aggregation makes every result bit-identical for any
+// worker count. The workers share one read-only builder per process or
+// one trial function per stream and keep nothing of their own but
+// reusable scratch, so any worker can run any job or trial. Fig. 4,
+// Table II and Table III are views over one shared sweep (16 unique
+// transients instead of the 52 a serial reproduction issues); Fig. 5 and
+// Table IV are views over shared Monte-Carlo streams.
 //
 // The process axis threads through both engines: sweep.Plan points and
 // Monte-Carlo streams key on (process, option, …), a single cross-process
@@ -40,15 +42,17 @@
 // requires re-baselining; the default stream stays bit-exact.
 //
 // The two engines also compose: mc.SpiceTdpAcrossSizes hosts a full read
-// transient inside every Monte-Carlo trial (SPICE-in-the-loop). Each read
-// borrows a session — a column netlist scratch and a resident
-// spice.Engine re-targeted through Engine.Reset — from a process-wide free
-// list in sram, so the matrix values, Newton scratch and waveform storage
-// are allocated once per concurrently running read, not once per trial,
-// worker or stream, and Reset is bit-identical to a fresh engine (fuzzed
-// in FuzzNetlistReset). The engine compiles each circuit topology once: at
-// Reset it fingerprints the netlist's terminal lists and, on a miss in
-// its small topology cache, runs sparse.Analyze on the stamp pattern —
+// transient inside every Monte-Carlo trial (SPICE-in-the-loop), through
+// one trial function built on the caller's sram.ColumnBuilder and shared
+// by every worker of the stream. Each read borrows a session — a column
+// netlist scratch and a resident spice.Engine re-targeted through
+// Engine.Reset — from a process-wide free list in sram, so the matrix
+// values, Newton scratch and waveform storage are allocated once per
+// concurrently running read, not once per trial, worker or stream, and
+// Reset is bit-identical to a fresh engine (fuzzed in FuzzNetlistReset).
+// The engine compiles each circuit topology once: at Reset it
+// fingerprints the netlist's terminal lists and, on a miss in its small
+// topology cache, runs sparse.Analyze on the stamp pattern —
 // fill-in under the natural order and a value slot for every stamp.
 // Every trial, and every array size with the same column shape, reuses
 // that symbolic LU; a Newton iteration is a copy of the base values, the

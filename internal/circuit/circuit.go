@@ -167,9 +167,9 @@ func (n *Netlist) Node(name string) NodeID {
 
 // Reset restores the netlist to the empty single-ground state while
 // retaining the element and node storage already allocated, so a builder
-// that constructs many similar circuits (the SPICE sweep engine's
-// per-worker column scratch) can reuse one Netlist without reallocating
-// its slices on every build.
+// that constructs many similar circuits (the column scratch of sram's
+// pooled read sessions) can reuse one Netlist without reallocating its
+// slices on every build.
 func (n *Netlist) Reset() {
 	n.names = n.names[:1]
 	clear(n.byName)

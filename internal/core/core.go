@@ -11,7 +11,7 @@
 //	study, _ := core.NewStudy()
 //	res, _ := study.Run("table4", nil)        // Table IV as a Result
 //	res.Write(os.Stdout, report.FormatJSON)   // any format, one encoder
-//	td, _ := study.ReadTime(litho.LE3, s, 64) // one SPICE read
+//	r, _ := study.Ratios(litho.LE3, s)        // one sample's variability ratios
 //	all, _ := study.Run("all", nil)           // every table and figure
 //	fmt.Print(all.Text)                       // as the paper-style report
 //
@@ -142,12 +142,6 @@ func (s *Study) Workloads() []exp.Workload { return exp.Workloads() }
 
 // Model returns the analytical formula parameters for this study.
 func (s *Study) Model() (analytic.Params, error) { return s.Env.Model() }
-
-// ReadTime simulates one read and returns td for option o under variation
-// sample smp at array size n.
-func (s *Study) ReadTime(o litho.Option, smp litho.Sample, n int) (float64, error) {
-	return sram.NewColumnBuilder(s.Env.Proc, s.Env.Cap).SimulateTd(o, smp, n, s.Env.Build, s.Env.Sim)
-}
 
 // Ratios extracts the variability ratios for a sample.
 func (s *Study) Ratios(o litho.Option, smp litho.Sample) (extract.Ratios, error) {

@@ -63,17 +63,10 @@ func TestNewStudyRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestStudyReadTimeAndRatios(t *testing.T) {
+func TestStudyRatios(t *testing.T) {
 	s, err := NewStudy()
 	if err != nil {
 		t.Fatal(err)
-	}
-	td, err := s.ReadTime(litho.EUV, litho.Nominal, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if td < 1e-12 || td > 100e-12 {
-		t.Fatalf("td = %g", td)
 	}
 	r, err := s.Ratios(litho.EUV, litho.Sample{CDEUV: 3e-9})
 	if err != nil {

@@ -131,8 +131,7 @@ func MCSpiceX(e Env, sizes []int) ([]MCSpiceXRow, error) {
 	// Nominal geometry is option-independent: one extraction and one
 	// nominal transient per size serve every option's denominators.
 	seed := sram.NewColumnBuilder(e.Proc, e.Cap)
-	nom, err := seed.Nominal()
-	if err != nil {
+	if _, err := seed.Nominal(); err != nil {
 		return nil, fmt.Errorf("mcspicex: nominal extraction: %w", err)
 	}
 	nomTd, err := seed.NominalTds(sizes, e.Build, e.Sim)
@@ -141,7 +140,7 @@ func MCSpiceX(e Env, sizes []int) ([]MCSpiceXRow, error) {
 	}
 	var rows []MCSpiceXRow
 	for _, o := range litho.Options {
-		sp, err := mc.SpiceTdpAcrossSizes(e.ctx(), e.Proc, o, e.Cap, sizes, nom, nomTd, e.Build, e.Sim, e.MC)
+		sp, err := mc.SpiceTdpAcrossSizes(e.ctx(), seed, o, sizes, nomTd, e.Build, e.Sim, e.MC)
 		if err != nil {
 			return nil, fmt.Errorf("mcspicex %v (spice): %w", o, err)
 		}

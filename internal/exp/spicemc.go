@@ -97,8 +97,7 @@ func SpiceMC(e Env, sizes []int) ([]SpiceMCRow, error) {
 	// Nominal geometry is option-independent: extract and simulate the
 	// tdp denominators once, shared by every option's stream.
 	seed := sram.NewColumnBuilder(e.Proc, e.Cap)
-	nom, err := seed.Nominal()
-	if err != nil {
+	if _, err := seed.Nominal(); err != nil {
 		return nil, fmt.Errorf("spice mc: nominal extraction: %w", err)
 	}
 	nomTd, err := seed.NominalTds(sizes, e.Build, e.Sim)
@@ -107,7 +106,7 @@ func SpiceMC(e Env, sizes []int) ([]SpiceMCRow, error) {
 	}
 	var rows []SpiceMCRow
 	for _, o := range litho.Options {
-		vr, err := mc.SpiceTdpAcrossSizes(e.ctx(), e.Proc, o, e.Cap, sizes, nom, nomTd, e.Build, e.Sim, e.MC)
+		vr, err := mc.SpiceTdpAcrossSizes(e.ctx(), seed, o, sizes, nomTd, e.Build, e.Sim, e.MC)
 		if err != nil {
 			return nil, fmt.Errorf("spice mc %v: %w", o, err)
 		}

@@ -80,8 +80,7 @@ func SpiceMCCV(e Env, sizes []int) ([]SpiceMCCVRow, error) {
 		return nil, fmt.Errorf("spice mc cv: %w", err)
 	}
 	seed := sram.NewColumnBuilder(e.Proc, e.Cap)
-	nom, err := seed.Nominal()
-	if err != nil {
+	if _, err := seed.Nominal(); err != nil {
 		return nil, fmt.Errorf("spice mc cv: nominal extraction: %w", err)
 	}
 	nomTd, err := seed.NominalTds(sizes, e.Build, e.Sim)
@@ -98,7 +97,7 @@ func SpiceMCCV(e Env, sizes []int) ([]SpiceMCCVRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("spice mc cv %v (reference): %w", o, err)
 		}
-		cvr, err := mc.SpiceTdpCVAcrossSizes(e.ctx(), e.Proc, o, m, e.Cap, sizes, nom, nomTd, e.Build, e.Sim, e.MC)
+		cvr, err := mc.SpiceTdpCVAcrossSizes(e.ctx(), seed, o, m, sizes, nomTd, e.Build, e.Sim, e.MC)
 		if err != nil {
 			return nil, fmt.Errorf("spice mc cv %v: %w", o, err)
 		}

@@ -174,12 +174,6 @@ func (r Rect) ContainsPoint(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
 }
 
-// XInterval returns the x-extent as an Interval.
-func (r Rect) XInterval() Interval { return Interval{r.Min.X, r.Max.X} }
-
-// YInterval returns the y-extent as an Interval.
-func (r Rect) YInterval() Interval { return Interval{r.Min.Y, r.Max.Y} }
-
 func (r Rect) String() string {
 	return fmt.Sprintf("(%.3g,%.3g)-(%.3g,%.3g)", r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
 }
@@ -192,9 +186,6 @@ type Trapezoid struct {
 
 // Area returns the trapezoid cross-section area.
 func (tz Trapezoid) Area() float64 { return (tz.WTop + tz.WBot) / 2 * tz.T }
-
-// MeanWidth returns the width of the equal-area rectangle.
-func (tz Trapezoid) MeanWidth() float64 { return (tz.WTop + tz.WBot) / 2 }
 
 // Shrink returns the trapezoid with all faces pulled in by d (e.g. a
 // barrier liner of thickness d consuming conductor area).

@@ -15,13 +15,13 @@ import (
 	"mpsram/internal/stats"
 )
 
-// PairedStateVectorFunc evaluates one paired Monte-Carlo trial: it writes
+// PairedVectorFunc evaluates one paired Monte-Carlo trial: it writes
 // the primary observable (e.g. SPICE-measured tdp) into y[j] and the
 // control observable (e.g. the closed-form tdp formula on the same draw)
 // into x[j] for each of the nobs observables. Returning false rejects the
 // trial. The slices are reused across trials by the same worker and must
 // not be retained.
-type PairedStateVectorFunc func(state any, rng *rand.Rand, y, x []float64) bool
+type PairedVectorFunc func(rng *rand.Rand, y, x []float64) bool
 
 // CVVectorResult aggregates a paired multi-observable run. The embedded
 // VectorResult views the primary observable (Stats, Quantiles, Summary —
@@ -70,18 +70,19 @@ func (r *CVVectorResult) CVSummary(i int, muX, sigmaX float64) CVSummary {
 // RunVectorPaired executes cfg.Samples paired trials of f, each producing
 // nobs (primary, control) observable pairs, and streams them into
 // per-observable ControlVariate accumulators plus the plain per-primary
-// statistics of RunVectorState. Determinism matches the plain engine:
-// trial i reseeds from (cfg.Seed, i) and fixed-size blocks merge in block
-// order, so results are bit-identical across worker counts. The paired
-// path is streaming-only: cfg.Collect is rejected.
-func RunVectorPaired(ctx context.Context, cfg Config, nobs int, f PairedStateVectorFunc) (*CVVectorResult, error) {
+// statistics of RunVector. Determinism matches the plain engine: trial i
+// reseeds from (cfg.Seed, i) and fixed-size blocks merge in block order,
+// so results are bit-identical across worker counts. As with RunVector,
+// every worker calls the one f. The paired path is streaming-only:
+// cfg.Collect is rejected.
+func RunVectorPaired(ctx context.Context, cfg Config, nobs int, f PairedVectorFunc) (*CVVectorResult, error) {
 	if cfg.Collect {
 		return nil, fmt.Errorf("mc: the paired path is streaming-only (Collect unsupported)")
 	}
 	recs, err := runStream(ctx, cfg, streamPaired, nobs, func() evalFunc {
 		y := make([]float64, nobs)
 		x := make([]float64, nobs)
-		return func(ctx context.Context, state any, rng *rand.Rand, b, lo, hi int) (StreamRecord, bool) {
+		return func(ctx context.Context, rng *rand.Rand, b, lo, hi int) (StreamRecord, bool) {
 			rec := StreamRecord{Block: b, CV: make([]stats.ControlVariate, nobs), Quant: make([]QuantileSketch, nobs)}
 			for j := range rec.Quant {
 				rec.Quant[j] = newQuantileSketch()
@@ -91,7 +92,7 @@ func RunVectorPaired(ctx context.Context, cfg Config, nobs int, f PairedStateVec
 					return StreamRecord{}, false
 				}
 				rng.Seed(trialSeed(cfg.Seed, i))
-				if !f(state, rng, y, x) {
+				if !f(rng, y, x) {
 					rec.Rejected++
 					continue
 				}

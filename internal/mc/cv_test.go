@@ -11,8 +11,8 @@ import (
 // Gaussian draw, the primary is a correlated transform of the same draw
 // plus independent noise — the structure of the SPICE/analytic pair
 // without the transients.
-func pairedTestFunc(rejectEvery int) PairedStateVectorFunc {
-	return func(_ any, rng *rand.Rand, y, x []float64) bool {
+func pairedTestFunc(rejectEvery int) PairedVectorFunc {
+	return func(rng *rand.Rand, y, x []float64) bool {
 		base := rng.NormFloat64()
 		noise := rng.NormFloat64()
 		if rejectEvery > 0 && int(math.Abs(base*1e6))%rejectEvery == 0 {
@@ -79,7 +79,7 @@ func TestRunVectorPairedMatchesPlainPrimary(t *testing.T) {
 	f := pairedTestFunc(0)
 	plain, err := RunVector(context.Background(), cfg, 2, func(rng *rand.Rand, out []float64) bool {
 		x := make([]float64, len(out))
-		return f(nil, rng, out, x)
+		return f(rng, out, x)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestRunVectorPairedRejectsBadConfig(t *testing.T) {
 	if _, err := RunVectorPaired(nil, Config{Samples: 10, Collect: true}, 1, f); err == nil {
 		t.Fatal("Collect accepted on the streaming-only paired path")
 	}
-	reject := func(_ any, _ *rand.Rand, _, _ []float64) bool { return false }
+	reject := func(_ *rand.Rand, _, _ []float64) bool { return false }
 	if _, err := RunVectorPaired(nil, Config{Samples: 10}, 1, reject); err == nil {
 		t.Fatal("all-rejected run must error")
 	}

@@ -11,10 +11,12 @@
 // order, so every statistic is bit-identical regardless of the worker
 // count. Workers own one reusable PRNG and one scratch vector each, so
 // the scheduler allocates per block (accumulators, collected values),
-// never per trial. The analytic trial it runs is allocation-free as well:
-// TdpVector builds the stream's parameters and ratio model once, and
-// TestTdpVectorTrialAllocationFree pins a warm trial at zero allocations
-// on every option.
+// never per trial. The trial function is one closure, built once per
+// stream and shared by every worker, so a worker holds no other state and
+// any worker can run any trial. The analytic trial is allocation-free as
+// well: TdpVector builds the stream's parameters and ratio model once,
+// and TestTdpVectorTrialAllocationFree pins a warm trial at zero
+// allocations on every option.
 package mc
 
 import (
@@ -36,13 +38,6 @@ const blockSize = 256
 // collapsed geometry), in which case out is ignored. The out slice is
 // reused across trials by the same worker and must not be retained.
 type VectorFunc func(rng *rand.Rand, out []float64) bool
-
-// StateVectorFunc is a VectorFunc that additionally receives the worker's
-// state (the value Config.WorkerState returned for this worker, nil when
-// no hook is installed). State gives heavyweight trials a home for
-// per-worker sessions — builders with memoized extractions — that plain
-// closures over shared data cannot provide without locking.
-type StateVectorFunc func(state any, rng *rand.Rand, out []float64) bool
 
 // QuantileSketch bundles the streaming P² order-statistic estimators the
 // engine maintains per observable when values are not collected.
@@ -116,24 +111,13 @@ func trialSeed(seed int64, i int) int64 {
 // RunVector executes cfg.Samples trials of f, each producing nobs
 // observables, and streams them into per-observable Welford accumulators.
 // Each trial i reseeds the worker's PRNG from (cfg.Seed, i), making
-// results bit-identical across worker counts. The context cancels the run
+// results bit-identical across worker counts. Every worker calls the one
+// f, so f must be safe for concurrent use. The context cancels the run
 // between blocks; cfg.Progress, if set, is invoked as blocks complete.
 func RunVector(ctx context.Context, cfg Config, nobs int, f VectorFunc) (*VectorResult, error) {
-	return RunVectorState(ctx, cfg, nobs, func(_ any, rng *rand.Rand, out []float64) bool {
-		return f(rng, out)
-	})
-}
-
-// RunVectorState is RunVector for stateful trials: each worker calls
-// cfg.WorkerState once (when set) and passes the returned value to every
-// trial it evaluates. Aggregation is unchanged — fixed-size blocks merged
-// in block order — so results remain bit-identical across worker counts
-// provided the state honours the purity contract documented on
-// Config.WorkerState.
-func RunVectorState(ctx context.Context, cfg Config, nobs int, f StateVectorFunc) (*VectorResult, error) {
 	recs, err := runStream(ctx, cfg, streamPlain, nobs, func() evalFunc {
 		out := make([]float64, nobs)
-		return func(ctx context.Context, state any, rng *rand.Rand, b, lo, hi int) (StreamRecord, bool) {
+		return func(ctx context.Context, rng *rand.Rand, b, lo, hi int) (StreamRecord, bool) {
 			rec := StreamRecord{Block: b, Agg: make([]stats.Welford, nobs)}
 			var quant []QuantileSketch
 			if !cfg.Collect {
@@ -152,7 +136,7 @@ func RunVectorState(ctx context.Context, cfg Config, nobs int, f StateVectorFunc
 					return StreamRecord{}, false
 				}
 				rng.Seed(trialSeed(cfg.Seed, i))
-				if !f(state, rng, out) {
+				if !f(rng, out) {
 					rec.Rejected++
 					continue
 				}

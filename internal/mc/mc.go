@@ -25,7 +25,9 @@ import (
 	"mpsram/internal/tech"
 )
 
-// Config tunes a Monte-Carlo run.
+// Config tunes a Monte-Carlo run. Workers sets only the parallelism:
+// every worker calls the stream's one trial function, so results never
+// depend on it.
 type Config struct {
 	Samples int
 	Seed    int64
@@ -63,17 +65,6 @@ type Config struct {
 	// the recorded blocks in block order (see Replay/NewReplay), which
 	// reproduces the single-process result bit for bit.
 	Replay *Replay
-	// WorkerState, if non-nil, is invoked once per worker goroutine and
-	// its return value handed to every trial that worker evaluates (see
-	// StateVectorFunc). It is the hook that lets heavyweight trials own
-	// per-worker sessions — a SPICE-in-the-loop trial keeps a
-	// sram.ColumnBuilder with its memos here — without any
-	// synchronisation. Determinism contract: the state must only cache
-	// pure functions of the trial inputs (memoized extractions, reused
-	// scratch), never values that depend on which trials the worker
-	// happened to receive, so results stay bit-identical across worker
-	// counts.
-	WorkerState func() any
 }
 
 func (c Config) workers() int {

@@ -1,13 +1,15 @@
-// The block scheduler — the layer under RunVectorState and
-// RunVectorPaired that owns the worker pool, the block cursor, and the
-// deterministic in-order delivery of per-block partial aggregates — and
+// The block scheduler — the layer under RunVector and RunVectorPaired
+// that owns the worker pool, the block cursor, and the deterministic
+// in-order delivery of per-block partial aggregates — and
 // runStream above it, the one execution path every engine invocation
 // takes: a direct run is the whole-stream capture of shard 0 of 1.
 //
 // Every trial stream is cut into fixed blockSize blocks. Workers pull
-// block indices from an atomic cursor and evaluate them independently;
-// completed blocks park in a pending set until the contiguous frontier
-// reaches them, at which point they are emitted strictly in block order.
+// block indices from an atomic cursor and evaluate them independently
+// through the stream's one shared trial function, so no block depends on
+// the worker that ran it. Completed blocks park in a pending set until
+// the contiguous frontier reaches them, at which point they are emitted
+// strictly in block order.
 // That ordering is the whole determinism story: the fold over emitted
 // records is the exact left-fold a serial run would perform, so results
 // are bit-identical for any worker count — and, because a contiguous
@@ -114,9 +116,9 @@ func (r *StreamRecord) accepted() int {
 // evalFunc evaluates one block of trials into its record. It returns
 // ok=false when ctx was canceled mid-block; the torn block is then
 // abandoned — never emitted, never counted.
-type evalFunc func(ctx context.Context, state any, rng *rand.Rand, block, lo, hi int) (rec StreamRecord, ok bool)
+type evalFunc func(ctx context.Context, rng *rand.Rand, block, lo, hi int) (rec StreamRecord, ok bool)
 
-// runStream is the one execution path under RunVectorState and
+// runStream is the one execution path under RunVector and
 // RunVectorPaired, and the only reader of the Replay and Shard hooks. A
 // replay hands back the recorded blocks; a ShardRun executes its block
 // range (past a resumed checkpoint's frontier) and keeps each block's
@@ -181,12 +183,13 @@ func runStream(ctx context.Context, cfg Config, kind uint8, nobs int, newEval fu
 // runBlocks drives the worker pool over blocks [first,last) of an
 // n-trial stream. newEval is invoked once per worker and the returned
 // closure owns that worker's scratch; each worker also gets one reusable
-// PRNG (legacy or PCG64 per cfg.FastReseed) and one cfg.WorkerState
-// value. emit receives every completed record strictly in block order
-// and is serialized by the scheduler — it needs no locking and may
-// safely append to a slice or persist a checkpoint. cfg.Progress, when
-// set, observes the frontier: done counts emitted trials of this range,
-// total the range's trial count, strictly increasing.
+// PRNG (legacy or PCG64 per cfg.FastReseed) and nothing else, so any
+// worker can evaluate any block. emit receives every completed record
+// strictly in block order and is serialized by the scheduler — it needs
+// no locking and may safely append to a slice or persist a checkpoint.
+// cfg.Progress, when set, observes the frontier: done counts emitted
+// trials of this range, total the range's trial count, strictly
+// increasing.
 //
 // The return value is the number of emitted trials — the contiguous
 // frontier, which on a clean run equals the range total and on a
@@ -217,20 +220,16 @@ func runBlocks(ctx context.Context, cfg Config, n, first, last int, newEval func
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One PRNG, one scratch closure and (when hooked) one state
-			// value per worker, reseeded / rewritten per trial instead of
-			// reallocated. FastReseed swaps the source for the splittable
-			// PCG64 whose Seed is O(1) instead of a 607-word table init;
-			// the stream changes, the determinism contract does not.
+			// One PRNG and one scratch closure per worker, reseeded /
+			// rewritten per trial instead of reallocated. FastReseed swaps
+			// the source for the splittable PCG64 whose Seed is O(1)
+			// instead of a 607-word table init; the stream changes, the
+			// determinism contract does not.
 			var rng *rand.Rand
 			if cfg.FastReseed {
 				rng = rand.New(new(pcgSource))
 			} else {
 				rng = rand.New(rand.NewSource(0))
-			}
-			var state any
-			if cfg.WorkerState != nil {
-				state = cfg.WorkerState()
 			}
 			eval := newEval()
 			for {
@@ -242,7 +241,7 @@ func runBlocks(ctx context.Context, cfg Config, n, first, last int, newEval func
 					return
 				}
 				lo, hi := blockBounds(b, n)
-				rec, ok := eval(ctx, state, rng, b, lo, hi)
+				rec, ok := eval(ctx, rng, b, lo, hi)
 				if !ok {
 					return
 				}

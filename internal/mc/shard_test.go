@@ -105,7 +105,7 @@ func TestShardReduceBitIdentical(t *testing.T) {
 
 // TestShardReducePairedBitIdentical covers the control-variate path.
 func TestShardReducePairedBitIdentical(t *testing.T) {
-	f := func(_ any, rng *rand.Rand, y, x []float64) bool {
+	f := func(rng *rand.Rand, y, x []float64) bool {
 		v := rng.NormFloat64()
 		x[0] = v
 		y[0] = 2*v + 0.1*rng.NormFloat64()

@@ -17,43 +17,38 @@ import (
 	"mpsram/internal/extract"
 	"mpsram/internal/litho"
 	"mpsram/internal/sram"
-	"mpsram/internal/tech"
 )
 
 // SpiceTdpAcrossSizes runs one SPICE-in-the-loop Monte-Carlo stream for
-// option o: each draw's lithography-perturbed parasitics feed a full read
-// transient at every array size in sizes, and observable j of the result
-// is the simulated tdp penalty in percent at sizes[j] against nomTd[j].
-// The lithography pipeline runs once per trial no matter how many sizes
-// are requested. Every worker owns a sram.ColumnBuilder, whose reads
-// borrow a session from sram's process-wide free list: the hot loop
-// reuses the netlist scratch, the compiled topology and matrix values,
-// and the Newton/waveform buffers across all trials, workers and streams,
-// so a stream starts on warm sessions rather than cold ones.
+// option o on b's process and capacitance model: each draw's
+// lithography-perturbed parasitics feed a full read transient at every
+// array size in sizes, and observable j of the result is the simulated
+// tdp penalty in percent at sizes[j] against nomTd[j]. The lithography
+// pipeline runs once per trial no matter how many sizes are requested.
+// The stream builds one trial function (sram.ColumnBuilder.TrialFunc)
+// that every worker shares; its reads borrow sessions from sram's
+// process-wide free list, so the hot loop reuses the netlist scratch, the
+// compiled topology and matrix values, and the Newton/waveform buffers
+// across all trials, workers and streams.
 //
-// The nominal inputs (sram.NominalParasitics and ColumnBuilder.NominalTds)
-// come from the caller: nominal geometry is option-independent, so a
-// driver sweeping several options over the same sizes resolves them once
-// and shares them across every stream instead of re-simulating the
-// nominal reads per option (the same dedup rule the sweep engine applies
-// to its plans).
+// The nominal inputs come from the caller: nomTd is b.NominalTds(sizes,
+// …), which also resolves b's nominal parasitics. Nominal geometry is
+// option-independent, so a driver sweeping several options over the same
+// sizes resolves them once on one builder and shares it across every
+// stream instead of re-simulating the nominal reads per option (the same
+// dedup rule the sweep engine applies to its plans).
 //
 // The per-trial sample stream is identical to the analytic
 // TdpAcrossSizes for the same (Seed, Samples): both consume the same
 // litho.Params draws in the same order, so the two paths are directly
 // comparable draw by draw.
-func SpiceTdpAcrossSizes(ctx context.Context, p tech.Process, o litho.Option, cm extract.CapModel, sizes []int, nom sram.CellParasitics, nomTd []float64, bopt sram.BuildOptions, sopt sram.SimOptions, cfg Config) (*VectorResult, error) {
-	rm, err := spiceStream(p, o, cm, sizes, nomTd)
+func SpiceTdpAcrossSizes(ctx context.Context, b *sram.ColumnBuilder, o litho.Option, sizes []int, nomTd []float64, bopt sram.BuildOptions, sopt sram.SimOptions, cfg Config) (*VectorResult, error) {
+	trial, err := spiceTrial(b, o, sizes, nomTd, nil, bopt, sopt)
 	if err != nil {
 		return nil, err
 	}
-	cfg.WorkerState = func() any {
-		b := sram.NewColumnBuilder(p, cm)
-		b.SetNominal(nom)
-		return b.TrialFunc(rm, sizes, nomTd, bopt, sopt)
-	}
-	return RunVectorState(ctx, cfg, len(sizes), func(state any, rng *rand.Rand, out []float64) bool {
-		return state.(func(*rand.Rand, []float64) bool)(rng, out)
+	return RunVector(ctx, cfg, len(sizes), func(rng *rand.Rand, out []float64) bool {
+		return trial(rng, out, nil)
 	})
 }
 
@@ -66,38 +61,35 @@ func SpiceTdpAcrossSizes(ctx context.Context, p tech.Process, o litho.Option, cm
 // SpiceTdpAcrossSizes for the same (Seed, Samples): the control
 // rides the extraction the SPICE trial already performs, it never
 // consumes extra deviates.
-func SpiceTdpCVAcrossSizes(ctx context.Context, p tech.Process, o litho.Option, m analytic.Params, cm extract.CapModel, sizes []int, nom sram.CellParasitics, nomTd []float64, bopt sram.BuildOptions, sopt sram.SimOptions, cfg Config) (*CVVectorResult, error) {
+func SpiceTdpCVAcrossSizes(ctx context.Context, b *sram.ColumnBuilder, o litho.Option, m analytic.Params, sizes []int, nomTd []float64, bopt sram.BuildOptions, sopt sram.SimOptions, cfg Config) (*CVVectorResult, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	rm, err := spiceStream(p, o, cm, sizes, nomTd)
+	ctrl := func(n int, r extract.Ratios) float64 { return m.TdpPct(n, r.Rvar, r.Cvar) }
+	trial, err := spiceTrial(b, o, sizes, nomTd, ctrl, bopt, sopt)
 	if err != nil {
 		return nil, err
 	}
-	ctrl := func(n int, r extract.Ratios) float64 { return m.TdpPct(n, r.Rvar, r.Cvar) }
-	cfg.WorkerState = func() any {
-		b := sram.NewColumnBuilder(p, cm)
-		b.SetNominal(nom)
-		return b.PairedTrialFunc(rm, sizes, nomTd, ctrl, bopt, sopt)
-	}
-	return RunVectorPaired(ctx, cfg, len(sizes), func(state any, rng *rand.Rand, y, x []float64) bool {
-		return state.(func(*rand.Rand, []float64, []float64) bool)(rng, y, x)
-	})
+	return RunVectorPaired(ctx, cfg, len(sizes), trial)
 }
 
-// spiceStream validates a SPICE-in-the-loop stream's sizes and nominal
-// read times and builds its ratio model, once per stream: the workers'
-// trial functions share the read-only model.
-func spiceStream(p tech.Process, o litho.Option, cm extract.CapModel, sizes []int, nomTd []float64) (extract.RatioModel, error) {
+// spiceTrial validates a SPICE-in-the-loop stream's sizes and nominal
+// read times and builds its ratio model and trial function, once per
+// stream: every worker shares the one read-only closure.
+func spiceTrial(b *sram.ColumnBuilder, o litho.Option, sizes []int, nomTd []float64, ctrl func(int, extract.Ratios) float64, bopt sram.BuildOptions, sopt sram.SimOptions) (PairedVectorFunc, error) {
 	if len(sizes) == 0 {
-		return extract.RatioModel{}, fmt.Errorf("mc: no array sizes requested")
+		return nil, fmt.Errorf("mc: no array sizes requested")
 	}
 	if len(nomTd) != len(sizes) {
-		return extract.RatioModel{}, fmt.Errorf("mc: %d nominal read times for %d sizes", len(nomTd), len(sizes))
+		return nil, fmt.Errorf("mc: %d nominal read times for %d sizes", len(nomTd), len(sizes))
 	}
-	rm, err := extract.NewRatioModel(p, o, cm)
+	rm, err := extract.NewRatioModel(b.Proc, o, b.Cap)
 	if err != nil {
-		return extract.RatioModel{}, fmt.Errorf("mc: %w", err)
+		return nil, fmt.Errorf("mc: %w", err)
 	}
-	return rm, nil
+	trial, err := b.TrialFunc(rm, sizes, nomTd, ctrl, bopt, sopt)
+	if err != nil {
+		return nil, fmt.Errorf("mc: nominal extraction: %w", err)
+	}
+	return trial, nil
 }

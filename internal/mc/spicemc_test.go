@@ -27,17 +27,12 @@ func spiceMCCfg(samples, workers int) Config {
 // resolved here, the way the workload drivers resolve them once per sweep.
 func spiceTdp(t *testing.T, ctx context.Context, o litho.Option, sizes []int, sopt sram.SimOptions, cfg Config) (*VectorResult, error) {
 	t.Helper()
-	p, cm := tech.N10(), extract.SakuraiTamaru{}
-	b := sram.NewColumnBuilder(p, cm)
-	nom, err := b.Nominal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := sram.NewColumnBuilder(tech.N10(), extract.SakuraiTamaru{})
 	nomTd, err := b.NominalTds(sizes, sram.BuildOptions{}, sopt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return SpiceTdpAcrossSizes(ctx, p, o, cm, sizes, nom, nomTd, sram.BuildOptions{}, sopt, cfg)
+	return SpiceTdpAcrossSizes(ctx, b, o, sizes, nomTd, sram.BuildOptions{}, sopt, cfg)
 }
 
 func runSpiceMC(t *testing.T, ctx context.Context, cfg Config) (*VectorResult, error) {
@@ -77,9 +72,9 @@ func TestSpiceTdpAcrossSizesBitIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestSpiceTdpAcrossSizesMatchesSerialTrialLoop pins the engine plumbing
-// to ground truth: the parallel WorkerState path must reproduce, trial by
-// trial, what one fresh builder evaluating the same seeded draws computes
-// serially.
+// to ground truth: four workers sharing one trial function must
+// reproduce, trial by trial, what a fresh builder's trial function
+// evaluating the same seeded draws computes serially.
 func TestSpiceTdpAcrossSizesMatchesSerialTrialLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SPICE-in-the-loop MC in -short mode")
@@ -102,13 +97,16 @@ func TestSpiceTdpAcrossSizesMatchesSerialTrialLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trial := b.TrialFunc(rm, spiceMCSizes, nomTd, sram.BuildOptions{}, sram.SimOptions{})
+	trial, err := b.TrialFunc(rm, spiceMCSizes, nomTd, nil, sram.BuildOptions{}, sram.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(0))
 	out := make([]float64, len(spiceMCSizes))
 	var want [][]float64
 	for i := 0; i < samples; i++ {
 		rng.Seed(trialSeed(cfg.Seed, i))
-		if !trial(rng, out) {
+		if !trial(rng, out, nil) {
 			continue
 		}
 		want = append(want, append([]float64(nil), out...))
@@ -171,8 +169,8 @@ func TestSpiceTdpAcrossSizesCancellation(t *testing.T) {
 
 func TestSpiceTdpAcrossSizesValidatesInputs(t *testing.T) {
 	run := func(cm extract.CapModel, sizes []int, nomTd []float64) error {
-		_, err := SpiceTdpAcrossSizes(context.Background(), tech.N10(), litho.EUV, cm, sizes,
-			sram.CellParasitics{}, nomTd, sram.BuildOptions{}, sram.SimOptions{}, spiceMCCfg(4, 1))
+		_, err := SpiceTdpAcrossSizes(context.Background(), sram.NewColumnBuilder(tech.N10(), cm), litho.EUV,
+			sizes, nomTd, sram.BuildOptions{}, sram.SimOptions{}, spiceMCCfg(4, 1))
 		return err
 	}
 	if run(nil, spiceMCSizes, []float64{1, 1}) == nil {

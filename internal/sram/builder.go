@@ -1,13 +1,11 @@
 package sram
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
 	"mpsram/internal/device"
 	"mpsram/internal/extract"
-	"mpsram/internal/litho"
 	"mpsram/internal/spice"
 	"mpsram/internal/tech"
 )
@@ -15,24 +13,22 @@ import (
 // ColumnBuilder is a column construction and simulation session for one
 // process and capacitance model — the reusable path behind the SPICE
 // sweep and Monte-Carlo engines. It holds what depends on the process:
-// one NMOS/PMOS model card pair shared by every build, the memoized
-// nominal per-cell parasitics and the extracted variability ratios per
-// (option, sample). What a read needs that does not depend on the
-// process — the column netlist scratch and the resident SPICE engine,
-// with its compiled topologies, value arrays and Newton and waveform
-// buffers — lives in sessions that MeasureTd borrows from a process-wide
-// free list for one call. Every builder in the process, so every mc and
-// sweep worker and every nominal read, reuses those warm sessions, and
-// only the first reads pay for allocating them.
+// one NMOS/PMOS model card pair shared by every build and the memoized
+// nominal per-cell parasitics. What a read needs that does not depend on
+// the process — the column netlist scratch and the resident SPICE
+// engine, with its compiled topologies, value arrays and Newton and
+// waveform buffers — lives in sessions that MeasureTd borrows from a
+// process-wide free list for one call. Every read in the process reuses
+// those warm sessions, and only the first reads pay for allocating them.
 //
-// Results are bit-identical to a fresh builder per point: construction is
-// deterministic, spice.Engine.Reset is bit-identical to a fresh engine
-// and the cached values are pure functions of the inputs, so caching and
-// pooling only remove recomputation, never change a float.
+// Results are bit-identical to a fresh BuildColumn + Column.MeasureTd per
+// read: construction is deterministic, spice.Engine.Reset is
+// bit-identical to a fresh engine and the nominal memo is a pure function
+// of the inputs, so caching and pooling only remove recomputation, never
+// change a float.
 //
-// A ColumnBuilder is not safe for concurrent use; give each worker its
-// own. The sessions are shared safely: a MeasureTd call holds its session
-// exclusively.
+// MeasureTd and the trial functions are safe for concurrent use, and
+// Nominal, NominalTds and Build are not.
 type ColumnBuilder struct {
 	Proc tech.Process
 	Cap  extract.CapModel
@@ -42,7 +38,6 @@ type ColumnBuilder struct {
 
 	haveNom bool
 	nom     CellParasitics
-	ratios  map[ratioKey]extract.Ratios
 
 	// scratch is Build's netlist storage, made on the first Build. The
 	// builder owns it because the Column that Build returns aliases it
@@ -50,20 +45,14 @@ type ColumnBuilder struct {
 	scratch *columnScratch
 }
 
-type ratioKey struct {
-	Option litho.Option
-	Sample litho.Sample
-}
-
 // NewColumnBuilder returns a session for process p and capacitance model
 // cm.
 func NewColumnBuilder(p tech.Process, cm extract.CapModel) *ColumnBuilder {
 	return &ColumnBuilder{
-		Proc:   p,
-		Cap:    cm,
-		nmos:   device.NewNMOS(p.FEOL),
-		pmos:   device.NewPMOS(p.FEOL),
-		ratios: make(map[ratioKey]extract.Ratios),
+		Proc: p,
+		Cap:  cm,
+		nmos: device.NewNMOS(p.FEOL),
+		pmos: device.NewPMOS(p.FEOL),
 	}
 }
 
@@ -78,26 +67,6 @@ func (b *ColumnBuilder) Nominal() (CellParasitics, error) {
 		b.nom, b.haveNom = nom, true
 	}
 	return b.nom, nil
-}
-
-// SetNominal seeds the nominal-parasitics cache, letting a sweep
-// coordinator extract once and share the value across per-worker builders.
-func (b *ColumnBuilder) SetNominal(nom CellParasitics) {
-	b.nom, b.haveNom = nom, true
-}
-
-// Ratios returns the variability ratios for (o, s), memoized per session.
-func (b *ColumnBuilder) Ratios(o litho.Option, s litho.Sample) (extract.Ratios, error) {
-	k := ratioKey{Option: o, Sample: s}
-	if r, ok := b.ratios[k]; ok {
-		return r, nil
-	}
-	r, err := extract.VarRatios(b.Proc, o, s, b.Cap)
-	if err != nil {
-		return extract.Ratios{}, err
-	}
-	b.ratios[k] = r
-	return r, nil
 }
 
 // Build constructs the column into the builder's reusable netlist
@@ -189,35 +158,4 @@ func (s *session) measureTd(b *ColumnBuilder, n int, cp CellParasitics, bopt Bui
 		return 0, err
 	}
 	return res.Td, nil
-}
-
-// SimulateTd simulates one read for option o under variation sample s at
-// array size n and returns td in seconds.
-func (b *ColumnBuilder) SimulateTd(o litho.Option, s litho.Sample, n int, bopt BuildOptions, sopt SimOptions) (float64, error) {
-	nom, err := b.Nominal()
-	if err != nil {
-		return 0, err
-	}
-	r, err := b.Ratios(o, s)
-	if err != nil {
-		return 0, err
-	}
-	return b.MeasureTd(n, nom.Scale(r), bopt, sopt)
-}
-
-// TdPenaltyPct simulates the nominal and perturbed reads and returns the
-// paper's tdp figure: (td/tdnom − 1)·100.
-func (b *ColumnBuilder) TdPenaltyPct(o litho.Option, s litho.Sample, n int, bopt BuildOptions, sopt SimOptions) (tdp, td, tdnom float64, err error) {
-	tdnom, err = b.SimulateTd(o, litho.Nominal, n, bopt, sopt)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	td, err = b.SimulateTd(o, s, n, bopt, sopt)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if tdnom <= 0 {
-		return 0, 0, 0, fmt.Errorf("sram: non-positive nominal td %g", tdnom)
-	}
-	return (td/tdnom - 1) * 100, td, tdnom, nil
 }

@@ -3,6 +3,7 @@ package sram
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -12,9 +13,46 @@ import (
 	"mpsram/internal/tech"
 )
 
-// TestColumnBuilderMatchesOneShotPath: a session reused across sizes and
-// calls returns exactly what a fresh builder per call (the one-shot path)
-// returns.
+// freshTd reads td on a fresh BuildColumn + Column.MeasureTd: a new
+// column and a new engine, with no builder and no pooled session.
+func freshTd(p tech.Process, n int, cp CellParasitics, bopt BuildOptions, sopt SimOptions) (float64, error) {
+	col, err := BuildColumn(p, n, cp, bopt)
+	if err != nil {
+		return 0, err
+	}
+	res, err := col.MeasureTd(cp, sopt)
+	if err != nil {
+		return 0, err
+	}
+	return res.Td, nil
+}
+
+// oneShotTdp is the reference penalty read for option o under variation
+// sample s at size n: the parasitics extracted from scratch
+// (NominalParasitics + extract.VarRatios) and the nominal and perturbed
+// reads each on a fresh column and engine (freshTd). It returns the
+// paper's tdp figure (td/tdnom − 1)·100 with both read times.
+func oneShotTdp(p tech.Process, cm extract.CapModel, o litho.Option, s litho.Sample, n int, bopt BuildOptions, sopt SimOptions) (tdp, td, tdnom float64, err error) {
+	nom, err := NominalParasitics(p, cm)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	r, err := extract.VarRatios(p, o, s, cm)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if tdnom, err = freshTd(p, n, nom, bopt, sopt); err != nil {
+		return 0, 0, 0, err
+	}
+	if td, err = freshTd(p, n, nom.Scale(r), bopt, sopt); err != nil {
+		return 0, 0, 0, err
+	}
+	return (td/tdnom - 1) * 100, td, tdnom, nil
+}
+
+// TestColumnBuilderMatchesOneShotPath: a builder reused across sizes and
+// calls, reading on pooled sessions, returns exactly what the one-shot
+// path (a fresh extraction, column and engine per read) returns.
 func TestColumnBuilderMatchesOneShotPath(t *testing.T) {
 	p := tech.N10()
 	cm := extract.SakuraiTamaru{}
@@ -23,30 +61,30 @@ func TestColumnBuilderMatchesOneShotPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{16, 64} {
-		got, err := b.SimulateTd(litho.SADP, wc.Sample, n, BuildOptions{}, SimOptions{})
+	sizes := []int{16, 64}
+	nomTds, err := b.NominalTds(sizes, BuildOptions{}, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nom, err := b.Nominal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, n := range sizes {
+		_, want, wantNom, err := oneShotTdp(p, cm, litho.SADP, wc.Sample, n, BuildOptions{}, SimOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := NewColumnBuilder(p, cm).SimulateTd(litho.SADP, wc.Sample, n, BuildOptions{}, SimOptions{})
+		if nomTds[j] != wantNom {
+			t.Fatalf("n=%d: builder nominal td %g != one-shot %g", n, nomTds[j], wantNom)
+		}
+		got, err := b.MeasureTd(n, nom.Scale(wc.Ratios), BuildOptions{}, SimOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
 			t.Fatalf("n=%d: builder td %g != one-shot td %g", n, got, want)
 		}
-	}
-	// The penalty agrees too (and exercises the nominal cache twice).
-	tdp1, td1, nom1, err := b.TdPenaltyPct(litho.SADP, wc.Sample, 16, BuildOptions{}, SimOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tdp2, td2, nom2, err := NewColumnBuilder(p, cm).TdPenaltyPct(litho.SADP, wc.Sample, 16, BuildOptions{}, SimOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tdp1 != tdp2 || td1 != td2 || nom1 != nom2 {
-		t.Fatalf("penalty mismatch: (%g,%g,%g) vs (%g,%g,%g)", tdp1, td1, nom1, tdp2, td2, nom2)
 	}
 }
 
@@ -80,34 +118,6 @@ func TestColumnBuilderScratchReuse(t *testing.T) {
 	}
 	if col.BLSense != ref.BLSense || col.BLFar != ref.BLFar || col.Q != ref.Q {
 		t.Fatal("probe node ids differ between fresh and reused builds")
-	}
-}
-
-func TestColumnBuilderRatioCache(t *testing.T) {
-	p := tech.N10()
-	cm := extract.SakuraiTamaru{}
-	b := NewColumnBuilder(p, cm)
-	s := litho.Sample{CDEUV: 1e-9}
-	r1, err := b.Ratios(litho.EUV, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := extract.VarRatios(p, litho.EUV, s, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != want {
-		t.Fatalf("cached ratios %+v != direct %+v", r1, want)
-	}
-	r2, err := b.Ratios(litho.EUV, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2 != r1 {
-		t.Fatal("second lookup must serve the cached value")
-	}
-	if len(b.ratios) != 1 {
-		t.Fatalf("ratio cache size %d, want 1", len(b.ratios))
 	}
 }
 
@@ -155,10 +165,13 @@ func TestMeasureTdSteadyStateAllocations(t *testing.T) {
 
 // TestPooledSessionsBitIdenticalUnderConcurrency: goroutines that
 // interleave MeasureTd calls over processes, array sizes, integrators and
-// build options share the pooled sessions, so every read re-targets a
-// session last used for a different circuit, often under another
-// process. Each td must still equal, bit for bit, a fresh BuildColumn +
-// Column.MeasureTd on the same inputs.
+// build options share one builder per process and the pooled sessions, so
+// every read re-targets a session last used for a different circuit,
+// often under another process. Each td must still equal, bit for bit, a
+// fresh BuildColumn + Column.MeasureTd on the same inputs. Between reads
+// the goroutines also call one shared trial function, with and without a
+// control, on the same seeded draws; each result must equal, bit for
+// bit, the serial loop's.
 func TestPooledSessionsBitIdenticalUnderConcurrency(t *testing.T) {
 	type point struct {
 		p    tech.Process
@@ -173,9 +186,14 @@ func TestPooledSessionsBitIdenticalUnderConcurrency(t *testing.T) {
 		{Method: spice.BackwardEuler},
 		{Adaptive: true},
 	}
+	// One builder per process, built before the goroutines start and
+	// shared by all of them.
+	builders := map[string]*ColumnBuilder{}
 	var pts []point
 	for _, p := range []tech.Process{tech.N10(), tech.N7(), tech.N5()} {
-		nom, err := NominalParasitics(p, cm)
+		b := NewColumnBuilder(p, cm)
+		builders[p.Name] = b
+		nom, err := b.Nominal()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,16 +213,69 @@ func TestPooledSessionsBitIdenticalUnderConcurrency(t *testing.T) {
 	}
 	want := make([]float64, len(pts))
 	for i, pt := range pts {
-		col, err := BuildColumn(pt.p, pt.n, pt.cp, pt.bopt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := col.MeasureTd(pt.cp, pt.sopt)
+		td, err := freshTd(pt.p, pt.n, pt.cp, pt.bopt, pt.sopt)
 		if err != nil {
 			t.Fatalf("%s n=%d: fresh read: %v", pt.p.Name, pt.n, err)
 		}
-		want[i] = res.Td
+		want[i] = td
 	}
+
+	// The shared trial functions: LE3 on N10 at two small sizes, plain
+	// and paired with a control.
+	tb := builders[tech.N10().Name]
+	sizes := []int{8, 16}
+	nomTd, err := tb.NominalTds(sizes, BuildOptions{}, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm, err := extract.NewRatioModel(tb.Proc, litho.LE3, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := func(n int, r extract.Ratios) float64 { return float64(n) * r.Rvar * r.Cvar }
+	plain, err := tb.TrialFunc(rm, sizes, nomTd, nil, BuildOptions{}, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paired, err := tb.TrialFunc(rm, sizes, nomTd, ctrl, BuildOptions{}, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// trialOut is one seeded draw through both trial functions.
+	type trialOut struct {
+		ok, pok   bool
+		y, py, px [2]float64
+	}
+	trial := func(rng *rand.Rand, d int) (o trialOut) {
+		rng.Seed(2015 + int64(d))
+		o.ok = plain(rng, o.y[:], nil)
+		rng.Seed(2015 + int64(d))
+		o.pok = paired(rng, o.py[:], o.px[:])
+		return o
+	}
+	sameBits := func(a, b [2]float64) bool {
+		return math.Float64bits(a[0]) == math.Float64bits(b[0]) && math.Float64bits(a[1]) == math.Float64bits(b[1])
+	}
+	same := func(a, b trialOut) bool {
+		return a.ok == b.ok && a.pok == b.pok && sameBits(a.y, b.y) && sameBits(a.py, b.py) && sameBits(a.px, b.px)
+	}
+	const draws = 6
+	wantTrial := make([]trialOut, draws)
+	accepted := 0
+	for d := range wantTrial {
+		o := trial(rand.New(rand.NewSource(0)), d)
+		if o.ok != o.pok || !sameBits(o.y, o.py) {
+			t.Fatalf("draw %d: the control changed the SPICE observable: %+v", d, o)
+		}
+		if o.ok {
+			accepted++
+		}
+		wantTrial[d] = o
+	}
+	if accepted == 0 {
+		t.Fatal("every draw was rejected; the trial comparison is vacuous")
+	}
+
 	const workers = 3
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
@@ -212,18 +283,13 @@ func TestPooledSessionsBitIdenticalUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			builders := map[string]*ColumnBuilder{}
+			rng := rand.New(rand.NewSource(0))
 			// Each worker walks the points from its own offset, so the
 			// workers' reads interleave on the shared sessions.
 			for k := range pts {
 				i := (k + w*len(pts)/workers) % len(pts)
 				pt := pts[i]
-				b, ok := builders[pt.p.Name]
-				if !ok {
-					b = NewColumnBuilder(pt.p, cm)
-					builders[pt.p.Name] = b
-				}
-				got, err := b.MeasureTd(pt.n, pt.cp, pt.bopt, pt.sopt)
+				got, err := builders[pt.p.Name].MeasureTd(pt.n, pt.cp, pt.bopt, pt.sopt)
 				if err != nil {
 					errs[w] = fmt.Errorf("%s n=%d %+v %+v: %w", pt.p.Name, pt.n, pt.bopt, pt.sopt, err)
 					return
@@ -232,6 +298,13 @@ func TestPooledSessionsBitIdenticalUnderConcurrency(t *testing.T) {
 					errs[w] = fmt.Errorf("%s n=%d %+v %+v: pooled td %v != fresh td %v",
 						pt.p.Name, pt.n, pt.bopt, pt.sopt, got, want[i])
 					return
+				}
+				if k < draws {
+					d := (k + w) % draws
+					if got := trial(rng, d); !same(got, wantTrial[d]) {
+						errs[w] = fmt.Errorf("draw %d: concurrent trial %+v != serial %+v", d, got, wantTrial[d])
+						return
+					}
 				}
 			}
 		}(w)

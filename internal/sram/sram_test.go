@@ -2,6 +2,7 @@ package sram
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"mpsram/internal/extract"
@@ -182,7 +183,7 @@ func TestWorstCaseTdpFig4Shape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tdp, _, _, err := NewColumnBuilder(p, cm).TdPenaltyPct(o, wc.Sample, 64, BuildOptions{}, SimOptions{})
+		tdp, _, _, err := oneShotTdp(p, cm, o, wc.Sample, 64, BuildOptions{}, SimOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +214,7 @@ func TestEUVTdpTurnsNegativeAtLargeArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tdp, _, _, err := NewColumnBuilder(p, cm).TdPenaltyPct(litho.EUV, wc.Sample, 1024, BuildOptions{}, SimOptions{})
+	tdp, _, _, err := oneShotTdp(p, cm, litho.EUV, wc.Sample, 1024, BuildOptions{}, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestEUVTdpTurnsNegativeAtLargeArrays(t *testing.T) {
 	}
 	// SADP stays positive at n=1024 (the RVSS anti-correlation effect).
 	wcS, _ := extract.WorstCase(p, litho.SADP, cm)
-	tdpS, _, _, err := NewColumnBuilder(p, cm).TdPenaltyPct(litho.SADP, wcS.Sample, 1024, BuildOptions{}, SimOptions{})
+	tdpS, _, _, err := oneShotTdp(p, cm, litho.SADP, wcS.Sample, 1024, BuildOptions{}, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,13 +290,44 @@ func TestVssTapOption(t *testing.T) {
 	}
 }
 
-func TestSimulateTdErrors(t *testing.T) {
-	p, _ := nominal(t)
-	if _, err := NewColumnBuilder(p, cm).SimulateTd(litho.LE3, litho.Sample{OLB: 30e-9}, 16, BuildOptions{}, SimOptions{}); err == nil {
-		t.Fatal("collapsed geometry must propagate an error")
+// TestTrialFuncRejectsCollapsedDraws: at an LE3 overlay budget wide
+// enough to collapse some draws, the SPICE-MC trial rejects exactly the
+// draws whose extraction fails and reads the rest.
+func TestTrialFuncRejectsCollapsedDraws(t *testing.T) {
+	p := tech.N10().WithOL(60e-9)
+	b := NewColumnBuilder(p, cm)
+	sizes := []int{4}
+	nomTd, err := b.NominalTds(sizes, BuildOptions{}, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, _, err := NewColumnBuilder(p, cm).TdPenaltyPct(litho.LE3, litho.Sample{OLB: 30e-9}, 16, BuildOptions{}, SimOptions{}); err == nil {
-		t.Fatal("TdPenaltyPct must propagate errors")
+	rm, err := extract.NewRatioModel(p, litho.LE3, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trial, err := b.TrialFunc(rm, sizes, nomTd, nil, BuildOptions{}, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := litho.Params(p, litho.LE3)
+	rng := rand.New(rand.NewSource(0))
+	y := make([]float64, len(sizes))
+	var rejected, accepted int
+	for d := int64(0); d < 16; d++ {
+		rng.Seed(d)
+		_, extractErr := extract.VarRatios(p, litho.LE3, litho.Draw(params, rng), cm)
+		rng.Seed(d)
+		if ok := trial(rng, y, nil); ok != (extractErr == nil) {
+			t.Fatalf("draw %d: trial ok=%v, extraction error %v", d, ok, extractErr)
+		}
+		if extractErr != nil {
+			rejected++
+		} else {
+			accepted++
+		}
+	}
+	if rejected == 0 || accepted == 0 {
+		t.Fatalf("%d rejected, %d accepted: the overlay budget must collapse some draws, not all", rejected, accepted)
 	}
 }
 

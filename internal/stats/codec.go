@@ -239,29 +239,3 @@ func (c *ControlVariate) UnmarshalBinary(data []byte) error {
 	*c = tmp
 	return nil
 }
-
-// DecodeWelford consumes one Welford encoding from the front of data,
-// returning the remainder — the streaming form the artifact reader uses.
-func DecodeWelford(data []byte) (Welford, []byte, error) {
-	r := &CodecReader{buf: data}
-	var w Welford
-	w.Decode(r)
-	return w, r.buf, r.err
-}
-
-// DecodeP2 consumes one P2 encoding from the front of data.
-func DecodeP2(data []byte) (P2, []byte, error) {
-	r := &CodecReader{buf: data}
-	var e P2
-	e.Decode(r)
-	return e, r.buf, r.err
-}
-
-// DecodeControlVariate consumes one ControlVariate encoding from the
-// front of data.
-func DecodeControlVariate(data []byte) (ControlVariate, []byte, error) {
-	r := &CodecReader{buf: data}
-	var c ControlVariate
-	c.Decode(r)
-	return c, r.buf, r.err
-}

@@ -185,8 +185,9 @@ func TestCodecRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-// TestCodecStreamingDecode: the Decode* helpers consume exactly one
-// record and return the rest — the artifact reader's access pattern.
+// TestCodecStreamingDecode: Decode on a shared CodecReader consumes
+// exactly one record per call — the shard artifact reader's access
+// pattern.
 func TestCodecStreamingDecode(t *testing.T) {
 	var w1, w2 Welford
 	w1.Add(1)
@@ -194,16 +195,15 @@ func TestCodecStreamingDecode(t *testing.T) {
 	w2.Add(5)
 	buf := w1.AppendBinary(nil)
 	buf = w2.AppendBinary(buf)
-	g1, rest, err := DecodeWelford(buf)
-	if err != nil {
+	r := NewCodecReader(buf)
+	var g1, g2 Welford
+	g1.Decode(r)
+	g2.Decode(r)
+	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
-	g2, rest, err := DecodeWelford(rest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rest) != 0 || g1 != w1 || g2 != w2 {
-		t.Fatalf("streaming decode drifted: %+v %+v rest=%d", g1, g2, len(rest))
+	if r.Rest() != 0 || g1 != w1 || g2 != w2 {
+		t.Fatalf("streaming decode drifted: %+v %+v rest=%d", g1, g2, r.Rest())
 	}
 	if math.IsNaN(g2.Mean()) {
 		t.Fatal("decoded mean is NaN")

@@ -23,18 +23,18 @@
 // to Env.Proc, which keeps single-process plans (and their results)
 // exactly as before.
 //
-// The deduped job set executes on a worker pool. Each worker owns one
-// sram.ColumnBuilder per process, which caches the nominal extraction,
-// and pulls jobs off a shared cursor; every read borrows a warm netlist
-// scratch and resident engine from sram's process-wide session free
-// list, so workers and successive sweeps stop paying a cold start.
-// Worst-case corner searches and the nominal extractions run once, up
-// front, and are shared read-only by all workers. The context cancels
-// the sweep between jobs; progress callbacks are serialized and strictly
-// increasing. Every job is an independent, deterministic simulation
-// written to its own result slot, so a sweep's results are bit-identical
-// for any worker count — and bit-identical to simulating each point
-// serially on a fresh sram.ColumnBuilder.
+// The deduped job set executes on a worker pool whose workers pull jobs
+// off a shared cursor and hold no state of their own. Worst-case corner
+// searches and one sram.ColumnBuilder per process, holding its nominal
+// extraction, are made once, up front, and shared read-only by all
+// workers; every read borrows a warm netlist scratch and resident engine
+// from sram's process-wide session free list, so workers and successive
+// sweeps stop paying a cold start. The context cancels the sweep between
+// jobs; progress callbacks are serialized and strictly increasing. Every
+// job is an independent, deterministic simulation written to its own
+// result slot, so a sweep's results are bit-identical for any worker
+// count — and bit-identical to simulating each point serially on a fresh
+// column and engine.
 package sweep
 
 import (
@@ -334,10 +334,10 @@ func (r *Result) NominalFor(proc string) (sram.CellParasitics, bool) {
 func (r *Result) Jobs() int { return len(r.td) }
 
 // Run executes the plan's deduplicated job set and returns the memoized
-// results. The shared inputs — nominal parasitics per process and one
-// worst-case corner search per (process, option) — are resolved once
-// before the pool starts; each worker then simulates with its own
-// per-process ColumnBuilder, reading on pooled sessions.
+// results. The shared inputs — one ColumnBuilder per process, holding its
+// nominal parasitics, and one worst-case corner search per (process,
+// option) — are resolved once before the pool starts; every worker then
+// reads through the shared builders on pooled sessions.
 func Run(ctx context.Context, env Env, plan *Plan, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -382,11 +382,17 @@ func Run(ctx context.Context, env Env, plan *Plan, cfg Config) (*Result, error) 
 		wc:  make(map[procOption]extract.WorstCaseResult),
 		nom: make(map[string]sram.CellParasitics, len(procs)),
 	}
+	// One builder per process, shared by every worker: its nominal memo
+	// is filled here, before the pool starts, and MeasureTd is safe for
+	// concurrent use.
+	builders := make(map[string]*sram.ColumnBuilder, len(procs))
 	for key, p := range procs {
-		nom, err := sram.NominalParasitics(p, env.Cap)
+		b := sram.NewColumnBuilder(p, env.Cap)
+		nom, err := b.Nominal()
 		if err != nil {
 			return nil, fmt.Errorf("sweep: nominal extraction (%s): %w", p.Name, err)
 		}
+		builders[key] = b
 		res.nom[key] = nom
 	}
 	for _, po := range plan.procOptions() {
@@ -432,19 +438,6 @@ func Run(ctx context.Context, env Env, plan *Plan, cfg Config) (*Result, error) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One builder per (worker, process), created lazily on the
-			// first job that needs it; the coordinator's nominal
-			// extractions seed the caches.
-			builders := make(map[string]*sram.ColumnBuilder, len(procs))
-			builderFor := func(key string) *sram.ColumnBuilder {
-				b, ok := builders[key]
-				if !ok {
-					b = sram.NewColumnBuilder(procs[key], env.Cap)
-					b.SetNominal(res.nom[key])
-					builders[key] = b
-				}
-				return b
-			}
 			for {
 				if runCtx.Err() != nil {
 					return
@@ -459,7 +452,7 @@ func Run(ctx context.Context, env Env, plan *Plan, cfg Config) (*Result, error) 
 				if p.Kind == WorstCase {
 					cp = nom.Scale(res.wc[procOption{p.Proc, p.Option}].Ratios)
 				}
-				td, err := builderFor(p.Proc).MeasureTd(p.N, cp, env.Build, env.Sim)
+				td, err := builders[p.Proc].MeasureTd(p.N, cp, env.Build, env.Sim)
 				if err != nil {
 					errs[i] = fmt.Errorf("sweep: %v: %w", p, err)
 					cancelRun()

@@ -73,6 +73,36 @@ func TestPlanDedup(t *testing.T) {
 	}
 }
 
+// oneShotTdp is the reference penalty read the sweep must reproduce: the
+// parasitics extracted from scratch (sram.NominalParasitics +
+// extract.VarRatios) and the nominal and perturbed reads each on a fresh
+// sram.BuildColumn + Column.MeasureTd, with no builder or pooled session.
+func oneShotTdp(env Env, o litho.Option, s litho.Sample, n int) (tdp, td, tdnom float64, err error) {
+	nom, err := sram.NominalParasitics(env.Proc, env.Cap)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	r, err := extract.VarRatios(env.Proc, o, s, env.Cap)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	read := func(cp sram.CellParasitics) (float64, error) {
+		col, err := sram.BuildColumn(env.Proc, n, cp, env.Build)
+		if err != nil {
+			return 0, err
+		}
+		res, err := col.MeasureTd(cp, env.Sim)
+		return res.Td, err
+	}
+	if tdnom, err = read(nom); err != nil {
+		return 0, 0, 0, err
+	}
+	if td, err = read(nom.Scale(r)); err != nil {
+		return 0, 0, 0, err
+	}
+	return (td/tdnom - 1) * 100, td, tdnom, nil
+}
+
 func TestRunMatchesSerialOneShotPath(t *testing.T) {
 	env := testEnv()
 	res, err := Run(context.Background(), env, fullPlan(testSizes...), Config{Workers: 2})
@@ -92,8 +122,7 @@ func TestRunMatchesSerialOneShotPath(t *testing.T) {
 			t.Fatalf("%v: worst case mismatch", o)
 		}
 		for _, n := range testSizes {
-			wantTdp, wantTd, wantNom, err := sram.NewColumnBuilder(env.Proc, env.Cap).TdPenaltyPct(
-				o, wc.Sample, n, env.Build, env.Sim)
+			wantTdp, wantTd, wantNom, err := oneShotTdp(env, o, wc.Sample, n)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -68,20 +68,11 @@ func Format(v float64, unit string) string {
 	return fmt.Sprintf("%.3f%s%s", scaled, prefixes[e], unit)
 }
 
-// FormatSI is Format with a space between number and unit.
-func FormatSI(v float64, unit string) string {
-	s := Format(v, "")
-	return s + " " + unit
-}
-
 // Percent renders a ratio r (e.g. 1.0616) as a signed percentage delta
 // string such as "+6.16%".
 func Percent(r float64) string {
 	return fmt.Sprintf("%+.2f%%", (r-1)*100)
 }
-
-// PercentValue renders a percentage value p (already in percent units).
-func PercentValue(p float64) string { return fmt.Sprintf("%+.2f%%", p) }
 
 // Clamp limits v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
