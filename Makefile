@@ -50,6 +50,9 @@ bench-smoke:
 # (Float64bits of every ratio, error text included) to a test-file copy
 # of the slice-based realizers and two-window VarRatios they replaced, on
 # random samples that collapse or merge wires and thin the metal away.
+# FuzzLegacySource proves the engine's lazily seeded legacy PRNG
+# (internal/mc/legacy.go) draws rand.NewSource's stream bit for bit, for
+# any seed and stream length.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCompiledLU' -fuzztime 10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz 'FuzzNetlistReset' -fuzztime 10s ./internal/spice
@@ -61,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzShardArtifact' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime 10s ./internal/remote
 	$(GO) test -run '^$$' -fuzz 'FuzzVarRatios' -fuzztime 10s ./internal/extract
+	$(GO) test -run '^$$' -fuzz 'FuzzLegacySource' -fuzztime 10s ./internal/mc
 
 # Coverage over the -short suite (the fast deterministic core).
 cover:

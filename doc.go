@@ -36,10 +36,12 @@
 // workloads — exp.Nodes, the Table-IV-style σ comparison across
 // N10/N7/N5 (`mpvar nodes`), and per-process extended Table IV surfaces.
 // N10 results are bit-identical to the single-node engine they grew out
-// of. Per-trial reseeding has an opt-in fast path (mc.Config.FastReseed,
-// a splittable PCG64 stream, ~1000× cheaper than the legacy
-// lagged-Fibonacci reseed) that changes the sample stream and therefore
-// requires re-baselining; the default stream stays bit-exact.
+// of. Every trial reseeds its PRNG, and the default stream is math/rand's
+// legacy lagged-Fibonacci one, drawn bit for bit by a source whose Seed
+// is O(1): it derives the 607 seeded words lazily, as draws read them, so
+// a reseed plus one normal draw costs ~20 ns where math/rand's Seed took
+// ~13 µs. An opt-in splittable PCG64 stream (mc.Config.FastReseed, ~15 ns)
+// changes the sample stream and therefore requires re-baselining.
 //
 // The two engines also compose: mc.SpiceTdpAcrossSizes hosts a full read
 // transient inside every Monte-Carlo trial (SPICE-in-the-loop), through

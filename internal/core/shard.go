@@ -119,6 +119,12 @@ func ReadShardArtifactFrom(r io.Reader) (*ShardArtifact, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeShardArtifact(data)
+}
+
+// decodeShardArtifact is the one decoder under both readers: it parses
+// artifact or checkpoint bytes already in memory.
+func decodeShardArtifact(data []byte) (*ShardArtifact, error) {
 	if len(data) < len(shardMagic)+4 || string(data[:len(shardMagic)]) != string(shardMagic) {
 		return nil, fmt.Errorf("core: not a shard artifact (magic %q missing)", shardMagic)
 	}
@@ -149,7 +155,7 @@ func ReadShardArtifact(path string) (*ShardArtifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := ReadShardArtifactFrom(bytes.NewReader(data))
+	a, err := decodeShardArtifact(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

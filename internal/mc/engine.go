@@ -120,7 +120,9 @@ func RunVector(ctx context.Context, cfg Config, nobs int, f VectorFunc) (*Vector
 		return func(ctx context.Context, rng *rand.Rand, b, lo, hi int) (StreamRecord, bool) {
 			rec := StreamRecord{Block: b, Agg: make([]stats.Welford, nobs)}
 			var quant []QuantileSketch
-			if !cfg.Collect {
+			if cfg.Collect {
+				rec.Values = make([]float64, 0, (hi-lo)*nobs)
+			} else {
 				quant = make([]QuantileSketch, nobs)
 				for j := range quant {
 					quant[j] = newQuantileSketch()

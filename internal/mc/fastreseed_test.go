@@ -186,27 +186,30 @@ func TestLegacyStreamUntouchedByKnob(t *testing.T) {
 	}
 }
 
-// BenchmarkTrialReseed prices the per-trial reseed of both sources — the
-// engine overhead the FastReseed knob removes. The legacy arm pays the
-// 607-word lagged-Fibonacci table rebuild on every Seed; the PCG arm two
-// SplitMix64 mixes (~100× cheaper).
+// BenchmarkTrialReseed prices the per-trial reseed plus one normal draw
+// on each source. legacy-lfg is the engine's default, legacySource, whose
+// Seed is O(1) and which derives feedback words as draws read them;
+// math-rand is the same stream on rand.NewSource, whose Seed rebuilds all
+// 607 words with 1 841 divisions; pcg-splitmix is the FastReseed source,
+// two SplitMix64 mixes.
 func BenchmarkTrialReseed(b *testing.B) {
-	b.Run("legacy-lfg", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(0))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rng.Seed(trialSeed(2015, i))
-			rng.NormFloat64()
-		}
-	})
-	b.Run("pcg-splitmix", func(b *testing.B) {
-		rng := rand.New(new(pcgSource))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rng.Seed(trialSeed(2015, i))
-			rng.NormFloat64()
-		}
-	})
+	for _, arm := range []struct {
+		name string
+		src  rand.Source
+	}{
+		{"legacy-lfg", new(legacySource)},
+		{"math-rand", rand.NewSource(0)},
+		{"pcg-splitmix", new(pcgSource)},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			rng := rand.New(arm.src)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rng.Seed(trialSeed(2015, i))
+				rng.NormFloat64()
+			}
+		})
+	}
 }
 
 // TestSigmaSurfaceAcrossProcesses covers the process sweep axis at the

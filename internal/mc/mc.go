@@ -37,14 +37,14 @@ type Config struct {
 	// streaming Welford moments — no O(Samples) buffer.
 	Collect bool
 	// FastReseed switches the per-trial PRNG to the splittable PCG64
-	// source (pcg.go), whose O(1) reseed is ~100× cheaper than the
-	// legacy lagged-Fibonacci 607-word table rebuild that otherwise
-	// dominates cheap-observable runs. Off (the default), the engine
-	// keeps the legacy source and its bit-exact historical sample
-	// stream. Turning it on changes every drawn sample — results remain
-	// deterministic per (Seed, trial) and bit-identical across worker
-	// counts, but must be re-baselined against the legacy goldens (see
-	// EXPERIMENTS.md).
+	// source (pcg.go): a reseed plus one normal draw takes 11–17 ns,
+	// against 21–24 ns on the default legacy source (legacy.go), which
+	// already reseeds in O(1), so it saves under 1 % of an analytic trial.
+	// Off (the default), the engine keeps the legacy source and its
+	// bit-exact historical sample stream. Turning it on changes every
+	// drawn sample — results remain deterministic per (Seed, trial) and
+	// bit-identical across worker counts, but must be re-baselined
+	// against the legacy goldens (see EXPERIMENTS.md).
 	FastReseed bool
 	// Progress, if non-nil, is called as trial blocks complete with the
 	// number of finished trials and the total. Calls are serialized by

@@ -1,12 +1,14 @@
 // The splittable fast-reseed PRNG source behind Config.FastReseed.
 //
 // The legacy stream reseeds math/rand's additive lagged-Fibonacci source
-// per trial, and that Seed call re-derives a 607-word feedback table —
-// ~10 µs that dominates the engine overhead of cheap observables. This
-// source is a PCG-64 (XSL-RR 128/64) generator whose Seed is two
-// SplitMix64 mixes of the trial seed: O(1), allocation-free, and still
-// giving every trial its own statistically independent stream (the
-// "splittable" property the per-trial determinism contract needs).
+// per trial. math/rand's own Seed rebuilds the 607-word feedback table
+// (~13 µs); the engine draws that stream through legacySource
+// (legacy.go), whose Seed is O(1), so a reseed plus one normal draw costs
+// ~20 ns. This source is a PCG-64 (XSL-RR 128/64) generator whose Seed is
+// two SplitMix64 mixes of the trial seed (~15 ns with the draw): O(1),
+// allocation-free, and still giving every trial its own statistically
+// independent stream (the "splittable" property the per-trial
+// determinism contract needs).
 //
 // Switching a run to FastReseed changes the drawn sample stream — the
 // legacy stream is a compatibility surface for every golden number — so

@@ -221,15 +221,15 @@ func runBlocks(ctx context.Context, cfg Config, n, first, last int, newEval func
 		go func() {
 			defer wg.Done()
 			// One PRNG and one scratch closure per worker, reseeded /
-			// rewritten per trial instead of reallocated. FastReseed swaps
-			// the source for the splittable PCG64 whose Seed is O(1)
-			// instead of a 607-word table init; the stream changes, the
-			// determinism contract does not.
+			// rewritten per trial instead of reallocated. The default
+			// source is math/rand's legacy stream with an O(1) Seed
+			// (legacy.go); FastReseed swaps in the splittable PCG64, which
+			// changes the stream, not the determinism contract.
 			var rng *rand.Rand
 			if cfg.FastReseed {
 				rng = rand.New(new(pcgSource))
 			} else {
-				rng = rand.New(rand.NewSource(0))
+				rng = rand.New(new(legacySource))
 			}
 			eval := newEval()
 			for {

@@ -179,6 +179,21 @@ func (e *flakyExec) runShard(ctx context.Context, spec core.RunSpec, shard mc.Sh
 	return e.inner.runShard(ctx, spec, shard, path, progress)
 }
 
+// holdExec keeps each shard in flight from its first emitted block until
+// its context is canceled. The progress hook runs inside the engine's
+// block emission, so blocking there stalls the shard however fast its
+// trials run, and a drain always lands mid-run.
+type holdExec struct{ inner shardExec }
+
+func (e holdExec) runShard(ctx context.Context, spec core.RunSpec, shard mc.ShardSpec, path string, progress func(done, total int)) error {
+	return e.inner.runShard(ctx, spec, shard, path, func(done, total int) {
+		progress(done, total)
+		if done > 0 {
+			<-ctx.Done()
+		}
+	})
+}
+
 // TestFanoutShardFailureRedispatch: a shard attempt that dies is
 // re-dispatched (resuming its checkpoint) and the run still completes
 // with the byte-identical body.
@@ -214,6 +229,7 @@ func TestFanoutDrainCheckpointResume(t *testing.T) {
 	cfg := Config{Workers: 1, Fanout: 2, FanoutMinSamples: 1, EngineWorkers: 1, FanoutDir: dir}
 
 	sA, tsA := newTestServer(t, cfg)
+	sA.shardRunner = holdExec{inner: sA.shardRunner}
 	resp, b := postRun(t, tsA, "?wait=0", body)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, b)

@@ -9,11 +9,13 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mpsram/internal/core"
+	"mpsram/internal/remote"
 )
 
 // The remote fan-out suite runs real coordinator + worker Server
@@ -33,6 +35,70 @@ func newWorkerPeer(t *testing.T) (*Server, *httptest.Server) {
 	s.remoteWorker.CheckpointEvery = 25 * time.Millisecond
 	return s, ts
 }
+
+// newHeldWorkerPeer is newWorkerPeer with its shard streams held in
+// flight until the coordinator's end of the stream goes away (a drain, a
+// killed connection) or the test calls release; after release, streams
+// pass through, so a resumed run's dispatch runs normally. Progress
+// frames are written from the engine's block emission, so stalling their
+// write stalls the shard however fast its trials run: a kill or a drain
+// always lands mid-shard.
+func newHeldWorkerPeer(t *testing.T) (ts *httptest.Server, release func()) {
+	t.Helper()
+	s := New(Config{Workers: 2, EngineWorkers: 1})
+	s.remoteWorker.CheckpointEvery = 25 * time.Millisecond
+	h := s.Handler()
+	released := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(released) }) }
+	ts = startTestServer(t, s, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == remote.ShardsPath {
+			w = &heldStream{ResponseWriter: w, ctx: r.Context(), released: released}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	// Cleanups run last-in first-out: release before the server closes.
+	t.Cleanup(release)
+	return ts, release
+}
+
+// heldStream is a held shard response stream. Until a checkpoint frame
+// has gone out, it delays each progress or artifact frame by a
+// millisecond: a 30 000-draw fig5 shard has over 350 blocks, so it cannot
+// finish before its first checkpoint ships, two 25 ms ticks in. After
+// that, it blocks the next such frame until ctx is done or released is
+// closed. It relies on the worker writing each frame header in one Write
+// (see the frame format in package remote).
+type heldStream struct {
+	http.ResponseWriter
+	ctx      context.Context
+	released <-chan struct{}
+	shipped  bool
+}
+
+func (w *heldStream) Write(p []byte) (int, error) {
+	held := bytes.HasPrefix(p, []byte("progress ")) || bytes.HasPrefix(p, []byte("artifact "))
+	select {
+	case <-w.released:
+		held = false
+	default:
+	}
+	switch {
+	case held && !w.shipped:
+		time.Sleep(time.Millisecond)
+	case held:
+		select {
+		case <-w.ctx.Done():
+			return 0, w.ctx.Err()
+		case <-w.released:
+		}
+	}
+	w.shipped = w.shipped || bytes.HasPrefix(p, []byte("checkpoint "))
+	return w.ResponseWriter.Write(p)
+}
+
+// Unwrap lets the worker's http.ResponseController flush the stream.
+func (w *heldStream) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 type remoteHealth struct {
 	Status string `json:"status"`
@@ -156,13 +222,23 @@ func TestRemoteFanoutDeadPeerFailover(t *testing.T) {
 	body := `{"workload":"fig5","samples":60000}`
 	direct := directBody(t, body)
 
-	_, tsA := newWorkerPeer(t)
+	// Worker A holds its shards in flight until its connections die, so
+	// the kill always tears a running shard.
+	tsA, releaseA := newHeldWorkerPeer(t)
 	_, tsB := newWorkerPeer(t)
 	s, ts := newTestServer(t, Config{
 		Workers: 1, Fanout: 2, FanoutMinSamples: 1, EngineWorkers: 1,
 		FanoutDir: t.TempDir(), FanoutExec: "remote",
 		Peers: []string{tsA.URL, tsB.URL},
 	})
+	// Submit only once the health sweep has marked both peers live: a
+	// dispatch racing the first sweep goes to whichever peer answered
+	// first, and with both shards on B nothing would run on A to kill.
+	for deadline := time.Now().Add(15 * time.Second); remoteHealthz(t, ts).Remote.PeersLive != 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("peers never both live")
+		}
+	}
 
 	resp, b := postRun(t, ts, "?wait=0", body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -188,6 +264,7 @@ func TestRemoteFanoutDeadPeerFailover(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	tsA.CloseClientConnections()
+	releaseA() // a re-dispatch that lands on A again runs through
 
 	// The blocking re-submission coalesces into the in-flight run and
 	// waits for it — completion despite the torn streams is the assertion.
@@ -214,8 +291,10 @@ func TestRemoteFanoutDrainResume(t *testing.T) {
 	body := `{"workload":"fig5","samples":60000}`
 	direct := directBody(t, body)
 
-	_, tsA := newWorkerPeer(t)
-	_, tsB := newWorkerPeer(t)
+	// Both workers hold their shards in flight until the coordinator
+	// hangs up, so the drain always interrupts a running run.
+	tsA, releaseA := newHeldWorkerPeer(t)
+	tsB, releaseB := newHeldWorkerPeer(t)
 	dir := t.TempDir()
 	cfg := Config{
 		Workers: 1, Fanout: 2, FanoutMinSamples: 1, EngineWorkers: 1,
@@ -251,6 +330,8 @@ func TestRemoteFanoutDrainResume(t *testing.T) {
 	if err := sA.Drain(drainCtx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
+	releaseA()
+	releaseB()
 	checkpoints, _ := filepath.Glob(filepath.Join(dir, env.ID+".shard*"))
 	if len(checkpoints) == 0 {
 		t.Fatal("drain left no resumable shard artifacts")

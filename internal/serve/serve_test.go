@@ -103,14 +103,22 @@ func init() {
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
-	ts := httptest.NewServer(s.Handler())
+	return s, startTestServer(t, s, s.Handler())
+}
+
+// startTestServer fronts s with h, its handler or a test wrapper of it,
+// on an httptest server and tears both down (draining the pool) at
+// cleanup.
+func startTestServer(t *testing.T, s *Server, h http.Handler) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(h)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		defer cancel()
 		_ = s.Drain(ctx)
 	})
-	return s, ts
+	return ts
 }
 
 func postRun(t *testing.T, ts *httptest.Server, query, body string) (*http.Response, []byte) {
