@@ -45,7 +45,6 @@ type globals struct {
 	samples  int
 	seed     int64
 	process  string
-	fastSeed bool
 	ol       float64
 	n        int
 	lumped   bool
@@ -65,7 +64,6 @@ func (g *globals) register(fs *flag.FlagSet) {
 	fs.IntVar(&g.samples, "samples", g.samples, "Monte-Carlo sample count (workloads may hint a cheaper default)")
 	fs.Int64Var(&g.seed, "seed", g.seed, "Monte-Carlo seed")
 	fs.StringVar(&g.process, "process", g.process, "technology preset; run 'mpvar processes' for the registry")
-	fs.BoolVar(&g.fastSeed, "fastseed", g.fastSeed, "use the splittable PCG64 Monte-Carlo stream (reseed + draw ~15 ns vs the default's ~20 ns; changes sampled values — see EXPERIMENTS.md)")
 	fs.Float64Var(&g.ol, "ol", g.ol, "LE3 overlay 3-sigma budget in nm")
 	fs.IntVar(&g.n, "n", g.n, "array word-line count (workloads with an n parameter)")
 	fs.BoolVar(&g.lumped, "lumped", g.lumped, "use the lumped bit-line ablation")
@@ -308,7 +306,7 @@ func main() {
 	}
 	opts := []core.Option{
 		core.WithProcess(proc),
-		core.WithMC(mc.Config{Samples: g.samples, Seed: g.seed, FastReseed: g.fastSeed}),
+		core.WithMC(mc.Config{Samples: g.samples, Seed: g.seed}),
 		core.WithBuild(sram.BuildOptions{Lumped: g.lumped}),
 		core.WithContext(ctx),
 		core.WithWorkers(g.workers),

@@ -1,12 +1,66 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"mpsram/internal/exp"
 )
+
+// TestMain lets the test binary stand in for the mpvar command: with
+// MPVAR_ARGS set (one argument per line) it runs main on them and exits,
+// so runMpvar can observe real exit codes.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("MPVAR_ARGS"); ok {
+		os.Args = append([]string{"mpvar"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMpvar runs mpvar with args in a child process and returns its exit
+// code and standard error.
+func runMpvar(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Dir = t.TempDir()
+	cmd.Env = append(os.Environ(), "MPVAR_ARGS="+strings.Join(args, "\n"))
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
+
+// TestRetiredFastseedRefused: the retired PCG stream's -fastseed flag is
+// unknown to both run verbs (exit 2), and reduce refuses an artifact a
+// codec-1 build wrote (exit 1).
+func TestRetiredFastseedRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fastseed", "fig5"},
+		{"shard", "-fastseed", "-index", "0", "-of", "1", "fig5"},
+	} {
+		if code, stderr := runMpvar(t, args...); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -fastseed") {
+			t.Errorf("mpvar %s: exit %d, stderr %q", strings.Join(args, " "), code, stderr)
+		}
+	}
+	codec1, err := filepath.Abs(filepath.Join("..", "..", "internal", "core", "testdata", "fig5-streamcodec1.shard1-of2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, stderr := runMpvar(t, "reduce", codec1); code != 1 || !strings.Contains(stderr, "stream codec version 1, want 2") {
+		t.Errorf("mpvar reduce of a codec-1 artifact: exit %d, stderr %q", code, stderr)
+	}
+}
 
 // TestUsageGeneratedFromRegistry pins the self-describing usage: every
 // registered workload appears with its summary, with the utilities and

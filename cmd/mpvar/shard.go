@@ -28,7 +28,6 @@ type shardSpecFlags struct {
 	samples  int
 	seed     int64
 	process  string
-	fastSeed bool
 	workers  int
 	progress bool
 }
@@ -44,7 +43,6 @@ func (g *shardSpecFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&g.samples, "samples", g.samples, "Monte-Carlo sample count (0 = the workload's preferred budget)")
 	fs.Int64Var(&g.seed, "seed", g.seed, "Monte-Carlo seed")
 	fs.StringVar(&g.process, "process", g.process, "technology preset (default N10); run 'mpvar processes' for the registry")
-	fs.BoolVar(&g.fastSeed, "fastseed", g.fastSeed, "use the splittable PCG64 Monte-Carlo stream (changes sampled values)")
 	fs.IntVar(&g.workers, "workers", g.workers, "worker count for Monte-Carlo and SPICE sweeps (0 = all CPUs; never changes results)")
 	fs.BoolVar(&g.progress, "progress", g.progress, "report progress on stderr")
 }
@@ -118,7 +116,7 @@ flags:
 	fs2.Visit(func(f *flag.Flag) { seen[f.Name] = true })
 	spec := core.RunSpec{
 		Workload: name, Params: explicitParams(seen), Process: g.process,
-		Seed: g.seed, Samples: g.samples, FastSeed: g.fastSeed,
+		Seed: g.seed, Samples: g.samples,
 	}
 	path := *out
 	if path == "" {

@@ -36,12 +36,12 @@
 // workloads — exp.Nodes, the Table-IV-style σ comparison across
 // N10/N7/N5 (`mpvar nodes`), and per-process extended Table IV surfaces.
 // N10 results are bit-identical to the single-node engine they grew out
-// of. Every trial reseeds its PRNG, and the default stream is math/rand's
-// legacy lagged-Fibonacci one, drawn bit for bit by a source whose Seed
-// is O(1): it derives the 607 seeded words lazily, as draws read them, so
-// a reseed plus one normal draw costs ~20 ns where math/rand's Seed took
-// ~13 µs. An opt-in splittable PCG64 stream (mc.Config.FastReseed, ~15 ns)
-// changes the sample stream and therefore requires re-baselining.
+// of. Every trial reseeds its PRNG from (seed, trial index). There is
+// one sample stream, math/rand's legacy lagged-Fibonacci one, and every
+// golden number is drawn from it. The engine draws it bit for bit through
+// a source whose Seed is O(1): it derives the 607 seeded words lazily, as
+// draws read them, so a reseed plus one normal draw costs ~20 ns where
+// math/rand's Seed took ~13 µs.
 //
 // The two engines also compose: mc.SpiceTdpAcrossSizes hosts a full read
 // transient inside every Monte-Carlo trial (SPICE-in-the-loop), through

@@ -122,11 +122,6 @@ func (m Params) TdElmore(n int, rvar, cvar float64) float64 {
 	return m.A * tau
 }
 
-// TdpElmorePct is the Elmore-based penalty in percent.
-func (m Params) TdpElmorePct(n int, rvar, cvar float64) float64 {
-	return (m.TdElmore(n, rvar, cvar)/m.TdElmore(n, 1, 1) - 1) * 100
-}
-
 // AsymptoticTdpPct returns the n→∞ limit of the penalty — the quantity
 // that explains the paper's sign flips at large arrays. In the limit the
 // n² term dominates the resistance factor while the capacitance per cell

@@ -123,9 +123,6 @@ func TestTdpUnityIsZeroProperty(t *testing.T) {
 		if tdp := m.TdpPct(n, 1, 1); math.Abs(tdp) > 1e-9 {
 			t.Fatalf("tdp at unity ratios = %g", tdp)
 		}
-		if tdp := m.TdpElmorePct(n, 1, 1); math.Abs(tdp) > 1e-9 {
-			t.Fatalf("Elmore tdp at unity ratios = %g", tdp)
-		}
 	}
 }
 

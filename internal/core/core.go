@@ -43,13 +43,6 @@ type Option func(*exp.Env)
 // WithProcess replaces the primary technology preset.
 func WithProcess(p tech.Process) Option { return func(e *exp.Env) { e.Proc = p } }
 
-// WithProcesses replaces the node comparison set of the cross-process
-// workloads (nodes, table4xp). The default set is the full
-// registry: N10, N7, N5.
-func WithProcesses(procs ...tech.Process) Option {
-	return func(e *exp.Env) { e.Procs = append([]tech.Process(nil), procs...) }
-}
-
 // LookupProcess resolves a preset name against the default registry. An
 // unknown name returns an error listing the valid names — CLIs should
 // surface it verbatim.

@@ -268,7 +268,8 @@ func TestProcessRegistryThroughFacade(t *testing.T) {
 		t.Fatalf("%d node rows", len(rows))
 	}
 	// Trimming the node set trims the comparison.
-	s2, err := NewStudy(WithProcesses(p), WithMC(mc.Config{Samples: 400, Seed: 7}))
+	nodeSet := func(procs ...tech.Process) Option { return func(e *exp.Env) { e.Procs = procs } }
+	s2, err := NewStudy(nodeSet(p), WithMC(mc.Config{Samples: 400, Seed: 7}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +279,7 @@ func TestProcessRegistryThroughFacade(t *testing.T) {
 	// An invalid preset in the node set fails construction.
 	bad := p
 	bad.M1.Width = -1
-	if _, err := NewStudy(WithProcesses(bad)); err == nil {
+	if _, err := NewStudy(nodeSet(bad)); err == nil {
 		t.Fatal("invalid node-set preset must fail NewStudy")
 	}
 }

@@ -2,7 +2,7 @@
 // execution, and the run-key hashing behind the serve layer's
 // content-addressed result cache. Every engine in this repository is
 // bit-deterministic in (workload, parameters, seed, sample budget,
-// process, PRNG stream) — worker counts never change results — so those
+// process) — worker counts never change results — so those
 // fields, plus an engine version that moves when the numerics move, ARE
 // the identity of a result. Two specs with equal keys produce
 // byte-identical rendered output.
@@ -49,7 +49,6 @@ type RunSpec struct {
 	Process  string
 	Seed     int64
 	Samples  int
-	FastSeed bool
 }
 
 // Normalize resolves the spec to its canonical form: the workload name
@@ -113,8 +112,8 @@ func (s RunSpec) EstimatedCost() (float64, error) {
 
 // canonical renders a normalized spec as the frozen pre-image of Key.
 func (s RunSpec) canonical() string {
-	return fmt.Sprintf("mpsram-run|engine=%s|workload=%s|process=%s|seed=%d|samples=%d|fastseed=%t|params=%s",
-		EngineVersion, s.Workload, s.Process, s.Seed, s.Samples, s.FastSeed,
+	return fmt.Sprintf("mpsram-run|engine=%s|workload=%s|process=%s|seed=%d|samples=%d|params=%s",
+		EngineVersion, s.Workload, s.Process, s.Seed, s.Samples,
 		exp.CanonicalParams(s.Params))
 }
 
@@ -133,7 +132,7 @@ func (s RunSpec) Key() (string, error) {
 }
 
 // NewStudy builds a Study configured exactly as the normalized spec
-// describes (process preset, Monte-Carlo seed/budget/stream); extra
+// describes (process preset, Monte-Carlo seed and budget); extra
 // options — context, progress, worker counts — apply on top and must not
 // change results (they are not part of the key).
 func (s RunSpec) NewStudy(extra ...Option) (*Study, error) {
@@ -147,7 +146,7 @@ func (s RunSpec) NewStudy(extra ...Option) (*Study, error) {
 	}
 	opts := append([]Option{
 		WithProcess(proc),
-		WithMC(mc.Config{Samples: n.Samples, Seed: n.Seed, FastReseed: n.FastSeed}),
+		WithMC(mc.Config{Samples: n.Samples, Seed: n.Seed}),
 	}, extra...)
 	return NewStudy(opts...)
 }

@@ -50,7 +50,6 @@ type ShardHeader struct {
 	Process       string     `json:"process"`
 	Seed          int64      `json:"seed"`
 	Samples       int        `json:"samples"`
-	FastSeed      bool       `json:"fastseed"`
 	ShardIndex    int        `json:"shard_index"`
 	ShardCount    int        `json:"shard_count"`
 	// Complete marks a finished shard; false marks a resumable
@@ -60,7 +59,7 @@ type ShardHeader struct {
 
 // spec rebuilds the RunSpec the artifact identifies.
 func (h ShardHeader) spec() RunSpec {
-	return RunSpec{Workload: h.Workload, Params: h.Params, Process: h.Process, Seed: h.Seed, Samples: h.Samples, FastSeed: h.FastSeed}
+	return RunSpec{Workload: h.Workload, Params: h.Params, Process: h.Process, Seed: h.Seed, Samples: h.Samples}
 }
 
 // ShardArtifact is one decoded artifact or checkpoint file.
@@ -234,7 +233,7 @@ func RunShard(spec RunSpec, shard mc.ShardSpec, path string, opt ShardRunOptions
 	hdr := ShardHeader{
 		RunKey: key, EngineVersion: EngineVersion,
 		Workload: n.Workload, Params: n.Params, Process: n.Process,
-		Seed: n.Seed, Samples: n.Samples, FastSeed: n.FastSeed,
+		Seed: n.Seed, Samples: n.Samples,
 		ShardIndex: shard.Index, ShardCount: shard.Count,
 	}
 	var sr *mc.ShardRun

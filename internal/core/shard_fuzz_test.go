@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"mpsram/internal/mc"
@@ -71,4 +74,59 @@ func FuzzShardArtifact(f *testing.F) {
 func artifactPayload(data []byte) []byte {
 	hlen := int(binary.BigEndian.Uint32(data[len(shardMagic):]))
 	return data[len(shardMagic)+4+hlen:]
+}
+
+// TestShardArtifactRefusals pins the text of the artifact refusals the
+// committed inputs reach. Stream codec 1 still carried the retired PCG
+// stream's flag byte in every stream header, so its artifacts stop at
+// the version check: the fig5 shard a codec-1 build wrote
+// (fig5-streamcodec1.shard1-of2, shard 1 of 2 at 257 draws) and the
+// FuzzShardArtifact crasher. The crasher's codec-2 copy still reaches
+// the record-count guard. The fig5 shard's run key, whose pre-image
+// spelled the flag, no longer reproduces in Verify either.
+func TestShardArtifactRefusals(t *testing.T) {
+	codec1 := filepath.Join("testdata", "fig5-streamcodec1.shard1-of2")
+	if _, err := ReadShardArtifact(codec1); err == nil || !strings.Contains(err.Error(), "mc: stream codec version 1, want 2") {
+		t.Errorf("codec-1 fig5 shard: %v", err)
+	}
+	for _, c := range []struct{ input, want string }{
+		{"f12694b167810de7", "mc: stream codec version 1, want 2"},
+		{"c32892a39e7eb614", "mc: stream 0 claims 9060182779768880 records in 0 bytes"},
+	} {
+		if _, err := ReadShardArtifactFrom(bytes.NewReader(fuzzInput(t, c.input))); err == nil || err.Error() != c.want {
+			t.Errorf("crasher %s: %v, want %q", c.input, err, c.want)
+		}
+	}
+
+	data, err := os.ReadFile(codec1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hlen := int(binary.BigEndian.Uint32(data[len(shardMagic):]))
+	var h ShardHeader
+	if err := json.Unmarshal(data[len(shardMagic)+4:len(shardMagic)+4+hlen], &h); err != nil {
+		t.Fatal(err)
+	}
+	a := &ShardArtifact{Header: h}
+	if err := a.Verify("", mc.ShardSpec{Index: 1, Count: 2}); err == nil || !strings.Contains(err.Error(), "does not reproduce") {
+		t.Errorf("codec-1 fig5 shard's run key: %v", err)
+	}
+}
+
+// fuzzInput returns the []byte a FuzzShardArtifact corpus file holds.
+func fuzzInput(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzShardArtifact", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+	if len(lines) != 2 || lines[0] != "go test fuzz v1" {
+		t.Fatalf("%s: not a one-value corpus file", name)
+	}
+	v, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(v)
 }

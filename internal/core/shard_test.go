@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mpsram/internal/exp"
 	"mpsram/internal/mc"
@@ -32,6 +34,32 @@ func render(t *testing.T, res *exp.Result) []byte {
 		}
 	}
 	return buf.Bytes()
+}
+
+// checkLeaks fails the test unless, at cleanup, its goroutines settle
+// back to the count at the call within a few seconds (every stack is
+// dumped if they do not) and no new mpvar-* entry is left under
+// os.TempDir(). TMPDIR points at a fresh per-test directory for the
+// test's duration, so other test processes' scratch cannot show up in
+// the check. Call it first: cleanups run last-in first-out, so the check
+// runs after every server and worker the test made has shut down.
+func checkLeaks(t *testing.T) {
+	t.Helper()
+	t.Setenv("TMPDIR", t.TempDir())
+	tmp := os.TempDir()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			buf := make([]byte, 1<<20)
+			t.Errorf("%d goroutines at cleanup, %d at start:\n%s", n, before, buf[:runtime.Stack(buf, true)])
+		}
+		if left, _ := filepath.Glob(filepath.Join(tmp, "mpvar-*")); len(left) > 0 {
+			t.Errorf("left behind under %s: %v", tmp, left)
+		}
+	})
 }
 
 // shardReduce runs spec split into count shards (each with the given
@@ -96,6 +124,7 @@ func TestShardReduceMatchesDirect(t *testing.T) {
 // strict partial, resumes it to completion, and reduces — byte-identical
 // to the uninterrupted run.
 func TestShardCheckpointResumeEndToEnd(t *testing.T) {
+	checkLeaks(t)
 	spec := RunSpec{Workload: "fig5", Samples: 2000, Params: exp.Params{"n": 64}}
 	direct, err := spec.Run()
 	if err != nil {
@@ -448,7 +477,7 @@ func TestShardHeaderSpecRoundTrip(t *testing.T) {
 	}
 	want := key(t, n)
 	h := ShardHeader{Workload: n.Workload, Params: n.Params, Process: n.Process,
-		Seed: n.Seed, Samples: n.Samples, FastSeed: n.FastSeed}
+		Seed: n.Seed, Samples: n.Samples}
 	blob, err := json.Marshal(h)
 	if err != nil {
 		t.Fatal(err)

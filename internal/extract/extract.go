@@ -95,15 +95,6 @@ func (w WireRC) CTotalPerM() float64 {
 	return w.CgPerM + w.CcBelowPerM + w.CcAbovePerM
 }
 
-// CouplingFraction returns Cc/(Cg+Cc), a useful calibration diagnostic.
-func (w WireRC) CouplingFraction() float64 {
-	c := w.CTotalPerM()
-	if c == 0 {
-		return 0
-	}
-	return (w.CcBelowPerM + w.CcAbovePerM) / c
-}
-
 // ResistancePerM returns the per-unit-length resistance of a wire of drawn
 // width w on metal layer m: trapezoidal cross-section (etch taper), minus
 // the bottom and sidewall barrier liners, at the layer's effective

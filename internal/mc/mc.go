@@ -36,16 +36,6 @@ type Config struct {
 	// exact quantiles and histograms. Off, the engine keeps only the
 	// streaming Welford moments — no O(Samples) buffer.
 	Collect bool
-	// FastReseed switches the per-trial PRNG to the splittable PCG64
-	// source (pcg.go): a reseed plus one normal draw takes 11–17 ns,
-	// against 21–24 ns on the default legacy source (legacy.go), which
-	// already reseeds in O(1), so it saves under 1 % of an analytic trial.
-	// Off (the default), the engine keeps the legacy source and its
-	// bit-exact historical sample stream. Turning it on changes every
-	// drawn sample — results remain deterministic per (Seed, trial) and
-	// bit-identical across worker counts, but must be re-baselined
-	// against the legacy goldens (see EXPERIMENTS.md).
-	FastReseed bool
 	// Progress, if non-nil, is called as trial blocks complete with the
 	// number of finished trials and the total. Calls are serialized by
 	// the engine and done is strictly increasing within one run, so the

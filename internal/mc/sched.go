@@ -63,12 +63,11 @@ const (
 // re-execution for the recorded blocks to be the same computation.
 // Comparable by ==.
 type streamHeader struct {
-	Kind       uint8
-	Collect    bool
-	FastReseed bool
-	Nobs       int
-	Samples    int
-	Seed       int64
+	Kind    uint8
+	Collect bool
+	Nobs    int
+	Samples int
+	Seed    int64
 }
 
 // nblocks returns the stream's block count.
@@ -141,7 +140,7 @@ func runStream(ctx context.Context, cfg Config, kind uint8, nobs int, newEval fu
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	hdr := streamHeader{Kind: kind, Collect: cfg.Collect, FastReseed: cfg.FastReseed, Nobs: nobs, Samples: n, Seed: cfg.Seed}
+	hdr := streamHeader{Kind: kind, Collect: cfg.Collect, Nobs: nobs, Samples: n, Seed: cfg.Seed}
 	var recs []StreamRecord
 	if rp := cfg.Replay; rp != nil {
 		var err error
@@ -183,10 +182,10 @@ func runStream(ctx context.Context, cfg Config, kind uint8, nobs int, newEval fu
 // runBlocks drives the worker pool over blocks [first,last) of an
 // n-trial stream. newEval is invoked once per worker and the returned
 // closure owns that worker's scratch; each worker also gets one reusable
-// PRNG (legacy or PCG64 per cfg.FastReseed) and nothing else, so any
-// worker can evaluate any block. emit receives every completed record
-// strictly in block order and is serialized by the scheduler — it needs
-// no locking and may safely append to a slice or persist a checkpoint.
+// PRNG and nothing else, so any worker can evaluate any block. emit
+// receives every completed record strictly in block order and is
+// serialized by the scheduler — it needs no locking and may safely
+// append to a slice or persist a checkpoint.
 // cfg.Progress, when set, observes the frontier: done counts emitted
 // trials of this range, total the range's trial count, strictly
 // increasing.
@@ -221,16 +220,9 @@ func runBlocks(ctx context.Context, cfg Config, n, first, last int, newEval func
 		go func() {
 			defer wg.Done()
 			// One PRNG and one scratch closure per worker, reseeded /
-			// rewritten per trial instead of reallocated. The default
-			// source is math/rand's legacy stream with an O(1) Seed
-			// (legacy.go); FastReseed swaps in the splittable PCG64, which
-			// changes the stream, not the determinism contract.
-			var rng *rand.Rand
-			if cfg.FastReseed {
-				rng = rand.New(new(pcgSource))
-			} else {
-				rng = rand.New(new(legacySource))
-			}
+			// rewritten per trial instead of reallocated. The source is
+			// math/rand's legacy stream with an O(1) Seed (legacy.go).
+			rng := rand.New(new(legacySource))
 			eval := newEval()
 			for {
 				if ctx.Err() != nil {

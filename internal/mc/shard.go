@@ -272,12 +272,12 @@ func (p *ShardPayload) Frontier(spec ShardSpec) (done, total int) {
 // version-mismatched buffers fail loudly.
 const (
 	payloadCodecVersion = 1
-	streamCodecVersion  = 1
+	streamCodecVersion  = 2
 )
 
 // appendHeader encodes one stream header (fixed size).
 func appendHeader(b []byte, h streamHeader) []byte {
-	b = append(b, streamCodecVersion, h.Kind, b2u8(h.Collect), b2u8(h.FastReseed))
+	b = append(b, streamCodecVersion, h.Kind, b2u8(h.Collect))
 	b = stats.AppendU64(b, uint64(h.Nobs))
 	b = stats.AppendU64(b, uint64(h.Samples))
 	b = stats.AppendU64(b, uint64(h.Seed))
@@ -355,7 +355,6 @@ func decodeHeader(r *stats.CodecReader) (streamHeader, error) {
 	}
 	h.Kind = r.U8("stream header")
 	h.Collect = r.U8("stream header") != 0
-	h.FastReseed = r.U8("stream header") != 0
 	h.Nobs = int(r.U64("stream header"))
 	h.Samples = int(r.U64("stream header"))
 	h.Seed = int64(r.U64("stream header"))

@@ -357,15 +357,23 @@ func TestShardPayloadRejects(t *testing.T) {
 	if _, err := DecodeShardPayload(good); err != nil {
 		t.Fatal(err)
 	}
+	// Layout: the payload version and stream count, then the stream
+	// header, which ends in its observable count, sample count and seed
+	// (8 bytes each), then the stream's record count.
+	const headerAt = 1 + 8
+	headerLen := len(appendHeader(nil, streamHeader{}))
+	nobsAt := headerAt + headerLen - 3*8
+	samplesAt := nobsAt + 8
+	recordsAt := headerAt + headerLen
 	bad := append([]byte(nil), good...)
 	bad[0] = 99
 	if _, err := DecodeShardPayload(bad); err == nil {
 		t.Fatal("decoded a foreign payload version")
 	}
 	bad = append([]byte(nil), good...)
-	bad[9] = 99 // stream header version byte
-	if _, err := DecodeShardPayload(bad); err == nil {
-		t.Fatal("decoded a foreign stream header version")
+	bad[headerAt] = 99 // stream header version byte
+	if _, err := DecodeShardPayload(bad); err == nil || !strings.Contains(err.Error(), "stream codec version 99") {
+		t.Fatalf("foreign stream header version: %v", err)
 	}
 	for _, cut := range []int{0, 1, 5, 9, len(good) / 2, len(good) - 1} {
 		if _, err := DecodeShardPayload(good[:cut]); err == nil {
@@ -376,19 +384,21 @@ func TestShardPayloadRejects(t *testing.T) {
 		t.Fatal("decoded trailing garbage")
 	}
 	// Counts the remaining bytes cannot hold refuse before anything is
-	// allocated for them. Offsets: the stream header's observable count
-	// at 13, its sample count at 21, the record count at 37.
+	// allocated for them, and the refusal names the corrupted count.
 	set := func(b []byte, at int, v uint64) []byte {
 		b = append([]byte(nil), b...)
 		binary.BigEndian.PutUint64(b[at:], v)
 		return b
 	}
-	for name, bad := range map[string][]byte{
-		"observables": set(good, 13, 1<<62),
-		"records":     set(set(good, 21, 1<<62), 37, 1<<50),
+	for _, c := range []struct {
+		name, want string
+		bad        []byte
+	}{
+		{"observables", fmt.Sprintf("record of %d observables truncated", uint64(1<<62)), set(good, nobsAt, 1<<62)},
+		{"records", fmt.Sprintf("stream 0 claims %d records", uint64(1<<50)), set(set(good, samplesAt, 1<<62), recordsAt, 1<<50)},
 	} {
-		if _, err := DecodeShardPayload(bad); err == nil {
-			t.Fatalf("decoded a payload with a corrupt %s count", name)
+		if _, err := DecodeShardPayload(c.bad); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("corrupt %s count: %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
 }

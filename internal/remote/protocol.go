@@ -50,7 +50,6 @@ type ShardRequest struct {
 	Process    string     `json:"process,omitempty"`
 	Seed       int64      `json:"seed"`
 	Samples    int        `json:"samples"`
-	FastSeed   bool       `json:"fastseed"`
 	ShardIndex int        `json:"shard_index"`
 	ShardCount int        `json:"shard_count"`
 	// Checkpoint, when present, is a resumable artifact in the on-disk
@@ -64,7 +63,7 @@ func NewShardRequest(spec core.RunSpec, shard mc.ShardSpec, runKey string, check
 	return ShardRequest{
 		Engine: core.EngineVersion, RunKey: runKey,
 		Workload: spec.Workload, Params: spec.Params, Process: spec.Process,
-		Seed: spec.Seed, Samples: spec.Samples, FastSeed: spec.FastSeed,
+		Seed: spec.Seed, Samples: spec.Samples,
 		ShardIndex: shard.Index, ShardCount: shard.Count,
 		Checkpoint: checkpoint,
 	}
@@ -76,7 +75,7 @@ func NewShardRequest(spec core.RunSpec, shard mc.ShardSpec, runKey string, check
 // comparable to RunKey.
 func (r ShardRequest) Spec() core.RunSpec {
 	return core.RunSpec{Workload: r.Workload, Params: r.Params, Process: r.Process,
-		Seed: r.Seed, Samples: r.Samples, FastSeed: r.FastSeed}
+		Seed: r.Seed, Samples: r.Samples}
 }
 
 // Shard returns the dispatch's shard coordinates.

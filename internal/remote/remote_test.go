@@ -46,6 +46,32 @@ func newWorkerServer(t *testing.T, w *Worker) (*httptest.Server, context.CancelF
 	return ts, func() { draining.Store(true); cancel() }
 }
 
+// checkLeaks fails the test unless, at cleanup, its goroutines settle
+// back to the count at the call within a few seconds (every stack is
+// dumped if they do not) and no new mpvar-* entry is left under
+// os.TempDir(). TMPDIR points at a fresh per-test directory for the
+// test's duration, so other test processes' scratch cannot show up in
+// the check. Call it first: cleanups run last-in first-out, so the check
+// runs after every server and worker the test made has shut down.
+func checkLeaks(t *testing.T) {
+	t.Helper()
+	t.Setenv("TMPDIR", t.TempDir())
+	tmp := os.TempDir()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			buf := make([]byte, 1<<20)
+			t.Errorf("%d goroutines at cleanup, %d at start:\n%s", n, before, buf[:runtime.Stack(buf, true)])
+		}
+		if left, _ := filepath.Glob(filepath.Join(tmp, "mpvar-*")); len(left) > 0 {
+			t.Errorf("left behind under %s: %v", tmp, left)
+		}
+	})
+}
+
 func newTestPool(t *testing.T, urls ...string) *Pool {
 	t.Helper()
 	p := NewPool(urls, PoolConfig{
@@ -142,9 +168,8 @@ func TestWorkerRefusals(t *testing.T) {
 	}
 	shard := mc.ShardSpec{Index: 0, Count: 2}
 
-	post := func(sr ShardRequest) (int, string) {
+	postBody := func(body []byte) (int, string) {
 		t.Helper()
-		body, _ := json.Marshal(sr)
 		resp, err := http.Post(ts.URL+ShardsPath, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -155,6 +180,11 @@ func TestWorkerRefusals(t *testing.T) {
 		}
 		json.NewDecoder(resp.Body).Decode(&e)
 		return resp.StatusCode, e.Error
+	}
+	post := func(sr ShardRequest) (int, string) {
+		t.Helper()
+		body, _ := json.Marshal(sr)
+		return postBody(body)
 	}
 
 	drifted := NewShardRequest(spec, shard, key, nil)
@@ -185,6 +215,15 @@ func TestWorkerRefusals(t *testing.T) {
 	if code, msg := post(junkCkpt); code != http.StatusBadRequest || !strings.Contains(msg, "checkpoint") {
 		t.Fatalf("junk checkpoint: %d %q", code, msg)
 	}
+	// The retired PCG stream's member, as an older coordinator spells it,
+	// is refused by name instead of silently drawing the legacy stream.
+	body, _ := json.Marshal(NewShardRequest(spec, shard, key, nil))
+	for _, v := range []string{"true", "false"} {
+		withField := append(bytes.TrimSuffix(body, []byte("}")), `,"fastseed":`+v+`}`...)
+		if code, msg := postBody(withField); code != http.StatusBadRequest || !strings.Contains(msg, `unknown field "fastseed"`) {
+			t.Fatalf(`"fastseed":%s dispatch: %d %q`, v, code, msg)
+		}
+	}
 
 	drain()
 	if code, msg := post(NewShardRequest(spec, shard, key, nil)); code != http.StatusServiceUnavailable ||
@@ -197,6 +236,7 @@ func TestWorkerRefusals(t *testing.T) {
 // the dispatch, the worker resumes it, and the final artifact is
 // byte-identical to an uninterrupted run.
 func TestRemoteCheckpointResume(t *testing.T) {
+	checkLeaks(t)
 	spec, err := (core.RunSpec{Workload: "fig5", Samples: 2000}).Normalize()
 	if err != nil {
 		t.Fatal(err)
@@ -269,6 +309,7 @@ func TestRemoteNoLivePeers(t *testing.T) {
 // a second worker, and the final artifact is byte-identical to an
 // uninterrupted local run.
 func TestRemoteDeadPeerFailover(t *testing.T) {
+	checkLeaks(t)
 	spec, err := (core.RunSpec{Workload: "fig5", Samples: 5000}).Normalize()
 	if err != nil {
 		t.Fatal(err)

@@ -16,36 +16,21 @@ import (
 )
 
 // Table is a generic column-oriented result table. Rows holds the
-// rendered string cells (the CSV/Markdown payload); rows appended through
-// Appendf additionally retain their original typed values, which the JSON
-// encoder emits as JSON numbers/booleans instead of strings.
+// rendered string cells (the CSV/Markdown payload); Appendf also retains
+// each row's original typed values, which the JSON encoder emits as JSON
+// numbers/booleans instead of strings.
 type Table struct {
 	Title   string
 	Columns []string
 	Rows    [][]string
-	// vals mirrors Rows with the pre-rendering values (string cells for
-	// rows added via Append). Kept unexported: the rendering contract is
-	// Write, not direct access.
+	// vals mirrors Rows with the pre-rendering values. Kept unexported:
+	// the rendering contract is Write, not direct access.
 	vals [][]any
 }
 
 // New creates a table with the given title and column headers.
 func New(title string, columns ...string) *Table {
 	return &Table{Title: title, Columns: columns}
-}
-
-// Append adds a row; the cell count must match the header.
-func (t *Table) Append(cells ...string) error {
-	if len(cells) != len(t.Columns) {
-		return fmt.Errorf("report: row has %d cells, table has %d columns", len(cells), len(t.Columns))
-	}
-	vals := make([]any, len(cells))
-	for i, c := range cells {
-		vals[i] = c
-	}
-	t.Rows = append(t.Rows, cells)
-	t.vals = append(t.vals, vals)
-	return nil
 }
 
 // Appendf adds a row of formatted values; each value is rendered with %v

@@ -10,13 +10,13 @@ import (
 func build(t *testing.T) *Table {
 	t.Helper()
 	tb := New("demo", "name", "value")
-	if err := tb.Append("plain", "1"); err != nil {
+	if err := tb.Appendf("plain", "1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.Appendf("float", 3.14159); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Append(`comma, "quote"`, "2"); err != nil {
+	if err := tb.Appendf(`comma, "quote"`, "2"); err != nil {
 		t.Fatal(err)
 	}
 	return tb
@@ -24,7 +24,7 @@ func build(t *testing.T) *Table {
 
 func TestAppendArity(t *testing.T) {
 	tb := New("x", "a", "b")
-	if err := tb.Append("only one"); err == nil {
+	if err := tb.Appendf("only one"); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
 	if err := tb.Appendf(1, 2, 3); err == nil {
@@ -183,7 +183,7 @@ func TestWriteTables(t *testing.T) {
 	if !strings.Contains(out.String(), "\n\n# second\n") {
 		t.Fatalf("CSV tables not blank-line separated:\n%s", out.String())
 	}
-	// Append rows mix into JSON as strings (no typed source), still valid.
+	// String cells stay JSON strings, even when they read as numbers.
 	out.Reset()
 	if err := WriteTables(&out, FormatJSON, a); err != nil {
 		t.Fatal(err)

@@ -219,6 +219,7 @@ func TestRemoteFanoutDriftedPeerLocalFallback(t *testing.T) {
 // re-dispatches from the last shipped checkpoint, and the run still
 // completes byte-identical to direct execution.
 func TestRemoteFanoutDeadPeerFailover(t *testing.T) {
+	checkLeaks(t)
 	body := `{"workload":"fig5","samples":60000}`
 	direct := directBody(t, body)
 
@@ -288,6 +289,7 @@ func TestRemoteFanoutDeadPeerFailover(t *testing.T) {
 // FanoutDir; a restarted coordinator resumes them on resubmission and
 // produces the byte-identical body.
 func TestRemoteFanoutDrainResume(t *testing.T) {
+	checkLeaks(t)
 	body := `{"workload":"fig5","samples":60000}`
 	direct := directBody(t, body)
 

@@ -220,7 +220,6 @@ type runEnvelope struct {
 	Process  string          `json:"process"`
 	Seed     int64           `json:"seed"`
 	Samples  int             `json:"samples"`
-	FastSeed bool            `json:"fastseed"`
 	Params   map[string]any  `json:"params"`
 	Tables   json.RawMessage `json:"tables"`
 }
@@ -253,7 +252,6 @@ func (s *Server) renderBody(r *run, res *exp.Result) ([]byte, error) {
 		Process:  r.spec.Process,
 		Seed:     r.spec.Seed,
 		Samples:  r.spec.Samples,
-		FastSeed: r.spec.FastSeed,
 		Params:   r.spec.Params,
 		Tables:   json.RawMessage(tables),
 	})
@@ -269,10 +267,11 @@ func (s *Server) renderBody(r *run, res *exp.Result) ([]byte, error) {
 // every queued and in-flight run, and Drain returns when the pool is
 // idle. If ctx expires first, in-flight runs are hard-canceled through
 // the base context and Drain still waits for the workers to return
-// before reporting the deadline error. Last, the shard-worker role
-// closes: once its in-flight dispatches return (the drain canceled them
-// through the fan-out context), its temporary scratch directory is
-// removed.
+// before reporting the deadline error. Once the pool is idle nothing
+// needs the base context, so Drain cancels it and waits for the peer
+// health sweeper to exit. Last, the shard-worker role closes: once its
+// in-flight dispatches return (the drain canceled them through the
+// fan-out context), its temporary scratch directory is removed.
 func (s *Server) Drain(ctx context.Context) error {
 	s.beginDrain()
 	idle := make(chan struct{})
@@ -288,6 +287,8 @@ func (s *Server) Drain(ctx context.Context) error {
 		<-idle
 		err = ctx.Err()
 	}
+	s.stop()
+	s.sweeper.Wait()
 	return errors.Join(err, s.remoteWorker.Close())
 }
 

@@ -13,7 +13,7 @@
 //	GET  /v1/healthz          liveness, drain state and counters
 //
 // Every run is bit-deterministic in (workload, params, seed, samples,
-// process, PRNG stream, engine version) — that tuple's SHA-256
+// process, engine version) — that tuple's SHA-256
 // (core.RunSpec.Key) is the run id, the single-flight identity and the
 // result cache address, so a repeated query costs a map lookup instead
 // of seconds-to-minutes of SPICE transients, identical concurrent
@@ -152,6 +152,9 @@ type Server struct {
 	workers sync.WaitGroup
 	baseCtx context.Context
 	stop    context.CancelFunc
+	// sweeper tracks the remote pool's peer health sweep, which runs
+	// until Drain cancels baseCtx.
+	sweeper sync.WaitGroup
 
 	// Fan-out executor state: fanoutCtx cancels on drain — direct runs
 	// finish, fan-out runs checkpoint their shards and fail with a
@@ -186,7 +189,11 @@ func New(cfg Config) *Server {
 	if cfg.FanoutExec == "remote" {
 		s.remotePool = remote.NewPool(cfg.Peers, remote.PoolConfig{})
 		s.shardRunner = remoteExec{pool: s.remotePool, local: goroutineExec{workers: cfg.EngineWorkers}}
-		go s.remotePool.Run(s.baseCtx)
+		s.sweeper.Add(1)
+		go func() {
+			defer s.sweeper.Done()
+			s.remotePool.Run(s.baseCtx)
+		}()
 	} else {
 		s.shardRunner = goroutineExec{workers: cfg.EngineWorkers}
 	}
@@ -325,7 +332,6 @@ type runRequest struct {
 	Process  string         `json:"process"`
 	Seed     int64          `json:"seed"`
 	Samples  int            `json:"samples"`
-	FastSeed bool           `json:"fastseed"`
 }
 
 // maxRunRequestBytes caps the POST /v1/runs body. A real run request is
@@ -384,7 +390,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		Process:  rr.Process,
 		Seed:     rr.Seed,
 		Samples:  rr.Samples,
-		FastSeed: rr.FastSeed,
 	}.Normalize()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)

@@ -10,7 +10,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,12 +30,17 @@ import (
 // testslow blocks until its tag's gate is released (and reports
 // progress), testcheap returns instantly with a deterministic table,
 // testfail always errors. Tags keep concurrent tests isolated: each test
-// uses fresh tags, so gates and execution counters never cross.
+// invocation takes fresh tags from newTag, so gates and execution
+// counters never cross, not even between go test -count iterations.
 var (
 	gateMu sync.Mutex
 	gates  = map[string]chan struct{}{}
 	counts sync.Map // tag -> *atomic.Int64
+	tagSeq atomic.Int64
 )
+
+// newTag returns base with a package-unique suffix.
+func newTag(base string) string { return fmt.Sprintf("%s-%d", base, tagSeq.Add(1)) }
 
 func gate(tag string) chan struct{} {
 	gateMu.Lock()
@@ -119,6 +126,32 @@ func startTestServer(t *testing.T, s *Server, h http.Handler) *httptest.Server {
 		_ = s.Drain(ctx)
 	})
 	return ts
+}
+
+// checkLeaks fails the test unless, at cleanup, its goroutines settle
+// back to the count at the call within a few seconds (every stack is
+// dumped if they do not) and no new mpvar-* entry is left under
+// os.TempDir(). TMPDIR points at a fresh per-test directory for the
+// test's duration, so other test processes' scratch cannot show up in
+// the check. Call it first: cleanups run last-in first-out, so the check
+// runs after every server and worker the test made has shut down.
+func checkLeaks(t *testing.T) {
+	t.Helper()
+	t.Setenv("TMPDIR", t.TempDir())
+	tmp := os.TempDir()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			buf := make([]byte, 1<<20)
+			t.Errorf("%d goroutines at cleanup, %d at start:\n%s", n, before, buf[:runtime.Stack(buf, true)])
+		}
+		if left, _ := filepath.Glob(filepath.Join(tmp, "mpvar-*")); len(left) > 0 {
+			t.Errorf("left behind under %s: %v", tmp, left)
+		}
+	})
 }
 
 func postRun(t *testing.T, ts *httptest.Server, query, body string) (*http.Response, []byte) {
@@ -247,6 +280,7 @@ func TestSubmitValidation(t *testing.T) {
 		{`{"workload":"table1","process":"N3"}`, "N10"},
 		{`{"workload":"fig5","params":{"n":1.5}}`, "not an integer"},
 		{`{"workload":"table1","smaples":4}`, "unknown field"},
+		{`{"workload":"fig5","fastseed":true}`, `unknown field "fastseed"`}, // the retired PCG stream
 		{`{not json`, "invalid request body"},
 	}
 	for _, c := range cases {
@@ -355,7 +389,8 @@ func TestDefaultedParamsShareCacheEntry(t *testing.T) {
 // execution; both callers receive the same bytes.
 func TestSingleFlight(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
-	body := `{"workload":"testslow","params":{"tag":"sf"}}`
+	tag := newTag("sf")
+	body := fmt.Sprintf(`{"workload":"testslow","params":{"tag":%q}}`, tag)
 	var (
 		wg     sync.WaitGroup
 		mu     sync.Mutex
@@ -376,15 +411,15 @@ func TestSingleFlight(t *testing.T) {
 	}
 	// Let both submissions land (the first executes, the second must
 	// attach to it), then release the gate.
-	id := specKey(t, core.RunSpec{Workload: "testslow", Params: exp.Params{"tag": "sf"}})
+	id := specKey(t, core.RunSpec{Workload: "testslow", Params: exp.Params{"tag": tag}})
 	waitStatus(t, ts, id, statusRunning)
 	time.Sleep(20 * time.Millisecond)
-	release("sf")
+	release(tag)
 	wg.Wait()
 	if len(bodies) != 2 || !bytes.Equal(bodies[0], bodies[1]) {
 		t.Fatalf("concurrent callers diverged: %d bodies", len(bodies))
 	}
-	if got := execCount("sf").Load(); got != 1 {
+	if got := execCount(tag).Load(); got != 1 {
 		t.Fatalf("identical concurrent POSTs executed %d times, want 1", got)
 	}
 }
@@ -397,7 +432,8 @@ func TestQueueShedding(t *testing.T) {
 	submit := func(tag string) (*http.Response, []byte) {
 		return postRun(t, ts, "?wait=0", fmt.Sprintf(`{"workload":"testslow","params":{"tag":%q}}`, tag))
 	}
-	respA, bodyA := submit("shed-a")
+	tagA, tagB, tagC := newTag("shed-a"), newTag("shed-b"), newTag("shed-c")
+	respA, bodyA := submit(tagA)
 	if respA.StatusCode != http.StatusAccepted {
 		t.Fatalf("first: %d %s", respA.StatusCode, bodyA)
 	}
@@ -406,10 +442,10 @@ func TestQueueShedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitStatus(t, ts, envA.ID, statusRunning) // executor now occupied
-	if resp, b := submit("shed-b"); resp.StatusCode != http.StatusAccepted {
+	if resp, b := submit(tagB); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("queued: %d %s", resp.StatusCode, b)
 	}
-	respC, bodyC := submit("shed-c")
+	respC, bodyC := submit(tagC)
 	if respC.StatusCode != http.StatusTooManyRequests || respC.Header.Get("Retry-After") == "" {
 		t.Fatalf("over-queue submission: status %d retry-after %q: %s",
 			respC.StatusCode, respC.Header.Get("Retry-After"), bodyC)
@@ -417,13 +453,13 @@ func TestQueueShedding(t *testing.T) {
 	if !strings.Contains(string(bodyC), "queue full") {
 		t.Fatalf("shed body drifted: %s", bodyC)
 	}
-	release("shed-a")
-	release("shed-b")
-	for _, tag := range []string{"shed-a", "shed-b"} {
+	release(tagA)
+	release(tagB)
+	for _, tag := range []string{tagA, tagB} {
 		id := specKey(t, core.RunSpec{Workload: "testslow", Params: exp.Params{"tag": tag}})
 		waitCached(t, ts, id)
 	}
-	if got := execCount("shed-c").Load(); got != 0 {
+	if got := execCount(tagC).Load(); got != 0 {
 		t.Fatalf("shed run executed %d times", got)
 	}
 }
@@ -445,8 +481,10 @@ func waitCached(t *testing.T, ts *httptest.Server, id string) {
 // TestDrainCompletesInflight: draining refuses new submissions with 503
 // but lets the in-flight run finish and land in the cache.
 func TestDrainCompletesInflight(t *testing.T) {
+	checkLeaks(t)
 	s, ts := newTestServer(t, Config{Workers: 1})
-	resp, b := postRun(t, ts, "?wait=0", `{"workload":"testslow","params":{"tag":"drain-a"}}`)
+	tagA, tagB := newTag("drain-a"), newTag("drain-b")
+	resp, b := postRun(t, ts, "?wait=0", fmt.Sprintf(`{"workload":"testslow","params":{"tag":%q}}`, tagA))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, b)
 	}
@@ -469,14 +507,14 @@ func TestDrainCompletesInflight(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if resp, b := postRun(t, ts, "?wait=0", `{"workload":"testslow","params":{"tag":"drain-b"}}`); resp.StatusCode != http.StatusServiceUnavailable {
+	if resp, b := postRun(t, ts, "?wait=0", fmt.Sprintf(`{"workload":"testslow","params":{"tag":%q}}`, tagB)); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submission while draining: %d %s", resp.StatusCode, b)
 	}
 	if resp, b := getJSON(t, ts.URL+"/v1/healthz"); resp.StatusCode != http.StatusOK ||
 		!strings.Contains(string(b), `"status":"draining"`) {
 		t.Fatalf("healthz while draining: %d %s", resp.StatusCode, b)
 	}
-	release("drain-a")
+	release(tagA)
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -485,7 +523,7 @@ func TestDrainCompletesInflight(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK || resp2.Header.Get("X-Mpvar-Cache") != "hit" {
 		t.Fatalf("drained run not cached: %d %s", resp2.StatusCode, body)
 	}
-	if got := execCount("drain-b").Load(); got != 0 {
+	if got := execCount(tagB).Load(); got != 0 {
 		t.Fatalf("draining server executed a new run %d times", got)
 	}
 }
@@ -496,7 +534,8 @@ func TestDrainCompletesInflight(t *testing.T) {
 // unknown id answers 404.
 func TestSSEProgress(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	resp, b := postRun(t, ts, "?wait=0", `{"workload":"testslow","params":{"tag":"sse"}}`)
+	tag := newTag("sse")
+	resp, b := postRun(t, ts, "?wait=0", fmt.Sprintf(`{"workload":"testslow","params":{"tag":%q}}`, tag))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, b)
 	}
@@ -547,7 +586,7 @@ func TestSSEProgress(t *testing.T) {
 	if !strings.Contains(first, "event: status") || !strings.Contains(first, `"done":1`) {
 		t.Fatalf("initial frame drifted: %q", first)
 	}
-	release("sse")
+	release(tag)
 	var liveDone, liveProgress string
 	for f := range frames {
 		if strings.Contains(f, "event: done") {
@@ -722,8 +761,8 @@ func TestListenAndServe(t *testing.T) {
 // temporary scratch directory; Drain removes it, so a server leaves
 // nothing behind in TMPDIR.
 func TestDrainRemovesShardScratch(t *testing.T) {
-	tmp := t.TempDir()
-	t.Setenv("TMPDIR", tmp)
+	checkLeaks(t) // points TMPDIR at a fresh directory
+	tmp := os.TempDir()
 	s := New(Config{})
 	made, _ := filepath.Glob(filepath.Join(tmp, "mpvar-shardwork-*"))
 	if len(made) != 1 {
