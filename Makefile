@@ -44,7 +44,7 @@ bench-smoke:
 # accumulators, on random streams split at random points. The two decoders
 # of untrusted bytes never panic and round-trip what they accept:
 # FuzzShardArtifact (a shard file or shipped artifact through
-# core.ReadShardArtifactFrom + Verify) and FuzzReadFrame (the remote
+# core.DecodeShardArtifact + Verify) and FuzzReadFrame (the remote
 # fabric's response-stream frames). FuzzVarRatios proves the fixed-size
 # litho windows and the per-stream extract.RatioModel bit-identical
 # (Float64bits of every ratio, error text included) to a test-file copy

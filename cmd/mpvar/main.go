@@ -31,85 +31,133 @@ import (
 	"mpsram/internal/exp"
 	"mpsram/internal/layout"
 	"mpsram/internal/litho"
-	"mpsram/internal/mc"
 	"mpsram/internal/report"
 	"mpsram/internal/serve"
 	"mpsram/internal/sram"
 )
 
-// globals are the environment-level flags shared by every workload. The
-// struct doubles as the value store for both parse passes: re-registering
-// on a second FlagSet uses the current values as defaults, so pass-one
+// runFlags are the flags both run verbs (`mpvar <workload>` and `mpvar
+// shard`) parse into a core.RunSpec: the run identity (-samples, -seed,
+// -process), the parameter spellings -n, -ol and -thk, and the execution
+// knobs that never change results (-workers, -progress). The struct
+// doubles as the value store for both parse passes: re-registering on a
+// second FlagSet uses the current values as defaults, so pass-one
 // assignments survive.
-type globals struct {
+type runFlags struct {
 	samples  int
 	seed     int64
 	process  string
-	ol       float64
 	n        int
-	lumped   bool
+	ol, thk  float64
 	workers  int
 	progress bool
-	thk      float64
-	format   string
-	smoke    bool
-	list     bool
 }
 
-func defaultGlobals() *globals {
-	return &globals{samples: 10000, seed: 2015, process: "N10", ol: 8, n: 64, format: "text"}
+func defaultRunFlags() *runFlags {
+	return &runFlags{seed: core.DefaultSeed, process: "N10", n: 64, ol: 8}
 }
 
-func (g *globals) register(fs *flag.FlagSet) {
-	fs.IntVar(&g.samples, "samples", g.samples, "Monte-Carlo sample count (workloads may hint a cheaper default)")
-	fs.Int64Var(&g.seed, "seed", g.seed, "Monte-Carlo seed")
-	fs.StringVar(&g.process, "process", g.process, "technology preset; run 'mpvar processes' for the registry")
-	fs.Float64Var(&g.ol, "ol", g.ol, "LE3 overlay 3-sigma budget in nm")
-	fs.IntVar(&g.n, "n", g.n, "array word-line count (workloads with an n parameter)")
-	fs.BoolVar(&g.lumped, "lumped", g.lumped, "use the lumped bit-line ablation")
-	fs.IntVar(&g.workers, "workers", g.workers, "worker count for Monte-Carlo and SPICE sweeps (0 = all CPUs)")
-	fs.BoolVar(&g.progress, "progress", g.progress, "report Monte-Carlo and SPICE sweep progress on stderr")
-	fs.Float64Var(&g.thk, "thk", g.thk, "thickness extension 3-sigma in nm (workloads with a thk parameter)")
-	fs.StringVar(&g.format, "format", g.format, "output format: text, csv, md or json")
-	fs.BoolVar(&g.smoke, "smoke", g.smoke, "tiny-budget smoke run: 4 samples plus each workload's smoke parameter overrides")
-	fs.BoolVar(&g.list, "list", g.list, "print the registered workload names, one per line, and exit")
+func (f *runFlags) register(fs *flag.FlagSet) {
+	fs.IntVar(&f.samples, "samples", f.samples, "Monte-Carlo sample count (0 = the workload's preferred budget)")
+	fs.Int64Var(&f.seed, "seed", f.seed, "Monte-Carlo seed")
+	fs.StringVar(&f.process, "process", f.process, "technology preset; run 'mpvar processes' for the registry")
+	fs.IntVar(&f.n, "n", f.n, "array word-line count (workloads with an n parameter)")
+	fs.Float64Var(&f.ol, "ol", f.ol, "LE3 overlay 3-sigma budget in nm (workloads with an ol parameter)")
+	fs.Float64Var(&f.thk, "thk", f.thk, "thickness extension 3-sigma in nm (workloads with a thk parameter)")
+	fs.IntVar(&f.workers, "workers", f.workers, "worker count for Monte-Carlo and SPICE sweeps (0 = all CPUs; never changes results)")
+	fs.BoolVar(&f.progress, "progress", f.progress, "report Monte-Carlo and SPICE sweep progress on stderr")
+}
+
+// execOptions translates the execution knobs (not part of the run
+// identity) into core options.
+func (f *runFlags) execOptions(ctx context.Context) []core.Option {
+	opts := []core.Option{core.WithContext(ctx), core.WithWorkers(f.workers)}
+	if f.progress {
+		opts = append(opts, core.WithProgress(progressPrinter()))
+	}
+	return opts
+}
+
+// parse is the second parse pass both run verbs share. fs holds the
+// verb's flags, f's among them, and has parsed the command line up to
+// the workload name; wl is that workload (the zero Workload for the gds
+// and deck utilities). The arguments after the name are parsed on a
+// second set carrying f's flags again (subcommand style), the verb's own
+// post-name flags (more, if non-nil) and one flag per schema parameter.
+// The result is the spec the whole command line names; Normalize, run
+// by every consumer, validates it.
+func (f *runFlags) parse(fs *flag.FlagSet, wl exp.Workload, more func(*flag.FlagSet)) core.RunSpec {
+	name := fs.Arg(0)
+	fs2 := flag.NewFlagSet(fs.Name()+" "+name, flag.ExitOnError)
+	f.register(fs2)
+	if more != nil {
+		more(fs2)
+	}
+	fs2.Usage = func() {
+		_ = helpWorkload(name, os.Stderr)
+		fmt.Fprintln(os.Stderr, "\nflags:")
+		fs2.SetOutput(os.Stderr)
+		fs2.PrintDefaults()
+	}
+	explicitParams := bindParams(fs2, wl)
+	_ = fs2.Parse(fs.Args()[1:])
+	if fs2.NArg() > 0 {
+		fatal(fmt.Errorf("unexpected argument %q after workload %s", fs2.Arg(0), name))
+	}
+	seen := map[string]bool{}
+	fs.Visit(func(fl *flag.Flag) { seen[fl.Name] = true })
+	fs2.Visit(func(fl *flag.Flag) { seen[fl.Name] = true })
+	return core.RunSpec{
+		Workload: name, Params: explicitParams(seen), Process: f.process,
+		Seed: f.seed, Samples: f.samples,
+	}
+}
+
+// directFlags binds the flags only the direct verb has (-format, -smoke
+// and -list) on a flag set; like runFlags, the current values are the
+// defaults, so both parse passes share them.
+func directFlags(format *string, smoke, list *bool) func(*flag.FlagSet) {
+	return func(fs *flag.FlagSet) {
+		fs.StringVar(format, "format", *format, "output format: text, csv, md or json")
+		fs.BoolVar(smoke, "smoke", *smoke, "tiny-budget smoke run: 4 samples plus each workload's smoke parameter overrides")
+		fs.BoolVar(list, "list", *list, "print the registered workload names, one per line, and exit")
+	}
 }
 
 // bindParams defines one flag on fs per schema parameter of wl. A flag
-// already on the set — a global or shard spec flag — feeds the parameter
-// of the same name instead of a duplicate binding: every standard
-// flag.Value implements flag.Getter, and the registry's coercion accepts
-// its native type. Once fs is parsed, the returned function collects the
-// parameters named in seen. Only explicitly set parameters enter the
-// spec; Normalize fills the schema defaults, so the run key matches
-// every other spelling of the same run (CLI, serve, shard, reduce).
+// already on the set (a run flag such as -n) feeds the parameter of the
+// same name instead of a duplicate binding: every standard flag.Value
+// implements flag.Getter, and the registry's coercion accepts its native
+// type. Once fs is parsed, the returned function collects the parameters
+// named in seen. Only explicitly set parameters enter the spec;
+// Normalize fills the schema defaults, so the run key matches every
+// other spelling of the same run (CLI, serve, shard, reduce). The run
+// flags that spell a parameter (-n, -ol, -thk) enter whenever they are
+// set, so Normalize refuses one that wl's schema lacks instead of the
+// run ignoring it.
 func bindParams(fs *flag.FlagSet, wl exp.Workload) func(seen map[string]bool) exp.Params {
-	bound := map[string]func() any{}
+	names := []string{"n", "ol", "thk"}
 	for _, ps := range wl.Params {
-		if f := fs.Lookup(ps.Name); f != nil {
-			bound[ps.Name] = func() any { return f.Value.(flag.Getter).Get() }
+		names = append(names, ps.Name)
+		if fs.Lookup(ps.Name) != nil {
 			continue
 		}
 		switch ps.Kind {
 		case exp.IntParam:
-			p := fs.Int(ps.Name, ps.Default.(int), ps.Help)
-			bound[ps.Name] = func() any { return *p }
+			fs.Int(ps.Name, ps.Default.(int), ps.Help)
 		case exp.FloatParam:
-			p := fs.Float64(ps.Name, ps.Default.(float64), ps.Help)
-			bound[ps.Name] = func() any { return *p }
+			fs.Float64(ps.Name, ps.Default.(float64), ps.Help)
 		case exp.BoolParam:
-			p := fs.Bool(ps.Name, ps.Default.(bool), ps.Help)
-			bound[ps.Name] = func() any { return *p }
+			fs.Bool(ps.Name, ps.Default.(bool), ps.Help)
 		case exp.StringParam:
-			p := fs.String(ps.Name, ps.Default.(string), ps.Help)
-			bound[ps.Name] = func() any { return *p }
+			fs.String(ps.Name, ps.Default.(string), ps.Help)
 		}
 	}
 	return func(seen map[string]bool) exp.Params {
 		params := exp.Params{}
-		for _, ps := range wl.Params {
-			if seen[ps.Name] {
-				params[ps.Name] = bound[ps.Name]()
+		for _, name := range names {
+			if seen[name] {
+				params[name] = fs.Lookup(name).Value.(flag.Getter).Get()
 			}
 		}
 		return params
@@ -178,12 +226,15 @@ func helpWorkload(name string, w io.Writer) error {
 }
 
 func main() {
-	g := defaultGlobals()
+	f := defaultRunFlags()
+	format, smoke, list := "text", false, false
+	direct := directFlags(&format, &smoke, &list)
 	fs1 := flag.NewFlagSet("mpvar", flag.ExitOnError)
-	g.register(fs1)
+	f.register(fs1)
+	direct(fs1)
 	fs1.Usage = func() { usage(fs1, os.Stderr) }
 	_ = fs1.Parse(os.Args[1:])
-	if g.list {
+	if list {
 		for _, name := range exp.WorkloadNames() {
 			fmt.Println(name)
 		}
@@ -204,8 +255,7 @@ func main() {
 	case "reduce":
 		reduceMain(fs1.Args()[1:])
 		return
-	}
-	if name == "help" {
+	case "help":
 		if fs1.NArg() < 2 {
 			usage(fs1, os.Stdout)
 			return
@@ -214,135 +264,60 @@ func main() {
 		return
 	}
 
-	seen := map[string]bool{}
-	fs1.Visit(func(f *flag.Flag) { seen[f.Name] = true })
-
-	// Registry workloads get a second parse pass over the arguments after
-	// the workload name: the global flags again (subcommand style) plus
-	// one flag per schema parameter that is not already a global.
-	var (
-		wl       exp.Workload
-		utility  = name == "gds" || name == "deck"
-		fs2      = flag.NewFlagSet("mpvar "+name, flag.ExitOnError)
-		wlookErr error
-	)
-	if !utility {
-		wl, wlookErr = exp.LookupWorkload(name)
-		if wlookErr != nil {
-			fmt.Fprintf(os.Stderr, "mpvar: %v\n\nrun 'mpvar' with no arguments for usage\n", wlookErr)
+	var wl exp.Workload
+	if name != "gds" && name != "deck" {
+		var err error
+		if wl, err = exp.LookupWorkload(name); err != nil {
+			fmt.Fprintf(os.Stderr, "mpvar: %v\n\nrun 'mpvar' with no arguments for usage\n", err)
 			os.Exit(2)
 		}
 	}
-	g.register(fs2)
-	fs2.Usage = func() {
-		if utility {
-			usage(fs2, os.Stderr)
-			return
-		}
-		_ = helpWorkload(name, os.Stderr)
-		fmt.Fprintln(os.Stderr, "\nglobal flags:")
-		fs2.SetOutput(os.Stderr)
-		fs2.PrintDefaults()
-	}
-	explicitParams := bindParams(fs2, wl)
-	_ = fs2.Parse(fs1.Args()[1:])
-	fs2.Visit(func(f *flag.Flag) { seen[f.Name] = true })
-	if fs2.NArg() > 0 {
-		fatal(fmt.Errorf("unexpected argument %q after workload %s", fs2.Arg(0), name))
-	}
+	spec := f.parse(fs1, wl, direct)
 	// Globals work in either position, so honor a post-name -list too.
-	if g.list {
+	if list {
 		for _, n := range exp.WorkloadNames() {
 			fmt.Println(n)
 		}
 		return
 	}
+	out, err := report.ParseFormat(format)
+	check(err)
 
-	format, err := report.ParseFormat(g.format)
-	if err != nil {
-		fatal(err)
-	}
-
-	// Budget hints: an unset -samples adopts the workload's preferred
-	// budget (e.g. SPICE-in-the-loop workloads at 200 draws, not the
-	// analytic 10k); -smoke clamps to a tiny budget instead.
-	if !seen["samples"] {
-		if g.smoke {
-			g.samples = 4
-		} else if wl.Hints.Samples > 0 {
-			g.samples = wl.Hints.Samples
+	// The two non-registry utilities: raw artifact dumps, text only.
+	if name == "gds" || name == "deck" {
+		proc, err := core.LookupProcess(f.process)
+		check(err)
+		if name == "gds" {
+			check(layout.SRAM6TCell(proc).WriteGDSText(os.Stdout))
+			return
 		}
+		study, err := core.NewStudy(core.WithProcess(proc))
+		check(err)
+		nom, err := sram.NominalParasitics(proc, study.Env.Cap)
+		check(err)
+		col, err := sram.BuildColumn(proc, f.n, nom, study.Env.Build)
+		check(err)
+		fmt.Print(col.Netlist.WriteSpice(fmt.Sprintf("sram column n=%d (%s)", f.n, litho.EUV)))
+		return
 	}
 
-	// Assemble the workload parameters: schema defaults are implicit;
-	// explicit flags win; -smoke fills its overrides where nothing was
-	// chosen.
-	params := explicitParams(seen)
-	if g.smoke {
+	// -smoke: a 4-draw budget unless -samples chose one, and the
+	// workload's smoke overrides wherever no parameter was chosen.
+	if smoke {
+		if spec.Samples == 0 {
+			spec.Samples = 4
+		}
 		for k, v := range wl.Hints.Smoke {
-			if _, explicit := params[k]; !explicit {
-				params[k] = v
+			if _, explicit := spec.Params[k]; !explicit {
+				spec.Params[k] = v
 			}
 		}
 	}
-
-	// Ctrl-C cancels a running experiment instead of killing the process
-	// mid-write: the Monte-Carlo engine checks the context between trial
-	// blocks and the SPICE sweep engine between transients. Once the
-	// first signal has canceled the context, unregister so a second
-	// Ctrl-C gets default handling as a hard stop.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := interruptContext()
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop()
-	}()
-
-	// Resolve the technology preset first: an unknown -process answers
-	// with the registry's valid names, not a bare failure.
-	proc, err := core.LookupProcess(g.process)
-	if err != nil {
-		fatal(err)
-	}
-	opts := []core.Option{
-		core.WithProcess(proc),
-		core.WithMC(mc.Config{Samples: g.samples, Seed: g.seed}),
-		core.WithBuild(sram.BuildOptions{Lumped: g.lumped}),
-		core.WithContext(ctx),
-		core.WithWorkers(g.workers),
-	}
-	// The -ol default (8 nm) equals the N10 preset; only an explicit -ol
-	// overrides a derived node's own scaled overlay budget.
-	if seen["ol"] || proc.Name == "N10" {
-		opts = append(opts, core.WithOverlay(g.ol*1e-9))
-	}
-	if g.progress {
-		opts = append(opts, core.WithProgress(progressPrinter()))
-	}
-	study, err := core.NewStudy(opts...)
-	if err != nil {
-		fatal(err)
-	}
-
-	// The two non-registry utilities: raw artifact dumps, text only.
-	switch name {
-	case "gds":
-		cell := layout.SRAM6TCell(study.Env.Proc)
-		check(cell.WriteGDSText(os.Stdout))
-		return
-	case "deck":
-		p := study.Env.Proc
-		nom, err := sram.NominalParasitics(p, study.Env.Cap)
-		check(err)
-		col, err := sram.BuildColumn(p, g.n, nom, study.Env.Build)
-		check(err)
-		fmt.Print(col.Netlist.WriteSpice(fmt.Sprintf("sram column n=%d (%s)", g.n, litho.EUV)))
-		return
-	}
-
-	res, err := study.Run(name, params)
+	res, err := spec.Run(f.execOptions(ctx)...)
 	check(err)
-	check(res.Write(os.Stdout, format))
+	check(res.Write(os.Stdout, out))
 }
 
 // serveMain runs `mpvar serve`: the HTTP/JSON API over the workload

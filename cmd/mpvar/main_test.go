@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"mpsram/internal/core"
 	"mpsram/internal/exp"
+	"mpsram/internal/report"
 )
 
 // TestMain lets the test binary stand in for the mpvar command: with
@@ -66,9 +68,7 @@ func TestRetiredFastseedRefused(t *testing.T) {
 // registered workload appears with its summary, with the utilities and
 // the global flags after it.
 func TestUsageGeneratedFromRegistry(t *testing.T) {
-	g := defaultGlobals()
-	fs := flag.NewFlagSet("mpvar", flag.ContinueOnError)
-	g.register(fs)
+	fs := directFlagSet()
 	var b strings.Builder
 	usage(fs, &b)
 	out := b.String()
@@ -140,11 +140,21 @@ func TestHelpWorkload(t *testing.T) {
 	}
 }
 
+// directFlagSet returns a flag set carrying the direct verb's flags: the
+// run flags plus -format, -smoke and -list.
+func directFlagSet() *flag.FlagSet {
+	format, smoke, list := "text", false, false
+	fs := flag.NewFlagSet("mpvar", flag.ContinueOnError)
+	defaultRunFlags().register(fs)
+	directFlags(&format, &smoke, &list)(fs)
+	return fs
+}
+
 // TestGlobalsTwoPassParse pins the two-pass flag scheme: re-registering
 // on a second FlagSet keeps pass-one values as defaults, and both passes
 // contribute to the seen set.
 func TestGlobalsTwoPassParse(t *testing.T) {
-	g := defaultGlobals()
+	g := defaultRunFlags()
 	fs1 := flag.NewFlagSet("mpvar", flag.ContinueOnError)
 	g.register(fs1)
 	if err := fs1.Parse([]string{"-samples", "8", "mcspice", "-n", "16"}); err != nil {
@@ -167,23 +177,22 @@ func TestGlobalsTwoPassParse(t *testing.T) {
 	if !seen["samples"] || !seen["n"] || seen["ol"] {
 		t.Fatalf("seen set drifted: %v", seen)
 	}
-	// Any global flag can feed a same-named workload parameter through
-	// the flag.Getter interface — not just a hand-picked subset.
+	// Any run flag can feed a same-named workload parameter through the
+	// flag.Getter interface — not just a hand-picked subset.
 	for name, want := range map[string]any{"n": 16, "samples": 8, "thk": 0.0, "ol": 8.0, "workers": 0, "process": "N10"} {
 		if got := fs2.Lookup(name).Value.(flag.Getter).Get(); got != want {
-			t.Fatalf("global feed for %s = %v (%T), want %v", name, got, got, want)
+			t.Fatalf("run flag feed for %s = %v (%T), want %v", name, got, got, want)
 		}
 	}
 	// The parameter binder defines flags only for parameters that are not
-	// already on the set: "n" stays the global flag, "sizes" gets its own,
+	// already on the set: "n" stays the run flag, "sizes" gets its own,
 	// and only explicitly set parameters are collected.
 	wl := exp.Workload{Params: []exp.ParamSpec{
 		{Name: "n", Kind: exp.IntParam, Default: 64},
 		{Name: "sizes", Kind: exp.StringParam, Default: "16,64"},
 		{Name: "cv", Kind: exp.BoolParam, Default: false},
 	}}
-	fs3 := flag.NewFlagSet("mpvar bound", flag.ContinueOnError)
-	g.register(fs3)
+	fs3 := directFlagSet()
 	nFlag := fs3.Lookup("n")
 	explicit := bindParams(fs3, wl)
 	if fs3.Lookup("n") != nFlag || fs3.Lookup("sizes") == nil || fs3.Lookup("format") == nil {
@@ -197,6 +206,90 @@ func TestGlobalsTwoPassParse(t *testing.T) {
 	got := explicit(seen)
 	if len(got) != 2 || got["n"] != 32 || got["sizes"] != "8,16" {
 		t.Fatalf("explicit parameters %v, want n=32 sizes=8,16 only", got)
+	}
+	// An explicit parameter spelling enters even where the schema lacks
+	// it, so Normalize refuses it instead of the run ignoring it.
+	fs4 := directFlagSet()
+	explicit = bindParams(fs4, exp.Workload{})
+	if err := fs4.Parse([]string{"-ol", "5", "-samples", "3"}); err != nil {
+		t.Fatal(err)
+	}
+	seen = map[string]bool{}
+	fs4.Visit(func(f *flag.Flag) { seen[f.Name] = true })
+	if got := explicit(seen); len(got) != 1 || got["ol"] != 5.0 {
+		t.Fatalf("explicit parameters %v, want ol=5 only", got)
+	}
+}
+
+// TestOneRunPath: the direct verb runs exactly the core.RunSpec its
+// command line names. Its JSON body equals the spec's own rendered run
+// and a 1-of-1 shard plus reduce of the same run, whichever flags come
+// before the workload name.
+func TestOneRunPath(t *testing.T) {
+	for _, c := range []struct {
+		args  []string // the direct verb's command line
+		shard []string // the same run for `mpvar shard` (nil = args)
+		spec  core.RunSpec
+	}{
+		{args: []string{"-samples", "300", "-n", "32", "fig5"},
+			spec: core.RunSpec{Workload: "fig5", Samples: 300, Params: exp.Params{"n": 32}}},
+		{args: []string{"-samples", "300", "-ol", "5", "fig5"},
+			spec: core.RunSpec{Workload: "fig5", Samples: 300, Params: exp.Params{"ol": 5.0}}},
+		{args: []string{"-process", "n7", "-samples", "300", "fig5"},
+			spec: core.RunSpec{Workload: "fig5", Process: "N7", Samples: 300}},
+		{args: []string{"-smoke", "-n", "8", "mcspice"}, shard: []string{"-samples", "4", "-n", "8", "mcspice"},
+			spec: core.RunSpec{Workload: "mcspice", Samples: 4, Params: exp.Params{"n": 8}}},
+	} {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			res, err := c.spec.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := res.Write(&want, report.FormatJSON); err != nil {
+				t.Fatal(err)
+			}
+			oldArgs := os.Args
+			os.Args = append([]string{"mpvar", "-format", "json"}, c.args...)
+			direct := captureStdout(t, main)
+			os.Args = oldArgs
+			if !bytes.Equal(direct, want.Bytes()) {
+				t.Errorf("direct verb diverged from the spec's run:\n got %q\nwant %q", direct, want.Bytes())
+			}
+			shardArgs := c.shard
+			if shardArgs == nil {
+				shardArgs = c.args
+			}
+			path := filepath.Join(t.TempDir(), "run.shard")
+			shardMain(append([]string{"-o", path}, shardArgs...))
+			reduced := captureStdout(t, func() { reduceMain([]string{"-format", "json", path}) })
+			if !bytes.Equal(reduced, want.Bytes()) {
+				t.Errorf("1-of-1 shard + reduce diverged from the spec's run:\n got %q\nwant %q", reduced, want.Bytes())
+			}
+		})
+	}
+}
+
+// TestRunPathRefusals: command lines no run id can name fail before any
+// work, on both verbs. The retired -lumped ablation is an unknown flag
+// (exit 2); a parameter spelling the workload's schema lacks and a
+// negative budget are refused by Normalize (exit 1).
+func TestRunPathRefusals(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-lumped", "table2"}, 2, "flag provided but not defined: -lumped"},
+		{[]string{"-ol", "5", "table1"}, 1, `takes no parameters, got "ol"`},
+		{[]string{"shard", "-ol", "5", "table1"}, 1, `takes no parameters, got "ol"`},
+		{[]string{"-thk", "2", "fig5"}, 1, `no parameter "thk" (valid: n, ol)`},
+		{[]string{"-samples", "-1", "fig5"}, 1, "samples must not be negative"},
+		{[]string{"shard", "-samples", "-5", "fig5"}, 1, "samples must not be negative"},
+	} {
+		if code, stderr := runMpvar(t, c.args...); code != c.code || !strings.Contains(stderr, c.want) {
+			t.Errorf("mpvar %s: exit %d, stderr %q; want exit %d naming %q", strings.Join(c.args, " "), code, stderr, c.code, c.want)
+		}
 	}
 }
 

@@ -21,42 +21,6 @@ import (
 	"mpsram/internal/report"
 )
 
-// shardSpecFlags are the flags shard/reduce share with the main workload
-// surface; only the RunSpec identity fields plus execution knobs apply —
-// worker counts never change results.
-type shardSpecFlags struct {
-	samples  int
-	seed     int64
-	process  string
-	workers  int
-	progress bool
-}
-
-func defaultShardSpecFlags() *shardSpecFlags {
-	return &shardSpecFlags{seed: core.DefaultSeed}
-}
-
-// register binds the flags; like the main globals, the current field
-// values are the defaults, so pass-one assignments survive the second
-// (post-workload-name) registration.
-func (g *shardSpecFlags) register(fs *flag.FlagSet) {
-	fs.IntVar(&g.samples, "samples", g.samples, "Monte-Carlo sample count (0 = the workload's preferred budget)")
-	fs.Int64Var(&g.seed, "seed", g.seed, "Monte-Carlo seed")
-	fs.StringVar(&g.process, "process", g.process, "technology preset (default N10); run 'mpvar processes' for the registry")
-	fs.IntVar(&g.workers, "workers", g.workers, "worker count for Monte-Carlo and SPICE sweeps (0 = all CPUs; never changes results)")
-	fs.BoolVar(&g.progress, "progress", g.progress, "report progress on stderr")
-}
-
-// execOptions translates the execution knobs (not part of the run
-// identity) into study options.
-func (g *shardSpecFlags) execOptions(ctx context.Context) []core.Option {
-	opts := []core.Option{core.WithContext(ctx), core.WithWorkers(g.workers)}
-	if g.progress {
-		opts = append(opts, core.WithProgress(progressPrinter()))
-	}
-	return opts
-}
-
 // interruptContext is the shared Ctrl-C handling: the first signal
 // cancels the context (the engines stop between blocks and the shard
 // runner persists its checkpoint), a second one is a hard stop.
@@ -71,14 +35,14 @@ func interruptContext() (context.Context, context.CancelFunc) {
 
 // shardMain runs `mpvar shard`: one shard of one run, to one artifact.
 func shardMain(args []string) {
-	g := defaultShardSpecFlags()
+	f := defaultRunFlags()
 	fs := flag.NewFlagSet("mpvar shard", flag.ExitOnError)
 	index := fs.Int("index", 0, "this shard's index, 0-based")
 	of := fs.Int("of", 1, "total shard count the run is split into")
 	out := fs.String("o", "", "artifact output path (default <workload>.shard<index>-of<of>)")
 	checkpoint := fs.Duration("checkpoint", 0, "persist a resumable checkpoint at most this often (0 = only on exit)")
 	resume := fs.Bool("resume", false, "continue from an existing checkpoint at the output path")
-	g.register(fs)
+	f.register(fs)
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, `usage: mpvar shard -index I -of N [flags] <workload> [workload flags]
 
@@ -97,27 +61,9 @@ flags:
 		fs.Usage()
 		os.Exit(2)
 	}
-	name := fs.Arg(0)
-	wl, err := exp.LookupWorkload(name)
+	wl, err := exp.LookupWorkload(fs.Arg(0))
 	check(err)
-
-	// Second pass over the arguments after the workload name: the shared
-	// spec flags again (subcommand style) plus the workload's own schema
-	// parameters.
-	fs2 := flag.NewFlagSet("mpvar shard "+name, flag.ExitOnError)
-	g.register(fs2)
-	explicitParams := bindParams(fs2, wl)
-	_ = fs2.Parse(fs.Args()[1:])
-	if fs2.NArg() > 0 {
-		fatal(fmt.Errorf("unexpected argument %q after workload %s", fs2.Arg(0), name))
-	}
-	seen := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { seen[f.Name] = true })
-	fs2.Visit(func(f *flag.Flag) { seen[f.Name] = true })
-	spec := core.RunSpec{
-		Workload: name, Params: explicitParams(seen), Process: g.process,
-		Seed: g.seed, Samples: g.samples,
-	}
+	spec := f.parse(fs, wl, nil)
 	path := *out
 	if path == "" {
 		path = fmt.Sprintf("%s.shard%d-of%d", wl.Name, *index, *of)
@@ -127,7 +73,7 @@ flags:
 	defer stop()
 	err = core.RunShard(spec, mc.ShardSpec{Index: *index, Count: *of}, path,
 		core.ShardRunOptions{CheckpointEvery: *checkpoint, Resume: *resume},
-		g.execOptions(ctx)...)
+		f.execOptions(ctx)...)
 	if err != nil {
 		// On cancellation the checkpoint has already been persisted —
 		// say so, because "rerun with -resume" is the whole point.

@@ -69,7 +69,7 @@
 // Experiments are addressed through the workload registry (internal/exp):
 // each experiment registers a Workload descriptor — name, summary, typed
 // parameter schema with defaults, budget hints — plus a uniform
-// Run(ctx, Env, Params) returning a Result whose typed rows feed one
+// Run(Env, Params) returning a Result whose typed rows feed one
 // rendering contract, so csv, markdown and json encoding live once in
 // internal/report instead of per table. core.Study.Run dispatches by
 // name, Study.Workloads lists the registry, and the "all" workload is a
@@ -79,7 +79,9 @@
 // internal/exp/mcspicex.go for the template) adds its command, flags,
 // json output and CI smoke with no edits elsewhere. Study.Run is the one
 // experiment entry point; a caller wanting typed rows type-asserts
-// Result.Data.
+// Result.Data. Both CLI run verbs, `mpvar <workload>` and `mpvar shard`,
+// parse their command line into a core.RunSpec and run it like serve and
+// the shard reducer do, so every CLI body is the one its run id names.
 //
 // SPICE-in-the-loop draws are priced down by a paired estimator
 // (stats.ControlVariate, mc.RunVectorPaired): each trial measures tdp

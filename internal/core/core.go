@@ -28,7 +28,6 @@ import (
 	"mpsram/internal/extract"
 	"mpsram/internal/litho"
 	"mpsram/internal/mc"
-	"mpsram/internal/sram"
 	"mpsram/internal/tech"
 )
 
@@ -70,9 +69,6 @@ func WithMC(cfg mc.Config) Option {
 
 // WithOverlay sets the LE3 overlay 3σ budget in metres.
 func WithOverlay(ol float64) Option { return func(e *exp.Env) { e.Proc = e.Proc.WithOL(ol) } }
-
-// WithBuild overrides the SRAM column construction options.
-func WithBuild(b sram.BuildOptions) Option { return func(e *exp.Env) { e.Build = b } }
 
 // WithContext attaches a cancellation context to the Monte-Carlo
 // experiments: canceling it aborts a running study between trial blocks.
@@ -127,7 +123,7 @@ func NewStudy(opts ...Option) (*Study, error) {
 // the typed rows, the tabular view for the shared csv/md/json encoders
 // and the paper-style text.
 func (s *Study) Run(name string, p exp.Params) (*exp.Result, error) {
-	return exp.Run(nil, s.Env, name, p)
+	return exp.Run(s.Env, name, p)
 }
 
 // Workloads lists the experiment registry in listing order.

@@ -10,7 +10,6 @@ import (
 	"mpsram/internal/extract"
 	"mpsram/internal/litho"
 	"mpsram/internal/mc"
-	"mpsram/internal/sram"
 	"mpsram/internal/tech"
 )
 
@@ -39,7 +38,6 @@ func TestStudyOptions(t *testing.T) {
 		WithCapModel(extract.PlateFringe{}),
 		WithMC(mc.Config{Samples: 123, Seed: 5}),
 		WithOverlay(3e-9),
-		WithBuild(sram.BuildOptions{Lumped: true}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +45,7 @@ func TestStudyOptions(t *testing.T) {
 	if s.Env.Proc.Name != "custom" || s.Env.Proc.Var.OL3Sigma != 3e-9 {
 		t.Fatal("process options not applied")
 	}
-	if s.Env.Cap.Name() != "plate-fringe" || s.Env.MC.Samples != 123 || !s.Env.Build.Lumped {
+	if s.Env.Cap.Name() != "plate-fringe" || s.Env.MC.Samples != 123 {
 		t.Fatal("options not applied")
 	}
 }

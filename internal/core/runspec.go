@@ -55,9 +55,10 @@ type RunSpec struct {
 // validated against the registry, parameters schema-coerced and
 // default-filled (exp.NormalizeParams), the process name trimmed,
 // case-folded and replaced by the registry's canonical spelling, and the
-// seed and sample budget defaulted. Two specs that denote the same run
-// normalize to equal specs; errors carry the registries' valid-names
-// text so HTTP handlers can surface them verbatim.
+// seed and sample budget defaulted (a negative budget is refused, not
+// defaulted). Two specs that denote the same run normalize to equal
+// specs; errors carry the registries' valid-names text so HTTP handlers
+// can surface them verbatim.
 func (s RunSpec) Normalize() (RunSpec, error) {
 	out := s
 	w, err := exp.LookupWorkload(strings.TrimSpace(s.Workload))
@@ -81,7 +82,10 @@ func (s RunSpec) Normalize() (RunSpec, error) {
 	if out.Seed == 0 {
 		out.Seed = DefaultSeed
 	}
-	if out.Samples <= 0 {
+	if out.Samples < 0 {
+		return RunSpec{}, fmt.Errorf("core: samples must not be negative, got %d (0 = the workload's budget)", out.Samples)
+	}
+	if out.Samples == 0 {
 		if w.Hints.Samples > 0 {
 			out.Samples = w.Hints.Samples
 		} else {
@@ -131,11 +135,13 @@ func (s RunSpec) Key() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// NewStudy builds a Study configured exactly as the normalized spec
-// describes (process preset, Monte-Carlo seed and budget); extra
-// options — context, progress, worker counts — apply on top and must not
-// change results (they are not part of the key).
-func (s RunSpec) NewStudy(extra ...Option) (*Study, error) {
+// Run normalizes the spec, builds the Study it describes (process
+// preset, Monte-Carlo seed and budget) and executes the workload — the
+// one run path of every front end: the CLI verbs, the serve executors
+// and the shard runner. Extra options (context, progress, worker counts)
+// apply on top and must not change results; they are not part of the
+// key.
+func (s RunSpec) Run(extra ...Option) (*exp.Result, error) {
 	n, err := s.Normalize()
 	if err != nil {
 		return nil, err
@@ -144,21 +150,10 @@ func (s RunSpec) NewStudy(extra ...Option) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := append([]Option{
+	study, err := NewStudy(append([]Option{
 		WithProcess(proc),
 		WithMC(mc.Config{Samples: n.Samples, Seed: n.Seed}),
-	}, extra...)
-	return NewStudy(opts...)
-}
-
-// Run normalizes the spec, builds its Study and executes the workload —
-// the one-call path the serve layer's executors use.
-func (s RunSpec) Run(extra ...Option) (*exp.Result, error) {
-	n, err := s.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	study, err := n.NewStudy(extra...)
+	}, extra...)...)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"mpsram/internal/exp"
+	"mpsram/internal/mc"
 )
 
 func key(t *testing.T, s RunSpec) string {
@@ -127,6 +129,11 @@ func TestRunSpecKeyErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "valid: n, ol") {
 		t.Fatalf("unknown param must list the schema: %v", err)
 	}
+	// A negative budget is refused, not defaulted to the hint's run.
+	if _, err := (RunSpec{Workload: "fig5", Samples: -5}).Key(); err == nil ||
+		!strings.Contains(err.Error(), "samples must not be negative") {
+		t.Fatalf("negative samples: %v", err)
+	}
 }
 
 // TestRunSpecRun executes a cheap workload through the spec path and
@@ -139,11 +146,25 @@ func TestRunSpecRun(t *testing.T) {
 	if len(res.Tables) == 0 || len(res.Text) == 0 {
 		t.Fatalf("fig3 result empty: %+v", res)
 	}
-	study, err := RunSpec{Workload: "table1", Process: "n7", Seed: 7, Samples: 5}.NewStudy()
+	// Process, seed and budget reach the study: the spec's run renders
+	// exactly like a hand-built study configured the same way.
+	got, err := RunSpec{Workload: "fig5", Process: "n7", Seed: 7, Samples: 300}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if study.Env.Proc.Name != "N7" || study.Env.MC.Seed != 7 || study.Env.MC.Samples != 5 {
-		t.Fatalf("spec did not reach the study env: proc=%s mc=%+v", study.Env.Proc.Name, study.Env.MC)
+	proc, err := LookupProcess("N7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	study, err := NewStudy(WithProcess(proc), WithMC(mc.Config{Samples: 300, Seed: 7}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := study.Run("fig5", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(render(t, got), render(t, want)) {
+		t.Fatalf("spec did not reach the study env:\n got %s\nwant %s", got.Text, want.Text)
 	}
 }

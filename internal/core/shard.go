@@ -16,12 +16,10 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -68,32 +66,30 @@ type ShardArtifact struct {
 	Payload *mc.ShardPayload
 }
 
-// WriteShardArtifactTo encodes header+payload in the artifact container
-// format onto any writer — the same bytes writeShardArtifact persists to
-// disk, which is what lets the remote shard fabric stream artifacts over
-// HTTP and have both ends agree bit for bit with the on-disk form.
-func WriteShardArtifactTo(w io.Writer, h ShardHeader, payload []byte) error {
+// encodeShardArtifact encodes header+payload in the artifact container
+// format: the bytes writeShardArtifact persists to disk and the remote
+// shard fabric streams over HTTP, so both ends agree bit for bit with
+// the on-disk form.
+func encodeShardArtifact(h ShardHeader, payload []byte) ([]byte, error) {
 	hdr, err := json.Marshal(h)
 	if err != nil {
-		return fmt.Errorf("core: encoding shard header: %w", err)
+		return nil, fmt.Errorf("core: encoding shard header: %w", err)
 	}
 	buf := make([]byte, 0, len(shardMagic)+4+len(hdr)+len(payload))
 	buf = append(buf, shardMagic...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(hdr)))
 	buf = append(buf, hdr...)
-	buf = append(buf, payload...)
-	_, err = w.Write(buf)
-	return err
+	return append(buf, payload...), nil
 }
 
 // writeShardArtifact persists header+payload atomically: a kill mid-write
 // can only ever lose the newest checkpoint, never corrupt the file.
 func writeShardArtifact(path string, h ShardHeader, payload []byte) error {
-	var buf bytes.Buffer
-	if err := WriteShardArtifactTo(&buf, h, payload); err != nil {
+	data, err := encodeShardArtifact(h, payload)
+	if err != nil {
 		return err
 	}
-	return WriteShardArtifactFile(path, buf.Bytes())
+	return WriteShardArtifactFile(path, data)
 }
 
 // WriteShardArtifactFile persists already-encoded artifact bytes
@@ -109,21 +105,11 @@ func WriteShardArtifactFile(path string, data []byte) error {
 	return os.Rename(tmp, path)
 }
 
-// ReadShardArtifactFrom parses an artifact or checkpoint from any
-// reader, rejecting foreign magics, truncated headers, engine-version
-// drift and corrupt payloads. ReadShardArtifact is the path flavor; this
-// one decodes artifact bytes arriving over a network stream.
-func ReadShardArtifactFrom(r io.Reader) (*ShardArtifact, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return decodeShardArtifact(data)
-}
-
-// decodeShardArtifact is the one decoder under both readers: it parses
-// artifact or checkpoint bytes already in memory.
-func decodeShardArtifact(data []byte) (*ShardArtifact, error) {
+// DecodeShardArtifact parses artifact or checkpoint bytes — a file's
+// contents or a peer's shipped artifact — rejecting foreign magics,
+// truncated headers, engine-version drift and corrupt payloads. It is
+// the one decoder under ReadShardArtifact too.
+func DecodeShardArtifact(data []byte) (*ShardArtifact, error) {
 	if len(data) < len(shardMagic)+4 || string(data[:len(shardMagic)]) != string(shardMagic) {
 		return nil, fmt.Errorf("core: not a shard artifact (magic %q missing)", shardMagic)
 	}
@@ -154,7 +140,7 @@ func ReadShardArtifact(path string) (*ShardArtifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := decodeShardArtifact(data)
+	a, err := DecodeShardArtifact(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -163,9 +149,9 @@ func ReadShardArtifact(path string) (*ShardArtifact, error) {
 
 // Verify checks that the artifact is what a caller expecting (runKey,
 // shard) should accept: the coordinates match, and the header's spec
-// still reproduces its recorded run key under the current engines — the
-// same recomputation Reduce performs, pulled out so both ends of the
-// remote shard fabric can refuse drifted or foreign artifacts before any
+// still reproduces its recorded run key under the current engines.
+// Reduce runs it on a set's first artifact, and both ends of the remote
+// shard fabric run it to refuse drifted or foreign artifacts before any
 // bytes land in a reduce set. An empty runKey skips the caller-side key
 // comparison and only validates internal consistency.
 func (a *ShardArtifact) Verify(runKey string, shard mc.ShardSpec) error {
@@ -333,19 +319,14 @@ func Reduce(paths []string, extra ...Option) (*exp.Result, error) {
 			return nil, fmt.Errorf("core: shard %d of run %.12s is missing from the artifact set", i, base.RunKey)
 		}
 	}
-	spec := base.spec()
-	key, err := spec.Key()
-	if err != nil {
-		return nil, fmt.Errorf("core: artifact spec no longer validates: %w", err)
-	}
-	if key != base.RunKey {
-		return nil, fmt.Errorf("core: artifact run key %.12s does not reproduce under the current engines (%.12s) — regenerate the shards", base.RunKey, key)
+	if err := arts[0].Verify("", mc.ShardSpec{Index: base.ShardIndex, Count: count}); err != nil {
+		return nil, err
 	}
 	rp, err := mc.NewReplay(parts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := spec.Run(append(append([]Option(nil), extra...), withReplay(rp))...)
+	res, err := base.spec().Run(append(append([]Option(nil), extra...), withReplay(rp))...)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 // FuzzShardArtifact feeds arbitrary bytes — what a shard file on disk or
-// a peer's artifact frame may hold — through ReadShardArtifactFrom and
+// a peer's artifact frame may hold — through DecodeShardArtifact and
 // Verify: neither may panic, and any artifact the decoder accepts must
 // re-encode to one that decodes to the same header. The seed is a real
 // artifact, which must round-trip byte for byte.
@@ -32,15 +32,15 @@ func FuzzShardArtifact(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	art, err := ReadShardArtifactFrom(bytes.NewReader(real))
+	art, err := DecodeShardArtifact(real)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var again bytes.Buffer
-	if err := WriteShardArtifactTo(&again, art.Header, artifactPayload(real)); err != nil {
+	again, err := encodeShardArtifact(art.Header, artifactPayload(real))
+	if err != nil {
 		f.Fatal(err)
 	}
-	if !bytes.Equal(again.Bytes(), real) {
+	if !bytes.Equal(again, real) {
 		f.Fatal("real artifact does not round-trip byte for byte")
 	}
 	f.Add(real)
@@ -48,18 +48,18 @@ func FuzzShardArtifact(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(append([]byte(nil), shardMagic...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := ReadShardArtifactFrom(bytes.NewReader(data))
+		a, err := DecodeShardArtifact(data)
 		if err != nil {
 			return
 		}
 		h := a.Header
 		_ = a.Verify("", mc.ShardSpec{Index: h.ShardIndex, Count: h.ShardCount})
 		_ = a.Verify(h.RunKey, shard)
-		var buf bytes.Buffer
-		if err := WriteShardArtifactTo(&buf, h, artifactPayload(data)); err != nil {
+		buf, err := encodeShardArtifact(h, artifactPayload(data))
+		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadShardArtifactFrom(&buf)
+		back, err := DecodeShardArtifact(buf)
 		if err != nil {
 			t.Fatalf("re-encoded artifact does not decode: %v", err)
 		}
@@ -93,7 +93,7 @@ func TestShardArtifactRefusals(t *testing.T) {
 		{"f12694b167810de7", "mc: stream codec version 1, want 2"},
 		{"c32892a39e7eb614", "mc: stream 0 claims 9060182779768880 records in 0 bytes"},
 	} {
-		if _, err := ReadShardArtifactFrom(bytes.NewReader(fuzzInput(t, c.input))); err == nil || err.Error() != c.want {
+		if _, err := DecodeShardArtifact(fuzzInput(t, c.input)); err == nil || err.Error() != c.want {
 			t.Errorf("crasher %s: %v, want %q", c.input, err, c.want)
 		}
 	}

@@ -8,13 +8,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mpsram/internal/exp"
+	"mpsram/internal/leakcheck"
 	"mpsram/internal/mc"
 	"mpsram/internal/report"
 )
@@ -34,32 +33,6 @@ func render(t *testing.T, res *exp.Result) []byte {
 		}
 	}
 	return buf.Bytes()
-}
-
-// checkLeaks fails the test unless, at cleanup, its goroutines settle
-// back to the count at the call within a few seconds (every stack is
-// dumped if they do not) and no new mpvar-* entry is left under
-// os.TempDir(). TMPDIR points at a fresh per-test directory for the
-// test's duration, so other test processes' scratch cannot show up in
-// the check. Call it first: cleanups run last-in first-out, so the check
-// runs after every server and worker the test made has shut down.
-func checkLeaks(t *testing.T) {
-	t.Helper()
-	t.Setenv("TMPDIR", t.TempDir())
-	tmp := os.TempDir()
-	before := runtime.NumGoroutine()
-	t.Cleanup(func() {
-		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
-			time.Sleep(10 * time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > before {
-			buf := make([]byte, 1<<20)
-			t.Errorf("%d goroutines at cleanup, %d at start:\n%s", n, before, buf[:runtime.Stack(buf, true)])
-		}
-		if left, _ := filepath.Glob(filepath.Join(tmp, "mpvar-*")); len(left) > 0 {
-			t.Errorf("left behind under %s: %v", tmp, left)
-		}
-	})
 }
 
 // shardReduce runs spec split into count shards (each with the given
@@ -124,7 +97,7 @@ func TestShardReduceMatchesDirect(t *testing.T) {
 // strict partial, resumes it to completion, and reduces — byte-identical
 // to the uninterrupted run.
 func TestShardCheckpointResumeEndToEnd(t *testing.T) {
-	checkLeaks(t)
+	leakcheck.Check(t)
 	spec := RunSpec{Workload: "fig5", Samples: 2000, Params: exp.Params{"n": 64}}
 	direct, err := spec.Run()
 	if err != nil {
@@ -317,10 +290,10 @@ func TestReduceRejects(t *testing.T) {
 	}
 }
 
-// TestShardArtifactStreamRoundTrip: the io.Writer/io.Reader flavors of
-// the artifact codec produce exactly the on-disk bytes and decode them
-// back — the contract the remote fabric relies on to ship artifacts
-// over HTTP and land them bit-identical to a local run.
+// TestShardArtifactStreamRoundTrip: the in-memory flavors of the
+// artifact codec produce exactly the on-disk bytes and decode them back —
+// the contract the remote fabric relies on to ship artifacts over HTTP
+// and land them bit-identical to a local run.
 func TestShardArtifactStreamRoundTrip(t *testing.T) {
 	spec := RunSpec{Workload: "fig3"}
 	path := filepath.Join(t.TempDir(), "part0.shard")
@@ -332,17 +305,17 @@ func TestShardArtifactStreamRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := ReadShardArtifactFrom(bytes.NewReader(onDisk))
+	art, err := DecodeShardArtifact(onDisk)
 	if err != nil {
 		t.Fatalf("stream read: %v", err)
 	}
 	hlen := int(binary.BigEndian.Uint32(onDisk[len(shardMagic):]))
 	payload := onDisk[len(shardMagic)+4+hlen:]
-	var buf bytes.Buffer
-	if err := WriteShardArtifactTo(&buf, art.Header, payload); err != nil {
+	encoded, err := encodeShardArtifact(art.Header, payload)
+	if err != nil {
 		t.Fatalf("stream write: %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), onDisk) {
+	if !bytes.Equal(encoded, onDisk) {
 		t.Fatal("stream re-encode diverged from the on-disk artifact bytes")
 	}
 
@@ -364,7 +337,7 @@ func TestShardArtifactStreamRoundTrip(t *testing.T) {
 	}
 
 	// Stream decode refuses junk just like the path flavor.
-	if _, err := ReadShardArtifactFrom(bytes.NewReader([]byte("nope"))); err == nil ||
+	if _, err := DecodeShardArtifact([]byte("nope")); err == nil ||
 		!strings.Contains(err.Error(), "magic") {
 		t.Fatalf("junk stream: %v", err)
 	}

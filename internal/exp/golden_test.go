@@ -118,7 +118,7 @@ func TestGoldenTable4SurfacesPerProcess(t *testing.T) {
 // the collect path's exact summaries and the 17-bin histograms built from
 // the collected values.
 func TestGoldenFig5(t *testing.T) {
-	res, err := Run(nil, goldenEnv(), "fig5", nil)
+	res, err := Run(goldenEnv(), "fig5", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestGoldenFig5(t *testing.T) {
 // LE2 (the THK parameter widens each corner set) and the write penalty at
 // each paper option's worst corner.
 func TestGoldenExtThickness(t *testing.T) {
-	res, err := Run(nil, goldenEnv(), "ext", Params{"thk": 2.0})
+	res, err := Run(goldenEnv(), "ext", Params{"thk": 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestGoldenMCSpiceX(t *testing.T) {
 	}
 	e := goldenEnv()
 	e.MC.Samples = 12
-	res, err := Run(nil, e, "mcspicex", Params{"sizes": "8,16"})
+	res, err := Run(e, "mcspicex", Params{"sizes": "8,16"})
 	if err != nil {
 		t.Fatal(err)
 	}

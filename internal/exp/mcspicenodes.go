@@ -15,7 +15,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -40,7 +39,7 @@ func init() {
 		// plain cross-node run. The smoke override shrinks the array so
 		// the 3-node × 3-option DOE stays a few seconds.
 		Hints: Hints{Samples: 60, Smoke: Params{"n": 8}, Cost: 12000},
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			if p.Bool("adaptive") {
 				e.Sim.Adaptive = true
 			}

@@ -11,7 +11,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -41,7 +40,7 @@ func init() {
 		// -cv the paired estimator's variance reduction makes ~16 draws
 		// comparable.
 		Hints: Hints{Samples: 120, CVSamples: 16, Smoke: Params{"sizes": "8,16"}, Cost: 4000},
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			sizes, err := ParseSizes(p.String("sizes"))
 			if err != nil {
 				return nil, err

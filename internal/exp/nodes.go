@@ -8,7 +8,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"unicode/utf8"
@@ -25,7 +24,7 @@ func init() {
 		Order:  100,
 		Hints:  Hints{Cost: 3},
 		Params: []ParamSpec{{Name: "n", Kind: IntParam, Default: NodesN, Help: "array word-line count"}},
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			n := p.Int("n")
 			rows, err := NodesAt(e, n)
 			if err != nil {

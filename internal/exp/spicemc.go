@@ -8,7 +8,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -37,7 +36,7 @@ func init() {
 		// With -cv each paired draw is worth ~1/(1−ρ̂²) plain draws, so
 		// ~20 already buy comparable σ accuracy.
 		Hints: Hints{Samples: 200, CVSamples: 20, Cost: 4000},
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			sizes := []int{p.Int("n")}
 			if s := p.String("sizes"); s != "" {
 				var err error

@@ -17,7 +17,7 @@ import (
 func TestSpiceMCCVTiny(t *testing.T) {
 	e := tinyEnv()
 	e.MC.Samples = 6
-	res, err := Run(nil, e, "mcspice", Params{"sizes": "8", "cv": true})
+	res, err := Run(e, "mcspice", Params{"sizes": "8", "cv": true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSpiceMCCVTiny(t *testing.T) {
 		t.Fatal("report table drifted")
 	}
 	// mcspicex -cv routes through the same driver.
-	resX, err := Run(nil, e, "mcspicex", Params{"sizes": "8", "cv": true})
+	resX, err := Run(e, "mcspicex", Params{"sizes": "8", "cv": true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestCVSmokeVarianceReduction(t *testing.T) {
 func TestMCSpiceNodesTiny(t *testing.T) {
 	e := tinyEnv()
 	e.MC.Samples = 4
-	res, err := Run(nil, e, "mcspicenodes", Params{"n": 8})
+	res, err := Run(e, "mcspicenodes", Params{"n": 8})
 	if err != nil {
 		t.Fatal(err)
 	}

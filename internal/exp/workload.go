@@ -8,7 +8,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -141,14 +140,15 @@ type Workload struct {
 	// InAll marks the workloads the "all" plan runs, in Order.
 	InAll bool
 	// Params is the typed parameter schema. A parameter whose name
-	// matches a global CLI flag (e.g. "n") is fed by that flag rather
+	// matches a CLI run flag (-n, -ol, -thk) is fed by that flag rather
 	// than a duplicate binding.
 	Params []ParamSpec
 	// Hints carries budget advice for generic callers.
 	Hints Hints
 	// Run executes the workload under the environment with validated,
-	// defaulted parameters.
-	Run func(ctx context.Context, e Env, p Params) (*Result, error)
+	// defaulted parameters. e.Ctx is never nil; a body that blocks
+	// selects on e.Ctx.Done() to honor cancellation.
+	Run func(e Env, p Params) (*Result, error)
 }
 
 var registry = map[string]*Workload{}
@@ -298,9 +298,8 @@ func resolveParams(w Workload, p Params) (Params, error) {
 
 // Run executes a registered workload by name under the environment:
 // lookup, parameter validation and defaulting, then the workload body
-// with ctx installed as the environment's cancellation context. A nil
-// ctx keeps the environment's own context.
-func Run(ctx context.Context, e Env, name string, p Params) (*Result, error) {
+// with e.Ctx defaulted to context.Background().
+func Run(e Env, name string, p Params) (*Result, error) {
 	w, err := LookupWorkload(name)
 	if err != nil {
 		return nil, err
@@ -309,11 +308,8 @@ func Run(ctx context.Context, e Env, name string, p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = e.ctx()
-	}
-	e.Ctx = ctx
-	res, err := w.Run(ctx, e, rp)
+	e.Ctx = e.ctx()
+	res, err := w.Run(e, rp)
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", name, err)
 	}

@@ -96,18 +96,18 @@ func TestRegisterRejectsDuplicatesAndBadDefaults(t *testing.T) {
 func TestRunParamValidation(t *testing.T) {
 	e := tinyEnv()
 	// Unknown parameter names answer with the schema.
-	if _, err := Run(nil, e, "fig5", Params{"bogus": 1}); err == nil || !strings.Contains(err.Error(), `"bogus"`) || !strings.Contains(err.Error(), "n, ol") {
+	if _, err := Run(e, "fig5", Params{"bogus": 1}); err == nil || !strings.Contains(err.Error(), `"bogus"`) || !strings.Contains(err.Error(), "n, ol") {
 		t.Fatalf("unknown param error must list valid names, got %v", err)
 	}
 	// A parameterless workload says so.
-	if _, err := Run(nil, e, "table1", Params{"n": 8}); err == nil || !strings.Contains(err.Error(), "takes no parameters") {
+	if _, err := Run(e, "table1", Params{"n": 8}); err == nil || !strings.Contains(err.Error(), "takes no parameters") {
 		t.Fatalf("parameterless error drifted: %v", err)
 	}
 	// Type mismatches are rejected; integral floats coerce to ints.
-	if _, err := Run(nil, e, "nodes", Params{"n": "eight"}); err == nil || !strings.Contains(err.Error(), "want int") {
+	if _, err := Run(e, "nodes", Params{"n": "eight"}); err == nil || !strings.Contains(err.Error(), "want int") {
 		t.Fatalf("type mismatch accepted: %v", err)
 	}
-	if _, err := Run(nil, e, "nodes", Params{"n": 8.5}); err == nil {
+	if _, err := Run(e, "nodes", Params{"n": 8.5}); err == nil {
 		t.Fatal("fractional int accepted")
 	}
 	rp, err := resolveParams(*registry["fig5"], Params{"n": float64(8), "ol": 3})
@@ -133,7 +133,7 @@ func TestRunParamValidation(t *testing.T) {
 func TestCheapWorkloadsThroughRun(t *testing.T) {
 	e := tinyEnv()
 	for _, name := range []string{"table1", "fig3", "sens", "processes", "workloads"} {
-		res, err := Run(nil, e, name, nil)
+		res, err := Run(e, name, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -160,7 +160,7 @@ func TestCheapWorkloadsThroughRun(t *testing.T) {
 // typed rows as the direct driver call.
 func TestWorkloadTable1MatchesDriver(t *testing.T) {
 	e := tinyEnv()
-	res, err := Run(nil, e, "table1", nil)
+	res, err := Run(e, "table1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestWorkloadTable1MatchesDriver(t *testing.T) {
 func TestMCSpiceXTiny(t *testing.T) {
 	e := tinyEnv()
 	e.MC.Samples = 4
-	res, err := Run(nil, e, "mcspicex", Params{"sizes": "8"})
+	res, err := Run(e, "mcspicex", Params{"sizes": "8"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -26,7 +25,7 @@ func init() {
 	Register(Workload{
 		Name: "table1", Summary: "worst-case variability per patterning option",
 		Order: 10, InAll: true,
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			rows, err := Table1(e)
 			if err != nil {
 				return nil, err
@@ -37,7 +36,7 @@ func init() {
 	Register(Workload{
 		Name: "fig2", Summary: "worst-case layout distortion",
 		Order: 20, InAll: true,
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			entries, err := Fig2(e)
 			if err != nil {
 				return nil, err
@@ -48,7 +47,7 @@ func init() {
 	Register(Workload{
 		Name: "fig3", Summary: "array DOE overview",
 		Order: 30, InAll: true,
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			rows, err := Fig3(e)
 			if err != nil {
 				return nil, err
@@ -59,7 +58,7 @@ func init() {
 	Register(Workload{
 		Name: "fig4", Summary: "worst-case td / tdp vs array size (SPICE)",
 		Order: 40,
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			pts, err := Fig4(e)
 			if err != nil {
 				return nil, err
@@ -70,7 +69,7 @@ func init() {
 	Register(Workload{
 		Name: "table2", Summary: "formula vs simulation tdnom",
 		Order: 50,
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			rows, err := Table2(e)
 			if err != nil {
 				return nil, err
@@ -81,7 +80,7 @@ func init() {
 	Register(Workload{
 		Name: "table3", Summary: "formula vs simulation tdp",
 		Order: 60,
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			rows, err := Table3(e)
 			if err != nil {
 				return nil, err
@@ -92,7 +91,7 @@ func init() {
 	Register(Workload{
 		Name: "spicetables", Summary: "fig4 + table2 + table3 from one shared deduplicated SPICE sweep",
 		Order: 65, InAll: true,
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			res, err := SpiceTables(e)
 			if err != nil {
 				return nil, err
@@ -113,7 +112,7 @@ func init() {
 			{Name: "ol", Kind: FloatParam, Default: 0.0,
 				Help: "LE3 overlay 3-sigma budget in nm (0 = the process budget)"},
 		},
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			ol := p.Float("ol") * 1e-9
 			if ol == 0 {
 				ol = e.Proc.Var.OL3Sigma
@@ -129,7 +128,7 @@ func init() {
 		Name: "table4", Summary: "tdp sigma per option and overlay budget",
 		Order: 80, InAll: true,
 		Hints: Hints{Cost: 1},
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			rows, err := Table4(e)
 			if err != nil {
 				return nil, err
@@ -141,7 +140,7 @@ func init() {
 		Name: "table4x", Summary: "extended Table IV: tdp sigma across all DOE sizes (shared stream)",
 		Order: 85,
 		Hints: Hints{Cost: 1},
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			rows, err := Table4Surface(e)
 			if err != nil {
 				return nil, err
@@ -153,7 +152,7 @@ func init() {
 		Name: "table4xp", Summary: "per-process extended Table IV across the node set",
 		Order: 90,
 		Hints: Hints{Cost: 3},
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			surfs, err := Table4Surfaces(e)
 			if err != nil {
 				return nil, err
@@ -164,7 +163,7 @@ func init() {
 	Register(Workload{
 		Name: "snm", Summary: "static noise margins (hold/read butterfly)",
 		Order: 120,
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			res, err := sram.StaticNoiseMargins(e.Proc)
 			if err != nil {
 				return nil, err
@@ -180,7 +179,7 @@ func init() {
 		Name: "sens", Summary: "first-order tdp variance propagation per option",
 		Order:  125,
 		Params: []ParamSpec{paramN(64, "array word-line count")},
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			rows, err := Sens(e, p.Int("n"))
 			if err != nil {
 				return nil, err
@@ -196,7 +195,7 @@ func init() {
 			{Name: "thk", Kind: FloatParam, Default: 0.0,
 				Help: "enable the thickness extension: 3-sigma in nm"},
 		},
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			thk := p.Float("thk") * 1e-9
 			rows, err := ExtTable1(e, thk)
 			if err != nil {
@@ -216,7 +215,7 @@ func init() {
 	Register(Workload{
 		Name: "processes", Summary: "list the technology registry (valid -process values)",
 		Order: 140,
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			procs := tech.Default().Processes()
 			return &Result{Data: procs, Tables: []*report.Table{ProcessesReport(procs)}, Text: FormatProcesses(procs)}, nil
 		},
@@ -224,7 +223,7 @@ func init() {
 	Register(Workload{
 		Name: "workloads", Summary: "list the workload registry (this listing)",
 		Order: 145,
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
+		Run: func(e Env, p Params) (*Result, error) {
 			ws := Workloads()
 			return &Result{Data: ws, Tables: []*report.Table{WorkloadsReport(ws)}, Text: FormatWorkloads(ws)}, nil
 		},
@@ -232,8 +231,8 @@ func init() {
 	Register(Workload{
 		Name: "all", Summary: "every experiment in paper order (a plan over the registry)",
 		Order: 150,
-		Run: func(ctx context.Context, e Env, p Params) (*Result, error) {
-			return RunAll(ctx, e)
+		Run: func(e Env, p Params) (*Result, error) {
+			return RunAll(e)
 		},
 	})
 }
@@ -243,7 +242,7 @@ func init() {
 // one composite Result. It is how the paper-order report is produced —
 // registering a workload with InAll adds it to the plan with no further
 // wiring.
-func RunAll(ctx context.Context, e Env) (*Result, error) {
+func RunAll(e Env) (*Result, error) {
 	var (
 		texts  []string
 		tables []*report.Table
@@ -253,7 +252,7 @@ func RunAll(ctx context.Context, e Env) (*Result, error) {
 		if !w.InAll {
 			continue
 		}
-		res, err := Run(ctx, e, w.Name, nil)
+		res, err := Run(e, w.Name, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -70,9 +70,6 @@ func (iv Interval) Gap(o Interval) float64 {
 	return iv.Lo - o.Hi
 }
 
-// Contains reports whether x lies within the closed interval.
-func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
-
 func (iv Interval) String() string {
 	return fmt.Sprintf("[%.3g,%.3g]", iv.Lo, iv.Hi)
 }
@@ -84,12 +81,6 @@ type Point struct {
 
 // Add returns p+q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns p−q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
 // Rect is an axis-aligned rectangle with Min ≤ Max corner convention.
 type Rect struct {
@@ -112,9 +103,6 @@ func (r Rect) W() float64 { return r.Max.X - r.Min.X }
 
 // H returns the height (y extent).
 func (r Rect) H() float64 { return r.Max.Y - r.Min.Y }
-
-// Area returns W*H.
-func (r Rect) Area() float64 { return r.W() * r.H() }
 
 // Empty reports whether the rectangle has non-positive area.
 func (r Rect) Empty() bool { return r.W() <= 0 || r.H() <= 0 }
@@ -150,22 +138,6 @@ type Trapezoid struct {
 
 // Area returns the trapezoid cross-section area.
 func (tz Trapezoid) Area() float64 { return (tz.WTop + tz.WBot) / 2 * tz.T }
-
-// Shrink returns the trapezoid with all faces pulled in by d (e.g. a
-// barrier liner of thickness d consuming conductor area).
-func (tz Trapezoid) Shrink(d float64) Trapezoid {
-	s := Trapezoid{WTop: tz.WTop - 2*d, WBot: tz.WBot - 2*d, T: tz.T - d}
-	if s.WTop < 0 {
-		s.WTop = 0
-	}
-	if s.WBot < 0 {
-		s.WBot = 0
-	}
-	if s.T < 0 {
-		s.T = 0
-	}
-	return s
-}
 
 // SortIntervals orders intervals by Lo then Hi, in place, and returns the
 // slice for convenience.

@@ -325,7 +325,7 @@ func (p *Pool) dispatch(ctx context.Context, pe *peer, sr ShardRequest, key stri
 		case frameCheckpoint:
 			// Validate before landing: a drifted or confused worker must
 			// not overwrite a good local checkpoint.
-			art, verr := core.ReadShardArtifactFrom(bytes.NewReader(f.data))
+			art, verr := core.DecodeShardArtifact(f.data)
 			if verr == nil {
 				verr = art.Verify(key, shard)
 			}
@@ -338,7 +338,7 @@ func (p *Pool) dispatch(ctx context.Context, pe *peer, sr ShardRequest, key stri
 			}
 			p.stats.ShippedBytes.Add(int64(len(f.data)))
 		case frameArtifact:
-			art, verr := core.ReadShardArtifactFrom(bytes.NewReader(f.data))
+			art, verr := core.DecodeShardArtifact(f.data)
 			if verr == nil {
 				verr = art.Verify(key, shard)
 			}

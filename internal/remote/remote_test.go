@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"mpsram/internal/core"
+	"mpsram/internal/leakcheck"
 	"mpsram/internal/mc"
 )
 
@@ -44,32 +45,6 @@ func newWorkerServer(t *testing.T, w *Worker) (*httptest.Server, context.CancelF
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts, func() { draining.Store(true); cancel() }
-}
-
-// checkLeaks fails the test unless, at cleanup, its goroutines settle
-// back to the count at the call within a few seconds (every stack is
-// dumped if they do not) and no new mpvar-* entry is left under
-// os.TempDir(). TMPDIR points at a fresh per-test directory for the
-// test's duration, so other test processes' scratch cannot show up in
-// the check. Call it first: cleanups run last-in first-out, so the check
-// runs after every server and worker the test made has shut down.
-func checkLeaks(t *testing.T) {
-	t.Helper()
-	t.Setenv("TMPDIR", t.TempDir())
-	tmp := os.TempDir()
-	before := runtime.NumGoroutine()
-	t.Cleanup(func() {
-		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
-			time.Sleep(10 * time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > before {
-			buf := make([]byte, 1<<20)
-			t.Errorf("%d goroutines at cleanup, %d at start:\n%s", n, before, buf[:runtime.Stack(buf, true)])
-		}
-		if left, _ := filepath.Glob(filepath.Join(tmp, "mpvar-*")); len(left) > 0 {
-			t.Errorf("left behind under %s: %v", tmp, left)
-		}
-	})
 }
 
 func newTestPool(t *testing.T, urls ...string) *Pool {
@@ -207,6 +182,12 @@ func TestWorkerRefusals(t *testing.T) {
 	if code, _ := post(unknown); code != http.StatusBadRequest {
 		t.Fatalf("unknown workload: %d", code)
 	}
+	// A negative budget is refused, not run as the hint's budget under
+	// the hint's key.
+	negative := NewShardRequest(core.RunSpec{Workload: "fig3", Samples: -5}, shard, key, nil)
+	if code, msg := post(negative); code != http.StatusBadRequest || !strings.Contains(msg, "samples must not be negative") {
+		t.Fatalf("negative samples: %d %q", code, msg)
+	}
 	badShard := NewShardRequest(spec, mc.ShardSpec{Index: 5, Count: 2}, key, nil)
 	if code, _ := post(badShard); code != http.StatusBadRequest {
 		t.Fatalf("invalid shard: %d", code)
@@ -236,7 +217,7 @@ func TestWorkerRefusals(t *testing.T) {
 // the dispatch, the worker resumes it, and the final artifact is
 // byte-identical to an uninterrupted run.
 func TestRemoteCheckpointResume(t *testing.T) {
-	checkLeaks(t)
+	leakcheck.Check(t)
 	spec, err := (core.RunSpec{Workload: "fig5", Samples: 2000}).Normalize()
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +290,7 @@ func TestRemoteNoLivePeers(t *testing.T) {
 // a second worker, and the final artifact is byte-identical to an
 // uninterrupted local run.
 func TestRemoteDeadPeerFailover(t *testing.T) {
-	checkLeaks(t)
+	leakcheck.Check(t)
 	spec, err := (core.RunSpec{Workload: "fig5", Samples: 5000}).Normalize()
 	if err != nil {
 		t.Fatal(err)

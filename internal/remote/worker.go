@@ -4,7 +4,6 @@
 package remote
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -274,7 +273,7 @@ func (w *Worker) ServeShard(ctx context.Context, rw http.ResponseWriter, req *ht
 	}
 	// Validate what we are about to ship exactly the way the coordinator
 	// will on receipt — a worker never ships bytes it would itself refuse.
-	art, err := core.ReadShardArtifactFrom(bytes.NewReader(data))
+	art, err := core.DecodeShardArtifact(data)
 	if err == nil {
 		err = art.Verify(key, shard)
 	}
@@ -299,7 +298,7 @@ func (w *Worker) landCheckpoint(path string, sr ShardRequest, key string, shard 
 	if len(sr.Checkpoint) == 0 {
 		return nil
 	}
-	shipped, err := core.ReadShardArtifactFrom(bytes.NewReader(sr.Checkpoint))
+	shipped, err := core.DecodeShardArtifact(sr.Checkpoint)
 	if err != nil {
 		return fmt.Errorf("dispatch checkpoint: %w", err)
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mpsram/internal/core"
+	"mpsram/internal/leakcheck"
 	"mpsram/internal/mc"
 )
 
@@ -224,7 +225,7 @@ func TestFanoutShardFailureRedispatch(t *testing.T) {
 // those checkpoints on re-submission — counted, not recomputed — and
 // produces the byte-identical direct body.
 func TestFanoutDrainCheckpointResume(t *testing.T) {
-	checkLeaks(t)
+	leakcheck.Check(t)
 	body := `{"workload":"fig5","samples":60000}`
 	dir := t.TempDir()
 	cfg := Config{Workers: 1, Fanout: 2, FanoutMinSamples: 1, EngineWorkers: 1, FanoutDir: dir}

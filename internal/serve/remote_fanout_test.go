@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mpsram/internal/core"
+	"mpsram/internal/leakcheck"
 	"mpsram/internal/remote"
 )
 
@@ -219,7 +220,7 @@ func TestRemoteFanoutDriftedPeerLocalFallback(t *testing.T) {
 // re-dispatches from the last shipped checkpoint, and the run still
 // completes byte-identical to direct execution.
 func TestRemoteFanoutDeadPeerFailover(t *testing.T) {
-	checkLeaks(t)
+	leakcheck.Check(t)
 	body := `{"workload":"fig5","samples":60000}`
 	direct := directBody(t, body)
 
@@ -289,7 +290,7 @@ func TestRemoteFanoutDeadPeerFailover(t *testing.T) {
 // FanoutDir; a restarted coordinator resumes them on resubmission and
 // produces the byte-identical body.
 func TestRemoteFanoutDrainResume(t *testing.T) {
-	checkLeaks(t)
+	leakcheck.Check(t)
 	body := `{"workload":"fig5","samples":60000}`
 	direct := directBody(t, body)
 

@@ -12,7 +12,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,6 +20,7 @@ import (
 
 	"mpsram/internal/core"
 	"mpsram/internal/exp"
+	"mpsram/internal/leakcheck"
 	"mpsram/internal/report"
 )
 
@@ -65,7 +65,7 @@ func init() {
 		Name: "testslow", Summary: "test-only: blocks until released",
 		Order:  900,
 		Params: []exp.ParamSpec{{Name: "tag", Kind: exp.StringParam, Default: "", Help: "gate tag"}},
-		Run: func(ctx context.Context, e exp.Env, p exp.Params) (*exp.Result, error) {
+		Run: func(e exp.Env, p exp.Params) (*exp.Result, error) {
 			tag := p.String("tag")
 			execCount(tag).Add(1)
 			if e.MC.Progress != nil {
@@ -73,8 +73,8 @@ func init() {
 			}
 			select {
 			case <-gate(tag):
-			case <-ctx.Done():
-				return nil, ctx.Err()
+			case <-e.Ctx.Done():
+				return nil, e.Ctx.Err()
 			}
 			if e.MC.Progress != nil {
 				e.MC.Progress(2, 2)
@@ -88,7 +88,7 @@ func init() {
 		Name: "testcheap", Summary: "test-only: instant deterministic table",
 		Order:  901,
 		Params: []exp.ParamSpec{{Name: "x", Kind: exp.IntParam, Default: 7, Help: "value"}},
-		Run: func(ctx context.Context, e exp.Env, p exp.Params) (*exp.Result, error) {
+		Run: func(e exp.Env, p exp.Params) (*exp.Result, error) {
 			execCount("cheap").Add(1)
 			t := report.New("test cheap", "x", "seed", "samples", "process")
 			_ = t.Appendf(p.Int("x"), e.MC.Seed, e.MC.Samples, e.Proc.Name)
@@ -98,7 +98,7 @@ func init() {
 	exp.Register(exp.Workload{
 		Name: "testfail", Summary: "test-only: always errors",
 		Order: 902,
-		Run: func(ctx context.Context, e exp.Env, p exp.Params) (*exp.Result, error) {
+		Run: func(e exp.Env, p exp.Params) (*exp.Result, error) {
 			execCount("fail").Add(1)
 			return nil, fmt.Errorf("deliberate failure")
 		},
@@ -126,32 +126,6 @@ func startTestServer(t *testing.T, s *Server, h http.Handler) *httptest.Server {
 		_ = s.Drain(ctx)
 	})
 	return ts
-}
-
-// checkLeaks fails the test unless, at cleanup, its goroutines settle
-// back to the count at the call within a few seconds (every stack is
-// dumped if they do not) and no new mpvar-* entry is left under
-// os.TempDir(). TMPDIR points at a fresh per-test directory for the
-// test's duration, so other test processes' scratch cannot show up in
-// the check. Call it first: cleanups run last-in first-out, so the check
-// runs after every server and worker the test made has shut down.
-func checkLeaks(t *testing.T) {
-	t.Helper()
-	t.Setenv("TMPDIR", t.TempDir())
-	tmp := os.TempDir()
-	before := runtime.NumGoroutine()
-	t.Cleanup(func() {
-		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
-			time.Sleep(10 * time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > before {
-			buf := make([]byte, 1<<20)
-			t.Errorf("%d goroutines at cleanup, %d at start:\n%s", n, before, buf[:runtime.Stack(buf, true)])
-		}
-		if left, _ := filepath.Glob(filepath.Join(tmp, "mpvar-*")); len(left) > 0 {
-			t.Errorf("left behind under %s: %v", tmp, left)
-		}
-	})
 }
 
 func postRun(t *testing.T, ts *httptest.Server, query, body string) (*http.Response, []byte) {
@@ -279,6 +253,7 @@ func TestSubmitValidation(t *testing.T) {
 		{`{"workload":"nope"}`, "registered:"},
 		{`{"workload":"table1","process":"N3"}`, "N10"},
 		{`{"workload":"fig5","params":{"n":1.5}}`, "not an integer"},
+		{`{"workload":"fig5","samples":-5}`, "samples must not be negative"},
 		{`{"workload":"table1","smaples":4}`, "unknown field"},
 		{`{"workload":"fig5","fastseed":true}`, `unknown field "fastseed"`}, // the retired PCG stream
 		{`{not json`, "invalid request body"},
@@ -481,7 +456,7 @@ func waitCached(t *testing.T, ts *httptest.Server, id string) {
 // TestDrainCompletesInflight: draining refuses new submissions with 503
 // but lets the in-flight run finish and land in the cache.
 func TestDrainCompletesInflight(t *testing.T) {
-	checkLeaks(t)
+	leakcheck.Check(t)
 	s, ts := newTestServer(t, Config{Workers: 1})
 	tagA, tagB := newTag("drain-a"), newTag("drain-b")
 	resp, b := postRun(t, ts, "?wait=0", fmt.Sprintf(`{"workload":"testslow","params":{"tag":%q}}`, tagA))
@@ -761,7 +736,7 @@ func TestListenAndServe(t *testing.T) {
 // temporary scratch directory; Drain removes it, so a server leaves
 // nothing behind in TMPDIR.
 func TestDrainRemovesShardScratch(t *testing.T) {
-	checkLeaks(t) // points TMPDIR at a fresh directory
+	leakcheck.Check(t) // points TMPDIR at a fresh directory
 	tmp := os.TempDir()
 	s := New(Config{})
 	made, _ := filepath.Glob(filepath.Join(tmp, "mpvar-shardwork-*"))

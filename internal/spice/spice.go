@@ -401,9 +401,6 @@ type Result struct {
 	names []string
 }
 
-// Probe returns the waveform of the i-th probed node.
-func (r *Result) Probe(i int) []float64 { return r.V[i] }
-
 // NodeWave returns the waveform of a probed node id (nil if not probed).
 func (r *Result) NodeWave(id circuit.NodeID) []float64 {
 	for i, n := range r.Nodes {

@@ -316,8 +316,8 @@ func TestNodeWaveMissing(t *testing.T) {
 	if res.NodeWave(5) == nil || res.NodeWave(6) != nil {
 		t.Fatal("NodeWave lookup broken")
 	}
-	if res.Probe(0)[0] != 1 {
-		t.Fatal("Probe broken")
+	if res.V[0][0] != 1 {
+		t.Fatal("probed waveform lost")
 	}
 }
 

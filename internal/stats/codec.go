@@ -27,13 +27,6 @@ const (
 	controlVariateCodecVersion = 1
 )
 
-// Encoded sizes (version byte included) — handy for sizing buffers.
-const (
-	WelfordEncodedSize        = 1 + 5*8
-	P2EncodedSize             = 1 + 2*8 + 4*5*8
-	ControlVariateEncodedSize = 1 + 2*WelfordEncodedSize + 8
-)
-
 // AppendU64 / AppendF64 are the primitive writers: fixed-width
 // big-endian, floats as raw IEEE-754 bits.
 func AppendU64(b []byte, v uint64) []byte {
@@ -104,11 +97,6 @@ func (w Welford) AppendBinary(b []byte) []byte {
 	return b
 }
 
-// MarshalBinary encodes w (encoding.BinaryMarshaler).
-func (w Welford) MarshalBinary() ([]byte, error) {
-	return w.AppendBinary(make([]byte, 0, WelfordEncodedSize)), nil
-}
-
 // Decode consumes one Welford encoding from the reader.
 func (w *Welford) Decode(r *CodecReader) {
 	if v := r.U8("Welford"); r.err == nil && v != welfordCodecVersion {
@@ -120,22 +108,6 @@ func (w *Welford) Decode(r *CodecReader) {
 	w.m2 = r.F64("Welford")
 	w.min = r.F64("Welford")
 	w.max = r.F64("Welford")
-}
-
-// UnmarshalBinary decodes an encoding produced by MarshalBinary; extra
-// trailing bytes are rejected (the accumulator is a fixed-size record).
-func (w *Welford) UnmarshalBinary(data []byte) error {
-	r := &CodecReader{buf: data}
-	var tmp Welford
-	tmp.Decode(r)
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.buf) != 0 {
-		return fmt.Errorf("stats: %d trailing bytes after Welford encoding", len(r.buf))
-	}
-	*w = tmp
-	return nil
 }
 
 // AppendBinary appends the versioned encoding of e to b.
@@ -156,11 +128,6 @@ func (e P2) AppendBinary(b []byte) []byte {
 		b = AppendF64(b, v)
 	}
 	return b
-}
-
-// MarshalBinary encodes e (encoding.BinaryMarshaler).
-func (e P2) MarshalBinary() ([]byte, error) {
-	return e.AppendBinary(make([]byte, 0, P2EncodedSize)), nil
 }
 
 // Decode consumes one P2 encoding from the reader.
@@ -185,21 +152,6 @@ func (e *P2) Decode(r *CodecReader) {
 	}
 }
 
-// UnmarshalBinary decodes an encoding produced by MarshalBinary.
-func (e *P2) UnmarshalBinary(data []byte) error {
-	r := &CodecReader{buf: data}
-	var tmp P2
-	tmp.Decode(r)
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.buf) != 0 {
-		return fmt.Errorf("stats: %d trailing bytes after P2 encoding", len(r.buf))
-	}
-	*e = tmp
-	return nil
-}
-
 // AppendBinary appends the versioned encoding of c to b.
 func (c ControlVariate) AppendBinary(b []byte) []byte {
 	b = append(b, controlVariateCodecVersion)
@@ -207,11 +159,6 @@ func (c ControlVariate) AppendBinary(b []byte) []byte {
 	b = c.x.AppendBinary(b)
 	b = AppendF64(b, c.cxy)
 	return b
-}
-
-// MarshalBinary encodes c (encoding.BinaryMarshaler).
-func (c ControlVariate) MarshalBinary() ([]byte, error) {
-	return c.AppendBinary(make([]byte, 0, ControlVariateEncodedSize)), nil
 }
 
 // Decode consumes one ControlVariate encoding from the reader.
@@ -223,19 +170,4 @@ func (c *ControlVariate) Decode(r *CodecReader) {
 	c.y.Decode(r)
 	c.x.Decode(r)
 	c.cxy = r.F64("ControlVariate")
-}
-
-// UnmarshalBinary decodes an encoding produced by MarshalBinary.
-func (c *ControlVariate) UnmarshalBinary(data []byte) error {
-	r := &CodecReader{buf: data}
-	var tmp ControlVariate
-	tmp.Decode(r)
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.buf) != 0 {
-		return fmt.Errorf("stats: %d trailing bytes after ControlVariate encoding", len(r.buf))
-	}
-	*c = tmp
-	return nil
 }

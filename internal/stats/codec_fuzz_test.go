@@ -37,15 +37,15 @@ func FuzzWelfordCodec(f *testing.F) {
 		}
 		// Round trip both sides.
 		var lo2, hi2 Welford
-		lob, _ := lo.MarshalBinary()
-		hib, _ := hi.MarshalBinary()
-		if err := lo2.UnmarshalBinary(lob); err != nil {
+		lob := lo.AppendBinary(nil)
+		hib := hi.AppendBinary(nil)
+		if err := decode(lob, &lo2); err != nil {
 			t.Fatal(err)
 		}
-		if err := hi2.UnmarshalBinary(hib); err != nil {
+		if err := decode(hib, &hi2); err != nil {
 			t.Fatal(err)
 		}
-		lo2b, _ := lo2.MarshalBinary()
+		lo2b := lo2.AppendBinary(nil)
 		if !bytes.Equal(lob, lo2b) {
 			t.Fatal("Welford re-encoding drifted")
 		}
@@ -53,8 +53,8 @@ func FuzzWelfordCodec(f *testing.F) {
 		direct.Merge(hi)
 		tripped := lo2
 		tripped.Merge(hi2)
-		db, _ := direct.MarshalBinary()
-		tb, _ := tripped.MarshalBinary()
+		db := direct.AppendBinary(nil)
+		tb := tripped.AppendBinary(nil)
 		if !bytes.Equal(db, tb) {
 			t.Fatalf("merge after codec round trip is not bit-identical:\n direct  %x\n tripped %x", db, tb)
 		}
@@ -85,16 +85,16 @@ func FuzzP2Codec(f *testing.F) {
 				hi.Add(v)
 			}
 		}
-		lob, _ := lo.MarshalBinary()
-		hib, _ := hi.MarshalBinary()
+		lob := lo.AppendBinary(nil)
+		hib := hi.AppendBinary(nil)
 		var lo2, hi2 P2
-		if err := lo2.UnmarshalBinary(lob); err != nil {
+		if err := decode(lob, &lo2); err != nil {
 			t.Fatal(err)
 		}
-		if err := hi2.UnmarshalBinary(hib); err != nil {
+		if err := decode(hib, &hi2); err != nil {
 			t.Fatal(err)
 		}
-		lo2b, _ := lo2.MarshalBinary()
+		lo2b := lo2.AppendBinary(nil)
 		if !bytes.Equal(lob, lo2b) {
 			t.Fatal("P2 re-encoding drifted")
 		}
@@ -102,16 +102,16 @@ func FuzzP2Codec(f *testing.F) {
 		direct.Merge(hi)
 		tripped := lo2
 		tripped.Merge(hi2)
-		db, _ := direct.MarshalBinary()
-		tb, _ := tripped.MarshalBinary()
+		db := direct.AppendBinary(nil)
+		tb := tripped.AppendBinary(nil)
 		if !bytes.Equal(db, tb) {
 			t.Fatalf("P2 merge after codec round trip is not bit-identical (p=%g n=%d split=%d)", p, n, split)
 		}
 		// Decoded sketches keep absorbing observations identically.
 		direct.Add(1.25)
 		tripped.Add(1.25)
-		db2, _ := direct.MarshalBinary()
-		tb2, _ := tripped.MarshalBinary()
+		db2 := direct.AppendBinary(nil)
+		tb2 := tripped.AppendBinary(nil)
 		if !bytes.Equal(db2, tb2) {
 			t.Fatal("P2 Add after codec round trip diverged")
 		}
@@ -141,16 +141,16 @@ func FuzzControlVariateCodec(f *testing.F) {
 				hi.Add(y, x)
 			}
 		}
-		lob, _ := lo.MarshalBinary()
-		hib, _ := hi.MarshalBinary()
+		lob := lo.AppendBinary(nil)
+		hib := hi.AppendBinary(nil)
 		var lo2, hi2 ControlVariate
-		if err := lo2.UnmarshalBinary(lob); err != nil {
+		if err := decode(lob, &lo2); err != nil {
 			t.Fatal(err)
 		}
-		if err := hi2.UnmarshalBinary(hib); err != nil {
+		if err := decode(hib, &hi2); err != nil {
 			t.Fatal(err)
 		}
-		lo2b, _ := lo2.MarshalBinary()
+		lo2b := lo2.AppendBinary(nil)
 		if !bytes.Equal(lob, lo2b) {
 			t.Fatal("ControlVariate re-encoding drifted")
 		}
@@ -158,8 +158,8 @@ func FuzzControlVariateCodec(f *testing.F) {
 		direct.Merge(hi)
 		tripped := lo2
 		tripped.Merge(hi2)
-		db, _ := direct.MarshalBinary()
-		tb, _ := tripped.MarshalBinary()
+		db := direct.AppendBinary(nil)
+		tb := tripped.AppendBinary(nil)
 		if !bytes.Equal(db, tb) {
 			t.Fatalf("ControlVariate merge after codec round trip is not bit-identical (n=%d split=%d)", n, split)
 		}

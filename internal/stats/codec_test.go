@@ -2,19 +2,24 @@ package stats
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 )
 
-// encodeW/encodeP/encodeC are tiny helpers: the canonical byte form used
-// for bit-identity comparisons (NaN-safe, unlike struct equality).
-func encodeW(t *testing.T, w Welford) []byte {
-	t.Helper()
-	b, err := w.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+// decode reads one encoding from b into d the way the shard payload
+// decoder does, through Decode on a CodecReader, and fails on a decode
+// error or on bytes left unread.
+func decode(b []byte, d interface{ Decode(*CodecReader) }) error {
+	r := NewCodecReader(b)
+	d.Decode(r)
+	if err := r.Err(); err != nil {
+		return err
 	}
-	return b
+	if r.Rest() != 0 {
+		return fmt.Errorf("%d bytes left after the encoding", r.Rest())
+	}
+	return nil
 }
 
 func TestWelfordCodecRoundTrip(t *testing.T) {
@@ -22,12 +27,12 @@ func TestWelfordCodecRoundTrip(t *testing.T) {
 	for _, v := range []float64{1.5, -2.25, 3.75, 0.125, 1e-300, -1e300} {
 		w.Add(v)
 	}
-	b := encodeW(t, w)
-	if len(b) != WelfordEncodedSize {
-		t.Fatalf("encoded size %d, want %d", len(b), WelfordEncodedSize)
+	b := w.AppendBinary(nil)
+	if len(b) != 41 {
+		t.Fatalf("encoded size %d, want 41", len(b))
 	}
 	var got Welford
-	if err := got.UnmarshalBinary(b); err != nil {
+	if err := decode(b, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got != w {
@@ -40,7 +45,7 @@ func TestWelfordCodecRoundTrip(t *testing.T) {
 	base2.Add(42)
 	base1.Merge(w)
 	base2.Merge(got)
-	if !bytes.Equal(encodeW(t, base1), encodeW(t, base2)) {
+	if !bytes.Equal(base1.AppendBinary(nil), base2.AppendBinary(nil)) {
 		t.Fatal("merge after round trip is not bit-identical")
 	}
 }
@@ -49,7 +54,7 @@ func TestWelfordCodecZeroValue(t *testing.T) {
 	var w Welford
 	var got Welford
 	got.Add(1) // dirty the target; decode must fully overwrite
-	if err := got.UnmarshalBinary(encodeW(t, w)); err != nil {
+	if err := decode(w.AppendBinary(nil), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got != w {
@@ -62,15 +67,12 @@ func TestP2CodecRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		e.Add(float64(i%17) * 1.25)
 	}
-	b, err := e.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) != P2EncodedSize {
-		t.Fatalf("encoded size %d, want %d", len(b), P2EncodedSize)
+	b := e.AppendBinary(nil)
+	if len(b) != 177 {
+		t.Fatalf("encoded size %d, want 177", len(b))
 	}
 	var got P2
-	if err := got.UnmarshalBinary(b); err != nil {
+	if err := decode(b, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got != e {
@@ -80,9 +82,9 @@ func TestP2CodecRoundTrip(t *testing.T) {
 	small := NewP2(0.5)
 	small.Add(3)
 	small.Add(-1)
-	sb, _ := small.MarshalBinary()
+	sb := small.AppendBinary(nil)
 	var sgot P2
-	if err := sgot.UnmarshalBinary(sb); err != nil {
+	if err := decode(sb, &sgot); err != nil {
 		t.Fatal(err)
 	}
 	if sgot != small {
@@ -96,15 +98,12 @@ func TestControlVariateCodecRoundTrip(t *testing.T) {
 		y := float64(i) * 0.5
 		c.Add(y, 2*y+0.125)
 	}
-	b, err := c.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) != ControlVariateEncodedSize {
-		t.Fatalf("encoded size %d, want %d", len(b), ControlVariateEncodedSize)
+	b := c.AppendBinary(nil)
+	if len(b) != 91 {
+		t.Fatalf("encoded size %d, want 91", len(b))
 	}
 	var got ControlVariate
-	if err := got.UnmarshalBinary(b); err != nil {
+	if err := decode(b, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got != c {
@@ -117,28 +116,28 @@ func TestControlVariateCodecRoundTrip(t *testing.T) {
 func TestCodecRejectsVersionMismatch(t *testing.T) {
 	var w Welford
 	w.Add(1)
-	b := encodeW(t, w)
+	b := w.AppendBinary(nil)
 	b[0] = 99
-	if err := new(Welford).UnmarshalBinary(b); err == nil {
+	if err := decode(b, new(Welford)); err == nil {
 		t.Fatal("Welford decoded a foreign version byte")
 	}
 	e := NewP2(0.5)
-	pb, _ := e.MarshalBinary()
+	pb := e.AppendBinary(nil)
 	pb[0] = 99
-	if err := new(P2).UnmarshalBinary(pb); err == nil {
+	if err := decode(pb, new(P2)); err == nil {
 		t.Fatal("P2 decoded a foreign version byte")
 	}
 	var c ControlVariate
 	c.Add(1, 2)
-	cb, _ := c.MarshalBinary()
+	cb := c.AppendBinary(nil)
 	cb[0] = 99
-	if err := new(ControlVariate).UnmarshalBinary(cb); err == nil {
+	if err := decode(cb, new(ControlVariate)); err == nil {
 		t.Fatal("ControlVariate decoded a foreign version byte")
 	}
 	// The nested Welford versions inside a ControlVariate are checked too.
-	cb2, _ := c.MarshalBinary()
+	cb2 := c.AppendBinary(nil)
 	cb2[1] = 99
-	if err := new(ControlVariate).UnmarshalBinary(cb2); err == nil {
+	if err := decode(cb2, new(ControlVariate)); err == nil {
 		t.Fatal("ControlVariate decoded a foreign nested Welford version")
 	}
 }
@@ -149,9 +148,9 @@ func TestCodecRejectsTruncation(t *testing.T) {
 	var w Welford
 	w.Add(1)
 	w.Add(-3)
-	wb := encodeW(t, w)
+	wb := w.AppendBinary(nil)
 	for i := 0; i < len(wb); i++ {
-		if err := new(Welford).UnmarshalBinary(wb[:i]); err == nil {
+		if err := decode(wb[:i], new(Welford)); err == nil {
 			t.Fatalf("Welford decoded a %d-byte truncation", i)
 		}
 	}
@@ -159,29 +158,19 @@ func TestCodecRejectsTruncation(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		e.Add(float64(i))
 	}
-	pb, _ := e.MarshalBinary()
+	pb := e.AppendBinary(nil)
 	for i := 0; i < len(pb); i++ {
-		if err := new(P2).UnmarshalBinary(pb[:i]); err == nil {
+		if err := decode(pb[:i], new(P2)); err == nil {
 			t.Fatalf("P2 decoded a %d-byte truncation", i)
 		}
 	}
 	var c ControlVariate
 	c.Add(1, 2)
-	cb, _ := c.MarshalBinary()
+	cb := c.AppendBinary(nil)
 	for i := 0; i < len(cb); i++ {
-		if err := new(ControlVariate).UnmarshalBinary(cb[:i]); err == nil {
+		if err := decode(cb[:i], new(ControlVariate)); err == nil {
 			t.Fatalf("ControlVariate decoded a %d-byte truncation", i)
 		}
-	}
-}
-
-// TestCodecRejectsTrailingBytes: Unmarshal is strict about length.
-func TestCodecRejectsTrailingBytes(t *testing.T) {
-	var w Welford
-	w.Add(1)
-	b := append(encodeW(t, w), 0)
-	if err := new(Welford).UnmarshalBinary(b); err == nil {
-		t.Fatal("Welford accepted trailing bytes")
 	}
 }
 
