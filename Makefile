@@ -7,7 +7,7 @@ GO ?= go
 # Raise it when coverage grows; never lower it without a written reason.
 COVER_MIN ?= 80.5
 
-.PHONY: all build test test-race bench bench-smoke fuzz-smoke cover cover-check lint fmt clean
+.PHONY: all build test test-race bench bench-smoke fuzz-smoke cover cover-check lint unlinked fmt clean
 
 all: build lint test
 
@@ -52,7 +52,10 @@ bench-smoke:
 # random samples that collapse or merge wires and thin the metal away.
 # FuzzLegacySource proves the engine's lazily seeded legacy PRNG
 # (internal/mc/legacy.go) draws rand.NewSource's stream bit for bit, for
-# any seed and stream length.
+# any seed and stream length. FuzzRunRequest feeds arbitrary bytes to
+# serve's POST /v1/runs decoding, Normalize and Key: no panic, an
+# accepted spec normalizes to itself under one key, and no accepted spec
+# carries an out-of-range n, ol, thk or sizes.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCompiledLU' -fuzztime 10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz 'FuzzNetlistReset' -fuzztime 10s ./internal/spice
@@ -65,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime 10s ./internal/remote
 	$(GO) test -run '^$$' -fuzz 'FuzzVarRatios' -fuzztime 10s ./internal/extract
 	$(GO) test -run '^$$' -fuzz 'FuzzLegacySource' -fuzztime 10s ./internal/mc
+	$(GO) test -run '^$$' -fuzz 'FuzzRunRequest' -fuzztime 10s ./internal/serve
 
 # Coverage over the -short suite (the fast deterministic core).
 cover:
@@ -81,6 +85,33 @@ lint:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
+
+# Unreachable-code gate: build every product binary (mpvar, each example
+# and bench's mpbench) without inlining, which would hide live callees,
+# list the mpsram/internal text symbols they link (go tool nm), and
+# compare the functions declared in non-test files under internal/ that
+# none of them links with tools/unlinked/keep.txt: test oracles,
+# accessors tests read results through, API kept by design and the
+# deletion candidates not yet removed. Fails on any difference in either
+# direction, so new dead code and a listed entry that became linked or
+# was deleted both need a keep-list edit.
+unlinked:
+	@set -e; export LC_ALL=C; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/bin"; \
+	$(GO) build -gcflags=all=-l -o "$$tmp/bin/mpvar" ./cmd/mpvar; \
+	for d in examples/*/; do \
+		$(GO) build -gcflags=all=-l -o "$$tmp/bin/example-$$(basename $$d)" ./$$d; \
+	done; \
+	$(GO) -C bench build -gcflags=all=-l -o "$$tmp/bin/mpbench" .; \
+	for b in "$$tmp"/bin/*; do $(GO) tool nm "$$b"; done | \
+		awk '$$2 == "T" && $$3 ~ /^mpsram\/internal\// { print $$3 }' | sort -u > "$$tmp/linked"; \
+	$(GO) run tools/unlinked/funcdecls.go mpsram internal > "$$tmp/declared"; \
+	comm -23 "$$tmp/declared" "$$tmp/linked" > "$$tmp/unlinked"; \
+	sed '/^#/d; /^$$/d' tools/unlinked/keep.txt | sort > "$$tmp/keep"; \
+	if ! diff -u "$$tmp/keep" "$$tmp/unlinked"; then \
+		echo "unlinked: the functions no product binary links differ from tools/unlinked/keep.txt (+ unlinked, - kept)"; \
+		exit 1; \
+	fi; \
+	echo "unlinked: $$(wc -l < "$$tmp/unlinked") functions no product binary links, all on the keep list"
 
 fmt:
 	gofmt -w .

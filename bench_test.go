@@ -19,7 +19,6 @@ import (
 	"mpsram/internal/sparse"
 	"mpsram/internal/spice"
 	"mpsram/internal/sram"
-	"mpsram/internal/sweep"
 	"mpsram/internal/tech"
 )
 
@@ -399,72 +398,6 @@ func BenchmarkSpiceSweepSharedVsSerial(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := exp.SpiceTables(e); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkCrossProcessPlanSharedVsSerial is the process-axis headline:
-// the Fig. 4-style sweep (nominal + per-option worst case per size)
-// across all three registry nodes. "serial" runs one single-process sweep
-// per node back to back — each paying its own pool spin-up and drain
-// tail — while "shared" issues one cross-process plan whose nominal
-// transients dedupe per (process, n) across options and whose job set
-// interleaves the nodes over a single worker pool. Results are gated
-// bit-identical to the serial arm across worker counts in
-// sweep.TestCrossProcessSharedMatchesSerialPerProcess.
-func BenchmarkCrossProcessPlanSharedVsSerial(b *testing.B) {
-	e := env(b)
-	reg := tech.Default()
-	sizes := []int{16, 64}
-	procs := map[string]tech.Process{}
-	for _, p := range reg.Processes() {
-		procs[p.Name] = p
-	}
-	ctx := context.Background()
-	cfg := sweep.Config{Workers: 2}
-	b.Run("serial-per-process", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			jobs := 0
-			for _, name := range reg.Names() {
-				pl := sweep.NewPlan()
-				pl.AddNominal(sizes...)
-				for _, o := range litho.Options {
-					pl.AddWorstCase(o, sizes...)
-				}
-				senv := sweep.Env{Proc: procs[name], Cap: e.Cap, Build: e.Build, Sim: e.Sim}
-				res, err := sweep.Run(ctx, senv, pl, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				jobs += res.Jobs()
-			}
-			if i == 0 {
-				b.ReportMetric(float64(jobs), "transients")
-			}
-		}
-	})
-	b.Run("shared-cross-process", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			// Every option (and, via AddNominal's per-table duplicates,
-			// every consumer) declares its own nominal needs; the plan
-			// coalesces them to one nominal transient per (process, n).
-			pl := sweep.NewPlan()
-			for _, name := range reg.Names() {
-				for _, o := range litho.Options {
-					pl.AddNominalFor(name, sizes...)
-					pl.AddWorstCaseFor(name, o, sizes...)
-				}
-			}
-			senv := sweep.Env{Proc: procs["N10"], Procs: procs, Cap: e.Cap, Build: e.Build, Sim: e.Sim}
-			res, err := sweep.Run(ctx, senv, pl, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(float64(res.Jobs()), "transients")
 			}
 		}
 	})

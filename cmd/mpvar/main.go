@@ -22,6 +22,8 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -42,7 +44,8 @@ import (
 // knobs that never change results (-workers, -progress). The struct
 // doubles as the value store for both parse passes: re-registering on a
 // second FlagSet uses the current values as defaults, so pass-one
-// assignments survive.
+// assignments survive. set names the flags the command line set
+// explicitly, over both passes; parse fills it.
 type runFlags struct {
 	samples  int
 	seed     int64
@@ -51,6 +54,7 @@ type runFlags struct {
 	ol, thk  float64
 	workers  int
 	progress bool
+	set      map[string]bool
 }
 
 func defaultRunFlags() *runFlags {
@@ -104,11 +108,11 @@ func (f *runFlags) parse(fs *flag.FlagSet, wl exp.Workload, more func(*flag.Flag
 	if fs2.NArg() > 0 {
 		fatal(fmt.Errorf("unexpected argument %q after workload %s", fs2.Arg(0), name))
 	}
-	seen := map[string]bool{}
-	fs.Visit(func(fl *flag.Flag) { seen[fl.Name] = true })
-	fs2.Visit(func(fl *flag.Flag) { seen[fl.Name] = true })
+	f.set = map[string]bool{}
+	fs.Visit(func(fl *flag.Flag) { f.set[fl.Name] = true })
+	fs2.Visit(func(fl *flag.Flag) { f.set[fl.Name] = true })
 	return core.RunSpec{
-		Workload: name, Params: explicitParams(seen), Process: f.process,
+		Workload: name, Params: explicitParams(f.set), Process: f.process,
 		Seed: f.seed, Samples: f.samples,
 	}
 }
@@ -285,6 +289,7 @@ func main() {
 
 	// The two non-registry utilities: raw artifact dumps, text only.
 	if name == "gds" || name == "deck" {
+		check(utilityFlags(name, f.set))
 		proc, err := core.LookupProcess(f.process)
 		check(err)
 		if name == "gds" {
@@ -318,6 +323,27 @@ func main() {
 	res, err := spec.Run(f.execOptions(ctx)...)
 	check(err)
 	check(res.Write(os.Stdout, out))
+}
+
+// utilityFlags refuses the explicitly set flags a gds or deck dump would
+// ignore: both honor only -process, and deck also -n.
+func utilityFlags(name string, set map[string]bool) error {
+	honored := []string{"-process"}
+	if name == "deck" {
+		honored = append(honored, "-n")
+	}
+	var ignored []string
+	for fl := range set {
+		if !slices.Contains(honored, "-"+fl) {
+			ignored = append(ignored, "-"+fl)
+		}
+	}
+	if len(ignored) == 0 {
+		return nil
+	}
+	sort.Strings(ignored)
+	return fmt.Errorf("%s honors only %s; refusing %s", name,
+		strings.Join(honored, " and "), strings.Join(ignored, ", "))
 }
 
 // serveMain runs `mpvar serve`: the HTTP/JSON API over the workload

@@ -272,8 +272,11 @@ func TestOneRunPath(t *testing.T) {
 
 // TestRunPathRefusals: command lines no run id can name fail before any
 // work, on both verbs. The retired -lumped ablation is an unknown flag
-// (exit 2); a parameter spelling the workload's schema lacks and a
-// negative budget are refused by Normalize (exit 1).
+// (exit 2); a parameter spelling the workload's schema lacks, a negative
+// budget and a parameter value out of its range are refused by
+// Normalize (exit 1). The gds and deck dumps refuse every flag they
+// would ignore (exit 1) and still run with the ones they honor: -process,
+// and -n on deck (exit 0).
 func TestRunPathRefusals(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -286,6 +289,21 @@ func TestRunPathRefusals(t *testing.T) {
 		{[]string{"-thk", "2", "fig5"}, 1, `no parameter "thk" (valid: n, ol)`},
 		{[]string{"-samples", "-1", "fig5"}, 1, "samples must not be negative"},
 		{[]string{"shard", "-samples", "-5", "fig5"}, 1, "samples must not be negative"},
+		{[]string{"-samples", "3000", "-n", "-5", "fig5"}, 1, "param n must be at least 1, got -5"},
+		{[]string{"-n", "0", "fig5"}, 1, "param n must be at least 1, got 0"},
+		{[]string{"-n", "-5", "sens"}, 1, "param n must be at least 1"},
+		{[]string{"-n", "-3", "nodes"}, 1, "param n must be at least 1"},
+		{[]string{"shard", "-n", "0", "fig5"}, 1, "param n must be at least 1"},
+		{[]string{"-ol", "-5", "fig5"}, 1, "param ol must not be negative"},
+		{[]string{"-thk", "-2", "ext"}, 1, "param thk must not be negative"},
+		{[]string{"-samples", "2", "mcspice", "-sizes", "16,16"}, 1, "repeated array size 16"},
+		{[]string{"-format", "json", "gds"}, 1, "gds honors only -process; refusing -format"},
+		{[]string{"-ol", "5", "-thk", "2", "-samples", "7", "deck", "-n", "8"}, 1, "refusing -ol, -samples, -thk"},
+		{[]string{"-format", "csv", "deck"}, 1, "deck honors only -process and -n; refusing -format"},
+		{[]string{"deck", "-seed", "5", "-smoke"}, 1, "refusing -seed, -smoke"},
+		{[]string{"-n", "8", "gds"}, 1, "refusing -n"},
+		{[]string{"-process", "N7", "gds"}, 0, ""},
+		{[]string{"deck", "-n", "8"}, 0, ""},
 	} {
 		if code, stderr := runMpvar(t, c.args...); code != c.code || !strings.Contains(stderr, c.want) {
 			t.Errorf("mpvar %s: exit %d, stderr %q; want exit %d naming %q", strings.Join(c.args, " "), code, stderr, c.code, c.want)

@@ -22,26 +22,25 @@
 // (a sweep.Plan of simulation points; a Monte-Carlo sample budget), the
 // engine deduplicates or streams it across a worker pool, and
 // deterministic aggregation makes every result bit-identical for any
-// worker count. The workers share one read-only builder per process or
+// worker count. The workers share one read-only builder per sweep or
 // one trial function per stream and keep nothing of their own but
 // reusable scratch, so any worker can run any job or trial. Fig. 4,
 // Table II and Table III are views over one shared sweep (16 unique
 // transients instead of the 52 a serial reproduction issues); Fig. 5 and
 // Table IV are views over shared Monte-Carlo streams.
 //
-// The process axis threads through both engines: sweep.Plan points and
-// Monte-Carlo streams key on (process, option, …), a single cross-process
-// plan replaces N serial per-process runs (nominal transients dedupe per
-// (process, n) across options), and the exp layer adds the cross-node
-// workloads — exp.Nodes, the Table-IV-style σ comparison across
-// N10/N7/N5 (`mpvar nodes`), and per-process extended Table IV surfaces.
-// N10 results are bit-identical to the single-node engine they grew out
-// of. Every trial reseeds its PRNG from (seed, trial index). There is
-// one sample stream, math/rand's legacy lagged-Fibonacci one, and every
-// golden number is drawn from it. The engine draws it bit for bit through
-// a source whose Seed is O(1): it derives the 607 seeded words lazily, as
-// draws read them, so a reseed plus one normal draw costs ~20 ns where
-// math/rand's Seed took ~13 µs.
+// A sweep plan runs on one process. The process axis is a Monte-Carlo
+// axis: streams key on (process, option, …), and the exp layer's
+// cross-node workloads are Monte-Carlo workloads — exp.Nodes, the
+// Table-IV-style σ comparison across N10/N7/N5 (`mpvar nodes`),
+// per-process extended Table IV surfaces (`table4xp`) and SPICE-in-the-
+// loop σ per node (`mcspicenodes`). N10 results are bit-identical to the
+// single-node engine they grew out of. Every trial reseeds its PRNG from
+// (seed, trial index). There is one sample stream, math/rand's legacy
+// lagged-Fibonacci one, and every golden number is drawn from it. The
+// engine draws it bit for bit through a source whose Seed is O(1): it
+// derives the 607 seeded words lazily, as draws read them, so a reseed
+// plus one normal draw costs ~20 ns where math/rand's Seed took ~13 µs.
 //
 // The two engines also compose: mc.SpiceTdpAcrossSizes hosts a full read
 // transient inside every Monte-Carlo trial (SPICE-in-the-loop), through

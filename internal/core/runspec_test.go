@@ -134,6 +134,23 @@ func TestRunSpecKeyErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "samples must not be negative") {
 		t.Fatalf("negative samples: %v", err)
 	}
+	// Parameter values no run can mean are refused before a key exists.
+	for _, c := range []struct {
+		spec RunSpec
+		want string
+	}{
+		{RunSpec{Workload: "fig5", Params: exp.Params{"n": -5}}, "param n must be at least 1"},
+		{RunSpec{Workload: "fig5", Params: exp.Params{"n": 0}}, "param n must be at least 1"},
+		{RunSpec{Workload: "nodes", Params: exp.Params{"n": -3}}, "param n must be at least 1"},
+		{RunSpec{Workload: "fig5", Params: exp.Params{"ol": -5.0}}, "param ol must not be negative"},
+		{RunSpec{Workload: "ext", Params: exp.Params{"thk": -2.0}}, "param thk must not be negative"},
+		{RunSpec{Workload: "mcspice", Params: exp.Params{"sizes": "16,16"}}, "repeated array size 16"},
+		{RunSpec{Workload: "mcspicex", Params: exp.Params{"sizes": "16,x"}}, `invalid array size "x"`},
+	} {
+		if _, err := c.spec.Key(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: %v, want an error naming %q", c.spec, err, c.want)
+		}
+	}
 }
 
 // TestRunSpecRun executes a cheap workload through the spec path and

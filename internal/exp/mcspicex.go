@@ -12,6 +12,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -72,7 +73,8 @@ func init() {
 	})
 }
 
-// ParseSizes parses a comma-separated word-line count list.
+// ParseSizes parses a comma-separated word-line count list. A size may
+// appear once: a repeat would simulate and print the same rows twice.
 func ParseSizes(s string) ([]int, error) {
 	var sizes []int
 	for _, f := range strings.Split(s, ",") {
@@ -83,6 +85,9 @@ func ParseSizes(s string) ([]int, error) {
 		n, err := strconv.Atoi(f)
 		if err != nil || n <= 0 {
 			return nil, fmt.Errorf("invalid array size %q (want comma-separated positive integers)", f)
+		}
+		if slices.Contains(sizes, n) {
+			return nil, fmt.Errorf("repeated array size %d in %q", n, s)
 		}
 		sizes = append(sizes, n)
 	}

@@ -293,7 +293,31 @@ func resolveParams(w Workload, p Params) (Params, error) {
 		}
 		out[name] = cv
 	}
+	if err := checkRanges(out); err != nil {
+		return nil, fmt.Errorf("exp: workload %s: %w", w.Name, err)
+	}
 	return out, nil
+}
+
+// checkRanges refuses values of the registry-wide parameters that no run
+// can mean, so no run key ever names them: an array has at least one
+// word line, an overlay or thickness 3σ budget is not negative, and a
+// size list must parse (ParseSizes).
+func checkRanges(p Params) error {
+	if n, ok := p["n"].(int); ok && n < 1 {
+		return fmt.Errorf("param n must be at least 1, got %d", n)
+	}
+	for _, name := range []string{"ol", "thk"} {
+		if v, ok := p[name].(float64); ok && !(v >= 0) {
+			return fmt.Errorf("param %s must not be negative, got %v", name, v)
+		}
+	}
+	if s, ok := p["sizes"].(string); ok && s != "" {
+		if _, err := ParseSizes(s); err != nil {
+			return fmt.Errorf("param sizes: %w", err)
+		}
+	}
+	return nil
 }
 
 // Run executes a registered workload by name under the environment:

@@ -282,7 +282,7 @@ func TestParseSizes(t *testing.T) {
 	if err != nil || len(got) != 3 || got[0] != 8 || got[2] != 64 {
 		t.Fatalf("ParseSizes = %v, %v", got, err)
 	}
-	for _, bad := range []string{"", ",", "8,-1", "8,x"} {
+	for _, bad := range []string{"", ",", "8,-1", "8,x", "16,16"} {
 		if _, err := ParseSizes(bad); err == nil {
 			t.Errorf("ParseSizes(%q) accepted", bad)
 		}

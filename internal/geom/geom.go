@@ -12,7 +12,6 @@ package geom
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Interval is a 1-D closed interval [Lo, Hi], used for wire cross-sections
@@ -138,26 +137,3 @@ type Trapezoid struct {
 
 // Area returns the trapezoid cross-section area.
 func (tz Trapezoid) Area() float64 { return (tz.WTop + tz.WBot) / 2 * tz.T }
-
-// SortIntervals orders intervals by Lo then Hi, in place, and returns the
-// slice for convenience.
-func SortIntervals(ivs []Interval) []Interval {
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].Lo != ivs[j].Lo {
-			return ivs[i].Lo < ivs[j].Lo
-		}
-		return ivs[i].Hi < ivs[j].Hi
-	})
-	return ivs
-}
-
-// Disjoint reports whether the sorted intervals are pairwise
-// non-overlapping (adjacent touching allowed).
-func Disjoint(ivs []Interval) bool {
-	for i := 1; i < len(ivs); i++ {
-		if ivs[i-1].Hi > ivs[i].Lo {
-			return false
-		}
-	}
-	return true
-}

@@ -141,19 +141,3 @@ func TestTrapezoid(t *testing.T) {
 		t.Fatalf("area = %g want %g", tz.Area(), wantArea)
 	}
 }
-
-func TestSortAndDisjoint(t *testing.T) {
-	ivs := []Interval{{5, 6}, {0, 1}, {2, 3}}
-	SortIntervals(ivs)
-	if ivs[0].Lo != 0 || ivs[2].Lo != 5 {
-		t.Fatalf("sort order: %v", ivs)
-	}
-	if !Disjoint(ivs) {
-		t.Fatal("disjoint intervals reported overlapping")
-	}
-	ivs = append(ivs, Interval{2.5, 4})
-	SortIntervals(ivs)
-	if Disjoint(ivs) {
-		t.Fatal("overlapping intervals reported disjoint")
-	}
-}

@@ -61,8 +61,6 @@ type PoolConfig struct {
 	DispatchTimeout time.Duration
 	StallTimeout    time.Duration
 	HealthEvery     time.Duration
-	// Client overrides the HTTP client (tests inject httptest clients).
-	Client *http.Client
 }
 
 // Pool picks live, least-loaded peers for shard dispatches and tracks
@@ -93,10 +91,7 @@ func NewPool(addrs []string, cfg PoolConfig) *Pool {
 	if cfg.HealthEvery <= 0 {
 		cfg.HealthEvery = defaultHealthEvery
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
-	p := &Pool{client: cfg.Client, cfg: cfg}
+	p := &Pool{client: &http.Client{}, cfg: cfg}
 	for _, a := range addrs {
 		a = strings.TrimSuffix(a, "/")
 		if a == "" {

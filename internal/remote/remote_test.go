@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"mpsram/internal/core"
+	"mpsram/internal/exp"
 	"mpsram/internal/leakcheck"
 	"mpsram/internal/mc"
 )
@@ -187,6 +188,19 @@ func TestWorkerRefusals(t *testing.T) {
 	negative := NewShardRequest(core.RunSpec{Workload: "fig3", Samples: -5}, shard, key, nil)
 	if code, msg := post(negative); code != http.StatusBadRequest || !strings.Contains(msg, "samples must not be negative") {
 		t.Fatalf("negative samples: %d %q", code, msg)
+	}
+	// Parameter values no run can mean are refused too.
+	for _, c := range []struct {
+		params exp.Params
+		want   string
+	}{
+		{exp.Params{"n": -5}, "param n must be at least 1"},
+		{exp.Params{"ol": -5.0}, "param ol must not be negative"},
+	} {
+		out := NewShardRequest(core.RunSpec{Workload: "fig5", Params: c.params}, shard, key, nil)
+		if code, msg := post(out); code != http.StatusBadRequest || !strings.Contains(msg, c.want) {
+			t.Fatalf("fig5 params %v: %d %q", c.params, code, msg)
+		}
 	}
 	badShard := NewShardRequest(spec, mc.ShardSpec{Index: 5, Count: 2}, key, nil)
 	if code, _ := post(badShard); code != http.StatusBadRequest {

@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -334,6 +335,24 @@ type runRequest struct {
 	Samples  int            `json:"samples"`
 }
 
+// decodeRunRequest reads a POST /v1/runs body into the spec it names,
+// before normalization.
+func decodeRunRequest(body io.Reader) (core.RunSpec, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	var rr runRequest
+	if err := dec.Decode(&rr); err != nil {
+		return core.RunSpec{}, err
+	}
+	return core.RunSpec{
+		Workload: rr.Workload,
+		Params:   exp.Params(rr.Params),
+		Process:  rr.Process,
+		Seed:     rr.Seed,
+		Samples:  rr.Samples,
+	}, nil
+}
+
 // maxRunRequestBytes caps the POST /v1/runs body. A real run request is
 // under 1 KiB; a longer body answers 413 once the cap is read, so no
 // submission buffers more than this.
@@ -373,10 +392,8 @@ func doneEnvelope(id, workload string) statusEnvelope {
 // or sheds) one run submission.
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	started := time.Now()
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxRunRequestBytes))
-	dec.DisallowUnknownFields()
-	var rr runRequest
-	if err := dec.Decode(&rr); err != nil {
+	raw, err := decodeRunRequest(http.MaxBytesReader(w, req.Body, maxRunRequestBytes))
+	if err != nil {
 		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
 			return
@@ -384,13 +401,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
-	spec, err := core.RunSpec{
-		Workload: rr.Workload,
-		Params:   exp.Params(rr.Params),
-		Process:  rr.Process,
-		Seed:     rr.Seed,
-		Samples:  rr.Samples,
-	}.Normalize()
+	spec, err := raw.Normalize()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -254,6 +254,10 @@ func TestSubmitValidation(t *testing.T) {
 		{`{"workload":"table1","process":"N3"}`, "N10"},
 		{`{"workload":"fig5","params":{"n":1.5}}`, "not an integer"},
 		{`{"workload":"fig5","samples":-5}`, "samples must not be negative"},
+		{`{"workload":"fig5","params":{"n":0}}`, "param n must be at least 1"},
+		{`{"workload":"fig5","params":{"ol":-5}}`, "param ol must not be negative"},
+		{`{"workload":"ext","params":{"thk":-2}}`, "param thk must not be negative"},
+		{`{"workload":"mcspice","params":{"sizes":"16,16"}}`, "repeated array size 16"},
 		{`{"workload":"table1","smaples":4}`, "unknown field"},
 		{`{"workload":"fig5","fastseed":true}`, `unknown field "fastseed"`}, // the retired PCG stream
 		{`{not json`, "invalid request body"},

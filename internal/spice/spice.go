@@ -36,32 +36,17 @@ func (i Integrator) String() string {
 
 // Options tunes the engine.
 type Options struct {
-	Method    Integrator
-	Gmin      float64 // conductance from every node to ground (default 1e-12)
-	AbsTol    float64 // Newton absolute voltage tolerance (default 1 µV)
-	RelTol    float64 // Newton relative tolerance (default 1e-6)
-	MaxNewton int     // max Newton iterations per solve (default 60)
-	VLimit    float64 // per-iteration voltage step clamp (default 0.4 V)
+	Method Integrator
 }
 
-func (o Options) withDefaults() Options {
-	if o.Gmin == 0 {
-		o.Gmin = 1e-12
-	}
-	if o.AbsTol == 0 {
-		o.AbsTol = 1e-6
-	}
-	if o.RelTol == 0 {
-		o.RelTol = 1e-6
-	}
-	if o.MaxNewton == 0 {
-		o.MaxNewton = 60
-	}
-	if o.VLimit == 0 {
-		o.VLimit = 0.4
-	}
-	return o
-}
+// Newton and DC settings every engine uses.
+const (
+	gmin      = 1e-12 // conductance from every node to ground
+	absTol    = 1e-6  // Newton absolute voltage tolerance (1 µV)
+	relTol    = 1e-6  // Newton relative tolerance
+	maxNewton = 60    // max Newton iterations per solve
+	vLimit    = 0.4   // per-iteration voltage step clamp (V)
+)
 
 // Engine simulates one netlist. An Engine owns all the scratch a transient
 // needs — the compiled topology, the matrix value arrays, the Newton
@@ -163,13 +148,13 @@ func (e *Engine) Reset(ckt *circuit.Netlist, opts Options) error {
 		return fmt.Errorf("spice: netlist has no non-ground nodes")
 	}
 	e.ckt = ckt
-	e.opts = opts.withDefaults()
+	e.opts = opts
 	e.n = n
 	if err := e.useTopology(); err != nil {
 		return err
 	}
 	e.static = grow(e.static, e.topo.slots())
-	e.buildStaticInto(e.static, e.opts.Gmin)
+	e.buildStaticInto(e.static, gmin)
 	// Invalidate the capacitor companion cache: NaN never compares equal
 	// to a valid dt, so the next Transient rebuilds it from the new
 	// element values.
@@ -202,11 +187,12 @@ func rhsI(rhs []float64, a, b circuit.NodeID, i float64) {
 	}
 }
 
-// buildStaticInto assembles the time-invariant resistive stamps into m.
-func (e *Engine) buildStaticInto(m []float64, gmin float64) {
+// buildStaticInto assembles the time-invariant resistive stamps into m,
+// with a shunt conductance g from every node to ground.
+func (e *Engine) buildStaticInto(m []float64, g float64) {
 	clear(m)
 	for i := 0; i < e.n; i++ {
-		m[e.topo.sym.Diag(i)] += gmin
+		m[e.topo.sym.Diag(i)] += g
 	}
 	for k, r := range e.ckt.Rs {
 		stampG(m, e.topo.rs[4*k:], 1/r.R)
@@ -292,8 +278,7 @@ func (e *Engine) newtonSolve(base []float64, rhsBase []float64, x0 []float64) ([
 	e.sol = grow(e.sol, e.n)
 	m, rhs, xNew := e.work, e.rhsIter, e.sol
 	sym, slots := e.topo.sym, e.topo.ms
-	o := e.opts
-	for iter := 0; iter < o.MaxNewton; iter++ {
+	for iter := 0; iter < maxNewton; iter++ {
 		copy(m, base)
 		copy(rhs, rhsBase)
 		for k, mos := range e.ckt.Ms {
@@ -324,14 +309,14 @@ func (e *Engine) newtonSolve(base []float64, rhsBase []float64, x0 []float64) ([
 		conv := true
 		for i := range xNew {
 			d := xNew[i] - x[i]
-			if d > o.VLimit {
-				d = o.VLimit
+			if d > vLimit {
+				d = vLimit
 				conv = false
-			} else if d < -o.VLimit {
-				d = -o.VLimit
+			} else if d < -vLimit {
+				d = -vLimit
 				conv = false
 			}
-			if math.Abs(d) > o.AbsTol+o.RelTol*math.Abs(x[i]) {
+			if math.Abs(d) > absTol+relTol*math.Abs(x[i]) {
 				conv = false
 			}
 			x[i] += d
@@ -340,7 +325,7 @@ func (e *Engine) newtonSolve(base []float64, rhsBase []float64, x0 []float64) ([
 			return x, nil
 		}
 	}
-	return nil, fmt.Errorf("spice: newton failed to converge in %d iterations", o.MaxNewton)
+	return nil, fmt.Errorf("spice: newton failed to converge in %d iterations", maxNewton)
 }
 
 // DCOperatingPoint solves the bias point at t = 0 with capacitors open,
@@ -361,11 +346,11 @@ func (e *Engine) DCOperatingPoint() ([]float64, error) {
 		}
 	}
 	var lastErr error
-	stages := [...]float64{1e-3, 1e-5, 1e-7, 1e-9, e.opts.Gmin}
+	stages := [...]float64{1e-3, 1e-5, 1e-7, 1e-9, gmin}
 	e.dcBase = grow(e.dcBase, len(e.static))
 	base := e.dcBase
-	for si, gmin := range stages {
-		e.buildStaticInto(base, gmin)
+	for si, g := range stages {
+		e.buildStaticInto(base, g)
 		rhs := e.rhsBuf()
 		e.sourceRHS(rhs, 0)
 		if si < len(stages)-1 {

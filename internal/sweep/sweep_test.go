@@ -51,9 +51,9 @@ func TestPlanDedup(t *testing.T) {
 	if pl.Len() != want {
 		t.Fatalf("nominal dedup broken: plan size %d, want %d", pl.Len(), want)
 	}
-	opts := pl.procOptions()
+	opts := pl.worstCaseOptions()
 	if len(opts) != len(litho.Options) {
-		t.Fatalf("procOptions %v", opts)
+		t.Fatalf("worstCaseOptions %v", opts)
 	}
 	// The job order is canonical regardless of declaration order.
 	a := fullPlan(testSizes...).jobs()
@@ -209,147 +209,6 @@ func TestRunProgressSerializedAndComplete(t *testing.T) {
 	}
 }
 
-// crossEnv returns an environment carrying the full registry, and the
-// registry names.
-func crossEnv() (Env, []string) {
-	reg := tech.Default()
-	env := testEnv()
-	env.Procs = map[string]tech.Process{}
-	for _, p := range reg.Processes() {
-		env.Procs[p.Name] = p
-	}
-	return env, reg.Names()
-}
-
-// crossPlan declares nominal + per-option worst-case points for every
-// named process, duplicated the way independent per-node consumers would
-// declare them.
-func crossPlan(names []string, sizes ...int) *Plan {
-	pl := NewPlan()
-	for _, name := range names {
-		pl.AddNominalFor(name, sizes...)
-		for _, o := range litho.Options {
-			pl.AddWorstCaseFor(name, o, sizes...)
-		}
-		// A second consumer re-declares the same node's needs.
-		pl.AddNominalFor(name, sizes...)
-	}
-	return pl
-}
-
-// TestCrossProcessPlanDedupesPerProcess pins the new dedup key: nominal
-// transients coalesce per (process, size) — across options and repeated
-// declarations — but never across processes.
-func TestCrossProcessPlanDedupesPerProcess(t *testing.T) {
-	_, names := crossEnv()
-	pl := crossPlan(names, testSizes...)
-	want := len(names) * len(testSizes) * (1 + len(litho.Options))
-	if pl.Len() != want {
-		t.Fatalf("plan size %d, want %d", pl.Len(), want)
-	}
-	// Nominal points on different processes are distinct jobs.
-	pl.AddNominalFor(names[0], testSizes[0])
-	if pl.Len() != want {
-		t.Fatalf("same-process nominal redeclaration grew the plan to %d", pl.Len())
-	}
-	if got := len(pl.procOptions()); got != len(names)*len(litho.Options) {
-		t.Fatalf("procOptions %d, want %d", got, len(names)*len(litho.Options))
-	}
-	if got := pl.procNames(); len(got) != len(names) {
-		t.Fatalf("procNames %v", got)
-	}
-}
-
-// TestCrossProcessSharedMatchesSerialPerProcess is the tentpole gate: one
-// cross-process plan must produce, for every node, exactly the results of
-// a serial per-process run (same engine, one process at a time) — bit for
-// bit, at several worker counts.
-func TestCrossProcessSharedMatchesSerialPerProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process SPICE sweep")
-	}
-	env, names := crossEnv()
-	ctx := context.Background()
-	// Serial reference: one single-process Run per node, default-process
-	// ("") points bound to that node.
-	type key struct {
-		proc string
-		p    Point
-	}
-	serial := map[key]float64{}
-	for _, name := range names {
-		senv := env
-		senv.Proc = env.Procs[name]
-		pl := NewPlan()
-		pl.AddNominal(testSizes...)
-		for _, o := range litho.Options {
-			pl.AddWorstCase(o, testSizes...)
-		}
-		res, err := Run(ctx, senv, pl, Config{Workers: 2})
-		if err != nil {
-			t.Fatalf("serial %s: %v", name, err)
-		}
-		for p, td := range res.td {
-			serial[key{name, p}] = td
-		}
-	}
-	for _, workers := range []int{1, 8} {
-		res, err := Run(ctx, env, crossPlan(names, testSizes...), Config{Workers: workers})
-		if err != nil {
-			t.Fatalf("shared workers=%d: %v", workers, err)
-		}
-		if res.Jobs() != len(names)*len(testSizes)*(1+len(litho.Options)) {
-			t.Fatalf("workers=%d: jobs %d", workers, res.Jobs())
-		}
-		for _, name := range names {
-			if _, ok := res.NominalFor(name); !ok {
-				t.Fatalf("workers=%d: no nominal parasitics for %s", workers, name)
-			}
-			for _, n := range testSizes {
-				nom, ok := res.TdNomFor(name, n)
-				if !ok {
-					t.Fatalf("workers=%d %s: missing nominal n=%d", workers, name, n)
-				}
-				if want := serial[key{name, Point{Kind: Nominal, N: n}}]; nom != want {
-					t.Fatalf("workers=%d %s n=%d: nominal td %g != serial %g", workers, name, n, nom, want)
-				}
-				for _, o := range litho.Options {
-					td, ok := res.Td(Point{Proc: name, Option: o, Kind: WorstCase, N: n})
-					if !ok {
-						t.Fatalf("workers=%d %s %v: missing worst case n=%d", workers, name, o, n)
-					}
-					if want := serial[key{name, Point{Option: o, Kind: WorstCase, N: n}}]; td != want {
-						t.Fatalf("workers=%d %s %v n=%d: td %g != serial %g", workers, name, o, n, td, want)
-					}
-					if _, ok := res.TdpPctFor(name, o, n); !ok {
-						t.Fatalf("workers=%d %s %v n=%d: missing tdp", workers, name, o, n)
-					}
-				}
-				if _, ok := res.WorstCaseFor(name, litho.LE3); !ok {
-					t.Fatalf("workers=%d %s: missing worst-case search", workers, name)
-				}
-			}
-		}
-	}
-}
-
-// TestRunRejectsUnknownProcess checks the fail-before-simulating contract
-// and that the error names the available processes.
-func TestRunRejectsUnknownProcess(t *testing.T) {
-	env, _ := crossEnv()
-	pl := NewPlan()
-	pl.AddNominalFor("N3", 16)
-	_, err := Run(context.Background(), env, pl, Config{})
-	if err == nil {
-		t.Fatal("unknown process must fail the sweep")
-	}
-	for _, want := range []string{"N3", "N10", "N7", "N5"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %s", err, want)
-		}
-	}
-}
-
 func TestRunRejectsBadInput(t *testing.T) {
 	if _, err := Run(context.Background(), testEnv(), NewPlan(), Config{}); err == nil {
 		t.Fatal("empty plan must fail")
@@ -374,63 +233,40 @@ func TestRunSurfacesJobErrorWithPointContext(t *testing.T) {
 	}
 }
 
-// TestResultAccessorsAndPointStrings covers the per-process result views
-// and the human-readable point labels on a tiny single-size run.
+// TestResultAccessorsAndPointStrings covers the result views and the
+// human-readable point labels on a tiny single-size run.
 func TestResultAccessorsAndPointStrings(t *testing.T) {
-	env, _ := crossEnv()
 	pl := NewPlan()
 	pl.AddNominal(16)
-	pl.AddNominalFor("N7", 16)
-	pl.AddWorstCaseFor("N7", litho.EUV, 16)
-	res, err := Run(context.Background(), env, pl, Config{Workers: 2})
+	pl.AddWorstCase(litho.EUV, 16)
+	res, err := Run(context.Background(), testEnv(), pl, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Nominal().Rbl <= 0 {
-		t.Fatal("default nominal parasitics missing")
+		t.Fatal("nominal parasitics missing")
 	}
-	if _, ok := res.NominalFor("N7"); !ok {
-		t.Fatal("N7 nominal parasitics missing")
+	if _, ok := res.TdNom(16); !ok {
+		t.Fatal("nominal td missing")
 	}
-	if _, ok := res.NominalFor("N5"); ok {
-		t.Fatal("N5 was not in the plan")
+	if _, ok := res.TdNom(64); ok {
+		t.Fatal("n=64 was not in the plan")
 	}
-	if _, ok := res.TdNomFor("N7", 16); !ok {
-		t.Fatal("N7 nominal td missing")
+	if _, ok := res.TdpPct(litho.EUV, 16); !ok {
+		t.Fatal("EUV tdp missing")
 	}
-	if _, ok := res.TdpPctFor("N7", litho.EUV, 16); !ok {
-		t.Fatal("N7 tdp missing")
+	if _, ok := res.TdpPct(litho.LE3, 16); ok {
+		t.Fatal("LE3 worst case was not planned")
 	}
-	if _, ok := res.TdpPctFor("N7", litho.LE3, 16); ok {
-		t.Fatal("LE3 worst case was not planned for N7")
+	if _, ok := res.WorstCase(litho.LE3); ok {
+		t.Fatal("LE3 corner search was not planned")
 	}
 	for p, want := range map[Point]string{
-		{Kind: Nominal, N: 16}:                                  "nominal n=16",
-		{Proc: "N7", Kind: Nominal, N: 16}:                      "N7 nominal n=16",
-		{Proc: "N7", Option: litho.EUV, Kind: WorstCase, N: 16}: "N7 EUV worst-case n=16",
+		{Kind: Nominal, N: 16}:                      "nominal n=16",
+		{Option: litho.EUV, Kind: WorstCase, N: 16}: "EUV worst-case n=16",
 	} {
 		if got := p.String(); got != want {
 			t.Errorf("String() = %q, want %q", got, want)
 		}
-	}
-}
-
-// TestPurelyNamedPlanIgnoresDefaultProcess pins the review fix: a plan
-// that binds every point by name must neither touch nor require Env.Proc
-// (whose zero value would fail extraction).
-func TestPurelyNamedPlanIgnoresDefaultProcess(t *testing.T) {
-	env, _ := crossEnv()
-	env.Proc = tech.Process{} // deliberately unusable
-	pl := NewPlan()
-	pl.AddNominalFor("N7", 16)
-	res, err := Run(context.Background(), env, pl, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := res.TdNomFor("N7", 16); !ok {
-		t.Fatal("N7 nominal missing")
-	}
-	if _, ok := res.NominalFor(""); ok {
-		t.Fatal("default process was extracted despite no empty-Proc points")
 	}
 }
