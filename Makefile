@@ -7,7 +7,7 @@ GO ?= go
 # Raise it when coverage grows; never lower it without a written reason.
 COVER_MIN ?= 80.5
 
-.PHONY: all build test test-race bench bench-smoke fuzz-smoke cover cover-check lint unlinked fmt clean
+.PHONY: all build test test-race bench bench-smoke fuzz-smoke cover cover-check lint unlinked parent-cmp fmt clean
 
 all: build lint test
 
@@ -50,6 +50,9 @@ bench-smoke:
 # (Float64bits of every ratio, error text included) to a test-file copy
 # of the slice-based realizers and two-window VarRatios they replaced, on
 # random samples that collapse or merge wires and thin the metal away.
+# It covers the model's thickness-only terms on both branches: computed
+# once per stream (zero thickness delta, negative zero included) and
+# recomputed by a window that carries a delta.
 # FuzzLegacySource proves the engine's lazily seeded legacy PRNG
 # (internal/mc/legacy.go) draws rand.NewSource's stream bit for bit, for
 # any seed and stream length. FuzzRunRequest feeds arbitrary bytes to
@@ -112,6 +115,40 @@ unlinked:
 		exit 1; \
 	fi; \
 	echo "unlinked: $$(wc -l < "$$tmp/unlinked") functions no product binary links, all on the keep list"
+
+# Byte identity against another revision: build ./cmd/mpvar at BASE (a
+# git archive export in a temporary directory, removed on exit) and from
+# the working tree, run every -list workload at -smoke -format json, both
+# bench pins and a few full-budget bodies, and cmp each pair of outputs.
+# The goldens print six significant digits, so only this sees a one-ulp
+# drift. Names every command whose output or exit status differs (or that
+# fails) and exits 1 on any. Not a CI step: a change that moves result
+# bytes on purpose says so rather than weakening a gate.
+BASE ?= HEAD
+parent-cmp:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/base"; \
+	git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
+	$(GO) -C "$$tmp/base" build -o "$$tmp/mpvar-base" ./cmd/mpvar; \
+	$(GO) build -o "$$tmp/mpvar-head" ./cmd/mpvar; \
+	{ for w in $$("$$tmp/mpvar-head" -list); do echo "-smoke -format json $$w"; done; \
+	  echo "-samples 50000 -seed 2015 -format json fig5"; \
+	  echo "-samples 8 -seed 2015 -n 64 -format json mcspice"; \
+	  echo "-samples 100000 -format json table4x"; \
+	  echo "-thk 2 -format json ext"; \
+	  echo "-smoke -format json mcspice -cv"; \
+	  echo "-smoke -format json mcspice -adaptive"; \
+	  echo "-smoke -format json mcspicex -cv"; } > "$$tmp/cmds"; \
+	n=0; bad=0; \
+	while read -r args; do \
+		n=$$((n+1)); eb=0; eh=0; \
+		"$$tmp/mpvar-base" $$args < /dev/null > "$$tmp/base.out" 2> /dev/null || eb=$$?; \
+		"$$tmp/mpvar-head" $$args < /dev/null > "$$tmp/head.out" 2> /dev/null || eh=$$?; \
+		if [ $$eb -ne 0 ] || [ $$eh -ne 0 ] || ! cmp -s "$$tmp/base.out" "$$tmp/head.out"; then \
+			echo "parent-cmp: mpvar $$args: differs (exit $$eb at $(BASE), $$eh here)"; bad=$$((bad+1)); \
+		fi; \
+	done < "$$tmp/cmds"; \
+	if [ $$bad -ne 0 ]; then echo "parent-cmp: $$bad of $$n commands differ from $(BASE)"; exit 1; fi; \
+	echo "parent-cmp: all $$n command outputs cmp equal to $(BASE)"
 
 fmt:
 	gofmt -w .

@@ -464,8 +464,8 @@ func BenchmarkExtraction(b *testing.B) {
 // BenchmarkFieldSolver measures the 2-D Laplace reference at 1 nm grid.
 func BenchmarkFieldSolver(b *testing.B) {
 	p := tech.N10()
-	win, err := litho.Realize(p, litho.EUV, litho.Nominal)
-	if err != nil {
+	var win litho.Window
+	if err := litho.Realize(&p, litho.EUV, litho.Nominal, &win); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {

@@ -72,7 +72,7 @@ func Derive(p tech.Process, cellRbl, cellCbl float64) (Params, error) {
 		Cbl:  cellCbl,
 		RFE:  rfe,
 		CFE:  f.WPassGate * f.CJPerM,
-		CPre: func(n int) float64 { return f.CPre(n) },
+		CPre: f.CPre,
 	}, nil
 }
 

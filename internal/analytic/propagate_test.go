@@ -131,8 +131,8 @@ func TestPropagateSigmaNonNegative(t *testing.T) {
 func deriveModel(t *testing.T) analytic.Params {
 	t.Helper()
 	p := tech.N10()
-	win, err := litho.Realize(p, litho.EUV, litho.Nominal)
-	if err != nil {
+	var win litho.Window
+	if err := litho.Realize(&p, litho.EUV, litho.Nominal, &win); err != nil {
 		t.Fatal(err)
 	}
 	cell := extract.PerCell(p, extract.ExtractVictim(p, win, extract.SakuraiTamaru{}))

@@ -10,6 +10,17 @@
 // empirical fit (default) and a cruder parallel-plate + constant-fringe
 // model — both validated against the 2-D finite-difference field solver in
 // internal/field.
+//
+// A Monte-Carlo stream extracts thousands of windows of one option on one
+// process, and most of the arithmetic depends only on the metal thickness
+// and the plane distances: the permittivity, the taper offset and the
+// closed forms' powers of t/h. RatioModel computes those terms once, at
+// construction; each sample then costs only its widths, its two spacing
+// powers and one coupling prefactor. A window that carries a thickness
+// delta (the etch/CMP extension) recomputes the terms at its own
+// thickness through the same function. Every expression keeps the
+// operation order of the closed forms, so the results are bit-identical
+// to the per-call extraction that oracle_test.go keeps as the reference.
 package extract
 
 import (
@@ -23,7 +34,12 @@ import (
 )
 
 // CapModel computes per-unit-length capacitances of a rectangular wire in
-// a homogeneous dielectric between two ground planes.
+// a homogeneous dielectric between two ground planes. Each model writes
+// its closed forms once, split into terms: those that depend only on the
+// thickness and the plane distance, and the rest. GroundPerM and
+// CouplingPerM compose the two; extraction computes the first kind once
+// per thickness. The unexported methods keep the implementations in this
+// package.
 type CapModel interface {
 	// Name identifies the model in reports.
 	Name() string
@@ -33,6 +49,25 @@ type CapModel interface {
 	// CouplingPerM returns the line-to-line capacitance per metre to one
 	// neighbour across spacing s (same thickness t, plane distance h).
 	CouplingPerM(eps, w, t, s, h float64) float64
+
+	// terms returns the parts of both closed forms that depend only on
+	// the thickness t and the plane distance h.
+	terms(t, h float64) capTerms
+	// ground is GroundPerM for a wire of width w, given its terms.
+	ground(eps, w float64, k capTerms) float64
+	// couplingPre is the factor of CouplingPerM that does not depend on
+	// the spacing, shared by both neighbours of a wire of width w.
+	couplingPre(eps, w float64, k capTerms) float64
+	// coupling is CouplingPerM across spacing s, given its prefactor.
+	coupling(pre, s float64, k capTerms) float64
+}
+
+// capTerms are the parts of a CapModel's closed forms that depend only on
+// the metal thickness t and one plane distance h.
+type capTerms struct {
+	t, h   float64
+	ground float64 // GroundPerM's thickness term
+	k1, k2 float64 // CouplingPerM's thickness terms (Sakurai–Tamaru)
 }
 
 // SakuraiTamaru is the empirical closed form from T. Sakurai and
@@ -45,15 +80,32 @@ type SakuraiTamaru struct{}
 func (SakuraiTamaru) Name() string { return "sakurai-tamaru" }
 
 // GroundPerM implements CapModel: C/ε = 1.15(w/h) + 2.80(t/h)^0.222.
-func (SakuraiTamaru) GroundPerM(eps, w, t, h float64) float64 {
-	return eps * (1.15*(w/h) + 2.80*math.Pow(t/h, 0.222))
+func (m SakuraiTamaru) GroundPerM(eps, w, t, h float64) float64 {
+	return m.ground(eps, w, m.terms(t, h))
 }
 
 // CouplingPerM implements CapModel:
 // C/ε = [0.03(w/h) + 0.83(t/h) − 0.07(t/h)^0.222]·(s/h)^−1.34.
-func (SakuraiTamaru) CouplingPerM(eps, w, t, s, h float64) float64 {
-	k := 0.03*(w/h) + 0.83*(t/h) - 0.07*math.Pow(t/h, 0.222)
-	return eps * k * math.Pow(s/h, -1.34)
+func (m SakuraiTamaru) CouplingPerM(eps, w, t, s, h float64) float64 {
+	k := m.terms(t, h)
+	return m.coupling(m.couplingPre(eps, w, k), s, k)
+}
+
+func (SakuraiTamaru) terms(t, h float64) capTerms {
+	p := math.Pow(t/h, 0.222)
+	return capTerms{t: t, h: h, ground: 2.80 * p, k1: 0.83 * (t / h), k2: 0.07 * p}
+}
+
+func (SakuraiTamaru) ground(eps, w float64, k capTerms) float64 {
+	return eps * (1.15*(w/k.h) + k.ground)
+}
+
+func (SakuraiTamaru) couplingPre(eps, w float64, k capTerms) float64 {
+	return eps * (0.03*(w/k.h) + k.k1 - k.k2)
+}
+
+func (SakuraiTamaru) coupling(pre, s float64, k capTerms) float64 {
+	return pre * math.Pow(s/k.h, -1.34)
 }
 
 // PlateFringe is the textbook parallel-plate model with a constant fringe
@@ -65,14 +117,28 @@ func (PlateFringe) Name() string { return "plate-fringe" }
 
 // GroundPerM implements CapModel: plate w/h plus a fringe term that grows
 // slowly with sidewall height.
-func (PlateFringe) GroundPerM(eps, w, t, h float64) float64 {
-	return eps * (w/h + 0.77 + 1.06*math.Pow(t/h, 0.5))
+func (m PlateFringe) GroundPerM(eps, w, t, h float64) float64 {
+	return m.ground(eps, w, m.terms(t, h))
 }
 
 // CouplingPerM implements CapModel: sidewall plate t/s plus constant fringe.
-func (PlateFringe) CouplingPerM(eps, w, t, s, h float64) float64 {
-	_ = w
-	return eps * (t/s + 0.6)
+func (m PlateFringe) CouplingPerM(eps, w, t, s, h float64) float64 {
+	k := m.terms(t, h)
+	return m.coupling(m.couplingPre(eps, w, k), s, k)
+}
+
+func (PlateFringe) terms(t, h float64) capTerms {
+	return capTerms{t: t, h: h, ground: 1.06 * math.Pow(t/h, 0.5)}
+}
+
+func (PlateFringe) ground(eps, w float64, k capTerms) float64 {
+	return eps * (w/k.h + 0.77 + k.ground)
+}
+
+func (PlateFringe) couplingPre(eps, _ float64, _ capTerms) float64 { return eps }
+
+func (PlateFringe) coupling(pre, s float64, k capTerms) float64 {
+	return pre * (k.t/s + 0.6)
 }
 
 // WireRC is the per-unit-length extraction result for one wire.
@@ -100,12 +166,18 @@ func (w WireRC) CTotalPerM() float64 {
 // the bottom and sidewall barrier liners, at the layer's effective
 // resistivity.
 func ResistancePerM(m tech.MetalLayer, w float64) float64 {
-	taper := m.TaperDeg * math.Pi / 180
-	tz := geom.Trapezoid{
-		WTop: w,
-		WBot: w - 2*m.Thickness*math.Tan(taper),
-		T:    m.Thickness,
-	}
+	return resistancePerM(&m, taperOffset(&m), w)
+}
+
+// taperOffset is 2·t·tanθ: how much narrower the etched trench of layer m
+// is at its bottom than at its top.
+func taperOffset(m *tech.MetalLayer) float64 {
+	return 2 * m.Thickness * math.Tan(m.TaperDeg*math.Pi/180)
+}
+
+// resistancePerM is ResistancePerM given taperOffset(m).
+func resistancePerM(m *tech.MetalLayer, taper, w float64) float64 {
+	tz := geom.Trapezoid{WTop: w, WBot: w - taper, T: m.Thickness}
 	// Bottom barrier eats conducting height; side barrier eats width.
 	cu := geom.Trapezoid{
 		WTop: tz.WTop - 2*m.BarrierSide,
@@ -119,38 +191,62 @@ func ResistancePerM(m tech.MetalLayer, w float64) float64 {
 	return m.Rho / a
 }
 
-// ExtractWire computes the per-unit-length RC of wire i in window w on
-// process p using capacitance model cm. Edge wires (no neighbour on one
-// side) get zero coupling on that side.
-func ExtractWire(p tech.Process, w litho.Window, i int, cm CapModel) WireRC {
-	wire := w.Wires[i]
+// thkTerms are the terms of a wire's extraction that depend only on the
+// metal thickness: the metal1 layer at that thickness, its taper offset,
+// the permittivity, and the capacitance model's terms at the plane below,
+// the plane above and their mean distance (the coupling closed form's h).
+type thkTerms struct {
+	cm                CapModel
+	m                 tech.MetalLayer
+	taper, eps        float64
+	below, above, avg capTerms
+}
+
+// newThkTerms computes the thickness-only terms of process p's metal1 at
+// its drawn thickness plus dThk under capacitance model cm.
+func newThkTerms(p *tech.Process, dThk float64, cm CapModel) thkTerms {
+	k := thkTerms{cm: cm, m: p.M1, eps: p.Diel.Eps()}
+	k.m.Thickness += dThk
+	t, d := k.m.Thickness, &p.Diel
+	k.taper = taperOffset(&k.m)
+	k.below = cm.terms(t, d.HBelow)
+	k.above = cm.terms(t, d.HAbove)
+	k.avg = cm.terms(t, (d.HBelow+d.HAbove)/2)
+	return k
+}
+
+// wire extracts wire i of window w, computing only the parts that
+// depend on the drawn widths and spacings (see ExtractWire).
+func (k *thkTerms) wire(w *litho.Window, i int) WireRC {
+	wire := &w.Wires[i]
 	width := wire.Width()
-	m := metal(p, w)
-	d := p.Diel
-	eps := d.Eps()
 	out := WireRC{
-		RPerM: ResistancePerM(m, width),
-		CgPerM: cm.GroundPerM(eps, width, m.Thickness, d.HBelow) +
-			cm.GroundPerM(eps, width, m.Thickness, d.HAbove),
+		RPerM:  resistancePerM(&k.m, k.taper, width),
+		CgPerM: k.cm.ground(k.eps, width, k.below) + k.cm.ground(k.eps, width, k.above),
 	}
-	hAvg := (d.HBelow + d.HAbove) / 2
+	pre := k.cm.couplingPre(k.eps, width, k.avg)
 	if i > 0 {
-		s := wire.Span.Gap(w.Wires[i-1].Span)
-		out.CcBelowPerM = cm.CouplingPerM(eps, width, m.Thickness, s, hAvg)
+		out.CcBelowPerM = k.cm.coupling(pre, wire.Span.Gap(w.Wires[i-1].Span), k.avg)
 	}
 	if i < len(w.Wires)-1 {
-		s := wire.Span.Gap(w.Wires[i+1].Span)
-		out.CcAbovePerM = cm.CouplingPerM(eps, width, m.Thickness, s, hAvg)
+		out.CcAbovePerM = k.cm.coupling(pre, wire.Span.Gap(w.Wires[i+1].Span), k.avg)
 	}
 	return out
 }
 
-// metal returns the process's metal1 layer at the window's thickness: the
-// etch/CMP extension's delta, zero in the paper's experiments.
-func metal(p tech.Process, w litho.Window) tech.MetalLayer {
-	m := p.M1
-	m.Thickness += w.DThk
-	return m
+// vssRPerM is the resistance per metre of the VSS rail below the victim:
+// the RPerM that wire would give for it, without the capacitances that no
+// ratio reads.
+func (k *thkTerms) vssRPerM(w *litho.Window) float64 {
+	return resistancePerM(&k.m, k.taper, w.Wires[w.Victim-1].Width())
+}
+
+// ExtractWire computes the per-unit-length RC of wire i in window w on
+// process p using capacitance model cm, at the window's thickness. Edge
+// wires (no neighbour on one side) get zero coupling on that side.
+func ExtractWire(p tech.Process, w litho.Window, i int, cm CapModel) WireRC {
+	k := newThkTerms(&p, w.DThk, cm)
+	return k.wire(&w, i)
 }
 
 // ExtractVictim extracts the bit line of the window.
@@ -183,13 +279,22 @@ type Ratios struct {
 
 // RatioModel computes the variability ratios of one patterning option on
 // one process under one capacitance model. Construction realizes and
-// extracts the nominal window once; each Ratios call then realizes and
-// extracts only the sampled window. A RatioModel is never modified after
+// extracts the nominal window once and computes every term of the
+// victim's extraction that depends only on the metal thickness and the
+// plane distances: the permittivity, the taper offset and the closed
+// forms' powers of t/h. Each Ratios call then realizes the sampled
+// window and computes only what depends on the draw: the widths, the two
+// spacing powers and the coupling prefactor. A window that carries a
+// thickness delta recomputes the thickness terms at its own thickness,
+// through the same function. Every expression keeps the operation order
+// of the closed forms, so the ratios are bit-identical to extracting
+// each window from scratch. A RatioModel is never modified after
 // construction, so one value may serve any number of goroutines.
 type RatioModel struct {
 	proc   tech.Process
 	option litho.Option
-	cm     CapModel
+	// nom holds the thickness-only terms at the drawn thickness.
+	nom thkTerms
 	// nomR, nomC and nomRvss are the nominal victim resistance and total
 	// capacitance and the nominal VSS-rail resistance, per metre.
 	nomR, nomC, nomRvss float64
@@ -201,15 +306,14 @@ func NewRatioModel(p tech.Process, o litho.Option, cm CapModel) (RatioModel, err
 	if cm == nil {
 		return RatioModel{}, errors.New("nil capacitance model")
 	}
-	win, err := litho.Realize(p, o, litho.Nominal)
-	if err != nil {
+	var win litho.Window
+	if err := litho.Realize(&p, o, litho.Nominal, &win); err != nil {
 		return RatioModel{}, fmt.Errorf("nominal geometry: %w", err)
 	}
-	nom := ExtractVictim(p, win, cm)
-	return RatioModel{
-		proc: p, option: o, cm: cm,
-		nomR: nom.RPerM, nomC: nom.CTotalPerM(), nomRvss: vssRPerM(p, win),
-	}, nil
+	m := RatioModel{proc: p, option: o, nom: newThkTerms(&p, 0, cm)}
+	nom := m.nom.wire(&win, win.Victim)
+	m.nomR, m.nomC, m.nomRvss = nom.RPerM, nom.CTotalPerM(), m.nom.vssRPerM(&win)
+	return m, nil
 }
 
 // Option returns the patterning option the model extracts.
@@ -218,23 +322,21 @@ func (m *RatioModel) Option() litho.Option { return m.option }
 // Ratios realizes sample s and returns the variability ratios of the
 // victim bit line (and the below-victim VSS rail) against the nominal.
 func (m *RatioModel) Ratios(s litho.Sample) (Ratios, error) {
-	win, err := litho.Realize(m.proc, m.option, s)
-	if err != nil {
+	var win litho.Window
+	if err := litho.Realize(&m.proc, m.option, s, &win); err != nil {
 		return Ratios{}, err
 	}
-	act := ExtractVictim(m.proc, win, m.cm)
+	k := &m.nom
+	if win.DThk != 0 {
+		thk := newThkTerms(&m.proc, win.DThk, k.cm)
+		k = &thk
+	}
+	act := k.wire(&win, win.Victim)
 	return Ratios{
 		Rvar:    act.RPerM / m.nomR,
 		Cvar:    act.CTotalPerM() / m.nomC,
-		RvssVar: vssRPerM(m.proc, win) / m.nomRvss,
+		RvssVar: k.vssRPerM(&win) / m.nomRvss,
 	}, nil
-}
-
-// vssRPerM is the resistance per metre of the VSS rail below the victim:
-// ExtractWire's RPerM for that wire, without the capacitances that no
-// ratio reads.
-func vssRPerM(p tech.Process, w litho.Window) float64 {
-	return ResistancePerM(metal(p, w), w.Wires[w.Victim-1].Width())
 }
 
 // VarRatios realizes the nominal and sampled geometries for option o and
@@ -283,8 +385,9 @@ func WorstCase(p tech.Process, o litho.Option, cm CapModel) (WorstCaseResult, er
 			continue
 		}
 		if !found || r.Cvar > best.Ratios.Cvar {
-			win, _ := litho.Realize(p, o, s)
-			best = WorstCaseResult{Option: o, Corner: c, Sample: s, Ratios: r, Window: win}
+			best = WorstCaseResult{Option: o, Corner: c, Sample: s, Ratios: r}
+			// Ratios realized s, so this cannot fail.
+			_ = litho.Realize(&p, o, s, &best.Window)
 			found = true
 		}
 	}

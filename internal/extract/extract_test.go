@@ -104,8 +104,8 @@ func TestCouplingMonotoneProperty(t *testing.T) {
 
 func TestExtractVictimSymmetry(t *testing.T) {
 	p := tech.N10()
-	w, err := litho.Realize(p, litho.EUV, litho.Nominal)
-	if err != nil {
+	var w litho.Window
+	if err := litho.Realize(&p, litho.EUV, litho.Nominal, &w); err != nil {
 		t.Fatal(err)
 	}
 	rc := ExtractVictim(p, w, SakuraiTamaru{})
@@ -120,7 +120,10 @@ func TestExtractVictimSymmetry(t *testing.T) {
 
 func TestEdgeWireHasOneCoupling(t *testing.T) {
 	p := tech.N10()
-	w, _ := litho.Realize(p, litho.EUV, litho.Nominal)
+	var w litho.Window
+	if err := litho.Realize(&p, litho.EUV, litho.Nominal, &w); err != nil {
+		t.Fatal(err)
+	}
 	first := ExtractWire(p, w, 0, SakuraiTamaru{})
 	if first.CcBelowPerM != 0 || first.CcAbovePerM == 0 {
 		t.Fatalf("edge wire couplings: %g / %g", first.CcBelowPerM, first.CcAbovePerM)
@@ -133,7 +136,10 @@ func TestEdgeWireHasOneCoupling(t *testing.T) {
 
 func TestPerCellRollup(t *testing.T) {
 	p := tech.N10()
-	w, _ := litho.Realize(p, litho.EUV, litho.Nominal)
+	var w litho.Window
+	if err := litho.Realize(&p, litho.EUV, litho.Nominal, &w); err != nil {
+		t.Fatal(err)
+	}
 	rc := ExtractVictim(p, w, SakuraiTamaru{})
 	cell := PerCell(p, rc)
 	if !units.ApproxEqual(cell.Rbl, rc.RPerM*p.Cell.XPitch, 1e-12, 0) {

@@ -3,6 +3,7 @@ package extract
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"mpsram/internal/geom"
@@ -189,13 +190,39 @@ func oracleVarRatios(p tech.Process, o litho.Option, s litho.Sample, cm CapModel
 	}, nil
 }
 
+// matchOracle fails t unless the one-shot VarRatios and the reused model
+// m give the oracle's ratios for sample s: Float64bits of all three and
+// the error text.
+func matchOracle(t *testing.T, p tech.Process, o litho.Option, cm CapModel, m *RatioModel, s litho.Sample) {
+	t.Helper()
+	want, wantErr := oracleVarRatios(p, o, s, cm)
+	oneShot, oneShotErr := VarRatios(p, o, s, cm)
+	reused, reusedErr := m.Ratios(s)
+	for _, got := range []struct {
+		name string
+		r    Ratios
+		err  error
+	}{{"VarRatios", oneShot, oneShotErr}, {"RatioModel.Ratios", reused, reusedErr}} {
+		if (got.err == nil) != (wantErr == nil) || (wantErr != nil && got.err.Error() != wantErr.Error()) {
+			t.Fatalf("%s %v on %s, %+v: error %v, oracle %v", got.name, o, p.Name, s, got.err, wantErr)
+		}
+		if math.Float64bits(got.r.Rvar) != math.Float64bits(want.Rvar) ||
+			math.Float64bits(got.r.Cvar) != math.Float64bits(want.Cvar) ||
+			math.Float64bits(got.r.RvssVar) != math.Float64bits(want.RvssVar) {
+			t.Fatalf("%s %v on %s, %+v: ratios %+v, oracle %+v", got.name, o, p.Name, s, got.r, want)
+		}
+	}
+}
+
 // FuzzVarRatios proves the one-shot VarRatios and a reused per-stream
 // RatioModel bit-identical to the oracle on random samples of every
 // option, process and capacitance model: Float64bits of all three ratios
 // and the error text must match, including samples that collapse or
-// merge wires and thickness deltas at or below −M1.Thickness. Sample
-// fields are in nanometres; with floor set, the thickness delta is
-// measured from −M1.Thickness instead of from zero.
+// merge wires and thickness deltas at or below −M1.Thickness. A nonzero
+// thickness delta makes the model recompute its per-thickness terms; a
+// zero one, negative zero included, reuses those computed at
+// construction. Sample fields are in nanometres; with floor set, the
+// thickness delta is measured from −M1.Thickness instead of from zero.
 func FuzzVarRatios(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, false)
 	f.Add(uint8(0), uint8(0), uint8(0), 1.2, -0.7, 2.0, 2.5, -3.1, 0.0, 0.0, 0.0, 0.4, false)
@@ -209,6 +236,7 @@ func FuzzVarRatios(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, true)
 	f.Add(uint8(2), uint8(1), uint8(1), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, -2.0, true)
 	f.Add(uint8(1), uint8(2), uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-6, true)
+	f.Add(uint8(0), uint8(1), uint8(1), 1.2, -0.7, 2.0, 2.5, -3.1, 0.0, 0.0, 0.0, math.Copysign(0, -1), false)
 	procs := tech.Default().Processes()
 	cms := []CapModel{SakuraiTamaru{}, PlateFringe{}}
 	models := map[[3]int]RatioModel{}
@@ -231,7 +259,6 @@ func FuzzVarRatios(f *testing.F) {
 		if floor {
 			s.DThk = -p.M1.Thickness + thk*1e-9
 		}
-		want, wantErr := oracleVarRatios(p, o, s, cm)
 		key := [3]int{int(o), pi, ci}
 		m, ok := models[key]
 		if !ok {
@@ -241,21 +268,34 @@ func FuzzVarRatios(f *testing.F) {
 			}
 			models[key] = m
 		}
-		oneShot, oneShotErr := VarRatios(p, o, s, cm)
-		reused, reusedErr := m.Ratios(s)
-		for _, got := range []struct {
-			name string
-			r    Ratios
-			err  error
-		}{{"VarRatios", oneShot, oneShotErr}, {"RatioModel.Ratios", reused, reusedErr}} {
-			if (got.err == nil) != (wantErr == nil) || (wantErr != nil && got.err.Error() != wantErr.Error()) {
-				t.Fatalf("%s %v on %s, %+v: error %v, oracle %v", got.name, o, p.Name, s, got.err, wantErr)
-			}
-			if math.Float64bits(got.r.Rvar) != math.Float64bits(want.Rvar) ||
-				math.Float64bits(got.r.Cvar) != math.Float64bits(want.Cvar) ||
-				math.Float64bits(got.r.RvssVar) != math.Float64bits(want.RvssVar) {
-				t.Fatalf("%s %v on %s, %+v: ratios %+v, oracle %+v", got.name, o, p.Name, s, got.r, want)
+		matchOracle(t, p, o, cm, &m, s)
+	})
+}
+
+// TestRatiosMatchOracleOnDrawnStreams checks RatioModel.Ratios and
+// VarRatios against the oracle, bit for bit, on drawn sample streams:
+// 500 canonical draws for every process, option and capacitance model,
+// with the thickness source off and at 2 nm, so that go test reaches
+// the oracle on more than the fuzz seeds. No draw at these budgets
+// collapses the geometry; the fuzz seeds cover the error path.
+func TestRatiosMatchOracleOnDrawnStreams(t *testing.T) {
+	const draws = 500
+	for _, p := range tech.Default().Processes() {
+		for _, thk := range []float64{0, 2e-9} {
+			p.Var.Thk3Sigma = thk
+			for _, o := range litho.AllOptions {
+				params := litho.Params(p, o)
+				for _, cm := range []CapModel{SakuraiTamaru{}, PlateFringe{}} {
+					m, err := NewRatioModel(p, o, cm)
+					if err != nil {
+						t.Fatalf("%v on %s: %v", o, p.Name, err)
+					}
+					rng := rand.New(rand.NewSource(2015))
+					for i := 0; i < draws; i++ {
+						matchOracle(t, p, o, cm, &m, litho.Draw(params, rng))
+					}
+				}
 			}
 		}
-	})
+	}
 }

@@ -13,8 +13,8 @@ import (
 // solveNominal is a shared fixture: nominal EUV window at 1 nm grid.
 func solveNominal(t *testing.T, p tech.Process) (litho.Window, CapResult) {
 	t.Helper()
-	win, err := litho.Realize(p, litho.EUV, litho.Nominal)
-	if err != nil {
+	var win litho.Window
+	if err := litho.Realize(&p, litho.EUV, litho.Nominal, &win); err != nil {
 		t.Fatal(err)
 	}
 	res, err := VictimCaps(p, win, 1e-9, 20000, 1e-7)
@@ -35,8 +35,8 @@ func TestParallelPlateLimit(t *testing.T) {
 	p.SADP.MandrelWidth = p.M1.Width
 	p.SADP.SpacerThk = p.M1.Space
 	p.Diel.HBelow, p.Diel.HAbove = 20e-9, 20e-9
-	win, err := litho.Realize(p, litho.EUV, litho.Nominal)
-	if err != nil {
+	var win litho.Window
+	if err := litho.Realize(&p, litho.EUV, litho.Nominal, &win); err != nil {
 		t.Fatal(err)
 	}
 	res, err := VictimCaps(p, win, 2e-9, 30000, 1e-7)
@@ -53,8 +53,8 @@ func TestParallelPlateLimit(t *testing.T) {
 
 func TestChargeConservation(t *testing.T) {
 	p := tech.N10()
-	win, err := litho.Realize(p, litho.EUV, litho.Nominal)
-	if err != nil {
+	var win litho.Window
+	if err := litho.Realize(&p, litho.EUV, litho.Nominal, &win); err != nil {
 		t.Fatal(err)
 	}
 	s, err := NewCrossSection(p, win, 1e-9)
@@ -110,12 +110,12 @@ func TestSensitivityAgreement(t *testing.T) {
 		{"SADP worst", litho.SADP, litho.Sample{CDCore: -3e-9, CDSpacer: -1.5e-9}},
 	}
 	for _, c := range cases {
-		nomWin, err := litho.Realize(p, c.o, litho.Nominal)
-		if err != nil {
+		var nomWin litho.Window
+		if err := litho.Realize(&p, c.o, litho.Nominal, &nomWin); err != nil {
 			t.Fatal(err)
 		}
-		win, err := litho.Realize(p, c.o, c.s)
-		if err != nil {
+		var win litho.Window
+		if err := litho.Realize(&p, c.o, c.s, &win); err != nil {
 			t.Fatal(err)
 		}
 		fdNom, err := VictimCaps(p, nomWin, 1e-9, 30000, 1e-8)
@@ -141,8 +141,8 @@ func TestFieldCouplingMonotoneInSpacing(t *testing.T) {
 	p := tech.N10()
 	var prev float64
 	for i, ol := range []float64{0, 4e-9, 8e-9} {
-		win, err := litho.Realize(p, litho.LE3, litho.Sample{OLB: ol})
-		if err != nil {
+		var win litho.Window
+		if err := litho.Realize(&p, litho.LE3, litho.Sample{OLB: ol}, &win); err != nil {
 			t.Fatal(err)
 		}
 		res, err := VictimCaps(p, win, 1e-9, 20000, 1e-7)
@@ -179,7 +179,10 @@ func TestFieldSymmetry(t *testing.T) {
 
 func TestSolverErrors(t *testing.T) {
 	p := tech.N10()
-	win, _ := litho.Realize(p, litho.EUV, litho.Nominal)
+	var win litho.Window
+	if err := litho.Realize(&p, litho.EUV, litho.Nominal, &win); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := NewCrossSection(p, win, -1); err == nil {
 		t.Fatal("negative dx must error")
 	}
@@ -193,7 +196,10 @@ func TestSolverErrors(t *testing.T) {
 
 func TestSolveConverges(t *testing.T) {
 	p := tech.N10()
-	win, _ := litho.Realize(p, litho.EUV, litho.Nominal)
+	var win litho.Window
+	if err := litho.Realize(&p, litho.EUV, litho.Nominal, &win); err != nil {
+		t.Fatal(err)
+	}
 	s, err := NewCrossSection(p, win, 2e-9)
 	if err != nil {
 		t.Fatal(err)

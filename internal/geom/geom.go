@@ -29,32 +29,9 @@ func CenterWidth(center, width float64) Interval {
 // Width returns Hi-Lo.
 func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
 
-// Empty reports whether the interval has non-positive width.
-func (iv Interval) Empty() bool { return iv.Hi <= iv.Lo }
-
-// Shift translates the interval by d.
-func (iv Interval) Shift(d float64) Interval {
-	return Interval{Lo: iv.Lo + d, Hi: iv.Hi + d}
-}
-
-// Expand grows the interval symmetrically by d on each side (negative d
-// shrinks it).
-func (iv Interval) Expand(d float64) Interval {
-	return Interval{Lo: iv.Lo - d, Hi: iv.Hi + d}
-}
-
 // Overlaps reports whether the two intervals intersect with positive length.
 func (iv Interval) Overlaps(o Interval) bool {
 	return iv.Lo < o.Hi && o.Lo < iv.Hi
-}
-
-// Intersect returns the overlapping part; empty if they do not overlap.
-func (iv Interval) Intersect(o Interval) Interval {
-	r := Interval{Lo: math.Max(iv.Lo, o.Lo), Hi: math.Min(iv.Hi, o.Hi)}
-	if r.Empty() {
-		return Interval{}
-	}
-	return r
 }
 
 // Gap returns the clear distance between two disjoint intervals; zero if

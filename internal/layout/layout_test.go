@@ -104,8 +104,8 @@ func TestFig3ArraySizes(t *testing.T) {
 func TestFromWindowDistortion(t *testing.T) {
 	p := tech.N10()
 	s := litho.Sample{CDA: 3e-9, CDB: 3e-9, CDC: 3e-9, OLB: 8e-9, OLC: -8e-9}
-	win, err := litho.Realize(p, litho.LE3, s)
-	if err != nil {
+	var win litho.Window
+	if err := litho.Realize(&p, litho.LE3, s, &win); err != nil {
 		t.Fatal(err)
 	}
 	c := FromWindow(p, win, 1e-6)
@@ -142,13 +142,19 @@ func TestWriteGDSText(t *testing.T) {
 
 func TestASCIISection(t *testing.T) {
 	p := tech.N10()
-	nom, _ := litho.Realize(p, litho.EUV, litho.Nominal)
+	var nom litho.Window
+	if err := litho.Realize(&p, litho.EUV, litho.Nominal, &nom); err != nil {
+		t.Fatal(err)
+	}
 	art := ASCIISection(nom, 0.5)
 	if !strings.Contains(art, "B") || !strings.Contains(art, "#") || !strings.Contains(art, ".") {
 		t.Fatalf("ascii section %q", art)
 	}
 	// A shifted window shows an asymmetric gap pattern.
-	wc, _ := litho.Realize(p, litho.LE3, litho.Sample{OLB: 8e-9})
+	var wc litho.Window
+	if err := litho.Realize(&p, litho.LE3, litho.Sample{OLB: 8e-9}, &wc); err != nil {
+		t.Fatal(err)
+	}
 	if ASCIISection(wc, 0.5) == art {
 		t.Fatal("distorted window renders identically to nominal")
 	}

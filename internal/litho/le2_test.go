@@ -9,8 +9,8 @@ import (
 
 func TestLE2MaskAlternation(t *testing.T) {
 	p := tech.N10()
-	w, err := Realize(p, LE2, Nominal)
-	if err != nil {
+	var w Window
+	if err := Realize(&p, LE2, Nominal, &w); err != nil {
 		t.Fatal(err)
 	}
 	if LE2.String() != "LELE" {
@@ -30,8 +30,8 @@ func TestLE2OverlayCancellation(t *testing.T) {
 	// so the gap sum is conserved.
 	p := tech.N10()
 	for _, ol := range []float64{-6e-9, -2e-9, 2e-9, 6e-9} {
-		w, err := Realize(p, LE2, Sample{OLB: ol})
-		if err != nil {
+		var w Window
+		if err := Realize(&p, LE2, Sample{OLB: ol}, &w); err != nil {
 			t.Fatal(err)
 		}
 		sum := w.GapBelow() + w.GapAbove()
@@ -63,12 +63,12 @@ func TestLE2CDBehavesLikeLE3CD(t *testing.T) {
 	// With zero overlay, CD-only variation on LE2 and LE3 (A and B set
 	// equal, C matching B) must realize the same victim geometry.
 	p := tech.N10()
-	le2, err := Realize(p, LE2, Sample{CDA: 2e-9, CDB: 1e-9})
-	if err != nil {
+	var le2 Window
+	if err := Realize(&p, LE2, Sample{CDA: 2e-9, CDB: 1e-9}, &le2); err != nil {
 		t.Fatal(err)
 	}
-	le3, err := Realize(p, LE3, Sample{CDA: 2e-9, CDB: 1e-9, CDC: 1e-9})
-	if err != nil {
+	var le3 Window
+	if err := Realize(&p, LE3, Sample{CDA: 2e-9, CDB: 1e-9, CDC: 1e-9}, &le3); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(le2.VictimWire().Width()-le3.VictimWire().Width()) > 1e-15 {

@@ -176,25 +176,26 @@ type Window struct {
 }
 
 // VictimWire returns the realized bit line.
-func (w Window) VictimWire() Wire { return w.Wires[w.Victim] }
+func (w *Window) VictimWire() Wire { return w.Wires[w.Victim] }
 
 // Below returns the neighbour on the lower-coordinate side of the victim.
-func (w Window) Below() Wire { return w.Wires[w.Victim-1] }
+func (w *Window) Below() Wire { return w.Wires[w.Victim-1] }
 
 // Above returns the neighbour on the higher-coordinate side of the victim.
-func (w Window) Above() Wire { return w.Wires[w.Victim+1] }
+func (w *Window) Above() Wire { return w.Wires[w.Victim+1] }
 
 // GapBelow returns the clear spacing between the victim and the wire below.
-func (w Window) GapBelow() float64 { return w.VictimWire().Span.Gap(w.Below().Span) }
+func (w *Window) GapBelow() float64 { return w.VictimWire().Span.Gap(w.Below().Span) }
 
 // GapAbove returns the clear spacing between the victim and the wire above.
-func (w Window) GapAbove() float64 { return w.VictimWire().Span.Gap(w.Above().Span) }
+func (w *Window) GapAbove() float64 { return w.VictimWire().Span.Gap(w.Above().Span) }
 
 // Validate reports an error if any wire collapsed (non-positive width) or
 // if adjacent wires merged (non-positive spacing). Such geometries are
 // catastrophic yield failures, outside the paper's variability study.
-func (w Window) Validate() error {
-	for i, wr := range w.Wires {
+func (w *Window) Validate() error {
+	for i := range w.Wires {
+		wr := &w.Wires[i]
 		if wr.Width() <= 0 {
 			return fmt.Errorf("%v: wire %d (%v/%v) collapsed to width %.3g",
 				w.Option, i, wr.Net, wr.Mask, wr.Width())
@@ -217,10 +218,11 @@ const windowHalf = 3
 const windowWires = 2*windowHalf + 1
 
 // Realize maps a variation sample to the realized window for the given
-// option on process p. The returned window has 2·windowHalf+1 wires with
-// the bit line in the centre.
-func Realize(p tech.Process, o Option, s Sample) (Window, error) {
-	w := Window{Option: o, Victim: windowHalf, DThk: s.DThk}
+// option on process p and writes it into w: 2·windowHalf+1 wires with the
+// bit line in the centre. The process and the window are passed by
+// pointer so that a trial copies neither. On error w is the zero window.
+func Realize(p *tech.Process, o Option, s Sample, w *Window) error {
+	w.Option, w.Victim, w.DThk = o, windowHalf, s.DThk
 	switch o {
 	case LE3:
 		realizeLE3(p, s, &w.Wires)
@@ -231,15 +233,18 @@ func Realize(p tech.Process, o Option, s Sample) (Window, error) {
 	case LE2:
 		realizeLE2(p, s, &w.Wires)
 	default:
-		return Window{}, fmt.Errorf("unknown patterning option %d", int(o))
+		*w = Window{}
+		return fmt.Errorf("unknown patterning option %d", int(o))
 	}
 	if s.DThk <= -p.M1.Thickness {
-		return Window{}, fmt.Errorf("%v: thickness delta %.3g collapses the metal", o, s.DThk)
+		*w = Window{}
+		return fmt.Errorf("%v: thickness delta %.3g collapses the metal", o, s.DThk)
 	}
 	if err := w.Validate(); err != nil {
-		return Window{}, err
+		*w = Window{}
+		return err
 	}
-	return w, nil
+	return nil
 }
 
 // le3Nets is the net role by (track index − victim index) modulo the SRAM
@@ -262,7 +267,7 @@ func trackNet(rel int) Net {
 // masks cycle C,B,A,B,C around the victim so that, per the paper's worst
 // case, the victim is on mask A with its two neighbours on B (below) and
 // C (above). Mask A is the alignment reference: its overlay term is zero.
-func realizeLE3(p tech.Process, s Sample, wires *[windowWires]Wire) {
+func realizeLE3(p *tech.Process, s Sample, wires *[windowWires]Wire) {
 	pitch := p.M1.Pitch
 	w0 := p.M1.Width
 	for i := range wires {
@@ -289,7 +294,7 @@ func realizeLE3(p tech.Process, s Sample, wires *[windowWires]Wire) {
 //	core center k·P, width m' = m+ΔCDcore
 //	spacers of thickness t' = t+ΔCDspacer on both core sidewalls
 //	gap line filling the remainder: width P − m' − 2t'
-func realizeSADP(p tech.Process, s Sample, wires *[windowWires]Wire) {
+func realizeSADP(p *tech.Process, s Sample, wires *[windowWires]Wire) {
 	P := p.SADP.Period
 	m := p.SADP.MandrelWidth + s.CDCore
 	t := p.SADP.SpacerThk + s.CDSpacer
@@ -320,7 +325,7 @@ func realizeSADP(p tech.Process, s Sample, wires *[windowWires]Wire) {
 // realizeLE2 builds the double litho-etch window: masks alternate A,B with
 // the victim on A, both neighbours on B. Mask B is aligned to A, so a
 // single overlay term shifts the whole B comb rigidly.
-func realizeLE2(p tech.Process, s Sample, wires *[windowWires]Wire) {
+func realizeLE2(p *tech.Process, s Sample, wires *[windowWires]Wire) {
 	pitch := p.M1.Pitch
 	w0 := p.M1.Width
 	for i := range wires {
@@ -343,7 +348,7 @@ func realizeLE2(p tech.Process, s Sample, wires *[windowWires]Wire) {
 
 // realizeEUV builds the single-exposure window: every line carries the same
 // CD bias, centres stay on the pitch grid.
-func realizeEUV(p tech.Process, s Sample, wires *[windowWires]Wire) {
+func realizeEUV(p *tech.Process, s Sample, wires *[windowWires]Wire) {
 	pitch := p.M1.Pitch
 	width := p.M1.Width + s.CDEUV
 	for i := range wires {

@@ -21,8 +21,8 @@ func TestOptionStrings(t *testing.T) {
 func TestNominalGeometryIdenticalAcrossOptions(t *testing.T) {
 	p := tech.N10()
 	for _, o := range Options {
-		w, err := Realize(p, o, Nominal)
-		if err != nil {
+		var w Window
+		if err := Realize(&p, o, Nominal, &w); err != nil {
 			t.Fatalf("%v nominal: %v", o, err)
 		}
 		v := w.VictimWire()
@@ -44,8 +44,8 @@ func TestNominalGeometryIdenticalAcrossOptions(t *testing.T) {
 
 func TestLE3MaskAssignment(t *testing.T) {
 	p := tech.N10()
-	w, err := Realize(p, LE3, Nominal)
-	if err != nil {
+	var w Window
+	if err := Realize(&p, LE3, Nominal, &w); err != nil {
 		t.Fatal(err)
 	}
 	if w.VictimWire().Mask != MaskA {
@@ -59,8 +59,8 @@ func TestLE3MaskAssignment(t *testing.T) {
 func TestLE3OverlayMovesOnlyItsMask(t *testing.T) {
 	p := tech.N10()
 	s := Sample{OLB: 5e-9}
-	w, err := Realize(p, LE3, s)
-	if err != nil {
+	var w Window
+	if err := Realize(&p, LE3, s, &w); err != nil {
 		t.Fatal(err)
 	}
 	// Mask A (victim) stays put; mask B moves as a rigid comb.
@@ -82,8 +82,8 @@ func TestLE3OverlayMovesOnlyItsMask(t *testing.T) {
 
 func TestLE3CDAffectsAllLinesOfMask(t *testing.T) {
 	p := tech.N10()
-	w, err := Realize(p, LE3, Sample{CDA: 3e-9})
-	if err != nil {
+	var w Window
+	if err := Realize(&p, LE3, Sample{CDA: 3e-9}, &w); err != nil {
 		t.Fatal(err)
 	}
 	for i, wr := range w.Wires {
@@ -102,8 +102,8 @@ func TestSADPSelfAlignment(t *testing.T) {
 	// The victim is spacer-defined: its spacing to both neighbours is
 	// exactly the spacer thickness, whatever the mandrel CD does.
 	for _, dm := range []float64{-3e-9, 0, 3e-9} {
-		w, err := Realize(p, SADP, Sample{CDCore: dm})
-		if err != nil {
+		var w Window
+		if err := Realize(&p, SADP, Sample{CDCore: dm}, &w); err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(w.GapBelow()-p.SADP.SpacerThk) > 1e-15 ||
@@ -119,8 +119,8 @@ func TestSADPAntiCorrelation(t *testing.T) {
 	// Shrinking the mandrel widens the bit line and narrows the core
 	// (power) line by the same amount: the paper's Rbl/RVSS
 	// anti-correlation mechanism.
-	w, err := Realize(p, SADP, Sample{CDCore: -3e-9})
-	if err != nil {
+	var w Window
+	if err := Realize(&p, SADP, Sample{CDCore: -3e-9}, &w); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(w.VictimWire().Width()-(p.M1.Width+3e-9)) > 1e-15 {
@@ -137,8 +137,8 @@ func TestSADPPeriodConservationProperty(t *testing.T) {
 		// Keep deltas in a physically sane band.
 		dm := math.Mod(math.Abs(dmRaw), 8e-9) - 4e-9
 		dt := math.Mod(math.Abs(dtRaw), 6e-9) - 3e-9
-		w, err := Realize(p, SADP, Sample{CDCore: dm, CDSpacer: dt})
-		if err != nil {
+		var w Window
+		if err := Realize(&p, SADP, Sample{CDCore: dm, CDSpacer: dt}, &w); err != nil {
 			return true // collapsed geometry is allowed to error
 		}
 		// victim width + core width + 2 spacers == period
@@ -152,8 +152,8 @@ func TestSADPPeriodConservationProperty(t *testing.T) {
 
 func TestEUVCommonCD(t *testing.T) {
 	p := tech.N10()
-	w, err := Realize(p, EUV, Sample{CDEUV: 3e-9})
-	if err != nil {
+	var w Window
+	if err := Realize(&p, EUV, Sample{CDEUV: 3e-9}, &w); err != nil {
 		t.Fatal(err)
 	}
 	for i, wr := range w.Wires {
@@ -172,17 +172,22 @@ func TestEUVCommonCD(t *testing.T) {
 
 func TestRealizeRejectsCollapsedGeometry(t *testing.T) {
 	p := tech.N10()
-	// Overlay so large the mask-B comb merges into the victim.
-	if _, err := Realize(p, LE3, Sample{OLB: 25e-9}); err == nil {
-		t.Fatal("expected merged-wire error")
-	}
-	// Spacer eats the whole gap line.
-	if _, err := Realize(p, SADP, Sample{CDSpacer: 14e-9}); err == nil {
-		t.Fatal("expected collapsed-gap error")
-	}
-	// Unknown option.
-	if _, err := Realize(p, Option(42), Nominal); err == nil {
-		t.Fatal("expected unknown-option error")
+	for _, c := range []struct {
+		name string
+		o    Option
+		s    Sample
+	}{
+		{"merged wires", LE3, Sample{OLB: 25e-9}},        // mask-B comb merges into the victim
+		{"collapsed gap", SADP, Sample{CDSpacer: 14e-9}}, // spacer eats the whole gap line
+		{"unknown option", Option(42), Nominal},
+	} {
+		var w Window
+		if err := Realize(&p, c.o, c.s, &w); err == nil {
+			t.Fatalf("%s: expected an error", c.name)
+		}
+		if w != (Window{}) {
+			t.Fatalf("%s: a failed Realize left %+v, want the zero window", c.name, w)
+		}
 	}
 }
 
@@ -269,7 +274,10 @@ func TestCornerSampleAndString(t *testing.T) {
 
 func TestWindowHelpers(t *testing.T) {
 	p := tech.N10()
-	w, _ := Realize(p, LE3, Nominal)
+	var w Window
+	if err := Realize(&p, LE3, Nominal, &w); err != nil {
+		t.Fatal(err)
+	}
 	if Describe(w) == "" {
 		t.Fatal("Describe empty")
 	}
@@ -286,7 +294,8 @@ func TestRandomSamplesRealizable(t *testing.T) {
 			for _, prm := range Params(p, o) {
 				prm.Apply(&s, rng.NormFloat64()*prm.Sigma)
 			}
-			if _, err := Realize(p, o, s); err != nil {
+			var w Window
+			if err := Realize(&p, o, s, &w); err != nil {
 				t.Fatalf("trial %d %v: %v (sample %+v)", trial, o, err, s)
 			}
 		}

@@ -47,15 +47,15 @@ func TestThicknessExtensionAddsParam(t *testing.T) {
 
 func TestThicknessPropagatesToWindow(t *testing.T) {
 	p := tech.N10()
-	w, err := Realize(p, EUV, Sample{DThk: 1.5e-9})
-	if err != nil {
+	var w Window
+	if err := Realize(&p, EUV, Sample{DThk: 1.5e-9}, &w); err != nil {
 		t.Fatal(err)
 	}
 	if w.DThk != 1.5e-9 {
 		t.Fatalf("window DThk %g", w.DThk)
 	}
 	// Collapsing thickness is rejected.
-	if _, err := Realize(p, EUV, Sample{DThk: -p.M1.Thickness}); err == nil {
+	if err := Realize(&p, EUV, Sample{DThk: -p.M1.Thickness}, &w); err == nil {
 		t.Fatal("metal collapse accepted")
 	}
 }
@@ -74,7 +74,8 @@ func TestDrawAndRealizeAllocationFree(t *testing.T) {
 			t.Errorf("%v: Draw allocates %v times per draw", o, allocs)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := Realize(p, o, s); err != nil {
+			var w Window
+			if err := Realize(&p, o, s, &w); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -93,8 +93,8 @@ type CellParasitics struct {
 // using capacitance model cm (patterning option is irrelevant at nominal:
 // all engines produce the same drawn geometry).
 func NominalParasitics(p tech.Process, cm extract.CapModel) (CellParasitics, error) {
-	win, err := litho.Realize(p, litho.EUV, litho.Nominal)
-	if err != nil {
+	var win litho.Window
+	if err := litho.Realize(&p, litho.EUV, litho.Nominal, &win); err != nil {
 		return CellParasitics{}, err
 	}
 	cell := extract.PerCell(p, extract.ExtractVictim(p, win, cm))

@@ -119,13 +119,15 @@ type FEOL struct {
 }
 
 // WPre returns the precharge device width for an array of n word lines.
-func (f FEOL) WPre(n int) float64 {
+// FEOL is large, so its methods take a pointer: a per-trial call copies
+// nothing.
+func (f *FEOL) WPre(n int) float64 {
 	return f.WPre0 * float64(n) / float64(f.WPreRefN)
 }
 
 // CPre returns the total n-dependent precharge-side capacitance on one bit
 // line: fixed overhead plus the scaled precharge device junction.
-func (f FEOL) CPre(n int) float64 {
+func (f *FEOL) CPre(n int) float64 {
 	return f.CPre0 + f.WPre(n)*f.CJPerM
 }
 
