@@ -91,7 +91,9 @@ lint:
 
 # Unreachable-code gate: build every product binary (mpvar, each example
 # and bench's mpbench) without inlining, which would hide live callees,
-# list the mpsram/internal text symbols they link (go tool nm), and
+# list the mpsram/internal text symbols they link (go tool nm; a generic
+# function's instantiations, take[go.shape.float64] and the like, count
+# under its declared name), and
 # compare the functions declared in non-test files under internal/ that
 # none of them links with tools/unlinked/keep.txt: test oracles,
 # accessors tests read results through, API kept by design and the
@@ -106,7 +108,7 @@ unlinked:
 	done; \
 	$(GO) -C bench build -gcflags=all=-l -o "$$tmp/bin/mpbench" .; \
 	for b in "$$tmp"/bin/*; do $(GO) tool nm "$$b"; done | \
-		awk '$$2 == "T" && $$3 ~ /^mpsram\/internal\// { print $$3 }' | sort -u > "$$tmp/linked"; \
+		awk '$$2 == "T" && $$3 ~ /^mpsram\/internal\// { sub(/\[.*/, "", $$3); print $$3 }' | sort -u > "$$tmp/linked"; \
 	$(GO) run tools/unlinked/funcdecls.go mpsram internal > "$$tmp/declared"; \
 	comm -23 "$$tmp/declared" "$$tmp/linked" > "$$tmp/unlinked"; \
 	sed '/^#/d; /^$$/d' tools/unlinked/keep.txt | sort > "$$tmp/keep"; \
@@ -119,11 +121,14 @@ unlinked:
 # Byte identity against another revision: build ./cmd/mpvar at BASE (a
 # git archive export in a temporary directory, removed on exit) and from
 # the working tree, run every -list workload at -smoke -format json, both
-# bench pins and a few full-budget bodies, and cmp each pair of outputs.
-# The goldens print six significant digits, so only this sees a one-ulp
-# drift. Names every command whose output or exit status differs (or that
-# fails) and exits 1 on any. Not a CI step: a change that moves result
-# bytes on purpose says so rather than weakening a gate.
+# bench pins, a few full-budget bodies and three shard artifacts (both
+# shards of fig5 at 50 000 draws and one of table4, written to the file
+# art in each side's own working directory), and cmp each pair of
+# outputs and artifacts. The goldens print six significant digits, so
+# only this sees a one-ulp drift. Names every command whose output,
+# artifact or exit status differs (or that fails) and exits 1 on any. Not
+# a CI step: a change that moves result bytes on purpose says so rather
+# than weakening a gate.
 BASE ?= HEAD
 parent-cmp:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/base"; \
@@ -137,18 +142,22 @@ parent-cmp:
 	  echo "-thk 2 -format json ext"; \
 	  echo "-smoke -format json mcspice -cv"; \
 	  echo "-smoke -format json mcspice -adaptive"; \
-	  echo "-smoke -format json mcspicex -cv"; } > "$$tmp/cmds"; \
-	n=0; bad=0; \
+	  echo "-smoke -format json mcspicex -cv"; \
+	  echo "shard -index 0 -of 2 -samples 50000 -o art fig5"; \
+	  echo "shard -index 1 -of 2 -samples 50000 -o art fig5"; \
+	  echo "shard -index 0 -of 2 -o art table4"; } > "$$tmp/cmds"; \
+	n=0; bad=0; mkdir "$$tmp/b" "$$tmp/h"; \
 	while read -r args; do \
-		n=$$((n+1)); eb=0; eh=0; \
-		"$$tmp/mpvar-base" $$args < /dev/null > "$$tmp/base.out" 2> /dev/null || eb=$$?; \
-		"$$tmp/mpvar-head" $$args < /dev/null > "$$tmp/head.out" 2> /dev/null || eh=$$?; \
-		if [ $$eb -ne 0 ] || [ $$eh -ne 0 ] || ! cmp -s "$$tmp/base.out" "$$tmp/head.out"; then \
+		n=$$((n+1)); eb=0; eh=0; rm -f "$$tmp/b/art" "$$tmp/h/art"; \
+		(cd "$$tmp/b" && "$$tmp/mpvar-base" $$args < /dev/null > out 2> /dev/null) || eb=$$?; \
+		(cd "$$tmp/h" && "$$tmp/mpvar-head" $$args < /dev/null > out 2> /dev/null) || eh=$$?; \
+		if [ $$eb -ne 0 ] || [ $$eh -ne 0 ] || ! cmp -s "$$tmp/b/out" "$$tmp/h/out" || \
+			{ { [ -e "$$tmp/b/art" ] || [ -e "$$tmp/h/art" ]; } && ! cmp -s "$$tmp/b/art" "$$tmp/h/art"; }; then \
 			echo "parent-cmp: mpvar $$args: differs (exit $$eb at $(BASE), $$eh here)"; bad=$$((bad+1)); \
 		fi; \
 	done < "$$tmp/cmds"; \
 	if [ $$bad -ne 0 ]; then echo "parent-cmp: $$bad of $$n commands differ from $(BASE)"; exit 1; fi; \
-	echo "parent-cmp: all $$n command outputs cmp equal to $(BASE)"
+	echo "parent-cmp: all $$n command outputs and artifacts cmp equal to $(BASE)"
 
 fmt:
 	gofmt -w .

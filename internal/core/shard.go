@@ -11,8 +11,11 @@
 //
 // Checkpointing reuses the artifact format unchanged: a checkpoint is
 // simply an artifact whose streams stop at the persisted frontier and
-// whose header says complete=false. Writes are atomic (tmp + rename), so
-// a kill during a checkpoint leaves the previous one intact.
+// whose header says complete=false. An artifact is written to disk in
+// pieces (magic, header length, header JSON, then the payload
+// mc.ShardRun.EncodePayload built at its final size), never assembled in
+// memory. Writes are atomic (tmp + rename), so a kill during a
+// checkpoint leaves the previous one intact.
 package core
 
 import (
@@ -66,30 +69,19 @@ type ShardArtifact struct {
 	Payload *mc.ShardPayload
 }
 
-// encodeShardArtifact encodes header+payload in the artifact container
-// format: the bytes writeShardArtifact persists to disk and the remote
-// shard fabric streams over HTTP, so both ends agree bit for bit with
-// the on-disk form.
-func encodeShardArtifact(h ShardHeader, payload []byte) ([]byte, error) {
+// writeShardArtifact persists header+payload atomically: a kill mid-write
+// can only ever lose the newest checkpoint, never corrupt the file. The
+// container's pieces (magic, header length, header JSON, payload) are
+// written to the file in sequence rather than joined in memory first, so
+// the payload is never copied.
+func writeShardArtifact(path string, h ShardHeader, payload []byte) error {
 	hdr, err := json.Marshal(h)
 	if err != nil {
-		return nil, fmt.Errorf("core: encoding shard header: %w", err)
+		return fmt.Errorf("core: encoding shard header: %w", err)
 	}
-	buf := make([]byte, 0, len(shardMagic)+4+len(hdr)+len(payload))
-	buf = append(buf, shardMagic...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(hdr)))
-	buf = append(buf, hdr...)
-	return append(buf, payload...), nil
-}
-
-// writeShardArtifact persists header+payload atomically: a kill mid-write
-// can only ever lose the newest checkpoint, never corrupt the file.
-func writeShardArtifact(path string, h ShardHeader, payload []byte) error {
-	data, err := encodeShardArtifact(h, payload)
-	if err != nil {
-		return err
-	}
-	return WriteShardArtifactFile(path, data)
+	var hlen [4]byte
+	binary.BigEndian.PutUint32(hlen[:], uint32(len(hdr)))
+	return writeFileAtomic(path, shardMagic, hlen[:], hdr, payload)
 }
 
 // WriteShardArtifactFile persists already-encoded artifact bytes
@@ -98,8 +90,24 @@ func writeShardArtifact(path string, h ShardHeader, payload []byte) error {
 // checkpoint bytes through it so a crash mid-write never corrupts a
 // resumable file.
 func WriteShardArtifactFile(path string, data []byte) error {
+	return writeFileAtomic(path, data)
+}
+
+// writeFileAtomic writes the pieces in order to path+".tmp" and renames
+// it over path, so path only ever holds a complete file.
+func writeFileAtomic(path string, pieces ...[]byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	for _, p := range pieces {
+		if _, err := f.Write(p); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -43,8 +44,17 @@ func FuzzShardArtifact(f *testing.F) {
 	if !bytes.Equal(again, real) {
 		f.Fatal("real artifact does not round-trip byte for byte")
 	}
+	// A record claiming more values than its bytes hold: fig5's streams
+	// collect one observable, so the artifact ends with its last record's
+	// value count and one value; the count now claims a full block.
+	values := append([]byte(nil), real...)
+	binary.BigEndian.PutUint64(values[len(values)-16:], 256)
+	if _, err := DecodeShardArtifact(values); err == nil || err.Error() != "stats: truncated record encoding" {
+		f.Fatalf("value count past the record's bytes: %v", err)
+	}
 	f.Add(real)
 	f.Add(real[:len(real)/2])
+	f.Add(values)
 	f.Add([]byte(nil))
 	f.Add(append([]byte(nil), shardMagic...))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -67,6 +77,21 @@ func FuzzShardArtifact(f *testing.F) {
 			t.Fatalf("header round trip drifted: %+v -> %+v", h, back.Header)
 		}
 	})
+}
+
+// encodeShardArtifact joins header and payload in memory, in the
+// container format writeShardArtifact writes to disk piece by piece and
+// the remote fabric ships: the tests' reference for those bytes.
+func encodeShardArtifact(h ShardHeader, payload []byte) ([]byte, error) {
+	hdr, err := json.Marshal(h)
+	if err != nil {
+		return nil, fmt.Errorf("core: encoding shard header: %w", err)
+	}
+	buf := make([]byte, 0, len(shardMagic)+4+len(hdr)+len(payload))
+	buf = append(buf, shardMagic...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(hdr)))
+	buf = append(buf, hdr...)
+	return append(buf, payload...), nil
 }
 
 // artifactPayload returns the payload bytes after an artifact's magic and

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -340,6 +341,47 @@ func TestShardArtifactStreamRoundTrip(t *testing.T) {
 	if _, err := DecodeShardArtifact([]byte("nope")); err == nil ||
 		!strings.Contains(err.Error(), "magic") {
 		t.Fatalf("junk stream: %v", err)
+	}
+}
+
+// TestShardArtifactBytesPinned pins the SHA-256 of complete RunShard
+// artifacts, one spec per stream kind: collected values (fig5), P²
+// sketches (table4, two records, the second a partial block) and paired
+// control variates (mcspice -cv). A round trip passes when the encoder
+// and the decoder drift together, but a drained server of an earlier
+// build leaves checkpoints this build must still resume. A change that
+// moves a digest changes the artifact format, so it bumps the codec
+// versions (mc.payloadCodecVersion, mc.streamCodecVersion or the
+// container's magic).
+func TestShardArtifactBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		kind  string
+		spec  RunSpec
+		shard mc.ShardSpec
+		want  string
+	}{
+		{"collect", RunSpec{Workload: "fig5", Samples: 600}, mc.ShardSpec{Index: 0, Count: 2},
+			"cc9183ab3f776eba4dc134c77f63b8289d60b9f3e5d74ebc86b426338affca0d"},
+		{"sketch", RunSpec{Workload: "table4", Samples: 600}, mc.ShardSpec{Index: 1, Count: 2},
+			"0060d7ffde07690be193c2094e272bb96b2f4ee10fd20e1c86fbca226dbf3341"},
+		{"paired", RunSpec{Workload: "mcspice", Samples: 4, Params: exp.Params{"n": 16, "cv": true}}, mc.ShardSpec{Index: 0, Count: 1},
+			"b4b8e55dcad147935902617b7f720ae5ae48299d751c9147ee694ba002c431b0"},
+	} {
+		t.Run(c.kind, func(t *testing.T) {
+			t.Parallel()
+			path := filepath.Join(t.TempDir(), "pin.shard")
+			if err := RunShard(c.spec, c.shard, path, ShardRunOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != c.want {
+				t.Errorf("%s shard %d of %d: artifact sha256 %s, want %s",
+					c.spec.Workload, c.shard.Index, c.shard.Count, got, c.want)
+			}
+		})
 	}
 }
 

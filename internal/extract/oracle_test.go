@@ -11,10 +11,11 @@ import (
 	"mpsram/internal/tech"
 )
 
-// This file keeps the slice-based window realizers and the two-window
-// VarRatios that the fixed-size windows and the per-stream RatioModel
-// replaced, verbatim in their arithmetic, as the oracle FuzzVarRatios
-// checks the live code against bit for bit.
+// This file keeps the slice-based window realizers, the per-call closed
+// forms and the two-window VarRatios that the fixed-size windows and the
+// per-stream RatioModel replaced, verbatim in their arithmetic, as the
+// oracle FuzzVarRatios checks the live code against bit for bit. The
+// oracle calls none of the extraction code under test.
 
 type oracleWindow struct {
 	option litho.Option
@@ -146,6 +147,44 @@ func oracleEUV(p tech.Process, s litho.Sample) oracleWindow {
 	return oracleWindow{option: litho.EUV, wires: wires, victim: oracleHalf}
 }
 
+// oracleGroundPerM is CapModel.GroundPerM of cm as a single closed form.
+func oracleGroundPerM(cm CapModel, eps, w, t, h float64) float64 {
+	switch cm.(type) {
+	case SakuraiTamaru:
+		return eps * (1.15*(w/h) + 2.80*math.Pow(t/h, 0.222))
+	case PlateFringe:
+		return eps * (w/h + 0.77 + 1.06*math.Pow(t/h, 0.5))
+	}
+	panic(fmt.Sprintf("oracle: no closed form for capacitance model %T", cm))
+}
+
+// oracleCouplingPerM is CapModel.CouplingPerM of cm as a single closed
+// form.
+func oracleCouplingPerM(cm CapModel, eps, w, t, s, h float64) float64 {
+	switch cm.(type) {
+	case SakuraiTamaru:
+		k := 0.03*(w/h) + 0.83*(t/h) - 0.07*math.Pow(t/h, 0.222)
+		return eps * k * math.Pow(s/h, -1.34)
+	case PlateFringe:
+		return eps * (t/s + 0.6)
+	}
+	panic(fmt.Sprintf("oracle: no closed form for capacitance model %T", cm))
+}
+
+// oracleResistancePerM is ResistancePerM with the trapezoid's area
+// written out: the tapered cross-section minus the bottom barrier's
+// height and the side barriers' width.
+func oracleResistancePerM(m tech.MetalLayer, w float64) float64 {
+	taper := m.TaperDeg * math.Pi / 180
+	wTop, wBot := w, w-2*m.Thickness*math.Tan(taper)
+	cuTop, cuBot, cuT := wTop-2*m.BarrierSide, wBot-2*m.BarrierSide, m.Thickness-m.BarrierBottom
+	a := (cuTop + cuBot) / 2 * cuT
+	if a <= 0 {
+		return math.Inf(1)
+	}
+	return m.Rho / a
+}
+
 func oracleExtractWire(p tech.Process, w oracleWindow, i int, cm CapModel) WireRC {
 	wire := w.wires[i]
 	width := wire.Width()
@@ -154,18 +193,18 @@ func oracleExtractWire(p tech.Process, w oracleWindow, i int, cm CapModel) WireR
 	d := p.Diel
 	eps := d.Eps()
 	out := WireRC{
-		RPerM: ResistancePerM(m, width),
-		CgPerM: cm.GroundPerM(eps, width, m.Thickness, d.HBelow) +
-			cm.GroundPerM(eps, width, m.Thickness, d.HAbove),
+		RPerM: oracleResistancePerM(m, width),
+		CgPerM: oracleGroundPerM(cm, eps, width, m.Thickness, d.HBelow) +
+			oracleGroundPerM(cm, eps, width, m.Thickness, d.HAbove),
 	}
 	hAvg := (d.HBelow + d.HAbove) / 2
 	if i > 0 {
 		s := wire.Span.Gap(w.wires[i-1].Span)
-		out.CcBelowPerM = cm.CouplingPerM(eps, width, m.Thickness, s, hAvg)
+		out.CcBelowPerM = oracleCouplingPerM(cm, eps, width, m.Thickness, s, hAvg)
 	}
 	if i < len(w.wires)-1 {
 		s := wire.Span.Gap(w.wires[i+1].Span)
-		out.CcAbovePerM = cm.CouplingPerM(eps, width, m.Thickness, s, hAvg)
+		out.CcAbovePerM = oracleCouplingPerM(cm, eps, width, m.Thickness, s, hAvg)
 	}
 	return out
 }
@@ -185,7 +224,7 @@ func oracleVarRatios(p tech.Process, o litho.Option, s litho.Sample, cm CapModel
 	actVss := oracleExtractWire(p, win, win.victim-1, cm)
 	return Ratios{
 		Rvar:    act.RPerM / nom.RPerM,
-		Cvar:    act.CTotalPerM() / nom.CTotalPerM(),
+		Cvar:    (act.CgPerM + act.CcBelowPerM + act.CcAbovePerM) / (nom.CgPerM + nom.CcBelowPerM + nom.CcAbovePerM),
 		RvssVar: actVss.RPerM / nomVss.RPerM,
 	}, nil
 }

@@ -102,10 +102,6 @@ func (r Rect) Union(o Rect) Rect {
 	}
 }
 
-func (r Rect) String() string {
-	return fmt.Sprintf("(%.3g,%.3g)-(%.3g,%.3g)", r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
-}
-
 // Trapezoid describes a wire cross-section after etch taper: the top width
 // differs from the bottom width, height T. Used by the resistance extractor.
 type Trapezoid struct {

@@ -13,7 +13,6 @@ package layout
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"mpsram/internal/geom"
@@ -103,73 +102,55 @@ func SRAM6TCell(p tech.Process) *Cell {
 // Array tiles the 6T cell into a rows×cols floorplan (rows = word lines =
 // cells along a bit line; cols = bit-line pairs). Shapes are flattened;
 // abutting M1 tracks of horizontally adjacent cells merge into continuous
-// bit lines.
+// bit lines. The shapes come out in one slice, sized once: first every
+// cell's M2 word-line strap in tiling order, then each M1 track, bottom
+// to top, merged across the rows as they are tiled.
 func Array(p tech.Process, rows, cols int) (*Cell, error) {
 	if rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("layout: bad array %dx%d", rows, cols)
 	}
 	base := SRAM6TCell(p)
-	arr := &Cell{Name: fmt.Sprintf("array_%dx%d", cols, rows)}
+	var m1, other []Shape
+	for _, s := range base.Shapes {
+		if s.Layer == LayerM1 {
+			m1 = append(m1, s)
+		} else {
+			other = append(other, s)
+		}
+	}
+	arr := &Cell{
+		Name:   fmt.Sprintf("array_%dx%d", cols, rows),
+		Shapes: make([]Shape, 0, rows*cols*len(other)+cols*len(m1)),
+	}
 	for r := 0; r < rows; r++ {
 		dx := float64(r) * p.Cell.XPitch
-		for cIdx := 0; cIdx < cols; cIdx++ {
-			dy := float64(cIdx) * p.Cell.YPitch
-			for _, s := range base.Shapes {
-				ns := s
-				ns.Rect = s.Rect.Translate(geom.Point{X: dx, Y: dy})
-				arr.Shapes = append(arr.Shapes, ns)
+		for c := 0; c < cols; c++ {
+			dy := float64(c) * p.Cell.YPitch
+			for _, s := range other {
+				s.Rect = s.Rect.Translate(geom.Point{X: dx, Y: dy})
+				arr.Shapes = append(arr.Shapes, s)
 			}
 		}
 	}
-	arr.mergeHorizontalM1()
-	return arr, nil
-}
-
-// mergeHorizontalM1 merges x-abutting same-net M1 rectangles into single
-// continuous wires (the bit lines run the full array).
-func (c *Cell) mergeHorizontalM1() {
-	type key struct {
-		lo, hi float64
-		net    string
-	}
-	groups := map[key][]geom.Rect{}
-	var rest []Shape
-	for _, s := range c.Shapes {
-		if s.Layer != LayerM1 {
-			rest = append(rest, s)
-			continue
-		}
-		k := key{s.Rect.Min.Y, s.Rect.Max.Y, s.Net}
-		groups[k] = append(groups[k], s.Rect)
-	}
-	var keys []key
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].lo != keys[j].lo {
-			return keys[i].lo < keys[j].lo
-		}
-		return keys[i].net < keys[j].net
-	})
-	merged := rest
-	for _, k := range keys {
-		rects := groups[k]
-		sort.Slice(rects, func(i, j int) bool { return rects[i].Min.X < rects[j].Min.X })
-		cur := rects[0]
-		for _, r := range rects[1:] {
-			if r.Min.X <= cur.Max.X+1e-12 {
-				if r.Max.X > cur.Max.X {
-					cur.Max.X = r.Max.X
+	for c := 0; c < cols; c++ {
+		dy := float64(c) * p.Cell.YPitch
+		for _, s := range m1 {
+			cur := s.Rect.Translate(geom.Point{Y: dy})
+			for r := 1; r < rows; r++ {
+				next := s.Rect.Translate(geom.Point{X: float64(r) * p.Cell.XPitch, Y: dy})
+				if next.Min.X <= cur.Max.X+1e-12 {
+					if next.Max.X > cur.Max.X {
+						cur.Max.X = next.Max.X
+					}
+					continue
 				}
-				continue
+				arr.Shapes = append(arr.Shapes, Shape{Layer: LayerM1, Net: s.Net, Rect: cur})
+				cur = next
 			}
-			merged = append(merged, Shape{Layer: LayerM1, Net: k.net, Rect: cur})
-			cur = r
+			arr.Shapes = append(arr.Shapes, Shape{Layer: LayerM1, Net: s.Net, Rect: cur})
 		}
-		merged = append(merged, Shape{Layer: LayerM1, Net: k.net, Rect: cur})
 	}
-	c.Shapes = merged
+	return arr, nil
 }
 
 // FromWindow renders a realized patterning window (litho cross-section) as

@@ -333,9 +333,12 @@ func appendRecord(b []byte, h streamHeader, rec StreamRecord) []byte {
 // EncodePayload serializes the capture's current state — every stream's
 // contiguous record prefix. Safe to call from the Checkpoint callback
 // (the scheduler serializes it with record emission) and after the run
-// returns; the encoding is a valid resume/reduce payload either way.
+// returns; the encoding is a valid resume/reduce payload either way. The
+// buffer is allocated once, at payloadSize, so a checkpoint costs one
+// allocation of the payload's size.
 func (sr *ShardRun) EncodePayload() []byte {
-	b := []byte{payloadCodecVersion}
+	b := make([]byte, 0, sr.payloadSize())
+	b = append(b, payloadCodecVersion)
 	b = stats.AppendU64(b, uint64(len(sr.streams)))
 	for _, st := range sr.streams {
 		b = appendHeader(b, st.header)
@@ -345,6 +348,31 @@ func (sr *ShardRun) EncodePayload() []byte {
 		}
 	}
 	return b
+}
+
+// payloadSize returns the exact length of EncodePayload's output. Every
+// record of a stream encodes the same fixed part (its block and reject
+// counts and one accumulator set per observable) plus eight bytes per
+// collected value. The fixed part is measured by encoding the stream's
+// first record without its values, so the size follows the encoder. The
+// measurement is encoded into a stack array, which a record of more than
+// about six observables outgrows into one heap allocation per stream.
+func (sr *ShardRun) payloadSize() int {
+	var scratch [4096]byte
+	n := 1 + 8
+	for _, st := range sr.streams {
+		n += len(appendHeader(scratch[:0], st.header)) + 8
+		if len(st.recs) == 0 {
+			continue
+		}
+		first := st.recs[0]
+		first.Values = nil
+		n += len(st.recs) * len(appendRecord(scratch[:0], st.header, first))
+		for _, rec := range st.recs {
+			n += 8 * len(rec.Values)
+		}
+	}
+	return n
 }
 
 // decodeHeader consumes one stream header.
@@ -370,8 +398,90 @@ func decodeHeader(r *stats.CodecReader) (streamHeader, error) {
 	return h, nil
 }
 
-// decodeRecord consumes one record under the stream header's layout.
-func decodeRecord(r *stats.CodecReader, h streamHeader) (StreamRecord, error) {
+// Encoded sizes of the per-observable accumulators, taken from their
+// encoders: a stream's arrays never hold more elements than the bytes
+// left to decode can encode.
+var (
+	welfordBytes = len(stats.Welford{}.AppendBinary(nil))
+	sketchBytes  = len(appendSketch(nil, QuantileSketch{}))
+	cvBytes      = len(stats.ControlVariate{}.AppendBinary(nil))
+)
+
+// streamArrays hold one stream's decoded per-record slices: each field is
+// one backing array that decodeRecord cuts every record's slice from.
+type streamArrays struct {
+	agg    []stats.Welford
+	quant  []QuantileSketch
+	cv     []stats.ControlVariate
+	values []float64
+}
+
+// newStreamArrays sizes the arrays for nrecs records of stream h, whose
+// encoding is among the rest bytes left: nrecs times the observables
+// (and a full block of values per record when h collects), but never
+// more elements than rest bytes can encode, so a corrupt count cannot
+// make the decoder allocate more than it was given.
+func newStreamArrays(h streamHeader, nrecs, rest int) streamArrays {
+	var a streamArrays
+	if nrecs == 0 || h.Nobs > rest/8 {
+		return a // nothing to decode, or decodeRecord refuses the count
+	}
+	switch {
+	case h.Kind == streamPaired:
+		a.cv = make([]stats.ControlVariate, 0, arrayLen(nrecs, h.Nobs, rest/cvBytes))
+		a.quant = make([]QuantileSketch, 0, arrayLen(nrecs, h.Nobs, rest/sketchBytes))
+	case h.Collect:
+		a.agg = make([]stats.Welford, 0, arrayLen(nrecs, h.Nobs, rest/welfordBytes))
+		a.values = make([]float64, 0, arrayLen(nrecs, blockSize*h.Nobs, rest/8))
+	default:
+		a.agg = make([]stats.Welford, 0, arrayLen(nrecs, h.Nobs, rest/welfordBytes))
+		a.quant = make([]QuantileSketch, 0, arrayLen(nrecs, h.Nobs, rest/sketchBytes))
+	}
+	return a
+}
+
+// arrayLen returns min(nrecs·per, limit) without overflowing the product.
+func arrayLen(nrecs, per, limit int) int {
+	if nrecs > limit/per {
+		return limit
+	}
+	return nrecs * per
+}
+
+// take cuts the next n elements off *arr, capacity capped at n, so an
+// append to one record's slice cannot overwrite the next record's. An
+// array too short for n, which only a corrupt stream reaches, yields a
+// fresh slice, and decoding fails on it as it always has.
+func take[T any](arr *[]T, n int) []T {
+	a := *arr
+	if n > cap(a)-len(a) {
+		return make([]T, n)
+	}
+	*arr = a[:len(a)+n]
+	return a[len(a) : len(a)+n : len(a)+n]
+}
+
+// decodeSketches fills qs from the reader and returns it.
+func decodeSketches(r *stats.CodecReader, qs []QuantileSketch) []QuantileSketch {
+	for j := range qs {
+		qs[j].P05.Decode(r)
+		qs[j].Median.Decode(r)
+		qs[j].P95.Decode(r)
+	}
+	return qs
+}
+
+// decodeWelfords fills ws from the reader and returns it.
+func decodeWelfords(r *stats.CodecReader, ws []stats.Welford) []stats.Welford {
+	for j := range ws {
+		ws[j].Decode(r)
+	}
+	return ws
+}
+
+// decodeRecord consumes one record under the stream header's layout,
+// cutting its slices from the stream's arrays.
+func decodeRecord(r *stats.CodecReader, h streamHeader, a *streamArrays) (StreamRecord, error) {
 	var rec StreamRecord
 	rec.Block = int(r.U64("record"))
 	rec.Rejected = int(r.U64("record"))
@@ -389,43 +499,28 @@ func decodeRecord(r *stats.CodecReader, h streamHeader) (StreamRecord, error) {
 	if h.Nobs > r.Rest()/8 {
 		return rec, fmt.Errorf("mc: record of %d observables truncated at %d bytes", h.Nobs, r.Rest())
 	}
-	decodeSketches := func() []QuantileSketch {
-		qs := make([]QuantileSketch, h.Nobs)
-		for j := range qs {
-			qs[j].P05.Decode(r)
-			qs[j].Median.Decode(r)
-			qs[j].P95.Decode(r)
-		}
-		return qs
-	}
 	switch {
 	case h.Kind == streamPaired:
-		rec.CV = make([]stats.ControlVariate, h.Nobs)
+		rec.CV = take(&a.cv, h.Nobs)
 		for j := range rec.CV {
 			rec.CV[j].Decode(r)
 		}
-		rec.Quant = decodeSketches()
+		rec.Quant = decodeSketches(r, take(&a.quant, h.Nobs))
 	case h.Collect:
-		rec.Agg = make([]stats.Welford, h.Nobs)
-		for j := range rec.Agg {
-			rec.Agg[j].Decode(r)
-		}
+		rec.Agg = decodeWelfords(r, take(&a.agg, h.Nobs))
 		nvals := int(r.U64("record"))
 		if r.Err() == nil && (nvals < 0 || nvals > blockSize*h.Nobs || nvals%h.Nobs != 0) {
 			return rec, fmt.Errorf("mc: record holds %d collected values for %d observables of a %d-trial block", nvals, h.Nobs, blockSize)
 		}
 		if r.Err() == nil && nvals > 0 {
-			rec.Values = make([]float64, nvals)
+			rec.Values = take(&a.values, nvals)
 			for i := range rec.Values {
 				rec.Values[i] = r.F64("record")
 			}
 		}
 	default:
-		rec.Agg = make([]stats.Welford, h.Nobs)
-		for j := range rec.Agg {
-			rec.Agg[j].Decode(r)
-		}
-		rec.Quant = decodeSketches()
+		rec.Agg = decodeWelfords(r, take(&a.agg, h.Nobs))
+		rec.Quant = decodeSketches(r, take(&a.quant, h.Nobs))
 	}
 	return rec, r.Err()
 }
@@ -463,9 +558,10 @@ func DecodeShardPayload(data []byte) (*ShardPayload, error) {
 		if nrecs > r.Rest()/16 {
 			return nil, fmt.Errorf("mc: stream %d claims %d records in %d bytes", s, nrecs, r.Rest())
 		}
+		arrs := newStreamArrays(h, nrecs, r.Rest())
 		recs := make([]StreamRecord, 0, nrecs)
 		for k := 0; k < nrecs; k++ {
-			rec, err := decodeRecord(r, h)
+			rec, err := decodeRecord(r, h, &arrs)
 			if err != nil {
 				return nil, err
 			}

@@ -390,15 +390,170 @@ func TestShardPayloadRejects(t *testing.T) {
 		binary.BigEndian.PutUint64(b[at:], v)
 		return b
 	}
+	// A collecting stream's last record claims a full block of values, but
+	// only its own 44 (300 − 256 trials) follow the count.
+	csr, _ := NewShardRun(ShardSpec{Index: 0, Count: 1})
+	if _, err := RunVector(context.Background(), Config{Samples: 300, Seed: 1, Collect: true, Shard: csr}, 1, func(rng *rand.Rand, out []float64) bool {
+		out[0] = rng.NormFloat64()
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	collected := csr.EncodePayload()
+	valuesAt := len(collected) - 8*(300-blockSize) - 8
 	for _, c := range []struct {
 		name, want string
 		bad        []byte
 	}{
 		{"observables", fmt.Sprintf("record of %d observables truncated", uint64(1<<62)), set(good, nobsAt, 1<<62)},
 		{"records", fmt.Sprintf("stream 0 claims %d records", uint64(1<<50)), set(set(good, samplesAt, 1<<62), recordsAt, 1<<50)},
+		{"values", "stats: truncated record encoding", set(collected, valuesAt, blockSize)},
 	} {
 		if _, err := DecodeShardPayload(c.bad); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("corrupt %s count: %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// rejectingNormals draws one normal per observable and rejects one
+// trial in twenty, so collected records hold different numbers of
+// values.
+func rejectingNormals(rng *rand.Rand, out []float64) bool {
+	if rng.Float64() < 0.05 {
+		return false
+	}
+	for j := range out {
+		out[j] = rng.NormFloat64()
+	}
+	return true
+}
+
+// codecCaptures returns one finished shard-0-of-1 capture of samples
+// trials for each stream kind the payload codec encodes: collected
+// values (two observables), P² sketches (three) and paired control
+// variates (one).
+func codecCaptures(t *testing.T, samples int) map[string]*ShardRun {
+	t.Helper()
+	paired := func(rng *rand.Rand, y, x []float64) bool {
+		v := rng.NormFloat64()
+		x[0] = v
+		y[0] = 2*v + 0.1*rng.NormFloat64()
+		return true
+	}
+	ctx := context.Background()
+	runs := map[string]func(Config) error{
+		"collect": func(c Config) error {
+			c.Collect = true
+			_, err := RunVector(ctx, c, 2, rejectingNormals)
+			return err
+		},
+		"sketch": func(c Config) error { _, err := RunVector(ctx, c, 3, rejectingNormals); return err },
+		"paired": func(c Config) error { _, err := RunVectorPaired(ctx, c, 1, paired); return err },
+	}
+	caps := make(map[string]*ShardRun, len(runs))
+	for name, run := range runs {
+		sr, err := NewShardRun(ShardSpec{Index: 0, Count: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run(Config{Samples: samples, Seed: 3, Workers: 2, Shard: sr}); err != nil {
+			t.Fatalf("%s capture: %v", name, err)
+		}
+		caps[name] = sr
+	}
+	return caps
+}
+
+// TestEncodePayloadExactSize: EncodePayload allocates its buffer at the
+// final size — the returned slice is full — for an empty capture, each
+// stream kind, and a resumed capture both as decoded from its checkpoint
+// and once it has run to the end.
+func TestEncodePayloadExactSize(t *testing.T) {
+	full := func(name string, b []byte) {
+		t.Helper()
+		if len(b) != cap(b) {
+			t.Errorf("%s: EncodePayload returned %d bytes in a %d-byte buffer", name, len(b), cap(b))
+		}
+	}
+	spec := ShardSpec{Index: 0, Count: 1}
+	empty, _ := NewShardRun(spec)
+	full("empty", empty.EncodePayload())
+	caps := codecCaptures(t, 700)
+	for name, sr := range caps {
+		full(name, sr.EncodePayload())
+	}
+
+	want := caps["collect"].EncodePayload()
+	ckpt, err := DecodeShardPayload(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt.streams[0].recs = ckpt.streams[0].recs[:1]
+	resumed, err := ResumeShardRun(spec, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full("resumed checkpoint", resumed.EncodePayload())
+	if _, err := RunVector(context.Background(), Config{Samples: 700, Seed: 3, Collect: true, Shard: resumed}, 2, rejectingNormals); err != nil {
+		t.Fatal(err)
+	}
+	got := resumed.EncodePayload()
+	full("resumed and finished", got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("resumed capture encodes differently from the uninterrupted one")
+	}
+}
+
+// TestDecodedRecordsDoNotAlias: a stream's decoded records share one
+// array per field, so each record's slices must end at their own
+// capacity — appending to one record's Agg, Quant, CV or Values must not
+// write into the next record's.
+func TestDecodedRecordsDoNotAlias(t *testing.T) {
+	for name, sr := range codecCaptures(t, 700) {
+		enc := sr.EncodePayload()
+		p, err := DecodeShardPayload(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ps := range p.streams {
+			for _, rec := range ps.recs {
+				_ = append(rec.Agg, stats.Welford{})
+				_ = append(rec.Quant, QuantileSketch{})
+				_ = append(rec.CV, stats.ControlVariate{})
+				_ = append(rec.Values, 42)
+			}
+		}
+		again, err := ResumeShardRun(ShardSpec{Index: 0, Count: 1}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again.EncodePayload(), enc) {
+			t.Errorf("%s: appending to decoded records changed their neighbours", name)
+		}
+	}
+}
+
+// TestPayloadCodecAllocations pins the codec's allocation counts:
+// EncodePayload allocates once whatever the record count, and decoding a
+// 196-block stream (Fig. 5's 50 000 draws) allocates no more times than
+// decoding a 2-block one, for every stream kind.
+func TestPayloadCodecAllocations(t *testing.T) {
+	small, large := codecCaptures(t, 300), codecCaptures(t, 50000)
+	for name := range small {
+		decodes := make([]float64, 2)
+		for i, sr := range []*ShardRun{small[name], large[name]} {
+			if n := testing.AllocsPerRun(5, func() { sr.EncodePayload() }); n != 1 {
+				t.Errorf("%s, %d records: EncodePayload made %v allocations, want 1", name, len(sr.streams[0].recs), n)
+			}
+			enc := sr.EncodePayload()
+			decodes[i] = testing.AllocsPerRun(5, func() {
+				if _, err := DecodeShardPayload(enc); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if decodes[1] > decodes[0] {
+			t.Errorf("%s: decoding 196 blocks made %v allocations, 2 blocks %v", name, decodes[1], decodes[0])
 		}
 	}
 }

@@ -20,6 +20,7 @@ package tech
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // DeriveSpec parameterizes a node shrink from a base process. The zero
@@ -138,15 +139,16 @@ type Registry struct {
 func NewRegistry(procs ...Process) (*Registry, error) {
 	r := &Registry{procs: make(map[string]Process, len(procs))}
 	for _, p := range procs {
-		if err := r.Add(p); err != nil {
+		if err := r.add(p); err != nil {
 			return nil, err
 		}
 	}
 	return r, nil
 }
 
-// Add validates p and appends it to the registry.
-func (r *Registry) Add(p Process) error {
+// add validates p and appends it to the registry. Only NewRegistry adds,
+// so a registry is immutable once built and safe to share.
+func (r *Registry) add(p Process) error {
 	if p.Name == "" {
 		return fmt.Errorf("tech: registry: preset with empty name")
 	}
@@ -192,11 +194,15 @@ func (r *Registry) Lookup(name string) (Process, error) {
 }
 
 // Default returns the shipped registry: the calibrated N10 preset plus
-// the derived N7- and N5-class nodes, in that order.
-func Default() *Registry {
+// the derived N7- and N5-class nodes, in that order. It is built and
+// validated once per process and shared; a Registry cannot be changed
+// after NewRegistry, and its accessors return copies.
+func Default() *Registry { return defaultRegistry() }
+
+var defaultRegistry = sync.OnceValue(func() *Registry {
 	r, err := NewRegistry(N10(), N7(), N5())
 	if err != nil {
 		panic(err) // presets are pinned by tests; unreachable
 	}
 	return r
-}
+})

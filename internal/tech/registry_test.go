@@ -1,7 +1,9 @@
 package tech
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"mpsram/internal/units"
@@ -142,7 +144,7 @@ func TestRegistryOrderAndDuplicates(t *testing.T) {
 	if _, err := NewRegistry(bad); err == nil {
 		t.Fatal("invalid preset must be rejected")
 	}
-	if err := (&Registry{procs: map[string]Process{}}).Add(Process{}); err == nil {
+	if err := (&Registry{procs: map[string]Process{}}).add(Process{}); err == nil {
 		t.Fatal("empty name must be rejected")
 	}
 }
@@ -162,6 +164,36 @@ func TestDerivedNodesShrinkMonotonically(t *testing.T) {
 		}
 		if b.Var.CD3Sigma > a.Var.CD3Sigma || b.Var.OL3Sigma > a.Var.OL3Sigma {
 			t.Errorf("%s variation budgets grew over %s", b.Name, a.Name)
+		}
+	}
+}
+
+// TestDefaultRegistryShared: Default builds the shipped registry once and
+// hands every caller the same one, which concurrent lookups may read
+// (run under -race to check the sharing).
+func TestDefaultRegistryShared(t *testing.T) {
+	if a, b := Default(), Default(); a != b {
+		t.Fatal("Default built two registries")
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			name := Default().Names()[i%3]
+			p, err := Default().Lookup(strings.ToLower(name))
+			if err == nil && p.Name != name {
+				err = fmt.Errorf("Lookup(%q) returned %s", strings.ToLower(name), p.Name)
+			}
+			errs <- err
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
 		}
 	}
 }
