@@ -121,14 +121,17 @@ unlinked:
 # Byte identity against another revision: build ./cmd/mpvar at BASE (a
 # git archive export in a temporary directory, removed on exit) and from
 # the working tree, run every -list workload at -smoke -format json, both
-# bench pins, a few full-budget bodies and three shard artifacts (both
-# shards of fig5 at 50 000 draws and one of table4, written to the file
-# art in each side's own working directory), and cmp each pair of
-# outputs and artifacts. The goldens print six significant digits, so
-# only this sees a one-ulp drift. Names every command whose output,
-# artifact or exit status differs (or that fails) and exits 1 on any. Not
-# a CI step: a change that moves result bytes on purpose says so rather
-# than weakening a gate.
+# bench pins, a few full-budget bodies and four shard artifacts (both
+# shards of fig5 at 50 000 draws and of table4, written to the file its
+# -o names in each side's own working directory), and cmp each pair of
+# outputs and artifacts. Both binaries then reduce BASE's two shard sets
+# (../b/ from either side), and the reduced bodies are cmp'd too, so
+# artifacts a server of the BASE build left behind must reduce to the
+# same bytes here. The goldens print six significant digits, so only
+# this sees a one-ulp drift. Names every command whose output, artifact
+# or exit status differs (or that fails) and exits 1 on any. Not a CI
+# step: a change that moves result bytes on purpose says so rather than
+# weakening a gate.
 BASE ?= HEAD
 parent-cmp:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/base"; \
@@ -143,16 +146,20 @@ parent-cmp:
 	  echo "-smoke -format json mcspice -cv"; \
 	  echo "-smoke -format json mcspice -adaptive"; \
 	  echo "-smoke -format json mcspicex -cv"; \
-	  echo "shard -index 0 -of 2 -samples 50000 -o art fig5"; \
-	  echo "shard -index 1 -of 2 -samples 50000 -o art fig5"; \
-	  echo "shard -index 0 -of 2 -o art table4"; } > "$$tmp/cmds"; \
+	  echo "shard -index 0 -of 2 -samples 50000 -o fig5.0 fig5"; \
+	  echo "shard -index 1 -of 2 -samples 50000 -o fig5.1 fig5"; \
+	  echo "shard -index 0 -of 2 -o table4.0 table4"; \
+	  echo "shard -index 1 -of 2 -o table4.1 table4"; \
+	  echo "reduce -format json ../b/fig5.0 ../b/fig5.1"; \
+	  echo "reduce -format json ../b/table4.0 ../b/table4.1"; } > "$$tmp/cmds"; \
 	n=0; bad=0; mkdir "$$tmp/b" "$$tmp/h"; \
 	while read -r args; do \
-		n=$$((n+1)); eb=0; eh=0; rm -f "$$tmp/b/art" "$$tmp/h/art"; \
+		n=$$((n+1)); eb=0; eh=0; art=; \
+		case "$$args" in *"-o "*) art=$${args#*-o }; art=$${art%% *};; esac; \
 		(cd "$$tmp/b" && "$$tmp/mpvar-base" $$args < /dev/null > out 2> /dev/null) || eb=$$?; \
 		(cd "$$tmp/h" && "$$tmp/mpvar-head" $$args < /dev/null > out 2> /dev/null) || eh=$$?; \
 		if [ $$eb -ne 0 ] || [ $$eh -ne 0 ] || ! cmp -s "$$tmp/b/out" "$$tmp/h/out" || \
-			{ { [ -e "$$tmp/b/art" ] || [ -e "$$tmp/h/art" ]; } && ! cmp -s "$$tmp/b/art" "$$tmp/h/art"; }; then \
+			{ [ -n "$$art" ] && ! cmp -s "$$tmp/b/$$art" "$$tmp/h/$$art"; }; then \
 			echo "parent-cmp: mpvar $$args: differs (exit $$eb at $(BASE), $$eh here)"; bad=$$((bad+1)); \
 		fi; \
 	done < "$$tmp/cmds"; \

@@ -148,13 +148,17 @@
 // codecs for Welford/P²/ControlVariate in stats/codec.go, exact-round-trip
 // fuzzed in Fuzz*Codec): a reducer replays the same left-fold the
 // single-process run performs, bit for bit. On top of that sit
-// mc.ShardSpec/ShardRun/Replay — execute one contiguous block range of
-// every stream a workload runs, capture the records, or fold recorded
-// ones instead of executing. These are not a second engine: every
-// stream runs through one path (runStream in internal/mc/sched.go), and
-// a direct run is simply the whole-stream capture — shard 0 of 1, kept
-// in memory and folded on the spot. Above them sit
-// core.RunShard/Reduce, which wrap the
+// mc.ShardSpec and mc.ShardRun, the one capture every stream runs on:
+// it executes the stream's blocks of one contiguous block range past
+// its recorded frontier and keeps their records. These are not a second
+// engine: every stream runs through one path (runStream in
+// internal/mc/sched.go). A direct run is a fresh capture of shard 0 of
+// 1, kept in memory and folded on the spot; a shard's capture becomes
+// its artifact and hands the workload an empty result; a resumed shard
+// starts from its checkpoint's records; and the reducer's capture
+// (mc.NewReplay) is shard 0 of 1 merged from a complete shard set with
+// every stream recorded, so it executes nothing and folds the recorded
+// blocks. Above them sit core.RunShard/Reduce, which wrap the
 // capture in a self-identifying artifact file: a JSON header carrying
 // the full normalized RunSpec plus its run key, then the mc payload.
 // Reduce recomputes the key from the header, so artifacts from an older

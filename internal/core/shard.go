@@ -6,8 +6,9 @@
 // carries the full normalized spec, `Reduce` needs only the artifact
 // files: it rebuilds the RunSpec, recomputes the key (so artifacts from
 // an older EngineVersion or a drifted registry refuse to reduce instead
-// of folding stale blocks), re-executes the workload with the engine in
-// replay mode, and renders the byte-identical single-process result.
+// of folding stale blocks), re-executes the workload on the engine
+// capture mc.NewReplay merges from the set — every stream recorded, no
+// trial executed — and renders the byte-identical single-process result.
 //
 // Checkpointing reuses the artifact format unchanged: a checkpoint is
 // simply an artifact whose streams stop at the persisted frontier and
@@ -180,11 +181,10 @@ func (a *ShardArtifact) Verify(runKey string, shard mc.ShardSpec) error {
 	return nil
 }
 
-// withShardRun / withReplay install the engine hooks after the spec's
-// WithMC has built the base config; unexported because the public
-// surface is RunShard and Reduce.
+// withShardRun installs the engine's capture after the spec's WithMC has
+// built the base config; unexported because the public surface is
+// RunShard and Reduce.
 func withShardRun(sr *mc.ShardRun) Option { return func(e *exp.Env) { e.MC.Shard = sr } }
-func withReplay(rp *mc.Replay) Option     { return func(e *exp.Env) { e.MC.Replay = rp } }
 
 // ShardRunOptions tunes RunShard.
 type ShardRunOptions struct {
@@ -208,7 +208,9 @@ type ShardRunOptions struct {
 }
 
 // RunShard executes the shard's block range of every stream in the
-// spec's workload and writes the partial-aggregate artifact to path. On
+// spec's workload and writes the partial-aggregate artifact to path. The
+// workload runs on empty engine results (see mc.Config.Shard), and its
+// rendering is discarded: the result comes from Reduce. On
 // any error — including cancellation — the contiguous frontier reached
 // so far is persisted as a resumable checkpoint before the error is
 // returned, so an interrupted run never loses completed blocks.
@@ -330,15 +332,15 @@ func Reduce(paths []string, extra ...Option) (*exp.Result, error) {
 	if err := arts[0].Verify("", mc.ShardSpec{Index: base.ShardIndex, Count: count}); err != nil {
 		return nil, err
 	}
-	rp, err := mc.NewReplay(parts)
+	sr, err := mc.NewReplay(parts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := base.spec().Run(append(append([]Option(nil), extra...), withReplay(rp))...)
+	res, err := base.spec().Run(append(append([]Option(nil), extra...), withShardRun(sr))...)
 	if err != nil {
 		return nil, err
 	}
-	if err := rp.Done(); err != nil {
+	if err := sr.Done(); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -93,6 +93,30 @@ func TestShardReduceMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestShardReduceEveryWorkload: every workload with a Hints.Cost weight
+// (the ones serve fans out) reduces from two shards to its direct run's
+// bytes, at four draws and its smoke parameters. Four draws are one
+// block, so shard 0's range is empty, and both shards hand the
+// workload's post-processing an empty result.
+func TestShardReduceEveryWorkload(t *testing.T) {
+	for _, w := range exp.Workloads() {
+		if w.Hints.Cost == 0 {
+			continue
+		}
+		spec := RunSpec{Workload: w.Name, Samples: 4, Params: w.Hints.Smoke}
+		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
+			direct, err := spec.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := shardReduce(t, spec, 2, 1), render(t, direct); !bytes.Equal(got, want) {
+				t.Errorf("2 shards diverged from direct run:\n got %q\nwant %q", got, want)
+			}
+		})
+	}
+}
+
 // TestShardCheckpointResumeEndToEnd kills a shard run mid-flight (context
 // cancel from the progress hook), verifies the persisted checkpoint is a
 // strict partial, resumes it to completion, and reduces — byte-identical

@@ -89,7 +89,7 @@ func TestRunVectorRejectedOnlyBlocks(t *testing.T) {
 // owns the verdict for every path: partial rejection is counted, never
 // an error; a whole stream whose every trial is rejected errors both
 // direct and replayed, while each shard capture of that stream returns
-// its empty partial view.
+// an empty view and no error.
 func TestRunRejections(t *testing.T) {
 	half := func(rng *rand.Rand, out []float64) bool {
 		out[0] = rng.Float64()
@@ -118,7 +118,7 @@ func TestRunRejections(t *testing.T) {
 		scfg := cfg
 		scfg.Shard = sr
 		view, err := RunVector(context.Background(), scfg, 1, none)
-		if err != nil || view.Accepted() != 0 || view.Rejected == 0 {
+		if err != nil || view.Accepted() != 0 || view.Rejected != 0 {
 			t.Fatalf("shard %d of an all-rejected stream: %v (view %+v)", i, err, view)
 		}
 		if parts[i], err = DecodeShardPayload(sr.EncodePayload()); err != nil {
@@ -129,7 +129,7 @@ func TestRunRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Replay = rp
+	cfg.Shard = rp
 	if _, err := RunVector(context.Background(), cfg, 1, none); err == nil || !strings.Contains(err.Error(), allRejected) {
 		t.Fatalf("replayed all-rejected stream: %v", err)
 	}

@@ -41,20 +41,17 @@ type Config struct {
 	// the engine and done is strictly increasing within one run, so the
 	// callback needs no locking of its own.
 	Progress func(done, total int)
-	// Shard, if non-nil, restricts every engine run under this config to
-	// the shard's contiguous block range and captures the per-block
-	// partial aggregates (see ShardRun). The returned results are the
-	// shard's partial view — possibly empty, never an all-rejected error
-	// — and exist only so workload code can complete its control flow;
-	// the authoritative result comes from reducing the shard artifacts.
-	// Nil runs each stream whole as shard 0 of 1, kept in memory and
-	// folded on the spot: the direct run is the same capture.
+	// Shard, if non-nil, is the capture every engine run under this
+	// config executes on (see ShardRun). A shard's capture runs only its
+	// contiguous block range and keeps the per-block partial aggregates
+	// for the artifact; the result it returns is always empty (nothing
+	// accepted or rejected, never an error for it), because the
+	// authoritative result comes from reducing the artifacts. The
+	// reducer's capture (NewReplay) executes nothing and returns each
+	// recorded stream folded whole. Nil runs each stream whole as a fresh
+	// shard 0 of 1, kept in memory and folded on the spot: the direct
+	// run is the same capture.
 	Shard *ShardRun
-	// Replay, if non-nil, skips trial execution entirely: every engine
-	// run validates its stream identity against the recording and folds
-	// the recorded blocks in block order (see Replay/NewReplay), which
-	// reproduces the single-process result bit for bit.
-	Replay *Replay
 }
 
 func (c Config) workers() int {

@@ -118,17 +118,18 @@ func (r *StreamRecord) accepted() int {
 type evalFunc func(ctx context.Context, rng *rand.Rand, block, lo, hi int) (rec StreamRecord, ok bool)
 
 // runStream is the one execution path under RunVector and
-// RunVectorPaired, and the only reader of the Replay and Shard hooks. A
-// replay hands back the recorded blocks; a ShardRun executes its block
-// range (past a resumed checkpoint's frontier) and keeps each block's
-// record; with neither set, the whole stream runs as shard 0 of 1, kept
-// in memory. The records come back in block order for the caller's fold.
+// RunVectorPaired, and the only reader of the Shard hook. It begins the
+// stream on the capture — the caller's, or a fresh shard 0 of 1 for a
+// direct run — and runs the stream's blocks of the capture's range past
+// its frontier: all of them on a fresh capture, those a checkpoint had
+// not recorded on a resumed one, and none on a replay.
 //
 // The run's two verdicts live here once for both stream kinds: a
 // cancellation reports the emitted frontier (the partial-progress
-// invariant above), and a whole stream, executed or replayed, whose
-// every trial was rejected is an error — a shard's partial view never
-// is, because the authoritative result comes from the reducer.
+// invariant above), and a whole stream, direct or replayed, goes back to
+// the caller's fold in block order unless its every trial was rejected.
+// A shard capture hands back no records: its view of the stream is the
+// artifact, and the authoritative result comes from the reducer.
 func runStream(ctx context.Context, cfg Config, kind uint8, nobs int, newEval func() evalFunc) ([]StreamRecord, error) {
 	n := cfg.Samples
 	if n < 1 {
@@ -140,43 +141,35 @@ func runStream(ctx context.Context, cfg Config, kind uint8, nobs int, newEval fu
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	hdr := streamHeader{Kind: kind, Collect: cfg.Collect, Nobs: nobs, Samples: n, Seed: cfg.Seed}
-	var recs []StreamRecord
-	if rp := cfg.Replay; rp != nil {
-		var err error
-		if recs, err = rp.nextStream(hdr); err != nil {
-			return nil, err
-		}
-	} else {
-		sh := cfg.Shard
-		if sh == nil {
-			sh = &ShardRun{spec: ShardSpec{Index: 0, Count: 1}}
-		}
-		st, err := sh.beginStream(hdr)
-		if err != nil {
-			return nil, err
-		}
-		first := st.lo + len(st.recs)
-		emitted := runBlocks(ctx, cfg, n, first, st.hi, newEval, func(rec StreamRecord) {
+	sh := cfg.Shard
+	if sh == nil {
+		sh = &ShardRun{spec: ShardSpec{Index: 0, Count: 1}}
+	}
+	st, err := sh.beginStream(streamHeader{Kind: kind, Collect: cfg.Collect, Nobs: nobs, Samples: n, Seed: cfg.Seed})
+	if err != nil {
+		return nil, err
+	}
+	lo, hi := sh.spec.blockRange(Blocks(n))
+	if first := lo + len(st.recs); first < hi {
+		emitted := runBlocks(ctx, cfg, n, first, hi, newEval, func(rec StreamRecord) {
 			st.recs = append(st.recs, rec)
 			sh.advance()
 		})
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("mc: run canceled after %d of %d trials: %w", trialsIn(st.lo, first, n)+emitted, n, err)
+			return nil, fmt.Errorf("mc: run canceled after %d of %d trials: %w", trialsIn(lo, first, n)+emitted, n, err)
 		}
-		if cfg.Shard != nil {
-			return st.recs, nil
-		}
-		recs = st.recs
+	}
+	if cfg.Shard != nil && !sh.replay {
+		return nil, nil
 	}
 	accepted := 0
-	for i := range recs {
-		accepted += recs[i].accepted()
+	for i := range st.recs {
+		accepted += st.recs[i].accepted()
 	}
 	if accepted == 0 {
 		return nil, fmt.Errorf("mc: every one of %d trials was rejected", n)
 	}
-	return recs, nil
+	return st.recs, nil
 }
 
 // runBlocks drives the worker pool over blocks [first,last) of an

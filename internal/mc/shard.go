@@ -1,19 +1,21 @@
-// Sharded execution and replay over the block scheduler. A ShardRun
-// restricts every engine invocation of a run to the shard's contiguous
-// block sub-range and captures the per-block StreamRecords as they are
-// emitted (in block order, so the capture is always a contiguous,
-// checkpointable prefix). A Replay is the reducer's side: it holds the
-// reassembled full record set of every stream and feeds the engine the
-// recorded blocks instead of executing trials, so reduce(shards) runs
-// the exact left-fold of the single-process path — bit-identical by
-// construction, at any shard partition and any per-shard worker count.
+// Sharded execution over the block scheduler. A ShardRun is the one
+// capture every engine invocation runs on: it restricts each stream to
+// the shard's contiguous block sub-range and keeps the per-block
+// StreamRecords as they are emitted (in block order, so the capture is
+// always a contiguous, checkpointable prefix). A direct run is a fresh
+// capture of shard 0 of 1, kept in memory; a resumed shard is a capture
+// pre-filled from its checkpoint; and the reducer's capture, NewReplay,
+// is shard 0 of 1 with every stream already recorded, so it executes no
+// trial and folds the recorded blocks — the exact left-fold of the
+// single-process path, bit-identical by construction at any shard
+// partition and any per-shard worker count.
 //
 // Streams are identified by invocation order: workload code calls the
 // engine in a deterministic sequence (it is ordinary sequential Go), so
 // the k-th engine invocation of the reduce run corresponds to the k-th
 // captured stream of every shard. Each stream carries a header (kind,
-// observable count, sample budget, seed, PRNG family, collect mode)
-// that is validated on both resume and replay, so a drifted workload or
+// collect mode, observable count, sample budget, seed) that is
+// validated on both resume and replay, so a drifted workload or
 // configuration fails loudly instead of folding foreign blocks.
 package mc
 
@@ -48,20 +50,51 @@ func (s ShardSpec) blockRange(nblocks int) (lo, hi int) {
 	return s.Index * nblocks / s.Count, (s.Index + 1) * nblocks / s.Count
 }
 
-// capturedStream is one engine invocation's capture: the stream header
-// plus the contiguous record prefix [lo, lo+len(recs)) of the shard's
-// block range [lo,hi).
-type capturedStream struct {
+// stream is one engine invocation's recording: the stream header plus
+// the records of a contiguous prefix of the shard's block range, in
+// block order.
+type stream struct {
 	header streamHeader
-	lo, hi int
 	recs   []StreamRecord
 }
 
-// ShardRun captures a shard's partial aggregates. Install it via
-// Config.Shard; every RunVector*/RunVectorPaired invocation under that
-// config then executes only the shard's block range and appends its
-// records here. The zero value is not usable — construct with
-// NewShardRun or ResumeShardRun.
+// checkPrefix verifies that st, stream s of shard spec, holds a
+// contiguous prefix of the shard's block range — the whole range when
+// full is set.
+func (st *stream) checkPrefix(spec ShardSpec, s int, full bool) error {
+	lo, hi := spec.blockRange(st.header.nblocks())
+	switch n := len(st.recs); {
+	case n > hi-lo:
+		return fmt.Errorf("mc: shard %d stream %d holds %d records, the shard's range has %d blocks", spec.Index, s, n, hi-lo)
+	case full && n < hi-lo:
+		return fmt.Errorf("mc: shard %d stream %d is incomplete: %d of %d blocks recorded", spec.Index, s, n, hi-lo)
+	}
+	for k, rec := range st.recs {
+		if rec.Block != lo+k {
+			return fmt.Errorf("mc: shard %d stream %d is not a contiguous prefix (record %d covers block %d, want %d)", spec.Index, s, k, rec.Block, lo+k)
+		}
+	}
+	return nil
+}
+
+// frontier reports the trial progress of streams recorded under spec:
+// done counts the trials of every recorded block, total the trials of
+// every stream's whole block range.
+func frontier(spec ShardSpec, streams []*stream) (done, total int) {
+	for _, st := range streams {
+		lo, hi := spec.blockRange(st.header.nblocks())
+		n := st.header.Samples
+		done += trialsIn(lo, lo+len(st.recs), n)
+		total += trialsIn(lo, hi, n)
+	}
+	return done, total
+}
+
+// ShardRun is the capture a run's engine invocations execute on. Install
+// it via Config.Shard; every RunVector*/RunVectorPaired invocation under
+// that config then executes only the shard's block range past the
+// capture's frontier and appends its records here. The zero value is not
+// usable — construct with NewShardRun, ResumeShardRun or NewReplay.
 type ShardRun struct {
 	spec ShardSpec
 	// Checkpoint, if non-nil, is invoked each time a stream's contiguous
@@ -77,8 +110,11 @@ type ShardRun struct {
 	// records count from the start), total grows as streams begin.
 	Progress func(done, total int)
 
-	streams []*capturedStream
+	streams []*stream
 	begun   int // streams begun by the current execution
+	// replay marks NewReplay's capture: every stream is recorded whole,
+	// so no new stream may begin and each goes back to the workload.
+	replay bool
 }
 
 // NewShardRun prepares a fresh capture for the given shard.
@@ -98,17 +134,51 @@ func ResumeShardRun(spec ShardSpec, p *ShardPayload) (*ShardRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, ps := range p.streams {
-		lo, hi := spec.blockRange(ps.header.nblocks())
-		if len(ps.recs) > hi-lo {
-			return nil, fmt.Errorf("mc: checkpoint stream %d holds %d records, shard range has %d blocks", i, len(ps.recs), hi-lo)
+	for s, st := range p.streams {
+		if err := st.checkPrefix(spec, s, false); err != nil {
+			return nil, err
 		}
-		for k, rec := range ps.recs {
-			if rec.Block != lo+k {
-				return nil, fmt.Errorf("mc: checkpoint stream %d is not a contiguous prefix (record %d covers block %d, want %d)", i, k, rec.Block, lo+k)
+		sr.streams = append(sr.streams, &stream{header: st.header, recs: st.recs})
+	}
+	return sr, nil
+}
+
+// NewReplay assembles the reducer's capture from one complete shard set:
+// parts[i] must be shard i's payload out of len(parts) shards of the
+// same run. Every stream must be covered exactly — headers equal across
+// shards, each shard contributing its full block range — or the
+// assembly fails. The result is shard 0 of 1 with every stream recorded:
+// a run on it executes no trial, folds the recorded blocks, and fails if
+// it begins a stream the shards did not record.
+func NewReplay(parts []*ShardPayload) (*ShardRun, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("mc: no shard payloads")
+	}
+	ns := len(parts[0].streams)
+	for i, p := range parts {
+		if len(p.streams) != ns {
+			return nil, fmt.Errorf("mc: shard %d holds %d streams, shard 0 holds %d", i, len(p.streams), ns)
+		}
+	}
+	sr := &ShardRun{spec: ShardSpec{Index: 0, Count: 1}, streams: make([]*stream, ns), replay: true}
+	for s := range sr.streams {
+		hdr := parts[0].streams[s].header
+		for i, p := range parts {
+			st := p.streams[s]
+			if st.header != hdr {
+				return nil, fmt.Errorf("mc: shard %d stream %d header differs from shard 0 (%+v vs %+v)", i, s, st.header, hdr)
+			}
+			if err := st.checkPrefix(ShardSpec{Index: i, Count: len(parts)}, s, true); err != nil {
+				return nil, err
 			}
 		}
-		sr.streams = append(sr.streams, &capturedStream{header: ps.header, lo: lo, hi: hi, recs: ps.recs})
+		// The ranges tile the stream in shard order, so concatenating the
+		// checked parts yields every block in block order.
+		recs := make([]StreamRecord, 0, hdr.nblocks())
+		for _, p := range parts {
+			recs = append(recs, p.streams[s].recs...)
+		}
+		sr.streams[s] = &stream{header: hdr, recs: recs}
 	}
 	return sr, nil
 }
@@ -121,14 +191,7 @@ func (sr *ShardRun) Spec() ShardSpec { return sr.spec }
 // the trials of every begun stream's full block range. Because streams
 // begin lazily, total grows as a multi-stream workload reaches each
 // engine invocation — done never exceeds it and never decreases.
-func (sr *ShardRun) Frontier() (done, total int) {
-	for _, st := range sr.streams {
-		n := st.header.Samples
-		done += trialsIn(st.lo, st.lo+len(st.recs), n)
-		total += trialsIn(st.lo, st.hi, n)
-	}
-	return done, total
-}
+func (sr *ShardRun) Frontier() (done, total int) { return frontier(sr.spec, sr.streams) }
 
 // advance is the scheduler's per-block hook: publish the frontier, then
 // give the checkpoint callback its chance. Serialized with emission.
@@ -142,102 +205,31 @@ func (sr *ShardRun) advance() {
 }
 
 // beginStream matches the next engine invocation against the capture:
-// a resumed stream is revalidated and continued after its frontier, a
+// a recorded stream is revalidated and continued after its frontier, a
 // new stream is appended. Called once per engine invocation, in order.
-func (sr *ShardRun) beginStream(hdr streamHeader) (*capturedStream, error) {
-	lo, hi := sr.spec.blockRange(hdr.nblocks())
+func (sr *ShardRun) beginStream(hdr streamHeader) (*stream, error) {
 	i := sr.begun
+	switch {
+	case i < len(sr.streams):
+		if st := sr.streams[i]; st.header != hdr {
+			return nil, fmt.Errorf("mc: stream %d does not match its recording (run %+v, recorded %+v)", i, hdr, st.header)
+		}
+	case sr.replay:
+		return nil, fmt.Errorf("mc: replay exhausted after %d streams — the run requests more engine invocations than the artifacts recorded", len(sr.streams))
+	default:
+		lo, hi := sr.spec.blockRange(hdr.nblocks())
+		sr.streams = append(sr.streams, &stream{header: hdr, recs: make([]StreamRecord, 0, hi-lo)})
+	}
 	sr.begun++
-	if i < len(sr.streams) {
-		st := sr.streams[i]
-		if st.header != hdr {
-			return nil, fmt.Errorf("mc: resume stream %d does not match the checkpoint (run %+v, checkpoint %+v)", i, hdr, st.header)
-		}
-		return st, nil
-	}
-	st := &capturedStream{header: hdr, lo: lo, hi: hi, recs: make([]StreamRecord, 0, hi-lo)}
-	sr.streams = append(sr.streams, st)
-	return st, nil
+	return sr.streams[i], nil
 }
 
-// replayStream is one stream's complete record set, block order.
-type replayStream struct {
-	header streamHeader
-	recs   []StreamRecord
-}
-
-// Replay feeds recorded blocks back through the engine. Install it via
-// Config.Replay; every engine invocation then validates its stream
-// header against the recording and folds the recorded blocks instead of
-// executing trials. Construct with NewReplay.
-type Replay struct {
-	streams []replayStream
-	next    int
-}
-
-// NewReplay assembles the reducer's replay from one complete shard set:
-// parts[i] must be shard i's payload out of len(parts) shards of the
-// same run. Every stream must be covered exactly — headers equal across
-// shards, each shard contributing its full block range — or the
-// assembly fails.
-func NewReplay(parts []*ShardPayload) (*Replay, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("mc: no shard payloads")
-	}
-	count := len(parts)
-	ns := len(parts[0].streams)
-	for i, p := range parts {
-		if len(p.streams) != ns {
-			return nil, fmt.Errorf("mc: shard %d holds %d streams, shard 0 holds %d", i, len(p.streams), ns)
-		}
-	}
-	rp := &Replay{streams: make([]replayStream, ns)}
-	for s := 0; s < ns; s++ {
-		hdr := parts[0].streams[s].header
-		nblocks := hdr.nblocks()
-		recs := make([]StreamRecord, nblocks)
-		for i, p := range parts {
-			ps := p.streams[s]
-			if ps.header != hdr {
-				return nil, fmt.Errorf("mc: shard %d stream %d header differs from shard 0 (%+v vs %+v)", i, s, ps.header, hdr)
-			}
-			lo, hi := (ShardSpec{Index: i, Count: count}).blockRange(nblocks)
-			if len(ps.recs) != hi-lo {
-				return nil, fmt.Errorf("mc: shard %d stream %d is incomplete: %d of %d blocks recorded", i, s, len(ps.recs), hi-lo)
-			}
-			for k, rec := range ps.recs {
-				if rec.Block != lo+k {
-					return nil, fmt.Errorf("mc: shard %d stream %d record %d covers block %d, want %d", i, s, k, rec.Block, lo+k)
-				}
-				recs[rec.Block] = rec
-			}
-		}
-		rp.streams[s] = replayStream{header: hdr, recs: recs}
-	}
-	return rp, nil
-}
-
-// nextStream hands the next recorded stream to an engine invocation,
-// validating that the reducer's re-executed workload asked for the same
-// computation the shards ran.
-func (rp *Replay) nextStream(hdr streamHeader) ([]StreamRecord, error) {
-	if rp.next >= len(rp.streams) {
-		return nil, fmt.Errorf("mc: replay exhausted after %d streams — the run requests more engine invocations than the artifacts recorded", len(rp.streams))
-	}
-	st := rp.streams[rp.next]
-	rp.next++
-	if st.header != hdr {
-		return nil, fmt.Errorf("mc: replay stream %d does not match the recording (run %+v, artifact %+v)", rp.next-1, hdr, st.header)
-	}
-	return st.recs, nil
-}
-
-// Done reports whether every recorded stream was consumed — a leftover
+// Done reports whether the run began every recorded stream — a leftover
 // stream means the reduce run diverged from the workload that produced
 // the artifacts.
-func (rp *Replay) Done() error {
-	if rp.next != len(rp.streams) {
-		return fmt.Errorf("mc: replay consumed %d of %d recorded streams — the artifacts belong to a different workload execution", rp.next, len(rp.streams))
+func (sr *ShardRun) Done() error {
+	if sr.begun != len(sr.streams) {
+		return fmt.Errorf("mc: replay consumed %d of %d recorded streams — the artifacts belong to a different workload execution", sr.begun, len(sr.streams))
 	}
 	return nil
 }
@@ -245,27 +237,14 @@ func (rp *Replay) Done() error {
 // ShardPayload is the decoded body of a shard artifact or checkpoint:
 // every captured stream's header and contiguous record prefix.
 type ShardPayload struct {
-	streams []payloadStream
-}
-
-type payloadStream struct {
-	header streamHeader
-	recs   []StreamRecord
+	streams []*stream
 }
 
 // Frontier reports the payload's trial progress for the given shard
 // coordinates — ShardRun.Frontier for an artifact at rest, which is how
 // an external observer (the serve layer resuming a checkpoint a drained
 // predecessor left) derives progress without attaching to the run.
-func (p *ShardPayload) Frontier(spec ShardSpec) (done, total int) {
-	for _, ps := range p.streams {
-		lo, hi := spec.blockRange(ps.header.nblocks())
-		n := ps.header.Samples
-		done += trialsIn(lo, lo+len(ps.recs), n)
-		total += trialsIn(lo, hi, n)
-	}
-	return done, total
-}
+func (p *ShardPayload) Frontier(spec ShardSpec) (done, total int) { return frontier(spec, p.streams) }
 
 // Payload codec. Like the stats codecs, the format is versioned,
 // big-endian, floats as raw IEEE-754 bits; truncated or
@@ -539,7 +518,7 @@ func DecodeShardPayload(data []byte) (*ShardPayload, error) {
 	if ns < 0 || ns > 1<<20 {
 		return nil, fmt.Errorf("mc: corrupt shard payload (%d streams)", ns)
 	}
-	p := &ShardPayload{streams: make([]payloadStream, 0, ns)}
+	p := &ShardPayload{streams: make([]*stream, 0, ns)}
 	for s := 0; s < ns; s++ {
 		h, err := decodeHeader(r)
 		if err != nil {
@@ -567,7 +546,7 @@ func DecodeShardPayload(data []byte) (*ShardPayload, error) {
 			}
 			recs = append(recs, rec)
 		}
-		p.streams = append(p.streams, payloadStream{header: h, recs: recs})
+		p.streams = append(p.streams, &stream{header: h, recs: recs})
 	}
 	if r.Rest() != 0 {
 		return nil, fmt.Errorf("mc: %d trailing bytes after shard payload", r.Rest())

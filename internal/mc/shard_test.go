@@ -59,7 +59,7 @@ func shardedRun(t *testing.T, cfg Config, count, workers, nobs int, f VectorFunc
 		t.Fatal(err)
 	}
 	rcfg := cfg
-	rcfg.Replay = rp
+	rcfg.Shard = rp
 	res, err := RunVector(context.Background(), rcfg, nobs, f)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestShardReducePairedBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			rcfg := cfg
-			rcfg.Replay = rp
+			rcfg.Shard = rp
 			res, err := RunVectorPaired(context.Background(), rcfg, 1, f)
 			if err != nil {
 				t.Fatal(err)
@@ -200,7 +200,7 @@ func TestShardMultiStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := run(Config{Samples: 700, Replay: rp})
+	reduced, err := run(Config{Samples: 700, Shard: rp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +587,7 @@ func TestReplayValidation(t *testing.T) {
 	}
 	bad := cfg
 	bad.Seed = 3
-	bad.Replay = rp
+	bad.Shard = rp
 	if _, err := RunVector(context.Background(), bad, 1, f); err == nil || !strings.Contains(err.Error(), "does not match") {
 		t.Fatalf("seed drift not rejected: %v", err)
 	}
@@ -610,7 +610,7 @@ func TestReplayValidation(t *testing.T) {
 	// Exhausted replay: more invocations than recorded.
 	rp3, _ := NewReplay([]*ShardPayload{mkPart(0, 1, cfg)})
 	good := cfg
-	good.Replay = rp3
+	good.Shard = rp3
 	if _, err := RunVector(context.Background(), good, 1, f); err != nil {
 		t.Fatal(err)
 	}
@@ -619,9 +619,27 @@ func TestReplayValidation(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesHugeStream: a payload is outside input, and its
+// stream header may claim any sample budget. NewReplay must refuse a
+// stream whose records do not cover the claimed blocks before it sizes
+// anything by that claim: a decoded header of 2^62 samples and no
+// records is an incomplete shard, not a 2^54-record allocation.
+func TestReplayRefusesHugeStream(t *testing.T) {
+	huge := &ShardRun{spec: ShardSpec{Index: 0, Count: 1}, streams: []*stream{
+		{header: streamHeader{Kind: streamPlain, Nobs: 1, Samples: 1 << 62, Seed: 1}},
+	}}
+	p, err := DecodeShardPayload(huge.EncodePayload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewReplay([]*ShardPayload{p}); err == nil || !strings.Contains(err.Error(), "incomplete") {
+		t.Fatalf("replay of a 2^62-sample stream with no records: %v", err)
+	}
+}
+
 // TestShardEmptyRange: more shards than blocks — the surplus shard's
-// range is empty, its run must succeed with an empty (not erroring)
-// partial result, and the reduce must still be exact.
+// range is empty, every shard's run must succeed with an empty (not
+// erroring) result, and the reduce must still be exact.
 func TestShardEmptyRange(t *testing.T) {
 	f := func(rng *rand.Rand, out []float64) bool {
 		out[0] = rng.NormFloat64()
@@ -640,9 +658,11 @@ func TestShardEmptyRange(t *testing.T) {
 		c.Shard = sr
 		res, err := RunVector(context.Background(), c, 1, f)
 		if err != nil {
-			t.Fatalf("empty-range shard %d errored: %v", i, err)
+			t.Fatalf("shard %d of %d errored: %v", i, count, err)
 		}
-		_ = res
+		if res.Accepted() != 0 || res.Rejected != 0 {
+			t.Fatalf("shard %d of %d returned %d accepted and %d rejected trials, want an empty result", i, count, res.Accepted(), res.Rejected)
+		}
 		if parts[i], err = DecodeShardPayload(sr.EncodePayload()); err != nil {
 			t.Fatal(err)
 		}
@@ -652,7 +672,7 @@ func TestShardEmptyRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	rcfg := cfg
-	rcfg.Replay = rp
+	rcfg.Shard = rp
 	got, err := RunVector(context.Background(), rcfg, 1, f)
 	if err != nil {
 		t.Fatal(err)

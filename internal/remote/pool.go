@@ -237,13 +237,14 @@ func (p *Pool) ExecuteShard(ctx context.Context, spec core.RunSpec, shard mc.Sha
 	if err != nil {
 		return err
 	}
+	// The file is read once: the checkpoint shipped is the bytes verified.
 	var checkpoint []byte
-	if art, rerr := core.ReadShardArtifact(path); rerr == nil && art.Verify(key, shard) == nil {
-		if art.Header.Complete {
-			return nil
-		}
-		if checkpoint, err = os.ReadFile(path); err != nil {
-			checkpoint = nil
+	if data, rerr := os.ReadFile(path); rerr == nil {
+		if art, derr := core.DecodeShardArtifact(data); derr == nil && art.Verify(key, shard) == nil {
+			if art.Header.Complete {
+				return nil
+			}
+			checkpoint = data
 		}
 	}
 	pe := p.pick(ctx)

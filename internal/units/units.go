@@ -39,12 +39,6 @@ const (
 	BoltzmannQ = 0.025852
 )
 
-// Metres converts a value expressed in nanometres to metres.
-func Metres(nm float64) float64 { return nm * Nano }
-
-// Nanometres converts a value in metres to nanometres.
-func Nanometres(m float64) float64 { return m / Nano }
-
 // prefix maps exponent/3 to the SI prefix letter.
 var prefixes = map[int]string{
 	-6: "a", -5: "f", -4: "p", -3: "n", -2: "µ", -1: "m",
@@ -66,23 +60,6 @@ func Format(v float64, unit string) string {
 	}
 	scaled := v / math.Pow(1000, float64(e))
 	return fmt.Sprintf("%.3f%s%s", scaled, prefixes[e], unit)
-}
-
-// Percent renders a ratio r (e.g. 1.0616) as a signed percentage delta
-// string such as "+6.16%".
-func Percent(r float64) string {
-	return fmt.Sprintf("%+.2f%%", (r-1)*100)
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // ApproxEqual reports whether a and b agree within relative tolerance rel

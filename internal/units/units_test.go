@@ -1,33 +1,9 @@
 package units
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestMetresRoundTrip(t *testing.T) {
-	if got := Metres(26); math.Abs(got-26e-9) > 1e-18 {
-		t.Fatalf("Metres(26) = %g, want 26e-9", got)
-	}
-	if got := Nanometres(48e-9); math.Abs(got-48) > 1e-9 {
-		t.Fatalf("Nanometres(48e-9) = %g, want 48", got)
-	}
-}
-
-func TestMetresRoundTripProperty(t *testing.T) {
-	f := func(nm float64) bool {
-		if math.IsNaN(nm) || math.IsInf(nm, 0) || math.Abs(nm) > 1e12 {
-			return true
-		}
-		back := Nanometres(Metres(nm))
-		return ApproxEqual(back, nm, 1e-12, 1e-15)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestFormat(t *testing.T) {
 	cases := []struct {
@@ -52,34 +28,6 @@ func TestFormatNegative(t *testing.T) {
 	got := Format(-1.5e-9, "s")
 	if !strings.HasPrefix(got, "-1.500n") {
 		t.Fatalf("Format(-1.5e-9) = %q", got)
-	}
-}
-
-func TestPercent(t *testing.T) {
-	if got := Percent(1.6156); got != "+61.56%" {
-		t.Fatalf("Percent(1.6156) = %q", got)
-	}
-	if got := Percent(0.8964); got != "-10.36%" {
-		t.Fatalf("Percent(0.8964) = %q", got)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp misbehaves")
-	}
-}
-
-func TestClampProperty(t *testing.T) {
-	f := func(v float64) bool {
-		if math.IsNaN(v) {
-			return true
-		}
-		c := Clamp(v, -1, 1)
-		return c >= -1 && c <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
