@@ -129,8 +129,9 @@ unlinked:
 # artifacts a server of the BASE build left behind must reduce to the
 # same bytes here. The goldens print six significant digits, so only
 # this sees a one-ulp drift. Names every command whose output, artifact
-# or exit status differs (or that fails) and exits 1 on any. Not a CI
-# step: a change that moves result bytes on purpose says so rather than
+# or exit status differs (or that fails) and exits 1 on any. CI runs it
+# on every pull request against the base commit (job parent-cmp); a
+# change that moves result bytes on purpose says so rather than
 # weakening a gate.
 BASE ?= HEAD
 parent-cmp:

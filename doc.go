@@ -138,8 +138,9 @@
 // The Monte-Carlo engine's block scheduler (internal/mc/sched.go) is the
 // seam distributed execution grows from. Trials aggregate into fixed
 // 256-trial blocks; workers pull block indices from an atomic cursor and
-// a frontier re-orders completed blocks so they are emitted strictly in
-// block order — which makes the contiguous emitted prefix the engine's
+// fill each block's record in place, at its fixed slot in arrays the
+// stream allocates once, and a frontier emits the finished slots strictly
+// in block order — which makes the contiguous emitted prefix the engine's
 // partial-progress invariant: a canceled run reports exactly the trials
 // of that prefix, torn in-flight blocks are never counted, so a resumed
 // run re-executes precisely the blocks at or after the frontier and
@@ -156,11 +157,14 @@
 // 1, kept in memory and folded on the spot; a shard's capture becomes
 // its artifact and hands the workload an empty result; a resumed shard
 // starts from its checkpoint's records; and the reducer's capture
-// (mc.NewReplay) is shard 0 of 1 merged from a complete shard set with
-// every stream recorded, so it executes nothing and folds the recorded
-// blocks. Above them sit core.RunShard/Reduce, which wrap the
-// capture in a self-identifying artifact file: a JSON header carrying
-// the full normalized RunSpec plus its run key, then the mc payload.
+// (mc.NewReplay) is shard 0 of 1 decoded from a complete shard set,
+// stream by stream across its artifacts, with every stream recorded, so
+// it executes nothing and folds the recorded blocks. Each collected value
+// is held once: the fold of a single-observable stream compacts the
+// stream's own value array in place. Above them sit core.RunShard/Reduce,
+// which wrap the capture in a self-identifying artifact file, streamed to
+// and from disk: a JSON header carrying the full normalized RunSpec plus
+// its run key, then the mc payload.
 // Reduce recomputes the key from the header, so artifacts from an older
 // EngineVersion or a drifted schema refuse instead of folding stale
 // blocks. Checkpoints are the same artifact marked incomplete, written

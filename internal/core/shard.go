@@ -12,23 +12,30 @@
 //
 // Checkpointing reuses the artifact format unchanged: a checkpoint is
 // simply an artifact whose streams stop at the persisted frontier and
-// whose header says complete=false. An artifact is written to disk in
-// pieces (magic, header length, header JSON, then the payload
-// mc.ShardRun.EncodePayload built at its final size), never assembled in
-// memory. Writes are atomic (tmp + rename), so a kill during a
-// checkpoint leaves the previous one intact.
+// whose header says complete=false. An artifact streams to disk through
+// one bufio.Writer (magic, header length, header JSON, then the payload
+// mc.ShardRun.WritePayload encodes) and back through one bufio.Reader,
+// never assembled in memory or read whole: a reduce opens every artifact
+// of the set, checks the headers, and has mc.NewReplay decode the
+// payloads straight into the arrays the fold uses. Writes are atomic
+// (tmp + rename), so a kill during a checkpoint leaves the previous one
+// intact.
 package core
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"mpsram/internal/exp"
 	"mpsram/internal/mc"
+	"mpsram/internal/stats"
 )
 
 // shardMagic identifies (and versions) the artifact container; a format
@@ -70,19 +77,23 @@ type ShardArtifact struct {
 	Payload *mc.ShardPayload
 }
 
-// writeShardArtifact persists header+payload atomically: a kill mid-write
-// can only ever lose the newest checkpoint, never corrupt the file. The
-// container's pieces (magic, header length, header JSON, payload) are
-// written to the file in sequence rather than joined in memory first, so
-// the payload is never copied.
-func writeShardArtifact(path string, h ShardHeader, payload []byte) error {
+// writeShardArtifact persists the capture's current state under header
+// h atomically: a kill mid-write can only ever lose the newest
+// checkpoint, never corrupt the file. Magic, header length, header JSON
+// and payload stream through the file's buffered writer in sequence, so
+// the payload is never built in memory.
+func writeShardArtifact(path string, h ShardHeader, sr *mc.ShardRun) error {
 	hdr, err := json.Marshal(h)
 	if err != nil {
 		return fmt.Errorf("core: encoding shard header: %w", err)
 	}
-	var hlen [4]byte
-	binary.BigEndian.PutUint32(hlen[:], uint32(len(hdr)))
-	return writeFileAtomic(path, shardMagic, hlen[:], hdr, payload)
+	return writeFileAtomic(path, func(w *bufio.Writer) error {
+		// The writer latches a failed write; WritePayload's flush reports it.
+		w.Write(shardMagic)
+		w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(hdr))))
+		w.Write(hdr)
+		return sr.WritePayload(w)
+	})
 }
 
 // WriteShardArtifactFile persists already-encoded artifact bytes
@@ -91,22 +102,24 @@ func writeShardArtifact(path string, h ShardHeader, payload []byte) error {
 // checkpoint bytes through it so a crash mid-write never corrupts a
 // resumable file.
 func WriteShardArtifactFile(path string, data []byte) error {
-	return writeFileAtomic(path, data)
+	return writeFileAtomic(path, func(w *bufio.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
-// writeFileAtomic writes the pieces in order to path+".tmp" and renames
-// it over path, so path only ever holds a complete file.
-func writeFileAtomic(path string, pieces ...[]byte) error {
+// writeFileAtomic has write fill path+".tmp" through a buffered writer
+// and renames it over path, so path only ever holds a complete file.
+func writeFileAtomic(path string, write func(*bufio.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	for _, p := range pieces {
-		if _, err := f.Write(p); err != nil {
-			f.Close()
-			return err
-		}
+	w := bufio.NewWriter(f)
+	if err := errors.Join(write(w), w.Flush()); err != nil {
+		f.Close()
+		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
@@ -114,46 +127,87 @@ func writeFileAtomic(path string, pieces ...[]byte) error {
 	return os.Rename(tmp, path)
 }
 
-// DecodeShardArtifact parses artifact or checkpoint bytes — a file's
-// contents or a peer's shipped artifact — rejecting foreign magics,
-// truncated headers, engine-version drift and corrupt payloads. It is
-// the one decoder under ReadShardArtifact too.
-func DecodeShardArtifact(data []byte) (*ShardArtifact, error) {
-	if len(data) < len(shardMagic)+4 || string(data[:len(shardMagic)]) != string(shardMagic) {
-		return nil, fmt.Errorf("core: not a shard artifact (magic %q missing)", shardMagic)
-	}
-	rest := data[len(shardMagic):]
-	hlen := int(binary.BigEndian.Uint32(rest))
-	rest = rest[4:]
-	if hlen < 2 || hlen > len(rest) {
-		return nil, fmt.Errorf("core: shard header truncated")
-	}
+// readShardHeader reads an artifact's magic and header from r, whose
+// next size bytes are the whole artifact, rejecting foreign magics,
+// truncated headers and engine-version drift. The payload is left to the
+// returned reader, whose budget is the bytes that follow the header.
+func readShardHeader(r io.Reader, size int64) (ShardHeader, *stats.CodecReader, error) {
 	var h ShardHeader
-	if err := json.Unmarshal(rest[:hlen], &h); err != nil {
-		return nil, fmt.Errorf("core: shard header: %w", err)
+	br := bufio.NewReader(r)
+	prefix, err := br.Peek(len(shardMagic) + 4)
+	if err != nil || size < int64(len(prefix)) || string(prefix[:len(shardMagic)]) != string(shardMagic) {
+		return h, nil, fmt.Errorf("core: not a shard artifact (magic %q missing)", shardMagic)
+	}
+	hlen := int64(binary.BigEndian.Uint32(prefix[len(shardMagic):]))
+	br.Discard(len(prefix))
+	rest := size - int64(len(prefix))
+	if hlen < 2 || hlen > rest {
+		return h, nil, fmt.Errorf("core: shard header truncated")
+	}
+	hdr := make([]byte, hlen)
+	if _, err := io.ReadFull(br, hdr); err != nil {
+		return h, nil, fmt.Errorf("core: shard header truncated")
+	}
+	if err := json.Unmarshal(hdr, &h); err != nil {
+		return h, nil, fmt.Errorf("core: shard header: %w", err)
 	}
 	if h.EngineVersion != EngineVersion {
-		return nil, fmt.Errorf("core: artifact was produced by engine %s, this build is %s — regenerate the shards", h.EngineVersion, EngineVersion)
+		return h, nil, fmt.Errorf("core: artifact was produced by engine %s, this build is %s — regenerate the shards", h.EngineVersion, EngineVersion)
 	}
-	p, err := mc.DecodeShardPayload(rest[hlen:])
+	return h, stats.NewCodecReader(br, int(rest-hlen)), nil
+}
+
+// DecodeShardArtifact parses artifact or checkpoint bytes — a peer's
+// shipped artifact — rejecting foreign magics, truncated headers,
+// engine-version drift and corrupt payloads. It runs the decoder
+// ReadShardArtifact runs on a file.
+func DecodeShardArtifact(data []byte) (*ShardArtifact, error) {
+	h, payload, err := readShardHeader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, err
+	}
+	p, err := mc.DecodeShardPayload(payload)
 	if err != nil {
 		return nil, err
 	}
 	return &ShardArtifact{Header: h, Payload: p}, nil
 }
 
+// openShardArtifact opens the artifact at path and reads its header,
+// leaving the payload to the returned reader; the caller closes the
+// file once it is done with the payload. Header errors name the path.
+func openShardArtifact(path string) (*os.File, ShardHeader, *stats.CodecReader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, ShardHeader{}, nil, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, ShardHeader{}, nil, err
+	}
+	h, payload, err := readShardHeader(f, fi.Size())
+	if err != nil {
+		f.Close()
+		return nil, h, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return f, h, payload, nil
+}
+
 // ReadShardArtifact parses a shard artifact or checkpoint file,
-// rejecting foreign magics, truncated headers and corrupt payloads.
+// streaming it through a buffered reader, and rejects what
+// DecodeShardArtifact rejects.
 func ReadShardArtifact(path string) (*ShardArtifact, error) {
-	data, err := os.ReadFile(path)
+	f, h, payload, err := openShardArtifact(path)
 	if err != nil {
 		return nil, err
 	}
-	a, err := DecodeShardArtifact(data)
+	defer f.Close()
+	p, err := mc.DecodeShardPayload(payload)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return a, nil
+	return &ShardArtifact{Header: h, Payload: p}, nil
 }
 
 // Verify checks that the artifact is what a caller expecting (runKey,
@@ -269,7 +323,7 @@ func RunShard(spec RunSpec, shard mc.ShardSpec, path string, opt ShardRunOptions
 				return
 			}
 			last = time.Now()
-			if werr := writeShardArtifact(path, hdr, sr.EncodePayload()); werr != nil && ckptErr == nil {
+			if werr := writeShardArtifact(path, hdr, sr); werr != nil && ckptErr == nil {
 				ckptErr = werr
 			}
 		}
@@ -278,61 +332,80 @@ func RunShard(spec RunSpec, shard mc.ShardSpec, path string, opt ShardRunOptions
 	if runErr != nil {
 		// Persist the frontier before reporting, so SIGINT + resume works
 		// even without periodic checkpoints.
-		return errors.Join(runErr, writeShardArtifact(path, hdr, sr.EncodePayload()), ckptErr)
+		return errors.Join(runErr, writeShardArtifact(path, hdr, sr), ckptErr)
 	}
 	hdr.Complete = true
-	return errors.Join(writeShardArtifact(path, hdr, sr.EncodePayload()), ckptErr)
+	return errors.Join(writeShardArtifact(path, hdr, sr), ckptErr)
 }
 
 // Reduce re-merges one complete shard set in block order and returns the
 // workload result — byte-identical to running the spec single-process.
 // The artifacts carry the full run identity, so no spec is needed; the
 // recomputed run key must match the recorded one, which catches stale
-// artifacts (engine bumps, parameter-schema drift) automatically.
+// artifacts (engine bumps, parameter-schema drift) automatically. Every
+// artifact stays open while mc.NewReplay decodes the payloads, stream by
+// stream across the set, and a payload error names its file.
 func Reduce(paths []string, extra ...Option) (*exp.Result, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("core: no shard artifacts to reduce")
 	}
-	arts := make([]*ShardArtifact, len(paths))
-	for i, p := range paths {
-		a, err := ReadShardArtifact(p)
-		if err != nil {
-			return nil, err
+	hdrs := make([]ShardHeader, len(paths))
+	payloads := make([]*stats.CodecReader, len(paths))
+	// refuse reports a fault of the set, unless an artifact's payload
+	// fails to decode: a corrupt or foreign file is the deeper fault, and
+	// it was reported first when every artifact was decoded before the
+	// set was checked. Only a refused set pays for the decode.
+	refuse := func(err error) (*exp.Result, error) {
+		for i, p := range payloads {
+			if p == nil {
+				break
+			}
+			if _, derr := mc.DecodeShardPayload(p); derr != nil {
+				return nil, fmt.Errorf("%s: %w", paths[i], derr)
+			}
 		}
-		if !a.Header.Complete {
-			return nil, fmt.Errorf("core: %s is an incomplete checkpoint — resume it with RunShard before reducing", p)
-		}
-		arts[i] = a
+		return nil, err
 	}
-	base := arts[0].Header
+	for i, p := range paths {
+		f, h, payload, err := openShardArtifact(p)
+		if err != nil {
+			return refuse(err)
+		}
+		defer f.Close()
+		hdrs[i], payloads[i] = h, payload
+		if !h.Complete {
+			return refuse(fmt.Errorf("core: %s is an incomplete checkpoint — resume it with RunShard before reducing", p))
+		}
+	}
+	base := hdrs[0]
 	count := base.ShardCount
 	if len(paths) != count {
-		return nil, fmt.Errorf("core: run %.12s was split into %d shards, got %d artifacts", base.RunKey, count, len(paths))
+		return refuse(fmt.Errorf("core: run %.12s was split into %d shards, got %d artifacts", base.RunKey, count, len(paths)))
 	}
-	parts := make([]*mc.ShardPayload, count)
-	for i, a := range arts {
-		h := a.Header
+	parts := make([]*stats.CodecReader, count)
+	names := make([]string, count)
+	for i, h := range hdrs {
 		if h.RunKey != base.RunKey || h.ShardCount != count {
-			return nil, fmt.Errorf("core: %s belongs to run %.12s (%d shards), the set is run %.12s (%d shards)",
-				paths[i], h.RunKey, h.ShardCount, base.RunKey, count)
+			return refuse(fmt.Errorf("core: %s belongs to run %.12s (%d shards), the set is run %.12s (%d shards)",
+				paths[i], h.RunKey, h.ShardCount, base.RunKey, count))
 		}
 		if h.ShardIndex < 0 || h.ShardIndex >= count {
-			return nil, fmt.Errorf("core: %s claims shard %d of %d", paths[i], h.ShardIndex, count)
+			return refuse(fmt.Errorf("core: %s claims shard %d of %d", paths[i], h.ShardIndex, count))
 		}
 		if parts[h.ShardIndex] != nil {
-			return nil, fmt.Errorf("core: duplicate artifact for shard %d of run %.12s", h.ShardIndex, base.RunKey)
+			return refuse(fmt.Errorf("core: duplicate artifact for shard %d of run %.12s", h.ShardIndex, base.RunKey))
 		}
-		parts[h.ShardIndex] = a.Payload
+		parts[h.ShardIndex], names[h.ShardIndex] = payloads[i], paths[i]
 	}
 	for i, p := range parts {
 		if p == nil {
-			return nil, fmt.Errorf("core: shard %d of run %.12s is missing from the artifact set", i, base.RunKey)
+			return refuse(fmt.Errorf("core: shard %d of run %.12s is missing from the artifact set", i, base.RunKey))
 		}
 	}
-	if err := arts[0].Verify("", mc.ShardSpec{Index: base.ShardIndex, Count: count}); err != nil {
-		return nil, err
+	if err := (&ShardArtifact{Header: base}).Verify("", mc.ShardSpec{Index: base.ShardIndex, Count: count}); err != nil {
+		return refuse(err)
 	}
-	sr, err := mc.NewReplay(parts)
+	sr, err := mc.NewReplay(parts, names)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,9 +16,29 @@ import (
 	"mpsram/internal/mc"
 )
 
+// The decoder pays for what it reads: decoding n bytes allocates at most
+// decodeAllocPerByte·n + decodeAllocSlack bytes. The slack covers the
+// reader's buffers and the error text; the factor is set by the format,
+// whose costliest byte is a collecting record that carries no values yet
+// reserves room for a whole block of them (2 KiB per 41-byte Welford).
+const (
+	decodeAllocPerByte = 64
+	decodeAllocSlack   = 16 << 10
+)
+
+// decodeAllocated returns what DecodeShardArtifact allocates on data.
+func decodeAllocated(data []byte) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	DecodeShardArtifact(data)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // FuzzShardArtifact feeds arbitrary bytes — what a shard file on disk or
 // a peer's artifact frame may hold — through DecodeShardArtifact and
-// Verify: neither may panic, and any artifact the decoder accepts must
+// Verify: neither may panic, the decode must allocate within its bound
+// (decodeAllocPerByte), and any artifact the decoder accepts must
 // re-encode to one that decodes to the same header. The seed is a real
 // artifact, which must round-trip byte for byte.
 func FuzzShardArtifact(f *testing.F) {
@@ -58,6 +79,9 @@ func FuzzShardArtifact(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(append([]byte(nil), shardMagic...))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, bound := decodeAllocated(data), uint64(decodeAllocPerByte*len(data)+decodeAllocSlack); got > bound {
+			t.Fatalf("decoding %d bytes allocated %d, want at most %d", len(data), got, bound)
+		}
 		a, err := DecodeShardArtifact(data)
 		if err != nil {
 			return
@@ -80,8 +104,8 @@ func FuzzShardArtifact(f *testing.F) {
 }
 
 // encodeShardArtifact joins header and payload in memory, in the
-// container format writeShardArtifact writes to disk piece by piece and
-// the remote fabric ships: the tests' reference for those bytes.
+// container format writeShardArtifact streams to disk and the remote
+// fabric ships: the tests' reference for those bytes.
 func encodeShardArtifact(h ShardHeader, payload []byte) ([]byte, error) {
 	hdr, err := json.Marshal(h)
 	if err != nil {
@@ -92,6 +116,16 @@ func encodeShardArtifact(h ShardHeader, payload []byte) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(hdr)))
 	buf = append(buf, hdr...)
 	return append(buf, payload...), nil
+}
+
+// writeArtifactBytes writes header h and the payload bytes as an
+// artifact file, for tests that re-label a real artifact's payload.
+func writeArtifactBytes(path string, h ShardHeader, payload []byte) error {
+	data, err := encodeShardArtifact(h, payload)
+	if err != nil {
+		return err
+	}
+	return WriteShardArtifactFile(path, data)
 }
 
 // artifactPayload returns the payload bytes after an artifact's magic and

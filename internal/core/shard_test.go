@@ -283,7 +283,7 @@ func TestReduceRejects(t *testing.T) {
 	hlen := int(binary.BigEndian.Uint32(data[len(shardMagic):]))
 	payload := data[len(shardMagic)+4+hlen:]
 	stale := filepath.Join(dir, "stale.shard")
-	if err := writeShardArtifact(stale, h, payload); err != nil {
+	if err := writeArtifactBytes(stale, h, payload); err != nil {
 		t.Fatal(err)
 	}
 	// Pair it with a matching tampered sibling so set-consistency checks
@@ -296,7 +296,7 @@ func TestReduceRejects(t *testing.T) {
 	}
 	hlen1 := int(binary.BigEndian.Uint32(data1[len(shardMagic):]))
 	stale1 := filepath.Join(dir, "stale1.shard")
-	if err := writeShardArtifact(stale1, h1, data1[len(shardMagic)+4+hlen1:]); err != nil {
+	if err := writeArtifactBytes(stale1, h1, data1[len(shardMagic)+4+hlen1:]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Reduce([]string{stale, stale1}); err == nil || !strings.Contains(err.Error(), "does not reproduce") {
@@ -307,7 +307,7 @@ func TestReduceRejects(t *testing.T) {
 	h2 := art.Header
 	h2.EngineVersion = "v0"
 	old := filepath.Join(dir, "old.shard")
-	if err := writeShardArtifact(old, h2, payload); err != nil {
+	if err := writeArtifactBytes(old, h2, payload); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadShardArtifact(old); err == nil || !strings.Contains(err.Error(), "engine v0") {
@@ -369,9 +369,10 @@ func TestShardArtifactStreamRoundTrip(t *testing.T) {
 }
 
 // TestShardArtifactBytesPinned pins the SHA-256 of complete RunShard
-// artifacts, one spec per stream kind: collected values (fig5), P²
-// sketches (table4, two records, the second a partial block) and paired
-// control variates (mcspice -cv). A round trip passes when the encoder
+// artifacts, one spec per stream kind: collected values of one
+// observable (fig5) and of several (table4, two records, the second a
+// partial block), P² sketches (plain mcspice) and paired control
+// variates (mcspice -cv). A round trip passes when the encoder
 // and the decoder drift together, but a drained server of an earlier
 // build leaves checkpoints this build must still resume. A change that
 // moves a digest changes the artifact format, so it bumps the codec
@@ -386,8 +387,10 @@ func TestShardArtifactBytesPinned(t *testing.T) {
 	}{
 		{"collect", RunSpec{Workload: "fig5", Samples: 600}, mc.ShardSpec{Index: 0, Count: 2},
 			"cc9183ab3f776eba4dc134c77f63b8289d60b9f3e5d74ebc86b426338affca0d"},
-		{"sketch", RunSpec{Workload: "table4", Samples: 600}, mc.ShardSpec{Index: 1, Count: 2},
+		{"collect-table4", RunSpec{Workload: "table4", Samples: 600}, mc.ShardSpec{Index: 1, Count: 2},
 			"0060d7ffde07690be193c2094e272bb96b2f4ee10fd20e1c86fbca226dbf3341"},
+		{"sketch", RunSpec{Workload: "mcspice", Samples: 4, Params: exp.Params{"n": 16}}, mc.ShardSpec{Index: 0, Count: 1},
+			"c0b5f88c56d1a4ac08cb490784de097552d3dbfc7f5fb269346aac66886ec5a3"},
 		{"paired", RunSpec{Workload: "mcspice", Samples: 4, Params: exp.Params{"n": 16, "cv": true}}, mc.ShardSpec{Index: 0, Count: 1},
 			"b4b8e55dcad147935902617b7f720ae5ae48299d751c9147ee694ba002c431b0"},
 	} {
@@ -483,7 +486,7 @@ func TestShortRunKeys(t *testing.T) {
 			h := bad.Header
 			h.ShardIndex = i
 			paths[i] = filepath.Join(dir, fmt.Sprintf("short%d.shard", i))
-			if err := writeShardArtifact(paths[i], h, payload); err != nil {
+			if err := writeArtifactBytes(paths[i], h, payload); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -495,7 +498,7 @@ func TestShortRunKeys(t *testing.T) {
 		}
 		ckpt := bad.Header
 		ckpt.Complete = false
-		if err := writeShardArtifact(paths[0], ckpt, payload); err != nil {
+		if err := writeArtifactBytes(paths[0], ckpt, payload); err != nil {
 			t.Fatal(err)
 		}
 		if err := RunShard(spec, shard, paths[0], ShardRunOptions{Resume: true}); err == nil ||

@@ -79,35 +79,42 @@ func RunVectorPaired(ctx context.Context, cfg Config, nobs int, f PairedVectorFu
 	if cfg.Collect {
 		return nil, fmt.Errorf("mc: the paired path is streaming-only (Collect unsupported)")
 	}
-	recs, err := runStream(ctx, cfg, streamPaired, nobs, func() evalFunc {
+	st, err := runStream(ctx, cfg, streamPaired, nobs, func() evalFunc {
 		y := make([]float64, nobs)
 		x := make([]float64, nobs)
-		return func(ctx context.Context, rng *rand.Rand, b, lo, hi int) (StreamRecord, bool) {
-			rec := StreamRecord{Block: b, CV: make([]stats.ControlVariate, nobs), Quant: make([]QuantileSketch, nobs)}
-			for j := range rec.Quant {
-				rec.Quant[j] = newQuantileSketch()
+		// Worker scratch, as in RunVector: a block lands in its slot once.
+		cv := make([]stats.ControlVariate, nobs)
+		quant := make([]QuantileSketch, nobs)
+		return func(ctx context.Context, rng *rand.Rand, rec *StreamRecord, lo, hi int) bool {
+			for j := range cv {
+				cv[j] = stats.ControlVariate{}
+				quant[j] = newQuantileSketch()
 			}
+			rejected := 0
 			for i := lo; i < hi; i++ {
 				if ctx.Err() != nil {
-					return StreamRecord{}, false
+					return false
 				}
 				rng.Seed(trialSeed(cfg.Seed, i))
 				if !f(rng, y, x) {
-					rec.Rejected++
+					rejected++
 					continue
 				}
-				for j := range rec.CV {
-					rec.CV[j].Add(y[j], x[j])
-					rec.Quant[j].P05.Add(y[j])
-					rec.Quant[j].Median.Add(y[j])
-					rec.Quant[j].P95.Add(y[j])
+				for j := range cv {
+					cv[j].Add(y[j], x[j])
+					quant[j].P05.Add(y[j])
+					quant[j].Median.Add(y[j])
+					quant[j].P95.Add(y[j])
 				}
 			}
-			return rec, true
+			copy(rec.CV, cv)
+			copy(rec.Quant, quant)
+			rec.Rejected = rejected
+			return true
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	return foldPaired(recs, nobs), nil
+	return foldPaired(st), nil
 }

@@ -9,14 +9,17 @@
 // Determinism: trial i always derives its PRNG stream from (Seed, i), and
 // trials are aggregated in fixed-size blocks that are merged in block
 // order, so every statistic is bit-identical regardless of the worker
-// count. Workers own one reusable PRNG and one scratch vector each, so
-// the scheduler allocates per block (accumulators, collected values),
-// never per trial. The trial function is one closure, built once per
-// stream and shared by every worker, so a worker holds no other state and
-// any worker can run any trial. The analytic trial is allocation-free as
-// well: TdpVector builds the stream's parameters and ratio model once,
-// and TestTdpVectorTrialAllocationFree pins a warm trial at zero
-// allocations on every option.
+// count. Workers own one reusable PRNG and one scratch vector and
+// accumulator set each; a block's collected values go straight into its
+// window of the stream's value array, and its accumulators into its slot
+// once the block is done. The scheduler allocates those arrays once per
+// stream (one per accumulator kind, one for collected values), so nothing
+// is allocated per block or per trial. The trial function is one
+// closure, built once per stream and shared by every worker, so a worker
+// holds no other state and any worker can run any trial. The analytic
+// trial is allocation-free as well: TdpVector builds the stream's
+// parameters and ratio model once, and TestTdpVectorTrialAllocationFree
+// pins a warm trial at zero allocations on every option.
 package mc
 
 import (
@@ -71,7 +74,10 @@ type VectorResult struct {
 	// across worker counts.
 	Quantiles []QuantileSketch
 	// Values holds the accepted observations per observable in trial
-	// order. It is nil unless Config.Collect was set.
+	// order. It is nil unless Config.Collect was set. Each slice is
+	// capacity-capped, so appending to one never writes into another;
+	// a single observable's slice may be the stream's own value array,
+	// which the fold compacts in place instead of copying.
 	Values [][]float64
 	// Rejected counts trials for which the VectorFunc returned false.
 	Rejected int
@@ -115,19 +121,24 @@ func trialSeed(seed int64, i int) int64 {
 // f, so f must be safe for concurrent use. The context cancels the run
 // between blocks; cfg.Progress, if set, is invoked as blocks complete.
 func RunVector(ctx context.Context, cfg Config, nobs int, f VectorFunc) (*VectorResult, error) {
-	recs, err := runStream(ctx, cfg, streamPlain, nobs, func() evalFunc {
+	st, err := runStream(ctx, cfg, streamPlain, nobs, func() evalFunc {
 		out := make([]float64, nobs)
-		return func(ctx context.Context, rng *rand.Rand, b, lo, hi int) (StreamRecord, bool) {
-			rec := StreamRecord{Block: b, Agg: make([]stats.Welford, nobs)}
-			var quant []QuantileSketch
-			if cfg.Collect {
-				rec.Values = make([]float64, 0, (hi-lo)*nobs)
-			} else {
-				quant = make([]QuantileSketch, nobs)
-				for j := range quant {
-					quant[j] = newQuantileSketch()
-				}
+		// A block accumulates in worker scratch and lands in its slot once
+		// it is done: neighbouring slots share cache lines, which two
+		// workers writing them on every trial would fight over.
+		agg := make([]stats.Welford, nobs)
+		var quant []QuantileSketch
+		if !cfg.Collect {
+			quant = make([]QuantileSketch, nobs)
+		}
+		return func(ctx context.Context, rng *rand.Rand, rec *StreamRecord, lo, hi int) bool {
+			for j := range agg {
+				agg[j] = stats.Welford{}
 			}
+			for j := range quant {
+				quant[j] = newQuantileSketch()
+			}
+			vals, rejected := rec.Values, 0
 			for i := lo; i < hi; i++ {
 				// Also honor cancellation inside a block: a
 				// SPICE-in-the-loop run at a sub-block budget would
@@ -135,15 +146,15 @@ func RunVector(ctx context.Context, cfg Config, nobs int, f VectorFunc) (*Vector
 				// Completed runs are unaffected — an abandoned (torn)
 				// block is never emitted, counted or checkpointed.
 				if ctx.Err() != nil {
-					return StreamRecord{}, false
+					return false
 				}
 				rng.Seed(trialSeed(cfg.Seed, i))
 				if !f(rng, out) {
-					rec.Rejected++
+					rejected++
 					continue
 				}
-				for j := range rec.Agg {
-					rec.Agg[j].Add(out[j])
+				for j := range agg {
+					agg[j].Add(out[j])
 				}
 				for j := range quant {
 					quant[j].P05.Add(out[j])
@@ -151,15 +162,17 @@ func RunVector(ctx context.Context, cfg Config, nobs int, f VectorFunc) (*Vector
 					quant[j].P95.Add(out[j])
 				}
 				if cfg.Collect {
-					rec.Values = append(rec.Values, out...)
+					vals = append(vals, out...)
 				}
 			}
-			rec.Quant = quant
-			return rec, true
+			copy(rec.Agg, agg)
+			copy(rec.Quant, quant)
+			rec.Values, rec.Rejected = vals, rejected
+			return true
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	return foldPlain(recs, nobs, cfg.Collect), nil
+	return foldPlain(st), nil
 }

@@ -109,7 +109,7 @@ func TestRunRejections(t *testing.T) {
 	if _, err := RunVector(context.Background(), cfg, 1, none); err == nil || !strings.Contains(err.Error(), allRejected) {
 		t.Fatalf("direct all-rejected run: %v", err)
 	}
-	parts := make([]*ShardPayload, 2)
+	parts := make([]*stats.CodecReader, 2)
 	for i := range parts {
 		sr, err := NewShardRun(ShardSpec{Index: i, Count: 2})
 		if err != nil {
@@ -121,11 +121,9 @@ func TestRunRejections(t *testing.T) {
 		if err != nil || view.Accepted() != 0 || view.Rejected != 0 {
 			t.Fatalf("shard %d of an all-rejected stream: %v (view %+v)", i, err, view)
 		}
-		if parts[i], err = DecodeShardPayload(sr.EncodePayload()); err != nil {
-			t.Fatal(err)
-		}
+		parts[i] = payloadReader(encodePayload(sr))
 	}
-	rp, err := NewReplay(parts)
+	rp, err := NewReplay(parts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,15 @@
 // runStream above it, the one execution path every engine invocation
 // takes: a direct run is the whole-stream capture of shard 0 of 1.
 //
-// Every trial stream is cut into fixed blockSize blocks. Workers pull
-// block indices from an atomic cursor and evaluate them independently
-// through the stream's one shared trial function, so no block depends on
-// the worker that ran it. Completed blocks park in a pending set until
-// the contiguous frontier reaches them, at which point they are emitted
-// strictly in block order.
+// Every trial stream is cut into fixed blockSize blocks. Before a
+// stream's blocks run, runStream cuts every block's record at its fixed
+// slot in the stream's record slice, with the record's accumulators and
+// value window cut from one array per field. Workers pull block indices
+// from an atomic cursor and evaluate them through the stream's one
+// shared trial function, each into its own block's slot and value
+// window, so no block depends on the worker that ran it. A finished
+// block's record already sits in its slot: emission only advances the
+// contiguous frontier over finished slots, strictly in block order.
 // That ordering is the whole determinism story: the fold over emitted
 // records is the exact left-fold a serial run would perform, so results
 // are bit-identical for any worker count — and, because a contiguous
@@ -22,9 +25,9 @@
 // appear in no count, no record and no checkpoint — so a resumed run
 // re-executes exactly the blocks at or after the frontier, never
 // double-counting a torn block. Nothing is emitted once the run is
-// canceled, so completed blocks parked past the frontier are dropped
-// like torn ones. The trial count in the cancellation error reports
-// emitted (frontier) trials only.
+// canceled, so finished blocks past the frontier are dropped like torn
+// ones. The trial count in the cancellation error reports emitted
+// (frontier) trials only.
 package mc
 
 import (
@@ -112,10 +115,12 @@ func (r *StreamRecord) accepted() int {
 	return r.Agg[0].N()
 }
 
-// evalFunc evaluates one block of trials into its record. It returns
-// ok=false when ctx was canceled mid-block; the torn block is then
-// abandoned — never emitted, never counted.
-type evalFunc func(ctx context.Context, rng *rand.Rand, block, lo, hi int) (rec StreamRecord, ok bool)
+// evalFunc evaluates the trials [lo,hi) of one block into its record,
+// which runStream cut empty at the block's slot: zeroed accumulators and,
+// for a collecting stream, an empty value window of the block's
+// capacity. It returns ok=false when ctx was canceled mid-block; the torn
+// block is then abandoned — never emitted, never counted.
+type evalFunc func(ctx context.Context, rng *rand.Rand, rec *StreamRecord, lo, hi int) (ok bool)
 
 // runStream is the one execution path under RunVector and
 // RunVectorPaired, and the only reader of the Shard hook. It begins the
@@ -127,10 +132,10 @@ type evalFunc func(ctx context.Context, rng *rand.Rand, block, lo, hi int) (rec 
 // The run's two verdicts live here once for both stream kinds: a
 // cancellation reports the emitted frontier (the partial-progress
 // invariant above), and a whole stream, direct or replayed, goes back to
-// the caller's fold in block order unless its every trial was rejected.
-// A shard capture hands back no records: its view of the stream is the
-// artifact, and the authoritative result comes from the reducer.
-func runStream(ctx context.Context, cfg Config, kind uint8, nobs int, newEval func() evalFunc) ([]StreamRecord, error) {
+// the caller's fold unless its every trial was rejected. A shard capture
+// hands back an empty stream: its view of the stream is the artifact,
+// and the authoritative result comes from the reducer.
+func runStream(ctx context.Context, cfg Config, kind uint8, nobs int, newEval func() evalFunc) (*stream, error) {
 	n := cfg.Samples
 	if n < 1 {
 		return nil, fmt.Errorf("mc: sample count %d < 1", n)
@@ -151,8 +156,8 @@ func runStream(ctx context.Context, cfg Config, kind uint8, nobs int, newEval fu
 	}
 	lo, hi := sh.spec.blockRange(Blocks(n))
 	if first := lo + len(st.recs); first < hi {
-		emitted := runBlocks(ctx, cfg, n, first, hi, newEval, func(rec StreamRecord) {
-			st.recs = append(st.recs, rec)
+		emitted := runBlocks(ctx, cfg, n, first, st.capture(first, hi), newEval, func() {
+			st.recs = st.recs[:len(st.recs)+1]
 			sh.advance()
 		})
 		if err := ctx.Err(); err != nil {
@@ -160,7 +165,7 @@ func runStream(ctx context.Context, cfg Config, kind uint8, nobs int, newEval fu
 		}
 	}
 	if cfg.Shard != nil && !sh.replay {
-		return nil, nil
+		return &stream{header: st.header}, nil
 	}
 	accepted := 0
 	for i := range st.recs {
@@ -169,16 +174,18 @@ func runStream(ctx context.Context, cfg Config, kind uint8, nobs int, newEval fu
 	if accepted == 0 {
 		return nil, fmt.Errorf("mc: every one of %d trials was rejected", n)
 	}
-	return st.recs, nil
+	return st, nil
 }
 
-// runBlocks drives the worker pool over blocks [first,last) of an
-// n-trial stream. newEval is invoked once per worker and the returned
-// closure owns that worker's scratch; each worker also gets one reusable
-// PRNG and nothing else, so any worker can evaluate any block. emit
-// receives every completed record strictly in block order and is
-// serialized by the scheduler — it needs no locking and may safely
-// append to a slice or persist a checkpoint.
+// runBlocks drives the worker pool over the blocks first, first+1, … of
+// an n-trial stream whose records slots holds, one per block in block
+// order. newEval is invoked once per worker and the returned closure
+// owns that worker's scratch; each worker also gets one reusable PRNG
+// and nothing else, so any worker can evaluate any block, and it fills
+// the block's slot in place. emit is called once per block as the
+// contiguous frontier of finished slots passes it, strictly in block
+// order, and is serialized by the scheduler — it needs no locking and
+// may safely extend the stream's records or persist a checkpoint.
 // cfg.Progress, when set, observes the frontier: done counts emitted
 // trials of this range, total the range's trial count, strictly
 // increasing.
@@ -186,11 +193,12 @@ func runStream(ctx context.Context, cfg Config, kind uint8, nobs int, newEval fu
 // The return value is the number of emitted trials — the contiguous
 // frontier, which on a clean run equals the range total and on a
 // canceled run is exactly the prefix a resume may keep.
-func runBlocks(ctx context.Context, cfg Config, n, first, last int, newEval func() evalFunc, emit func(StreamRecord)) int {
-	nblocks := last - first
+func runBlocks(ctx context.Context, cfg Config, n, first int, slots []StreamRecord, newEval func() evalFunc, emit func()) int {
+	nblocks := len(slots)
 	if nblocks <= 0 {
 		return 0
 	}
+	last := first + nblocks
 	rangeTrials := trialsIn(first, last, n)
 	nw := cfg.workers()
 	if nw > nblocks {
@@ -200,10 +208,10 @@ func runBlocks(ctx context.Context, cfg Config, n, first, last int, newEval func
 		next atomic.Int64 // block cursor
 		wg   sync.WaitGroup
 
-		// mu guards the pending set and the frontier; emit and Progress
-		// run under it, which is what serializes them.
+		// mu guards finished and the frontier; emit and Progress run
+		// under it, which is what serializes them.
 		mu       sync.Mutex
-		pending  = make(map[int]StreamRecord)
+		finished = make([]bool, nblocks)
 		frontier = first
 		emitted  int
 	)
@@ -226,24 +234,18 @@ func runBlocks(ctx context.Context, cfg Config, n, first, last int, newEval func
 					return
 				}
 				lo, hi := blockBounds(b, n)
-				rec, ok := eval(ctx, rng, b, lo, hi)
-				if !ok {
+				if !eval(ctx, rng, &slots[b-first], lo, hi) {
 					return
 				}
 				mu.Lock()
-				pending[b] = rec
-				// Emission stops at the cancellation, even with
-				// completed blocks still parked: a cancel from emit or
-				// Progress lands at the block that triggered it.
-				for ctx.Err() == nil {
-					r, ready := pending[frontier]
-					if !ready {
-						break
-					}
-					delete(pending, frontier)
+				finished[b-first] = true
+				// Emission stops at the cancellation, even with finished
+				// blocks still waiting: a cancel from emit or Progress
+				// lands at the block that triggered it.
+				for ctx.Err() == nil && frontier < last && finished[frontier-first] {
 					emitted += trialsIn(frontier, frontier+1, n)
 					frontier++
-					emit(r)
+					emit()
 					if cfg.Progress != nil {
 						cfg.Progress(emitted, rangeTrials)
 					}
@@ -256,19 +258,20 @@ func runBlocks(ctx context.Context, cfg Config, n, first, last int, newEval func
 	return emitted
 }
 
-// foldPlain replays the serial left-fold over plain-stream records in
-// block order — the one merge tree every execution shape (any worker
+// foldPlain replays the serial left-fold over a plain stream's records
+// in block order — the one merge tree every execution shape (any worker
 // count, any shard partition, resumed or not) reduces through, which is
 // why all of them are bit-identical.
-func foldPlain(recs []StreamRecord, nobs int, collect bool) *VectorResult {
+func foldPlain(st *stream) *VectorResult {
+	nobs := st.header.Nobs
 	res := &VectorResult{Stats: make([]stats.Welford, nobs)}
-	if !collect {
+	if !st.header.Collect {
 		res.Quantiles = make([]QuantileSketch, nobs)
 		for j := range res.Quantiles {
 			res.Quantiles[j] = newQuantileSketch()
 		}
 	}
-	for _, b := range recs {
+	for _, b := range st.recs {
 		for j := range res.Stats {
 			res.Stats[j].Merge(b.Agg[j])
 		}
@@ -277,25 +280,51 @@ func foldPlain(recs []StreamRecord, nobs int, collect bool) *VectorResult {
 		}
 		res.Rejected += b.Rejected
 	}
-	if collect {
-		res.Values = make([][]float64, nobs)
-		acc := res.Stats[0].N()
-		for j := range res.Values {
-			res.Values[j] = make([]float64, 0, acc)
-		}
-		for _, b := range recs {
-			for t := 0; t*nobs < len(b.Values); t++ {
-				for j := 0; j < nobs; j++ {
-					res.Values[j] = append(res.Values[j], b.Values[t*nobs+j])
-				}
-			}
-		}
+	if st.header.Collect {
+		res.Values = st.collected(res.Stats[0].N())
 	}
 	return res
 }
 
+// collected returns a collecting stream's accepted values per observable
+// in trial order; acc is the accepted trial count. One observable's
+// values are compacted to the front of the array the records were cut
+// from and handed back in it, capacity-capped, so the fold copies
+// nothing. Every record's window starts at or after the values before it,
+// so the compaction is always a left move, and decoded records, which
+// are already packed, do not move at all. Several observables are
+// transposed into one fresh array cut nobs ways.
+func (st *stream) collected(acc int) [][]float64 {
+	nobs := st.header.Nobs
+	if nobs == 1 && st.values != nil {
+		vals := st.values[:cap(st.values)]
+		n := 0
+		for _, b := range st.recs {
+			if len(b.Values) > 0 && &b.Values[0] != &vals[n] {
+				copy(vals[n:], b.Values)
+			}
+			n += len(b.Values)
+		}
+		return [][]float64{vals[:n:n]}
+	}
+	all := make([]float64, nobs*acc)
+	out := make([][]float64, nobs)
+	for j := range out {
+		out[j] = all[j*acc : j*acc : (j+1)*acc]
+	}
+	for _, b := range st.recs {
+		for t := 0; t*nobs < len(b.Values); t++ {
+			for j := range out {
+				out[j] = append(out[j], b.Values[t*nobs+j])
+			}
+		}
+	}
+	return out
+}
+
 // foldPaired is foldPlain for paired (control-variate) streams.
-func foldPaired(recs []StreamRecord, nobs int) *CVVectorResult {
+func foldPaired(st *stream) *CVVectorResult {
+	nobs := st.header.Nobs
 	res := &CVVectorResult{
 		VectorResult: VectorResult{
 			Stats:     make([]stats.Welford, nobs),
@@ -306,7 +335,7 @@ func foldPaired(recs []StreamRecord, nobs int) *CVVectorResult {
 	for j := range res.Quantiles {
 		res.Quantiles[j] = newQuantileSketch()
 	}
-	for _, b := range recs {
+	for _, b := range st.recs {
 		for j := range res.CV {
 			res.CV[j].Merge(b.CV[j])
 			res.Quantiles[j].merge(b.Quant[j])

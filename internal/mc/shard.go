@@ -10,6 +10,14 @@
 // single-process path, bit-identical by construction at any shard
 // partition and any per-shard worker count.
 //
+// Each collected value is held once. A capture cuts its records from one
+// array per field and stream, and NewReplay decodes stream s of every
+// shard in turn into one such array set; the fold of a single-observable
+// stream hands its value array back compacted in place. The payload
+// codec streams: WritePayload encodes each accumulator straight into a
+// buffered writer, and the decoders read a stats.CodecReader within the
+// payload's byte budget, so neither builds the payload in memory.
+//
 // Streams are identified by invocation order: workload code calls the
 // engine in a deterministic sequence (it is ordinary sequential Go), so
 // the k-th engine invocation of the reduce run corresponds to the k-th
@@ -20,7 +28,10 @@
 package mc
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"math"
 
 	"mpsram/internal/stats"
 )
@@ -56,19 +67,54 @@ func (s ShardSpec) blockRange(nblocks int) (lo, hi int) {
 type stream struct {
 	header streamHeader
 	recs   []StreamRecord
+	// values is the array a collecting stream's records hold their
+	// values in, in block order, when every record was cut from it: a
+	// capture's from its first block, a replay's always. The fold
+	// compacts a single observable's values in it.
+	values []float64
+}
+
+// capture cuts the empty records of blocks [first,last), the rest of
+// st's range past its recorded prefix, from one fresh array per field
+// and returns them. They sit in st.recs' capacity past its length, and
+// the scheduler extends st.recs over each as the frontier passes it.
+func (st *stream) capture(first, last int) []StreamRecord {
+	k, nrun := len(st.recs), last-first
+	if cap(st.recs) < k+nrun {
+		st.recs = append(make([]StreamRecord, 0, k+nrun), st.recs...)
+	}
+	arrs := newStreamArrays(st.header, nrun, math.MaxInt)
+	if k == 0 {
+		st.values = arrs.values
+	}
+	slots := st.recs[k : k+nrun]
+	for j := range slots {
+		slots[j] = arrs.cut(st.header, first+j)
+	}
+	return slots
+}
+
+// checkCount verifies that n records fit the block range of stream s
+// (header h) in shard spec — and fill it when full is set.
+func checkCount(h streamHeader, spec ShardSpec, s, n int, full bool) error {
+	lo, hi := spec.blockRange(h.nblocks())
+	switch {
+	case n > hi-lo:
+		return fmt.Errorf("mc: shard %d stream %d holds %d records, the shard's range has %d blocks", spec.Index, s, n, hi-lo)
+	case full && n < hi-lo:
+		return fmt.Errorf("mc: shard %d stream %d is incomplete: %d of %d blocks recorded", spec.Index, s, n, hi-lo)
+	}
+	return nil
 }
 
 // checkPrefix verifies that st, stream s of shard spec, holds a
 // contiguous prefix of the shard's block range — the whole range when
 // full is set.
 func (st *stream) checkPrefix(spec ShardSpec, s int, full bool) error {
-	lo, hi := spec.blockRange(st.header.nblocks())
-	switch n := len(st.recs); {
-	case n > hi-lo:
-		return fmt.Errorf("mc: shard %d stream %d holds %d records, the shard's range has %d blocks", spec.Index, s, n, hi-lo)
-	case full && n < hi-lo:
-		return fmt.Errorf("mc: shard %d stream %d is incomplete: %d of %d blocks recorded", spec.Index, s, n, hi-lo)
+	if err := checkCount(st.header, spec, s, len(st.recs), full); err != nil {
+		return err
 	}
+	lo, _ := spec.blockRange(st.header.nblocks())
 	for k, rec := range st.recs {
 		if rec.Block != lo+k {
 			return fmt.Errorf("mc: shard %d stream %d is not a contiguous prefix (record %d covers block %d, want %d)", spec.Index, s, k, rec.Block, lo+k)
@@ -99,7 +145,7 @@ type ShardRun struct {
 	spec ShardSpec
 	// Checkpoint, if non-nil, is invoked each time a stream's contiguous
 	// frontier advances by one block. Calls are serialized by the
-	// scheduler and EncodePayload is safe to call from inside one, which
+	// scheduler and WritePayload is safe to call from inside one, which
 	// is exactly how periodic checkpointing is implemented: the callback
 	// decides (e.g. by wall clock) whether to persist the current
 	// payload.
@@ -144,41 +190,84 @@ func ResumeShardRun(spec ShardSpec, p *ShardPayload) (*ShardRun, error) {
 }
 
 // NewReplay assembles the reducer's capture from one complete shard set:
-// parts[i] must be shard i's payload out of len(parts) shards of the
-// same run. Every stream must be covered exactly — headers equal across
-// shards, each shard contributing its full block range — or the
-// assembly fails. The result is shard 0 of 1 with every stream recorded:
-// a run on it executes no trial, folds the recorded blocks, and fails if
-// it begins a stream the shards did not record.
-func NewReplay(parts []*ShardPayload) (*ShardRun, error) {
+// parts[i] reads shard i's payload out of len(parts) shards of the same
+// run, and names[i], when names is not nil, labels the errors its bytes
+// raise (a file path, say). Every stream must be covered exactly —
+// headers equal across shards, each shard contributing its full block
+// range — or the assembly fails. Stream s of every shard is decoded in
+// turn into one array set, sized from all the parts' record counts and
+// bounded by their bytes, so the replay holds each value once and its
+// fold compacts in place. The result is shard 0 of 1 with every stream
+// recorded: a run on it executes no trial, folds the recorded blocks,
+// and fails if it begins a stream the shards did not record.
+func NewReplay(parts []*stats.CodecReader, names []string) (*ShardRun, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("mc: no shard payloads")
 	}
-	ns := len(parts[0].streams)
-	for i, p := range parts {
-		if len(p.streams) != ns {
-			return nil, fmt.Errorf("mc: shard %d holds %d streams, shard 0 holds %d", i, len(p.streams), ns)
+	named := func(i int, err error) error {
+		if names == nil {
+			return err
+		}
+		return fmt.Errorf("%s: %w", names[i], err)
+	}
+	ns, capacity := 0, 0
+	for i, r := range parts {
+		n, c, err := decodeStreamCount(r)
+		if err != nil {
+			return nil, named(i, err)
+		}
+		if i == 0 {
+			ns, capacity = n, c
+		} else if n != ns {
+			return nil, fmt.Errorf("mc: shard %d holds %d streams, shard 0 holds %d", i, n, ns)
 		}
 	}
-	sr := &ShardRun{spec: ShardSpec{Index: 0, Count: 1}, streams: make([]*stream, ns), replay: true}
-	for s := range sr.streams {
-		hdr := parts[0].streams[s].header
-		for i, p := range parts {
-			st := p.streams[s]
-			if st.header != hdr {
-				return nil, fmt.Errorf("mc: shard %d stream %d header differs from shard 0 (%+v vs %+v)", i, s, st.header, hdr)
+	sr := &ShardRun{spec: ShardSpec{Index: 0, Count: 1}, streams: make([]*stream, 0, capacity), replay: true}
+	nrecs := make([]int, len(parts))
+	for s := 0; s < ns; s++ {
+		var hdr streamHeader
+		total, rest := 0, 0
+		for i, r := range parts {
+			h, n, err := decodeStreamHead(r, s)
+			if err != nil {
+				return nil, named(i, err)
 			}
-			if err := st.checkPrefix(ShardSpec{Index: i, Count: len(parts)}, s, true); err != nil {
+			if i == 0 {
+				hdr = h
+			} else if h != hdr {
+				return nil, fmt.Errorf("mc: shard %d stream %d header differs from shard 0 (%+v vs %+v)", i, s, h, hdr)
+			}
+			if err := checkCount(h, ShardSpec{Index: i, Count: len(parts)}, s, n, true); err != nil {
+				return nil, err
+			}
+			nrecs[i] = n
+			total += n
+			rest += r.Rest()
+		}
+		// The ranges tile the stream in shard order, so decoding the parts
+		// in turn yields every block in block order.
+		arrs := newStreamArrays(hdr, total, rest)
+		st := &stream{header: hdr, recs: make([]StreamRecord, 0, total), values: arrs.values}
+		for i, r := range parts {
+			k := len(st.recs)
+			for range nrecs[i] {
+				rec, err := decodeRecord(r, hdr, &arrs)
+				if err != nil {
+					return nil, named(i, err)
+				}
+				st.recs = append(st.recs, rec)
+			}
+			part := stream{header: hdr, recs: st.recs[k:]}
+			if err := part.checkPrefix(ShardSpec{Index: i, Count: len(parts)}, s, true); err != nil {
 				return nil, err
 			}
 		}
-		// The ranges tile the stream in shard order, so concatenating the
-		// checked parts yields every block in block order.
-		recs := make([]StreamRecord, 0, hdr.nblocks())
-		for _, p := range parts {
-			recs = append(recs, p.streams[s].recs...)
+		sr.streams = append(sr.streams, st)
+	}
+	for i, r := range parts {
+		if err := checkDrained(r); err != nil {
+			return nil, named(i, err)
 		}
-		sr.streams[s] = &stream{header: hdr, recs: recs}
 	}
 	return sr, nil
 }
@@ -278,80 +367,79 @@ func appendSketch(b []byte, q QuantileSketch) []byte {
 	return b
 }
 
-// appendRecord encodes one record under its stream header's layout.
-func appendRecord(b []byte, h streamHeader, rec StreamRecord) []byte {
-	b = stats.AppendU64(b, uint64(rec.Block))
-	b = stats.AppendU64(b, uint64(rec.Rejected))
+// WritePayload writes the capture's current state — every stream's
+// contiguous record prefix — to w, through w itself when it is a
+// *bufio.Writer and through a new one otherwise. Safe to call from the
+// Checkpoint callback (the scheduler serializes it with record emission)
+// and after the run returns; the bytes are a valid resume/reduce payload
+// either way. Every field is encoded straight into the writer's free
+// buffer, so a payload of any size costs the allocations of at most one
+// bufio.Writer.
+func (sr *ShardRun) WritePayload(w io.Writer) error {
+	pw := payloadWriter{bufio.NewWriter(w)}
+	pw.Write(stats.AppendU64(append(pw.room(9), payloadCodecVersion), uint64(len(sr.streams))))
+	for _, st := range sr.streams {
+		pw.Write(stats.AppendU64(appendHeader(pw.room(streamHeadBytes), st.header), uint64(len(st.recs))))
+		for _, rec := range st.recs {
+			pw.record(st.header, rec)
+		}
+	}
+	return pw.Flush()
+}
+
+// payloadWriter encodes the payload into a bufio.Writer's free buffer.
+// The writer latches its first error, which Flush reports.
+type payloadWriter struct{ *bufio.Writer }
+
+// room returns the writer's empty free buffer, flushed first when less
+// than n bytes are free.
+func (w payloadWriter) room(n int) []byte {
+	if w.Available() < n {
+		w.Flush()
+	}
+	return w.AvailableBuffer()
+}
+
+// record encodes one record under its stream header's layout.
+func (w payloadWriter) record(h streamHeader, rec StreamRecord) {
+	w.Write(stats.AppendU64(stats.AppendU64(w.room(16), uint64(rec.Block)), uint64(rec.Rejected)))
 	switch {
 	case h.Kind == streamPaired:
 		for _, c := range rec.CV {
-			b = c.AppendBinary(b)
+			w.Write(c.AppendBinary(w.room(cvBytes)))
 		}
-		for _, q := range rec.Quant {
-			b = appendSketch(b, q)
-		}
+		w.sketches(rec.Quant)
 	case h.Collect:
-		for _, w := range rec.Agg {
-			b = w.AppendBinary(b)
-		}
-		b = stats.AppendU64(b, uint64(len(rec.Values)))
-		for _, v := range rec.Values {
-			b = stats.AppendF64(b, v)
+		w.welfords(rec.Agg)
+		w.Write(stats.AppendU64(w.room(8), uint64(len(rec.Values))))
+		for vals := rec.Values; len(vals) > 0; {
+			b := w.room(8)
+			k := min(len(vals), cap(b)/8)
+			for _, v := range vals[:k] {
+				b = stats.AppendF64(b, v)
+			}
+			// Only a latched error leaves no room for a value.
+			if _, err := w.Write(b); err != nil {
+				return
+			}
+			vals = vals[k:]
 		}
 	default:
-		for _, w := range rec.Agg {
-			b = w.AppendBinary(b)
-		}
-		for _, q := range rec.Quant {
-			b = appendSketch(b, q)
-		}
+		w.welfords(rec.Agg)
+		w.sketches(rec.Quant)
 	}
-	return b
 }
 
-// EncodePayload serializes the capture's current state — every stream's
-// contiguous record prefix. Safe to call from the Checkpoint callback
-// (the scheduler serializes it with record emission) and after the run
-// returns; the encoding is a valid resume/reduce payload either way. The
-// buffer is allocated once, at payloadSize, so a checkpoint costs one
-// allocation of the payload's size.
-func (sr *ShardRun) EncodePayload() []byte {
-	b := make([]byte, 0, sr.payloadSize())
-	b = append(b, payloadCodecVersion)
-	b = stats.AppendU64(b, uint64(len(sr.streams)))
-	for _, st := range sr.streams {
-		b = appendHeader(b, st.header)
-		b = stats.AppendU64(b, uint64(len(st.recs)))
-		for _, rec := range st.recs {
-			b = appendRecord(b, st.header, rec)
-		}
+func (w payloadWriter) welfords(ws []stats.Welford) {
+	for _, a := range ws {
+		w.Write(a.AppendBinary(w.room(welfordBytes)))
 	}
-	return b
 }
 
-// payloadSize returns the exact length of EncodePayload's output. Every
-// record of a stream encodes the same fixed part (its block and reject
-// counts and one accumulator set per observable) plus eight bytes per
-// collected value. The fixed part is measured by encoding the stream's
-// first record without its values, so the size follows the encoder. The
-// measurement is encoded into a stack array, which a record of more than
-// about six observables outgrows into one heap allocation per stream.
-func (sr *ShardRun) payloadSize() int {
-	var scratch [4096]byte
-	n := 1 + 8
-	for _, st := range sr.streams {
-		n += len(appendHeader(scratch[:0], st.header)) + 8
-		if len(st.recs) == 0 {
-			continue
-		}
-		first := st.recs[0]
-		first.Values = nil
-		n += len(st.recs) * len(appendRecord(scratch[:0], st.header, first))
-		for _, rec := range st.recs {
-			n += 8 * len(rec.Values)
-		}
+func (w payloadWriter) sketches(qs []QuantileSketch) {
+	for _, q := range qs {
+		w.Write(appendSketch(w.room(sketchBytes), q))
 	}
-	return n
 }
 
 // decodeHeader consumes one stream header.
@@ -377,17 +465,20 @@ func decodeHeader(r *stats.CodecReader) (streamHeader, error) {
 	return h, nil
 }
 
-// Encoded sizes of the per-observable accumulators, taken from their
-// encoders: a stream's arrays never hold more elements than the bytes
-// left to decode can encode.
+// Encoded sizes of a stream header with its record count and of the
+// per-observable accumulators, taken from their encoders: a decoder never
+// allocates for more of them than the bytes left to decode can encode,
+// and the writer keeps that much of its buffer free for each.
 var (
-	welfordBytes = len(stats.Welford{}.AppendBinary(nil))
-	sketchBytes  = len(appendSketch(nil, QuantileSketch{}))
-	cvBytes      = len(stats.ControlVariate{}.AppendBinary(nil))
+	streamHeadBytes = len(appendHeader(nil, streamHeader{})) + 8
+	welfordBytes    = len(stats.Welford{}.AppendBinary(nil))
+	sketchBytes     = len(appendSketch(nil, QuantileSketch{}))
+	cvBytes         = len(stats.ControlVariate{}.AppendBinary(nil))
 )
 
-// streamArrays hold one stream's decoded per-record slices: each field is
-// one backing array that decodeRecord cuts every record's slice from.
+// streamArrays hold one stream's per-record slices: each field is one
+// backing array that a capture (cut) or the decoder (decodeRecord) cuts
+// every record's slice from, in block order.
 type streamArrays struct {
 	agg    []stats.Welford
 	quant  []QuantileSketch
@@ -399,7 +490,8 @@ type streamArrays struct {
 // encoding is among the rest bytes left: nrecs times the observables
 // (and a full block of values per record when h collects), but never
 // more elements than rest bytes can encode, so a corrupt count cannot
-// make the decoder allocate more than it was given.
+// make the decoder allocate more than it was given. A capture, whose
+// records are not read from bytes, passes math.MaxInt.
 func newStreamArrays(h streamHeader, nrecs, rest int) streamArrays {
 	var a streamArrays
 	if nrecs == 0 || h.Nobs > rest/8 {
@@ -425,6 +517,24 @@ func arrayLen(nrecs, per, limit int) int {
 		return limit
 	}
 	return nrecs * per
+}
+
+// cut cuts block b's empty record off the arrays: zeroed accumulators
+// and, when h collects, an empty window of a whole block's values.
+func (a *streamArrays) cut(h streamHeader, b int) StreamRecord {
+	rec := StreamRecord{Block: b}
+	switch {
+	case h.Kind == streamPaired:
+		rec.CV = take(&a.cv, h.Nobs)
+		rec.Quant = take(&a.quant, h.Nobs)
+	case h.Collect:
+		rec.Agg = take(&a.agg, h.Nobs)
+		rec.Values = take(&a.values, blockSize*h.Nobs)[:0]
+	default:
+		rec.Agg = take(&a.agg, h.Nobs)
+		rec.Quant = take(&a.quant, h.Nobs)
+	}
+	return rec
 }
 
 // take cuts the next n elements off *arr, capacity capped at n, so an
@@ -504,52 +614,81 @@ func decodeRecord(r *stats.CodecReader, h streamHeader, a *streamArrays) (Stream
 	return rec, r.Err()
 }
 
-// DecodeShardPayload parses an encoded payload, rejecting version
-// mismatches, truncations and trailing garbage.
-func DecodeShardPayload(data []byte) (*ShardPayload, error) {
-	r := stats.NewCodecReader(data)
+// decodeStreamCount consumes a payload's version and stream count. It
+// also returns the capacity to allocate for the streams: no more than
+// the bytes left can hold stream headers for, so a count past them costs
+// nothing before decoding refuses it on the first header that does not
+// fit.
+func decodeStreamCount(r *stats.CodecReader) (ns, capacity int, err error) {
 	if v := r.U8("shard payload"); r.Err() == nil && v != payloadCodecVersion {
-		return nil, fmt.Errorf("mc: shard payload version %d, want %d", v, payloadCodecVersion)
+		return 0, 0, fmt.Errorf("mc: shard payload version %d, want %d", v, payloadCodecVersion)
 	}
-	ns := int(r.U64("shard payload"))
+	ns = int(r.U64("shard payload"))
 	if err := r.Err(); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	if ns < 0 || ns > 1<<20 {
-		return nil, fmt.Errorf("mc: corrupt shard payload (%d streams)", ns)
+		return 0, 0, fmt.Errorf("mc: corrupt shard payload (%d streams)", ns)
 	}
-	p := &ShardPayload{streams: make([]*stream, 0, ns)}
+	return ns, min(ns, r.Rest()/streamHeadBytes), nil
+}
+
+// decodeStreamHead consumes stream s's header and record count.
+func decodeStreamHead(r *stats.CodecReader, s int) (streamHeader, int, error) {
+	h, err := decodeHeader(r)
+	if err != nil {
+		return h, 0, err
+	}
+	nrecs := int(r.U64("shard payload"))
+	if err := r.Err(); err != nil {
+		return h, 0, err
+	}
+	if nrecs < 0 || nrecs > h.nblocks() {
+		return h, 0, fmt.Errorf("mc: stream %d holds %d records for %d blocks", s, nrecs, h.nblocks())
+	}
+	// A record opens with its block and reject counts (16 bytes): a
+	// count the remaining bytes cannot hold is corrupt, refused before
+	// anything is allocated for it.
+	if nrecs > r.Rest()/16 {
+		return h, 0, fmt.Errorf("mc: stream %d claims %d records in %d bytes", s, nrecs, r.Rest())
+	}
+	return h, nrecs, nil
+}
+
+// checkDrained refuses bytes left in a payload's budget once it decoded.
+func checkDrained(r *stats.CodecReader) error {
+	if r.Rest() != 0 {
+		return fmt.Errorf("mc: %d trailing bytes after shard payload", r.Rest())
+	}
+	return nil
+}
+
+// DecodeShardPayload decodes one payload, the whole of r's budget,
+// rejecting version mismatches, truncations and trailing garbage.
+func DecodeShardPayload(r *stats.CodecReader) (*ShardPayload, error) {
+	ns, capacity, err := decodeStreamCount(r)
+	if err != nil {
+		return nil, err
+	}
+	p := &ShardPayload{streams: make([]*stream, 0, capacity)}
 	for s := 0; s < ns; s++ {
-		h, err := decodeHeader(r)
+		h, nrecs, err := decodeStreamHead(r, s)
 		if err != nil {
 			return nil, err
 		}
-		nrecs := int(r.U64("shard payload"))
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if nrecs < 0 || nrecs > h.nblocks() {
-			return nil, fmt.Errorf("mc: stream %d holds %d records for %d blocks", s, nrecs, h.nblocks())
-		}
-		// A record opens with its block and reject counts (16 bytes): a
-		// count the remaining bytes cannot hold is corrupt, refused before
-		// anything is allocated for it.
-		if nrecs > r.Rest()/16 {
-			return nil, fmt.Errorf("mc: stream %d claims %d records in %d bytes", s, nrecs, r.Rest())
-		}
 		arrs := newStreamArrays(h, nrecs, r.Rest())
-		recs := make([]StreamRecord, 0, nrecs)
+		st := &stream{header: h, recs: make([]StreamRecord, 0, nrecs)}
 		for k := 0; k < nrecs; k++ {
 			rec, err := decodeRecord(r, h, &arrs)
 			if err != nil {
 				return nil, err
 			}
-			recs = append(recs, rec)
+			st.recs = append(st.recs, rec)
 		}
-		p.streams = append(p.streams, &stream{header: h, recs: recs})
+		p.streams = append(p.streams, st)
 	}
-	if r.Rest() != 0 {
-		return nil, fmt.Errorf("mc: %d trailing bytes after shard payload", r.Rest())
+	if err := checkDrained(r); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -1,11 +1,14 @@
 package mc
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -32,11 +35,28 @@ func encodeResult(r *VectorResult) []byte {
 	return b
 }
 
+// encodePayload returns the bytes WritePayload writes for sr.
+func encodePayload(sr *ShardRun) []byte {
+	var b bytes.Buffer
+	if err := sr.WritePayload(&b); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
+
+// payloadReader reads b as one payload.
+func payloadReader(b []byte) *stats.CodecReader {
+	return stats.NewCodecReader(bytes.NewReader(b), len(b))
+}
+
+// decodePayload decodes b as one payload.
+func decodePayload(b []byte) (*ShardPayload, error) { return DecodeShardPayload(payloadReader(b)) }
+
 // shardedRun executes cfg as `count` shards with the given worker count,
 // round-trips every artifact through the payload codec, and reduces.
 func shardedRun(t *testing.T, cfg Config, count, workers, nobs int, f VectorFunc) *VectorResult {
 	t.Helper()
-	parts := make([]*ShardPayload, count)
+	parts := make([]*stats.CodecReader, count)
 	for i := 0; i < count; i++ {
 		sr, err := NewShardRun(ShardSpec{Index: i, Count: count})
 		if err != nil {
@@ -48,13 +68,9 @@ func shardedRun(t *testing.T, cfg Config, count, workers, nobs int, f VectorFunc
 		if _, err := RunVector(context.Background(), scfg, nobs, f); err != nil {
 			t.Fatalf("shard %d/%d: %v", i, count, err)
 		}
-		p, err := DecodeShardPayload(sr.EncodePayload())
-		if err != nil {
-			t.Fatalf("shard %d payload round trip: %v", i, err)
-		}
-		parts[i] = p
+		parts[i] = payloadReader(encodePayload(sr))
 	}
-	rp, err := NewReplay(parts)
+	rp, err := NewReplay(parts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +138,7 @@ func TestShardReducePairedBitIdentical(t *testing.T) {
 	}
 	for _, count := range []int{1, 3} {
 		for _, workers := range []int{1, 8} {
-			parts := make([]*ShardPayload, count)
+			parts := make([]*stats.CodecReader, count)
 			for i := 0; i < count; i++ {
 				sr, _ := NewShardRun(ShardSpec{Index: i, Count: count})
 				scfg := cfg
@@ -131,13 +147,9 @@ func TestShardReducePairedBitIdentical(t *testing.T) {
 				if _, err := RunVectorPaired(context.Background(), scfg, 1, f); err != nil {
 					t.Fatal(err)
 				}
-				p, err := DecodeShardPayload(sr.EncodePayload())
-				if err != nil {
-					t.Fatal(err)
-				}
-				parts[i] = p
+				parts[i] = payloadReader(encodePayload(sr))
 			}
-			rp, err := NewReplay(parts)
+			rp, err := NewReplay(parts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,17 +198,15 @@ func TestShardMultiStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	const count = 3
-	parts := make([]*ShardPayload, count)
+	parts := make([]*stats.CodecReader, count)
 	for i := 0; i < count; i++ {
 		sr, _ := NewShardRun(ShardSpec{Index: i, Count: count})
 		if _, err := run(Config{Samples: 700, Shard: sr}); err != nil {
 			t.Fatal(err)
 		}
-		if parts[i], err = DecodeShardPayload(sr.EncodePayload()); err != nil {
-			t.Fatal(err)
-		}
+		parts[i] = payloadReader(encodePayload(sr))
 	}
-	rp, err := NewReplay(parts)
+	rp, err := NewReplay(parts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +243,7 @@ func TestShardCheckpointResume(t *testing.T) {
 	if _, err := RunVector(context.Background(), Config{Samples: samples, Seed: seed, Workers: 2, Shard: ref}, 1, plain); err != nil {
 		t.Fatal(err)
 	}
-	want := ref.EncodePayload()
+	want := encodePayload(ref)
 
 	// Killed run: cancel once the frontier holds two blocks, keep whatever
 	// it reached. Progress is serialized with emission, so the frontier is
@@ -254,7 +264,7 @@ func TestShardCheckpointResume(t *testing.T) {
 	if !strings.Contains(err.Error(), "canceled after") {
 		t.Fatalf("unexpected cancel error: %v", err)
 	}
-	ckpt, err := DecodeShardPayload(killed.EncodePayload())
+	ckpt, err := decodePayload(encodePayload(killed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +309,7 @@ func TestShardCheckpointResume(t *testing.T) {
 			t.Fatalf("trial %d at/after the frontier executed %d times on resume, want exactly 1", i, got)
 		}
 	}
-	if !reflect.DeepEqual(resumed.EncodePayload(), want) {
+	if !reflect.DeepEqual(encodePayload(resumed), want) {
 		t.Fatal("kill + resume payload differs from the uninterrupted run")
 	}
 }
@@ -323,7 +333,7 @@ func TestShardCancelCountMatchesFrontier(t *testing.T) {
 	if err == nil {
 		t.Fatal("canceled run reported success")
 	}
-	p, derr := DecodeShardPayload(sr.EncodePayload())
+	p, derr := decodePayload(encodePayload(sr))
 	if derr != nil {
 		t.Fatal(derr)
 	}
@@ -353,8 +363,8 @@ func TestShardPayloadRejects(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	good := sr.EncodePayload()
-	if _, err := DecodeShardPayload(good); err != nil {
+	good := encodePayload(sr)
+	if _, err := decodePayload(good); err != nil {
 		t.Fatal(err)
 	}
 	// Layout: the payload version and stream count, then the stream
@@ -367,20 +377,20 @@ func TestShardPayloadRejects(t *testing.T) {
 	recordsAt := headerAt + headerLen
 	bad := append([]byte(nil), good...)
 	bad[0] = 99
-	if _, err := DecodeShardPayload(bad); err == nil {
+	if _, err := decodePayload(bad); err == nil {
 		t.Fatal("decoded a foreign payload version")
 	}
 	bad = append([]byte(nil), good...)
 	bad[headerAt] = 99 // stream header version byte
-	if _, err := DecodeShardPayload(bad); err == nil || !strings.Contains(err.Error(), "stream codec version 99") {
+	if _, err := decodePayload(bad); err == nil || !strings.Contains(err.Error(), "stream codec version 99") {
 		t.Fatalf("foreign stream header version: %v", err)
 	}
 	for _, cut := range []int{0, 1, 5, 9, len(good) / 2, len(good) - 1} {
-		if _, err := DecodeShardPayload(good[:cut]); err == nil {
+		if _, err := decodePayload(good[:cut]); err == nil {
 			t.Fatalf("decoded a %d-byte truncation", cut)
 		}
 	}
-	if _, err := DecodeShardPayload(append(append([]byte(nil), good...), 0)); err == nil {
+	if _, err := decodePayload(append(append([]byte(nil), good...), 0)); err == nil {
 		t.Fatal("decoded trailing garbage")
 	}
 	// Counts the remaining bytes cannot hold refuse before anything is
@@ -399,7 +409,7 @@ func TestShardPayloadRejects(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	collected := csr.EncodePayload()
+	collected := encodePayload(csr)
 	valuesAt := len(collected) - 8*(300-blockSize) - 8
 	for _, c := range []struct {
 		name, want string
@@ -409,7 +419,7 @@ func TestShardPayloadRejects(t *testing.T) {
 		{"records", fmt.Sprintf("stream 0 claims %d records", uint64(1<<50)), set(set(good, samplesAt, 1<<62), recordsAt, 1<<50)},
 		{"values", "stats: truncated record encoding", set(collected, valuesAt, blockSize)},
 	} {
-		if _, err := DecodeShardPayload(c.bad); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := decodePayload(c.bad); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("corrupt %s count: %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
@@ -464,43 +474,47 @@ func codecCaptures(t *testing.T, samples int) map[string]*ShardRun {
 	return caps
 }
 
-// TestEncodePayloadExactSize: EncodePayload allocates its buffer at the
-// final size — the returned slice is full — for an empty capture, each
-// stream kind, and a resumed capture both as decoded from its checkpoint
-// and once it has run to the end.
-func TestEncodePayloadExactSize(t *testing.T) {
-	full := func(name string, b []byte) {
-		t.Helper()
-		if len(b) != cap(b) {
-			t.Errorf("%s: EncodePayload returned %d bytes in a %d-byte buffer", name, len(b), cap(b))
-		}
+// TestResumedCapturePayload: a capture resumed from a one-block
+// checkpoint — its prefix decoded, the rest cut from the capture's own
+// arrays — writes, once run to the end, the payload the uninterrupted
+// capture writes, for each stream kind.
+func TestResumedCapturePayload(t *testing.T) {
+	ctx := context.Background()
+	paired := func(rng *rand.Rand, y, x []float64) bool {
+		y[0], x[0] = rng.NormFloat64(), rng.NormFloat64()
+		return true
+	}
+	runs := map[string]func(Config) error{
+		"collect": func(c Config) error {
+			c.Collect = true
+			_, err := RunVector(ctx, c, 2, rejectingNormals)
+			return err
+		},
+		"sketch": func(c Config) error { _, err := RunVector(ctx, c, 3, rejectingNormals); return err },
+		"paired": func(c Config) error { _, err := RunVectorPaired(ctx, c, 1, paired); return err },
 	}
 	spec := ShardSpec{Index: 0, Count: 1}
-	empty, _ := NewShardRun(spec)
-	full("empty", empty.EncodePayload())
-	caps := codecCaptures(t, 700)
-	for name, sr := range caps {
-		full(name, sr.EncodePayload())
-	}
-
-	want := caps["collect"].EncodePayload()
-	ckpt, err := DecodeShardPayload(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt.streams[0].recs = ckpt.streams[0].recs[:1]
-	resumed, err := ResumeShardRun(spec, ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full("resumed checkpoint", resumed.EncodePayload())
-	if _, err := RunVector(context.Background(), Config{Samples: 700, Seed: 3, Collect: true, Shard: resumed}, 2, rejectingNormals); err != nil {
-		t.Fatal(err)
-	}
-	got := resumed.EncodePayload()
-	full("resumed and finished", got)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("resumed capture encodes differently from the uninterrupted one")
+	for name, run := range runs {
+		whole, _ := NewShardRun(spec)
+		if err := run(Config{Samples: 700, Seed: 3, Shard: whole}); err != nil {
+			t.Fatal(err)
+		}
+		want := encodePayload(whole)
+		ckpt, err := decodePayload(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpt.streams[0].recs = ckpt.streams[0].recs[:1]
+		resumed, err := ResumeShardRun(spec, ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run(Config{Samples: 700, Seed: 3, Workers: 2, Shard: resumed}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodePayload(resumed), want) {
+			t.Errorf("%s: resumed capture writes a different payload from the uninterrupted one", name)
+		}
 	}
 }
 
@@ -510,8 +524,8 @@ func TestEncodePayloadExactSize(t *testing.T) {
 // write into the next record's.
 func TestDecodedRecordsDoNotAlias(t *testing.T) {
 	for name, sr := range codecCaptures(t, 700) {
-		enc := sr.EncodePayload()
-		p, err := DecodeShardPayload(enc)
+		enc := encodePayload(sr)
+		p, err := decodePayload(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -527,30 +541,36 @@ func TestDecodedRecordsDoNotAlias(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(again.EncodePayload(), enc) {
+		if !reflect.DeepEqual(encodePayload(again), enc) {
 			t.Errorf("%s: appending to decoded records changed their neighbours", name)
 		}
 	}
 }
 
 // TestPayloadCodecAllocations pins the codec's allocation counts:
-// EncodePayload allocates once whatever the record count, and decoding a
-// 196-block stream (Fig. 5's 50 000 draws) allocates no more times than
-// decoding a 2-block one, for every stream kind.
+// WritePayload to a plain writer makes the same few allocations (its
+// bufio.Writer) whatever the record count, and decoding a 196-block
+// stream (Fig. 5's 50 000 draws) allocates no more times than decoding a
+// 2-block one, for every stream kind.
 func TestPayloadCodecAllocations(t *testing.T) {
 	small, large := codecCaptures(t, 300), codecCaptures(t, 50000)
 	for name := range small {
-		decodes := make([]float64, 2)
+		var writes, decodes [2]float64
 		for i, sr := range []*ShardRun{small[name], large[name]} {
-			if n := testing.AllocsPerRun(5, func() { sr.EncodePayload() }); n != 1 {
-				t.Errorf("%s, %d records: EncodePayload made %v allocations, want 1", name, len(sr.streams[0].recs), n)
-			}
-			enc := sr.EncodePayload()
-			decodes[i] = testing.AllocsPerRun(5, func() {
-				if _, err := DecodeShardPayload(enc); err != nil {
+			writes[i] = testing.AllocsPerRun(5, func() {
+				if err := sr.WritePayload(io.Discard); err != nil {
 					t.Fatal(err)
 				}
 			})
+			enc := encodePayload(sr)
+			decodes[i] = testing.AllocsPerRun(5, func() {
+				if _, err := decodePayload(enc); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if writes[0] != writes[1] || writes[1] > 2 {
+			t.Errorf("%s: WritePayload made %v allocations at 2 blocks and %v at 196, want the same, at most 2", name, writes[0], writes[1])
 		}
 		if decodes[1] > decodes[0] {
 			t.Errorf("%s: decoding 196 blocks made %v allocations, 2 blocks %v", name, decodes[1], decodes[0])
@@ -565,23 +585,19 @@ func TestReplayValidation(t *testing.T) {
 		out[0] = rng.NormFloat64()
 		return true
 	}
-	mkPart := func(i, count int, cfg Config) *ShardPayload {
+	mkPart := func(i, count int, cfg Config) []*stats.CodecReader {
 		sr, _ := NewShardRun(ShardSpec{Index: i, Count: count})
 		c := cfg
 		c.Shard = sr
 		if _, err := RunVector(context.Background(), c, 1, f); err != nil {
 			t.Fatal(err)
 		}
-		p, err := DecodeShardPayload(sr.EncodePayload())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+		return []*stats.CodecReader{payloadReader(encodePayload(sr))}
 	}
 	cfg := Config{Samples: 600, Seed: 2}
 
 	// Seed drift between artifact and reduce run.
-	rp, err := NewReplay([]*ShardPayload{mkPart(0, 1, cfg)})
+	rp, err := NewReplay(mkPart(0, 1, cfg), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,13 +609,13 @@ func TestReplayValidation(t *testing.T) {
 	}
 
 	// Missing shard: only one of two partitions supplied.
-	if _, err := NewReplay([]*ShardPayload{mkPart(0, 2, cfg)}); err == nil || !strings.Contains(err.Error(), "incomplete") {
+	if _, err := NewReplay(mkPart(0, 2, cfg), nil); err == nil || !strings.Contains(err.Error(), "incomplete") {
 		t.Fatalf("missing shard not rejected: %v", err)
 	}
 
 	// Leftover stream: the reduce run performs fewer engine invocations
 	// than the shards recorded.
-	rp2, err := NewReplay([]*ShardPayload{mkPart(0, 1, cfg)})
+	rp2, err := NewReplay(mkPart(0, 1, cfg), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +624,7 @@ func TestReplayValidation(t *testing.T) {
 	}
 
 	// Exhausted replay: more invocations than recorded.
-	rp3, _ := NewReplay([]*ShardPayload{mkPart(0, 1, cfg)})
+	rp3, _ := NewReplay(mkPart(0, 1, cfg), nil)
 	good := cfg
 	good.Shard = rp3
 	if _, err := RunVector(context.Background(), good, 1, f); err != nil {
@@ -628,11 +644,7 @@ func TestReplayRefusesHugeStream(t *testing.T) {
 	huge := &ShardRun{spec: ShardSpec{Index: 0, Count: 1}, streams: []*stream{
 		{header: streamHeader{Kind: streamPlain, Nobs: 1, Samples: 1 << 62, Seed: 1}},
 	}}
-	p, err := DecodeShardPayload(huge.EncodePayload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewReplay([]*ShardPayload{p}); err == nil || !strings.Contains(err.Error(), "incomplete") {
+	if _, err := NewReplay([]*stats.CodecReader{payloadReader(encodePayload(huge))}, nil); err == nil || !strings.Contains(err.Error(), "incomplete") {
 		t.Fatalf("replay of a 2^62-sample stream with no records: %v", err)
 	}
 }
@@ -651,7 +663,7 @@ func TestShardEmptyRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	const count = 5
-	parts := make([]*ShardPayload, count)
+	parts := make([]*stats.CodecReader, count)
 	for i := 0; i < count; i++ {
 		sr, _ := NewShardRun(ShardSpec{Index: i, Count: count})
 		c := cfg
@@ -663,11 +675,9 @@ func TestShardEmptyRange(t *testing.T) {
 		if res.Accepted() != 0 || res.Rejected != 0 {
 			t.Fatalf("shard %d of %d returned %d accepted and %d rejected trials, want an empty result", i, count, res.Accepted(), res.Rejected)
 		}
-		if parts[i], err = DecodeShardPayload(sr.EncodePayload()); err != nil {
-			t.Fatal(err)
-		}
+		parts[i] = payloadReader(encodePayload(sr))
 	}
-	rp, err := NewReplay(parts)
+	rp, err := NewReplay(parts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -719,11 +729,32 @@ func TestShardFrontierAccessors(t *testing.T) {
 	if done != total || done <= 0 || done >= 1100 {
 		t.Fatalf("completed shard frontier (%d, %d): want equal, positive, a strict partial of 1100", done, total)
 	}
-	p, err := DecodeShardPayload(sr.EncodePayload())
+	p, err := decodePayload(encodePayload(sr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pd, pt := p.Frontier(spec); pd != done || pt != total {
 		t.Fatalf("payload frontier (%d, %d) != live frontier (%d, %d)", pd, pt, done, total)
+	}
+}
+
+// TestStreamCountPaysForItsBytes: a payload's stream count comes from
+// outside, so the decoder allocates for no more streams than the bytes
+// left can hold headers for. This 9-byte payload claims 2^20 streams and
+// carries none; it must be refused within the allocation bound
+// FuzzShardArtifact (internal/core) asserts for any input, 64 bytes per
+// input byte plus 16 KiB. Sizing the stream slice by the claim cost
+// 8.4 MB.
+func TestStreamCountPaysForItsBytes(t *testing.T) {
+	data := stats.AppendU64([]byte{payloadCodecVersion}, 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodePayload(data)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated stream header") {
+		t.Fatalf("9-byte payload claiming 2^20 streams: %v", err)
+	}
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+16<<10); got > bound {
+		t.Fatalf("refusing a 9-byte payload allocated %d bytes, want at most %d", got, bound)
 	}
 }

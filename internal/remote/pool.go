@@ -40,6 +40,10 @@ const (
 	// sweepDebounce rate-limits the on-demand sweep a dispatch triggers
 	// when it finds no live peer.
 	sweepDebounce = 250 * time.Millisecond
+	// maxHealthzBytes bounds the peer healthz body the sweep reads: a
+	// few hundred bytes of counters in practice, so a larger body fails
+	// the check instead of being buffered.
+	maxHealthzBytes = 64 << 10
 )
 
 // PoolStats are the /v1/healthz counters for the coordinator role.
@@ -156,7 +160,7 @@ func (p *Pool) check(ctx context.Context, pe *peer) bool {
 	}
 	defer resp.Body.Close()
 	var h peerHealth
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&h) != nil {
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(io.LimitReader(resp.Body, maxHealthzBytes)).Decode(&h) != nil {
 		return false
 	}
 	return h.Status == "ok" && h.Engine == core.EngineVersion
@@ -302,7 +306,7 @@ func (p *Pool) dispatch(ctx context.Context, pe *peer, sr ShardRequest, key stri
 	}
 
 	watchdog.Reset(p.cfg.StallTimeout)
-	br := bufio.NewReader(resp.Body)
+	br := bufio.NewReaderSize(resp.Body, maxFrameLine)
 	for {
 		f, err := readFrame(br)
 		if err != nil {

@@ -107,6 +107,15 @@ const (
 	// maxBlobBytes bounds one shipped artifact; far above any real shard
 	// payload, it only guards the reader against a corrupt length header.
 	maxBlobBytes = 1 << 30
+
+	// maxFrameLine bounds a frame's header line, newline included: the
+	// size of a default bufio.Reader, whose ReadSlice refuses a longer
+	// line instead of growing with it.
+	maxFrameLine = 4096
+	// maxErrorBytes bounds an error frame's message. Quoting spends at
+	// most four bytes on each, so the frame's line stays within
+	// maxFrameLine.
+	maxErrorBytes = (maxFrameLine - len(frameError+` ""`+"\n")) / 4
 )
 
 // frameWriter serializes frames onto an HTTP response, flushing each one
@@ -159,11 +168,16 @@ func (fw *frameWriter) blob(kind string, data []byte) error {
 	return fw.err
 }
 
+// sendError writes the terminal error frame, its message cut to
+// maxErrorBytes so the coordinator's bounded read accepts the line.
 func (fw *frameWriter) sendError(msg string) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	if fw.err != nil {
 		return fw.err
+	}
+	if len(msg) > maxErrorBytes {
+		msg = msg[:maxErrorBytes]
 	}
 	_, fw.err = fmt.Fprintf(fw.w, "%s %s\n", frameError, strconv.Quote(msg))
 	fw.flush()
@@ -180,16 +194,20 @@ type frame struct {
 
 // readFrame parses the next frame off the stream. io.EOF after a
 // complete frame boundary surfaces as-is; anything torn mid-frame is an
-// explicit parse error.
+// explicit parse error. The header line is read in place from br's
+// buffer, so a peer that never sends a newline is refused once it fills
+// the buffer (maxFrameLine for a default reader) rather than grown.
 func readFrame(br *bufio.Reader) (*frame, error) {
-	line, err := br.ReadString('\n')
-	if err != nil {
-		if err == io.EOF && line == "" {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("remote: torn frame header %q: %w", line, err)
+	raw, err := br.ReadSlice('\n')
+	switch {
+	case err == bufio.ErrBufferFull:
+		return nil, fmt.Errorf("remote: frame header longer than %d bytes", len(raw))
+	case err == io.EOF && len(raw) == 0:
+		return nil, io.EOF
+	case err != nil:
+		return nil, fmt.Errorf("remote: torn frame header %q: %w", raw, err)
 	}
-	line = strings.TrimSuffix(line, "\n")
+	line := string(raw[:len(raw)-1])
 	kind, rest, _ := strings.Cut(line, " ")
 	switch kind {
 	case frameProgress:
@@ -215,7 +233,7 @@ func readFrame(br *bufio.Reader) (*frame, error) {
 		return &frame{kind: kind, data: data.Bytes()}, nil
 	case frameError:
 		msg, err := strconv.Unquote(rest)
-		if err != nil {
+		if err != nil || len(msg) > maxErrorBytes {
 			return nil, fmt.Errorf("remote: bad error frame %q", line)
 		}
 		return &frame{kind: kind, msg: msg}, nil

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -206,6 +207,15 @@ func TestWorkerRefusals(t *testing.T) {
 	if code, _ := post(badShard); code != http.StatusBadRequest {
 		t.Fatalf("invalid shard: %d", code)
 	}
+	// A body past the request bound answers 413 before it is decoded;
+	// the bound is lowered here from its 1.3 GiB.
+	limit := maxShardRequestBytes
+	maxShardRequestBytes = 1 << 10
+	code, msg := post(NewShardRequest(spec, shard, key, make([]byte, 1<<10)))
+	maxShardRequestBytes = limit
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "exceeds 1024 bytes") {
+		t.Fatalf("oversized dispatch: %d %q", code, msg)
+	}
 	junkCkpt := NewShardRequest(spec, shard, key, []byte("not an artifact"))
 	if code, msg := post(junkCkpt); code != http.StatusBadRequest || !strings.Contains(msg, "checkpoint") {
 		t.Fatalf("junk checkpoint: %d %q", code, msg)
@@ -294,6 +304,26 @@ func TestRemoteNoLivePeers(t *testing.T) {
 	}
 	if cfg, live := dead.Peers(); cfg != 1 || live != 0 {
 		t.Fatalf("peers = %d configured %d live", cfg, live)
+	}
+}
+
+// TestHealthzBodyBounded: the sweep reads at most maxHealthzBytes of a
+// peer's healthz body, so a peer that answers "ok" past the bound is not
+// live, while the same answer within it is.
+func TestHealthzBodyBounded(t *testing.T) {
+	serve := func(pad int) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+			fmt.Fprintf(rw, `{"status":"ok",%s"engine":%q}`, strings.Repeat(" ", pad), core.EngineVersion)
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	p := newTestPool(t, serve(0), serve(maxHealthzBytes))
+	if !p.check(context.Background(), p.peers[0]) {
+		t.Fatal("peer with a short healthz body is not live")
+	}
+	if p.check(context.Background(), p.peers[1]) {
+		t.Fatal("peer with a healthz body past the bound is live")
 	}
 }
 
@@ -421,6 +451,8 @@ var malformedFrames = []string{
 	"error unquoted text\n", // unparseable message
 	"progress 1 10",         // torn header (no newline)
 	"artifact 1073741823\n", // announced far beyond what arrives
+	"progress 1 2" + strings.Repeat(" ", maxFrameLine) + "\n",             // header line past the bound
+	"error " + strconv.Quote(strings.Repeat("x", maxErrorBytes+1)) + "\n", // message past the bound
 }
 
 // TestFrameCodec pins the stream framing against torn and malformed

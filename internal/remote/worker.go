@@ -6,6 +6,7 @@ package remote
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -126,24 +127,34 @@ func mustQuote(s string) string {
 	return string(b)
 }
 
+// maxShardRequestBytes bounds a POST /v1/shards body: a checkpoint of
+// up to maxBlobBytes (the most a coordinator accepts in one frame) in
+// base64, plus the JSON envelope around it. A variable only so a test
+// can reach the bound without sending a gigabyte.
+var maxShardRequestBytes int64 = maxBlobBytes/3*4 + 4 + 64<<10
+
 // ServeShard handles one POST /v1/shards dispatch. ctx is the server's
 // drain-aware lifetime: when it cancels, running shards checkpoint and
 // the stream ends with an error frame (the coordinator re-dispatches
 // elsewhere from the shipped checkpoint). Refusals before the stream
-// starts use plain HTTP status codes — 400 for malformed dispatches,
-// 409 for engine/run-key drift, 503 when ctx is already done or the
-// worker is closed — so a coordinator can tell a refusing peer from a
-// failing shard.
+// starts use plain HTTP status codes — 400 for malformed dispatches, 413
+// for a body over maxShardRequestBytes, 409 for engine/run-key drift,
+// 503 when ctx is already done or the worker is closed — so a
+// coordinator can tell a refusing peer from a failing shard.
 func (w *Worker) ServeShard(ctx context.Context, rw http.ResponseWriter, req *http.Request) {
 	if !w.enter() {
 		jsonError(rw, http.StatusServiceUnavailable, "worker is closed")
 		return
 	}
 	defer w.inflight.Done()
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(rw, req.Body, maxShardRequestBytes))
 	dec.DisallowUnknownFields()
 	var sr ShardRequest
 	if err := dec.Decode(&sr); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			jsonError(rw, http.StatusRequestEntityTooLarge, "shard request exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		jsonError(rw, http.StatusBadRequest, "invalid shard request: %v", err)
 		return
 	}

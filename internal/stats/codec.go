@@ -15,8 +15,10 @@
 package stats
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -37,48 +39,68 @@ func AppendF64(b []byte, v float64) []byte {
 	return AppendU64(b, math.Float64bits(v))
 }
 
-// CodecReader consumes a buffer with truncation checking.
+// CodecReader decodes from a buffered reader within a byte budget: the
+// encoding's length, known before decoding starts (a file's size, a
+// buffer's length). Reads past the budget fail as truncation, and Rest
+// reports what is left of it, so a decoder can refuse a count the
+// remaining bytes cannot hold before it allocates for that count.
 type CodecReader struct {
-	buf []byte
-	err error
+	r    *bufio.Reader
+	rest int
+	err  error
 }
 
-// NewCodecReader wraps data for streaming multi-record decodes (the
-// shard artifact reader). Reads latch the first error; check Err after.
-func NewCodecReader(data []byte) *CodecReader { return &CodecReader{buf: data} }
+// NewCodecReader decodes the next n bytes of r, reading through r itself
+// when it is a *bufio.Reader and through a new one otherwise. Reads latch
+// the first error; check Err after.
+func NewCodecReader(r io.Reader, n int) *CodecReader {
+	return &CodecReader{r: bufio.NewReader(r), rest: n}
+}
 
 // Err returns the first decode error, if any.
 func (r *CodecReader) Err() error { return r.err }
 
-// Rest returns the number of unconsumed bytes.
-func (r *CodecReader) Rest() int { return len(r.buf) }
+// Rest returns the unconsumed bytes of the budget.
+func (r *CodecReader) Rest() int { return r.rest }
+
+// next consumes n bytes and returns them; the slice is valid until the
+// next read. A budget or an input too short for n latches a truncation
+// error, and an input that fails latches its error.
+func (r *CodecReader) next(n int, what string) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if r.rest < n {
+		r.err = fmt.Errorf("stats: truncated %s encoding", what)
+		return nil
+	}
+	p, err := r.r.Peek(n)
+	if err != nil {
+		if err == io.EOF {
+			err = fmt.Errorf("stats: truncated %s encoding", what)
+		}
+		r.err = err
+		return nil
+	}
+	r.r.Discard(n)
+	r.rest -= n
+	return p
+}
 
 // U8 reads one byte; what names the enclosing record for the error text.
 func (r *CodecReader) U8(what string) byte {
-	if r.err != nil {
-		return 0
+	if p := r.next(1, what); p != nil {
+		return p[0]
 	}
-	if len(r.buf) < 1 {
-		r.err = fmt.Errorf("stats: truncated %s encoding", what)
-		return 0
-	}
-	v := r.buf[0]
-	r.buf = r.buf[1:]
-	return v
+	return 0
 }
 
 // U64 reads one big-endian uint64.
 func (r *CodecReader) U64(what string) uint64 {
-	if r.err != nil {
-		return 0
+	if p := r.next(8, what); p != nil {
+		return binary.BigEndian.Uint64(p)
 	}
-	if len(r.buf) < 8 {
-		r.err = fmt.Errorf("stats: truncated %s encoding", what)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.buf)
-	r.buf = r.buf[8:]
-	return v
+	return 0
 }
 
 // F64 reads one float64 from its raw IEEE-754 bits.

@@ -11,7 +11,7 @@ import (
 // decoder does, through Decode on a CodecReader, and fails on a decode
 // error or on bytes left unread.
 func decode(b []byte, d interface{ Decode(*CodecReader) }) error {
-	r := NewCodecReader(b)
+	r := NewCodecReader(bytes.NewReader(b), len(b))
 	d.Decode(r)
 	if err := r.Err(); err != nil {
 		return err
@@ -184,7 +184,7 @@ func TestCodecStreamingDecode(t *testing.T) {
 	w2.Add(5)
 	buf := w1.AppendBinary(nil)
 	buf = w2.AppendBinary(buf)
-	r := NewCodecReader(buf)
+	r := NewCodecReader(bytes.NewReader(buf), len(buf))
 	var g1, g2 Welford
 	g1.Decode(r)
 	g2.Decode(r)
