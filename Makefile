@@ -7,7 +7,7 @@ GO ?= go
 # Raise it when coverage grows; never lower it without a written reason.
 COVER_MIN ?= 80.5
 
-.PHONY: all build test test-race bench bench-smoke fuzz-smoke cover cover-check lint unlinked parent-cmp fmt clean
+.PHONY: all build test test-race bench bench-smoke fuzz-smoke cover cover-check lint unlinked fused-ops parent-cmp fmt clean
 
 all: build lint test
 
@@ -31,9 +31,12 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Fuzz smoke: ten seconds per target. FuzzCompiledLU proves the
-# symbolic-once sparse LU (sparse.Analyze + Symbolic.Solve) bit-identical
-# to sparse.Solver.Solve on random diagonally dominant systems with stored
-# zeros, zero multipliers and zero pivots; FuzzNetlistReset proves
+# symbolic-once sparse LU (sparse.Analyze + Symbolic.Solve, scheduled by
+# dependency level) bit-identical to sparse.Solver.Solve, errors included,
+# on random diagonally dominant systems with stored zeros, zero
+# multipliers and zero pivots, on ladders with random couplings and on
+# the bit-line column's shape (two interleaved ladders, a ground rail and
+# a dense border); FuzzNetlistReset proves
 # spice.Engine.Reset stays bit-identical to a fresh engine under random
 # netlist mutations that bounce between two topologies; FuzzP2Quantile checks the P² sketch
 # (and its deterministic Merge) against exact quantiles on random streams;
@@ -117,6 +120,32 @@ unlinked:
 		exit 1; \
 	fi; \
 	echo "unlinked: $$(wc -l < "$$tmp/unlinked") functions no product binary links, all on the keep list"
+
+# Fused multiply-adds: the arm64 compiler fuses x*y ± z into one
+# rounding where amd64 computes two, so a contractible expression in the
+# engine gives other bits on an arm64 host. Cross-build ./cmd/mpvar and
+# the sparse test binary (which links the sparse.Solver oracle) for
+# GOARCH=arm64, disassemble the mpsram/internal/{sparse,spice,device}
+# symbols with go tool objdump and fail on any FMADD/FMSUB/FNMADD/FNMSUB
+# outside _test.go files. Write such an expression as float64(x*y) ± z:
+# the Go spec rounds an explicit conversion, which keeps it unfused.
+fused-ops:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	GOARCH=arm64 $(GO) build -o "$$tmp/mpvar" ./cmd/mpvar; \
+	GOARCH=arm64 $(GO) test -c -o "$$tmp/sparse.test" ./internal/sparse; \
+	for b in mpvar sparse.test; do \
+		$(GO) tool objdump -s '^mpsram/internal/(sparse|spice|device)\.' "$$tmp/$$b" >> "$$tmp/asm"; \
+	done; \
+	for p in sparse spice device; do \
+		grep -q "^TEXT mpsram/internal/$$p\." "$$tmp/asm" || { echo "fused-ops: no $$p symbols disassembled"; exit 1; }; \
+	done; \
+	awk '$$1 !~ /_test\.go:/ && $$4 ~ /^FN?M(ADD|SUB)/' "$$tmp/asm" > "$$tmp/fused"; \
+	if [ -s "$$tmp/fused" ]; then \
+		cat "$$tmp/fused"; \
+		echo "fused-ops: $$(wc -l < "$$tmp/fused") fused multiply-adds in sparse, spice and device; write x*y ± z as float64(x*y) ± z"; \
+		exit 1; \
+	fi; \
+	echo "fused-ops: no fused multiply-add in sparse, spice or device on arm64"
 
 # Byte identity against another revision: build ./cmd/mpvar at BASE (a
 # git archive export in a temporary directory, removed on exit) and from

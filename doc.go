@@ -53,13 +53,19 @@
 // Reset is bit-identical to a fresh engine (fuzzed in FuzzNetlistReset).
 // The engine compiles each circuit topology once: at Reset it
 // fingerprints the netlist's terminal lists and, on a miss in its small
-// topology cache, runs sparse.Analyze on the stamp pattern —
-// fill-in under the natural order and a value slot for every stamp.
-// Every trial, and every array size with the same column shape, reuses
-// that symbolic LU; a Newton iteration is a copy of the base values, the
-// MOSFET slot adds and Symbolic.Solve, a numeric refactorization that
-// repeats sparse.Solver's arithmetic bit for bit (fuzzed in
-// FuzzCompiledLU) without allocating. A warm read transient allocates
+// topology cache, runs sparse.Analyze on the stamp pattern — fill-in
+// under the natural order, a value slot for every stamp, and a schedule
+// of the numeric work in dependency-level order, so that the column's
+// independent chains (the bl and blb ladders, the ground rail, the
+// cell's dense q and qb rows) interleave. Every trial, and every array
+// size with the same column shape, reuses that symbolic LU; a Newton
+// iteration is a copy of the base values, the MOSFET slot adds and
+// Symbolic.Solve, a numeric refactorization that repeats sparse.Solver's
+// arithmetic operation for operation, so bit for bit (fuzzed in
+// FuzzCompiledLU), without allocating. The solver, the engine and the
+// device model write every contractible x*y ± z as float64(x*y) ± z, so
+// an arm64 build, whose compiler would otherwise fuse it into one
+// rounding, computes the same bits (make fused-ops). A warm read transient allocates
 // nothing, on the fixed-step and the adaptive integrator alike. Numeric
 // drift across refactors is pinned by golden CSVs under
 // internal/exp/testdata/golden (regenerate with

@@ -102,7 +102,7 @@ func (m *MOS) evalForward(vgs, vds float64) (id, gm, gds float64) {
 	}
 	idsat := m.K * math.Pow(vov, m.Alpha) // per metre of width; W applied by caller
 	vdsat := m.VdsatK * math.Pow(vov, m.Alpha/2)
-	clm := 1 + m.Lambda*vds
+	clm := 1 + float64(m.Lambda*vds)
 	if vds >= vdsat {
 		id = idsat * clm
 		gm = m.Alpha / vov * idsat * clm * dvov
@@ -116,7 +116,7 @@ func (m *MOS) evalForward(vgs, vds float64) (id, gm, gds float64) {
 	// dependence collapses the linear-region derivative to α·u/vov·idsat.
 	didvov := idsat * clm * m.Alpha * u / vov
 	gm = didvov * dvov
-	gds = idsat*clm*(2-2*u)/vdsat + idsat*shape*m.Lambda
+	gds = float64(idsat*clm*(2-2*u)/vdsat) + float64(idsat*shape*m.Lambda)
 	return id, gm, gds
 }
 

@@ -31,23 +31,6 @@ const (
 	LayerPoly
 )
 
-func (l Layer) String() string {
-	switch l {
-	case LayerM1:
-		return "metal1"
-	case LayerM2:
-		return "metal2"
-	case LayerVia1:
-		return "via1"
-	case LayerDiff:
-		return "diff"
-	case LayerPoly:
-		return "poly"
-	default:
-		return fmt.Sprintf("layer%d", int(l))
-	}
-}
-
 // Shape is one rectangle on a layer, tagged with its net.
 type Shape struct {
 	Layer Layer
@@ -151,20 +134,6 @@ func Array(p tech.Process, rows, cols int) (*Cell, error) {
 		}
 	}
 	return arr, nil
-}
-
-// FromWindow renders a realized patterning window (litho cross-section) as
-// wires of the given length — the Fig. 2 "layout distortion" artefact.
-func FromWindow(p tech.Process, win litho.Window, length float64) *Cell {
-	c := &Cell{Name: fmt.Sprintf("window_%v", win.Option)}
-	for _, w := range win.Wires {
-		c.Shapes = append(c.Shapes, Shape{
-			Layer: LayerM1,
-			Net:   fmt.Sprintf("%v(%v)", w.Net, w.Mask),
-			Rect:  geom.NewRect(0, w.Span.Lo, length, w.Span.Hi),
-		})
-	}
-	return c
 }
 
 // WriteGDSText emits the cell in a GDSII-flavoured text stream (one BOUNDARY

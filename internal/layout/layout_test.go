@@ -101,27 +101,6 @@ func TestFig3ArraySizes(t *testing.T) {
 	}
 }
 
-func TestFromWindowDistortion(t *testing.T) {
-	p := tech.N10()
-	s := litho.Sample{CDA: 3e-9, CDB: 3e-9, CDC: 3e-9, OLB: 8e-9, OLC: -8e-9}
-	var win litho.Window
-	if err := litho.Realize(&p, litho.LE3, s, &win); err != nil {
-		t.Fatal(err)
-	}
-	c := FromWindow(p, win, 1e-6)
-	if len(c.Shapes) != len(win.Wires) {
-		t.Fatal("shape count mismatch")
-	}
-	// The victim's rect reflects the distorted width.
-	v := c.Shapes[win.Victim]
-	if math.Abs(v.Rect.H()-(p.M1.Width+3e-9)) > 1e-15 {
-		t.Fatalf("victim width %g", v.Rect.H())
-	}
-	if !strings.Contains(v.Net, "BL") {
-		t.Fatalf("victim net %q", v.Net)
-	}
-}
-
 func TestWriteGDSText(t *testing.T) {
 	p := tech.N10()
 	c := SRAM6TCell(p)
@@ -161,13 +140,5 @@ func TestASCIISection(t *testing.T) {
 	// Degenerate scale falls back.
 	if ASCIISection(nom, -1) == "" {
 		t.Fatal("fallback scale broken")
-	}
-}
-
-func TestLayerStrings(t *testing.T) {
-	if LayerM1.String() != "metal1" || LayerM2.String() != "metal2" ||
-		LayerVia1.String() != "via1" || LayerDiff.String() != "diff" ||
-		LayerPoly.String() != "poly" || Layer(99).String() != "layer99" {
-		t.Fatal("layer names")
 	}
 }

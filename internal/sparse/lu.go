@@ -13,26 +13,47 @@ type Coord struct {
 
 // Symbolic is the structural half of a sparse LU factorization: the
 // pattern of an n×n matrix with its fill-in under the natural (diagonal)
-// pivot order, laid out row-major as value slots, plus for every
-// below-diagonal slot the slots its elimination updates. It is computed
-// once per pattern by Analyze; each numeric factorization (Solve) then
-// works on a flat []float64 of NNZ values and does no searching, sorting
-// or allocation.
+// pivot order, laid out row-major as value slots, and a schedule of the
+// numeric work on those slots. It is computed once per pattern by
+// Analyze; each numeric factorization (Solve) then works on a flat
+// []float64 of NNZ values and does no searching, sorting or allocation.
+//
+// The schedule has one record per below-diagonal slot, in dependency
+// level order (Anderson & Saad, 1989): a record's level is one past the
+// deeper of the record before it in its row and the last record of its
+// pivot row. So each row still eliminates its columns in ascending order,
+// after every record of each pivot row, while records of independent
+// chains (the two bit-line ladders, the ground rail, the dense cell rows)
+// sit side by side for the CPU to overlap. Back-substitution runs in
+// level order too: each row after every row in its upper part.
 //
 // A Symbolic is immutable after Analyze and safe for concurrent use; the
 // value arrays and right-hand sides belong to the caller.
 type Symbolic struct {
 	n      int
-	rowPtr []int32 // row i's slots are rowPtr[i]:rowPtr[i+1], columns ascending
-	cols   []int32 // column of each slot
-	diag   []int32 // slot of (i, i)
-	orig   []bool  // slot is in the analyzed pattern (false: fill-in)
-	// Eliminating below-diagonal slot s (row i, column k) subtracts a
-	// multiple of row k's strictly-upper slots from the slots
-	// upd[updPtr[s]:updPtr[s+1]] of row i, one target per source slot in
-	// column order. Slots on or above the diagonal have empty ranges.
-	updPtr []int32
-	upd    []int32
+	rowPtr []int32    // row i's slots are rowPtr[i]:rowPtr[i+1], columns ascending
+	cols   []int32    // column of each slot
+	diag   []int32    // slot of (i, i)
+	orig   []bool     // slot is in the analyzed pattern (false: fill-in)
+	elim   []elimStep // one per below-diagonal slot, in level order
+	upd    []int32    // the records' update targets
+	back   []backRow  // every row, in level order
+}
+
+// elimStep eliminates below-diagonal slot (i, k): it subtracts a
+// multiple of row k's strictly-upper slots piv+1 … end−1 from the slots
+// upd[upd:upd+end−piv−1] of row i, one target per source in column
+// order, and the same multiple of b[k] from b[i].
+type elimStep struct {
+	slot, piv, end int32 // slots (i, k) and (k, k), end of row k
+	row, col       int32 // i and k
+	upd            int32 // offset of the first target in Symbolic.upd
+}
+
+// backRow is one row of the back-substitution: its diagonal slot and the
+// end of its upper part.
+type backRow struct {
+	row, diag, end int32
 }
 
 // Analyze computes the symbolic LU of the n×n pattern made of the given
@@ -101,14 +122,35 @@ func Analyze(n int, pattern []Coord) (*Symbolic, error) {
 		s.rowPtr[i+1] = int32(len(s.cols))
 	}
 
-	// Flag the analyzed positions (both lists are sorted row-major) and
-	// resolve each below-diagonal slot's update targets through a dense
-	// column→slot map of its row.
+	// Level the eliminations in row-major order: done[i] is the level of
+	// row i's last record, −1 for a row with none. Count their targets.
+	var nrec, ntgt int32
+	for i := 0; i < n; i++ {
+		nrec += s.diag[i] - s.rowPtr[i]
+	}
+	done := make([]int32, n)
+	level := make([]int32, 0, nrec)
+	for i := 0; i < n; i++ {
+		prev := int32(-1)
+		for _, k := range s.cols[s.rowPtr[i]:s.diag[i]] {
+			prev = max(prev, done[k]) + 1
+			level = append(level, prev)
+			ntgt += s.rowPtr[k+1] - s.diag[k] - 1
+		}
+		done[i] = prev
+	}
+
+	// Flag the analyzed positions (both lists are sorted row-major), and
+	// lay each below-diagonal slot's record out at its place in level
+	// order, its update targets resolved through a dense column→slot map
+	// of its row.
 	nnz := len(s.cols)
 	s.orig = make([]bool, nnz)
-	s.updPtr = make([]int32, nnz+1)
+	s.elim = make([]elimStep, len(level))
+	s.upd = make([]int32, 0, ntgt)
+	at := byLevel(level)
 	slot := make([]int32, n)
-	p = 0
+	p, r := 0, 0
 	for i := 0; i < n; i++ {
 		for t := s.rowPtr[i]; t < s.rowPtr[i+1]; t++ {
 			c := s.cols[t]
@@ -120,16 +162,50 @@ func Analyze(n int, pattern []Coord) (*Symbolic, error) {
 		}
 		for t := s.rowPtr[i]; t < s.diag[i]; t++ {
 			k := s.cols[t]
-			for _, c := range s.cols[s.diag[k]+1 : s.rowPtr[k+1]] {
+			e := elimStep{slot: t, piv: s.diag[k], end: s.rowPtr[k+1], row: int32(i), col: k, upd: int32(len(s.upd))}
+			for _, c := range s.cols[e.piv+1 : e.end] {
 				s.upd = append(s.upd, slot[c])
 			}
-			s.updPtr[t+1] = int32(len(s.upd))
-		}
-		for t := s.diag[i]; t < s.rowPtr[i+1]; t++ {
-			s.updPtr[t+1] = int32(len(s.upd))
+			s.elim[at[r]] = e
+			r++
 		}
 	}
+
+	// Level the back-substitution the same way: row i needs the solution
+	// of every column in its upper part.
+	depth := make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
+		for _, c := range s.cols[s.diag[i]+1 : s.rowPtr[i+1]] {
+			depth[i] = max(depth[i], depth[c]+1)
+		}
+	}
+	s.back = make([]backRow, n)
+	for i, j := range byLevel(depth) {
+		s.back[j] = backRow{int32(i), s.diag[i], s.rowPtr[i+1]}
+	}
 	return s, nil
+}
+
+// byLevel returns where items of the given levels (≥ 0) go when laid out
+// by level, each level's items in the order given.
+func byLevel(level []int32) []int32 {
+	var top int32
+	for _, l := range level {
+		top = max(top, l)
+	}
+	start := make([]int32, top+2) // summed: the items below each level
+	for _, l := range level {
+		start[l+1]++
+	}
+	for l := 1; l < len(start); l++ {
+		start[l] += start[l-1]
+	}
+	at := make([]int32, len(level))
+	for j, l := range level {
+		at[j] = start[l]
+		start[l]++
+	}
+	return at
 }
 
 // N returns the matrix dimension.
@@ -156,10 +232,16 @@ func (s *Symbolic) Diag(i int) int { return int(s.diag[i]) }
 // on s's slots (NNZ values, fill slots zero) and is destroyed.
 //
 // The arithmetic is that of Solver.Solve on the same matrix, operation
-// for operation: every entry receives its updates in ascending pivot
-// order, zero multipliers are skipped, and each pivot is checked against
-// the largest magnitude in the upper part of its row. Solutions are
-// therefore bit-identical, and so are the errors.
+// for operation: every entry and every b[i] receives its updates in
+// ascending pivot order, zero multipliers are skipped, and each pivot is
+// checked against the largest magnitude in the upper part of its row.
+// Solutions are therefore bit-identical, and so are the errors.
+//
+// The schedule runs every record and every back-substitution row before
+// it reports a bad pivot, so the rows after one compute from a zero or
+// tiny divisor. The error names the lowest row that fails a check, a
+// zero pivot before one below threshold, as Solver.Solve's does; x is
+// unspecified when Solve returns an error.
 func (s *Symbolic) Solve(vals, b, x []float64) error {
 	n := s.n
 	if len(b) != n {
@@ -169,59 +251,60 @@ func (s *Symbolic) Solve(vals, b, x []float64) error {
 		return fmt.Errorf("sparse: %d values and %d unknowns for a %d-slot, %d-row pattern",
 			len(vals), len(x), len(s.cols), n)
 	}
-	for i := 0; i < n; i++ {
-		d := s.diag[i]
-		updated := false
-		for t := s.rowPtr[i]; t < d; t++ {
-			l := vals[t]
-			if l == 0 {
-				continue
-			}
-			k := s.cols[t]
-			dk := s.diag[k]
-			f := l / vals[dk]
-			src := vals[dk+1 : s.rowPtr[k+1]]
-			dst := s.upd[s.updPtr[t]:s.updPtr[t+1]]
-			for j, v := range src {
-				vals[dst[j]] -= f * v
-			}
-			b[i] -= f * b[k]
-			updated = true
+	// Until back-substitution reaches row i, x[i] records whether
+	// elimination touched the row: Solver.Solve drops the zeros of a row
+	// it rewrites but keeps the stored zeros of one it never touches, and
+	// a stored zero still takes part in the sum below.
+	clear(x)
+	elim, upd := s.elim, s.upd
+	for _, e := range elim {
+		l := vals[e.slot]
+		if l == 0 {
+			continue
 		}
+		f := l / vals[e.piv]
+		src := vals[e.piv+1 : e.end]
+		dst := upd[e.upd : int(e.upd)+len(src)]
+		for j, v := range src {
+			vals[dst[j]] -= float64(f * v)
+		}
+		b[e.row] -= float64(f * b[e.col])
+		x[e.row] = 1
+	}
+	// A row's values are final once elimination is done, so its pivot
+	// check can wait for back-substitution, which reads the row anyway.
+	bad := n // the lowest row whose pivot fails a check
+	var badPiv, badMax float64
+	for _, r := range s.back {
+		i, d, end := r.row, r.diag, r.end
 		piv := vals[d]
-		if piv == 0 {
-			return fmt.Errorf("sparse: zero pivot at row %d", i)
-		}
 		var maxAbs float64
-		for _, v := range vals[d:s.rowPtr[i+1]] {
+		if a := math.Abs(piv); a > maxAbs {
+			maxAbs = a
+		}
+		updated := x[i] != 0
+		acc := b[i]
+		for t := d + 1; t < end; t++ {
+			v := vals[t]
 			if a := math.Abs(v); a > maxAbs {
 				maxAbs = a
 			}
-		}
-		if math.Abs(piv) < 1e-14*maxAbs {
-			return fmt.Errorf("sparse: pivot %g at row %d below threshold (row max %g)", piv, i, maxAbs)
-		}
-		// Until back-substitution reaches row i, x[i] records whether
-		// elimination touched the row: Solver.Solve drops the zeros of a
-		// row it rewrites but keeps the stored zeros of one it never
-		// touches, and a stored zero still takes part in the sum below.
-		x[i] = 0
-		if updated {
-			x[i] = 1
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		d := s.diag[i]
-		updated := x[i] != 0
-		acc := b[i]
-		for t := d + 1; t < s.rowPtr[i+1]; t++ {
-			v := vals[t]
 			if v == 0 && (updated || !s.orig[t]) {
 				continue
 			}
-			acc -= v * x[s.cols[t]]
+			acc -= float64(v * x[s.cols[t]])
 		}
-		x[i] = acc / vals[d]
+		if (piv == 0 || math.Abs(piv) < 1e-14*maxAbs) && int(i) < bad {
+			bad, badPiv, badMax = int(i), piv, maxAbs
+		}
+		x[i] = acc / piv
 	}
-	return nil
+	switch {
+	case bad == n:
+		return nil
+	case badPiv == 0:
+		return fmt.Errorf("sparse: zero pivot at row %d", bad)
+	default:
+		return fmt.Errorf("sparse: pivot %g at row %d below threshold (row max %g)", badPiv, bad, badMax)
+	}
 }

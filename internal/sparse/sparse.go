@@ -5,11 +5,12 @@
 // The engine's path splits the factorization the way KLU does (Davis &
 // Palamadai Natarajan, 2010). Analyze computes, once per circuit
 // topology, the matrix pattern with its fill-in under the natural order,
-// laid out as value slots, and for every below-diagonal slot the slots its
-// elimination updates. Each Newton iteration then assembles the values
-// into a flat []float64 over those slots and calls Symbolic.Solve, a
-// numeric refactorization plus substitution that does no searching,
-// sorting or allocation. Pivoting is diagonal-only: the engine guarantees
+// laid out as value slots, and a schedule of the numeric work: one record
+// per below-diagonal slot with the slots its elimination updates, in
+// dependency-level order (Anderson & Saad, 1989). Each Newton iteration
+// then assembles the values into a flat []float64 over those slots and
+// calls Symbolic.Solve, a numeric refactorization plus substitution that
+// does no searching, sorting or allocation. Pivoting is diagonal-only: the engine guarantees
 // strictly positive diagonals (gmin, source series conductances), which is
 // the standard SPICE contract; a vanishing pivot is reported as an error.
 //
@@ -125,7 +126,7 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 	for i, row := range m.Rows {
 		var s float64
 		for _, e := range row {
-			s += e.Val * x[e.Col]
+			s += float64(e.Val * x[e.Col])
 		}
 		y[i] = s
 	}
@@ -269,9 +270,9 @@ func (s *Solver) Solve(m *Matrix, b []float64) ([]float64, error) {
 						_ = i
 					}
 				}
-				x[e.Col] -= factor * e.Val
+				x[e.Col] -= float64(factor * e.Val)
 			}
-			b[i] -= factor * b[k]
+			b[i] -= float64(factor * b[k])
 			// Gather back: keep columns > k (column k is eliminated).
 			sort.Ints(touched)
 			newRow := rowI[:ti]
@@ -297,7 +298,7 @@ func (s *Solver) Solve(m *Matrix, b []float64) ([]float64, error) {
 			case e.Col == i:
 				diag = e.Val
 			case e.Col > i:
-				acc -= e.Val * sol[e.Col]
+				acc -= float64(e.Val * sol[e.Col])
 			}
 		}
 		if diag == 0 {
@@ -306,16 +307,4 @@ func (s *Solver) Solve(m *Matrix, b []float64) ([]float64, error) {
 		sol[i] = acc / diag
 	}
 	return sol, nil
-}
-
-// ToDense expands the sparse matrix, for tests and debugging.
-func (m *Matrix) ToDense() [][]float64 {
-	d := make([][]float64, m.N)
-	for i := range d {
-		d[i] = make([]float64, m.N)
-		for _, e := range m.Rows[i] {
-			d[i][e.Col] = e.Val
-		}
-	}
-	return d
 }

@@ -197,15 +197,6 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestToDense(t *testing.T) {
-	m := NewMatrix(2)
-	m.Add(0, 1, 7)
-	d := m.ToDense()
-	if d[0][1] != 7 || d[0][0] != 0 {
-		t.Fatalf("ToDense = %v", d)
-	}
-}
-
 func TestSolverReuseBitIdenticalToSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	var s Solver

@@ -91,7 +91,7 @@ func (e *Engine) beStep(dst, x []float64, t, h float64) error {
 		g := c.C / h
 		stampG(m, e.topo.cs[4*ci:], g)
 		vPrev := vAt(x, c.A) - vAt(x, c.B)
-		rhsI(rhs, c.A, c.B, g*vPrev)
+		rhsI(rhs, c.A, c.B, float64(g*vPrev))
 	}
 	sol, err := e.newtonSolve(m, rhs, x)
 	if err != nil {
@@ -160,7 +160,7 @@ func (e *Engine) TransientAdaptive(tEnd float64, opt AdaptiveOptions, probes []c
 		if err := e.beStep(xh, x, t, hEff/2); err != nil {
 			return nil, err
 		}
-		if err := e.beStep(x2, xh, t+hEff/2, hEff/2); err != nil {
+		if err := e.beStep(x2, xh, t+float64(hEff/2), hEff/2); err != nil {
 			return nil, err
 		}
 		errEst := 0.0

@@ -287,7 +287,7 @@ func (e *Engine) newtonSolve(base []float64, rhsBase []float64, x0 []float64) ([
 			id, gm, gds := mos.Model.Eval(mos.W, vgs, vds)
 			// Linearized drain current: id + gm·Δvgs + gds·Δvds.
 			// Stamp conductances and the Norton residual current.
-			ieq := id - gm*vgs - gds*vds
+			ieq := id - float64(gm*vgs) - float64(gds*vds)
 			s := slots[6*k : 6*k+6]
 			m[s[0]] += gm
 			m[s[1]] += gds
@@ -316,7 +316,7 @@ func (e *Engine) newtonSolve(base []float64, rhsBase []float64, x0 []float64) ([
 				d = -vLimit
 				conv = false
 			}
-			if math.Abs(d) > absTol+relTol*math.Abs(x[i]) {
+			if math.Abs(d) > absTol+float64(relTol*math.Abs(x[i])) {
 				conv = false
 			}
 			x[i] += d
@@ -360,7 +360,7 @@ func (e *Engine) DCOperatingPoint() ([]float64, error) {
 			for id, v := range e.nodeset {
 				if i := ix(id); i >= 0 {
 					base[e.topo.sym.Diag(i)] += gns
-					rhs[i] += gns * v
+					rhs[i] += float64(gns * v)
 				}
 			}
 		}
@@ -407,7 +407,7 @@ func (r *Result) FirstCrossing(f func(step int) float64, threshold float64, dir 
 			(dir < 0 && prev > threshold && cur <= threshold)
 		if crossed {
 			frac := (threshold - prev) / (cur - prev)
-			return r.T[k-1] + frac*(r.T[k]-r.T[k-1]), nil
+			return r.T[k-1] + float64(frac*(r.T[k]-r.T[k-1])), nil
 		}
 		prev = cur
 	}
@@ -494,13 +494,13 @@ func (e *Engine) Transient(tEnd, dt float64, probes []circuit.NodeID, stop StopF
 	if trap {
 		k = 2.0
 	}
-	for t := dt; t <= tEnd+dt/2; t += dt {
+	for t := dt; t <= tEnd+float64(dt/2); t += dt {
 		rhs := e.rhsBuf()
 		e.sourceRHS(rhs, t)
 		// Capacitor companion currents from the previous state.
 		for ci, c := range e.ckt.Cs {
 			vPrev := vAt(x, c.A) - vAt(x, c.B)
-			ieq := k * c.C / dt * vPrev
+			ieq := float64(k * c.C / dt * vPrev)
 			if trap {
 				ieq += e.capI[ci]
 			}
@@ -515,7 +515,7 @@ func (e *Engine) Transient(tEnd, dt float64, probes []circuit.NodeID, stop StopF
 			for ci, c := range e.ckt.Cs {
 				vPrev := vAt(x, c.A) - vAt(x, c.B)
 				vNow := vAt(xNew, c.A) - vAt(xNew, c.B)
-				e.capI[ci] = k*c.C/dt*(vNow-vPrev) - e.capI[ci]
+				e.capI[ci] = float64(k*c.C/dt*(vNow-vPrev)) - e.capI[ci]
 			}
 		}
 		x = xNew
