@@ -7,7 +7,7 @@ GO ?= go
 # Raise it when coverage grows; never lower it without a written reason.
 COVER_MIN ?= 80.5
 
-.PHONY: all build test test-race bench bench-smoke fuzz-smoke cover cover-check lint unlinked fused-ops parent-cmp fmt clean
+.PHONY: all build test test-race bench bench-smoke fuzz-smoke cover cover-check lint run-examples unlinked fused-ops parent-cmp fmt clean
 
 all: build lint test
 
@@ -92,6 +92,14 @@ lint:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 
+# Run every example once, output discarded; fails on the first that exits
+# non-zero, so an example whose library calls start failing (log.Fatal)
+# fails CI, not only one that stops compiling.
+run-examples:
+	@set -e; for d in examples/*/; do \
+		echo "run-examples: $$d"; $(GO) run ./$$d > /dev/null; \
+	done
+
 # Unreachable-code gate: build every product binary (mpvar, each example
 # and bench's mpbench) without inlining, which would hide live callees,
 # list the mpsram/internal text symbols they link (go tool nm; a generic
@@ -125,27 +133,29 @@ unlinked:
 # rounding where amd64 computes two, so a contractible expression in the
 # engine gives other bits on an arm64 host. Cross-build ./cmd/mpvar and
 # the sparse test binary (which links the sparse.Solver oracle) for
-# GOARCH=arm64, disassemble the mpsram/internal/{sparse,spice,device}
-# symbols with go tool objdump and fail on any FMADD/FMSUB/FNMADD/FNMSUB
-# outside _test.go files. Write such an expression as float64(x*y) ± z:
-# the Go spec rounds an explicit conversion, which keeps it unfused.
+# GOARCH=arm64, disassemble the mpsram/internal/{sparse,spice,device,
+# sram,tech} symbols with go tool objdump and fail on any
+# FMADD/FMSUB/FNMADD/FNMSUB outside _test.go files (an inlined callee
+# counts under the file it came from, e.g. tech.go inside sram's read
+# window). Write such an expression as float64(x*y) ± z: the Go spec
+# rounds an explicit conversion, which keeps it unfused.
 fused-ops:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	GOARCH=arm64 $(GO) build -o "$$tmp/mpvar" ./cmd/mpvar; \
 	GOARCH=arm64 $(GO) test -c -o "$$tmp/sparse.test" ./internal/sparse; \
 	for b in mpvar sparse.test; do \
-		$(GO) tool objdump -s '^mpsram/internal/(sparse|spice|device)\.' "$$tmp/$$b" >> "$$tmp/asm"; \
+		$(GO) tool objdump -s '^mpsram/internal/(sparse|spice|device|sram|tech)\.' "$$tmp/$$b" >> "$$tmp/asm"; \
 	done; \
-	for p in sparse spice device; do \
+	for p in sparse spice device sram tech; do \
 		grep -q "^TEXT mpsram/internal/$$p\." "$$tmp/asm" || { echo "fused-ops: no $$p symbols disassembled"; exit 1; }; \
 	done; \
 	awk '$$1 !~ /_test\.go:/ && $$4 ~ /^FN?M(ADD|SUB)/' "$$tmp/asm" > "$$tmp/fused"; \
 	if [ -s "$$tmp/fused" ]; then \
 		cat "$$tmp/fused"; \
-		echo "fused-ops: $$(wc -l < "$$tmp/fused") fused multiply-adds in sparse, spice and device; write x*y ± z as float64(x*y) ± z"; \
+		echo "fused-ops: $$(wc -l < "$$tmp/fused") fused multiply-adds in sparse, spice, device, sram and tech; write x*y ± z as float64(x*y) ± z"; \
 		exit 1; \
 	fi; \
-	echo "fused-ops: no fused multiply-add in sparse, spice or device on arm64"
+	echo "fused-ops: no fused multiply-add in sparse, spice, device, sram or tech on arm64"
 
 # Byte identity against another revision: build ./cmd/mpvar at BASE (a
 # git archive export in a temporary directory, removed on exit) and from

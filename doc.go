@@ -62,13 +62,17 @@
 // iteration is a copy of the base values, the MOSFET slot adds and
 // Symbolic.Solve, a numeric refactorization that repeats sparse.Solver's
 // arithmetic operation for operation, so bit for bit (fuzzed in
-// FuzzCompiledLU), without allocating. The solver, the engine and the
-// device model write every contractible x*y ± z as float64(x*y) ± z, so
-// an arm64 build, whose compiler would otherwise fuse it into one
-// rounding, computes the same bits (make fused-ops). A warm read transient allocates
-// nothing, on the fixed-step and the adaptive integrator alike. Numeric
-// drift across refactors is pinned by golden CSVs under
-// internal/exp/testdata/golden (regenerate with
+// FuzzCompiledLU), without allocating. The solver, the engine, the
+// device model, the column (sram) and the technology model (tech) write
+// every contractible x*y ± z as float64(x*y) ± z, so an arm64 build,
+// whose compiler would otherwise fuse it into one rounding, computes the
+// same bits (make fused-ops). A read transient ends on the step where
+// td's crossing is recorded: the first step whose sense differential
+// reaches the threshold from below (or, failing that, the first at 1.5×
+// it), so no step runs past the one td is measured from. A warm read
+// transient allocates nothing, on the fixed-step and the adaptive
+// integrator alike. Numeric drift across refactors is pinned by golden
+// CSVs under internal/exp/testdata/golden (regenerate with
 // go test ./internal/exp -run Golden -update).
 //
 // Experiments are addressed through the workload registry (internal/exp):
@@ -111,8 +115,10 @@
 // bitwise identical to the unpaired path, so cv is an estimator mode,
 // not a new experiment, and it is part of the run's cache identity.
 // Orthogonally, sram.SimOptions.Adaptive swaps the fixed-step transient
-// for an LTE-controlled step-doubling integrator (~7× fewer steps,
-// gated against fixed-step across the full DOE to 0.5% on td and 1% on
+// for an LTE-controlled step-doubling integrator (5.7–7.7× fewer steps
+// on nominal reads and at least 5.5× on the DOE gate's draws, both
+// integrators ending a read on td's crossing step; gated against
+// fixed-step across the full DOE to 0.5% on td and 1% on
 // σ; sram.SimOptions.LTETol loosens it at your own risk — the gate test
 // demonstrates 20 mV tolerance tripping it).
 //

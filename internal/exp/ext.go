@@ -62,25 +62,26 @@ type WritePenaltyRow struct {
 
 // WritePenalty measures the worst-corner write-time penalty per option at
 // one array size — the extension showing MP variability also reaches the
-// write path.
+// write path. The nominal write does not depend on the option, so it runs
+// once.
 func WritePenalty(e Env, n int) ([]WritePenaltyRow, error) {
 	nom, err := sram.NominalParasitics(e.Proc, e.Cap)
 	if err != nil {
 		return nil, err
+	}
+	colN, err := sram.BuildWriteColumn(e.Proc, n, nom, e.Build)
+	if err != nil {
+		return nil, err
+	}
+	wrN, err := colN.MeasureWriteTime(nom, e.Sim)
+	if err != nil {
+		return nil, fmt.Errorf("write penalty nominal: %w", err)
 	}
 	var rows []WritePenaltyRow
 	for _, o := range litho.Options {
 		wc, err := extract.WorstCase(e.Proc, o, e.Cap)
 		if err != nil {
 			return nil, err
-		}
-		colN, err := sram.BuildWriteColumn(e.Proc, n, nom, e.Build)
-		if err != nil {
-			return nil, err
-		}
-		wrN, err := colN.MeasureWriteTime(nom, e.Sim)
-		if err != nil {
-			return nil, fmt.Errorf("write penalty %v nominal: %w", o, err)
 		}
 		scaled := nom.Scale(wc.Ratios)
 		colW, err := sram.BuildWriteColumn(e.Proc, n, scaled, e.Build)

@@ -106,8 +106,9 @@ func (e *Engine) beStep(dst, x []float64, t, h float64) error {
 // sub-steps; the difference is the local error estimate. On acceptance
 // the more accurate two-half-step solution is kept (local extrapolation).
 // The returned Result is engine-owned storage with Transient's lifetime.
+// A window that is not finite (NaN or infinite tEnd) is refused.
 func (e *Engine) TransientAdaptive(tEnd float64, opt AdaptiveOptions, probes []circuit.NodeID, stop StopFunc) (*Result, error) {
-	if tEnd <= 0 {
+	if !(tEnd > 0) || math.IsInf(tEnd, 1) {
 		return nil, fmt.Errorf("spice: bad adaptive window tEnd=%g", tEnd)
 	}
 	o := opt.withDefaults(tEnd)

@@ -119,6 +119,11 @@ func TestAdaptiveErrors(t *testing.T) {
 	if _, err := e.TransientAdaptive(-1, AdaptiveOptions{}, nil, nil); err == nil {
 		t.Fatal("negative window accepted")
 	}
+	for _, tEnd := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := e.TransientAdaptive(tEnd, AdaptiveOptions{}, nil, nil); err == nil {
+			t.Fatalf("window tEnd=%g accepted", tEnd)
+		}
+	}
 	if _, err := e.TransientAdaptive(1e-9, AdaptiveOptions{DtInit: 1e-12, DtMax: 1e-13}, nil, nil); err == nil {
 		t.Fatal("inconsistent steps accepted")
 	}

@@ -466,17 +466,27 @@ func (e *Engine) stopped(stop StopFunc, t float64, x []float64) bool {
 	return stop(t, e.probe)
 }
 
+// maxTransientSteps bounds the steps of a fixed-step window. A read's
+// window is at most about 7 600 steps across the DOE; a window of more
+// than 1 << 20 is a wrong tEnd or dt, and Transient refuses it before it
+// sizes the waveform.
+const maxTransientSteps = 1 << 20
+
 // Transient integrates from 0 to tEnd with fixed step dt, starting from
 // the DC operating point, probing the given nodes each step. If stop is
 // non-nil the run ends once it returns true (after recording that step).
+// A window that is not finite (NaN or infinite tEnd or dt), or that needs
+// more than maxTransientSteps steps, is refused.
 //
 // The returned Result, waveforms included, belongs to the engine and is
 // recycled by the next Transient, TransientAdaptive or Reset call on this
 // engine; callers that keep an engine resident across runs must extract
 // what they need (crossings, measurements, copies) before reusing it.
 func (e *Engine) Transient(tEnd, dt float64, probes []circuit.NodeID, stop StopFunc) (*Result, error) {
-	if dt <= 0 || tEnd <= 0 || tEnd < dt {
-		return nil, fmt.Errorf("spice: bad transient window tEnd=%g dt=%g", tEnd, dt)
+	// Written so NaN fails it: tEnd/dt is NaN when both are infinite.
+	if !(dt > 0 && tEnd >= dt && tEnd/dt <= maxTransientSteps) {
+		return nil, fmt.Errorf("spice: bad transient window tEnd=%g dt=%g (want 0 < dt ≤ tEnd, at most %d steps)",
+			tEnd, dt, maxTransientSteps)
 	}
 	x, err := e.DCOperatingPoint()
 	if err != nil {

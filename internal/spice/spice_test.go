@@ -260,6 +260,22 @@ func TestTransientErrors(t *testing.T) {
 	if _, err := e.Transient(1e-9, 0, nil, nil); err == nil {
 		t.Fatal("zero dt must error")
 	}
+	// Windows that never end or need more steps than a transient may take
+	// are refused before the waveform is sized.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, w := range [][2]float64{
+		{nan, 1e-12}, {1e-9, nan}, {inf, 1e-12}, {inf, inf}, {1e-9, inf},
+		{float64(maxTransientSteps+1) * 1e-12, 1e-12},
+	} {
+		if _, err := e.Transient(w[0], w[1], nil, nil); err == nil {
+			t.Fatalf("window tEnd=%g dt=%g must error", w[0], w[1])
+		}
+	}
+	// The largest window the bound allows still runs.
+	stopNow := func(float64, func(circuit.NodeID) float64) bool { return true }
+	if _, err := e.Transient(float64(maxTransientSteps)*1e-12, 1e-12, nil, stopNow); err != nil {
+		t.Fatalf("window of %d steps refused: %v", maxTransientSteps, err)
+	}
 	// Empty netlist rejected at New.
 	if _, err := New(circuit.New(), Options{}); err == nil {
 		t.Fatal("no-node netlist must error")

@@ -39,12 +39,14 @@ func doeDraw(t *testing.T, b *ColumnBuilder, o litho.Option, seed int64) CellPar
 // SimOptions{Adaptive: true} across the full DOE — every patterning
 // option × array size × process preset: the adaptive read time must match
 // the fixed-step reference within adaptiveTdTol, and the promised speedup
-// must be real (≥ 5× fewer time steps at every point; measured ≈ 7–8×).
+// must be real (≥ 5× fewer time steps at every point). Both reads end on
+// the step where td's crossing is recorded; the smallest ratio is logged.
 func TestAdaptiveMatchesFixedAcrossDOE(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-DOE transient gate (≈ 72 SPICE transients); run without -short")
 	}
 	cm := extract.SakuraiTamaru{}
+	minRatio := math.Inf(1)
 	for _, p := range tech.Default().Processes() {
 		b := NewColumnBuilder(p, cm)
 		for oi, o := range litho.Options {
@@ -72,6 +74,7 @@ func TestAdaptiveMatchesFixedAcrossDOE(t *testing.T) {
 						p.Name, o, n, rel*100, fixed.Td, adapt.Td)
 				}
 				sf, sa := len(fixed.Result.T), len(adapt.Result.T)
+				minRatio = math.Min(minRatio, float64(sf)/float64(sa))
 				if sa*5 > sf {
 					t.Errorf("%s/%v n=%d: adaptive used %d steps vs %d fixed — speedup below 5×",
 						p.Name, o, n, sa, sf)
@@ -79,6 +82,7 @@ func TestAdaptiveMatchesFixedAcrossDOE(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("smallest fixed/adaptive step ratio across the DOE: %.2f×", minRatio)
 }
 
 // TestAdaptiveGateTripsOnLooseLTETol proves the gate above is live: with

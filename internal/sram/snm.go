@@ -95,7 +95,7 @@ func snmFromVTC(vin, vout []float64) float64 {
 			}
 		}
 		t := (x - vin[a]) / (vin[b] - vin[a])
-		return vout[a] + t*(vout[b]-vout[a])
+		return vout[a] + float64(t*(vout[b]-vout[a]))
 	}
 	bistable := func(vn float64) bool {
 		h := func(x float64) float64 { return f(f(x+vn) + vn) }
@@ -110,7 +110,7 @@ func snmFromVTC(vin, vout []float64) float64 {
 	}
 	a, b := 0.0, hi-lo
 	for k := 0; k < 50; k++ {
-		mid := (a + b) / 2
+		mid := float64((a + b) / 2)
 		if bistable(mid) {
 			a = mid
 		} else {

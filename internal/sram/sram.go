@@ -117,7 +117,7 @@ func (c CellParasitics) Scale(r extract.Ratios) CellParasitics {
 
 // CFE returns the per-cell front-end loading on the bit line: the off
 // pass-gate junction capacitance (the paper's CFE).
-func CFE(f tech.FEOL) float64 { return f.WPassGate * f.CJPerM }
+func CFE(f tech.FEOL) float64 { return float64(f.WPassGate * f.CJPerM) }
 
 // BuildColumn constructs the column netlist for an n-word-line array with
 // the given per-cell parasitics.
@@ -170,6 +170,9 @@ func (sc *columnScratch) waves(vdd float64) (supply, pulse circuit.Waveform) {
 	return sc.supply, sc.pulse
 }
 
+// positiveFinite reports whether x is a positive finite number; NaN is not.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 // nodes returns ids reusing buf's storage, resized to n.
 func nodes(buf []circuit.NodeID, n int) []circuit.NodeID {
 	if cap(buf) >= n {
@@ -186,8 +189,9 @@ func (sc *columnScratch) build(nmos, pmos *device.MOS, p tech.Process, n int, cp
 	if n < 1 {
 		return nil, fmt.Errorf("sram: array size %d < 1", n)
 	}
-	if cp.Rbl <= 0 || cp.Cbl <= 0 || cp.Rvss <= 0 {
-		return nil, fmt.Errorf("sram: non-positive parasitics %+v", cp)
+	// Refuse NaN and +Inf too: they size a read window that never ends.
+	if !(positiveFinite(cp.Rbl) && positiveFinite(cp.Cbl) && positiveFinite(cp.Rvss)) {
+		return nil, fmt.Errorf("sram: non-positive or non-finite parasitics %+v", cp)
 	}
 	if sc.nl == nil {
 		sc.nl = circuit.New()
@@ -286,7 +290,7 @@ func (sc *columnScratch) build(nmos, pmos *device.MOS, p tech.Process, n int, cp
 	wpre := f.WPre(n)
 	nl.AddM("pre_bl", blNodes[segs], pre, vdd, col.pmos, wpre)
 	nl.AddM("pre_blb", blbNodes[segs], pre, vdd, col.pmos, wpre)
-	cpre := f.CPre0 + wpre*f.CJPerM
+	cpre := f.CPre0 + float64(wpre*f.CJPerM)
 	nl.AddC("pre_bl", blNodes[segs], circuit.Ground, cpre)
 	nl.AddC("pre_blb", blbNodes[segs], circuit.Ground, cpre)
 
@@ -307,8 +311,8 @@ func (sc *columnScratch) build(nmos, pmos *device.MOS, p tech.Process, n int, cp
 	nl.AddM("pu2", qb, q, vdd, col.pmos, f.WPullUp)
 	// Internal node capacitance: junctions of pd/pu/pg plus the opposite
 	// inverter's gate.
-	cInt := (f.WPullDown+f.WPullUp+f.WPassGate)*f.CJPerM +
-		(f.WPullDown+f.WPullUp)*f.CGatePerM
+	cInt := float64((f.WPullDown+f.WPullUp+f.WPassGate)*f.CJPerM) +
+		float64((f.WPullDown+f.WPullUp)*f.CGatePerM)
 	nl.AddC("q", q, circuit.Ground, cInt)
 	nl.AddC("qb", qb, circuit.Ground, cInt)
 	// State-selection helpers: bias the bistable DC solution to q=0.
@@ -347,26 +351,53 @@ type SimOptions struct {
 func (c *Column) estimateTd(cp CellParasitics) float64 {
 	f := c.proc.FEOL
 	n := float64(c.N)
-	ctot := n*(cp.Cbl+CFE(f)) + f.CPre(c.N)
+	ctot := float64(n*(cp.Cbl+CFE(f))) + f.CPre(c.N)
 	ieff := 0.5 * c.nmos.Idsat(f.WPassGate, f.Vdd)
 	slew := ctot * f.SenseDeltaV / ieff
-	wire := n * cp.Rbl * ctot / 2
+	wire := float64(n * cp.Rbl * ctot / 2)
 	return slew + wire
+}
+
+// readStop ends a read transient on the step where td's crossing is
+// recorded. done sees the sense differential of steps 1, 2, … and applies
+// FirstCrossing's rising test to it: it reports true on the first step
+// whose differential reaches target while the previous step's was below
+// it, or, as a fallback, on the first step at 1.5× target. prev starts
+// NaN (newReadStop) because a StopFunc never sees step 0, and NaN is below
+// nothing. So the stop never comes before the crossing FirstCrossing
+// finds in a run cut at 1.5× target, and never after that cut: td keeps
+// its bits, and a read that never crosses keeps its error and its step
+// count.
+type readStop struct {
+	target, prev float64
+}
+
+func newReadStop(target float64) readStop { return readStop{target: target, prev: math.NaN()} }
+
+func (s *readStop) done(d float64) bool {
+	crossed := s.prev < s.target && d >= s.target
+	s.prev = d
+	return crossed || d >= 1.5*s.target
 }
 
 // ReadResult reports one simulated read.
 type ReadResult struct {
-	Td     float64 // time from word-line enable to sense threshold
-	TEnd   float64
-	Dt     float64
+	Td   float64 // time from word-line enable to sense threshold
+	TEnd float64
+	Dt   float64
+	// Result holds the probed waveforms. They end on the step where td's
+	// crossing is recorded, or on the first step at 1.5× the sense
+	// threshold if that comes first, not at TEnd.
 	Result *spice.Result
 }
 
 // MeasureTd runs the read transient and extracts td: the time from the
 // word-line-enable instant until |Vbl − Vblb| at the sense end reaches
-// the sense-amplifier sensitivity. It constructs a fresh engine per call,
-// so the returned waveforms stay valid; hot loops should use
-// ColumnBuilder.MeasureTd, which reads td on a pooled warm engine.
+// the sense-amplifier sensitivity. The transient ends on the step where
+// that crossing is recorded, so the returned waveforms stop there. It
+// constructs a fresh engine per call, so the returned waveforms stay
+// valid; hot loops should use ColumnBuilder.MeasureTd, which reads td on
+// a pooled warm engine.
 func (c *Column) MeasureTd(cp CellParasitics, opt SimOptions) (ReadResult, error) {
 	eng, err := spice.New(c.Netlist, spice.Options{Method: opt.Method})
 	if err != nil {
@@ -383,7 +414,7 @@ func (c *Column) measureTdOn(eng *spice.Engine, cp CellParasitics, opt SimOption
 	est := c.estimateTd(cp)
 	tEnd := opt.TEnd
 	if tEnd == 0 {
-		tEnd = 6*est + 50e-12
+		tEnd = float64(6*est) + 50e-12
 	}
 	dt := opt.Dt
 	if dt == 0 {
@@ -403,8 +434,9 @@ func (c *Column) measureTdOn(eng *spice.Engine, cp CellParasitics, opt SimOption
 	probes := append(c.probes[:0], c.BLSense, c.BLBSense, c.BLFar, c.Q, c.QB, c.WL)
 	c.probes = probes
 	target := f.SenseDeltaV
+	stop := newReadStop(target)
 	stopAt := func(t float64, v func(circuit.NodeID) float64) bool {
-		return v(c.BLBSense)-v(c.BLSense) >= 1.5*target
+		return stop.done(v(c.BLBSense) - v(c.BLSense))
 	}
 	var (
 		res *spice.Result

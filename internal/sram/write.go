@@ -70,7 +70,7 @@ func (c *Column) MeasureWriteTime(cp CellParasitics, opt SimOptions) (WriteResul
 	est := c.estimateTd(cp)
 	tEnd := opt.TEnd
 	if tEnd == 0 {
-		tEnd = 6*est + 100e-12
+		tEnd = float64(6*est) + 100e-12
 	}
 	dt := opt.Dt
 	if dt == 0 {

@@ -128,7 +128,7 @@ func (f *FEOL) WPre(n int) float64 {
 // CPre returns the total n-dependent precharge-side capacitance on one bit
 // line: fixed overhead plus the scaled precharge device junction.
 func (f *FEOL) CPre(n int) float64 {
-	return f.CPre0 + f.WPre(n)*f.CJPerM
+	return f.CPre0 + float64(f.WPre(n)*f.CJPerM)
 }
 
 // Variations carries the paper's process-variation assumptions (Section
