@@ -61,7 +61,10 @@ bench-smoke:
 # any seed and stream length. FuzzRunRequest feeds arbitrary bytes to
 # serve's POST /v1/runs decoding, Normalize and Key: no panic, an
 # accepted spec normalizes to itself under one key, and no accepted spec
-# carries an out-of-range n, ol, thk or sizes.
+# carries an out-of-range n, ol, thk or sizes. FuzzTableEncoders feeds
+# arbitrary strings (titles, column names, cells) and numbers to the
+# report encoders and requires the CSV, Markdown and JSON bytes of a
+# test-file copy of the per-cell fmt encoders they replaced.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCompiledLU' -fuzztime 10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz 'FuzzNetlistReset' -fuzztime 10s ./internal/spice
@@ -75,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzVarRatios' -fuzztime 10s ./internal/extract
 	$(GO) test -run '^$$' -fuzz 'FuzzLegacySource' -fuzztime 10s ./internal/mc
 	$(GO) test -run '^$$' -fuzz 'FuzzRunRequest' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz 'FuzzTableEncoders' -fuzztime 10s ./internal/report
 
 # Coverage over the -short suite (the fast deterministic core).
 cover:
@@ -159,7 +163,8 @@ fused-ops:
 
 # Byte identity against another revision: build ./cmd/mpvar at BASE (a
 # git archive export in a temporary directory, removed on exit) and from
-# the working tree, run every -list workload at -smoke -format json, both
+# the working tree, run every -list workload at -smoke in each format
+# (json, csv, md and the default text), both
 # bench pins, a few full-budget bodies and four shard artifacts (both
 # shards of fig5 at 50 000 draws and of table4, written to the file its
 # -o names in each side's own working directory), and cmp each pair of
@@ -178,7 +183,10 @@ parent-cmp:
 	git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
 	$(GO) -C "$$tmp/base" build -o "$$tmp/mpvar-base" ./cmd/mpvar; \
 	$(GO) build -o "$$tmp/mpvar-head" ./cmd/mpvar; \
-	{ for w in $$("$$tmp/mpvar-head" -list); do echo "-smoke -format json $$w"; done; \
+	{ for w in $$("$$tmp/mpvar-head" -list); do \
+		echo "-smoke -format json $$w"; echo "-smoke -format csv $$w"; \
+		echo "-smoke -format md $$w"; echo "-smoke $$w"; \
+	  done; \
 	  echo "-samples 50000 -seed 2015 -format json fig5"; \
 	  echo "-samples 8 -seed 2015 -n 64 -format json mcspice"; \
 	  echo "-samples 100000 -format json table4x"; \

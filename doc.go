@@ -80,7 +80,11 @@
 // parameter schema with defaults, budget hints — plus a uniform
 // Run(Env, Params) returning a Result whose typed rows feed one
 // rendering contract, so csv, markdown and json encoding live once in
-// internal/report instead of per table. core.Study.Run dispatches by
+// internal/report instead of per table. A report.Table holds each row's
+// typed values once, and each encoder appends the whole table into one
+// buffer; the paper-style text is a function on the Result that only a
+// text rendering calls, so a run rendered as JSON (serve, the shard
+// reducer, bench) formats no text at all. core.Study.Run dispatches by
 // name, Study.Workloads lists the registry, and the "all" workload is a
 // plan over the workloads marked for the paper-order report. The mpvar
 // CLI generates its usage, per-workload flags and smoke coverage from

@@ -27,14 +27,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(f5.Text)
+	fmt.Print(f5.Text())
 
 	// Table IV: σ per option and overlay budget.
 	t4, err := study.Run("table4", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(t4.Text)
+	fmt.Print(t4.Text())
 
 	// The ratio the paper's conclusion quotes: LE3 at 8 nm vs SADP,
 	// computed from the typed rows the Result carries.

@@ -39,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	fmt.Print(res.Text)
+	fmt.Print(res.Text())
 
 	// The same result as machine-readable JSON — every workload shares
 	// this rendering path (csv and md work identically).

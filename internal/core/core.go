@@ -13,7 +13,7 @@
 //	res.Write(os.Stdout, report.FormatJSON)   // any format, one encoder
 //	r, _ := study.Ratios(litho.LE3, s)        // one sample's variability ratios
 //	all, _ := study.Run("all", nil)           // every table and figure
-//	fmt.Print(all.Text)                       // as the paper-style report
+//	fmt.Print(all.Text())                     // as the paper-style report
 //
 // A workload's typed rows are Result.Data; assert them to the workload's
 // row type (e.g. []exp.Table1Row for "table1").

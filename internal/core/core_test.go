@@ -184,7 +184,7 @@ func TestRunAllEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := res.Text
+	out := res.Text()
 	for _, want := range []string{
 		"Table I:", "Fig. 2:", "Fig. 3:", "Fig. 4:",
 		"Table II:", "Table III:", "Fig. 5:", "Table IV:",

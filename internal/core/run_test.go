@@ -3,12 +3,54 @@ package core
 import (
 	"encoding/json"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mpsram/internal/exp"
 	"mpsram/internal/mc"
 	"mpsram/internal/report"
 )
+
+func init() {
+	exp.Register(exp.Workload{
+		Name: "testlazytext", Summary: "test-only: counts its text renderings in Data",
+		Order: 900,
+		Run: func(e exp.Env, p exp.Params) (*exp.Result, error) {
+			t := report.New("lazy text", "x")
+			t.Appendf(1)
+			calls := new(atomic.Int64)
+			text := func() string {
+				calls.Add(1)
+				return "lazy text\n"
+			}
+			return &exp.Result{Data: calls, Tables: []*report.Table{t}, Text: text}, nil
+		},
+	})
+}
+
+// TestTextFormattedOnlyWhenAsked: a run rendered as JSON never formats
+// its paper-style text, and Write(FormatText) formats it once.
+func TestTextFormattedOnlyWhenAsked(t *testing.T) {
+	res, err := RunSpec{Workload: "testlazytext"}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := res.Data.(*atomic.Int64)
+	var b strings.Builder
+	if err := res.Write(&b, report.FormatJSON); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("run and JSON rendering formatted the text %d times, want 0", n)
+	}
+	b.Reset()
+	if err := res.Write(&b, report.FormatText); err != nil || b.String() != "lazy text\n" {
+		t.Fatalf("text rendering %q, %v", b.String(), err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("Write(FormatText) formatted the text %d times, want 1", n)
+	}
+}
 
 // TestStudyRunSurface covers the registry-facing facade: listing,
 // dispatch, the unknown-name contract and parameter validation.
@@ -31,7 +73,7 @@ func TestStudyRunSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Text == "" || len(res.Tables) == 0 || res.Data == nil {
+	if res.Text() == "" || len(res.Tables) == 0 || res.Data == nil {
 		t.Fatalf("incomplete result %+v", res)
 	}
 }
@@ -84,7 +126,7 @@ func TestAllWorkloadsSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Text == "" {
+			if res.Text() == "" {
 				t.Fatal("empty text rendering")
 			}
 			if len(res.Tables) == 0 || res.Data == nil {

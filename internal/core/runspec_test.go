@@ -160,7 +160,7 @@ func TestRunSpecRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tables) == 0 || len(res.Text) == 0 {
+	if len(res.Tables) == 0 || len(res.Text()) == 0 {
 		t.Fatalf("fig3 result empty: %+v", res)
 	}
 	// Process, seed and budget reach the study: the spec's run renders
@@ -182,6 +182,6 @@ func TestRunSpecRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(render(t, got), render(t, want)) {
-		t.Fatalf("spec did not reach the study env:\n got %s\nwant %s", got.Text, want.Text)
+		t.Fatalf("spec did not reach the study env:\n got %s\nwant %s", got.Text(), want.Text())
 	}
 }

@@ -282,7 +282,7 @@ func TestTable4SurfaceSharedStream(t *testing.T) {
 			t.Fatalf("format missing %q:\n%s", want, out)
 		}
 	}
-	if got := len(Table4SurfaceReport(rows).Rows); got != len(rows)*len(PaperSizes) {
+	if got := len(tableRows(t, Table4SurfaceReport(rows))); got != len(rows)*len(PaperSizes) {
 		t.Fatalf("report rows %d", got)
 	}
 }

@@ -87,21 +87,21 @@ func TestReportBridges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb := Table1Report(t1); len(tb.Rows) != len(t1) || len(tb.Columns) != 5 {
+	if tb := Table1Report(t1); len(tableRows(t, tb)) != len(t1) || len(tb.Columns) != 5 {
 		t.Fatal("table1 bridge")
 	}
 	f3, err := Fig3(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb := Fig3Report(f3); len(tb.Rows) != len(f3) {
+	if tb := Fig3Report(f3); len(tableRows(t, tb)) != len(f3) {
 		t.Fatal("fig3 bridge")
 	}
 	f5, err := Fig5(e, 8e-9, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb := Fig5Report(f5); len(tb.Rows) != len(f5) {
+	if tb := Fig5Report(f5); len(tableRows(t, tb)) != len(f5) {
 		t.Fatal("fig5 bridge")
 	}
 	t4, err := Table4(e)
@@ -109,12 +109,12 @@ func TestReportBridges(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb := Table4Report(t4)
-	if len(tb.Rows) != len(t4) {
+	if len(tableRows(t, tb)) != len(t4) {
 		t.Fatal("table4 bridge")
 	}
 	// LE3 rows carry the overlay column, SADP/EUV leave it blank.
 	sawBlank, sawOL := false, false
-	for _, r := range tb.Rows {
+	for _, r := range tableRows(t, tb) {
 		if r[1] == "" {
 			sawBlank = true
 		} else {
@@ -135,21 +135,21 @@ func TestReportBridgesSpice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb := Fig4Report(f4); len(tb.Rows) != len(f4) {
+	if tb := Fig4Report(f4); len(tableRows(t, tb)) != len(f4) {
 		t.Fatal("fig4 bridge")
 	}
 	t2, err := Table2(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb := Table2Report(t2); len(tb.Rows) != len(t2) {
+	if tb := Table2Report(t2); len(tableRows(t, tb)) != len(t2) {
 		t.Fatal("table2 bridge")
 	}
 	t3, err := Table3(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb := Table3Report(t3); len(tb.Rows) != len(t3) {
+	if tb := Table3Report(t3); len(tableRows(t, tb)) != len(t3) {
 		t.Fatal("table3 bridge")
 	}
 }

@@ -130,7 +130,7 @@ func TestGoldenFig5(t *testing.T) {
 				r.Option, r.Hist.Total(), r.Summary.N, under, over)
 		}
 		for i, c := range r.Hist.Counts {
-			_ = hist.Appendf(r.Option.String(), i, r.Hist.BinCenter(i), c)
+			hist.Appendf(r.Option.String(), i, r.Hist.BinCenter(i), c)
 		}
 	}
 	checkGolden(t, "fig5hist.csv", hist)

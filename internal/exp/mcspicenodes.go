@@ -50,7 +50,7 @@ func init() {
 			return &Result{
 				Data:   rows,
 				Tables: []*report.Table{MCSpiceNodesReport(rows)},
-				Text:   FormatMCSpiceNodes(rows, p.Int("n"), e.MC.Samples),
+				Text:   func() string { return FormatMCSpiceNodes(rows, p.Int("n"), e.MC.Samples) },
 			}, nil
 		},
 	})
@@ -132,7 +132,7 @@ func MCSpiceNodesReport(rows []MCSpiceNodesRow) *report.Table {
 		"cv_sigma_pct", "spice_sigma_pct", "ref_sigma_pct",
 		"cv_mean_pct", "ref_mean_pct", "beta", "rho", "vr_factor", "ess", "ref_samples")
 	for _, r := range rows {
-		_ = t.Appendf(r.Process, r.Option.String(), r.N, r.Spice.N, r.Rejected,
+		t.Appendf(r.Process, r.Option.String(), r.N, r.Spice.N, r.Rejected,
 			r.CVStd, r.Spice.Std, r.RefStd,
 			r.CVMean, r.RefMean, r.Beta, r.Rho, r.VarReduction, r.EffectiveN, r.RefSamples)
 	}

@@ -57,7 +57,7 @@ func init() {
 				return &Result{
 					Data:   rows,
 					Tables: []*report.Table{SpiceMCCVReport(rows)},
-					Text:   FormatSpiceMCCV(rows, e.MC.Samples),
+					Text:   func() string { return FormatSpiceMCCV(rows, e.MC.Samples) },
 				}, nil
 			}
 			rows, err := MCSpiceX(e, sizes)
@@ -67,7 +67,7 @@ func init() {
 			return &Result{
 				Data:   rows,
 				Tables: []*report.Table{MCSpiceXReport(rows)},
-				Text:   FormatMCSpiceX(rows, e.MC.Samples),
+				Text:   func() string { return FormatMCSpiceX(rows, e.MC.Samples) },
 			}, nil
 		},
 	})
@@ -196,7 +196,7 @@ func MCSpiceXReport(rows []MCSpiceXRow) *report.Table {
 		"spice_sigma_pct", "ana_sigma_pct", "sigma_delta_pct",
 		"spice_mean_pct", "ana_mean_pct")
 	for _, r := range rows {
-		_ = t.Appendf(r.Option.String(), r.N, r.Spice.N, r.Rejected,
+		t.Appendf(r.Option.String(), r.N, r.Spice.N, r.Rejected,
 			r.Spice.Std, r.Analytic.Std, r.SigmaDeltaPct(),
 			r.Spice.Mean, r.Analytic.Mean)
 	}

@@ -30,7 +30,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &Result{Data: rows, Tables: []*report.Table{NodesReport(rows, n)}, Text: FormatNodes(rows, n)}, nil
+			return &Result{Data: rows, Tables: []*report.Table{NodesReport(rows, n)}, Text: func() string { return FormatNodes(rows, n) }}, nil
 		},
 	})
 }
@@ -168,7 +168,7 @@ func NodesReport(rows []NodesRow, n int) *report.Table {
 		if r.Option == litho.LE3 {
 			ol = fmt.Sprintf("%.0f", r.OL*1e9)
 		}
-		_ = t.Appendf(r.Process, r.Option.String(), ol, n, r.Sigma, r.Mean)
+		t.Appendf(r.Process, r.Option.String(), ol, n, r.Sigma, r.Mean)
 	}
 	return t
 }
@@ -211,7 +211,7 @@ func Table4SurfacesReport(surfs []mc.ProcessSurface) *report.Table {
 				ol = fmt.Sprintf("%.0f", r.OL*1e9)
 			}
 			for _, c := range r.Cells {
-				_ = t.Appendf(s.Process, r.Option.String(), ol, c.N, c.Sigma, c.Mean)
+				t.Appendf(s.Process, r.Option.String(), ol, c.N, c.Sigma, c.Mean)
 			}
 		}
 	}

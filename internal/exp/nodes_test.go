@@ -135,7 +135,7 @@ func TestTable4SurfacesPrimaryMatchesSingleNodePath(t *testing.T) {
 	if !strings.Contains(FormatTable4Surfaces(surfs), "[N5]") {
 		t.Fatal("per-process rendering lacks node headers")
 	}
-	if got := len(Table4SurfacesReport(surfs).Rows); got != 3*6*len(PaperSizes) {
+	if got := len(tableRows(t, Table4SurfacesReport(surfs))); got != 3*6*len(PaperSizes) {
 		t.Fatalf("report rows %d", got)
 	}
 }
@@ -180,8 +180,8 @@ func TestNodesAndSurfaceReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := NodesReport(rows, 16)
-	if len(rt.Rows) != len(rows) {
-		t.Fatalf("report rows %d, want %d", len(rt.Rows), len(rows))
+	if len(tableRows(t, rt)) != len(rows) {
+		t.Fatalf("report rows %d, want %d", len(tableRows(t, rt)), len(rows))
 	}
 	surfs, err := Table4Surfaces(e)
 	if err != nil {
@@ -196,7 +196,7 @@ func TestNodesAndSurfaceReports(t *testing.T) {
 			t.Fatalf("rendering lacks %s header", nd)
 		}
 	}
-	if got := len(Table4SurfacesReport(surfs).Rows); got != 3*6*len(PaperSizes) {
+	if got := len(tableRows(t, Table4SurfacesReport(surfs))); got != 3*6*len(PaperSizes) {
 		t.Fatalf("surface report rows %d", got)
 	}
 }

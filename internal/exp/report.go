@@ -15,7 +15,7 @@ func Table1Report(rows []Table1Row) *report.Table {
 	t := report.New("Table I: worst-case variability per patterning option",
 		"option", "corner", "dCbl_pct", "dRbl_pct", "dRvss_pct")
 	for _, r := range rows {
-		_ = t.Appendf(r.Option.String(), r.Corner, r.CblPct, r.RblPct, r.RvssPct)
+		t.Appendf(r.Option.String(), r.Corner, r.CblPct, r.RblPct, r.RvssPct)
 	}
 	return t
 }
@@ -24,7 +24,7 @@ func Table1Report(rows []Table1Row) *report.Table {
 func Fig3Report(rows []Fig3Row) *report.Table {
 	t := report.New("Fig. 3: array DOE", "columns", "wordlines", "summary")
 	for _, r := range rows {
-		_ = t.Appendf(r.Columns, r.N, r.Summary)
+		t.Appendf(r.Columns, r.N, r.Summary)
 	}
 	return t
 }
@@ -34,7 +34,7 @@ func Fig4Report(pts []Fig4Point) *report.Table {
 	t := report.New("Fig. 4: worst-case td impact (SPICE)",
 		"option", "wordlines", "td_nom_ps", "td_wc_ps", "tdp_pct")
 	for _, p := range pts {
-		_ = t.Appendf(p.Option.String(), p.N, p.TdNom*1e12, p.Td*1e12, p.TdpPct)
+		t.Appendf(p.Option.String(), p.N, p.TdNom*1e12, p.Td*1e12, p.TdpPct)
 	}
 	return t
 }
@@ -44,7 +44,7 @@ func Table2Report(rows []Table2Row) *report.Table {
 	t := report.New("Table II: formula vs simulation tdnom",
 		"wordlines", "sim_ps", "formula_ps", "ratio")
 	for _, r := range rows {
-		_ = t.Appendf(r.N, r.SimTd*1e12, r.FormulaTd*1e12, r.SimTd/r.FormulaTd)
+		t.Appendf(r.N, r.SimTd*1e12, r.FormulaTd*1e12, r.SimTd/r.FormulaTd)
 	}
 	return t
 }
@@ -54,7 +54,7 @@ func Table3Report(rows []Table3Row) *report.Table {
 	t := report.New("Table III: formula vs simulation tdp (%)",
 		"option", "wordlines", "sim_pct", "formula_pct")
 	for _, r := range rows {
-		_ = t.Appendf(r.Option.String(), r.N, r.SimPct, r.FormulaPct)
+		t.Appendf(r.Option.String(), r.N, r.SimPct, r.FormulaPct)
 	}
 	return t
 }
@@ -65,7 +65,7 @@ func Fig5Report(results []Fig5Result) *report.Table {
 	t := report.New("Fig. 5: Monte-Carlo tdp distributions",
 		"option", "ol_nm", "n", "samples", "mean_pp", "std_pp", "p05_pp", "p95_pp", "skew")
 	for _, r := range results {
-		_ = t.Appendf(r.Option.String(), r.OL*1e9, r.N, r.Summary.N,
+		t.Appendf(r.Option.String(), r.OL*1e9, r.N, r.Summary.N,
 			r.Summary.Mean, r.Summary.Std, r.Summary.P05, r.Summary.P95, r.Summary.Skew)
 	}
 	return t
@@ -82,7 +82,7 @@ func Table4SurfaceReport(rows []mc.SigmaSurfaceRow) *report.Table {
 			ol = fmt.Sprintf("%.0f", r.OL*1e9)
 		}
 		for _, c := range r.Cells {
-			_ = t.Appendf(r.Option.String(), ol, c.N, c.Sigma, c.Mean)
+			t.Appendf(r.Option.String(), ol, c.N, c.Sigma, c.Mean)
 		}
 	}
 	return t
@@ -97,7 +97,7 @@ func Table4Report(rows []mc.SigmaSweepRow) *report.Table {
 		if r.Option == litho.LE3 {
 			ol = fmt.Sprintf("%.0f", r.OL*1e9)
 		}
-		_ = t.Appendf(r.Option.String(), ol, r.Sigma, r.Mean)
+		t.Appendf(r.Option.String(), ol, r.Sigma, r.Mean)
 	}
 	return t
 }

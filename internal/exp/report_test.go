@@ -1,12 +1,31 @@
 package exp
 
 import (
+	"encoding/csv"
 	"strings"
 	"testing"
 
 	"mpsram/internal/litho"
 	"mpsram/internal/report"
 )
+
+// tableRows reads a table's rows back from its CSV rendering, as cells
+// of text.
+func tableRows(t *testing.T, tb *report.Table) [][]string {
+	t.Helper()
+	var b strings.Builder
+	if err := tb.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	r := csv.NewReader(strings.NewReader(b.String()))
+	r.Comment = '#'
+	r.FieldsPerRecord = len(tb.Columns)
+	recs, err := r.ReadAll()
+	if err != nil {
+		t.Fatalf("%s: %v", tb.Title, err)
+	}
+	return recs[1:]
+}
 
 // The SPICE tables must be reachable through the structured report path
 // (mpvar -format csv|md), not only the paper-style text renderers. These
@@ -19,8 +38,8 @@ func TestFig4ReportFormats(t *testing.T) {
 		{Option: litho.EUV, N: 1024, TdNom: 400e-12, Td: 440e-12, TdpPct: 10},
 	}
 	tbl := Fig4Report(pts)
-	if len(tbl.Rows) != len(pts) {
-		t.Fatalf("rows %d", len(tbl.Rows))
+	if len(tableRows(t, tbl)) != len(pts) {
+		t.Fatalf("rows %d", len(tableRows(t, tbl)))
 	}
 	var csv, md strings.Builder
 	if err := tbl.Write(&csv, report.FormatCSV); err != nil {
@@ -45,8 +64,8 @@ func TestTable2ReportFormats(t *testing.T) {
 		{N: 64, SimTd: 30e-12, FormulaTd: 25e-12},
 	}
 	tbl := Table2Report(rows)
-	if len(tbl.Rows) != len(rows) {
-		t.Fatalf("rows %d", len(tbl.Rows))
+	if len(tableRows(t, tbl)) != len(rows) {
+		t.Fatalf("rows %d", len(tableRows(t, tbl)))
 	}
 	var csv strings.Builder
 	if err := tbl.Write(&csv, report.FormatCSV); err != nil {
@@ -71,8 +90,8 @@ func TestTable3ReportFormats(t *testing.T) {
 		{Option: litho.SADP, N: 1024, SimPct: 3.2, FormulaPct: -1.1},
 	}
 	tbl := Table3Report(rows)
-	if len(tbl.Rows) != 1 {
-		t.Fatalf("rows %d", len(tbl.Rows))
+	if len(tableRows(t, tbl)) != 1 {
+		t.Fatalf("rows %d", len(tableRows(t, tbl)))
 	}
 	var csv strings.Builder
 	if err := tbl.Write(&csv, report.FormatCSV); err != nil {

@@ -55,7 +55,7 @@ func init() {
 				return &Result{
 					Data:   rows,
 					Tables: []*report.Table{SpiceMCCVReport(rows)},
-					Text:   FormatSpiceMCCV(rows, e.MC.Samples),
+					Text:   func() string { return FormatSpiceMCCV(rows, e.MC.Samples) },
 				}, nil
 			}
 			rows, err := SpiceMC(e, sizes)
@@ -65,7 +65,7 @@ func init() {
 			return &Result{
 				Data:   rows,
 				Tables: []*report.Table{SpiceMCReport(rows)},
-				Text:   FormatSpiceMC(rows, e.MC.Samples),
+				Text:   func() string { return FormatSpiceMC(rows, e.MC.Samples) },
 			}, nil
 		},
 	})
@@ -147,7 +147,7 @@ func SpiceMCReport(rows []SpiceMCRow) *report.Table {
 		"option", "wordlines", "samples", "rejected", "mean_pct", "std_pct", "p05_pct", "median_pct", "p95_pct")
 	for _, r := range rows {
 		s := r.Summary
-		_ = t.Appendf(r.Option.String(), r.N, s.N, r.Rejected, s.Mean, s.Std, s.P05, s.Median, s.P95)
+		t.Appendf(r.Option.String(), r.N, s.N, r.Rejected, s.Mean, s.Std, s.P05, s.Median, s.P95)
 	}
 	return t
 }

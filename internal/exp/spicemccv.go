@@ -160,7 +160,7 @@ func SpiceMCCVReport(rows []SpiceMCCVRow) *report.Table {
 		"beta", "rho", "vr_factor", "ess",
 		"ref_sigma_pct", "ref_mean_pct", "ref_samples")
 	for _, r := range rows {
-		_ = t.Appendf(r.Option.String(), r.N, r.Spice.N, r.Rejected,
+		t.Appendf(r.Option.String(), r.N, r.Spice.N, r.Rejected,
 			r.Spice.Std, r.CVStd, r.Spice.Mean, r.CVMean,
 			r.Beta, r.Rho, r.VarReduction, r.EffectiveN,
 			r.RefStd, r.RefMean, r.RefSamples)

@@ -58,11 +58,11 @@ func TestSpiceMCCVTiny(t *testing.T) {
 			t.Errorf("%v: reference budget %d, want %d", r.Option, r.RefSamples, CVRefSamples(6))
 		}
 	}
-	if !strings.Contains(res.Text, "σ_cv") || !strings.Contains(res.Text, "VR") {
-		t.Fatalf("text drifted:\n%s", res.Text)
+	if !strings.Contains(res.Text(), "σ_cv") || !strings.Contains(res.Text(), "VR") {
+		t.Fatalf("text drifted:\n%s", res.Text())
 	}
 	tbl := SpiceMCCVReport(rows)
-	if len(tbl.Rows) != 3 || tbl.Columns[10] != "vr_factor" {
+	if len(tableRows(t, tbl)) != 3 || tbl.Columns[10] != "vr_factor" {
 		t.Fatal("report table drifted")
 	}
 	// mcspicex -cv routes through the same driver.
@@ -135,10 +135,10 @@ func TestMCSpiceNodesTiny(t *testing.T) {
 	if len(seen) != 3 || seen["N10"] != 3 || seen["N5"] != 3 {
 		t.Fatalf("node coverage drifted: %v", seen)
 	}
-	if !strings.Contains(res.Text, "σ amplification N10 → N5:") {
-		t.Fatalf("amplification summary missing:\n%s", res.Text)
+	if !strings.Contains(res.Text(), "σ amplification N10 → N5:") {
+		t.Fatalf("amplification summary missing:\n%s", res.Text())
 	}
-	if tbl := MCSpiceNodesReport(rows); len(tbl.Rows) != 9 || tbl.Columns[0] != "process" {
+	if tbl := MCSpiceNodesReport(rows); len(tableRows(t, tbl)) != 9 || tbl.Columns[0] != "process" {
 		t.Fatal("report table drifted")
 	}
 }

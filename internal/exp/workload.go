@@ -100,7 +100,8 @@ type Hints struct {
 
 // Result is what every workload returns: the typed rows (Data), the
 // tabular view feeding the shared csv/md/json encoders in
-// internal/report, and the paper-style plain-text rendering.
+// internal/report, and the paper-style plain-text rendering, which is
+// formatted only when it is asked for.
 type Result struct {
 	// Data holds the workload's native typed rows (e.g. []Table1Row) for
 	// programmatic consumers, who type-assert it to the workload's row
@@ -109,8 +110,10 @@ type Result struct {
 	// Tables is the machine-readable view. Most workloads emit one
 	// table; composite workloads (spicetables, ext, all) emit several.
 	Tables []*report.Table
-	// Text is the paper-style rendering.
-	Text string
+	// Text formats the paper-style rendering. Only Write(FormatText)
+	// and the "all" plan call it, so a run rendered in another format
+	// never formats text. A nil Text renders nothing.
+	Text func() string
 }
 
 // Write renders the result: FormatText prints the paper-style text,
@@ -119,7 +122,10 @@ type Result struct {
 // instead of leaking text where a consumer expects JSON/CSV.
 func (r *Result) Write(w io.Writer, f report.Format) error {
 	if f == report.FormatText {
-		_, err := io.WriteString(w, r.Text)
+		if r.Text == nil {
+			return nil
+		}
+		_, err := io.WriteString(w, r.Text())
 		return err
 	}
 	if len(r.Tables) == 0 {

@@ -137,7 +137,7 @@ func TestCheapWorkloadsThroughRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if res.Data == nil || res.Text == "" || len(res.Tables) == 0 {
+		if res.Data == nil || res.Text() == "" || len(res.Tables) == 0 {
 			t.Fatalf("%s: incomplete result %+v", name, res)
 		}
 		var b strings.Builder
@@ -202,11 +202,11 @@ func TestMCSpiceXTiny(t *testing.T) {
 			t.Fatalf("spice/analytic sigma wildly apart (%+.1f%%): %+v", d, r)
 		}
 	}
-	if !strings.Contains(res.Text, "σ_spice") || !strings.Contains(res.Text, "4 read transients") {
-		t.Fatalf("text drifted:\n%s", res.Text)
+	if !strings.Contains(res.Text(), "σ_spice") || !strings.Contains(res.Text(), "4 read transients") {
+		t.Fatalf("text drifted:\n%s", res.Text())
 	}
 	tbl := MCSpiceXReport(rows)
-	if len(tbl.Rows) != 3 || tbl.Columns[4] != "spice_sigma_pct" {
+	if len(tableRows(t, tbl)) != 3 || tbl.Columns[4] != "spice_sigma_pct" {
 		t.Fatal("report table drifted")
 	}
 	if (MCSpiceXRow{}).SigmaDeltaPct() != 0 {
@@ -265,7 +265,7 @@ func TestParamKindsAndCoercion(t *testing.T) {
 // works, and a table-less result refuses the machine-readable formats
 // instead of leaking text where a consumer expects JSON/CSV.
 func TestResultWriteContract(t *testing.T) {
-	r := &Result{Text: "plain\n"}
+	r := &Result{Text: func() string { return "plain\n" }}
 	var b strings.Builder
 	if err := r.Write(&b, report.FormatText); err != nil || b.String() != "plain\n" {
 		t.Fatalf("text path drifted: %v %q", err, b.String())
@@ -305,7 +305,7 @@ func TestSensAndExtReports(t *testing.T) {
 		}
 	}
 	tabs := SensReports(rows)
-	if len(tabs) != 2 || len(tabs[0].Rows) != 4 || len(tabs[1].Rows) == 0 {
+	if len(tabs) != 2 || len(tableRows(t, tabs[0])) != 4 || len(tableRows(t, tabs[1])) == 0 {
 		t.Fatalf("sens tables drifted")
 	}
 	if !strings.Contains(FormatSens(rows, 16), "σ(tdp)") {
@@ -315,7 +315,7 @@ func TestSensAndExtReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(ExtTable1Report(ext, 0).Rows); got != 4 {
+	if got := len(tableRows(t, ExtTable1Report(ext, 0))); got != 4 {
 		t.Fatalf("ext table rows %d", got)
 	}
 }

@@ -30,7 +30,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &Result{Data: rows, Tables: []*report.Table{Table1Report(rows)}, Text: FormatTable1(rows)}, nil
+			return &Result{Data: rows, Tables: []*report.Table{Table1Report(rows)}, Text: func() string { return FormatTable1(rows) }}, nil
 		},
 	})
 	Register(Workload{
@@ -41,7 +41,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &Result{Data: entries, Tables: []*report.Table{Fig2Report(entries)}, Text: FormatFig2(entries)}, nil
+			return &Result{Data: entries, Tables: []*report.Table{Fig2Report(entries)}, Text: func() string { return FormatFig2(entries) }}, nil
 		},
 	})
 	Register(Workload{
@@ -52,7 +52,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &Result{Data: rows, Tables: []*report.Table{Fig3Report(rows)}, Text: FormatFig3(rows)}, nil
+			return &Result{Data: rows, Tables: []*report.Table{Fig3Report(rows)}, Text: func() string { return FormatFig3(rows) }}, nil
 		},
 	})
 	Register(Workload{
@@ -63,7 +63,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &Result{Data: pts, Tables: []*report.Table{Fig4Report(pts)}, Text: FormatFig4(pts)}, nil
+			return &Result{Data: pts, Tables: []*report.Table{Fig4Report(pts)}, Text: func() string { return FormatFig4(pts) }}, nil
 		},
 	})
 	Register(Workload{
@@ -74,7 +74,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &Result{Data: rows, Tables: []*report.Table{Table2Report(rows)}, Text: FormatTable2(rows)}, nil
+			return &Result{Data: rows, Tables: []*report.Table{Table2Report(rows)}, Text: func() string { return FormatTable2(rows) }}, nil
 		},
 	})
 	Register(Workload{
@@ -85,7 +85,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &Result{Data: rows, Tables: []*report.Table{Table3Report(rows)}, Text: FormatTable3(rows)}, nil
+			return &Result{Data: rows, Tables: []*report.Table{Table3Report(rows)}, Text: func() string { return FormatTable3(rows) }}, nil
 		},
 	})
 	Register(Workload{
@@ -99,7 +99,9 @@ func init() {
 			return &Result{
 				Data:   res,
 				Tables: []*report.Table{Fig4Report(res.Fig4), Table2Report(res.Table2), Table3Report(res.Table3)},
-				Text:   FormatFig4(res.Fig4) + "\n" + FormatTable2(res.Table2) + "\n" + FormatTable3(res.Table3),
+				Text: func() string {
+					return FormatFig4(res.Fig4) + "\n" + FormatTable2(res.Table2) + "\n" + FormatTable3(res.Table3)
+				},
 			}, nil
 		},
 	})
@@ -121,7 +123,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &Result{Data: res, Tables: []*report.Table{Fig5Report(res)}, Text: FormatFig5(res)}, nil
+			return &Result{Data: res, Tables: []*report.Table{Fig5Report(res)}, Text: func() string { return FormatFig5(res) }}, nil
 		},
 	})
 	Register(Workload{
@@ -133,7 +135,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &Result{Data: rows, Tables: []*report.Table{Table4Report(rows)}, Text: FormatTable4(rows)}, nil
+			return &Result{Data: rows, Tables: []*report.Table{Table4Report(rows)}, Text: func() string { return FormatTable4(rows) }}, nil
 		},
 	})
 	Register(Workload{
@@ -145,7 +147,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &Result{Data: rows, Tables: []*report.Table{Table4SurfaceReport(rows)}, Text: FormatTable4Surface(rows)}, nil
+			return &Result{Data: rows, Tables: []*report.Table{Table4SurfaceReport(rows)}, Text: func() string { return FormatTable4Surface(rows) }}, nil
 		},
 	})
 	Register(Workload{
@@ -157,7 +159,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &Result{Data: surfs, Tables: []*report.Table{Table4SurfacesReport(surfs)}, Text: FormatTable4Surfaces(surfs)}, nil
+			return &Result{Data: surfs, Tables: []*report.Table{Table4SurfacesReport(surfs)}, Text: func() string { return FormatTable4Surfaces(surfs) }}, nil
 		},
 	})
 	Register(Workload{
@@ -169,9 +171,11 @@ func init() {
 				return nil, err
 			}
 			t := report.New("Static noise margins", "process", "vdd_v", "hold_v", "read_v")
-			_ = t.Appendf(e.Proc.Name, e.Proc.FEOL.Vdd, res.Hold, res.Read)
-			text := fmt.Sprintf("static noise margins (%s, %.1f V):\n  hold: %.3f V\n  read: %.3f V\n",
-				e.Proc.Name, e.Proc.FEOL.Vdd, res.Hold, res.Read)
+			t.Appendf(e.Proc.Name, e.Proc.FEOL.Vdd, res.Hold, res.Read)
+			text := func() string {
+				return fmt.Sprintf("static noise margins (%s, %.1f V):\n  hold: %.3f V\n  read: %.3f V\n",
+					e.Proc.Name, e.Proc.FEOL.Vdd, res.Hold, res.Read)
+			}
 			return &Result{Data: res, Tables: []*report.Table{t}, Text: text}, nil
 		},
 	})
@@ -184,7 +188,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &Result{Data: rows, Tables: SensReports(rows), Text: FormatSens(rows, p.Int("n"))}, nil
+			return &Result{Data: rows, Tables: SensReports(rows), Text: func() string { return FormatSens(rows, p.Int("n")) }}, nil
 		},
 	})
 	Register(Workload{
@@ -208,7 +212,7 @@ func init() {
 			return &Result{
 				Data:   &ExtResults{Table1: rows, Write: wrows},
 				Tables: []*report.Table{ExtTable1Report(rows, thk), WritePenaltyReport(wrows)},
-				Text:   FormatExtTable1(rows, thk) + FormatWritePenalty(wrows),
+				Text:   func() string { return FormatExtTable1(rows, thk) + FormatWritePenalty(wrows) },
 			}, nil
 		},
 	})
@@ -217,7 +221,7 @@ func init() {
 		Order: 140,
 		Run: func(e Env, p Params) (*Result, error) {
 			procs := tech.Default().Processes()
-			return &Result{Data: procs, Tables: []*report.Table{ProcessesReport(procs)}, Text: FormatProcesses(procs)}, nil
+			return &Result{Data: procs, Tables: []*report.Table{ProcessesReport(procs)}, Text: func() string { return FormatProcesses(procs) }}, nil
 		},
 	})
 	Register(Workload{
@@ -225,7 +229,7 @@ func init() {
 		Order: 145,
 		Run: func(e Env, p Params) (*Result, error) {
 			ws := Workloads()
-			return &Result{Data: ws, Tables: []*report.Table{WorkloadsReport(ws)}, Text: FormatWorkloads(ws)}, nil
+			return &Result{Data: ws, Tables: []*report.Table{WorkloadsReport(ws)}, Text: func() string { return FormatWorkloads(ws) }}, nil
 		},
 	})
 	Register(Workload{
@@ -244,7 +248,7 @@ func init() {
 // wiring.
 func RunAll(e Env) (*Result, error) {
 	var (
-		texts  []string
+		texts  []func() string
 		tables []*report.Table
 		data   = map[string]*Result{}
 	)
@@ -260,7 +264,20 @@ func RunAll(e Env) (*Result, error) {
 		tables = append(tables, res.Tables...)
 		data[w.Name] = res
 	}
-	return &Result{Data: data, Tables: tables, Text: strings.Join(texts, "\n") + "\n"}, nil
+	text := func() string {
+		var b strings.Builder
+		for i, text := range texts {
+			if i > 0 {
+				b.WriteByte('\n')
+			}
+			if text != nil {
+				b.WriteString(text())
+			}
+		}
+		b.WriteByte('\n')
+		return b.String()
+	}
+	return &Result{Data: data, Tables: tables, Text: text}, nil
 }
 
 // Fig2Report converts the distortion entries for csv/md/json output. The
@@ -269,7 +286,7 @@ func Fig2Report(entries []Fig2Entry) *report.Table {
 	t := report.New("Fig. 2: worst-case metal1 layout distortion",
 		"option", "corner", "section")
 	for _, en := range entries {
-		_ = t.Appendf(en.Option.String(), en.Describe, en.ASCII)
+		t.Appendf(en.Option.String(), en.Describe, en.ASCII)
 	}
 	return t
 }
@@ -320,9 +337,9 @@ func SensReports(rows []SensRow) []*report.Table {
 	brk := report.New("First-order tdp variance propagation: sensitivities",
 		"option", "param", "sigma_nm", "dtdp_dsigma_pp")
 	for _, r := range rows {
-		_ = tot.Appendf(r.Option.String(), r.Prop.SigmaPP)
+		tot.Appendf(r.Option.String(), r.Prop.SigmaPP)
 		for _, s := range r.Prop.Sensitivities {
-			_ = brk.Appendf(r.Option.String(), s.Param, s.Sigma*1e9, s.DTdpDSigma)
+			brk.Appendf(r.Option.String(), s.Param, s.Sigma*1e9, s.DTdpDSigma)
 		}
 	}
 	return []*report.Table{tot, brk}
@@ -339,7 +356,7 @@ func ExtTable1Report(rows []Table1Row, thk3sigma float64) *report.Table {
 	t := report.New("Extension: worst-case variability, all options",
 		"option", "corner", "thk3sigma_nm", "dCbl_pct", "dRbl_pct", "dRvss_pct")
 	for _, r := range rows {
-		_ = t.Appendf(r.Option.String(), r.Corner, thk3sigma*1e9, r.CblPct, r.RblPct, r.RvssPct)
+		t.Appendf(r.Option.String(), r.Corner, thk3sigma*1e9, r.CblPct, r.RblPct, r.RvssPct)
 	}
 	return t
 }
@@ -349,7 +366,7 @@ func WritePenaltyReport(rows []WritePenaltyRow) *report.Table {
 	t := report.New("Extension: worst-case write-time penalty",
 		"option", "wordlines", "tflip_nom_ps", "tflip_wc_ps", "penalty_pct")
 	for _, r := range rows {
-		_ = t.Appendf(r.Option.String(), r.N, r.TFlipNom*1e12, r.TFlipWorst*1e12, r.PenaltyPct)
+		t.Appendf(r.Option.String(), r.N, r.TFlipNom*1e12, r.TFlipWorst*1e12, r.PenaltyPct)
 	}
 	return t
 }
@@ -374,7 +391,7 @@ func ProcessesReport(procs []tech.Process) *report.Table {
 		"name", "m1_pitch_nm", "m1_width_nm", "m1_thickness_nm",
 		"cd3sigma_nm", "spacer3sigma_nm", "ol3sigma_nm", "rho_ohm_m")
 	for _, p := range procs {
-		_ = t.Appendf(p.Name, p.M1.Pitch*1e9, p.M1.Width*1e9, p.M1.Thickness*1e9,
+		t.Appendf(p.Name, p.M1.Pitch*1e9, p.M1.Width*1e9, p.M1.Thickness*1e9,
 			p.Var.CD3Sigma*1e9, p.Var.Spacer3Sigma*1e9, p.Var.OL3Sigma*1e9, p.M1.Rho)
 	}
 	return t
@@ -405,7 +422,7 @@ func WorkloadsReport(ws []Workload) *report.Table {
 		for i, ps := range w.Params {
 			specs[i] = fmt.Sprintf("%s:%v=%v", ps.Name, ps.Kind, ps.Default)
 		}
-		_ = t.Appendf(w.Name, w.Summary, strings.Join(specs, " "), w.InAll, w.Hints.Samples)
+		t.Appendf(w.Name, w.Summary, strings.Join(specs, " "), w.InAll, w.Hints.Samples)
 	}
 	return t
 }

@@ -90,10 +90,12 @@ func RunVectorPaired(ctx context.Context, cfg Config, nobs int, f PairedVectorFu
 				cv[j] = stats.ControlVariate{}
 				quant[j] = newQuantileSketch()
 			}
-			rejected := 0
+			rejected, done := 0, ctx.Done()
 			for i := lo; i < hi; i++ {
-				if ctx.Err() != nil {
+				select {
+				case <-done:
 					return false
+				default:
 				}
 				rng.Seed(trialSeed(cfg.Seed, i))
 				if !f(rng, y, x) {

@@ -139,14 +139,20 @@ func RunVector(ctx context.Context, cfg Config, nobs int, f VectorFunc) (*Vector
 				quant[j] = newQuantileSketch()
 			}
 			vals, rejected := rec.Values, 0
+			// Also honor cancellation inside a block: a
+			// SPICE-in-the-loop run at a sub-block budget would
+			// otherwise only notice SIGINT when it finishes.
+			// Completed runs are unaffected — an abandoned (torn)
+			// block is never emitted, counted or checkpointed. A
+			// non-blocking receive on Done takes no lock, where
+			// ctx.Err locks the context on every trial (Background's
+			// nil channel never fires).
+			done := ctx.Done()
 			for i := lo; i < hi; i++ {
-				// Also honor cancellation inside a block: a
-				// SPICE-in-the-loop run at a sub-block budget would
-				// otherwise only notice SIGINT when it finishes.
-				// Completed runs are unaffected — an abandoned (torn)
-				// block is never emitted, counted or checkpointed.
-				if ctx.Err() != nil {
+				select {
+				case <-done:
 					return false
+				default:
 				}
 				rng.Seed(trialSeed(cfg.Seed, i))
 				if !f(rng, out) {

@@ -164,6 +164,43 @@ func TestRunVectorCancellationMidRun(t *testing.T) {
 	}
 }
 
+// TestCancelStopsInsideBlock: a cancel that lands mid-block stops the
+// block at its next trial, on the plain and the paired path alike, and
+// the run reports none of the block's trials.
+func TestCancelStopsInsideBlock(t *testing.T) {
+	for _, paired := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var trials atomic.Int64
+		trial := func(rng *rand.Rand) float64 {
+			if trials.Add(1) == 10 {
+				cancel()
+			}
+			return rng.NormFloat64()
+		}
+		cfg := Config{Samples: blockSize, Seed: 1, Workers: 1}
+		var err error
+		if paired {
+			_, err = RunVectorPaired(ctx, cfg, 1, func(rng *rand.Rand, y, x []float64) bool {
+				y[0] = trial(rng)
+				x[0] = y[0]
+				return true
+			})
+		} else {
+			_, err = RunVector(ctx, cfg, 1, func(rng *rand.Rand, out []float64) bool {
+				out[0] = trial(rng)
+				return true
+			})
+		}
+		cancel()
+		if err == nil || !strings.Contains(err.Error(), "canceled after 0 of 256 trials") {
+			t.Fatalf("paired=%v: got %v, want the one-block run canceled after 0 trials", paired, err)
+		}
+		if n := trials.Load(); n != 10 {
+			t.Fatalf("paired=%v: %d trials ran, want the block to stop right after the cancel in trial 10", paired, n)
+		}
+	}
+}
+
 func TestRunVectorProgressReachesTotal(t *testing.T) {
 	var mu sync.Mutex
 	var last, calls int

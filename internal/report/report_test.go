@@ -10,25 +10,30 @@ import (
 func build(t *testing.T) *Table {
 	t.Helper()
 	tb := New("demo", "name", "value")
-	if err := tb.Appendf("plain", "1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Appendf("float", 3.14159); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Appendf(`comma, "quote"`, "2"); err != nil {
-		t.Fatal(err)
-	}
+	tb.Appendf("plain", "1")
+	tb.Appendf("float", 3.14159)
+	tb.Appendf(`comma, "quote"`, "2")
 	return tb
 }
 
+// TestAppendArity: a row whose width differs from the table's is a bug
+// in the caller, so Appendf panics on it rather than dropping the row.
 func TestAppendArity(t *testing.T) {
 	tb := New("x", "a", "b")
-	if err := tb.Appendf("only one"); err == nil {
-		t.Fatal("arity mismatch accepted")
+	mustPanic := func(values ...any) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("arity mismatch %v accepted", values)
+			}
+		}()
+		tb.Appendf(values...)
 	}
-	if err := tb.Appendf(1, 2, 3); err == nil {
-		t.Fatal("arity mismatch accepted")
+	mustPanic("only one")
+	mustPanic(1, 2, 3)
+	var b strings.Builder
+	if err := tb.WriteCSV(&b); err != nil || b.String() != "# x\na,b\n" {
+		t.Fatalf("a refused row reached the table: %q, %v", b.String(), err)
 	}
 }
 
@@ -100,12 +105,8 @@ func TestWriteDispatch(t *testing.T) {
 // full float64 precision — decode it back and every typed value survives.
 func TestJSONRoundTrip(t *testing.T) {
 	tb := New("round trip", "name", "count", "sigma_pp", "flag")
-	if err := tb.Appendf("LE3 8nm OL", 64, 2.2734567890123456, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Appendf(`comma, "quote"`, 1024, -0.125, false); err != nil {
-		t.Fatal(err)
-	}
+	tb.Appendf("LE3 8nm OL", 64, 2.2734567890123456, true)
+	tb.Appendf(`comma, "quote"`, 1024, -0.125, false)
 	var b strings.Builder
 	if err := tb.Write(&b, FormatJSON); err != nil {
 		t.Fatal(err)
@@ -136,12 +137,8 @@ func TestJSONRoundTrip(t *testing.T) {
 // so the document always parses.
 func TestJSONNonFinite(t *testing.T) {
 	tb := New("", "v")
-	if err := tb.Appendf(math.NaN()); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Appendf(math.Inf(1)); err != nil {
-		t.Fatal(err)
-	}
+	tb.Appendf(math.NaN())
+	tb.Appendf(math.Inf(1))
 	var b strings.Builder
 	if err := tb.WriteJSON(&b); err != nil {
 		t.Fatal(err)
@@ -199,8 +196,8 @@ func TestWriteTables(t *testing.T) {
 func TestEncodeTables(t *testing.T) {
 	mk := func() *Table {
 		tb := New("enc", "k", "v")
-		_ = tb.Appendf("a", 1.25)
-		_ = tb.Appendf("b", 2)
+		tb.Appendf("a", 1.25)
+		tb.Appendf("b", 2)
 		return tb
 	}
 	got, err := EncodeTables(FormatJSON, mk())

@@ -80,8 +80,8 @@ func init() {
 				e.MC.Progress(2, 2)
 			}
 			t := report.New("test slow", "tag")
-			_ = t.Appendf(tag)
-			return &exp.Result{Tables: []*report.Table{t}, Text: "slow " + tag + "\n"}, nil
+			t.Appendf(tag)
+			return &exp.Result{Tables: []*report.Table{t}, Text: func() string { return "slow " + tag + "\n" }}, nil
 		},
 	})
 	exp.Register(exp.Workload{
@@ -91,8 +91,8 @@ func init() {
 		Run: func(e exp.Env, p exp.Params) (*exp.Result, error) {
 			execCount("cheap").Add(1)
 			t := report.New("test cheap", "x", "seed", "samples", "process")
-			_ = t.Appendf(p.Int("x"), e.MC.Seed, e.MC.Samples, e.Proc.Name)
-			return &exp.Result{Tables: []*report.Table{t}, Text: "cheap\n"}, nil
+			t.Appendf(p.Int("x"), e.MC.Seed, e.MC.Samples, e.Proc.Name)
+			return &exp.Result{Tables: []*report.Table{t}, Text: func() string { return "cheap\n" }}, nil
 		},
 	})
 	exp.Register(exp.Workload{
