@@ -55,7 +55,14 @@ bench-smoke:
 # random samples that collapse or merge wires and thin the metal away.
 # It covers the model's thickness-only terms on both branches: computed
 # once per stream (zero thickness delta, negative zero included) and
-# recomputed by a window that carries a delta.
+# recomputed by a window that carries a delta. FuzzCouplingPow proves
+# extraction's fixed-exponent spacing power bit-identical to
+# math.Pow(x, -1.34) for any float64 bit pattern (zeros, subnormals,
+# infinities, NaNs and negative x included). FuzzSummarizeSort proves
+# stats.Summarize's in-place radix sort, and the Summary it computes,
+# bit-identical to sort.Float64s and the arithmetic after it, on arrays
+# of up to 5 000 values with ties, both signs of zero, infinities,
+# subnormals and NaNs of different payloads.
 # FuzzLegacySource proves the engine's lazily seeded legacy PRNG
 # (internal/mc/legacy.go) draws rand.NewSource's stream bit for bit, for
 # any seed and stream length. FuzzRunRequest feeds arbitrary bytes to
@@ -73,9 +80,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzWelfordCodec' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz 'FuzzP2Codec' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz 'FuzzControlVariateCodec' -fuzztime 10s ./internal/stats
+	$(GO) test -run '^$$' -fuzz 'FuzzSummarizeSort' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz 'FuzzShardArtifact' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime 10s ./internal/remote
 	$(GO) test -run '^$$' -fuzz 'FuzzVarRatios' -fuzztime 10s ./internal/extract
+	$(GO) test -run '^$$' -fuzz 'FuzzCouplingPow' -fuzztime 10s ./internal/extract
 	$(GO) test -run '^$$' -fuzz 'FuzzLegacySource' -fuzztime 10s ./internal/mc
 	$(GO) test -run '^$$' -fuzz 'FuzzRunRequest' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzTableEncoders' -fuzztime 10s ./internal/report
@@ -138,8 +147,8 @@ unlinked:
 # engine gives other bits on an arm64 host. Cross-build ./cmd/mpvar and
 # the sparse test binary (which links the sparse.Solver oracle) for
 # GOARCH=arm64, disassemble the mpsram/internal/{sparse,spice,device,
-# sram,tech} symbols with go tool objdump and fail on any
-# FMADD/FMSUB/FNMADD/FNMSUB outside _test.go files (an inlined callee
+# sram,tech,extract,stats,exp} symbols with go tool objdump and fail on
+# any FMADD/FMSUB/FNMADD/FNMSUB outside _test.go files (an inlined callee
 # counts under the file it came from, e.g. tech.go inside sram's read
 # window). Write such an expression as float64(x*y) ± z: the Go spec
 # rounds an explicit conversion, which keeps it unfused.
@@ -148,18 +157,18 @@ fused-ops:
 	GOARCH=arm64 $(GO) build -o "$$tmp/mpvar" ./cmd/mpvar; \
 	GOARCH=arm64 $(GO) test -c -o "$$tmp/sparse.test" ./internal/sparse; \
 	for b in mpvar sparse.test; do \
-		$(GO) tool objdump -s '^mpsram/internal/(sparse|spice|device|sram|tech)\.' "$$tmp/$$b" >> "$$tmp/asm"; \
+		$(GO) tool objdump -s '^mpsram/internal/(sparse|spice|device|sram|tech|extract|stats|exp)\.' "$$tmp/$$b" >> "$$tmp/asm"; \
 	done; \
-	for p in sparse spice device sram tech; do \
+	for p in sparse spice device sram tech extract stats exp; do \
 		grep -q "^TEXT mpsram/internal/$$p\." "$$tmp/asm" || { echo "fused-ops: no $$p symbols disassembled"; exit 1; }; \
 	done; \
 	awk '$$1 !~ /_test\.go:/ && $$4 ~ /^FN?M(ADD|SUB)/' "$$tmp/asm" > "$$tmp/fused"; \
 	if [ -s "$$tmp/fused" ]; then \
 		cat "$$tmp/fused"; \
-		echo "fused-ops: $$(wc -l < "$$tmp/fused") fused multiply-adds in sparse, spice, device, sram and tech; write x*y ± z as float64(x*y) ± z"; \
+		echo "fused-ops: $$(wc -l < "$$tmp/fused") fused multiply-adds in sparse, spice, device, sram, tech, extract, stats and exp; write x*y ± z as float64(x*y) ± z"; \
 		exit 1; \
 	fi; \
-	echo "fused-ops: no fused multiply-add in sparse, spice, device, sram or tech on arm64"
+	echo "fused-ops: no fused multiply-add in sparse, spice, device, sram, tech, extract, stats or exp on arm64"
 
 # Byte identity against another revision: build ./cmd/mpvar at BASE (a
 # git archive export in a temporary directory, removed on exit) and from

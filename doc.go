@@ -63,17 +63,18 @@
 // Symbolic.Solve, a numeric refactorization that repeats sparse.Solver's
 // arithmetic operation for operation, so bit for bit (fuzzed in
 // FuzzCompiledLU), without allocating. The solver, the engine, the
-// device model, the column (sram) and the technology model (tech) write
-// every contractible x*y ± z as float64(x*y) ± z, so an arm64 build,
-// whose compiler would otherwise fuse it into one rounding, computes the
-// same bits (make fused-ops). A read transient ends on the step where
-// td's crossing is recorded: the first step whose sense differential
-// reaches the threshold from below (or, failing that, the first at 1.5×
-// it), so no step runs past the one td is measured from. A warm read
-// transient allocates nothing, on the fixed-step and the adaptive
-// integrator alike. Numeric drift across refactors is pinned by golden
-// CSVs under internal/exp/testdata/golden (regenerate with
-// go test ./internal/exp -run Golden -update).
+// device model, the column (sram), the technology model (tech), the
+// extraction (extract), the statistics (stats) and the experiment
+// drivers (exp) write every contractible x*y ± z as float64(x*y) ± z, so
+// an arm64 build, whose compiler would otherwise fuse it into one
+// rounding, computes the same bits (make fused-ops). A read transient
+// ends on the step where td's crossing is recorded: the first step whose
+// sense differential reaches the threshold from below (or, failing that,
+// the first at 1.5× it), so no step runs past the one td is measured
+// from. A warm read transient allocates nothing, on the fixed-step and
+// the adaptive integrator alike. Numeric drift across refactors is
+// pinned by golden CSVs under internal/exp/testdata/golden (regenerate
+// with go test ./internal/exp -run Golden -update).
 //
 // Experiments are addressed through the workload registry (internal/exp):
 // each experiment registers a Workload descriptor — name, summary, typed
@@ -177,7 +178,13 @@
 // stream by stream across its artifacts, with every stream recorded, so
 // it executes nothing and folds the recorded blocks. Each collected value
 // is held once: the fold of a single-observable stream compacts the
-// stream's own value array in place. Above them sit core.RunShard/Reduce,
+// stream's own value array in place, and stats.Summarize sorts that
+// array in place with an MSD radix sort on the values' order-preserving
+// bit keys, which leaves sort.Float64s's bits (fuzzed in
+// FuzzSummarizeSort) and allocates nothing. An analytic trial calls the
+// extraction's closed forms directly and takes each spacing power
+// (s/h)^−1.34 through math.Pow's own steps for that exponent, to the
+// same bits (fuzzed in FuzzCouplingPow). Above them sit core.RunShard/Reduce,
 // which wrap the capture in a self-identifying artifact file, streamed to
 // and from disk: a JSON header carrying the full normalized RunSpec plus
 // its run key, then the mc payload.

@@ -503,7 +503,7 @@ func fig5Histogram(vals []float64, s stats.Summary) (*stats.Histogram, error) {
 	if span <= 0 {
 		span = 1e-9
 	}
-	h, err := stats.NewHistogram(s.Min-0.02*span, s.Max+0.02*span, 17)
+	h, err := stats.NewHistogram(s.Min-float64(0.02*span), s.Max+float64(0.02*span), 17)
 	if err != nil {
 		return nil, err
 	}

@@ -16,11 +16,16 @@
 // and the plane distances: the permittivity, the taper offset and the
 // closed forms' powers of t/h. RatioModel computes those terms once, at
 // construction; each sample then costs only its widths, its two spacing
-// powers and one coupling prefactor. A window that carries a thickness
-// delta (the etch/CMP extension) recomputes the terms at its own
-// thickness through the same function. Every expression keeps the
-// operation order of the closed forms, so the results are bit-identical
-// to the per-call extraction that oracle_test.go keeps as the reference.
+// powers and one coupling prefactor. The terms record their model, so a
+// sample calls the closed forms directly, with no call through CapModel,
+// and each spacing power (s/h)^−1.34 takes math.Pow's own steps for that
+// one exponent without its special cases (couplingPow), to the same bits.
+// A window that carries a thickness delta (the etch/CMP extension)
+// recomputes the terms at its own thickness through the same function.
+// GroundPerM and CouplingPerM run the same per-sample functions, and
+// every expression keeps the operation order of the closed forms, so the
+// results are bit-identical to the per-call extraction that
+// oracle_test.go keeps as the reference.
 package extract
 
 import (
@@ -38,7 +43,7 @@ import (
 // its closed forms once, split into terms: those that depend only on the
 // thickness and the plane distance, and the rest. GroundPerM and
 // CouplingPerM compose the two; extraction computes the first kind once
-// per thickness. The unexported methods keep the implementations in this
+// per thickness. The unexported method keeps the implementations in this
 // package.
 type CapModel interface {
 	// Name identifies the model in reports.
@@ -51,23 +56,66 @@ type CapModel interface {
 	CouplingPerM(eps, w, t, s, h float64) float64
 
 	// terms returns the parts of both closed forms that depend only on
-	// the thickness t and the plane distance h.
+	// the thickness t and the plane distance h, tagged with the model
+	// whose closed forms ground, couplingPre and coupling evaluate.
 	terms(t, h float64) capTerms
-	// ground is GroundPerM for a wire of width w, given its terms.
-	ground(eps, w float64, k capTerms) float64
-	// couplingPre is the factor of CouplingPerM that does not depend on
-	// the spacing, shared by both neighbours of a wire of width w.
-	couplingPre(eps, w float64, k capTerms) float64
-	// coupling is CouplingPerM across spacing s, given its prefactor.
-	coupling(pre, s float64, k capTerms) float64
 }
 
 // capTerms are the parts of a CapModel's closed forms that depend only on
-// the metal thickness t and one plane distance h.
+// the metal thickness and one plane distance h. plate records the model
+// they belong to, so the per-sample forms below pick their closed form by
+// a field test rather than a call through the interface.
 type capTerms struct {
-	t, h   float64
+	plate  bool // PlateFringe's closed forms, not Sakurai–Tamaru's
+	h      float64
 	ground float64 // GroundPerM's thickness term
 	k1, k2 float64 // CouplingPerM's thickness terms (Sakurai–Tamaru)
+}
+
+// ground is GroundPerM for a wire of width w, given its terms.
+func ground(eps, w float64, k *capTerms) float64 {
+	if k.plate {
+		return eps * (w/k.h + 0.77 + k.ground)
+	}
+	return eps * (float64(1.15*(w/k.h)) + k.ground)
+}
+
+// couplingPre is the factor of CouplingPerM that does not depend on the
+// spacing, shared by both neighbours of a wire of width w.
+func couplingPre(eps, w float64, k *capTerms) float64 {
+	if k.plate {
+		return eps
+	}
+	return eps * (float64(0.03*(w/k.h)) + k.k1 - k.k2)
+}
+
+// coupling is CouplingPerM across spacing s for thickness t, given its
+// prefactor.
+func coupling(pre, t, s float64, k *capTerms) float64 {
+	if k.plate {
+		return pre * (t/s + 0.6)
+	}
+	return pre * couplingPow(s/k.h)
+}
+
+// couplingYf is the fractional part of the magnitude of Sakurai–Tamaru's
+// spacing exponent −1.34, split off by math.Modf as math.Pow splits it:
+// 0.3400000000000001, one ulp above the literal 0.34, which would move
+// result bits. The integer part is 1.
+var _, couplingYf = math.Modf(1.34)
+
+// couplingPow returns math.Pow(x, −1.34) bit for bit. For a finite,
+// positive, normal x it takes math.Pow's own steps without its special
+// cases and generic loop: exp(yf·log x) for the fraction, times the
+// Frexp mantissa of x once for the integer part 1, then the reciprocal
+// scaled by the negated Frexp exponent. Every other x goes to math.Pow.
+func couplingPow(x float64) float64 {
+	if !(x >= 0x1p-1022 && x <= math.MaxFloat64) {
+		return math.Pow(x, -1.34)
+	}
+	a := math.Exp(couplingYf * math.Log(x))
+	m, e := math.Frexp(x)
+	return math.Ldexp(1/(a*m), -e)
 }
 
 // SakuraiTamaru is the empirical closed form from T. Sakurai and
@@ -81,31 +129,20 @@ func (SakuraiTamaru) Name() string { return "sakurai-tamaru" }
 
 // GroundPerM implements CapModel: C/ε = 1.15(w/h) + 2.80(t/h)^0.222.
 func (m SakuraiTamaru) GroundPerM(eps, w, t, h float64) float64 {
-	return m.ground(eps, w, m.terms(t, h))
+	k := m.terms(t, h)
+	return ground(eps, w, &k)
 }
 
 // CouplingPerM implements CapModel:
 // C/ε = [0.03(w/h) + 0.83(t/h) − 0.07(t/h)^0.222]·(s/h)^−1.34.
 func (m SakuraiTamaru) CouplingPerM(eps, w, t, s, h float64) float64 {
 	k := m.terms(t, h)
-	return m.coupling(m.couplingPre(eps, w, k), s, k)
+	return coupling(couplingPre(eps, w, &k), t, s, &k)
 }
 
 func (SakuraiTamaru) terms(t, h float64) capTerms {
 	p := math.Pow(t/h, 0.222)
-	return capTerms{t: t, h: h, ground: 2.80 * p, k1: 0.83 * (t / h), k2: 0.07 * p}
-}
-
-func (SakuraiTamaru) ground(eps, w float64, k capTerms) float64 {
-	return eps * (1.15*(w/k.h) + k.ground)
-}
-
-func (SakuraiTamaru) couplingPre(eps, w float64, k capTerms) float64 {
-	return eps * (0.03*(w/k.h) + k.k1 - k.k2)
-}
-
-func (SakuraiTamaru) coupling(pre, s float64, k capTerms) float64 {
-	return pre * math.Pow(s/k.h, -1.34)
+	return capTerms{h: h, ground: 2.80 * p, k1: 0.83 * (t / h), k2: 0.07 * p}
 }
 
 // PlateFringe is the textbook parallel-plate model with a constant fringe
@@ -118,27 +155,18 @@ func (PlateFringe) Name() string { return "plate-fringe" }
 // GroundPerM implements CapModel: plate w/h plus a fringe term that grows
 // slowly with sidewall height.
 func (m PlateFringe) GroundPerM(eps, w, t, h float64) float64 {
-	return m.ground(eps, w, m.terms(t, h))
+	k := m.terms(t, h)
+	return ground(eps, w, &k)
 }
 
 // CouplingPerM implements CapModel: sidewall plate t/s plus constant fringe.
 func (m PlateFringe) CouplingPerM(eps, w, t, s, h float64) float64 {
 	k := m.terms(t, h)
-	return m.coupling(m.couplingPre(eps, w, k), s, k)
+	return coupling(couplingPre(eps, w, &k), t, s, &k)
 }
 
 func (PlateFringe) terms(t, h float64) capTerms {
-	return capTerms{t: t, h: h, ground: 1.06 * math.Pow(t/h, 0.5)}
-}
-
-func (PlateFringe) ground(eps, w float64, k capTerms) float64 {
-	return eps * (w/k.h + 0.77 + k.ground)
-}
-
-func (PlateFringe) couplingPre(eps, _ float64, _ capTerms) float64 { return eps }
-
-func (PlateFringe) coupling(pre, s float64, k capTerms) float64 {
-	return pre * (k.t/s + 0.6)
+	return capTerms{plate: true, h: h, ground: 1.06 * math.Pow(t/h, 0.5)}
 }
 
 // WireRC is the per-unit-length extraction result for one wire.
@@ -222,14 +250,14 @@ func (k *thkTerms) wire(w *litho.Window, i int) WireRC {
 	width := wire.Width()
 	out := WireRC{
 		RPerM:  resistancePerM(&k.m, k.taper, width),
-		CgPerM: k.cm.ground(k.eps, width, k.below) + k.cm.ground(k.eps, width, k.above),
+		CgPerM: ground(k.eps, width, &k.below) + ground(k.eps, width, &k.above),
 	}
-	pre := k.cm.couplingPre(k.eps, width, k.avg)
+	pre := couplingPre(k.eps, width, &k.avg)
 	if i > 0 {
-		out.CcBelowPerM = k.cm.coupling(pre, wire.Span.Gap(w.Wires[i-1].Span), k.avg)
+		out.CcBelowPerM = coupling(pre, k.m.Thickness, wire.Span.Gap(w.Wires[i-1].Span), &k.avg)
 	}
 	if i < len(w.Wires)-1 {
-		out.CcAbovePerM = k.cm.coupling(pre, wire.Span.Gap(w.Wires[i+1].Span), k.avg)
+		out.CcAbovePerM = coupling(pre, k.m.Thickness, wire.Span.Gap(w.Wires[i+1].Span), &k.avg)
 	}
 	return out
 }
@@ -284,7 +312,9 @@ type Ratios struct {
 // plane distances: the permittivity, the taper offset and the closed
 // forms' powers of t/h. Each Ratios call then realizes the sampled
 // window and computes only what depends on the draw: the widths, the two
-// spacing powers and the coupling prefactor. A window that carries a
+// spacing powers (couplingPow: math.Pow(s/h, −1.34)'s bits from one Log,
+// one Exp and the Frexp and Ldexp steps) and the coupling prefactor, with
+// no call through the CapModel interface. A window that carries a
 // thickness delta recomputes the thickness terms at its own thickness,
 // through the same function. Every expression keeps the operation order
 // of the closed forms, so the ratios are bit-identical to extracting

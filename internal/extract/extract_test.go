@@ -2,6 +2,7 @@ package extract
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -348,4 +349,57 @@ func TestThicknessWidensMCDistribution(t *testing.T) {
 	if ext.Sample.DThk <= 0 {
 		t.Fatalf("worst Cbl corner should use +3σ thickness: %+v", ext.Sample)
 	}
+}
+
+// samePow reports whether got and want are the same float64 bits, or
+// both NaN.
+func samePow(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
+}
+
+// TestCouplingPowMatchesPow checks couplingPow against math.Pow(x, −1.34)
+// bit for bit: at ±0, the smallest and largest subnormals, the smallest
+// normal, 1 and its neighbours, MaxFloat64, ±Inf, NaN and negative x; at
+// every process's nominal s/h and on a geometric sweep of s/h from 0.01
+// to 100 around them; and at 2^18 random positive bit patterns, which
+// span the whole exponent range.
+func TestCouplingPowMatchesPow(t *testing.T) {
+	xs := []float64{
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, math.Float64frombits(1<<52 - 1), 0x1p-1022,
+		1, math.Nextafter(1, 0), math.Nextafter(1, 2),
+		math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+		-1, -0.5, -math.SmallestNonzeroFloat64, -0x1p-1022, -math.MaxFloat64,
+	}
+	for _, p := range tech.Default().Processes() {
+		xs = append(xs, (p.M1.Pitch-p.M1.Width)/((p.Diel.HBelow+p.Diel.HAbove)/2))
+	}
+	for x := 0.01; x < 100; x *= 1.0001 {
+		xs = append(xs, x)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1<<18; i++ {
+		xs = append(xs, math.Float64frombits(rng.Uint64()>>1))
+	}
+	for _, x := range xs {
+		if got, want := couplingPow(x), math.Pow(x, -1.34); !samePow(got, want) {
+			t.Fatalf("couplingPow(%v) = %v (%#x), math.Pow %v (%#x)",
+				x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
+// FuzzCouplingPow proves couplingPow bit-identical to math.Pow(x, −1.34)
+// for any float64 bit pattern; NaN matches any NaN.
+func FuzzCouplingPow(f *testing.F) {
+	for _, x := range []float64{0, math.SmallestNonzeroFloat64, 0x1p-1022, 0.37, 1, 2.5, math.MaxFloat64, math.Inf(1), math.NaN(), -1} {
+		f.Add(math.Float64bits(x))
+	}
+	f.Fuzz(func(t *testing.T, b uint64) {
+		x := math.Float64frombits(b)
+		if got, want := couplingPow(x), math.Pow(x, -1.34); !samePow(got, want) {
+			t.Fatalf("couplingPow(%v) = %v (%#x), math.Pow %v (%#x)",
+				x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
 }

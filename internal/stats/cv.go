@@ -25,7 +25,7 @@ func (c *ControlVariate) Add(y, x float64) {
 	dy := y - c.y.mean // deviation from the pre-update primary mean
 	c.y.Add(y)
 	c.x.Add(x)
-	c.cxy += dy * (x - c.x.mean)
+	c.cxy += float64(dy * (x - c.x.mean))
 }
 
 // Merge combines another accumulator (parallel reduction). The co-moment
@@ -108,7 +108,7 @@ func (c *ControlVariate) ResidualVar() float64 {
 // perfectly correlated pair.
 func (c *ControlVariate) VarianceReduction() float64 {
 	r := c.Corr()
-	d := 1 - r*r
+	d := 1 - float64(r*r)
 	if d <= 0 {
 		return math.Inf(1)
 	}
@@ -125,7 +125,7 @@ func (c *ControlVariate) EffectiveN() float64 {
 // ȳ − β̂(x̄ − μx), where μx is the control's expectation known from a
 // high-precision reference (a separate cheap stream).
 func (c *ControlVariate) MeanCorrected(muX float64) float64 {
-	return c.y.mean - c.Beta()*(c.x.mean-muX)
+	return c.y.mean - float64(c.Beta()*(c.x.mean-muX))
 }
 
 // StdCorrected returns the control-variate-corrected standard deviation
@@ -135,5 +135,5 @@ func (c *ControlVariate) MeanCorrected(muX float64) float64 {
 // term still carries the paired stream's sampling noise.
 func (c *ControlVariate) StdCorrected(sigmaX float64) float64 {
 	b := c.Beta()
-	return math.Sqrt(b*b*sigmaX*sigmaX + c.ResidualVar())
+	return math.Sqrt(float64(b*b*sigmaX*sigmaX) + c.ResidualVar())
 }

@@ -32,7 +32,7 @@ func NewP2(p float64) P2 {
 	}
 	return P2{
 		p:   p,
-		des: [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5},
+		des: [5]float64{1, 1 + float64(2*p), 1 + float64(4*p), 3 + float64(2*p), 5},
 		inc: [5]float64{0, p / 2, p, (1 + p) / 2, 1},
 	}
 }
@@ -169,7 +169,7 @@ func cdfAt(xs, fs []float64, x float64) float64 {
 		return fs[j]
 	}
 	t := (x - xs[j-1]) / (xs[j] - xs[j-1])
-	return fs[j-1] + t*(fs[j]-fs[j-1])
+	return fs[j-1] + float64(t*(fs[j]-fs[j-1]))
 }
 
 // invertCDF returns the smallest x with CDF(x) ≥ t on the knot list.
@@ -180,7 +180,7 @@ func invertCDF(xs, fs []float64, t float64) float64 {
 				return xs[j]
 			}
 			u := (t - fs[j-1]) / (fs[j] - fs[j-1])
-			return xs[j-1] + u*(xs[j]-xs[j-1])
+			return xs[j-1] + float64(u*(xs[j]-xs[j-1]))
 		}
 	}
 	return xs[len(xs)-1]
@@ -234,14 +234,14 @@ func (e *P2) Merge(o P2) {
 	wb := float64(o.n) / float64(e.n+o.n)
 	fs := make([]float64, len(xs))
 	for i, x := range xs {
-		fs[i] = wa*cdfAt(ax, af, x) + wb*cdfAt(bx, bf, x)
+		fs[i] = float64(wa*cdfAt(ax, af, x)) + float64(wb*cdfAt(bx, bf, x))
 	}
 	// Re-sample the five canonical markers from the merged CDF.
 	n := e.n + o.n
 	var q, pos [5]float64
 	for i, frac := range e.inc {
 		q[i] = invertCDF(xs, fs, frac)
-		pos[i] = 1 + frac*float64(n-1)
+		pos[i] = 1 + float64(frac*float64(n-1))
 	}
 	q[0] = math.Min(ax[0], bx[0])
 	q[4] = math.Max(ax[len(ax)-1], bx[len(bx)-1])
@@ -250,7 +250,7 @@ func (e *P2) Merge(o P2) {
 	init := NewP2(e.p).des
 	var des [5]float64
 	for i := range des {
-		des[i] = init[i] + e.inc[i]*float64(n-5)
+		des[i] = init[i] + float64(e.inc[i]*float64(n-5))
 	}
 	e.n = n
 	e.q = q

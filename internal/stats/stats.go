@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -22,14 +21,18 @@ type Summary struct {
 	Skew     float64
 }
 
-// Summarize computes exact statistics over values (which it sorts in
-// place). An empty input returns the zero Summary.
+// Summarize computes exact statistics over values, which it sorts in
+// place: by an in-place radix sort on each value's order-preserving bit
+// key (sortFloat64s) that leaves sort.Float64s's bits, and through
+// sort.Float64s itself when values hold a NaN or both signs of zero. The
+// sort allocates nothing and starts no goroutine. An empty input returns
+// the zero Summary.
 func Summarize(values []float64) Summary {
 	n := len(values)
 	if n == 0 {
 		return Summary{}
 	}
-	sort.Float64s(values)
+	sortFloat64s(values)
 	var sum float64
 	for _, v := range values {
 		sum += v
@@ -38,8 +41,8 @@ func Summarize(values []float64) Summary {
 	var m2, m3 float64
 	for _, v := range values {
 		d := v - mean
-		m2 += d * d
-		m3 += d * d * d
+		m2 += float64(d * d)
+		m3 += float64(d * d * d)
 	}
 	s := Summary{
 		N:      n,
@@ -69,7 +72,7 @@ func Quantile(sorted []float64, q float64) float64 {
 	if n == 1 {
 		return sorted[0]
 	}
-	pos := q * float64(n-1)
+	pos := float64(q * float64(n-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo < 0 {
@@ -79,7 +82,7 @@ func Quantile(sorted []float64, q float64) float64 {
 		return sorted[n-1]
 	}
 	f := pos - float64(lo)
-	return sorted[lo]*(1-f) + sorted[hi]*f
+	return float64(sorted[lo]*(1-f)) + float64(sorted[hi]*f)
 }
 
 func (s Summary) String() string {
@@ -109,7 +112,7 @@ func (w *Welford) Add(x float64) {
 	}
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.m2 += float64(d * (x - w.mean))
 }
 
 // Merge combines another accumulator (parallel reduction).
@@ -217,7 +220,7 @@ func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
+	return h.Lo + float64((float64(i)+0.5)*w)
 }
 
 // Render draws the histogram with unicode bars, maxWidth columns wide,
