@@ -179,15 +179,14 @@
 // it executes nothing and folds the recorded blocks. Each collected value
 // is held once: the fold of a single-observable stream compacts the
 // stream's own value array in place, and stats.Summarize sorts that
-// array in place with an MSD radix sort on the values' order-preserving
-// bit keys, which leaves sort.Float64s's bits (fuzzed in
-// FuzzSummarizeSort) and allocates nothing. An analytic trial calls the
-// extraction's closed forms directly and takes each spacing power
-// (s/h)^−1.34 through math.Pow's own steps for that exponent, to the
-// same bits (fuzzed in FuzzCouplingPow). Above them sit core.RunShard/Reduce,
-// which wrap the capture in a self-identifying artifact file, streamed to
-// and from disk: a JSON header carrying the full normalized RunSpec plus
-// its run key, then the mc payload.
+// array in place to sort.Float64s's bits without allocating (a radix
+// sort, stats.sortFloat64s, fuzzed in FuzzSummarizeSort). An analytic
+// trial calls the extraction's closed forms directly, and each spacing
+// power (s/h)^−1.34 has math.Pow's bits (extract.couplingPow, fuzzed in
+// FuzzCouplingPow). Above them sit core.RunShard/Reduce, which wrap the
+// capture in a self-identifying artifact file, streamed to and from disk:
+// a JSON header carrying the full normalized RunSpec plus its run key,
+// then the mc payload.
 // Reduce recomputes the key from the header, so artifacts from an older
 // EngineVersion or a drifted schema refuse instead of folding stale
 // blocks. Checkpoints are the same artifact marked incomplete, written

@@ -17,15 +17,13 @@
 // closed forms' powers of t/h. RatioModel computes those terms once, at
 // construction; each sample then costs only its widths, its two spacing
 // powers and one coupling prefactor. The terms record their model, so a
-// sample calls the closed forms directly, with no call through CapModel,
-// and each spacing power (s/h)^−1.34 takes math.Pow's own steps for that
-// one exponent without its special cases (couplingPow), to the same bits.
-// A window that carries a thickness delta (the etch/CMP extension)
-// recomputes the terms at its own thickness through the same function.
-// GroundPerM and CouplingPerM run the same per-sample functions, and
-// every expression keeps the operation order of the closed forms, so the
-// results are bit-identical to the per-call extraction that
-// oracle_test.go keeps as the reference.
+// sample calls that model's closed forms directly, and each spacing power
+// (s/h)^−1.34 has math.Pow's bits (couplingPow). A window that carries a
+// thickness delta (the etch/CMP extension) recomputes the terms at its own
+// thickness through the same function. GroundPerM and CouplingPerM run
+// the same per-sample functions, and every expression keeps the operation
+// order of the closed forms, so the results are bit-identical to the
+// per-call extraction that oracle_test.go keeps as the reference.
 package extract
 
 import (
@@ -63,8 +61,8 @@ type CapModel interface {
 
 // capTerms are the parts of a CapModel's closed forms that depend only on
 // the metal thickness and one plane distance h. plate records the model
-// they belong to, so the per-sample forms below pick their closed form by
-// a field test rather than a call through the interface.
+// they belong to, and so which closed form the per-sample functions below
+// evaluate.
 type capTerms struct {
 	plate  bool // PlateFringe's closed forms, not Sakurai–Tamaru's
 	h      float64
@@ -140,9 +138,12 @@ func (m SakuraiTamaru) CouplingPerM(eps, w, t, s, h float64) float64 {
 	return coupling(couplingPre(eps, w, &k), t, s, &k)
 }
 
+// terms rounds each product on its own, as storing it in thkTerms does,
+// so that GroundPerM and CouplingPerM, which inline it, compute the
+// kernel's bits on a machine that fuses multiply-adds too.
 func (SakuraiTamaru) terms(t, h float64) capTerms {
 	p := math.Pow(t/h, 0.222)
-	return capTerms{h: h, ground: 2.80 * p, k1: 0.83 * (t / h), k2: 0.07 * p}
+	return capTerms{h: h, ground: float64(2.80 * p), k1: float64(0.83 * (t / h)), k2: float64(0.07 * p)}
 }
 
 // PlateFringe is the textbook parallel-plate model with a constant fringe
@@ -165,8 +166,9 @@ func (m PlateFringe) CouplingPerM(eps, w, t, s, h float64) float64 {
 	return coupling(couplingPre(eps, w, &k), t, s, &k)
 }
 
+// terms rounds its product on its own, as SakuraiTamaru.terms does.
 func (PlateFringe) terms(t, h float64) capTerms {
-	return capTerms{plate: true, h: h, ground: 1.06 * math.Pow(t/h, 0.5)}
+	return capTerms{plate: true, h: h, ground: float64(1.06 * math.Pow(t/h, 0.5))}
 }
 
 // WireRC is the per-unit-length extraction result for one wire.
@@ -312,14 +314,13 @@ type Ratios struct {
 // plane distances: the permittivity, the taper offset and the closed
 // forms' powers of t/h. Each Ratios call then realizes the sampled
 // window and computes only what depends on the draw: the widths, the two
-// spacing powers (couplingPow: math.Pow(s/h, −1.34)'s bits from one Log,
-// one Exp and the Frexp and Ldexp steps) and the coupling prefactor, with
-// no call through the CapModel interface. A window that carries a
-// thickness delta recomputes the thickness terms at its own thickness,
-// through the same function. Every expression keeps the operation order
-// of the closed forms, so the ratios are bit-identical to extracting
-// each window from scratch. A RatioModel is never modified after
-// construction, so one value may serve any number of goroutines.
+// spacing powers (couplingPow, with math.Pow(s/h, −1.34)'s bits) and the
+// coupling prefactor. A window that carries a thickness delta recomputes
+// the thickness terms at its own thickness, through the same function.
+// Every expression keeps the operation order of the closed forms, so the
+// ratios are bit-identical to extracting each window from scratch. A
+// RatioModel is never modified after construction, so one value may serve
+// any number of goroutines.
 type RatioModel struct {
 	proc   tech.Process
 	option litho.Option

@@ -15,7 +15,10 @@ import (
 // forms and the two-window VarRatios that the fixed-size windows and the
 // per-stream RatioModel replaced, verbatim in their arithmetic, as the
 // oracle FuzzVarRatios checks the live code against bit for bit. The
-// oracle calls none of the extraction code under test.
+// oracle calls none of the extraction code under test. Its closed forms
+// and its resistance write each product as float64(x*y), as the live
+// code rounds it, so a build that fuses multiply-adds compares the same
+// bits.
 
 type oracleWindow struct {
 	option litho.Option
@@ -151,9 +154,9 @@ func oracleEUV(p tech.Process, s litho.Sample) oracleWindow {
 func oracleGroundPerM(cm CapModel, eps, w, t, h float64) float64 {
 	switch cm.(type) {
 	case SakuraiTamaru:
-		return eps * (1.15*(w/h) + 2.80*math.Pow(t/h, 0.222))
+		return eps * (float64(1.15*(w/h)) + float64(2.80*math.Pow(t/h, 0.222)))
 	case PlateFringe:
-		return eps * (w/h + 0.77 + 1.06*math.Pow(t/h, 0.5))
+		return eps * (w/h + 0.77 + float64(1.06*math.Pow(t/h, 0.5)))
 	}
 	panic(fmt.Sprintf("oracle: no closed form for capacitance model %T", cm))
 }
@@ -163,7 +166,7 @@ func oracleGroundPerM(cm CapModel, eps, w, t, h float64) float64 {
 func oracleCouplingPerM(cm CapModel, eps, w, t, s, h float64) float64 {
 	switch cm.(type) {
 	case SakuraiTamaru:
-		k := 0.03*(w/h) + 0.83*(t/h) - 0.07*math.Pow(t/h, 0.222)
+		k := float64(0.03*(w/h)) + float64(0.83*(t/h)) - float64(0.07*math.Pow(t/h, 0.222))
 		return eps * k * math.Pow(s/h, -1.34)
 	case PlateFringe:
 		return eps * (t/s + 0.6)
@@ -176,7 +179,7 @@ func oracleCouplingPerM(cm CapModel, eps, w, t, s, h float64) float64 {
 // height and the side barriers' width.
 func oracleResistancePerM(m tech.MetalLayer, w float64) float64 {
 	taper := m.TaperDeg * math.Pi / 180
-	wTop, wBot := w, w-2*m.Thickness*math.Tan(taper)
+	wTop, wBot := w, w-float64(2*m.Thickness*math.Tan(taper))
 	cuTop, cuBot, cuT := wTop-2*m.BarrierSide, wBot-2*m.BarrierSide, m.Thickness-m.BarrierBottom
 	a := (cuTop + cuBot) / 2 * cuT
 	if a <= 0 {

@@ -2,12 +2,11 @@ package stats
 
 import (
 	"math"
-	"math/bits"
 	"sort"
 )
 
-// insertionMax is the longest bucket sortFloat64s finishes with an
-// insertion sort rather than another radix pass.
+// insertionMax is the longest slice radixSort finishes with an insertion
+// sort rather than another radix pass.
 const insertionMax = 48
 
 // sortFloat64s sorts values in place into exactly the bits sort.Float64s
@@ -19,11 +18,6 @@ const insertionMax = 48
 // equal zeros this sort would not reproduce. It allocates nothing and
 // starts no goroutine.
 func sortFloat64s(values []float64) {
-	if len(values) < 2 {
-		return
-	}
-	first := key(values[0])
-	var diff uint64 // the key bits that are not the same in every value
 	var negZero, posZero bool
 	for _, v := range values {
 		switch {
@@ -37,19 +31,12 @@ func sortFloat64s(values []float64) {
 				posZero = true
 			}
 		}
-		diff |= key(v) ^ first
 	}
-	switch {
-	case negZero && posZero:
+	if negZero && posZero {
 		sort.Float64s(values)
-	case diff == 0: // every value has the same bits
-	case len(values) <= insertionMax:
-		insertionSort(values)
-	default:
-		// Start at the highest key byte that differs; no pass is spent
-		// on the bytes above it.
-		radixSort(values, uint(63-bits.LeadingZeros64(diff))&^7)
+		return
 	}
+	radixSort(values, 56)
 }
 
 // key maps a float64 to a uint64 whose unsigned order is the float's
@@ -61,24 +48,16 @@ func key(v float64) uint64 {
 }
 
 // radixSort sorts v, whose keys agree above bit shift+7, by the key byte
-// at shift and then by each lower byte, bucket by bucket. A byte every
-// key of v shares costs one counting pass and no permutation. Each level
-// of the recursion keeps one 256-entry count array.
+// at shift and then by each lower byte, bucket by bucket. Each level of
+// the recursion keeps one 256-entry count array.
 func radixSort(v []float64, shift uint) {
+	if len(v) <= insertionMax {
+		insertionSort(v)
+		return
+	}
 	var count [256]int
-	for {
-		for _, x := range v {
-			count[key(x)>>shift&0xff]++
-		}
-		b := key(v[0]) >> shift & 0xff
-		if count[b] != len(v) {
-			break
-		}
-		if shift == 0 {
-			return // every key is equal
-		}
-		count[b] = 0
-		shift -= 8
+	for _, x := range v {
+		count[key(x)>>shift&0xff]++
 	}
 	permute(v, &count, shift)
 	if shift == 0 {
@@ -86,12 +65,7 @@ func radixSort(v []float64, shift uint) {
 	}
 	lo := 0
 	for _, c := range count {
-		switch {
-		case c > insertionMax:
-			radixSort(v[lo:lo+c], shift-8)
-		case c > 1:
-			insertionSort(v[lo : lo+c])
-		}
+		radixSort(v[lo:lo+c], shift-8)
 		lo += c
 	}
 }

@@ -192,6 +192,7 @@ func BenchmarkSummarize(b *testing.B) {
 			vals := sortInput(rand.New(rand.NewSource(2015)), n, 0)
 			work := make([]float64, n)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(work, vals)
 				Summarize(work)

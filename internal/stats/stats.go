@@ -22,11 +22,10 @@ type Summary struct {
 }
 
 // Summarize computes exact statistics over values, which it sorts in
-// place: by an in-place radix sort on each value's order-preserving bit
-// key (sortFloat64s) that leaves sort.Float64s's bits, and through
-// sort.Float64s itself when values hold a NaN or both signs of zero. The
-// sort allocates nothing and starts no goroutine. An empty input returns
-// the zero Summary.
+// place into the bits sort.Float64s would leave: with a radix sort
+// (sortFloat64s) that hands values holding a NaN or both signs of zero to
+// sort.Float64s itself. It allocates nothing and starts no goroutine. An
+// empty input returns the zero Summary.
 func Summarize(values []float64) Summary {
 	n := len(values)
 	if n == 0 {
