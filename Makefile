@@ -145,24 +145,30 @@ unlinked:
 # Fused multiply-adds: the arm64 compiler fuses x*y ± z into one
 # rounding where amd64 computes two, so a contractible expression in the
 # engine gives other bits on an arm64 host. Cross-build ./cmd/mpvar and
-# the sparse test binary (which links the sparse.Solver oracle) for
-# GOARCH=arm64, disassemble the mpsram/internal/{sparse,spice,device,
-# sram,tech,extract,stats,exp} symbols with go tool objdump and fail on
-# any FMADD/FMSUB/FNMADD/FNMSUB outside _test.go files (an inlined callee
-# counts under the file it came from, e.g. tech.go inside sram's read
-# window). Write such an expression as float64(x*y) ± z: the Go spec
-# rounds an explicit conversion, which keeps it unfused.
+# the test binaries of mpsram/internal/{sparse,spice,device,sram,tech,
+# extract,stats,exp} for GOARCH=arm64, so code that only tests link (the
+# sparse.Solver oracle, sram.LadderTotals) is checked too, disassemble
+# those packages' symbols with go tool objdump and fail on any
+# FMADD/FMSUB/FNMADD/FNMSUB outside _test.go files. A symbol whose own
+# file, on its TEXT line, is a _test.go is skipped whole: non-test code
+# inlined into a test oracle (geom.go inside extract's oracleEUV) is the
+# oracle's arithmetic. Otherwise an inlined callee counts under the file
+# it came from, e.g. tech.go inside sram's read window. Write such an
+# expression as float64(x*y) ± z: the Go spec rounds an explicit
+# conversion, which keeps it unfused.
 fused-ops:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	GOARCH=arm64 $(GO) build -o "$$tmp/mpvar" ./cmd/mpvar; \
-	GOARCH=arm64 $(GO) test -c -o "$$tmp/sparse.test" ./internal/sparse; \
-	for b in mpvar sparse.test; do \
-		$(GO) tool objdump -s '^mpsram/internal/(sparse|spice|device|sram|tech|extract|stats|exp)\.' "$$tmp/$$b" >> "$$tmp/asm"; \
+	for p in sparse spice device sram tech extract stats exp; do \
+		GOARCH=arm64 $(GO) test -c -o "$$tmp/$$p.test" ./internal/$$p; \
+	done; \
+	for b in "$$tmp"/mpvar "$$tmp"/*.test; do \
+		$(GO) tool objdump -s '^mpsram/internal/(sparse|spice|device|sram|tech|extract|stats|exp)\.' "$$b" >> "$$tmp/asm"; \
 	done; \
 	for p in sparse spice device sram tech extract stats exp; do \
 		grep -q "^TEXT mpsram/internal/$$p\." "$$tmp/asm" || { echo "fused-ops: no $$p symbols disassembled"; exit 1; }; \
 	done; \
-	awk '$$1 !~ /_test\.go:/ && $$4 ~ /^FN?M(ADD|SUB)/' "$$tmp/asm" > "$$tmp/fused"; \
+	awk '$$1 == "TEXT" { own = $$3 !~ /_test\.go$$/; next } own && $$1 !~ /_test\.go:/ && $$4 ~ /^FN?M(ADD|SUB)/' "$$tmp/asm" > "$$tmp/fused"; \
 	if [ -s "$$tmp/fused" ]; then \
 		cat "$$tmp/fused"; \
 		echo "fused-ops: $$(wc -l < "$$tmp/fused") fused multiply-adds in sparse, spice, device, sram, tech, extract, stats and exp; write x*y ± z as float64(x*y) ± z"; \
@@ -174,13 +180,17 @@ fused-ops:
 # git archive export in a temporary directory, removed on exit) and from
 # the working tree, run every -list workload at -smoke in each format
 # (json, csv, md and the default text), both
-# bench pins, a few full-budget bodies and four shard artifacts (both
-# shards of fig5 at 50 000 draws and of table4, written to the file its
-# -o names in each side's own working directory), and cmp each pair of
-# outputs and artifacts. Both binaries then reduce BASE's two shard sets
-# (../b/ from either side), and the reduced bodies are cmp'd too, so
-# artifacts a server of the BASE build left behind must reduce to the
-# same bytes here. The goldens print six significant digits, so only
+# bench pins, a few full-budget bodies and twelve shard artifacts (both
+# shards of fig5 at 50 000 draws, of table4, of table4xp and nodes at
+# 600 draws, and of mcspicex -sizes 8,16 and mcspicenodes -n 8 at 4
+# draws, written to the file its -o names in each side's own working
+# directory), and cmp each pair of outputs and artifacts. Both binaries
+# then reduce BASE's six shard sets (../b/ from either side), and the
+# reduced bodies are cmp'd too, so artifacts a server of the BASE build
+# left behind must reduce to the same bytes here. Every multi-stream
+# family is sharded because a stream header names no option, process or
+# estimator: a reduce matches streams to records by call order alone, so
+# a change in that order moves only the artifacts and their reduce. The goldens print six significant digits, so only
 # this sees a one-ulp drift. Names every command whose output, artifact
 # or exit status differs (or that fails) and exits 1 on any. CI runs it
 # on every pull request against the base commit (job parent-cmp); a
@@ -208,7 +218,19 @@ parent-cmp:
 	  echo "shard -index 0 -of 2 -o table4.0 table4"; \
 	  echo "shard -index 1 -of 2 -o table4.1 table4"; \
 	  echo "reduce -format json ../b/fig5.0 ../b/fig5.1"; \
-	  echo "reduce -format json ../b/table4.0 ../b/table4.1"; } > "$$tmp/cmds"; \
+	  echo "reduce -format json ../b/table4.0 ../b/table4.1"; \
+	  echo "shard -index 0 -of 2 -samples 4 -o mcspicex.0 mcspicex -sizes 8,16"; \
+	  echo "shard -index 1 -of 2 -samples 4 -o mcspicex.1 mcspicex -sizes 8,16"; \
+	  echo "reduce -format json ../b/mcspicex.0 ../b/mcspicex.1"; \
+	  echo "shard -index 0 -of 2 -samples 4 -o mcspicenodes.0 mcspicenodes -n 8"; \
+	  echo "shard -index 1 -of 2 -samples 4 -o mcspicenodes.1 mcspicenodes -n 8"; \
+	  echo "reduce -format json ../b/mcspicenodes.0 ../b/mcspicenodes.1"; \
+	  echo "shard -index 0 -of 2 -samples 600 -o table4xp.0 table4xp"; \
+	  echo "shard -index 1 -of 2 -samples 600 -o table4xp.1 table4xp"; \
+	  echo "reduce -format json ../b/table4xp.0 ../b/table4xp.1"; \
+	  echo "shard -index 0 -of 2 -samples 600 -o nodes.0 nodes"; \
+	  echo "shard -index 1 -of 2 -samples 600 -o nodes.1 nodes"; \
+	  echo "reduce -format json ../b/nodes.0 ../b/nodes.1"; } > "$$tmp/cmds"; \
 	n=0; bad=0; mkdir "$$tmp/b" "$$tmp/h"; \
 	while read -r args; do \
 		n=$$((n+1)); eb=0; eh=0; art=; \

@@ -344,9 +344,9 @@ func BenchmarkTable4SurfaceSharedVsPerCell(b *testing.B) {
 // the pre-sweep-engine access pattern — three independent loops of
 // one-shot sram calls issuing 13 transients per DOE size (Fig. 4 re-runs
 // the nominal per option, Table II re-runs it again, Table III repeats
-// every Fig. 4 penalty) — while "shared" issues one deduplicated plan of
-// 4 unique transients per size through the sweep engine's worker pool and
-// reads all three tables from the memoized results.
+// every Fig. 4 penalty) — while "shared" issues one sweep of 4 transients
+// per size through the sweep engine's worker pool and reads all three
+// tables from its results.
 func BenchmarkSpiceSweepSharedVsSerial(b *testing.B) {
 	e := env(b)
 	// oneShot is one pre-sweep-engine call: a fresh builder extracts the

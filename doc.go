@@ -11,27 +11,30 @@
 // a finite-difference field-solver reference (field), a nodal SPICE engine
 // (circuit, device, sparse, spice), the SRAM column builder with its
 // reusable build/simulate sessions (sram), the sharded SPICE sweep engine
-// that deduplicates and parallelizes the simulation-driven tables (sweep),
+// that parallelizes the simulation-driven tables (sweep),
 // the paper's analytical read-time model (analytic), the streaming
 // multi-observable Monte-Carlo engine and its statistics — including P²
 // quantile sketches for collection-free runs (mc, stats), layout
 // generation (layout), the per-table/figure experiment drivers (exp) and
 // the public facade (core).
 //
-// The two execution engines share one design: callers declare work
-// (a sweep.Plan of simulation points; a Monte-Carlo sample budget), the
-// engine deduplicates or streams it across a worker pool, and
-// deterministic aggregation makes every result bit-identical for any
-// worker count. The workers share one read-only builder per sweep or
-// one trial function per stream and keep nothing of their own but
+// The two execution engines share one design: callers name the work (the
+// array sizes a sweep reads, with or without every option's worst case;
+// a Monte-Carlo sample budget), the engine spreads it across a worker
+// pool, and deterministic aggregation makes every result bit-identical
+// for any worker count. The workers share one read-only builder per sweep
+// or one trial function per stream and keep nothing of their own but
 // reusable scratch, so any worker can run any job or trial. Fig. 4,
-// Table II and Table III are views over one shared sweep (16 unique
-// transients instead of the 52 a serial reproduction issues); Fig. 5 and
-// Table IV are views over shared Monte-Carlo streams.
+// Table II and Table III read one sweep: one nominal transient per size,
+// shared by every option, and one worst case per option and size (16
+// transients instead of the 52 a serial reproduction issues). Fig. 5 and
+// Table IV are views over shared Monte-Carlo streams: Table IV is the
+// one-size view of the extended surface, whose one stream per option and
+// overlay feeds every array size.
 //
-// A sweep plan runs on one process. The process axis is a Monte-Carlo
+// A sweep runs on one process. The process axis is a Monte-Carlo
 // axis: streams key on (process, option, …), and the exp layer's
-// cross-node workloads are Monte-Carlo workloads — exp.Nodes, the
+// cross-node workloads are Monte-Carlo workloads — exp.NodesAt, the
 // Table-IV-style σ comparison across N10/N7/N5 (`mpvar nodes`),
 // per-process extended Table IV surfaces (`table4xp`) and SPICE-in-the-
 // loop σ per node (`mcspicenodes`). N10 results are bit-identical to the

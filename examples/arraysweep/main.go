@@ -4,8 +4,9 @@
 //
 // The experiment is dispatched through the workload registry
 // (Study.Run("fig4")), which runs the sharded sweep engine underneath:
-// one declarative plan, deduplicated (one nominal transient per size
-// serves every option's penalty denominator), executed on a worker pool.
+// one nominal transient per size, serving every option's penalty
+// denominator, and one worst case per option and size, executed on a
+// worker pool.
 // The typed rows come back on the Result for custom rendering; the
 // registry's own csv/md/json encoders are one res.Write call away.
 package main

@@ -14,7 +14,7 @@
 //
 // Beyond the paper, the process axis adds the cross-node workloads of
 // nodes.go: the Table-IV-style σ comparison across the technology
-// registry (Nodes) and per-process extended Table IV surfaces
+// registry (NodesAt) and per-process extended Table IV surfaces
 // (Table4Surfaces).
 package exp
 
@@ -51,7 +51,7 @@ type Env struct {
 	// paper's tables and figures) runs on it.
 	Proc tech.Process
 	// Procs is the node comparison set of the cross-process experiments
-	// (Nodes, Table4Surfaces). Empty means {Proc}.
+	// (NodesAt, Table4Surfaces). Empty means {Proc}.
 	Procs []tech.Process
 	Cap   extract.CapModel
 	// MC controls the Monte-Carlo experiments.
@@ -222,11 +222,11 @@ type Fig4Point struct {
 }
 
 // Fig4 reproduces the worst-case td/tdp figure by SPICE simulation of the
-// column at every DOE size for every option. It is a view over the shared
-// sweep plan: one nominal transient per size (shared across options) plus
-// one worst-case transient per (option, size).
+// column at every DOE size for every option. It is a view over the SPICE
+// sweep: one nominal transient per size (shared across options) plus one
+// worst-case transient per (option, size).
 func Fig4(e Env) ([]Fig4Point, error) {
-	res, err := e.runSweep(spicePlan(true, false, false))
+	res, err := e.runSweep(true)
 	if err != nil {
 		return nil, fmt.Errorf("fig4: %w", err)
 	}
@@ -259,11 +259,15 @@ type Table2Row struct {
 // simulation column is the sweep engine's nominal transients — the same
 // results Fig. 4's td_nom column and Table III's denominators read.
 func Table2(e Env) ([]Table2Row, error) {
-	res, err := e.runSweep(spicePlan(false, true, false))
+	res, err := e.runSweep(false)
 	if err != nil {
 		return nil, fmt.Errorf("table2: %w", err)
 	}
-	return table2Rows(e, res)
+	m, err := e.sweepModel(res)
+	if err != nil {
+		return nil, err
+	}
+	return table2Rows(m, res)
 }
 
 // FormatTable2 renders the comparison.
@@ -289,21 +293,25 @@ type Table3Row struct {
 }
 
 // Table3 reproduces the formula-vs-simulation tdp table at the worst-case
-// corners. Its simulation column reuses exactly the transients Fig. 4
-// runs: issued together (see SpiceTables), every unique transient runs
-// once and both tables read the memoized result.
+// corners. Its simulation column reads exactly the transients Fig. 4
+// runs: issued together (see SpiceTables), every transient runs once and
+// both tables read the same result.
 func Table3(e Env) ([]Table3Row, error) {
-	res, err := e.runSweep(spicePlan(false, false, true))
+	res, err := e.runSweep(true)
 	if err != nil {
 		return nil, fmt.Errorf("table3: %w", err)
 	}
-	return table3Rows(e, res)
+	m, err := e.sweepModel(res)
+	if err != nil {
+		return nil, err
+	}
+	return table3Rows(m, res)
 }
 
-// ------------------------------------------------- shared SPICE sweep plan
+// ------------------------------------------------------- shared SPICE sweep
 
 // SpiceResults bundles the three SPICE-driven reproductions computed from
-// one shared, deduplicated sweep.
+// one shared sweep.
 type SpiceResults struct {
 	Fig4   []Fig4Point
 	Table2 []Table2Row
@@ -311,53 +319,49 @@ type SpiceResults struct {
 }
 
 // SpiceTables runs Fig. 4, Table II and Table III as views over a single
-// sweep plan: the union of their simulation points deduplicates to one
-// nominal transient per DOE size plus one worst-case transient per
-// (option, size) — 16 unique transients instead of the 52 the three
-// serial drivers used to issue.
+// sweep: one nominal transient per DOE size plus one worst-case transient
+// per (option, size) — 16 transients instead of the 52 the three serial
+// drivers used to issue.
 func SpiceTables(e Env) (*SpiceResults, error) {
-	res, err := e.runSweep(spicePlan(true, true, true))
+	res, err := e.runSweep(true)
 	if err != nil {
 		return nil, fmt.Errorf("spice tables: %w", err)
+	}
+	m, err := e.sweepModel(res)
+	if err != nil {
+		return nil, err
 	}
 	out := &SpiceResults{}
 	if out.Fig4, err = fig4Rows(res); err != nil {
 		return nil, err
 	}
-	if out.Table2, err = table2Rows(e, res); err != nil {
+	if out.Table2, err = table2Rows(m, res); err != nil {
 		return nil, err
 	}
-	if out.Table3, err = table3Rows(e, res); err != nil {
+	if out.Table3, err = table3Rows(m, res); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// spicePlan declares the simulation points the requested tables need; the
-// plan coalesces the overlap.
-func spicePlan(fig4, table2, table3 bool) *sweep.Plan {
-	pl := sweep.NewPlan()
-	if fig4 || table2 || table3 {
-		// Nominal td per size: Fig. 4's td_nom column, Table II's
-		// simulation column, Table III's penalty denominators.
-		pl.AddNominal(PaperSizes...)
-	}
-	if fig4 || table3 {
-		for _, o := range litho.Options {
-			pl.AddWorstCase(o, PaperSizes...)
-		}
-	}
-	return pl
-}
-
-// runSweep executes a plan under the experiment environment.
-func (e Env) runSweep(pl *sweep.Plan) (*sweep.Result, error) {
+// runSweep runs the SPICE sweep at every DOE size under the experiment
+// environment: the nominal reads (Fig. 4's td_nom column, Table II's
+// simulation column, Table III's penalty denominators) and, when
+// worstCase is set, every option's worst-case reads.
+func (e Env) runSweep(worstCase bool) (*sweep.Result, error) {
 	return sweep.Run(e.ctx(), sweep.Env{
 		Proc:  e.Proc,
 		Cap:   e.Cap,
 		Build: e.Build,
 		Sim:   e.Sim,
-	}, pl, e.Sweep)
+	}, PaperSizes, worstCase, e.Sweep)
+}
+
+// sweepModel derives the formula parameters from the sweep's nominal
+// parasitics: the values Model computes, without a second extraction.
+func (e Env) sweepModel(res *sweep.Result) (analytic.Params, error) {
+	nom := res.Nominal()
+	return analytic.Derive(e.Proc, nom.Rbl, nom.Cbl)
 }
 
 // fig4Rows assembles the Fig. 4 series from a sweep result, in the
@@ -366,7 +370,7 @@ func fig4Rows(res *sweep.Result) ([]Fig4Point, error) {
 	var pts []Fig4Point
 	for _, o := range litho.Options {
 		for _, n := range PaperSizes {
-			td, ok1 := res.Td(sweep.Point{Option: o, Kind: sweep.WorstCase, N: n})
+			td, ok1 := res.Td(o, n)
 			tdnom, ok2 := res.TdNom(n)
 			tdp, ok3 := res.TdpPct(o, n)
 			if !ok1 || !ok2 || !ok3 {
@@ -378,12 +382,9 @@ func fig4Rows(res *sweep.Result) ([]Fig4Point, error) {
 	return pts, nil
 }
 
-// table2Rows assembles the Table II comparison from a sweep result.
-func table2Rows(e Env, res *sweep.Result) ([]Table2Row, error) {
-	m, err := e.Model()
-	if err != nil {
-		return nil, err
-	}
+// table2Rows assembles the Table II comparison from a sweep result and
+// the formula parameters.
+func table2Rows(m analytic.Params, res *sweep.Result) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, n := range PaperSizes {
 		sim, ok := res.TdNom(n)
@@ -395,12 +396,9 @@ func table2Rows(e Env, res *sweep.Result) ([]Table2Row, error) {
 	return rows, nil
 }
 
-// table3Rows assembles the Table III comparison from a sweep result.
-func table3Rows(e Env, res *sweep.Result) ([]Table3Row, error) {
-	m, err := e.Model()
-	if err != nil {
-		return nil, err
-	}
+// table3Rows assembles the Table III comparison from a sweep result and
+// the formula parameters.
+func table3Rows(m analytic.Params, res *sweep.Result) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, o := range litho.Options {
 		wc, ok := res.WorstCase(o)
@@ -526,13 +524,22 @@ func FormatFig5(results []Fig5Result) string {
 
 // ---------------------------------------------------------------- Table IV
 
-// Table4 reproduces the tdp σ sweep (paper Table IV) at n = 64.
+// Table4 reproduces the tdp σ sweep (paper Table IV) at n = 64: the
+// single-size view of Table4Surface.
 func Table4(e Env) ([]mc.SigmaSweepRow, error) {
 	m, err := e.Model()
 	if err != nil {
 		return nil, err
 	}
-	return mc.SigmaSweep(e.ctx(), e.Proc, m, e.Cap, 64, PaperOLBudgets, e.MC)
+	surf, err := mc.SigmaSurface(e.ctx(), e.Proc, m, e.Cap, []int{64}, PaperOLBudgets, e.MC)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]mc.SigmaSweepRow, len(surf))
+	for i, r := range surf {
+		rows[i] = mc.SigmaSweepRow{Option: r.Option, OL: r.OL, Sigma: r.Cells[0].Sigma, Mean: r.Cells[0].Mean}
+	}
+	return rows, nil
 }
 
 // Table4Surface extends Table IV across the whole array DOE: the tdp σ

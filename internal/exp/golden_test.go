@@ -93,7 +93,7 @@ func TestGoldenNodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-node Monte-Carlo in -short mode")
 	}
-	rows, err := Nodes(goldenEnv())
+	rows, err := NodesAt(goldenEnv(), NodesN)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,7 @@ func init() {
 		// the 3-node × 3-option DOE stays a few seconds.
 		Hints: Hints{Samples: 60, Smoke: Params{"n": 8}, Cost: 12000},
 		Run: func(e Env, p Params) (*Result, error) {
-			if p.Bool("adaptive") {
-				e.Sim.Adaptive = true
-			}
+			e = withAdaptive(e, p)
 			rows, err := MCSpiceNodes(e, p.Int("n"), p.Float("ol")*1e-9)
 			if err != nil {
 				return nil, err

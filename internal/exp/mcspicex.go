@@ -19,7 +19,6 @@ import (
 	"mpsram/internal/litho"
 	"mpsram/internal/mc"
 	"mpsram/internal/report"
-	"mpsram/internal/sram"
 	"mpsram/internal/stats"
 )
 
@@ -46,19 +45,9 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if p.Bool("adaptive") {
-				e.Sim.Adaptive = true
-			}
+			e = withAdaptive(e, p)
 			if p.Bool("cv") {
-				rows, err := SpiceMCCV(e, sizes)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{
-					Data:   rows,
-					Tables: []*report.Table{SpiceMCCVReport(rows)},
-					Text:   func() string { return FormatSpiceMCCV(rows, e.MC.Samples) },
-				}, nil
+				return spiceMCCVResult(e, sizes)
 			}
 			rows, err := MCSpiceX(e, sizes)
 			if err != nil {
@@ -122,23 +111,7 @@ func (r MCSpiceXRow) SigmaDeltaPct() float64 {
 // with the same (Seed, trial) deviates, summarized side by side. Results
 // are bit-identical for any worker count on both paths.
 func MCSpiceX(e Env, sizes []int) ([]MCSpiceXRow, error) {
-	if e.Cap == nil {
-		return nil, fmt.Errorf("mcspicex: nil capacitance model")
-	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("mcspicex: no array sizes requested")
-	}
-	m, err := e.Model()
-	if err != nil {
-		return nil, fmt.Errorf("mcspicex: %w", err)
-	}
-	// Nominal geometry is option-independent: one extraction and one
-	// nominal transient per size serve every option's denominators.
-	seed := sram.NewColumnBuilder(e.Proc, e.Cap)
-	if _, err := seed.Nominal(); err != nil {
-		return nil, fmt.Errorf("mcspicex: nominal extraction: %w", err)
-	}
-	nomTd, err := seed.NominalTds(sizes, e.Build, e.Sim)
+	seed, nomTd, m, err := e.spiceSetup(sizes, true)
 	if err != nil {
 		return nil, fmt.Errorf("mcspicex: %w", err)
 	}
@@ -168,14 +141,7 @@ func MCSpiceX(e Env, sizes []int) ([]MCSpiceXRow, error) {
 // FormatMCSpiceX renders the comparison paper-style. samples is the
 // configured draw budget per option.
 func FormatMCSpiceX(rows []MCSpiceXRow, samples int) string {
-	distinct := map[int]bool{}
-	for _, r := range rows {
-		distinct[r.N] = true
-	}
-	nsizes := len(distinct)
-	if nsizes == 0 {
-		nsizes = 1
-	}
+	nsizes := sizeCount(rows, func(r MCSpiceXRow) int { return r.N })
 	var b strings.Builder
 	fmt.Fprintf(&b, "SPICE-measured vs analytic tdp σ across the array DOE (%d draws × %d size(s) = %d read transients per option)\n",
 		samples, nsizes, samples*nsizes)

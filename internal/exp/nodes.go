@@ -12,6 +12,7 @@ import (
 	"strings"
 	"unicode/utf8"
 
+	"mpsram/internal/analytic"
 	"mpsram/internal/litho"
 	"mpsram/internal/mc"
 	"mpsram/internal/report"
@@ -58,40 +59,44 @@ func (e Env) processes() []tech.Process {
 	return []tech.Process{e.Proc}
 }
 
-// processCases derives the analytical model per node — each process has
-// its own nominal parasitics and therefore its own formula parameters.
-func (e Env) processCases() ([]mc.ProcessCase, error) {
+// processSurfaces runs mc.SigmaSurface at sizes on every process of the
+// node set, in set order, each with the formula parameters of its own
+// nominal parasitics; every model is derived and every process validated
+// before the first stream. Every node's trial i re-derives the same PRNG
+// state from (Seed, i) and maps it through that node's own variation
+// budgets, so cross-node σ deltas are attributable to the process.
+func (e Env) processSurfaces(sizes []int) ([]mc.ProcessSurface, error) {
 	procs := e.processes()
-	cases := make([]mc.ProcessCase, 0, len(procs))
-	for _, p := range procs {
+	models := make([]analytic.Params, len(procs))
+	for i, p := range procs {
 		env := e
 		env.Proc = p
 		m, err := env.Model()
 		if err != nil {
 			return nil, fmt.Errorf("model %s: %w", p.Name, err)
 		}
-		cases = append(cases, mc.ProcessCase{Proc: p, Model: m})
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
+		models[i] = m
 	}
-	return cases, nil
+	out := make([]mc.ProcessSurface, len(procs))
+	for i, p := range procs {
+		rows, err := mc.SigmaSurface(e.ctx(), p, models[i], e.Cap, sizes, PaperOLBudgets, e.MC)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", p.Name, err)
+		}
+		out[i] = mc.ProcessSurface{Process: p.Name, Rows: rows}
+	}
+	return out, nil
 }
 
-// Nodes runs the Table-IV-style σ comparison across the environment's
-// node set at the paper's n = 64: per node, the tdp σ for LE3 at every
-// overlay budget plus SADP and EUV. Every node consumes its own
-// deterministic sample stream (same (Seed, trial) deviates, scaled by the
-// node's variation budgets), so the cross-node deltas are attributable to
-// the process.
-func Nodes(e Env) ([]NodesRow, error) {
-	return NodesAt(e, NodesN)
-}
-
-// NodesAt is Nodes at an explicit array size.
+// NodesAt runs the Table-IV-style σ comparison across the environment's
+// node set at array size n (the workload's default is the paper's
+// NodesN): per node, the tdp σ for LE3 at every overlay budget plus SADP
+// and EUV, each node on its own deterministic sample stream.
 func NodesAt(e Env, n int) ([]NodesRow, error) {
-	cases, err := e.processCases()
-	if err != nil {
-		return nil, fmt.Errorf("nodes: %w", err)
-	}
-	surfs, err := mc.SigmaSurfaceAcross(e.ctx(), cases, e.Cap, []int{n}, PaperOLBudgets, e.MC)
+	surfs, err := e.processSurfaces([]int{n})
 	if err != nil {
 		return nil, fmt.Errorf("nodes: %w", err)
 	}
@@ -176,11 +181,7 @@ func NodesReport(rows []NodesRow, n int) *report.Table {
 // Table4Surfaces extends Table4Surface across the node set: one extended
 // Table IV per process, each from its own shared-sample-stream surface.
 func Table4Surfaces(e Env) ([]mc.ProcessSurface, error) {
-	cases, err := e.processCases()
-	if err != nil {
-		return nil, fmt.Errorf("table4 surfaces: %w", err)
-	}
-	surfs, err := mc.SigmaSurfaceAcross(e.ctx(), cases, e.Cap, PaperSizes, PaperOLBudgets, e.MC)
+	surfs, err := e.processSurfaces(PaperSizes)
 	if err != nil {
 		return nil, fmt.Errorf("table4 surfaces: %w", err)
 	}

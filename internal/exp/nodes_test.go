@@ -18,7 +18,7 @@ func nodesEnv() Env {
 // TestNodesCoversRegistry checks the row layout: every registry node
 // contributes the full Table IV configuration set, in registry order.
 func TestNodesCoversRegistry(t *testing.T) {
-	rows, err := Nodes(nodesEnv())
+	rows, err := NodesAt(nodesEnv(), NodesN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestNodesCoversRegistry(t *testing.T) {
 // tightens, so the same ±3σ overlay eats a larger fraction of the
 // spacing — while self-aligned SADP stays in its band (no overlay term).
 func TestNodesLE3WorsensAtTighterNodes(t *testing.T) {
-	rows, err := Nodes(nodesEnv())
+	rows, err := NodesAt(nodesEnv(), NodesN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestNodesDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []NodesRow {
 		e := nodesEnv()
 		e.MC.Workers = workers
-		rows, err := Nodes(e)
+		rows, err := NodesAt(e, NodesN)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestTable4SurfacesPrimaryMatchesSingleNodePath(t *testing.T) {
 func TestNodesEmptyProcSetFallsBack(t *testing.T) {
 	e := nodesEnv()
 	e.Procs = nil
-	rows, err := Nodes(e)
+	rows, err := NodesAt(e, NodesN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestNodesRejectsInvalidProcess(t *testing.T) {
 	bad := tech.N10()
 	bad.M1.Width = -1
 	e.Procs = []tech.Process{bad}
-	if _, err := Nodes(e); err == nil {
+	if _, err := NodesAt(e, NodesN); err == nil {
 		t.Fatal("invalid process must fail the nodes run")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mpsram/internal/analytic"
 	"mpsram/internal/litho"
 	"mpsram/internal/mc"
 	"mpsram/internal/report"
@@ -44,19 +45,9 @@ func init() {
 					return nil, err
 				}
 			}
-			if p.Bool("adaptive") {
-				e.Sim.Adaptive = true
-			}
+			e = withAdaptive(e, p)
 			if p.Bool("cv") {
-				rows, err := SpiceMCCV(e, sizes)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{
-					Data:   rows,
-					Tables: []*report.Table{SpiceMCCVReport(rows)},
-					Text:   func() string { return FormatSpiceMCCV(rows, e.MC.Samples) },
-				}, nil
+				return spiceMCCVResult(e, sizes)
 			}
 			rows, err := SpiceMC(e, sizes)
 			if err != nil {
@@ -87,19 +78,7 @@ type SpiceMCRow struct {
 // the budget accordingly (hundreds of samples, not the analytic path's
 // tens of thousands). Results are bit-identical for any worker count.
 func SpiceMC(e Env, sizes []int) ([]SpiceMCRow, error) {
-	if e.Cap == nil {
-		return nil, fmt.Errorf("spice mc: nil capacitance model")
-	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("spice mc: no array sizes requested")
-	}
-	// Nominal geometry is option-independent: extract and simulate the
-	// tdp denominators once, shared by every option's stream.
-	seed := sram.NewColumnBuilder(e.Proc, e.Cap)
-	if _, err := seed.Nominal(); err != nil {
-		return nil, fmt.Errorf("spice mc: nominal extraction: %w", err)
-	}
-	nomTd, err := seed.NominalTds(sizes, e.Build, e.Sim)
+	seed, nomTd, _, err := e.spiceSetup(sizes, false)
 	if err != nil {
 		return nil, fmt.Errorf("spice mc: %w", err)
 	}
@@ -116,18 +95,62 @@ func SpiceMC(e Env, sizes []int) ([]SpiceMCRow, error) {
 	return rows, nil
 }
 
+// spiceSetup is the set-up the SPICE-MC drivers share. Nominal geometry is
+// option-independent, so one builder extracts the nominal parasitics once
+// and simulates the nominal read (the tdp denominator) once per size, and
+// every option's stream reads through that builder. With withModel set it
+// also derives the formula parameters from the builder's extraction: the
+// values Model computes, without extracting again.
+func (e Env) spiceSetup(sizes []int, withModel bool) (*sram.ColumnBuilder, []float64, analytic.Params, error) {
+	var m analytic.Params
+	if e.Cap == nil {
+		return nil, nil, m, fmt.Errorf("nil capacitance model")
+	}
+	if len(sizes) == 0 {
+		return nil, nil, m, fmt.Errorf("no array sizes requested")
+	}
+	b := sram.NewColumnBuilder(e.Proc, e.Cap)
+	nom, err := b.Nominal()
+	if err != nil {
+		return nil, nil, m, fmt.Errorf("nominal extraction: %w", err)
+	}
+	if withModel {
+		if m, err = analytic.Derive(e.Proc, nom.Rbl, nom.Cbl); err != nil {
+			return nil, nil, m, err
+		}
+	}
+	nomTd, err := b.NominalTds(sizes, e.Build, e.Sim)
+	if err != nil {
+		return nil, nil, m, err
+	}
+	return b, nomTd, m, nil
+}
+
+// withAdaptive applies the SPICE-MC workloads' adaptive parameter: the
+// step-doubling integrator for every read transient.
+func withAdaptive(e Env, p Params) Env {
+	if p.Bool("adaptive") {
+		e.Sim.Adaptive = true
+	}
+	return e
+}
+
+// sizeCount is the number of distinct array sizes among rows, read
+// through size, and at least 1: a SPICE-MC header's read transients per
+// option are draws × this.
+func sizeCount[R any](rows []R, size func(R) int) int {
+	distinct := map[int]bool{}
+	for _, r := range rows {
+		distinct[size(r)] = true
+	}
+	return max(len(distinct), 1)
+}
+
 // FormatSpiceMC renders the distributions paper-style. samples is the
 // configured draw budget; the header spells out the actual transient
 // count, which is draws × the number of distinct sizes in rows.
 func FormatSpiceMC(rows []SpiceMCRow, samples int) string {
-	distinct := map[int]bool{}
-	for _, r := range rows {
-		distinct[r.N] = true
-	}
-	nsizes := len(distinct)
-	if nsizes == 0 {
-		nsizes = 1
-	}
+	nsizes := sizeCount(rows, func(r SpiceMCRow) int { return r.N })
 	var b strings.Builder
 	fmt.Fprintf(&b, "SPICE-in-the-loop Monte-Carlo tdp distributions (%d draws × %d size(s) = %d read transients per option)\n",
 		samples, nsizes, samples*nsizes)

@@ -15,7 +15,6 @@ import (
 	"mpsram/internal/litho"
 	"mpsram/internal/mc"
 	"mpsram/internal/report"
-	"mpsram/internal/sram"
 	"mpsram/internal/stats"
 )
 
@@ -69,21 +68,7 @@ type SpiceMCCVRow struct {
 // plain driver's, and both streams are bit-identical for any worker
 // count.
 func SpiceMCCV(e Env, sizes []int) ([]SpiceMCCVRow, error) {
-	if e.Cap == nil {
-		return nil, fmt.Errorf("spice mc cv: nil capacitance model")
-	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("spice mc cv: no array sizes requested")
-	}
-	m, err := e.Model()
-	if err != nil {
-		return nil, fmt.Errorf("spice mc cv: %w", err)
-	}
-	seed := sram.NewColumnBuilder(e.Proc, e.Cap)
-	if _, err := seed.Nominal(); err != nil {
-		return nil, fmt.Errorf("spice mc cv: nominal extraction: %w", err)
-	}
-	nomTd, err := seed.NominalTds(sizes, e.Build, e.Sim)
+	seed, nomTd, m, err := e.spiceSetup(sizes, true)
 	if err != nil {
 		return nil, fmt.Errorf("spice mc cv: %w", err)
 	}
@@ -130,16 +115,23 @@ func SpiceMCCV(e Env, sizes []int) ([]SpiceMCCVRow, error) {
 	return rows, nil
 }
 
+// spiceMCCVResult runs SpiceMCCV and wraps its rows, table and text: the
+// -cv estimator of mcspice and mcspicex.
+func spiceMCCVResult(e Env, sizes []int) (*Result, error) {
+	rows, err := SpiceMCCV(e, sizes)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Data:   rows,
+		Tables: []*report.Table{SpiceMCCVReport(rows)},
+		Text:   func() string { return FormatSpiceMCCV(rows, e.MC.Samples) },
+	}, nil
+}
+
 // FormatSpiceMCCV renders the control-variate distributions paper-style.
 func FormatSpiceMCCV(rows []SpiceMCCVRow, samples int) string {
-	distinct := map[int]bool{}
-	for _, r := range rows {
-		distinct[r.N] = true
-	}
-	nsizes := len(distinct)
-	if nsizes == 0 {
-		nsizes = 1
-	}
+	nsizes := sizeCount(rows, func(r SpiceMCCVRow) int { return r.N })
 	var b strings.Builder
 	fmt.Fprintf(&b, "Control-variate SPICE-MC tdp distributions (%d paired draws × %d size(s); analytic control on shared deviates)\n",
 		samples, nsizes)

@@ -276,13 +276,14 @@ func TestSharedStreamMatchesPerCell(t *testing.T) {
 	}
 }
 
-// TestSigmaSurfaceAgreesWithSweep: the Table IV wrapper and the full
-// surface share one code path; at n=64 they must agree exactly.
+// TestSigmaSurfaceAgreesWithSweep: Table IV is the one-size surface, and
+// the surface shares one stream across sizes, so a surface at n=64 alone
+// must equal the n=64 column of a three-size surface exactly.
 func TestSigmaSurfaceAgreesWithSweep(t *testing.T) {
 	p, m := model(t)
 	cfg := Config{Samples: 1500, Seed: 9}
 	budgets := []float64{3e-9, 8e-9}
-	sweep, err := SigmaSweep(context.Background(), p, m, cm, 64, budgets, cfg)
+	sweep, err := SigmaSurface(context.Background(), p, m, cm, []int{64}, budgets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,9 +301,8 @@ func TestSigmaSurfaceAgreesWithSweep(t *testing.T) {
 		if len(row.Cells) != 3 || row.Cells[1].N != 64 {
 			t.Fatalf("row %d cells %+v", i, row.Cells)
 		}
-		if row.Cells[1].Sigma != sweep[i].Sigma || row.Cells[1].Mean != sweep[i].Mean {
-			t.Fatalf("row %d: surface (%g,%g) vs sweep (%g,%g)", i,
-				row.Cells[1].Sigma, row.Cells[1].Mean, sweep[i].Sigma, sweep[i].Mean)
+		if row.Cells[1] != sweep[i].Cells[0] {
+			t.Fatalf("row %d: surface %+v vs one-size surface %+v", i, row.Cells[1], sweep[i].Cells[0])
 		}
 		// tdp spread grows with the bit line: σ ordering across sizes.
 		if !(row.Cells[0].Sigma > 0 && row.Cells[2].Sigma > 0) {

@@ -168,55 +168,9 @@ func SigmaSurface(ctx context.Context, p tech.Process, m analytic.Params, cm ext
 	return rows, nil
 }
 
-// ProcessCase pairs one technology preset with its derived analytical
-// model — the unit of the process sweep axis.
-type ProcessCase struct {
-	Proc  tech.Process
-	Model analytic.Params
-}
-
 // ProcessSurface is one node's extended Table IV: the per-option/overlay
 // tdp σ surface computed on that process.
 type ProcessSurface struct {
 	Process string
 	Rows    []SigmaSurfaceRow
-}
-
-// SigmaSurfaceAcross sweeps the process axis: one SigmaSurface per case,
-// in case order. Sample streams are deterministic per (process, option) —
-// every node's trial i re-derives the same PRNG state from (Seed, i) and
-// maps it through that node's own variation budgets via litho.Params —
-// and bit-identical across worker counts, so cross-node σ deltas are
-// attributable to the process, not to sampling noise layout.
-func SigmaSurfaceAcross(ctx context.Context, cases []ProcessCase, cm extract.CapModel, sizes []int, olBudgets []float64, cfg Config) ([]ProcessSurface, error) {
-	if len(cases) == 0 {
-		return nil, fmt.Errorf("mc: no process cases")
-	}
-	out := make([]ProcessSurface, 0, len(cases))
-	for _, c := range cases {
-		if err := c.Proc.Validate(); err != nil {
-			return nil, fmt.Errorf("mc: %w", err)
-		}
-		rows, err := SigmaSurface(ctx, c.Proc, c.Model, cm, sizes, olBudgets, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("mc: %s: %w", c.Proc.Name, err)
-		}
-		out = append(out, ProcessSurface{Process: c.Proc.Name, Rows: rows})
-	}
-	return out, nil
-}
-
-// SigmaSweep reproduces Table IV: the tdp σ for LE3 at each overlay budget
-// plus SADP and EUV, all at array size n. It is the single-size view of
-// SigmaSurface.
-func SigmaSweep(ctx context.Context, p tech.Process, m analytic.Params, cm extract.CapModel, n int, olBudgets []float64, cfg Config) ([]SigmaSweepRow, error) {
-	surf, err := SigmaSurface(ctx, p, m, cm, []int{n}, olBudgets, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]SigmaSweepRow, len(surf))
-	for i, r := range surf {
-		rows[i] = SigmaSweepRow{Option: r.Option, OL: r.OL, Sigma: r.Cells[0].Sigma, Mean: r.Cells[0].Mean}
-	}
-	return rows, nil
 }

@@ -113,7 +113,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestTableIVShape(t *testing.T) {
 	p, m := model(t)
 	cfg := Config{Samples: 4000, Seed: 7}
-	rows, err := SigmaSweep(context.Background(), p, m, cm, 64, []float64{3e-9, 5e-9, 7e-9, 8e-9}, cfg)
+	rows, err := SigmaSurface(context.Background(), p, m, cm, []int{64}, []float64{3e-9, 5e-9, 7e-9, 8e-9}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +122,14 @@ func TestTableIVShape(t *testing.T) {
 	}
 	sig := map[string]float64{}
 	for i, r := range rows {
-		if r.Sigma <= 0 {
-			t.Fatalf("row %d: sigma %g", i, r.Sigma)
+		if len(r.Cells) != 1 || r.Cells[0].N != 64 || r.Cells[0].Sigma <= 0 {
+			t.Fatalf("row %d: cells %+v", i, r.Cells)
 		}
 		key := r.Option.String()
 		if r.Option == litho.LE3 {
 			key = key + ":" + itoa(int(r.OL*1e9))
 		}
-		sig[key] = r.Sigma
+		sig[key] = r.Cells[0].Sigma
 	}
 	// σ(LE3) strictly increases with the overlay budget.
 	if !(sig["LELELE:3"] < sig["LELELE:5"] && sig["LELELE:5"] < sig["LELELE:7"] &&
@@ -190,67 +190,4 @@ func TestTdpAcrossSizesValidatesStream(t *testing.T) {
 			t.Errorf("%s: %d trials ran before the error", tc.name, trials)
 		}
 	}
-}
-
-// TestSigmaSurfaceAcrossProcesses covers the process sweep axis at the
-// engine level: one surface per case in case order, each node's streams
-// independent of the others', error paths for empty and invalid cases.
-func TestSigmaSurfaceAcrossProcesses(t *testing.T) {
-	cm := extract.SakuraiTamaru{}
-	ctx := context.Background()
-	cfg := Config{Samples: 300, Seed: 2015}
-	var cases []ProcessCase
-	for _, p := range []tech.Process{tech.N10(), tech.N7()} {
-		m, err := deriveModel(p, cm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases = append(cases, ProcessCase{Proc: p, Model: m})
-	}
-	surfs, err := SigmaSurfaceAcross(ctx, cases, cm, []int{16, 64}, []float64{3e-9, 8e-9}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(surfs) != 2 || surfs[0].Process != "N10" || surfs[1].Process != "N7" {
-		t.Fatalf("surfaces %+v", surfs)
-	}
-	for _, s := range surfs {
-		if len(s.Rows) != 4 { // 2 OL budgets + SADP + EUV
-			t.Fatalf("%s: %d rows", s.Process, len(s.Rows))
-		}
-		for _, r := range s.Rows {
-			if len(r.Cells) != 2 || r.Cells[0].Sigma <= 0 {
-				t.Fatalf("%s %v: cells %+v", s.Process, r.Option, r.Cells)
-			}
-		}
-	}
-	// The single-node surface is reproduced exactly by the sweep.
-	single, err := SigmaSurface(ctx, cases[0].Proc, cases[0].Model, cm, []int{16, 64}, []float64{3e-9, 8e-9}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range single {
-		for j := range single[i].Cells {
-			if single[i].Cells[j] != surfs[0].Rows[i].Cells[j] {
-				t.Fatalf("row %d cell %d differs from single-node path", i, j)
-			}
-		}
-	}
-	if _, err := SigmaSurfaceAcross(ctx, nil, cm, []int{16}, []float64{3e-9}, cfg); err == nil {
-		t.Fatal("empty case set must fail")
-	}
-	bad := tech.N10()
-	bad.M1.Width = -1
-	if _, err := SigmaSurfaceAcross(ctx, []ProcessCase{{Proc: bad}}, cm, []int{16}, []float64{3e-9}, cfg); err == nil {
-		t.Fatal("invalid process must fail")
-	}
-}
-
-// deriveModel mirrors exp.Env.Model for engine-level tests.
-func deriveModel(p tech.Process, cm extract.CapModel) (analytic.Params, error) {
-	nom, err := sram.NominalParasitics(p, cm)
-	if err != nil {
-		return analytic.Params{}, err
-	}
-	return analytic.Derive(p, nom.Rbl, nom.Cbl)
 }

@@ -35,8 +35,8 @@ import (
 // …), which also resolves b's nominal parasitics. Nominal geometry is
 // option-independent, so a driver sweeping several options over the same
 // sizes resolves them once on one builder and shares it across every
-// stream instead of re-simulating the nominal reads per option (the same
-// dedup rule the sweep engine applies to its plans).
+// stream instead of re-simulating the nominal reads per option (as the
+// sweep engine shares one nominal read per size across options).
 //
 // The per-trial sample stream is identical to the analytic
 // TdpAcrossSizes for the same (Seed, Samples): both consume the same

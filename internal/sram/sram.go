@@ -499,7 +499,7 @@ func LadderTotals(p tech.Process, n int, cp CellParasitics, opt BuildOptions) (r
 		if segs == 1 {
 			share = 0.5
 		}
-		total += segC * share
+		total += float64(segC * share)
 	}
 	cTot = total
 	return rTot, cTot
@@ -509,6 +509,6 @@ func LadderTotals(p tech.Process, n int, cp CellParasitics, opt BuildOptions) (r
 // noise: n·(Cbl+CFE) == Σ node caps.
 func ladderCapError(p tech.Process, n int, cp CellParasitics, opt BuildOptions) float64 {
 	_, cTot := LadderTotals(p, n, cp, opt)
-	want := float64(n) * (cp.Cbl + CFE(p.FEOL))
+	want := float64(float64(n) * (cp.Cbl + CFE(p.FEOL)))
 	return math.Abs(cTot-want) / want
 }

@@ -1,35 +1,27 @@
 // Package sweep is the sharded SPICE sweep engine behind the paper's
 // simulation-driven results (Fig. 4, Table II, Table III).
 //
-// Callers describe what they need as a declarative Plan of simulation
-// points keyed by (option, sample kind, array size) on one process; the
-// engine deduplicates points that denote the same transient before
-// running anything. Two dedup rules do the heavy lifting:
+// A sweep runs a fixed job set on one process (Env.Proc): the nominal
+// read at every requested array size and, when asked, every patterning
+// option's worst-case read at every size. Nominal geometry does not
+// depend on the option, so one nominal transient per size serves every
+// option and every consumer: Fig. 4's td_nom column, Table II's
+// simulation column and the tdp denominators of Table III. The
+// cross-node studies (nodes, table4xp, mcspicenodes) are Monte-Carlo
+// workloads and do not go through this engine.
 //
-//   - Nominal points are option-independent (every patterning engine
-//     draws the same nominal geometry), so one nominal transient per
-//     size serves all options — and all consumers: the same simulation
-//     feeds Fig. 4's td_nom column, Table II's simulation column and the
-//     tdp denominators of Table III.
-//   - Worst-case points are memoized per (option, size): Fig. 4 and
-//     Table III read the same transient instead of re-running it.
-//
-// A plan runs on a single process (Env.Proc). The cross-node studies
-// (nodes, table4xp, mcspicenodes) are Monte-Carlo workloads and do not
-// go through this engine.
-//
-// The deduped job set executes on a worker pool whose workers pull jobs
-// off a shared cursor and hold no state of their own. The worst-case
-// corner searches and one sram.ColumnBuilder, holding the nominal
-// extraction, are made once, up front, and shared read-only by all
-// workers; every read borrows a warm netlist scratch and resident engine
-// from sram's process-wide session free list, so workers and successive
-// sweeps stop paying a cold start. The context cancels the sweep between
-// jobs; progress callbacks are serialized and strictly increasing. Every
-// job is an independent, deterministic simulation written to its own
-// result slot, so a sweep's results are bit-identical for any worker
-// count — and bit-identical to simulating each point serially on a fresh
-// column and engine.
+// The jobs execute on a worker pool whose workers pull jobs off a shared
+// cursor and hold no state of their own. The worst-case corner searches
+// and one sram.ColumnBuilder, holding the nominal extraction, are made
+// once, up front, and shared read-only by all workers; every read
+// borrows a warm netlist scratch and resident engine from sram's
+// process-wide session free list, so workers and successive sweeps stop
+// paying a cold start. The context cancels the sweep between jobs;
+// progress callbacks are serialized and strictly increasing. Every job is
+// an independent, deterministic simulation written to its own result
+// slot, so a sweep's results are bit-identical for any worker count — and
+// bit-identical to simulating each read serially on a fresh column and
+// engine.
 package sweep
 
 import (
@@ -37,7 +29,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -47,128 +38,39 @@ import (
 	"mpsram/internal/tech"
 )
 
-// Kind classifies the variation sample of a simulation point.
-type Kind int
+// job is one transient read: option o's worst case at size n, or the
+// nominal read at n when wc is false.
+type job struct {
+	o  litho.Option
+	wc bool
+	n  int
+}
 
-const (
-	// Nominal is the zero-variation sample. Nominal geometry does not
-	// depend on the patterning option, so nominal points dedupe across
-	// options: the plan canonicalizes their Option away.
-	Nominal Kind = iota
-	// WorstCase is the option's worst-case ±3σ corner (the paper's
-	// Table I criterion: the corner maximizing the Cbl increase).
-	WorstCase
-)
-
-func (k Kind) String() string {
-	switch k {
-	case Nominal:
-		return "nominal"
-	case WorstCase:
-		return "worst-case"
+func (j job) String() string {
+	if !j.wc {
+		return fmt.Sprintf("nominal n=%d", j.n)
 	}
-	return fmt.Sprintf("Kind(%d)", int(k))
+	return fmt.Sprintf("%v worst-case n=%d", j.o, j.n)
 }
 
-// Point identifies one transient read simulation.
-type Point struct {
-	Option litho.Option
-	Kind   Kind
-	N      int
-}
-
-func (p Point) String() string {
-	if p.Kind == Nominal {
-		return fmt.Sprintf("nominal n=%d", p.N)
-	}
-	return fmt.Sprintf("%v %v n=%d", p.Option, p.Kind, p.N)
-}
-
-// canonical collapses equivalent points onto one key: nominal geometry is
-// option-independent, so every nominal point maps to the zero Option.
-func (p Point) canonical() Point {
-	if p.Kind == Nominal {
-		p.Option = litho.Option(0)
-	}
-	return p
-}
-
-// Plan is a declarative, deduplicating set of simulation points. Adding a
-// point that denotes an already-planned transient is a no-op, so
-// independent consumers (the Fig. 4, Table II and Table III drivers) can
-// each declare their full needs and share one execution.
-type Plan struct {
-	order []Point
-	seen  map[Point]struct{}
-}
-
-// NewPlan returns an empty plan.
-func NewPlan() *Plan {
-	return &Plan{seen: make(map[Point]struct{})}
-}
-
-// Add declares simulation points, coalescing duplicates.
-func (pl *Plan) Add(pts ...Point) {
-	for _, p := range pts {
-		c := p.canonical()
-		if _, ok := pl.seen[c]; ok {
-			continue
+// jobList returns a sweep's jobs in run order: sizes largest first and,
+// at each size, every option's worst case (when worstCase is set) in
+// litho.Options order before the nominal, so the expensive transients
+// start before the pool drains and the tail stays short.
+func jobList(sizes []int, worstCase bool) []job {
+	ns := slices.Clone(sizes)
+	slices.Sort(ns)
+	slices.Reverse(ns)
+	js := make([]job, 0, len(ns)*(1+len(litho.Options)))
+	for _, n := range ns {
+		if worstCase {
+			for _, o := range litho.Options {
+				js = append(js, job{o: o, wc: true, n: n})
+			}
 		}
-		pl.seen[c] = struct{}{}
-		pl.order = append(pl.order, c)
+		js = append(js, job{n: n})
 	}
-}
-
-// AddNominal declares the nominal transient at each size.
-func (pl *Plan) AddNominal(sizes ...int) {
-	for _, n := range sizes {
-		pl.Add(Point{Kind: Nominal, N: n})
-	}
-}
-
-// AddWorstCase declares the worst-case transient for option o at each
-// size.
-func (pl *Plan) AddWorstCase(o litho.Option, sizes ...int) {
-	for _, n := range sizes {
-		pl.Add(Point{Option: o, Kind: WorstCase, N: n})
-	}
-}
-
-// Len returns the number of unique transients the plan will run.
-func (pl *Plan) Len() int { return len(pl.order) }
-
-// jobs returns the unique points in a canonical deterministic order
-// (independent of the order consumers declared them): worst-case work
-// first, largest arrays first, so the expensive transients start before
-// the pool drains and the tail stays short.
-func (pl *Plan) jobs() []Point {
-	js := append([]Point(nil), pl.order...)
-	sort.Slice(js, func(i, j int) bool {
-		a, b := js[i], js[j]
-		if a.N != b.N {
-			return a.N > b.N
-		}
-		if a.Kind != b.Kind {
-			return a.Kind > b.Kind
-		}
-		return a.Option < b.Option
-	})
 	return js
-}
-
-// worstCaseOptions returns the distinct options of the plan's worst-case
-// points in deterministic order.
-func (pl *Plan) worstCaseOptions() []litho.Option {
-	seen := map[litho.Option]bool{}
-	var out []litho.Option
-	for _, p := range pl.order {
-		if p.Kind == WorstCase && !seen[p.Option] {
-			seen[p.Option] = true
-			out = append(out, p.Option)
-		}
-	}
-	slices.Sort(out)
-	return out
 }
 
 // Env bundles the simulation environment of a sweep.
@@ -185,7 +87,7 @@ type Config struct {
 	// bit-identical for any value.
 	Workers int
 	// Progress, if non-nil, is called as jobs complete with the number
-	// of finished unique transients and the total. Calls are serialized
+	// of finished transients and the total. Calls are serialized
 	// and done is strictly increasing, so the callback needs no locking.
 	Progress func(done, total int)
 }
@@ -197,30 +99,39 @@ func (c Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Result is an executed plan: a memo of every simulated transient, which
-// the figure and table drivers consume as views.
+// Result is an executed sweep: every simulated read time, which the
+// figure and table drivers consume as views.
 type Result struct {
-	td  map[Point]float64
-	wc  map[litho.Option]extract.WorstCaseResult
-	nom sram.CellParasitics
+	jobs []job
+	tds  []float64 // tds[i] is the read time of jobs[i]
+	wc   map[litho.Option]extract.WorstCaseResult
+	nom  sram.CellParasitics
 }
 
-// Td returns the simulated read time of point p, if it was planned.
-func (r *Result) Td(p Point) (float64, bool) {
-	td, ok := r.td[p.canonical()]
-	return td, ok
+func (r *Result) td(j job) (float64, bool) {
+	i := slices.Index(r.jobs, j)
+	if i < 0 {
+		return 0, false
+	}
+	return r.tds[i], true
 }
 
-// TdNom returns the nominal read time at size n, if planned.
+// Td returns the simulated worst-case read time of option o at size n, if
+// the sweep ran the worst cases at n.
+func (r *Result) Td(o litho.Option, n int) (float64, bool) {
+	return r.td(job{o: o, wc: true, n: n})
+}
+
+// TdNom returns the nominal read time at size n, if the sweep ran n.
 func (r *Result) TdNom(n int) (float64, bool) {
-	return r.Td(Point{Kind: Nominal, N: n})
+	return r.td(job{n: n})
 }
 
 // TdpPct returns the paper's worst-case read-time penalty
-// (td/tdnom − 1)·100 for option o at size n; both the worst-case and the
-// nominal transient must have been planned.
+// (td/tdnom − 1)·100 for option o at size n; the sweep must have run the
+// worst cases at n.
 func (r *Result) TdpPct(o litho.Option, n int) (float64, bool) {
-	td, ok1 := r.Td(Point{Option: o, Kind: WorstCase, N: n})
+	td, ok1 := r.Td(o, n)
 	nom, ok2 := r.TdNom(n)
 	if !ok1 || !ok2 || nom <= 0 {
 		return 0, false
@@ -229,8 +140,8 @@ func (r *Result) TdpPct(o litho.Option, n int) (float64, bool) {
 }
 
 // WorstCase returns the corner-search result the sweep resolved for
-// option o (present for every option with worst-case points in the
-// plan).
+// option o (present for every option when the sweep ran the worst
+// cases).
 func (r *Result) WorstCase(o litho.Option) (extract.WorstCaseResult, bool) {
 	wc, ok := r.wc[o]
 	return wc, ok
@@ -239,23 +150,23 @@ func (r *Result) WorstCase(o litho.Option) (extract.WorstCaseResult, bool) {
 // Nominal returns the nominal per-cell parasitics of the sweep's process.
 func (r *Result) Nominal() sram.CellParasitics { return r.nom }
 
-// Jobs returns the number of unique transients the sweep ran.
-func (r *Result) Jobs() int { return len(r.td) }
+// Jobs returns the number of transients the sweep ran.
+func (r *Result) Jobs() int { return len(r.jobs) }
 
-// Run executes the plan's deduplicated job set and returns the memoized
-// results. The shared inputs — one ColumnBuilder, holding the nominal
-// parasitics, and one worst-case corner search per planned option — are
-// resolved once before the pool starts; every worker then reads through
-// the shared builder on pooled sessions.
-func Run(ctx context.Context, env Env, plan *Plan, cfg Config) (*Result, error) {
+// Run simulates the nominal read at every size in sizes and, when
+// worstCase is set, every option's worst-case read at every size. The
+// shared inputs — one ColumnBuilder, holding the nominal parasitics, and
+// the corner searches — are resolved once before the pool starts; every
+// worker then reads through the shared builder on pooled sessions.
+func Run(ctx context.Context, env Env, sizes []int, worstCase bool, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if env.Cap == nil {
 		return nil, fmt.Errorf("sweep: nil capacitance model")
 	}
-	if plan == nil || plan.Len() == 0 {
-		return nil, fmt.Errorf("sweep: empty plan")
+	if len(sizes) == 0 {
+		return nil, fmt.Errorf("sweep: no array sizes")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("sweep: canceled before start: %w", err)
@@ -269,21 +180,18 @@ func Run(ctx context.Context, env Env, plan *Plan, cfg Config) (*Result, error) 
 	if err != nil {
 		return nil, fmt.Errorf("sweep: nominal extraction (%s): %w", env.Proc.Name, err)
 	}
-	res := &Result{
-		td:  make(map[Point]float64, plan.Len()),
-		wc:  make(map[litho.Option]extract.WorstCaseResult),
-		nom: nom,
-	}
-	for _, o := range plan.worstCaseOptions() {
-		wc, err := extract.WorstCase(env.Proc, o, env.Cap)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: worst case %s %v: %w", env.Proc.Name, o, err)
+	jobs := jobList(sizes, worstCase)
+	res := &Result{jobs: jobs, tds: make([]float64, len(jobs)), nom: nom}
+	if worstCase {
+		res.wc = make(map[litho.Option]extract.WorstCaseResult, len(litho.Options))
+		for _, o := range litho.Options {
+			wc, err := extract.WorstCase(env.Proc, o, env.Cap)
+			if err != nil {
+				return nil, fmt.Errorf("sweep: worst case %s %v: %w", env.Proc.Name, o, err)
+			}
+			res.wc[o] = wc
 		}
-		res.wc[o] = wc
 	}
-
-	jobs := plan.jobs()
-	tds := make([]float64, len(jobs))
 	errs := make([]error, len(jobs))
 	// A failed job cancels the pool so the sweep fails fast instead of
 	// simulating the remaining transients (matching the serial path's
@@ -325,17 +233,17 @@ func Run(ctx context.Context, env Env, plan *Plan, cfg Config) (*Result, error) 
 				if i >= len(jobs) {
 					return
 				}
-				p := jobs[i]
+				j := jobs[i]
 				cp := nom
-				if p.Kind == WorstCase {
-					cp = nom.Scale(res.wc[p.Option].Ratios)
+				if j.wc {
+					cp = nom.Scale(res.wc[j.o].Ratios)
 				}
-				td, err := b.MeasureTd(p.N, cp, env.Build, env.Sim)
+				td, err := b.MeasureTd(j.n, cp, env.Build, env.Sim)
 				if err != nil {
-					errs[i] = fmt.Errorf("sweep: %v: %w", p, err)
+					errs[i] = fmt.Errorf("sweep: %v: %w", j, err)
 					cancelRun()
 				} else {
-					tds[i] = td
+					res.tds[i] = td
 				}
 				d := done.Add(1)
 				if cfg.Progress != nil {
@@ -355,9 +263,6 @@ func Run(ctx context.Context, env Env, plan *Plan, cfg Config) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-	}
-	for i, p := range jobs {
-		res.td[p] = tds[i]
 	}
 	return res, nil
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,54 +22,28 @@ func testEnv() Env {
 // and the bench harness.
 var testSizes = []int{16, 64}
 
-func fullPlan(sizes ...int) *Plan {
-	pl := NewPlan()
-	// Fig. 4: nominal + worst case per option per size.
-	pl.AddNominal(sizes...)
-	for _, o := range litho.Options {
-		pl.AddWorstCase(o, sizes...)
-	}
-	// Table II: nominal per size — duplicates of Fig. 4's nominals.
-	pl.AddNominal(sizes...)
-	// Table III: worst case per option per size — duplicates of Fig. 4.
-	for _, o := range litho.Options {
-		pl.AddWorstCase(o, sizes...)
-	}
-	return pl
-}
+// allJobs is the transient count of a worst-case sweep over sizes: one
+// nominal plus one worst case per option at every size.
+func allJobs(sizes []int) int { return len(sizes) * (1 + len(litho.Options)) }
 
-func TestPlanDedup(t *testing.T) {
-	pl := fullPlan(testSizes...)
-	// Unique transients: one nominal per size plus one worst case per
-	// option per size.
-	want := len(testSizes) * (1 + len(litho.Options))
-	if pl.Len() != want {
-		t.Fatalf("plan size %d, want %d", pl.Len(), want)
+// TestJobOrder pins the run order: sizes largest first whatever order
+// they are given in and, at each size, every option's worst case in
+// litho.Options order before the nominal; without worst cases, only the
+// nominals.
+func TestJobOrder(t *testing.T) {
+	var want []job
+	for _, n := range []int{64, 16} {
+		for _, o := range litho.Options {
+			want = append(want, job{o: o, wc: true, n: n})
+		}
+		want = append(want, job{n: n})
 	}
-	// Nominal points dedupe across options.
-	pl.Add(Point{Option: litho.SADP, Kind: Nominal, N: testSizes[0]})
-	pl.Add(Point{Option: litho.LE3, Kind: Nominal, N: testSizes[0]})
-	if pl.Len() != want {
-		t.Fatalf("nominal dedup broken: plan size %d, want %d", pl.Len(), want)
-	}
-	opts := pl.worstCaseOptions()
-	if len(opts) != len(litho.Options) {
-		t.Fatalf("worstCaseOptions %v", opts)
-	}
-	// The job order is canonical regardless of declaration order.
-	a := fullPlan(testSizes...).jobs()
-	rev := NewPlan()
-	for _, o := range []litho.Option{litho.EUV, litho.SADP, litho.LE3} {
-		rev.AddWorstCase(o, testSizes[1], testSizes[0])
-	}
-	rev.AddNominal(testSizes[1], testSizes[0])
-	b := rev.jobs()
-	if len(a) != len(b) {
-		t.Fatalf("job counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("job %d differs: %v vs %v", i, a[i], b[i])
+	for _, sizes := range [][]int{{16, 64}, {64, 16}} {
+		if got := jobList(sizes, true); !slices.Equal(got, want) {
+			t.Fatalf("sizes %v: jobs %v, want %v", sizes, got, want)
+		}
+		if got, want := jobList(sizes, false), []job{{n: 64}, {n: 16}}; !slices.Equal(got, want) {
+			t.Fatalf("sizes %v, nominals only: jobs %v, want %v", sizes, got, want)
 		}
 	}
 }
@@ -105,11 +80,11 @@ func oneShotTdp(env Env, o litho.Option, s litho.Sample, n int) (tdp, td, tdnom 
 
 func TestRunMatchesSerialOneShotPath(t *testing.T) {
 	env := testEnv()
-	res, err := Run(context.Background(), env, fullPlan(testSizes...), Config{Workers: 2})
+	res, err := Run(context.Background(), env, testSizes, true, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Jobs() != len(testSizes)*(1+len(litho.Options)) {
+	if res.Jobs() != allJobs(testSizes) {
 		t.Fatalf("jobs run %d", res.Jobs())
 	}
 	for _, o := range litho.Options {
@@ -126,7 +101,7 @@ func TestRunMatchesSerialOneShotPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if td, ok := res.Td(Point{Option: o, Kind: WorstCase, N: n}); !ok || td != wantTd {
+			if td, ok := res.Td(o, n); !ok || td != wantTd {
 				t.Fatalf("%v n=%d: td %g want %g", o, n, td, wantTd)
 			}
 			if nom, ok := res.TdNom(n); !ok || nom != wantNom {
@@ -142,21 +117,21 @@ func TestRunMatchesSerialOneShotPath(t *testing.T) {
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	env := testEnv()
 	ctx := context.Background()
-	base, err := Run(ctx, env, fullPlan(testSizes...), Config{Workers: 1})
+	base, err := Run(ctx, env, testSizes, true, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		res, err := Run(ctx, env, fullPlan(testSizes...), Config{Workers: workers})
+		res, err := Run(ctx, env, testSizes, true, Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Jobs() != base.Jobs() {
 			t.Fatalf("workers=%d: job count %d vs %d", workers, res.Jobs(), base.Jobs())
 		}
-		for p, want := range base.td {
-			if got := res.td[p]; got != want {
-				t.Fatalf("workers=%d %v: td %g != %g", workers, p, got, want)
+		for i, j := range base.jobs {
+			if got, want := res.tds[i], base.tds[i]; res.jobs[i] != j || got != want {
+				t.Fatalf("workers=%d %v: td %g != %g", workers, j, got, want)
 			}
 		}
 	}
@@ -167,7 +142,7 @@ func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := Run(ctx, env, fullPlan(64, 256, 1024), Config{Workers: 2})
+	_, err := Run(ctx, env, []int{64, 256, 1024}, true, Config{Workers: 2})
 	if err == nil {
 		t.Fatal("canceled sweep must fail")
 	}
@@ -187,13 +162,13 @@ func TestRunProgressSerializedAndComplete(t *testing.T) {
 	cfg := Config{
 		Workers: 4,
 		Progress: func(done, total int) {
-			if total != len(testSizes)*(1+len(litho.Options)) {
+			if total != allJobs(testSizes) {
 				t.Errorf("total %d", total)
 			}
 			calls = append(calls, done) // engine serializes calls
 		},
 	}
-	if _, err := Run(context.Background(), env, fullPlan(testSizes...), cfg); err != nil {
+	if _, err := Run(context.Background(), env, testSizes, true, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) == 0 {
@@ -204,16 +179,16 @@ func TestRunProgressSerializedAndComplete(t *testing.T) {
 			t.Fatalf("progress not strictly increasing: %v", calls)
 		}
 	}
-	if calls[len(calls)-1] != len(testSizes)*(1+len(litho.Options)) {
+	if calls[len(calls)-1] != allJobs(testSizes) {
 		t.Fatalf("final progress %d", calls[len(calls)-1])
 	}
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
-	if _, err := Run(context.Background(), testEnv(), NewPlan(), Config{}); err == nil {
-		t.Fatal("empty plan must fail")
+	if _, err := Run(context.Background(), testEnv(), nil, true, Config{}); err == nil {
+		t.Fatal("empty size list must fail")
 	}
-	if _, err := Run(context.Background(), Env{Proc: tech.N10()}, fullPlan(16), Config{}); err == nil {
+	if _, err := Run(context.Background(), Env{Proc: tech.N10()}, []int{16}, true, Config{}); err == nil {
 		t.Fatal("nil cap model must fail")
 	}
 }
@@ -222,9 +197,9 @@ func TestRunSurfacesJobErrorWithPointContext(t *testing.T) {
 	env := testEnv()
 	// A forced sub-picosecond window guarantees the sense threshold is
 	// never reached, so every transient fails; the sweep must fail fast
-	// and name the failing point rather than return zeros.
+	// and name the failing read rather than return zeros.
 	env.Sim = sram.SimOptions{TEnd: 1e-15}
-	_, err := Run(context.Background(), env, fullPlan(16, 64, 256, 1024), Config{Workers: 2})
+	_, err := Run(context.Background(), env, []int{16, 64, 256, 1024}, true, Config{Workers: 2})
 	if err == nil {
 		t.Fatal("failing transients must error the sweep")
 	}
@@ -234,38 +209,39 @@ func TestRunSurfacesJobErrorWithPointContext(t *testing.T) {
 }
 
 // TestResultAccessorsAndPointStrings covers the result views and the
-// human-readable point labels on a tiny single-size run.
+// human-readable job labels on tiny single-size runs.
 func TestResultAccessorsAndPointStrings(t *testing.T) {
-	pl := NewPlan()
-	pl.AddNominal(16)
-	pl.AddWorstCase(litho.EUV, 16)
-	res, err := Run(context.Background(), testEnv(), pl, Config{Workers: 2})
+	res, err := Run(context.Background(), testEnv(), []int{16}, true, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Nominal().Rbl <= 0 {
 		t.Fatal("nominal parasitics missing")
 	}
-	if _, ok := res.TdNom(16); !ok {
-		t.Fatal("nominal td missing")
-	}
 	if _, ok := res.TdNom(64); ok {
-		t.Fatal("n=64 was not in the plan")
+		t.Fatal("n=64 was not in the sweep")
 	}
 	if _, ok := res.TdpPct(litho.EUV, 16); !ok {
 		t.Fatal("EUV tdp missing")
 	}
-	if _, ok := res.TdpPct(litho.LE3, 16); ok {
-		t.Fatal("LE3 worst case was not planned")
+	nom, err := Run(context.Background(), testEnv(), []int{16}, false, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := res.WorstCase(litho.LE3); ok {
-		t.Fatal("LE3 corner search was not planned")
+	if _, ok := nom.TdNom(16); !ok {
+		t.Fatal("nominal td missing")
 	}
-	for p, want := range map[Point]string{
-		{Kind: Nominal, N: 16}:                      "nominal n=16",
-		{Option: litho.EUV, Kind: WorstCase, N: 16}: "EUV worst-case n=16",
+	if _, ok := nom.TdpPct(litho.LE3, 16); ok {
+		t.Fatal("the nominal-only sweep ran no LE3 worst case")
+	}
+	if _, ok := nom.WorstCase(litho.LE3); ok {
+		t.Fatal("the nominal-only sweep ran no LE3 corner search")
+	}
+	for j, want := range map[job]string{
+		{n: 16}:                         "nominal n=16",
+		{o: litho.EUV, wc: true, n: 16}: "EUV worst-case n=16",
 	} {
-		if got := p.String(); got != want {
+		if got := j.String(); got != want {
 			t.Errorf("String() = %q, want %q", got, want)
 		}
 	}
