@@ -45,10 +45,10 @@ bench-smoke:
 # The three *Codec targets gate the shard-artifact serialization surface:
 # encode→decode→Merge must stay bit-identical to merging the live
 # accumulators, on random streams split at random points. The two decoders
-# of untrusted bytes never panic and round-trip what they accept:
-# FuzzShardArtifact (a shard file or shipped artifact through
-# core.DecodeShardArtifact + Verify) and FuzzReadFrame (the remote
-# fabric's response-stream frames). FuzzVarRatios proves the fixed-size
+# of untrusted bytes never panic, allocate at most 64 bytes per input
+# byte plus 16 KiB and round-trip what they accept: FuzzShardArtifact (a
+# shard file or shipped artifact through core.DecodeShardArtifact +
+# Verify) and FuzzReadFrame (the remote fabric's response-stream frames). FuzzVarRatios proves the fixed-size
 # litho windows and the per-stream extract.RatioModel bit-identical
 # (Float64bits of every ratio, error text included) to a test-file copy
 # of the slice-based realizers and two-window VarRatios they replaced, on
@@ -66,12 +66,13 @@ bench-smoke:
 # FuzzLegacySource proves the engine's lazily seeded legacy PRNG
 # (internal/mc/legacy.go) draws rand.NewSource's stream bit for bit, for
 # any seed and stream length. FuzzRunRequest feeds arbitrary bytes to
-# serve's POST /v1/runs decoding, Normalize and Key: no panic, an
-# accepted spec normalizes to itself under one key, and no accepted spec
-# carries an out-of-range n, ol, thk or sizes. FuzzTableEncoders feeds
-# arbitrary strings (titles, column names, cells) and numbers to the
-# report encoders and requires the CSV, Markdown and JSON bytes of a
-# test-file copy of the per-cell fmt encoders they replaced.
+# serve's POST /v1/runs decoding, Normalize and Key: no panic, the
+# decoding within the same allocation bound, an accepted spec normalizes
+# to itself under one key, and no accepted spec carries an out-of-range
+# n, ol, thk or sizes. FuzzTableEncoders feeds arbitrary strings
+# (titles, column names, cells) and numbers to the report encoders and
+# requires the CSV, Markdown and JSON bytes of a test-file copy of the
+# per-cell fmt encoders they replaced.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCompiledLU' -fuzztime 10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz 'FuzzNetlistReset' -fuzztime 10s ./internal/spice
@@ -192,7 +193,10 @@ fused-ops:
 # estimator: a reduce matches streams to records by call order alone, so
 # a change in that order moves only the artifacts and their reduce. The goldens print six significant digits, so only
 # this sees a one-ulp drift. Names every command whose output, artifact
-# or exit status differs (or that fails) and exits 1 on any. CI runs it
+# or exit status differs (or that fails) and exits 1 on any. For a JSON
+# body the message ends with tools/numdiff's line: the first path where
+# the structure or a string moved, or else the largest relative
+# difference of any number and its path (about 1e-16 for one ulp). CI runs it
 # on every pull request against the base commit (job parent-cmp); a
 # change that moves result bytes on purpose says so rather than
 # weakening a gate.
@@ -202,6 +206,7 @@ parent-cmp:
 	git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
 	$(GO) -C "$$tmp/base" build -o "$$tmp/mpvar-base" ./cmd/mpvar; \
 	$(GO) build -o "$$tmp/mpvar-head" ./cmd/mpvar; \
+	$(GO) build -o "$$tmp/numdiff" tools/numdiff/numdiff.go; \
 	{ for w in $$("$$tmp/mpvar-head" -list); do \
 		echo "-smoke -format json $$w"; echo "-smoke -format csv $$w"; \
 		echo "-smoke -format md $$w"; echo "-smoke $$w"; \
@@ -239,7 +244,9 @@ parent-cmp:
 		(cd "$$tmp/h" && "$$tmp/mpvar-head" $$args < /dev/null > out 2> /dev/null) || eh=$$?; \
 		if [ $$eb -ne 0 ] || [ $$eh -ne 0 ] || ! cmp -s "$$tmp/b/out" "$$tmp/h/out" || \
 			{ [ -n "$$art" ] && ! cmp -s "$$tmp/b/$$art" "$$tmp/h/$$art"; }; then \
-			echo "parent-cmp: mpvar $$args: differs (exit $$eb at $(BASE), $$eh here)"; bad=$$((bad+1)); \
+			msg="parent-cmp: mpvar $$args: differs (exit $$eb at $(BASE), $$eh here)"; \
+			case "$$args" in *"-format json"*) msg="$$msg; $$("$$tmp/numdiff" "$$tmp/b/out" "$$tmp/h/out" 2>&1 || true)";; esac; \
+			echo "$$msg"; bad=$$((bad+1)); \
 		fi; \
 	done < "$$tmp/cmds"; \
 	if [ $$bad -ne 0 ]; then echo "parent-cmp: $$bad of $$n commands differ from $(BASE)"; exit 1; fi; \

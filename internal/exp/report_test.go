@@ -103,3 +103,28 @@ func TestTable3ReportFormats(t *testing.T) {
 		}
 	}
 }
+
+// TestSpiceTablesReportAllocations pins what building the three tables
+// of one SpiceTables result costs: a table, its columns and one cell
+// store each, 9 allocations in all, with no cell boxed on the heap.
+func TestSpiceTablesReportAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-DOE SPICE sweep in -short mode")
+	}
+	res, err := SpiceTables(goldenEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tables [3]*report.Table
+	n := testing.AllocsPerRun(20, func() {
+		tables = [3]*report.Table{Fig4Report(res.Fig4), Table2Report(res.Table2), Table3Report(res.Table3)}
+	})
+	if n > 9 {
+		t.Errorf("building the Fig. 4, Table II and Table III reports: %v allocations, want at most 9", n)
+	}
+	for _, tb := range tables {
+		if len(tableRows(t, tb)) == 0 {
+			t.Fatalf("%s: no rows", tb.Title)
+		}
+	}
+}

@@ -488,9 +488,17 @@ func TestFrameCodec(t *testing.T) {
 	}
 }
 
+// Reading n bytes of frames allocates at most frameAllocPerByte·n +
+// frameAllocSlack bytes: the bound FuzzShardArtifact holds the artifact
+// decoder to. An announced blob length costs only the bytes that arrive.
+const (
+	frameAllocPerByte = 64
+	frameAllocSlack   = 16 << 10
+)
+
 // FuzzReadFrame feeds arbitrary peer bytes to the frame reader: it must
-// never panic, and any frame it accepts must survive a frameWriter round
-// trip unchanged.
+// never panic, must allocate within its bound (frameAllocPerByte), and
+// any frame it accepts must survive a frameWriter round trip unchanged.
 func FuzzReadFrame(f *testing.F) {
 	for _, s := range append([]string{
 		"progress 3 10\n",
@@ -501,7 +509,14 @@ func FuzzReadFrame(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
+		br := bufio.NewReader(bytes.NewReader(data))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fr, err := readFrame(br)
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(frameAllocPerByte*len(data)+frameAllocSlack); got > bound {
+			t.Fatalf("reading %d bytes allocated %d, want at most %d", len(data), got, bound)
+		}
 		if err != nil {
 			return
 		}

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // oracleTable is the encoder the package had before a Table kept each
@@ -172,11 +171,6 @@ func oracleTables(f Format, tables ...*oracleTable) string {
 	return b.String()
 }
 
-// stringerCell is a cell that renders through its String method.
-type stringerCell struct{ s string }
-
-func (c stringerCell) String() string { return c.s }
-
 // matchOracle builds one table from rows both ways and requires equal
 // bytes from every writer: each format alone, Write's JSON line, and
 // WriteTables/EncodeTables over the table twice.
@@ -217,14 +211,14 @@ func matchOracle(t *testing.T, title string, cols []string, rows [][]any) {
 	}
 }
 
-// TestEncodersMatchOracle covers every kind of cell the workloads pass
-// and the edges of each encoder: non-finite numbers, negative zero,
+// TestEncodersMatchOracle covers every kind of cell a table stores and
+// the edges of each encoder: non-finite numbers, negative zero,
 // subnormals, the points where %g changes notation at six digits and at
 // shortest precision, float32 cells, integers at both ends, booleans,
-// nil, values rendered through String, and strings holding CSV
-// separators, quotes, line breaks, each HTML-significant byte alone and
-// together, other control bytes, U+2028, U+2029 and invalid UTF-8 — in
-// the title and the column names too.
+// nil, and strings holding CSV separators, quotes, line breaks, each
+// HTML-significant byte alone and together, other control bytes,
+// U+2028, U+2029 and invalid UTF-8 — in the title and the column names
+// too.
 func TestEncodersMatchOracle(t *testing.T) {
 	title := "Fig. 5, \"ε\" <&> line\u2028sep\xff"
 	cols := []string{"option", "a,b", `q"uote`, "x<y>&z", "σ_pp"}
@@ -238,8 +232,7 @@ func TestEncodersMatchOracle(t *testing.T) {
 		{float32(0.1), float32(math.NaN()), float32(math.Inf(1)), float32(1e-40), float32(16777217)},
 		{float32(1e6), float32(123456.7), float32(-0.0), float32(math.Copysign(0, -1)), float32(1e-5)},
 		{0, -7, 255, 256, 1 << 40},
-		{int64(math.MinInt64), int64(math.MaxInt64), int32(-5), uint8(3), false},
-		{stringerCell{`a,"b"<c>&` + "\n"}, time.Duration(1500 * time.Millisecond), []int{1, 2}, struct{}{}, stringerCell{""}},
+		{int64(math.MinInt64), int64(math.MaxInt64), -5, 3, false},
 		{"plain", "comma, here", `"quoted"`, "line\nbreak", "cr\rhere"},
 		{"<tag>&amp;", "sep\u2028ara\u2029tor", "bad\xffutf8", "tab\tback\\slash", "\b\f\x00\x1f"},
 		{"σ_spice Δ", "", "\x7f", "\ufffd", "\u2028"},
@@ -295,7 +288,7 @@ func TestSizeBoundsRendering(t *testing.T) {
 }
 
 // FuzzTableEncoders holds the encoders to the oracle on arbitrary
-// strings (titles, column names, cells, %v text) and numbers.
+// strings (titles, column names, cells) and numbers.
 func FuzzTableEncoders(f *testing.F) {
 	f.Add("Fig. 5", "option", "LE3", 1.5, float32(0.1), int64(64), true)
 	f.Add("a,\"b\"\n<&>", "x\u2028y", "bad\xff", math.Inf(-1), float32(1e-40), int64(math.MinInt64), false)
@@ -305,7 +298,7 @@ func FuzzTableEncoders(f *testing.F) {
 		rows := [][]any{
 			{s, x, y, n, flag},
 			{title, -x, float64(y), int(n), nil},
-			{stringerCell{s}, x * 1e-300, -y, x / 3, col},
+			{s, x * 1e-300, -y, x / 3, col},
 		}
 		matchOracle(t, title, cols, rows)
 	})

@@ -4,17 +4,22 @@
 // registry's Result contract route through here, so every experiment
 // shares one encoder per format instead of rendering per table.
 //
-// A Table holds each row's typed values once and renders nothing until
-// it is written: an encoder appends every cell of the table into one
-// buffer with strconv's Append functions and writes that buffer once.
+// A Table holds each row's typed values once, tagged in one byte store
+// per table, and renders nothing until it is written: an encoder appends
+// every cell of the table into one buffer with strconv's Append
+// functions and writes that buffer once. A cell is a string, a float64,
+// a float32, an int, an int64, a bool or nil; Table.Appendf panics on a
+// value of any other kind.
 package report
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -24,42 +29,121 @@ type Table struct {
 	Title   string
 	Columns []string
 	// cells holds the values Appendf received, row after row,
-	// len(Columns) to a row; rows counts the rows, so that a table
-	// without columns still has them. Kept unexported: the rendering
-	// contract is Write, not direct access.
-	cells []any
+	// len(Columns) to a row, each a kind byte and its payload (see
+	// cellNil); rows counts the rows, so that a table without columns
+	// still has them. Kept unexported: the rendering contract is Write,
+	// not direct access.
+	cells []byte
 	rows  int
 }
+
+// The kind byte that starts each cell in Table.cells. A number is
+// followed by 8 bytes of little-endian value bits (a float32 widened to
+// float64, an int as int64), a string by its uvarint length and its
+// bytes; nil and the booleans carry nothing more.
+const (
+	cellNil byte = iota
+	cellFalse
+	cellTrue
+	cellInt
+	cellFloat64
+	cellFloat32
+	cellString
+)
 
 // New creates a table with the given title and column headers.
 func New(title string, columns ...string) *Table {
 	return &Table{Title: title, Columns: columns}
 }
 
-// Appendf adds a row of values, one per column. CSV and Markdown render
-// a float64 or float32 cell with %.6g and any other cell with %v; JSON
-// keeps numbers and booleans as JSON numbers and booleans (see
-// WriteJSON). A row whose width differs from the table's can only come
-// from a bug in the caller, so Appendf panics on one.
+// Appendf adds a row of values, one per column. A value is a string, a
+// float64, a float32, an int, an int64, a bool or nil: the kinds the
+// table stores. CSV and Markdown render a float with %.6g and any other
+// cell as its decimal, boolean or string text (nil as <nil>); JSON keeps
+// numbers and booleans as JSON numbers and booleans (see WriteJSON). A
+// row whose width differs from the table's, or a value of another kind,
+// can only come from a bug in the caller, so Appendf panics on one,
+// naming the column of a refused value, and leaves the table as it was.
+// The first row reserves room for 16 rows of its size.
 func (t *Table) Appendf(values ...any) {
 	if len(values) != len(t.Columns) {
 		panic(fmt.Sprintf("report: row has %d cells, table has %d columns", len(values), len(t.Columns)))
 	}
-	t.cells = append(t.cells, values...)
+	if t.cells == nil {
+		t.cells = make([]byte, 0, 16*rowSize(values))
+	}
+	start := len(t.cells)
+	for i, v := range values {
+		var ok bool
+		if t.cells, ok = storeCell(t.cells, v); !ok {
+			t.cells = t.cells[:start]
+			panic("report: column " + strconv.Quote(t.Columns[i]) + " holds a value that is not a string, float64, float32, int, int64, bool or nil")
+		}
+	}
 	t.rows++
 }
 
-// row returns the values of row r.
-func (t *Table) row(r int) []any {
-	n := len(t.Columns)
-	return t.cells[r*n : r*n+n]
+// rowSize returns the bytes values take in the store.
+func rowSize(values []any) int {
+	n := len(values)
+	for _, v := range values {
+		switch x := v.(type) {
+		case string:
+			n += (bits.Len(uint(len(x))|1)+6)/7 + len(x)
+		case float64, float32, int, int64:
+			n += 8
+		}
+	}
+	return n
+}
+
+// storeCell appends v to the store b as a kind byte and its payload. It
+// reports false, with b unchanged, for a kind the store does not hold.
+// Nothing here may hand v to fmt or reflect: that would make Appendf's
+// values escape, and every boxed number with them.
+func storeCell(b []byte, v any) ([]byte, bool) {
+	switch x := v.(type) {
+	case string:
+		return append(binary.AppendUvarint(append(b, cellString), uint64(len(x))), x...), true
+	case float64:
+		return binary.LittleEndian.AppendUint64(append(b, cellFloat64), math.Float64bits(x)), true
+	case float32:
+		return binary.LittleEndian.AppendUint64(append(b, cellFloat32), math.Float64bits(float64(x))), true
+	case int:
+		return binary.LittleEndian.AppendUint64(append(b, cellInt), uint64(x)), true
+	case int64:
+		return binary.LittleEndian.AppendUint64(append(b, cellInt), uint64(x)), true
+	case bool:
+		if x {
+			return append(b, cellTrue), true
+		}
+		return append(b, cellFalse), true
+	case nil:
+		return append(b, cellNil), true
+	}
+	return b, false
+}
+
+// nextCell decodes the cell at the head of the store s: its kind, the
+// value bits of a number, the bytes of a string (within s) and the
+// store after the cell.
+func nextCell(s []byte) (kind byte, v uint64, str, rest []byte) {
+	kind, s = s[0], s[1:]
+	switch kind {
+	case cellInt, cellFloat64, cellFloat32:
+		return kind, binary.LittleEndian.Uint64(s), nil, s[8:]
+	case cellString:
+		n, k := binary.Uvarint(s)
+		return kind, 0, s[k : k+int(n)], s[k+int(n):]
+	}
+	return kind, 0, nil, s
 }
 
 // size bounds the bytes the table renders to in format f, unless a
-// string needs escaping or a value renders through %v: a float takes at
-// most 13 bytes at %.6g (-1.23457e+100) and 24 in JSON
-// (-2.2250738585072014e-308), any other number or literal at most 20,
-// and JSON repeats every column name in every row.
+// string needs escaping: a float takes at most 13 bytes at %.6g
+// (-1.23457e+100) and 24 in JSON (-2.2250738585072014e-308), any other
+// number or literal at most 20, and JSON repeats every column name in
+// every row.
 func (t *Table) size(f Format) int {
 	n, row, float := 64+len(t.Title), 4, 13
 	if f == FormatJSON {
@@ -73,11 +157,13 @@ func (t *Table) size(f Format) int {
 		}
 	}
 	n += t.rows * row
-	for _, v := range t.cells {
-		switch x := v.(type) {
-		case string:
-			n += len(x) + 2
-		case float64, float32:
+	for s := t.cells; len(s) > 0; {
+		var kind byte
+		var str []byte
+		switch kind, _, str, s = nextCell(s); kind {
+		case cellString:
+			n += len(str) + 2
+		case cellFloat64, cellFloat32:
 			n += float
 		default:
 			n += 20
@@ -86,34 +172,31 @@ func (t *Table) size(f Format) int {
 	return n
 }
 
-// appendCell appends one cell in format f. CSV and Markdown render a
-// float with %.6g and any other value with %v. JSON keeps numbers at
-// full float64 precision (shortest 'g' form; a float32 is widened
-// first) and booleans as booleans, renders non-finite numbers and nil as
-// null, so the output always parses, and any other value as the JSON
-// string of its %v text.
-func appendCell(b []byte, v any, f Format) []byte {
-	switch x := v.(type) {
-	case float64:
-		return appendFloat(b, x, 64, f)
-	case float32:
-		return appendFloat(b, float64(x), 32, f)
-	case int:
-		return strconv.AppendInt(b, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(b, x, 10)
-	case bool:
-		return strconv.AppendBool(b, x)
-	case string:
-		return appendString(b, x, f)
-	case nil:
-		if f == FormatJSON {
-			return append(b, "null"...)
-		}
-		return append(b, "<nil>"...)
-	default:
-		return appendString(b, fmt.Sprint(x), f)
+// appendCell appends the cell at the head of the store s in format f
+// and returns the store after it. CSV and Markdown render a float with
+// %.6g, an integer in decimal and nil as <nil>. JSON keeps numbers at
+// full float64 precision (shortest 'g' form of a float32's widened
+// value too) and booleans as booleans, and renders non-finite numbers
+// and nil as null, so the output always parses. A string cell is
+// rendered from the store's bytes.
+func appendCell(b, s []byte, f Format) ([]byte, []byte) {
+	kind, v, str, rest := nextCell(s)
+	switch kind {
+	case cellString:
+		return appendString(b, str, f), rest
+	case cellFloat64:
+		return appendFloat(b, math.Float64frombits(v), 64, f), rest
+	case cellFloat32:
+		return appendFloat(b, math.Float64frombits(v), 32, f), rest
+	case cellInt:
+		return strconv.AppendInt(b, int64(v), 10), rest
+	case cellTrue, cellFalse:
+		return strconv.AppendBool(b, kind == cellTrue), rest
 	}
+	if f == FormatJSON {
+		return append(b, "null"...), rest
+	}
+	return append(b, "<nil>"...), rest
 }
 
 // appendFloat appends x, a float of the given bit size, in format f.
@@ -130,16 +213,25 @@ func appendFloat(b []byte, x float64, bits int, f Format) []byte {
 
 // appendString appends s in format f: as encoding/json renders it in
 // JSON, quoted per RFC 4180 in CSV when it holds a separator, a quote or
-// a line break, and as itself otherwise.
-func appendString(b []byte, s string, f Format) []byte {
+// a line break, and as itself otherwise. It takes a string cell's bytes
+// as they lie in the store, so only a JSON string that needs escaping
+// allocates.
+func appendString[T ~string | ~[]byte](b []byte, s T, f Format) []byte {
 	switch {
 	case f == FormatJSON && jsonPlain(s):
 		return append(append(append(b, '"'), s...), '"')
 	case f == FormatJSON:
-		m, _ := json.Marshal(s)
+		m, _ := json.Marshal(string(s))
 		return append(b, m...)
-	case f == FormatCSV && strings.ContainsAny(s, ",\"\n\r"):
-		return append(append(append(b, '"'), strings.ReplaceAll(s, `"`, `""`)...), '"')
+	case f == FormatCSV && csvQuoted(s):
+		b = append(b, '"')
+		for i := 0; i < len(s); i++ {
+			if s[i] == '"' {
+				b = append(b, '"')
+			}
+			b = append(b, s[i])
+		}
+		return append(b, '"')
 	default:
 		return append(b, s...)
 	}
@@ -148,13 +240,25 @@ func appendString(b []byte, s string, f Format) []byte {
 // jsonPlain reports whether s is printable ASCII other than the quote,
 // the backslash and the HTML-significant <, > and &: a string that
 // encoding/json renders as itself between quotes.
-func jsonPlain(s string) bool {
+func jsonPlain[T ~string | ~[]byte](s T) bool {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			return false
 		}
 	}
 	return true
+}
+
+// csvQuoted reports whether s holds a comma, a quote or a line break: a
+// field RFC 4180 quotes.
+func csvQuoted[T ~string | ~[]byte](s T) bool {
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ',', '"', '\n', '\r':
+			return true
+		}
+	}
+	return false
 }
 
 // appendLines appends the table as lines of cells: RFC-4180 CSV with a
@@ -190,13 +294,13 @@ func (t *Table) appendLines(b []byte, f Format) []byte {
 		}
 		b = append(b, "|\n"...)
 	}
-	for r := 0; r < t.rows; r++ {
+	for r, s := 0, t.cells; r < t.rows; r++ {
 		b = append(b, pre...)
-		for i, v := range t.row(r) {
+		for i := range t.Columns {
 			if i > 0 {
 				b = append(b, sep...)
 			}
-			b = appendCell(b, v, f)
+			b, s = appendCell(b, s, f)
 		}
 		b = append(b, end...)
 	}
@@ -211,17 +315,17 @@ func (t *Table) appendLines(b []byte, f Format) []byte {
 func (t *Table) appendJSON(b []byte) []byte {
 	b = appendString(append(b, `{"title":`...), t.Title, FormatJSON)
 	b = append(b, `,"rows":[`...)
-	for r := 0; r < t.rows; r++ {
+	for r, s := 0, t.cells; r < t.rows; r++ {
 		if r > 0 {
 			b = append(b, ',')
 		}
 		b = append(b, '{')
-		for i, v := range t.row(r) {
+		for i, c := range t.Columns {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = append(appendString(b, t.Columns[i], FormatJSON), ':')
-			b = appendCell(b, v, FormatJSON)
+			b = append(appendString(b, c, FormatJSON), ':')
+			b, s = appendCell(b, s, FormatJSON)
 		}
 		b = append(b, '}')
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func build(t *testing.T) *Table {
@@ -34,6 +35,62 @@ func TestAppendArity(t *testing.T) {
 	var b strings.Builder
 	if err := tb.WriteCSV(&b); err != nil || b.String() != "# x\na,b\n" {
 		t.Fatalf("a refused row reached the table: %q, %v", b.String(), err)
+	}
+}
+
+// stringerCell renders through its String method, which a table does
+// not call.
+type stringerCell struct{ s string }
+
+func (c stringerCell) String() string { return c.s }
+
+// TestAppendfRefusesOtherKinds: a table stores strings, float64s,
+// float32s, ints, int64s, booleans and nil. A value of any other kind is
+// a bug in the caller, so Appendf panics with a message that names the
+// column and drops the cells of the row it already stored.
+func TestAppendfRefusesOtherKinds(t *testing.T) {
+	tb := New("x", "name", "value")
+	tb.Appendf("kept", 1.5)
+	var want strings.Builder
+	if err := tb.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []any{stringerCell{"s"}, 1500 * time.Millisecond, []int{1, 2}, struct{}{}, int32(-5), uint8(3)} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, `column "value"`) {
+					t.Errorf("%T: panic %q does not name the column", v, msg)
+				}
+			}()
+			tb.Appendf("refused", v)
+		}()
+		var got strings.Builder
+		if err := tb.WriteCSV(&got); err != nil || got.String() != want.String() {
+			t.Fatalf("%T: a refused row reached the table: %q, %v", v, got.String(), err)
+		}
+	}
+}
+
+// TestAppendfAllocations pins what building a table costs: the table,
+// its columns and one store, however many numbers and strings its rows
+// hold, since no cell is boxed on the heap. The table has Fig. 4's shape
+// and row count: a string, an int above 255 (which no static box holds)
+// and three floats a row, 12 rows.
+func TestAppendfAllocations(t *testing.T) {
+	options := []string{"LELELE", "SADP", "EUV"}
+	var tb *Table
+	n := testing.AllocsPerRun(20, func() {
+		tb = New("Fig. 4: worst-case td impact (SPICE)", "option", "wordlines", "td_nom_ps", "td_wc_ps", "tdp_pct")
+		for i := 0; i < 12; i++ {
+			x := float64(i) + 0.5
+			tb.Appendf(options[i%3], 16<<(i%4+4), x*1e-10*1e12, x*1.1e-10*1e12, x/3)
+		}
+	})
+	if n > 3 {
+		t.Errorf("building a 12-row table: %v allocations, want at most 3", n)
+	}
+	if tb.rows != 12 {
+		t.Fatalf("%d rows", tb.rows)
 	}
 }
 

@@ -3,15 +3,25 @@ package serve
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mpsram/internal/exp"
 )
 
+// Decoding an n-byte run request allocates at most requestAllocPerByte·n
+// + requestAllocSlack bytes: the bound FuzzShardArtifact holds the
+// artifact decoder to.
+const (
+	requestAllocPerByte = 64
+	requestAllocSlack   = 16 << 10
+)
+
 // FuzzRunRequest feeds arbitrary bytes to the POST /v1/runs decoding
 // (decodeRunRequest, unknown fields refused), then Normalize and Key,
-// without executing the run. Nothing may panic; an accepted spec is a
-// fixed point of Normalize with one key; and no accepted spec carries a
+// without executing the run. Nothing may panic; the decoding allocates
+// within its bound (requestAllocPerByte); an accepted spec is a fixed
+// point of Normalize with one key; and no accepted spec carries a
 // parameter value outside the registry-wide ranges (n ≥ 1, ol ≥ 0,
 // thk ≥ 0, a non-empty sizes list that ParseSizes accepts).
 func FuzzRunRequest(f *testing.F) {
@@ -39,7 +49,13 @@ func FuzzRunRequest(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		raw, err := decodeRunRequest(bytes.NewReader(body))
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(requestAllocPerByte*len(body)+requestAllocSlack); got > bound {
+			t.Fatalf("decoding %d bytes allocated %d, want at most %d", len(body), got, bound)
+		}
 		if err != nil {
 			return
 		}

@@ -3,9 +3,11 @@
 // Funcdecls prints the linker symbol of every function and method
 // declared in the non-test Go files under a directory, one per line,
 // sorted: the declared half of `make unlinked`, which compares it with
-// the symbols the product binaries link. Generic functions and types,
-// whose symbols carry a [...] suffix, are not handled: internal/
-// declares none.
+// the symbols the product binaries link. A generic function (mc.take,
+// exp.sizeCount, report.appendString) is printed under its declared
+// name, which the Makefile matches by cutting the [...] suffix off its
+// instantiations' symbols. Methods of generic types are not handled:
+// internal/ declares none.
 //
 //	go run tools/unlinked/funcdecls.go <module path> <dir>
 package main
