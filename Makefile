@@ -69,7 +69,12 @@ bench-smoke:
 # serve's POST /v1/runs decoding, Normalize and Key: no panic, the
 # decoding within the same allocation bound, an accepted spec normalizes
 # to itself under one key, and no accepted spec carries an out-of-range
-# n, ol, thk or sizes. FuzzTableEncoders feeds arbitrary strings
+# n, ol, thk or sizes. FuzzShardRequest does the same for a remote
+# worker's POST /v1/shards dispatch body (decodeShardRequest): no panic,
+# the same allocation bound, Validate on the shard coordinates, a spec
+# that Normalize accepts normalizes to itself under one key, and a
+# shipped checkpoint goes through core.DecodeShardArtifact.
+# FuzzTableEncoders feeds arbitrary strings
 # (titles, column names, cells) and numbers to the report encoders and
 # requires the CSV, Markdown and JSON bytes of a test-file copy of the
 # per-cell fmt encoders they replaced.
@@ -88,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCouplingPow' -fuzztime 10s ./internal/extract
 	$(GO) test -run '^$$' -fuzz 'FuzzLegacySource' -fuzztime 10s ./internal/mc
 	$(GO) test -run '^$$' -fuzz 'FuzzRunRequest' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz 'FuzzShardRequest' -fuzztime 10s ./internal/remote
 	$(GO) test -run '^$$' -fuzz 'FuzzTableEncoders' -fuzztime 10s ./internal/report
 
 # Coverage over the -short suite (the fast deterministic core).

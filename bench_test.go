@@ -168,7 +168,7 @@ func BenchmarkTable4Sigmas(b *testing.B) {
 				if r.Option == litho.LE3 {
 					name += "_" + itoa(int(r.OL*1e9)) + "nm"
 				}
-				b.ReportMetric(r.Sigma, name+"_sigma_pp")
+				b.ReportMetric(r.Cells[0].Sigma, name+"_sigma_pp")
 			}
 		}
 	}
@@ -282,6 +282,16 @@ func BenchmarkAblationDiscretization(b *testing.B) {
 	})
 }
 
+// tdpStream runs option o's analytic trial at sizes on the engine, the
+// stream behind Fig. 5 and Table IV.
+func tdpStream(ctx context.Context, e exp.Env, o litho.Option, m analytic.Params, sizes []int, cfg mc.Config) (*mc.VectorResult, error) {
+	trial, err := analytic.TdpTrial(e.Proc, o, m, e.Cap, sizes)
+	if err != nil {
+		return nil, err
+	}
+	return mc.RunVector(ctx, cfg, len(sizes), trial)
+}
+
 // BenchmarkAblationMCConvergence sweeps the Monte-Carlo budget to show σ
 // estimate convergence.
 func BenchmarkAblationMCConvergence(b *testing.B) {
@@ -293,7 +303,7 @@ func BenchmarkAblationMCConvergence(b *testing.B) {
 	for _, samples := range []int{250, 1000, 4000} {
 		b.Run(itoa(samples), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := mc.TdpAcrossSizes(context.Background(), e.Proc, litho.LE3, m, e.Cap, []int{64},
+				res, err := tdpStream(context.Background(), e, litho.LE3, m, []int{64},
 					mc.Config{Samples: samples, Seed: 9, Collect: true})
 				if err != nil {
 					b.Fatal(err)
@@ -323,7 +333,7 @@ func BenchmarkTable4SurfaceSharedVsPerCell(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, n := range exp.PaperSizes {
-				if _, err := mc.TdpAcrossSizes(ctx, e.Proc, litho.LE3, m, e.Cap, []int{n}, cfg); err != nil {
+				if _, err := tdpStream(ctx, e, litho.LE3, m, []int{n}, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -332,7 +342,7 @@ func BenchmarkTable4SurfaceSharedVsPerCell(b *testing.B) {
 	b.Run("shared", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := mc.TdpAcrossSizes(ctx, e.Proc, litho.LE3, m, e.Cap, exp.PaperSizes, cfg); err != nil {
+			if _, err := tdpStream(ctx, e, litho.LE3, m, exp.PaperSizes, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -537,7 +547,7 @@ func BenchmarkMCThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := mc.TdpVector(e.Proc, litho.LE3, m, e.Cap, []int{64})
+	f, err := analytic.TdpTrial(e.Proc, litho.LE3, m, e.Cap, []int{64})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -754,6 +764,17 @@ func BenchmarkSpiceMC(b *testing.B) {
 	})
 }
 
+// spiceCVStream runs option o's SPICE trial at one size on the paired
+// engine, with the formula m on the same extracted ratios as its control.
+func spiceCVStream(ctx context.Context, builder *sram.ColumnBuilder, o litho.Option, m analytic.Params, size int, nomTd []float64, bopt sram.BuildOptions, sopt sram.SimOptions, cfg mc.Config) (*mc.CVVectorResult, error) {
+	ctrl := func(n int, r extract.Ratios) float64 { return m.TdpPct(n, r.Rvar, r.Cvar) }
+	trial, err := builder.TrialFunc(o, []int{size}, nomTd, ctrl, bopt, sopt)
+	if err != nil {
+		return nil, err
+	}
+	return mc.RunVectorPaired(ctx, cfg, 1, trial)
+}
+
 // BenchmarkSpiceMCCV prices the control-variate estimator against the
 // plain SPICE-MC estimator: both arms run the same paired draw budget of
 // full read transients, but the cv arm also evaluates the closed-form
@@ -781,7 +802,13 @@ func BenchmarkSpiceMCCV(b *testing.B) {
 	ctx := context.Background()
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			vr, err := mc.SpiceTdpAcrossSizes(ctx, seedBuilder, o, []int{size}, nomTd, e.Build, e.Sim, cfg)
+			trial, err := seedBuilder.TrialFunc(o, []int{size}, nomTd, nil, e.Build, e.Sim)
+			if err != nil {
+				b.Fatal(err)
+			}
+			vr, err := mc.RunVector(ctx, cfg, 1, func(rng *rand.Rand, out []float64) bool {
+				return trial(rng, out, nil)
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -792,7 +819,7 @@ func BenchmarkSpiceMCCV(b *testing.B) {
 	})
 	b.Run("cv", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cvr, err := mc.SpiceTdpCVAcrossSizes(ctx, seedBuilder, o, m, []int{size}, nomTd, e.Build, e.Sim, cfg)
+			cvr, err := spiceCVStream(ctx, seedBuilder, o, m, size, nomTd, e.Build, e.Sim, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -811,7 +838,7 @@ func BenchmarkSpiceMCCV(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			cvr, err := mc.SpiceTdpCVAcrossSizes(ctx, seedBuilder, o, m, []int{size}, adTd, e.Build, sopt, cfg)
+			cvr, err := spiceCVStream(ctx, seedBuilder, o, m, size, adTd, e.Build, sopt, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

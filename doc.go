@@ -45,10 +45,14 @@
 // derives the 607 seeded words lazily, as draws read them, so a reseed
 // plus one normal draw costs ~20 ns where math/rand's Seed took ~13 µs.
 //
-// The two engines also compose: mc.SpiceTdpAcrossSizes hosts a full read
-// transient inside every Monte-Carlo trial (SPICE-in-the-loop), through
-// one trial function built on the caller's sram.ColumnBuilder and shared
-// by every worker of the stream. Each read borrows a session — a column
+// The two engines also compose: exp runs sram.ColumnBuilder.TrialFunc,
+// which hosts a full read transient inside every Monte-Carlo trial
+// (SPICE-in-the-loop), on mc.RunVector, or on mc.RunVectorPaired when the
+// closed-form formula rides each trial as a control variate. The trial
+// function is built once per stream on the driver's builder and shared by
+// every worker; mc itself is the engine alone and depends on stats only,
+// since each trial lives beside its model (analytic.TdpTrial is the
+// formula's). Each read borrows a session — a column
 // netlist scratch and a resident spice.Engine re-targeted through
 // Engine.Reset — from a process-wide free list in sram, so the matrix
 // values, Newton scratch and waveform storage are allocated once per

@@ -39,12 +39,12 @@ func main() {
 	// The ratio the paper's conclusion quotes: LE3 at 8 nm vs SADP,
 	// computed from the typed rows the Result carries.
 	var le38, sadp float64
-	for _, r := range t4.Data.([]mc.SigmaSweepRow) {
+	for _, r := range t4.Data.([]exp.SigmaSurfaceRow) {
 		if r.Option == litho.LE3 && r.OL == 8e-9 {
-			le38 = r.Sigma
+			le38 = r.Cells[0].Sigma
 		}
 		if r.Option == litho.SADP {
-			sadp = r.Sigma
+			sadp = r.Cells[0].Sigma
 		}
 	}
 	fmt.Printf("\nσ(LE3 @8nm) / σ(SADP) = %.2f (paper: ~2.4x)\n", le38/sadp)

@@ -5,12 +5,14 @@
 // linear SADP/EUV responses the two agree tightly; for LE3 at large
 // overlay budgets the (s/h)^−1.34 coupling nonlinearity makes the sampled
 // σ exceed the linearized one, which is itself a useful diagnostic of the
-// distribution's skew.
+// distribution's skew. TdpTrial is that sampled side: the Monte-Carlo
+// trial the engine in internal/mc runs for Fig. 5 and Table IV.
 package analytic
 
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"mpsram/internal/extract"
 	"mpsram/internal/litho"
@@ -80,4 +82,37 @@ func PropagateTdp(p tech.Process, o litho.Option, m Params, cm extract.CapModel,
 	}
 	out.SigmaPP = math.Sqrt(variance)
 	return out, nil
+}
+
+// TdpTrial returns the Monte-Carlo trial behind the paper's sampled tdp
+// distributions: one canonical litho.Draw of option o's parameters and
+// one ratio extraction per trial, evaluated through the formula at every
+// array size in sizes, with out[j] the tdp penalty at sizes[j]. Draws
+// whose geometry collapses reject the trial. The parameters and the
+// ratio model are built here, once per stream, so a trial allocates
+// nothing and one closure serves every worker; an invalid model, an
+// empty sizes, a nil capacitance model or an unrealizable nominal window
+// is reported here, before any trial runs.
+func TdpTrial(p tech.Process, o litho.Option, m Params, cm extract.CapModel, sizes []int) (func(*rand.Rand, []float64) bool, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	if len(sizes) == 0 {
+		return nil, fmt.Errorf("analytic: no array sizes requested")
+	}
+	rm, err := extract.NewRatioModel(p, o, cm)
+	if err != nil {
+		return nil, fmt.Errorf("analytic: %w", err)
+	}
+	params := litho.Params(p, o)
+	return func(rng *rand.Rand, out []float64) bool {
+		r, err := rm.Ratios(litho.Draw(params, rng))
+		if err != nil {
+			return false
+		}
+		for j, n := range sizes {
+			out[j] = m.TdpPct(n, r.Rvar, r.Cvar)
+		}
+		return true
+	}, nil
 }

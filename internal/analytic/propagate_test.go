@@ -3,6 +3,7 @@ package analytic_test
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"mpsram/internal/analytic"
@@ -11,6 +12,16 @@ import (
 	"mpsram/internal/mc"
 	"mpsram/internal/tech"
 )
+
+// tdpStream runs option o's Monte-Carlo trial (analytic.TdpTrial) at
+// sizes on the mc engine.
+func tdpStream(p tech.Process, o litho.Option, m analytic.Params, cm extract.CapModel, sizes []int, cfg mc.Config) (*mc.VectorResult, error) {
+	trial, err := analytic.TdpTrial(p, o, m, cm, sizes)
+	if err != nil {
+		return nil, err
+	}
+	return mc.RunVector(context.Background(), cfg, len(sizes), trial)
+}
 
 func TestPropagateMatchesMonteCarloForLinearOptions(t *testing.T) {
 	// SADP and EUV respond almost linearly over ±3σ, so the linearized
@@ -23,7 +34,7 @@ func TestPropagateMatchesMonteCarloForLinearOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mc.TdpAcrossSizes(context.Background(), p, o, m, cm, []int{64}, mc.Config{Samples: 8000, Seed: 21, Collect: true})
+		res, err := tdpStream(p, o, m, cm, []int{64}, mc.Config{Samples: 8000, Seed: 21, Collect: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +58,7 @@ func TestPropagateLE3NonlinearityShowsInTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mc.TdpAcrossSizes(context.Background(), p, litho.LE3, m, cm, []int{64}, mc.Config{Samples: 8000, Seed: 22, Collect: true})
+	res, err := tdpStream(p, litho.LE3, m, cm, []int{64}, mc.Config{Samples: 8000, Seed: 22, Collect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +134,46 @@ func TestPropagateSigmaNonNegative(t *testing.T) {
 		}
 		if prop.SigmaPP <= 0 || math.IsNaN(prop.SigmaPP) {
 			t.Fatalf("%v: sigma %g", o, prop.SigmaPP)
+		}
+	}
+}
+
+func TestTdpTrialValidatesModel(t *testing.T) {
+	m := deriveModel(t)
+	m.CPre = nil
+	const want = "analytic: missing CPre scaling"
+	if _, err := tdpStream(tech.N10(), litho.EUV, m, extract.SakuraiTamaru{}, []int{64}, mc.Config{Samples: 10, Seed: 1}); err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("invalid model: error %v, want prefix %q", err, want)
+	}
+}
+
+// TestTdpTrialValidatesStream checks that a nil capacitance model, an
+// empty size list and an unrealizable nominal window are reported before
+// any trial runs, rather than panicking inside a worker or surfacing as
+// an all-rejected run.
+func TestTdpTrialValidatesStream(t *testing.T) {
+	p, m := tech.N10(), deriveModel(t)
+	merged := p
+	merged.M1.Width = merged.M1.Pitch + 1e-9 // nominal neighbours overlap
+	for _, tc := range []struct {
+		name  string
+		p     tech.Process
+		cm    extract.CapModel
+		sizes []int
+		want  string
+	}{
+		{"nil cap model", p, nil, []int{64}, "analytic: nil capacitance model"},
+		{"no sizes", p, extract.SakuraiTamaru{}, nil, "analytic: no array sizes requested"},
+		{"merged nominal", merged, extract.SakuraiTamaru{}, []int{64}, "analytic: nominal geometry: EUV: wires 0 and 1 merged"},
+	} {
+		trials := 0
+		cfg := mc.Config{Samples: 10, Seed: 1, Progress: func(done, _ int) { trials = done }}
+		_, err := tdpStream(tc.p, litho.EUV, m, tc.cm, tc.sizes, cfg)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want prefix %q", tc.name, err, tc.want)
+		}
+		if trials != 0 {
+			t.Errorf("%s: %d trials ran before the error", tc.name, trials)
 		}
 	}
 }

@@ -96,8 +96,8 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// NewStudy builds a study on the N10 preset with the paper's defaults
-// and the full node registry as the cross-process comparison set.
+// NewStudy builds a study on the N10 preset with the paper's defaults.
+// The cross-process workloads compare every preset of the registry.
 func NewStudy(opts ...Option) (*Study, error) {
 	env := exp.DefaultEnv()
 	for _, o := range opts {
@@ -105,11 +105,6 @@ func NewStudy(opts ...Option) (*Study, error) {
 	}
 	if err := env.Proc.Validate(); err != nil {
 		return nil, err
-	}
-	for _, p := range env.Procs {
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
 	}
 	if env.Cap == nil {
 		return nil, fmt.Errorf("core: nil capacitance model")

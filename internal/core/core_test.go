@@ -124,7 +124,7 @@ func TestStudySigmaSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := res.Data.([]mc.SigmaSurfaceRow)
+	rows := res.Data.([]exp.SigmaSurfaceRow)
 	if len(rows) != 6 {
 		t.Fatalf("rows %d", len(rows))
 	}
@@ -233,9 +233,8 @@ func TestWithWorkersAndProgressReachBothEngines(t *testing.T) {
 }
 
 // TestProcessRegistryThroughFacade covers the process-axis surface of the
-// facade: name lookup (including the valid-names error contract), the
-// default node set, per-node study construction and the cross-node
-// comparison.
+// facade: name lookup (including the valid-names error contract), per-node
+// study construction and the cross-node comparison over the registry.
 func TestProcessRegistryThroughFacade(t *testing.T) {
 	if got := ProcessNames(); len(got) != 3 || got[0] != "N10" {
 		t.Fatalf("process names %v", got)
@@ -251,33 +250,14 @@ func TestProcessRegistryThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Env.Proc.Name != "N7" || len(s.Env.Procs) != 3 {
-		t.Fatalf("env: proc %s, %d nodes", s.Env.Proc.Name, len(s.Env.Procs))
+	if s.Env.Proc.Name != "N7" {
+		t.Fatalf("env: proc %s", s.Env.Proc.Name)
 	}
-	nodesAt16 := func(s *Study) []exp.NodesRow {
-		t.Helper()
-		res, err := s.Run("nodes", exp.Params{"n": 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Data.([]exp.NodesRow)
-	}
-	if rows := nodesAt16(s); len(rows) != 3*6 {
-		t.Fatalf("%d node rows", len(rows))
-	}
-	// Trimming the node set trims the comparison.
-	nodeSet := func(procs ...tech.Process) Option { return func(e *exp.Env) { e.Procs = procs } }
-	s2, err := NewStudy(nodeSet(p), WithMC(mc.Config{Samples: 400, Seed: 7}))
+	res, err := s.Run("nodes", exp.Params{"n": 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows2 := nodesAt16(s2); len(rows2) != 6 || rows2[0].Process != "N7" {
-		t.Fatalf("trimmed node set: %d rows, first %q", len(rows2), rows2[0].Process)
-	}
-	// An invalid preset in the node set fails construction.
-	bad := p
-	bad.M1.Width = -1
-	if _, err := NewStudy(nodeSet(bad)); err == nil {
-		t.Fatal("invalid node-set preset must fail NewStudy")
+	if rows := res.Data.([]exp.NodesRow); len(rows) != 3*6 {
+		t.Fatalf("%d node rows", len(rows))
 	}
 }

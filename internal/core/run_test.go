@@ -95,7 +95,7 @@ func TestCheapWorkloadRows(t *testing.T) {
 		{"fig3", nil, func(d any) int { return len(d.([]exp.Fig3Row)) }, 4},
 		{"fig5", exp.Params{"n": 64, "ol": 8.0}, func(d any) int { return len(d.([]exp.Fig5Result)) }, 3},
 		{"nodes", nil, func(d any) int { return len(d.([]exp.NodesRow)) }, 18},
-		{"table4xp", nil, func(d any) int { return len(d.([]mc.ProcessSurface)) }, 3},
+		{"table4xp", nil, func(d any) int { return len(d.([]exp.ProcessSurface)) }, 3},
 	} {
 		res, err := s.Run(tc.name, tc.p)
 		if err != nil {

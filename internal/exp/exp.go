@@ -48,12 +48,11 @@ var PaperOLBudgets = []float64{3e-9, 5e-9, 7e-9, 8e-9}
 // Env bundles the shared experiment inputs.
 type Env struct {
 	// Proc is the primary process: every single-node experiment (the
-	// paper's tables and figures) runs on it.
+	// paper's tables and figures) runs on it. The cross-process
+	// experiments (NodesAt, Table4Surfaces, MCSpiceNodes) run on every
+	// preset of the process registry instead.
 	Proc tech.Process
-	// Procs is the node comparison set of the cross-process experiments
-	// (NodesAt, Table4Surfaces). Empty means {Proc}.
-	Procs []tech.Process
-	Cap   extract.CapModel
+	Cap  extract.CapModel
 	// MC controls the Monte-Carlo experiments.
 	MC mc.Config
 	// Sweep controls the sharded SPICE sweep engine behind Fig. 4 and
@@ -77,14 +76,12 @@ func (e Env) ctx() context.Context {
 }
 
 // DefaultEnv returns the paper's configuration: the N10 preset as the
-// primary process, with the full registry (N10/N7/N5) as the node
-// comparison set of the cross-process experiments.
+// primary process.
 func DefaultEnv() Env {
 	return Env{
-		Proc:  tech.N10(),
-		Procs: tech.Default().Processes(),
-		Cap:   extract.SakuraiTamaru{},
-		MC:    mc.Config{Samples: 10000, Seed: 2015},
+		Proc: tech.N10(),
+		Cap:  extract.SakuraiTamaru{},
+		MC:   mc.Config{Samples: 10000, Seed: 2015},
 	}
 }
 
@@ -478,7 +475,11 @@ func Fig5(e Env, ol float64, n int) ([]Fig5Result, error) {
 		if o == litho.LE3 {
 			p = p.WithOL(ol)
 		}
-		vr, err := mc.TdpAcrossSizes(e.ctx(), p, o, m, e.Cap, []int{n}, cfg)
+		trial, err := analytic.TdpTrial(p, o, m, e.Cap, []int{n})
+		if err != nil {
+			return nil, fmt.Errorf("fig5 %v: %w", o, err)
+		}
+		vr, err := mc.RunVector(e.ctx(), cfg, 1, trial)
 		if err != nil {
 			return nil, fmt.Errorf("fig5 %v: %w", o, err)
 		}
@@ -525,21 +526,13 @@ func FormatFig5(results []Fig5Result) string {
 // ---------------------------------------------------------------- Table IV
 
 // Table4 reproduces the tdp σ sweep (paper Table IV) at n = 64: the
-// single-size view of Table4Surface.
-func Table4(e Env) ([]mc.SigmaSweepRow, error) {
+// single-size view of Table4Surface, one cell per row.
+func Table4(e Env) ([]SigmaSurfaceRow, error) {
 	m, err := e.Model()
 	if err != nil {
 		return nil, err
 	}
-	surf, err := mc.SigmaSurface(e.ctx(), e.Proc, m, e.Cap, []int{64}, PaperOLBudgets, e.MC)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]mc.SigmaSweepRow, len(surf))
-	for i, r := range surf {
-		rows[i] = mc.SigmaSweepRow{Option: r.Option, OL: r.OL, Sigma: r.Cells[0].Sigma, Mean: r.Cells[0].Mean}
-	}
-	return rows, nil
+	return e.sigmaSurface(e.Proc, m, []int{64})
 }
 
 // Table4Surface extends Table IV across the whole array DOE: the tdp σ
@@ -548,17 +541,17 @@ func Table4(e Env) ([]mc.SigmaSweepRow, error) {
 // stream — the litho+extract pipeline runs once per trial and the
 // extracted ratios feed the tdp formula at all four sizes, instead of
 // resampling per (option, size) cell.
-func Table4Surface(e Env) ([]mc.SigmaSurfaceRow, error) {
+func Table4Surface(e Env) ([]SigmaSurfaceRow, error) {
 	m, err := e.Model()
 	if err != nil {
 		return nil, err
 	}
-	return mc.SigmaSurface(e.ctx(), e.Proc, m, e.Cap, PaperSizes, PaperOLBudgets, e.MC)
+	return e.sigmaSurface(e.Proc, m, PaperSizes)
 }
 
 // FormatTable4Surface renders the extended sweep: one row per
 // option/overlay, one σ column per array size.
-func FormatTable4Surface(rows []mc.SigmaSurfaceRow) string {
+func FormatTable4Surface(rows []SigmaSurfaceRow) string {
 	var b strings.Builder
 	b.WriteString("Table IV (extended): tdp σ values across the array DOE\n")
 	fmt.Fprintf(&b, "%-24s", "patterning option")
@@ -584,8 +577,8 @@ func FormatTable4Surface(rows []mc.SigmaSurfaceRow) string {
 	return b.String()
 }
 
-// FormatTable4 renders the sweep paper-style.
-func FormatTable4(rows []mc.SigmaSweepRow) string {
+// FormatTable4 renders the sweep paper-style from each row's one cell.
+func FormatTable4(rows []SigmaSurfaceRow) string {
 	var b strings.Builder
 	b.WriteString("Table IV: patterning options & tdp σ values (array 10x64)\n")
 	fmt.Fprintf(&b, "%-24s %12s %12s\n", "patterning option", "σ(tdp) [pp]", "mean [pp]")
@@ -594,7 +587,7 @@ func FormatTable4(rows []mc.SigmaSweepRow) string {
 		if r.Option == litho.LE3 {
 			name = fmt.Sprintf("%s %.0fnm OL", name, r.OL*1e9)
 		}
-		fmt.Fprintf(&b, "%-24s %12.3f %+12.3f\n", name, r.Sigma, r.Mean)
+		fmt.Fprintf(&b, "%-24s %12.3f %+12.3f\n", name, r.Cells[0].Sigma, r.Cells[0].Mean)
 	}
 	return b.String()
 }

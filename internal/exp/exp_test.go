@@ -272,8 +272,8 @@ func TestTable4SurfaceSharedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range rows {
-		if r.Cells[1].Sigma != sweep[i].Sigma {
-			t.Fatalf("row %d: surface σ %g vs sweep σ %g", i, r.Cells[1].Sigma, sweep[i].Sigma)
+		if r.Cells[1].Sigma != sweep[i].Cells[0].Sigma {
+			t.Fatalf("row %d: surface σ %g vs sweep σ %g", i, r.Cells[1].Sigma, sweep[i].Cells[0].Sigma)
 		}
 	}
 	out := FormatTable4Surface(rows)

@@ -20,6 +20,7 @@ import (
 
 	"mpsram/internal/litho"
 	"mpsram/internal/report"
+	"mpsram/internal/tech"
 )
 
 func init() {
@@ -61,8 +62,8 @@ type MCSpiceNodesRow struct {
 	SpiceMCCVRow
 }
 
-// MCSpiceNodes runs the control-variate SPICE-MC once per process of the
-// environment's node set at array size n. A non-zero ol (metres) pins the
+// MCSpiceNodes runs the control-variate SPICE-MC once per preset of the
+// process registry at array size n. A non-zero ol (metres) pins the
 // LE3 overlay 3σ budget on every node so the cross-node amplification is
 // read at one fixed budget (the analytic study's 8 nm column); ol = 0
 // keeps each node's own preset. Every node runs its own deterministic
@@ -70,7 +71,7 @@ type MCSpiceNodesRow struct {
 // and reference moments.
 func MCSpiceNodes(e Env, n int, ol float64) ([]MCSpiceNodesRow, error) {
 	var rows []MCSpiceNodesRow
-	for _, proc := range e.processes() {
+	for _, proc := range tech.Default().Processes() {
 		env := e
 		env.Proc = proc
 		if ol > 0 {

@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 
+	"mpsram/internal/analytic"
 	"mpsram/internal/litho"
 	"mpsram/internal/mc"
 	"mpsram/internal/report"
@@ -117,11 +118,15 @@ func MCSpiceX(e Env, sizes []int) ([]MCSpiceXRow, error) {
 	}
 	var rows []MCSpiceXRow
 	for _, o := range litho.Options {
-		sp, err := mc.SpiceTdpAcrossSizes(e.ctx(), seed, o, sizes, nomTd, e.Build, e.Sim, e.MC)
+		sp, err := e.spiceStream(seed, o, sizes, nomTd)
 		if err != nil {
 			return nil, fmt.Errorf("mcspicex %v (spice): %w", o, err)
 		}
-		an, err := mc.TdpAcrossSizes(e.ctx(), e.Proc, o, m, e.Cap, sizes, e.MC)
+		trial, err := analytic.TdpTrial(e.Proc, o, m, e.Cap, sizes)
+		if err != nil {
+			return nil, fmt.Errorf("mcspicex %v (analytic): %w", o, err)
+		}
+		an, err := mc.RunVector(e.ctx(), e.MC, len(sizes), trial)
 		if err != nil {
 			return nil, fmt.Errorf("mcspicex %v (analytic): %w", o, err)
 		}

@@ -1,6 +1,6 @@
 // The cross-node comparison: the paper's Table IV σ study repeated on
-// every process of the environment's node set (N10 plus the derived N7-
-// and N5-class presets) and laid side by side. Not a table of the paper —
+// every preset of the process registry (N10 plus the derived N7- and
+// N5-class presets) and laid side by side. Not a table of the paper —
 // the paper pins one imec-N10-flavoured node — but the study its
 // conclusion asks for: how the per-option variability ranking and the
 // absolute σ budgets move as the metal pitch shrinks faster than the
@@ -14,7 +14,6 @@ import (
 
 	"mpsram/internal/analytic"
 	"mpsram/internal/litho"
-	"mpsram/internal/mc"
 	"mpsram/internal/report"
 	"mpsram/internal/tech"
 )
@@ -50,23 +49,14 @@ type NodesRow struct {
 	Mean    float64
 }
 
-// processes returns the environment's node set, defaulting to the single
-// primary process when no set is configured.
-func (e Env) processes() []tech.Process {
-	if len(e.Procs) > 0 {
-		return e.Procs
-	}
-	return []tech.Process{e.Proc}
-}
-
-// processSurfaces runs mc.SigmaSurface at sizes on every process of the
-// node set, in set order, each with the formula parameters of its own
-// nominal parasitics; every model is derived and every process validated
-// before the first stream. Every node's trial i re-derives the same PRNG
-// state from (Seed, i) and maps it through that node's own variation
-// budgets, so cross-node σ deltas are attributable to the process.
-func (e Env) processSurfaces(sizes []int) ([]mc.ProcessSurface, error) {
-	procs := e.processes()
+// processSurfaces runs sigmaSurface at sizes on every preset of the
+// process registry, in registry order, each with the formula parameters
+// of its own nominal parasitics; every model is derived before the first
+// stream. Every node's trial i re-derives the same PRNG state from
+// (Seed, i) and maps it through that node's own variation budgets, so
+// cross-node σ deltas are attributable to the process.
+func (e Env) processSurfaces(sizes []int) ([]ProcessSurface, error) {
+	procs := tech.Default().Processes()
 	models := make([]analytic.Params, len(procs))
 	for i, p := range procs {
 		env := e
@@ -75,24 +65,21 @@ func (e Env) processSurfaces(sizes []int) ([]mc.ProcessSurface, error) {
 		if err != nil {
 			return nil, fmt.Errorf("model %s: %w", p.Name, err)
 		}
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
 		models[i] = m
 	}
-	out := make([]mc.ProcessSurface, len(procs))
+	out := make([]ProcessSurface, len(procs))
 	for i, p := range procs {
-		rows, err := mc.SigmaSurface(e.ctx(), p, models[i], e.Cap, sizes, PaperOLBudgets, e.MC)
+		rows, err := e.sigmaSurface(p, models[i], sizes)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
-		out[i] = mc.ProcessSurface{Process: p.Name, Rows: rows}
+		out[i] = ProcessSurface{Process: p.Name, Rows: rows}
 	}
 	return out, nil
 }
 
-// NodesAt runs the Table-IV-style σ comparison across the environment's
-// node set at array size n (the workload's default is the paper's
+// NodesAt runs the Table-IV-style σ comparison across the process
+// registry at array size n (the workload's default is the paper's
 // NodesN): per node, the tdp σ for LE3 at every overlay budget plus SADP
 // and EUV, each node on its own deterministic sample stream.
 func NodesAt(e Env, n int) ([]NodesRow, error) {
@@ -178,9 +165,10 @@ func NodesReport(rows []NodesRow, n int) *report.Table {
 	return t
 }
 
-// Table4Surfaces extends Table4Surface across the node set: one extended
-// Table IV per process, each from its own shared-sample-stream surface.
-func Table4Surfaces(e Env) ([]mc.ProcessSurface, error) {
+// Table4Surfaces extends Table4Surface across the process registry: one
+// extended Table IV per process, each from its own shared-sample-stream
+// surface.
+func Table4Surfaces(e Env) ([]ProcessSurface, error) {
 	surfs, err := e.processSurfaces(PaperSizes)
 	if err != nil {
 		return nil, fmt.Errorf("table4 surfaces: %w", err)
@@ -189,7 +177,7 @@ func Table4Surfaces(e Env) ([]mc.ProcessSurface, error) {
 }
 
 // FormatTable4Surfaces renders the per-process surfaces back to back.
-func FormatTable4Surfaces(surfs []mc.ProcessSurface) string {
+func FormatTable4Surfaces(surfs []ProcessSurface) string {
 	var b strings.Builder
 	for i, s := range surfs {
 		if i > 0 {
@@ -202,7 +190,7 @@ func FormatTable4Surfaces(surfs []mc.ProcessSurface) string {
 
 // Table4SurfacesReport converts the per-process surfaces for csv/md
 // output (long format with a leading process column).
-func Table4SurfacesReport(surfs []mc.ProcessSurface) *report.Table {
+func Table4SurfacesReport(surfs []ProcessSurface) *report.Table {
 	t := report.New("Table IV (extended) per process: tdp sigma across array sizes",
 		"process", "option", "ol_nm", "wordlines", "sigma_pp", "mean_pp")
 	for _, s := range surfs {

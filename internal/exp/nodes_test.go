@@ -99,7 +99,7 @@ func TestNodesDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestTable4SurfacesPrimaryMatchesSingleNodePath pins the view contract:
-// the node set's N10 surface must be bit-identical to the single-node
+// the registry's N10 surface must be bit-identical to the single-node
 // Table4Surface — the per-process path is a sweep over the same streams,
 // not a reimplementation.
 func TestTable4SurfacesPrimaryMatchesSingleNodePath(t *testing.T) {
@@ -137,36 +137,6 @@ func TestTable4SurfacesPrimaryMatchesSingleNodePath(t *testing.T) {
 	}
 	if got := len(tableRows(t, Table4SurfacesReport(surfs))); got != 3*6*len(PaperSizes) {
 		t.Fatalf("report rows %d", got)
-	}
-}
-
-// TestNodesEmptyProcSetFallsBack covers the single-process default.
-func TestNodesEmptyProcSetFallsBack(t *testing.T) {
-	e := nodesEnv()
-	e.Procs = nil
-	rows, err := NodesAt(e, NodesN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.Process != "N10" {
-			t.Fatalf("unexpected process %s", r.Process)
-		}
-	}
-	if len(rows) != len(PaperOLBudgets)+2 {
-		t.Fatalf("%d rows", len(rows))
-	}
-}
-
-// TestNodesRejectsInvalidProcess checks that a broken preset in the node
-// set fails loudly before any sampling.
-func TestNodesRejectsInvalidProcess(t *testing.T) {
-	e := nodesEnv()
-	bad := tech.N10()
-	bad.M1.Width = -1
-	e.Procs = []tech.Process{bad}
-	if _, err := NodesAt(e, NodesN); err == nil {
-		t.Fatal("invalid process must fail the nodes run")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"mpsram/internal/litho"
-	"mpsram/internal/mc"
 	"mpsram/internal/report"
 )
 
@@ -73,7 +72,7 @@ func Fig5Report(results []Fig5Result) *report.Table {
 
 // Table4SurfaceReport converts the extended σ surface (long format: one
 // record per option/overlay/size cell).
-func Table4SurfaceReport(rows []mc.SigmaSurfaceRow) *report.Table {
+func Table4SurfaceReport(rows []SigmaSurfaceRow) *report.Table {
 	t := report.New("Table IV (extended): tdp sigma per option across array sizes",
 		"option", "ol_nm", "wordlines", "sigma_pp", "mean_pp")
 	for _, r := range rows {
@@ -88,8 +87,8 @@ func Table4SurfaceReport(rows []mc.SigmaSurfaceRow) *report.Table {
 	return t
 }
 
-// Table4Report converts the σ sweep.
-func Table4Report(rows []mc.SigmaSweepRow) *report.Table {
+// Table4Report converts the σ sweep, one cell per row.
+func Table4Report(rows []SigmaSurfaceRow) *report.Table {
 	t := report.New("Table IV: tdp sigma per option",
 		"option", "ol_nm", "sigma_pp", "mean_pp")
 	for _, r := range rows {
@@ -97,7 +96,7 @@ func Table4Report(rows []mc.SigmaSweepRow) *report.Table {
 		if r.Option == litho.LE3 {
 			ol = fmt.Sprintf("%.0f", r.OL*1e9)
 		}
-		t.Appendf(r.Option.String(), ol, r.Sigma, r.Mean)
+		t.Appendf(r.Option.String(), ol, r.Cells[0].Sigma, r.Cells[0].Mean)
 	}
 	return t
 }

@@ -9,6 +9,7 @@ package exp
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 
 	"mpsram/internal/analytic"
@@ -84,7 +85,7 @@ func SpiceMC(e Env, sizes []int) ([]SpiceMCRow, error) {
 	}
 	var rows []SpiceMCRow
 	for _, o := range litho.Options {
-		vr, err := mc.SpiceTdpAcrossSizes(e.ctx(), seed, o, sizes, nomTd, e.Build, e.Sim, e.MC)
+		vr, err := e.spiceStream(seed, o, sizes, nomTd)
 		if err != nil {
 			return nil, fmt.Errorf("spice mc %v: %w", o, err)
 		}
@@ -124,6 +125,20 @@ func (e Env) spiceSetup(sizes []int, withModel bool) (*sram.ColumnBuilder, []flo
 		return nil, nil, m, err
 	}
 	return b, nomTd, m, nil
+}
+
+// spiceStream runs one plain SPICE-in-the-loop stream of option o at
+// sizes: b's trial function without a control, on the plain engine. Its
+// draws are the analytic stream's for the same (Seed, Samples), so the
+// two paths compare draw by draw.
+func (e Env) spiceStream(b *sram.ColumnBuilder, o litho.Option, sizes []int, nomTd []float64) (*mc.VectorResult, error) {
+	trial, err := b.TrialFunc(o, sizes, nomTd, nil, e.Build, e.Sim)
+	if err != nil {
+		return nil, err
+	}
+	return mc.RunVector(e.ctx(), e.MC, len(sizes), func(rng *rand.Rand, out []float64) bool {
+		return trial(rng, out, nil)
+	})
 }
 
 // withAdaptive applies the SPICE-MC workloads' adaptive parameter: the

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"strings"
 
+	"mpsram/internal/analytic"
+	"mpsram/internal/extract"
 	"mpsram/internal/litho"
 	"mpsram/internal/mc"
 	"mpsram/internal/report"
@@ -76,13 +78,22 @@ func SpiceMCCV(e Env, sizes []int) ([]SpiceMCCVRow, error) {
 	refCfg.Samples = CVRefSamples(e.MC.Samples)
 	refCfg.Collect = false
 	refCfg.Progress = nil // the reference stream is negligible next to the transients
+	ctrl := func(n int, r extract.Ratios) float64 { return m.TdpPct(n, r.Rvar, r.Cvar) }
 	var rows []SpiceMCCVRow
 	for _, o := range litho.Options {
-		ref, err := mc.TdpAcrossSizes(e.ctx(), e.Proc, o, m, e.Cap, sizes, refCfg)
+		refTrial, err := analytic.TdpTrial(e.Proc, o, m, e.Cap, sizes)
 		if err != nil {
 			return nil, fmt.Errorf("spice mc cv %v (reference): %w", o, err)
 		}
-		cvr, err := mc.SpiceTdpCVAcrossSizes(e.ctx(), seed, o, m, sizes, nomTd, e.Build, e.Sim, e.MC)
+		ref, err := mc.RunVector(e.ctx(), refCfg, len(sizes), refTrial)
+		if err != nil {
+			return nil, fmt.Errorf("spice mc cv %v (reference): %w", o, err)
+		}
+		trial, err := seed.TrialFunc(o, sizes, nomTd, ctrl, e.Build, e.Sim)
+		if err != nil {
+			return nil, fmt.Errorf("spice mc cv %v: %w", o, err)
+		}
+		cvr, err := mc.RunVectorPaired(e.ctx(), e.MC, len(sizes), trial)
 		if err != nil {
 			return nil, fmt.Errorf("spice mc cv %v: %w", o, err)
 		}

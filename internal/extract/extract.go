@@ -347,9 +347,6 @@ func NewRatioModel(p tech.Process, o litho.Option, cm CapModel) (RatioModel, err
 	return m, nil
 }
 
-// Option returns the patterning option the model extracts.
-func (m *RatioModel) Option() litho.Option { return m.option }
-
 // Ratios realizes sample s and returns the variability ratios of the
 // victim bit line (and the below-victim VSS rail) against the nominal.
 func (m *RatioModel) Ratios(s litho.Sample) (Ratios, error) {

@@ -17,9 +17,10 @@
 // is allocated per block or per trial. The trial function is one
 // closure, built once per stream and shared by every worker, so a worker
 // holds no other state and any worker can run any trial. The analytic
-// trial is allocation-free as well: TdpVector builds the stream's
-// parameters and ratio model once, and TestTdpVectorTrialAllocationFree
-// pins a warm trial at zero allocations on every option.
+// trial is allocation-free as well: analytic.TdpTrial builds the
+// stream's parameters and ratio model once, and this package's
+// TestTdpVectorTrialAllocationFree pins a warm trial at zero allocations
+// on every option.
 package mc
 
 import (

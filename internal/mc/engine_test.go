@@ -231,10 +231,7 @@ func TestRunVectorProgressReachesTotal(t *testing.T) {
 func TestWelfordMatchesSummarize(t *testing.T) {
 	p, m := model(t)
 	cfg := Config{Samples: 4000, Seed: 2015, Collect: true}
-	vr, err := TdpAcrossSizes(context.Background(), p, litho.LE3, m, cm, []int{16, 64, 256, 1024}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vr := tdpAcrossSizes(t, p, litho.LE3, m, []int{16, 64, 256, 1024}, cfg)
 	for j := range vr.Stats {
 		// Summarize sorts in place; copy to keep Values in trial order.
 		exact := stats.Summarize(append([]float64(nil), vr.Values[j]...))
@@ -259,55 +256,14 @@ func TestWelfordMatchesSummarize(t *testing.T) {
 func TestSharedStreamMatchesPerCell(t *testing.T) {
 	p, m := model(t)
 	cfg := Config{Samples: 2000, Seed: 7, Collect: true}
-	single, err := TdpAcrossSizes(context.Background(), p, litho.LE3, m, cm, []int{64}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := TdpAcrossSizes(context.Background(), p, litho.LE3, m, cm, []int{16, 64, 256, 1024}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := tdpAcrossSizes(t, p, litho.LE3, m, []int{64}, cfg)
+	shared := tdpAcrossSizes(t, p, litho.LE3, m, []int{16, 64, 256, 1024}, cfg)
 	if !reflect.DeepEqual(shared.Values[1], single.Values[0]) {
 		t.Fatal("shared-stream n=64 values differ from the single-size stream")
 	}
 	if shared.Stats[1] != single.Stats[0] || shared.Rejected != single.Rejected {
 		t.Fatalf("shared-stream n=64 moments/rejects differ: %+v/%d vs %+v/%d",
 			shared.Stats[1], shared.Rejected, single.Stats[0], single.Rejected)
-	}
-}
-
-// TestSigmaSurfaceAgreesWithSweep: Table IV is the one-size surface, and
-// the surface shares one stream across sizes, so a surface at n=64 alone
-// must equal the n=64 column of a three-size surface exactly.
-func TestSigmaSurfaceAgreesWithSweep(t *testing.T) {
-	p, m := model(t)
-	cfg := Config{Samples: 1500, Seed: 9}
-	budgets := []float64{3e-9, 8e-9}
-	sweep, err := SigmaSurface(context.Background(), p, m, cm, []int{64}, budgets, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	surf, err := SigmaSurface(context.Background(), p, m, cm, []int{16, 64, 1024}, budgets, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(surf) != len(sweep) {
-		t.Fatalf("row count %d vs %d", len(surf), len(sweep))
-	}
-	for i, row := range surf {
-		if row.Option != sweep[i].Option || row.OL != sweep[i].OL {
-			t.Fatalf("row %d config mismatch", i)
-		}
-		if len(row.Cells) != 3 || row.Cells[1].N != 64 {
-			t.Fatalf("row %d cells %+v", i, row.Cells)
-		}
-		if row.Cells[1] != sweep[i].Cells[0] {
-			t.Fatalf("row %d: surface %+v vs one-size surface %+v", i, row.Cells[1], sweep[i].Cells[0])
-		}
-		// tdp spread grows with the bit line: σ ordering across sizes.
-		if !(row.Cells[0].Sigma > 0 && row.Cells[2].Sigma > 0) {
-			t.Fatalf("row %d: nonpositive sigma", i)
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package mc
 import (
 	"context"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"mpsram/internal/analytic"
@@ -30,12 +29,28 @@ func model(t *testing.T) (tech.Process, analytic.Params) {
 	return p, m
 }
 
+// tdpAcrossSizes runs option o's analytic trial (analytic.TdpTrial) at
+// sizes on the engine: the stream behind Fig. 5 and Table IV, and this
+// package's realistic workload.
+func tdpAcrossSizes(t *testing.T, p tech.Process, o litho.Option, m analytic.Params, sizes []int, cfg Config) *VectorResult {
+	t.Helper()
+	f, err := analytic.TdpTrial(p, o, m, cm, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vr, err := RunVector(context.Background(), cfg, len(sizes), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vr
+}
+
 func TestTdpVectorRejectsCollapse(t *testing.T) {
-	// With a huge overlay budget some LE3 draws must collapse and be
-	// rejected rather than crash.
+	// With a huge overlay budget some LE3 draws of the analytic trial
+	// must collapse and be rejected rather than crash.
 	p, m := model(t)
 	p = p.WithOL(40e-9)
-	f, err := TdpVector(p, litho.LE3, m, cm, []int{64})
+	f, err := analytic.TdpTrial(p, litho.LE3, m, cm, []int{64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +68,9 @@ func TestTdpVectorRejectsCollapse(t *testing.T) {
 }
 
 // TestTdpVectorTrialAllocationFree pins the analytic trial at zero heap
-// allocations once warm: TdpVector builds the stream's params and ratio
-// model, and the draw and both windows stay on the stack. It holds on
-// every option, with the thickness source off and on.
+// allocations once warm: analytic.TdpTrial builds the stream's params and
+// ratio model, and the draw and both windows stay on the stack. It holds
+// on every option, with the thickness source off and on.
 func TestTdpVectorTrialAllocationFree(t *testing.T) {
 	p, m := model(t)
 	sizes := []int{16, 64, 256, 1024}
@@ -64,7 +79,7 @@ func TestTdpVectorTrialAllocationFree(t *testing.T) {
 	for _, thk := range []float64{0, 2e-9} {
 		p.Var.Thk3Sigma = thk
 		for _, o := range litho.AllOptions {
-			f, err := TdpVector(p, o, m, cm, sizes)
+			f, err := analytic.TdpTrial(p, o, m, cm, sizes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,88 +121,5 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	// Different seed → different stream.
 	if r2 := run(43, 1); r1.Mean == r2.Mean {
 		t.Fatal("seed has no effect")
-	}
-}
-
-// TestTableIVShape is the Table IV reproduction gate.
-func TestTableIVShape(t *testing.T) {
-	p, m := model(t)
-	cfg := Config{Samples: 4000, Seed: 7}
-	rows, err := SigmaSurface(context.Background(), p, m, cm, []int{64}, []float64{3e-9, 5e-9, 7e-9, 8e-9}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("row count %d", len(rows))
-	}
-	sig := map[string]float64{}
-	for i, r := range rows {
-		if len(r.Cells) != 1 || r.Cells[0].N != 64 || r.Cells[0].Sigma <= 0 {
-			t.Fatalf("row %d: cells %+v", i, r.Cells)
-		}
-		key := r.Option.String()
-		if r.Option == litho.LE3 {
-			key = key + ":" + itoa(int(r.OL*1e9))
-		}
-		sig[key] = r.Cells[0].Sigma
-	}
-	// σ(LE3) strictly increases with the overlay budget.
-	if !(sig["LELELE:3"] < sig["LELELE:5"] && sig["LELELE:5"] < sig["LELELE:7"] &&
-		sig["LELELE:7"] < sig["LELELE:8"]) {
-		t.Fatalf("LE3 sigma not monotone in OL: %+v", sig)
-	}
-	// σ(LE3 @8nm) at least 2× σ(SADP) (paper: 0.753 vs 0.317).
-	if sig["LELELE:8"] < 2*sig["SADP"] {
-		t.Fatalf("LE3@8nm %.3f not ≥ 2× SADP %.3f", sig["LELELE:8"], sig["SADP"])
-	}
-	// SADP is the tightest distribution.
-	if !(sig["SADP"] < sig["EUV"]) {
-		t.Fatalf("SADP %.3f not < EUV %.3f", sig["SADP"], sig["EUV"])
-	}
-	// Tight-OL LE3 reaches the EUV class (paper: 0.414 ≈ 0.415).
-	ratio := sig["LELELE:3"] / sig["EUV"]
-	if ratio < 0.6 || ratio > 1.6 {
-		t.Fatalf("LE3@3nm/EUV ratio %.2f outside comparable band", ratio)
-	}
-}
-
-func itoa(v int) string {
-	return string(rune('0' + v))
-}
-
-func TestTdpAcrossSizesValidatesModel(t *testing.T) {
-	p, m := model(t)
-	m.CPre = nil
-	if _, err := TdpAcrossSizes(context.Background(), p, litho.EUV, m, cm, []int{64}, Config{Samples: 10, Seed: 1}); err == nil {
-		t.Fatal("invalid model must be rejected")
-	}
-}
-
-// TestTdpAcrossSizesValidatesStream checks that a nil capacitance model
-// and an unrealizable nominal window are reported before any trial runs,
-// rather than panicking inside a worker or surfacing as an all-rejected
-// run.
-func TestTdpAcrossSizesValidatesStream(t *testing.T) {
-	p, m := model(t)
-	merged := p
-	merged.M1.Width = merged.M1.Pitch + 1e-9 // nominal neighbours overlap
-	for _, tc := range []struct {
-		name string
-		p    tech.Process
-		cm   extract.CapModel
-		want string
-	}{
-		{"nil cap model", p, nil, "mc: nil capacitance model"},
-		{"merged nominal", merged, cm, "mc: nominal geometry: EUV: wires 0 and 1 merged"},
-	} {
-		trials := 0
-		cfg := Config{Samples: 10, Seed: 1, Progress: func(done, _ int) { trials = done }}
-		_, err := TdpAcrossSizes(context.Background(), tc.p, litho.EUV, m, tc.cm, []int{64}, cfg)
-		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
-			t.Errorf("%s: error %v, want prefix %q", tc.name, err, tc.want)
-		}
-		if trials != 0 {
-			t.Errorf("%s: %d trials ran before the error", tc.name, trials)
-		}
 	}
 }

@@ -174,8 +174,8 @@ func TestShardReducePairedBitIdentical(t *testing.T) {
 }
 
 // TestShardMultiStream: a run comprising several engine invocations (the
-// registry norm — SigmaSurface runs one stream per option) captures and
-// replays each stream by invocation order.
+// registry norm — exp's Table IV surface runs one stream per option)
+// captures and replays each stream by invocation order.
 func TestShardMultiStream(t *testing.T) {
 	run := func(cfg Config) ([]*VectorResult, error) {
 		var out []*VectorResult

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mpsram/internal/analytic"
 	"mpsram/internal/extract"
 	"mpsram/internal/litho"
 	"mpsram/internal/sram"
@@ -23,8 +24,10 @@ func spiceMCCfg(samples, workers int) Config {
 	return Config{Samples: samples, Seed: 2015, Workers: workers}
 }
 
-// spiceTdp runs SpiceTdpAcrossSizes on N10 with the nominal inputs
-// resolved here, the way the workload drivers resolve them once per sweep.
+// spiceTdp runs option o's SPICE-in-the-loop trial
+// (sram.ColumnBuilder.TrialFunc, no control) at sizes on the engine, on
+// N10 with the nominal inputs resolved here, the way the workload drivers
+// resolve them once per sweep.
 func spiceTdp(t *testing.T, ctx context.Context, o litho.Option, sizes []int, sopt sram.SimOptions, cfg Config) (*VectorResult, error) {
 	t.Helper()
 	b := sram.NewColumnBuilder(tech.N10(), extract.SakuraiTamaru{})
@@ -32,7 +35,13 @@ func spiceTdp(t *testing.T, ctx context.Context, o litho.Option, sizes []int, so
 	if err != nil {
 		t.Fatal(err)
 	}
-	return SpiceTdpAcrossSizes(ctx, b, o, sizes, nomTd, sram.BuildOptions{}, sopt, cfg)
+	trial, err := b.TrialFunc(o, sizes, nomTd, nil, sram.BuildOptions{}, sopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return RunVector(ctx, cfg, len(sizes), func(rng *rand.Rand, out []float64) bool {
+		return trial(rng, out, nil)
+	})
 }
 
 func runSpiceMC(t *testing.T, ctx context.Context, cfg Config) (*VectorResult, error) {
@@ -93,11 +102,7 @@ func TestSpiceTdpAcrossSizesMatchesSerialTrialLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, err := extract.NewRatioModel(p, litho.EUV, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trial, err := b.TrialFunc(rm, spiceMCSizes, nomTd, nil, sram.BuildOptions{}, sram.SimOptions{})
+	trial, err := b.TrialFunc(litho.EUV, spiceMCSizes, nomTd, nil, sram.BuildOptions{}, sram.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,26 +172,9 @@ func TestSpiceTdpAcrossSizesCancellation(t *testing.T) {
 	}
 }
 
-func TestSpiceTdpAcrossSizesValidatesInputs(t *testing.T) {
-	run := func(cm extract.CapModel, sizes []int, nomTd []float64) error {
-		_, err := SpiceTdpAcrossSizes(context.Background(), sram.NewColumnBuilder(tech.N10(), cm), litho.EUV,
-			sizes, nomTd, sram.BuildOptions{}, sram.SimOptions{}, spiceMCCfg(4, 1))
-		return err
-	}
-	if run(nil, spiceMCSizes, []float64{1, 1}) == nil {
-		t.Fatal("nil capacitance model accepted")
-	}
-	if run(extract.SakuraiTamaru{}, nil, nil) == nil {
-		t.Fatal("empty size list accepted")
-	}
-	if run(extract.SakuraiTamaru{}, spiceMCSizes, []float64{1}) == nil {
-		t.Fatal("nominal read times for the wrong number of sizes accepted")
-	}
-}
-
 // TestSpiceAndAnalyticConsumeIdenticalDraws pins the draw-for-draw
 // comparability contract: for the same seeded PRNG state, the analytic
-// trial (TdpVector) must reject exactly the draws that litho.Draw +
+// trial (analytic.TdpTrial) must reject exactly the draws that litho.Draw +
 // extract.VarRatios rejects (the draw and extraction the SPICE-MC trial
 // performs) and evaluate the tdp formula on bit-identical ratios (both
 // paths are views over the one canonical litho.Draw stream).
@@ -194,7 +182,7 @@ func TestSpiceAndAnalyticConsumeIdenticalDraws(t *testing.T) {
 	p, m := model(t)
 	sizes := []int{16, 64}
 	for _, o := range litho.Options {
-		f, err := TdpVector(p, o, m, cm, sizes)
+		f, err := analytic.TdpTrial(p, o, m, cm, sizes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -488,16 +488,17 @@ func TestFrameCodec(t *testing.T) {
 	}
 }
 
-// Reading n bytes of frames allocates at most frameAllocPerByte·n +
-// frameAllocSlack bytes: the bound FuzzShardArtifact holds the artifact
-// decoder to. An announced blob length costs only the bytes that arrive.
+// Decoding n bytes a peer sent, response-stream frames or a dispatch
+// body, allocates at most decodeAllocPerByte·n + decodeAllocSlack bytes:
+// the bound FuzzShardArtifact holds the artifact decoder to. An announced
+// blob length costs only the bytes that arrive.
 const (
-	frameAllocPerByte = 64
-	frameAllocSlack   = 16 << 10
+	decodeAllocPerByte = 64
+	decodeAllocSlack   = 16 << 10
 )
 
 // FuzzReadFrame feeds arbitrary peer bytes to the frame reader: it must
-// never panic, must allocate within its bound (frameAllocPerByte), and
+// never panic, must allocate within its bound (decodeAllocPerByte), and
 // any frame it accepts must survive a frameWriter round trip unchanged.
 func FuzzReadFrame(f *testing.F) {
 	for _, s := range append([]string{
@@ -514,7 +515,7 @@ func FuzzReadFrame(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		fr, err := readFrame(br)
 		runtime.ReadMemStats(&after)
-		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(frameAllocPerByte*len(data)+frameAllocSlack); got > bound {
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(decodeAllocPerByte*len(data)+decodeAllocSlack); got > bound {
 			t.Fatalf("reading %d bytes allocated %d, want at most %d", len(data), got, bound)
 		}
 		if err != nil {

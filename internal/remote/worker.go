@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -133,6 +134,20 @@ func mustQuote(s string) string {
 // can reach the bound without sending a gigabyte.
 var maxShardRequestBytes int64 = maxBlobBytes/3*4 + 4 + 64<<10
 
+// decodeShardRequest reads a POST /v1/shards body into the dispatch it
+// names, before any validation. Unknown fields are refused, so a member
+// this build does not know (the retired fastseed, say) answers 400 by
+// name instead of being dropped.
+func decodeShardRequest(body io.Reader) (ShardRequest, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	var sr ShardRequest
+	if err := dec.Decode(&sr); err != nil {
+		return ShardRequest{}, err
+	}
+	return sr, nil
+}
+
 // ServeShard handles one POST /v1/shards dispatch. ctx is the server's
 // drain-aware lifetime: when it cancels, running shards checkpoint and
 // the stream ends with an error frame (the coordinator re-dispatches
@@ -147,10 +162,8 @@ func (w *Worker) ServeShard(ctx context.Context, rw http.ResponseWriter, req *ht
 		return
 	}
 	defer w.inflight.Done()
-	dec := json.NewDecoder(http.MaxBytesReader(rw, req.Body, maxShardRequestBytes))
-	dec.DisallowUnknownFields()
-	var sr ShardRequest
-	if err := dec.Decode(&sr); err != nil {
+	sr, err := decodeShardRequest(http.MaxBytesReader(rw, req.Body, maxShardRequestBytes))
+	if err != nil {
 		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
 			jsonError(rw, http.StatusRequestEntityTooLarge, "shard request exceeds %d bytes", tooBig.Limit)
 			return

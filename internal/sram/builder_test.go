@@ -228,16 +228,12 @@ func TestPooledSessionsBitIdenticalUnderConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, err := extract.NewRatioModel(tb.Proc, litho.LE3, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctrl := func(n int, r extract.Ratios) float64 { return float64(n) * r.Rvar * r.Cvar }
-	plain, err := tb.TrialFunc(rm, sizes, nomTd, nil, BuildOptions{}, SimOptions{})
+	plain, err := tb.TrialFunc(litho.LE3, sizes, nomTd, nil, BuildOptions{}, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	paired, err := tb.TrialFunc(rm, sizes, nomTd, ctrl, BuildOptions{}, SimOptions{})
+	paired, err := tb.TrialFunc(litho.LE3, sizes, nomTd, ctrl, BuildOptions{}, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
-// SPICE-in-the-loop Monte-Carlo support: the trial function behind
-// mc.SpiceTdpAcrossSizes, built once per stream and shared by every
-// worker. Where the analytic Monte-Carlo evaluates the paper's
+// SPICE-in-the-loop Monte-Carlo support: the trial function that exp's
+// SPICE-MC drivers run on the mc engine, built once per stream and shared
+// by every worker. Where the analytic Monte-Carlo evaluates the paper's
 // closed-form tdp formula on each process-variation draw, this path
 // realizes the drawn lithography sample into perturbed parasitics and
 // runs the full read transient per array size — the experiment the
@@ -42,13 +42,13 @@ func (b *ColumnBuilder) NominalTds(sizes []int, bopt BuildOptions, sopt SimOptio
 }
 
 // TrialFunc returns the SPICE-in-the-loop Monte-Carlo trial function for
-// rm's option: each invocation draws one Gaussian lithography sample from
-// rng (litho.Draw — the same canonical stream the analytic mc.TdpVector
-// consumes, so the two paths see identical draws), extracts the
-// variability ratios through rm, and simulates the read at every size,
-// writing the tdp penalty in percent into y[j] for sizes[j]. Draws whose
-// geometry collapses (extraction error) or whose transient fails reject
-// the trial by returning false.
+// option o: each invocation draws one Gaussian lithography sample from
+// rng (litho.Draw — the same canonical stream the analytic
+// analytic.TdpTrial consumes, so the two paths see identical draws),
+// extracts the variability ratios through o's ratio model, and simulates
+// the read at every size, writing the tdp penalty in percent into y[j]
+// for sizes[j]. Draws whose geometry collapses (extraction error) or
+// whose transient fails reject the trial by returning false.
 //
 // A non-nil ctrl pairs the trial for the control-variate estimator: ctrl
 // is a cheap model of the tdp penalty as a function of the array size and
@@ -59,18 +59,28 @@ func (b *ColumnBuilder) NominalTds(sizes []int, bopt BuildOptions, sopt SimOptio
 // with or without ctrl. With a nil ctrl, x is never written and may be
 // nil.
 //
-// rm must be built on the builder's process and capacitance model, and
 // nomTd must hold the nominal read times for sizes (see NominalTds). The
+// ratio model on the builder's process and capacitance model and the
 // nominal parasitics are resolved here, once, so the returned function
 // reads only immutable state: it is safe for concurrent use, and one
 // closure serves every worker of a stream. ctrl must be safe for
 // concurrent use as well.
-func (b *ColumnBuilder) TrialFunc(rm extract.RatioModel, sizes []int, nomTd []float64, ctrl func(n int, r extract.Ratios) float64, bopt BuildOptions, sopt SimOptions) (func(rng *rand.Rand, y, x []float64) bool, error) {
+func (b *ColumnBuilder) TrialFunc(o litho.Option, sizes []int, nomTd []float64, ctrl func(n int, r extract.Ratios) float64, bopt BuildOptions, sopt SimOptions) (func(rng *rand.Rand, y, x []float64) bool, error) {
+	if len(sizes) == 0 {
+		return nil, fmt.Errorf("sram: no array sizes requested")
+	}
+	if len(nomTd) != len(sizes) {
+		return nil, fmt.Errorf("sram: %d nominal read times for %d sizes", len(nomTd), len(sizes))
+	}
+	rm, err := extract.NewRatioModel(b.Proc, o, b.Cap)
+	if err != nil {
+		return nil, fmt.Errorf("sram: %w", err)
+	}
 	nom, err := b.Nominal()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sram: nominal extraction: %w", err)
 	}
-	params := litho.Params(b.Proc, rm.Option())
+	params := litho.Params(b.Proc, o)
 	return func(rng *rand.Rand, y, x []float64) bool {
 		r, err := rm.Ratios(litho.Draw(params, rng))
 		if err != nil {

@@ -3,6 +3,7 @@ package sram
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mpsram/internal/extract"
@@ -301,11 +302,7 @@ func TestTrialFuncRejectsCollapsedDraws(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, err := extract.NewRatioModel(p, litho.LE3, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trial, err := b.TrialFunc(rm, sizes, nomTd, nil, BuildOptions{}, SimOptions{})
+	trial, err := b.TrialFunc(litho.LE3, sizes, nomTd, nil, BuildOptions{}, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,6 +325,29 @@ func TestTrialFuncRejectsCollapsedDraws(t *testing.T) {
 	}
 	if rejected == 0 || accepted == 0 {
 		t.Fatalf("%d rejected, %d accepted: the overlay budget must collapse some draws, not all", rejected, accepted)
+	}
+}
+
+// TestTrialFuncValidatesInputs: a nil capacitance model, an empty size
+// list and nominal read times for another number of sizes are refused
+// when the trial is built, before any draw.
+func TestTrialFuncValidatesInputs(t *testing.T) {
+	sizes := []int{4, 8}
+	for _, tc := range []struct {
+		name  string
+		cm    extract.CapModel
+		sizes []int
+		nomTd []float64
+		want  string
+	}{
+		{"nil cap model", nil, sizes, []float64{1, 1}, "sram: nil capacitance model"},
+		{"no sizes", cm, nil, nil, "sram: no array sizes requested"},
+		{"nominal count", cm, sizes, []float64{1}, "sram: 1 nominal read times for 2 sizes"},
+	} {
+		trial, err := NewColumnBuilder(tech.N10(), tc.cm).TrialFunc(litho.EUV, tc.sizes, tc.nomTd, nil, BuildOptions{}, SimOptions{})
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) || trial != nil {
+			t.Errorf("%s: trial %v, error %v, want prefix %q", tc.name, trial != nil, err, tc.want)
+		}
 	}
 }
 
