@@ -67,13 +67,15 @@ bench-smoke:
 # (internal/mc/legacy.go) draws rand.NewSource's stream bit for bit, for
 # any seed and stream length. FuzzRunRequest feeds arbitrary bytes to
 # serve's POST /v1/runs decoding, Normalize and Key: no panic, the
-# decoding within the same allocation bound, an accepted spec normalizes
-# to itself under one key, and no accepted spec carries an out-of-range
-# n, ol, thk or sizes. FuzzShardRequest does the same for a remote
-# worker's POST /v1/shards dispatch body (decodeShardRequest): no panic,
-# the same allocation bound, Validate on the shard coordinates, a spec
-# that Normalize accepts normalizes to itself under one key, and a
-# shipped checkpoint goes through core.DecodeShardArtifact.
+# decoding within the same allocation bound, an accepted body is one
+# JSON value (json.Valid), an accepted spec normalizes to itself under
+# one key, and no accepted spec carries an out-of-range n, ol, thk or
+# sizes. FuzzShardRequest does the same for a remote worker's POST
+# /v1/shards dispatch body (decodeShardRequest): no panic, the same
+# allocation bound, an accepted body is one JSON value, Validate on the
+# shard coordinates, a spec that Normalize accepts normalizes to itself
+# under one key, and a shipped checkpoint goes through
+# core.DecodeShardArtifact.
 # FuzzTableEncoders feeds arbitrary strings
 # (titles, column names, cells) and numbers to the report encoders and
 # requires the CSV, Markdown and JSON bytes of a test-file copy of the
@@ -192,20 +194,28 @@ fused-ops:
 # 600 draws, and of mcspicex -sizes 8,16 and mcspicenodes -n 8 at 4
 # draws, written to the file its -o names in each side's own working
 # directory), and cmp each pair of outputs and artifacts. Both binaries
-# then reduce BASE's six shard sets (../b/ from either side), and the
-# reduced bodies are cmp'd too, so artifacts a server of the BASE build
-# left behind must reduce to the same bytes here. Every multi-stream
-# family is sharded because a stream header names no option, process or
-# estimator: a reduce matches streams to records by call order alone, so
-# a change in that order moves only the artifacts and their reduce. The goldens print six significant digits, so only
-# this sees a one-ulp drift. Names every command whose output, artifact
-# or exit status differs (or that fails) and exits 1 on any. For a JSON
-# body the message ends with tools/numdiff's line: the first path where
-# the structure or a string moved, or else the largest relative
-# difference of any number and its path (about 1e-16 for one ulp). CI runs it
-# on every pull request against the base commit (job parent-cmp); a
-# change that moves result bytes on purpose says so rather than
-# weakening a gate.
+# then reduce BASE's six shard sets (../b/ from either side). Every
+# multi-stream family is sharded because a stream header names no
+# option, process or estimator: a reduce matches streams to records by
+# call order alone, so a change in that order moves only the artifacts
+# and their reduce. The goldens print six significant digits, so only
+# this sees a one-ulp drift. For a JSON body a message ends with
+# tools/numdiff's line: the first path where the structure or a string
+# moved, or else the largest relative difference of any number and its
+# path (about 1e-16 for one ulp).
+#
+# What must hold depends on core.EngineVersion, read from
+# internal/core/runspec.go at both revisions. Equal: every output,
+# artifact and reduced body must cmp equal, so artifacts a server of the
+# BASE build left behind reduce to the same bytes here; every command
+# that differs (or fails) is named, and the target exits 1 on any.
+# Different, the bytes move on purpose: every command but the reduces
+# must exit 0 on both sides, and those whose output or artifact moved
+# are listed without failing; each reduce of BASE's artifacts must exit
+# 0 at BASE and be refused here, since a new engine must not fold an old
+# engine's blocks. CI runs it on every pull request against the base
+# commit (job parent-cmp); a change that moves result bytes under the
+# same EngineVersion says so rather than weakening a gate.
 BASE ?= HEAD
 parent-cmp:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/base"; \
@@ -213,6 +223,9 @@ parent-cmp:
 	$(GO) -C "$$tmp/base" build -o "$$tmp/mpvar-base" ./cmd/mpvar; \
 	$(GO) build -o "$$tmp/mpvar-head" ./cmd/mpvar; \
 	$(GO) build -o "$$tmp/numdiff" tools/numdiff/numdiff.go; \
+	ev() { sed -n 's/^const EngineVersion = "\(.*\)"$$/\1/p' "$$1/internal/core/runspec.go"; }; \
+	evb=$$(ev "$$tmp/base"); evh=$$(ev .); \
+	if [ -z "$$evb" ] || [ -z "$$evh" ]; then echo "parent-cmp: cannot read core.EngineVersion at both revisions"; exit 1; fi; \
 	{ for w in $$("$$tmp/mpvar-head" -list); do \
 		echo "-smoke -format json $$w"; echo "-smoke -format csv $$w"; \
 		echo "-smoke -format md $$w"; echo "-smoke $$w"; \
@@ -242,19 +255,33 @@ parent-cmp:
 	  echo "shard -index 0 -of 2 -samples 600 -o nodes.0 nodes"; \
 	  echo "shard -index 1 -of 2 -samples 600 -o nodes.1 nodes"; \
 	  echo "reduce -format json ../b/nodes.0 ../b/nodes.1"; } > "$$tmp/cmds"; \
-	n=0; bad=0; mkdir "$$tmp/b" "$$tmp/h"; \
+	n=0; bad=0; moved=0; reduces=0; mkdir "$$tmp/b" "$$tmp/h"; \
 	while read -r args; do \
 		n=$$((n+1)); eb=0; eh=0; art=; \
 		case "$$args" in *"-o "*) art=$${args#*-o }; art=$${art%% *};; esac; \
 		(cd "$$tmp/b" && "$$tmp/mpvar-base" $$args < /dev/null > out 2> /dev/null) || eb=$$?; \
 		(cd "$$tmp/h" && "$$tmp/mpvar-head" $$args < /dev/null > out 2> /dev/null) || eh=$$?; \
+		if [ "$$evb" != "$$evh" ]; then case "$$args" in reduce*) \
+			reduces=$$((reduces+1)); \
+			if [ $$eb -ne 0 ] || [ $$eh -eq 0 ]; then \
+				echo "parent-cmp: mpvar $$args: exit $$eb at $(BASE), $$eh here; want 0 at $(BASE) and engine $$evh refusing engine $$evb's artifacts"; bad=$$((bad+1)); \
+			fi; continue;; esac; \
+			if [ $$eb -ne 0 ] || [ $$eh -ne 0 ]; then \
+				echo "parent-cmp: mpvar $$args: fails (exit $$eb at $(BASE), $$eh here)"; bad=$$((bad+1)); continue; \
+			fi; \
+		fi; \
 		if [ $$eb -ne 0 ] || [ $$eh -ne 0 ] || ! cmp -s "$$tmp/b/out" "$$tmp/h/out" || \
 			{ [ -n "$$art" ] && ! cmp -s "$$tmp/b/$$art" "$$tmp/h/$$art"; }; then \
 			msg="parent-cmp: mpvar $$args: differs (exit $$eb at $(BASE), $$eh here)"; \
 			case "$$args" in *"-format json"*) msg="$$msg; $$("$$tmp/numdiff" "$$tmp/b/out" "$$tmp/h/out" 2>&1 || true)";; esac; \
-			echo "$$msg"; bad=$$((bad+1)); \
+			if [ "$$evb" != "$$evh" ]; then moved=$$((moved+1)); else bad=$$((bad+1)); fi; echo "$$msg"; \
 		fi; \
 	done < "$$tmp/cmds"; \
+	if [ "$$evb" != "$$evh" ]; then \
+		if [ $$bad -ne 0 ]; then echo "parent-cmp: EngineVersion $$evb at $(BASE), $$evh here: $$bad of $$n commands fail"; exit 1; fi; \
+		echo "parent-cmp: EngineVersion $$evb at $(BASE), $$evh here: $$moved of $$((n-reduces)) commands moved (listed above), all exit 0 on both sides; $$reduces of $$reduces reduces of $(BASE)'s artifacts refused here"; \
+		exit 0; \
+	fi; \
 	if [ $$bad -ne 0 ]; then echo "parent-cmp: $$bad of $$n commands differ from $(BASE)"; exit 1; fi; \
 	echo "parent-cmp: all $$n command outputs and artifacts cmp equal to $(BASE)"
 

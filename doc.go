@@ -225,10 +225,14 @@
 // (internal/remote, -fanout-exec=remote): every `mpvar serve` process
 // also mounts the worker side of a shard fabric — POST /v1/shards
 // accepts a normalized RunSpec + ShardSpec (plus an optional checkpoint
-// to resume), executes it through the same core.RunShard in a bounded
-// pool, and streams progress frames, periodic checkpoint frames and
-// finally the complete artifact back, validating the embedded run key on
-// both ends so a version-drifted peer refuses before any bytes fold. The
+// to resume), executes it in a bounded pool through core.RunShardTo —
+// the sink-driven core under core.RunShard, which hands each periodic
+// checkpoint, the frontier an error stops at and the finished artifact
+// to a sink instead of a file — and streams progress frames, those
+// checkpoint frames and finally the complete artifact back, validating
+// the embedded run key on both ends so a version-drifted peer refuses
+// before any bytes fold. A worker keeps nothing on disk, so one killed
+// mid-shard leaves no file behind. The
 // coordinator side is a health-checked peer pool: each shard dispatches
 // to the live, least-loaded peer (draining or engine-drifted peers are
 // excluded by their own /v1/healthz), under a single watchdog covering

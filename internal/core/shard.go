@@ -12,14 +12,17 @@
 //
 // Checkpointing reuses the artifact format unchanged: a checkpoint is
 // simply an artifact whose streams stop at the persisted frontier and
-// whose header says complete=false. An artifact streams to disk through
-// one bufio.Writer (magic, header length, header JSON, then the payload
-// mc.ShardRun.WritePayload encodes) and back through one bufio.Reader,
+// whose header says complete=false. RunShardTo hands each checkpoint
+// and the finished artifact to a caller's sink as a writer of its bytes
+// (magic, header length, header JSON, then the payload
+// mc.ShardRun.WritePayload encodes); the remote worker's sink ships them
+// as frames. RunShard's sink streams them to disk through one
+// bufio.Writer, and an artifact comes back through one bufio.Reader,
 // never assembled in memory or read whole: a reduce opens every artifact
 // of the set, checks the headers, and has mc.NewReplay decode the
-// payloads straight into the arrays the fold uses. Writes are atomic
-// (tmp + rename), so a kill during a checkpoint leaves the previous one
-// intact.
+// payloads straight into the arrays the fold uses. File writes are
+// atomic (tmp + rename), so a kill during a checkpoint leaves the
+// previous one intact.
 package core
 
 import (
@@ -77,30 +80,10 @@ type ShardArtifact struct {
 	Payload *mc.ShardPayload
 }
 
-// writeShardArtifact persists the capture's current state under header
-// h atomically: a kill mid-write can only ever lose the newest
-// checkpoint, never corrupt the file. Magic, header length, header JSON
-// and payload stream through the file's buffered writer in sequence, so
-// the payload is never built in memory.
-func writeShardArtifact(path string, h ShardHeader, sr *mc.ShardRun) error {
-	hdr, err := json.Marshal(h)
-	if err != nil {
-		return fmt.Errorf("core: encoding shard header: %w", err)
-	}
-	return writeFileAtomic(path, func(w *bufio.Writer) error {
-		// The writer latches a failed write; WritePayload's flush reports it.
-		w.Write(shardMagic)
-		w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(hdr))))
-		w.Write(hdr)
-		return sr.WritePayload(w)
-	})
-}
-
 // WriteShardArtifactFile persists already-encoded artifact bytes
-// atomically (tmp + rename), the same write discipline writeShardArtifact
-// uses — the remote fabric's coordinator lands received artifact and
-// checkpoint bytes through it so a crash mid-write never corrupts a
-// resumable file.
+// atomically (tmp + rename), the same write discipline RunShard uses —
+// the remote fabric's coordinator lands received artifact and checkpoint
+// bytes through it so a crash mid-write never corrupts a resumable file.
 func WriteShardArtifactFile(path string, data []byte) error {
 	return writeFileAtomic(path, func(w *bufio.Writer) error {
 		_, err := w.Write(data)
@@ -109,7 +92,8 @@ func WriteShardArtifactFile(path string, data []byte) error {
 }
 
 // writeFileAtomic has write fill path+".tmp" through a buffered writer
-// and renames it over path, so path only ever holds a complete file.
+// and renames it over path, so path only ever holds a complete file. A
+// failed write removes the temporary file.
 func writeFileAtomic(path string, write func(*bufio.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -117,11 +101,8 @@ func writeFileAtomic(path string, write func(*bufio.Writer) error) error {
 		return err
 	}
 	w := bufio.NewWriter(f)
-	if err := errors.Join(write(w), w.Flush()); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := errors.Join(write(w), w.Flush(), f.Close()); err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	return os.Rename(tmp, path)
@@ -240,35 +221,61 @@ func (a *ShardArtifact) Verify(runKey string, shard mc.ShardSpec) error {
 // RunShard and Reduce.
 func withShardRun(sr *mc.ShardRun) Option { return func(e *exp.Env) { e.MC.Shard = sr } }
 
-// ShardRunOptions tunes RunShard.
+// ShardRunOptions tunes RunShard and RunShardTo.
 type ShardRunOptions struct {
-	// CheckpointEvery, when positive, persists the running artifact (as
-	// an incomplete checkpoint) whenever at least this much wall time has
-	// passed since the previous write. Zero disables periodic writes; the
-	// frontier is still persisted on error exit and the full artifact on
+	// CheckpointEvery, when positive, saves the running artifact (as an
+	// incomplete checkpoint) whenever at least this much wall time has
+	// passed since the previous save. Zero disables periodic saves; the
+	// frontier is still saved on error exit and the full artifact on
 	// success.
 	CheckpointEvery time.Duration
-	// Resume loads an existing artifact at the output path and continues
-	// after its frontier instead of starting over. A complete artifact
-	// short-circuits to success; a missing file starts fresh.
+	// Resume has RunShard load an existing artifact at the output path
+	// and continue after its frontier instead of starting over. A
+	// complete artifact short-circuits to success; a missing file starts
+	// fresh. RunShardTo resumes from its resume argument alone.
 	Resume bool
 	// Progress, if non-nil, receives the shard's trial frontier (done and
 	// total trials across the streams begun so far, resumed records
 	// included) each time it advances — serialized by the scheduler, like
-	// CheckpointEvery's writes. It is also invoked once before execution
+	// CheckpointEvery's saves. It is also invoked once before execution
 	// starts, so a resumed shard reports its checkpointed frontier
 	// immediately.
 	Progress func(done, total int)
 }
 
 // RunShard executes the shard's block range of every stream in the
-// spec's workload and writes the partial-aggregate artifact to path. The
-// workload runs on empty engine results (see mc.Config.Shard), and its
-// rendering is discarded: the result comes from Reduce. On
-// any error — including cancellation — the contiguous frontier reached
-// so far is persisted as a resumable checkpoint before the error is
-// returned, so an interrupted run never loses completed blocks.
+// spec's workload and writes the partial-aggregate artifact to path:
+// RunShardTo with each save written to path atomically, resumed from the
+// artifact at path when opt.Resume is set. On any error — including
+// cancellation — the frontier reached so far is persisted as a resumable
+// checkpoint before the error is returned, so an interrupted run never
+// loses completed blocks.
 func RunShard(spec RunSpec, shard mc.ShardSpec, path string, opt ShardRunOptions, extra ...Option) error {
+	var resume *ShardArtifact
+	if opt.Resume {
+		var err error
+		if resume, err = ReadShardArtifact(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
+	}
+	return RunShardTo(spec, shard, resume, opt, func(_ bool, write func(*bufio.Writer) error) error {
+		return writeFileAtomic(path, write)
+	}, extra...)
+}
+
+// RunShardTo executes the shard's block range of every stream in the
+// spec's workload, fresh or after resume's frontier, and hands save each
+// periodic checkpoint (opt.CheckpointEvery), the frontier an error stops
+// at and the finished artifact (complete true) as write, which streams
+// the artifact's bytes into a writer and flushes it. Periodic saves run
+// inside the scheduler's serialized block emission, and a failed one is
+// reported with the run's outcome without stopping the run. The workload
+// runs on empty engine results (see mc.Config.Shard) and its rendering
+// is discarded: the result comes from Reduce. A resume of another run or
+// shard is refused; a complete one is already the artifact, so nothing
+// runs and save is not called.
+func RunShardTo(spec RunSpec, shard mc.ShardSpec, resume *ShardArtifact, opt ShardRunOptions,
+	save func(complete bool, write func(*bufio.Writer) error) error, extra ...Option) error {
 	if err := shard.Validate(); err != nil {
 		return err
 	}
@@ -280,36 +287,39 @@ func RunShard(spec RunSpec, shard mc.ShardSpec, path string, opt ShardRunOptions
 	if err != nil {
 		return err
 	}
+	var sr *mc.ShardRun
+	if resume != nil {
+		h := resume.Header
+		if h.RunKey != key || h.ShardIndex != shard.Index || h.ShardCount != shard.Count {
+			return fmt.Errorf("core: checkpoint belongs to a different run or shard (run %.12s shard %d/%d, want %.12s shard %d/%d)",
+				h.RunKey, h.ShardIndex, h.ShardCount, key, shard.Index, shard.Count)
+		}
+		if h.Complete {
+			return nil // nothing to resume — the shard already finished
+		}
+		if sr, err = mc.ResumeShardRun(shard, resume.Payload); err != nil {
+			return err
+		}
+	} else if sr, err = mc.NewShardRun(shard); err != nil {
+		return err
+	}
 	hdr := ShardHeader{
 		RunKey: key, EngineVersion: EngineVersion,
 		Workload: n.Workload, Params: n.Params, Process: n.Process,
 		Seed: n.Seed, Samples: n.Samples,
 		ShardIndex: shard.Index, ShardCount: shard.Count,
 	}
-	var sr *mc.ShardRun
-	if opt.Resume {
-		switch art, rerr := ReadShardArtifact(path); {
-		case rerr == nil:
-			if art.Header.RunKey != key || art.Header.ShardIndex != shard.Index || art.Header.ShardCount != shard.Count {
-				return fmt.Errorf("core: %s belongs to a different run or shard (run %.12s shard %d/%d, want %.12s shard %d/%d)",
-					path, art.Header.RunKey, art.Header.ShardIndex, art.Header.ShardCount, key, shard.Index, shard.Count)
-			}
-			if art.Header.Complete {
-				return nil // nothing to resume — the shard already finished
-			}
-			if sr, err = mc.ResumeShardRun(shard, art.Payload); err != nil {
-				return err
-			}
-		case errors.Is(rerr, os.ErrNotExist):
-			// fresh start below
-		default:
-			return rerr
+	// write streams the capture's current state as an artifact under hdr.
+	write := func(w *bufio.Writer) error {
+		js, err := json.Marshal(hdr)
+		if err != nil {
+			return fmt.Errorf("core: encoding shard header: %w", err)
 		}
-	}
-	if sr == nil {
-		if sr, err = mc.NewShardRun(shard); err != nil {
-			return err
-		}
+		// The writer latches a failed write; WritePayload's flush reports it.
+		w.Write(shardMagic)
+		w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(js))))
+		w.Write(js)
+		return sr.WritePayload(w)
 	}
 	sr.Progress = opt.Progress
 	if opt.Progress != nil {
@@ -323,19 +333,16 @@ func RunShard(spec RunSpec, shard mc.ShardSpec, path string, opt ShardRunOptions
 				return
 			}
 			last = time.Now()
-			if werr := writeShardArtifact(path, hdr, sr); werr != nil && ckptErr == nil {
-				ckptErr = werr
+			if err := save(false, write); err != nil && ckptErr == nil {
+				ckptErr = err
 			}
 		}
 	}
 	_, runErr := n.Run(append(append([]Option(nil), extra...), withShardRun(sr))...)
-	if runErr != nil {
-		// Persist the frontier before reporting, so SIGINT + resume works
-		// even without periodic checkpoints.
-		return errors.Join(runErr, writeShardArtifact(path, hdr, sr), ckptErr)
-	}
-	hdr.Complete = true
-	return errors.Join(writeShardArtifact(path, hdr, sr), ckptErr)
+	// The frontier is saved before an error is reported, so interrupt and
+	// resume works even without periodic checkpoints.
+	hdr.Complete = runErr == nil
+	return errors.Join(runErr, save(hdr.Complete, write), ckptErr)
 }
 
 // Reduce re-merges one complete shard set in block order and returns the

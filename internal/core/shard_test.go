@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -220,6 +222,22 @@ func TestShardPeriodicCheckpoint(t *testing.T) {
 	}
 	if !art.Header.Complete {
 		t.Fatal("finished run left an incomplete artifact")
+	}
+}
+
+// TestWriteFileAtomicFailureLeavesNoFile: a write that fails leaves
+// neither the file nor its temporary behind.
+func TestWriteFileAtomicFailureLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	boom := errors.New("boom")
+	if err := writeFileAtomic(filepath.Join(dir, "part0.shard"), func(w *bufio.Writer) error {
+		w.WriteString("partial")
+		return boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("writeFileAtomic: %v, want %v", err, boom)
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("failed write left %d entries (%v)", len(left), err)
 	}
 }
 

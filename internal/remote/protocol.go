@@ -15,7 +15,9 @@
 // bytes back (that is what makes a dead worker cheap — the coordinator
 // re-dispatches from the last shipped frontier), and the stream ends
 // with either an `artifact` frame carrying the complete artifact bytes
-// or an `error` frame. Both ends validate every shipped artifact with
+// or an `error` frame. The worker keeps no file: core.RunShardTo hands
+// it each checkpoint and the finished artifact, and it encodes them
+// straight into frames. Both ends validate every shipped artifact with
 // core's key recomputation before trusting it.
 package remote
 
@@ -27,7 +29,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 
 	"mpsram/internal/core"
 	"mpsram/internal/exp"
@@ -118,13 +119,13 @@ const (
 	maxErrorBytes = (maxFrameLine - len(frameError+` ""`+"\n")) / 4
 )
 
-// frameWriter serializes frames onto an HTTP response, flushing each one
-// so progress and checkpoints reach the coordinator while the shard is
-// still running. Writes are mutex-serialized (the progress hook and the
-// checkpoint shipper run on different goroutines) and the first write
-// error sticks — once the coordinator is gone there is nobody to ship to.
+// frameWriter writes frames onto an HTTP response, flushing each one so
+// progress and checkpoints reach the coordinator while the shard is
+// still running. Its callers are serialized — the progress hook and the
+// checkpoint saves run inside the scheduler's block emission, the rest
+// before or after the run — and the first write error sticks: once the
+// coordinator is gone there is nobody to ship to.
 type frameWriter struct {
-	mu  sync.Mutex
 	w   io.Writer
 	rc  *http.ResponseController
 	err error
@@ -141,8 +142,6 @@ func (fw *frameWriter) flush() {
 }
 
 func (fw *frameWriter) progress(done, total int) error {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
 	if fw.err != nil {
 		return fw.err
 	}
@@ -152,8 +151,6 @@ func (fw *frameWriter) progress(done, total int) error {
 }
 
 func (fw *frameWriter) blob(kind string, data []byte) error {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
 	if fw.err != nil {
 		return fw.err
 	}
@@ -171,8 +168,6 @@ func (fw *frameWriter) blob(kind string, data []byte) error {
 // sendError writes the terminal error frame, its message cut to
 // maxErrorBytes so the coordinator's bounded read accepts the line.
 func (fw *frameWriter) sendError(msg string) error {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
 	if fw.err != nil {
 		return fw.err
 	}

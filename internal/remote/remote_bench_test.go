@@ -20,7 +20,7 @@ import (
 // analytic shard, so the number approximates the fabric's overhead
 // floor per shard rather than Monte-Carlo compute.
 func BenchmarkRemoteShardRoundtrip(b *testing.B) {
-	w := NewWorker(1, 1, b.TempDir())
+	w := NewWorker(1, 1)
 	ctx := context.Background()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+ShardsPath, func(rw http.ResponseWriter, req *http.Request) {

@@ -79,7 +79,7 @@ func localShard(t *testing.T, spec core.RunSpec, shard mc.ShardSpec) []byte {
 // to local execution, with progress observed and both ends' counters
 // moving.
 func TestRemoteShardRoundTrip(t *testing.T) {
-	w := NewWorker(2, 1, t.TempDir())
+	w := NewWorker(2, 1)
 	ts, _ := newWorkerServer(t, w)
 	p := newTestPool(t, ts.URL)
 
@@ -132,7 +132,7 @@ func TestRemoteShardRoundTrip(t *testing.T) {
 // run-key drift answer 409, malformed dispatches 400, draining 503 —
 // before any artifact bytes move.
 func TestWorkerRefusals(t *testing.T) {
-	w := NewWorker(1, 1, t.TempDir())
+	w := NewWorker(1, 1)
 	ts, drain := newWorkerServer(t, w)
 
 	spec, err := (core.RunSpec{Workload: "fig3"}).Normalize()
@@ -229,6 +229,16 @@ func TestWorkerRefusals(t *testing.T) {
 			t.Fatalf(`"fastseed":%s dispatch: %d %q`, v, code, msg)
 		}
 	}
+	// One JSON value and nothing after it but white space: a second value
+	// or trailing bytes refuse the dispatch, a trailing newline does not.
+	for _, tail := range []string{`{"workload":"table1"}`, " garbage", "}"} {
+		if code, msg := postBody(append(body, tail...)); code != http.StatusBadRequest || !strings.Contains(msg, "invalid shard request") {
+			t.Fatalf("dispatch followed by %q: %d %q", tail, code, msg)
+		}
+	}
+	if code, _ := postBody(append(body, " \n"...)); code != http.StatusOK {
+		t.Fatalf("dispatch followed by a newline: %d", code)
+	}
 
 	drain()
 	if code, msg := post(NewShardRequest(spec, shard, key, nil)); code != http.StatusServiceUnavailable ||
@@ -269,7 +279,7 @@ func TestRemoteCheckpointResume(t *testing.T) {
 		t.Fatalf("no resumable checkpoint: %v", err)
 	}
 
-	w := NewWorker(1, 1, t.TempDir())
+	w := NewWorker(1, 1)
 	ts, _ := newWorkerServer(t, w)
 	p := newTestPool(t, ts.URL)
 	if err := p.ExecuteShard(context.Background(), spec, shard, path, nil); err != nil {
@@ -342,10 +352,10 @@ func TestRemoteDeadPeerFailover(t *testing.T) {
 	shard := mc.ShardSpec{Index: 0, Count: 1}
 	want := localShard(t, spec, shard)
 
-	wA := NewWorker(1, 1, t.TempDir())
+	wA := NewWorker(1, 1)
 	wA.CheckpointEvery = time.Millisecond // ship checkpoints aggressively
 	tsA, drainA := newWorkerServer(t, wA)
-	wB := NewWorker(1, 1, t.TempDir())
+	wB := NewWorker(1, 1)
 	tsB, _ := newWorkerServer(t, wB)
 
 	// Phase 1: only A is configured; kill it mid-run from the progress
@@ -546,31 +556,156 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// TestWorkerCloseRemovesOnlyOwnedDir: Close removes the temporary scratch
-// directory NewWorker made, leaves a caller-supplied one alone, and
-// refuses dispatches afterwards with 503.
-func TestWorkerCloseRemovesOnlyOwnedDir(t *testing.T) {
-	given := t.TempDir()
-	if err := NewWorker(1, 1, given).Close(); err != nil {
+// serveFrames runs one dispatch of sr on w in-process and returns the
+// frames of its response stream. With cancel set, the worker's context is
+// canceled from the write of the first progress frame that reports a
+// quarter of the shard's trials done, as a drain would mid-shard; the
+// scheduler emits that frame, so the run stops before its end.
+func serveFrames(t *testing.T, w *Worker, sr ShardRequest, cancel bool) []*frame {
+	t.Helper()
+	body, err := json.Marshal(sr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(given); err != nil {
-		t.Fatalf("Close removed a caller-supplied dir: %v", err)
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	rec := httptest.NewRecorder()
+	var rw http.ResponseWriter = rec
+	if cancel {
+		rw = cancelAtQuarter{rec, stop}
 	}
+	w.ServeShard(ctx, rw, httptest.NewRequest(http.MethodPost, ShardsPath, bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("dispatch answered %d: %s", rec.Code, rec.Body)
+	}
+	br := bufio.NewReader(rec.Body)
+	var frames []*frame
+	for {
+		f, err := readFrame(br)
+		if err == io.EOF {
+			return frames
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, f)
+	}
+}
+
+// cancelAtQuarter records a response and calls cancel on the write of a
+// progress frame past a quarter of the trials.
+type cancelAtQuarter struct {
+	*httptest.ResponseRecorder
+	cancel func()
+}
+
+func (c cancelAtQuarter) Write(p []byte) (int, error) {
+	var done, total int
+	if _, err := fmt.Sscanf(string(p), frameProgress+" %d %d\n", &done, &total); err == nil && done > 0 && done >= total/4 {
+		c.cancel()
+	}
+	return c.ResponseRecorder.Write(p)
+}
+
+// fig5Dispatch is a normalized fig5 shard at the given budget and its
+// run key.
+func fig5Dispatch(t *testing.T, samples int, shard mc.ShardSpec) (core.RunSpec, string) {
+	t.Helper()
+	spec, err := (core.RunSpec{Workload: "fig5", Samples: samples}).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := spec.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec, key
+}
+
+// TestWorkerCanceledShardShipsFrontier: a dispatch canceled mid-shard
+// ends its stream with a checkpoint frame of the frontier it reached,
+// then an error frame; re-dispatching that checkpoint yields the
+// uninterrupted RunShard's artifact, byte for byte.
+func TestWorkerCanceledShardShipsFrontier(t *testing.T) {
+	shard := mc.ShardSpec{Index: 1, Count: 2}
+	spec, key := fig5Dispatch(t, 10000, shard)
+	want := localShard(t, spec, shard)
+	w := NewWorker(1, 1)
+
+	frames := serveFrames(t, w, NewShardRequest(spec, shard, key, nil), true)
+	n := len(frames)
+	if n < 2 || frames[n-2].kind != frameCheckpoint || frames[n-1].kind != frameError {
+		t.Fatalf("canceled dispatch did not end with checkpoint + error frames: %d frames", n)
+	}
+	if !strings.Contains(frames[n-1].msg, "canceled") {
+		t.Fatalf("error frame %q", frames[n-1].msg)
+	}
+	ckpt := frames[n-2].data
+	art, err := core.DecodeShardArtifact(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := art.Verify(key, shard); err != nil {
+		t.Fatal(err)
+	}
+	if done, total := art.Payload.Frontier(shard); art.Header.Complete || done == 0 || done >= total {
+		t.Fatalf("checkpoint frontier %d/%d (complete %v), want a strict partial", done, total, art.Header.Complete)
+	}
+
+	frames = serveFrames(t, w, NewShardRequest(spec, shard, key, ckpt), false)
+	last := frames[len(frames)-1]
+	if last.kind != frameArtifact || !bytes.Equal(last.data, want) {
+		t.Fatalf("resumed dispatch ended with a %s frame, not the uninterrupted artifact", last.kind)
+	}
+}
+
+// TestWorkerShipsCompleteCheckpointAsIs: a dispatch that carries a
+// complete artifact as its checkpoint is answered with exactly those
+// bytes as its artifact frame, and nothing runs.
+func TestWorkerShipsCompleteCheckpointAsIs(t *testing.T) {
+	shard := mc.ShardSpec{Index: 0, Count: 3}
+	spec, key := fig5Dispatch(t, 1000, shard)
+	want := localShard(t, spec, shard)
+	w := NewWorker(1, 1)
+	frames := serveFrames(t, w, NewShardRequest(spec, shard, key, want), false)
+	if len(frames) != 1 || frames[0].kind != frameArtifact || !bytes.Equal(frames[0].data, want) {
+		t.Fatalf("complete checkpoint answered with %d frames, want its own bytes as one artifact frame", len(frames))
+	}
+	if n := w.Stats().BytesShipped.Load(); n != int64(len(want)) {
+		t.Fatalf("shipped %d bytes, want %d", n, len(want))
+	}
+}
+
+// TestWorkerKeepsNoFiles: a worker serving a resumed dispatch, with a
+// checkpoint frame after every block, writes nothing under TMPDIR; Close
+// then refuses dispatches with 503 and is idempotent.
+func TestWorkerKeepsNoFiles(t *testing.T) {
+	shard := mc.ShardSpec{Index: 0, Count: 1}
+	spec, key := fig5Dispatch(t, 5000, shard)
+	want := localShard(t, spec, shard)
 
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
-	w := NewWorker(1, 1, "")
-	if made, _ := filepath.Glob(filepath.Join(tmp, "mpvar-shardwork-*")); len(made) != 1 {
-		t.Fatalf("NewWorker made %d scratch dirs, want 1", len(made))
+	w := NewWorker(1, 1)
+	w.CheckpointEvery = time.Nanosecond
+	frames := serveFrames(t, w, NewShardRequest(spec, shard, key, nil), true)
+	ckpt := frames[len(frames)-2].data
+	frames = serveFrames(t, w, NewShardRequest(spec, shard, key, ckpt), false)
+	shipped := 0
+	for _, f := range frames {
+		if f.kind == frameCheckpoint {
+			shipped++
+		}
 	}
+	if last := frames[len(frames)-1]; shipped == 0 || last.kind != frameArtifact || !bytes.Equal(last.data, want) {
+		t.Fatalf("resumed dispatch shipped %d checkpoints and ended with a %s frame", shipped, last.kind)
+	}
+	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+		t.Fatalf("worker left %d entries under TMPDIR (%v)", len(left), err)
+	}
+
 	ts, _ := newWorkerServer(t, w)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if left, _ := filepath.Glob(filepath.Join(tmp, "mpvar-shardwork-*")); len(left) != 0 {
-		t.Fatalf("Close left the owned scratch dir: %v", left)
-	}
+	w.Close()
 	resp, err := http.Post(ts.URL+ShardsPath, "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
@@ -579,7 +714,5 @@ func TestWorkerCloseRemovesOnlyOwnedDir(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("dispatch to a closed worker: %d, want 503", resp.StatusCode)
 	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
+	w.Close()
 }

@@ -16,8 +16,9 @@ import (
 // FuzzShardRequest feeds arbitrary bytes to the POST /v1/shards decoding
 // (decodeShardRequest, unknown fields refused), then the checks ServeShard
 // makes before it runs anything. Nothing may panic; the decoding
-// allocates within its bound (decodeAllocPerByte); an accepted request's
-// shard coordinates go through Validate, and its spec, once Normalize
+// allocates within its bound (decodeAllocPerByte); an accepted body is
+// one JSON value (json.Valid); an accepted request's shard coordinates
+// go through Validate, and its spec, once Normalize
 // accepts it, is a fixed point of Normalize with one key; a non-empty
 // checkpoint goes through core.DecodeShardArtifact.
 func FuzzShardRequest(f *testing.F) {
@@ -64,6 +65,7 @@ func FuzzShardRequest(f *testing.F) {
 	f.Add(marshal(drifted))
 	f.Add(marshal(badShard))
 	f.Add([]byte(`{not json`))
+	f.Add(append(marshal(plain), " garbage"...))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -74,6 +76,9 @@ func FuzzShardRequest(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if !json.Valid(body) {
+			t.Fatalf("%q accepted but is not one JSON value", body)
 		}
 		if s := sr.Shard(); s.Validate() == nil && (s.Count < 1 || s.Index < 0 || s.Index >= s.Count) {
 			t.Fatalf("%s: shard %+v accepted", body, s)

@@ -4,25 +4,24 @@
 package remote
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mpsram/internal/core"
-	"mpsram/internal/mc"
 )
 
-// defaultCheckpointEvery paces the worker's artifact persistence and the
-// checkpoint frames it ships back — the resume granularity a coordinator
-// gets when this worker dies mid-shard.
+// defaultCheckpointEvery paces the checkpoint frames the worker ships
+// back — the resume granularity a coordinator gets when this worker dies
+// mid-shard.
 const defaultCheckpointEvery = 500 * time.Millisecond
 
 // WorkerStats are the /v1/healthz counters for the worker role.
@@ -35,15 +34,17 @@ type WorkerStats struct {
 // Worker executes dispatched shards in a bounded pool and streams the
 // results back. It is safe for concurrent requests; the slot count
 // bounds how many shards execute at once (excess dispatches wait,
-// bounded by the coordinator's patience and the request context).
+// bounded by the coordinator's patience and the request context). It
+// keeps nothing on disk: each checkpoint and the finished artifact go
+// from core.RunShardTo straight into a response frame, so a killed
+// worker leaves no file behind and a coordinator resumes from the frames
+// it landed.
 type Worker struct {
-	// CheckpointEvery paces artifact persistence and the checkpoint
-	// frames shipped back to the coordinator — the resume granularity a
-	// dispatch gets if this worker dies. Set before serving traffic.
+	// CheckpointEvery paces the checkpoint frames shipped back to the
+	// coordinator — the resume granularity a dispatch gets if this worker
+	// dies. Set before serving traffic.
 	CheckpointEvery time.Duration
 
-	dir           string
-	ownsDir       bool // dir was made by NewWorker; Close removes it
 	engineWorkers int
 	sem           chan struct{}
 	stats         WorkerStats
@@ -54,50 +55,25 @@ type Worker struct {
 }
 
 // NewWorker builds a worker executing at most slots shards concurrently,
-// each with engineWorkers Monte-Carlo workers (0 = all CPUs), keeping
-// scratch artifacts under dir. An empty dir gets a unique temp
-// directory, so coordinator and worker instances sharing one machine
-// (or one test process) never collide on scratch files; the worker owns
-// that directory and Close removes it. A caller-supplied dir is never
-// removed.
-func NewWorker(slots, engineWorkers int, dir string) *Worker {
+// each with engineWorkers Monte-Carlo workers (0 = all CPUs).
+func NewWorker(slots, engineWorkers int) *Worker {
 	if slots <= 0 {
 		slots = 1
 	}
-	owns := false
-	if dir == "" {
-		var err error
-		if dir, err = os.MkdirTemp("", "mpvar-shardwork-"); err != nil {
-			// The per-process fallback may be shared by every worker of
-			// this process, so no single one owns it.
-			dir = filepath.Join(os.TempDir(), fmt.Sprintf("mpvar-shardwork-%d", os.Getpid()))
-		} else {
-			owns = true
-		}
-	}
 	return &Worker{
 		CheckpointEvery: defaultCheckpointEvery,
-		dir:             dir,
-		ownsDir:         owns,
 		engineWorkers:   engineWorkers,
 		sem:             make(chan struct{}, slots),
 	}
 }
 
-// Close refuses further dispatches, waits for the in-flight ones to
-// return and removes the scratch directory if the worker made it. Its
-// artifacts are of no use to anyone once the worker is gone: a
-// coordinator resumes from the checkpoints shipped to it, never from this
-// directory. Close is idempotent.
-func (w *Worker) Close() error {
+// Close refuses further dispatches and waits for the in-flight ones to
+// return. Close is idempotent.
+func (w *Worker) Close() {
 	w.mu.Lock()
 	w.closed = true
 	w.mu.Unlock()
 	w.inflight.Wait()
-	if w.ownsDir {
-		return os.RemoveAll(w.dir)
-	}
-	return nil
 }
 
 // enter registers a dispatch unless the worker is closed; a true return
@@ -137,12 +113,21 @@ var maxShardRequestBytes int64 = maxBlobBytes/3*4 + 4 + 64<<10
 // decodeShardRequest reads a POST /v1/shards body into the dispatch it
 // names, before any validation. Unknown fields are refused, so a member
 // this build does not know (the retired fastseed, say) answers 400 by
-// name instead of being dropped.
+// name instead of being dropped, and so is anything but white space
+// after the JSON value.
 func decodeShardRequest(body io.Reader) (ShardRequest, error) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var sr ShardRequest
 	if err := dec.Decode(&sr); err != nil {
+		return ShardRequest{}, err
+	}
+	// Nothing but white space may follow the value: decoding another one
+	// must meet the end of the body.
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		if tooBig := (*http.MaxBytesError)(nil); !errors.As(err, &tooBig) {
+			err = errors.New("data after the JSON value")
+		}
 		return ShardRequest{}, err
 	}
 	return sr, nil
@@ -213,23 +198,24 @@ func (w *Worker) ServeShard(ctx context.Context, rw http.ResponseWriter, req *ht
 		return
 	}
 
-	if err := os.MkdirAll(w.dir, 0o755); err != nil {
-		jsonError(rw, http.StatusInternalServerError, "worker scratch dir: %v", err)
-		return
-	}
-	path := filepath.Join(w.dir, core.ShardArtifactName(key, shard.Index, shard.Count))
-	if err := w.landCheckpoint(path, sr, key, shard); err != nil {
-		jsonError(rw, http.StatusBadRequest, "%v", err)
-		return
+	// A shipped checkpoint is refused like any other malformed dispatch.
+	var resume *core.ShardArtifact
+	if len(sr.Checkpoint) > 0 {
+		if resume, err = core.DecodeShardArtifact(sr.Checkpoint); err == nil {
+			err = resume.Verify(key, shard)
+		}
+		if err != nil {
+			jsonError(rw, http.StatusBadRequest, "dispatch checkpoint: %v", err)
+			return
+		}
 	}
 
 	w.stats.ShardsServed.Add(1)
 	w.stats.ShardsActive.Add(1)
 	defer w.stats.ShardsActive.Add(-1)
 
-	// The run stops when the server drains OR the coordinator hangs up —
-	// either way the checkpoint persists locally and (usually) on the
-	// coordinator via the last shipped checkpoint frame.
+	// The run stops when the server drains OR the coordinator hangs up;
+	// either way the coordinator keeps the last checkpoint frame it landed.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	stop := context.AfterFunc(req.Context(), cancel)
@@ -238,105 +224,49 @@ func (w *Worker) ServeShard(ctx context.Context, rw http.ResponseWriter, req *ht
 	rw.Header().Set("Content-Type", "application/x-mpvar-shardstream")
 	rw.WriteHeader(http.StatusOK)
 	fw := newFrameWriter(rw)
-
-	// Ship checkpoints on the same cadence RunShard persists them; the
-	// file is written atomically, so a read always sees a whole artifact.
-	shipDone := make(chan struct{})
-	var ship sync.WaitGroup
-	ship.Add(1)
-	go func() {
-		defer ship.Done()
-		t := time.NewTicker(w.CheckpointEvery)
-		defer t.Stop()
-		var lastLen int64
-		for {
-			select {
-			case <-shipDone:
-				return
-			case <-t.C:
-				data, err := os.ReadFile(path)
-				if err != nil || int64(len(data)) == lastLen {
-					continue
-				}
-				lastLen = int64(len(data))
-				if fw.blob(frameCheckpoint, data) != nil {
-					cancel() // coordinator is gone; stop burning the shard
-					return
-				}
-				w.stats.BytesShipped.Add(int64(len(data)))
-			}
+	// ship writes one blob frame; a failed write means the coordinator is
+	// gone, so the run stops burning the shard.
+	ship := func(kind string, data []byte) error {
+		if err := fw.blob(kind, data); err != nil {
+			cancel()
+			return err
 		}
-	}()
-
-	runErr := core.RunShard(spec, shard, path,
-		core.ShardRunOptions{
-			Resume:          true,
-			CheckpointEvery: w.CheckpointEvery,
-			Progress:        func(done, total int) { fw.progress(done, total) },
-		},
-		core.WithContext(runCtx), core.WithWorkers(w.engineWorkers))
-	close(shipDone)
-	ship.Wait()
-
-	if runErr != nil {
-		// RunShard persisted the frontier before returning; ship that
-		// final checkpoint so the coordinator's re-dispatch starts where
-		// this attempt stopped, then the terminal error frame.
-		if data, err := os.ReadFile(path); err == nil {
-			if fw.blob(frameCheckpoint, data) == nil {
-				w.stats.BytesShipped.Add(int64(len(data)))
-			}
-		}
-		fw.sendError(runErr.Error())
-		return
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fw.sendError(fmt.Sprintf("reading finished artifact: %v", err))
-		return
-	}
-	// Validate what we are about to ship exactly the way the coordinator
-	// will on receipt — a worker never ships bytes it would itself refuse.
-	art, err := core.DecodeShardArtifact(data)
-	if err == nil {
-		err = art.Verify(key, shard)
-	}
-	if err == nil && !art.Header.Complete {
-		err = fmt.Errorf("finished shard left an incomplete artifact")
-	}
-	if err != nil {
-		fw.sendError(err.Error())
-		return
-	}
-	if fw.blob(frameArtifact, data) == nil {
 		w.stats.BytesShipped.Add(int64(len(data)))
-		os.Remove(path)
-	}
-}
-
-// landCheckpoint installs the dispatch's checkpoint (if any) at path for
-// RunShard to resume from — unless a local checkpoint for the same run
-// is already further along (this worker ran the shard before and kept
-// its own scratch), in which case the local one wins.
-func (w *Worker) landCheckpoint(path string, sr ShardRequest, key string, shard mc.ShardSpec) error {
-	if len(sr.Checkpoint) == 0 {
 		return nil
 	}
-	shipped, err := core.DecodeShardArtifact(sr.Checkpoint)
-	if err != nil {
-		return fmt.Errorf("dispatch checkpoint: %w", err)
+	if resume != nil && resume.Header.Complete {
+		ship(frameArtifact, sr.Checkpoint) // already the artifact
+		return
 	}
-	if err := shipped.Verify(key, shard); err != nil {
-		return fmt.Errorf("dispatch checkpoint: %w", err)
-	}
-	if local, err := core.ReadShardArtifact(path); err == nil {
-		if lerr := local.Verify(key, shard); lerr == nil {
-			ld, _ := local.Payload.Frontier(shard)
-			sd, _ := shipped.Payload.Frontier(shard)
-			if local.Header.Complete || ld >= sd {
-				return nil
-			}
+	// Each artifact RunShardTo saves is encoded whole into one reused
+	// buffer, since a frame announces its length, and shipped.
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	save := func(complete bool, write func(*bufio.Writer) error) error {
+		buf.Reset()
+		if err := write(bw); err != nil {
+			return err
 		}
+		if !complete {
+			return ship(frameCheckpoint, buf.Bytes())
+		}
+		// A worker never ships bytes it would itself refuse.
+		art, err := core.DecodeShardArtifact(buf.Bytes())
+		if err == nil {
+			err = art.Verify(key, shard)
+		}
+		if err != nil {
+			return err
+		}
+		return ship(frameArtifact, buf.Bytes())
 	}
-	return core.WriteShardArtifactFile(path, sr.Checkpoint)
+	// On error RunShardTo has shipped the frontier it stopped at, where
+	// the coordinator's re-dispatch resumes; the error frame ends the
+	// stream.
+	opt := core.ShardRunOptions{CheckpointEvery: w.CheckpointEvery,
+		Progress: func(done, total int) { fw.progress(done, total) }}
+	if err := core.RunShardTo(spec, shard, resume, opt, save,
+		core.WithContext(runCtx), core.WithWorkers(w.engineWorkers)); err != nil {
+		fw.sendError(err.Error())
+	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"runtime"
 	"testing"
@@ -20,8 +21,9 @@ const (
 // FuzzRunRequest feeds arbitrary bytes to the POST /v1/runs decoding
 // (decodeRunRequest, unknown fields refused), then Normalize and Key,
 // without executing the run. Nothing may panic; the decoding allocates
-// within its bound (requestAllocPerByte); an accepted spec is a fixed
-// point of Normalize with one key; and no accepted spec carries a
+// within its bound (requestAllocPerByte); an accepted body is one JSON
+// value (json.Valid); an accepted spec is a fixed point of Normalize with
+// one key; and no accepted spec carries a
 // parameter value outside the registry-wide ranges (n ≥ 1, ol ≥ 0,
 // thk ≥ 0, a non-empty sizes list that ParseSizes accepts).
 func FuzzRunRequest(f *testing.F) {
@@ -45,6 +47,7 @@ func FuzzRunRequest(f *testing.F) {
 		`{"workload":"fig5","fastseed":true}`,
 		`{"workload":"table1","process":"N3"}`,
 		`{not json`,
+		`{"workload":"fig5"} garbage`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -58,6 +61,9 @@ func FuzzRunRequest(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if !json.Valid(body) {
+			t.Fatalf("%q accepted but is not one JSON value", body)
 		}
 		spec, err := raw.Normalize()
 		if err != nil {

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"strconv"
 	"sync"
 	"time"
@@ -269,9 +268,9 @@ func (s *Server) renderBody(r *run, res *exp.Result) ([]byte, error) {
 // the base context and Drain still waits for the workers to return
 // before reporting the deadline error. Once the pool is idle nothing
 // needs the base context, so Drain cancels it and waits for the peer
-// health sweeper to exit. Last, the shard-worker role closes: once its
-// in-flight dispatches return (the drain canceled them through the
-// fan-out context), its temporary scratch directory is removed.
+// health sweeper to exit. Last, the shard-worker role closes: it waits
+// for its in-flight dispatches, which the drain canceled through the
+// fan-out context.
 func (s *Server) Drain(ctx context.Context) error {
 	s.beginDrain()
 	idle := make(chan struct{})
@@ -289,7 +288,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.stop()
 	s.sweeper.Wait()
-	return errors.Join(err, s.remoteWorker.Close())
+	s.remoteWorker.Close()
+	return err
 }
 
 // beginDrain flips the server into draining mode and closes the queue

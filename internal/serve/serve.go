@@ -186,7 +186,7 @@ func New(cfg Config) *Server {
 	}
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	s.fanoutCtx, s.fanoutStop = context.WithCancel(s.baseCtx)
-	s.remoteWorker = remote.NewWorker(cfg.Workers, cfg.EngineWorkers, "")
+	s.remoteWorker = remote.NewWorker(cfg.Workers, cfg.EngineWorkers)
 	if cfg.FanoutExec == "remote" {
 		s.remotePool = remote.NewPool(cfg.Peers, remote.PoolConfig{})
 		s.shardRunner = remoteExec{pool: s.remotePool, local: goroutineExec{workers: cfg.EngineWorkers}}
@@ -336,12 +336,21 @@ type runRequest struct {
 }
 
 // decodeRunRequest reads a POST /v1/runs body into the spec it names,
-// before normalization.
+// before normalization. Anything but white space after the JSON value
+// is refused.
 func decodeRunRequest(body io.Reader) (core.RunSpec, error) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var rr runRequest
 	if err := dec.Decode(&rr); err != nil {
+		return core.RunSpec{}, err
+	}
+	// Nothing but white space may follow the value: decoding another one
+	// must meet the end of the body.
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		if tooLarge := (*http.MaxBytesError)(nil); !errors.As(err, &tooLarge) {
+			err = errors.New("data after the JSON value")
+		}
 		return core.RunSpec{}, err
 	}
 	return core.RunSpec{

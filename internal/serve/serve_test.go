@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -261,6 +260,10 @@ func TestSubmitValidation(t *testing.T) {
 		{`{"workload":"table1","smaples":4}`, "unknown field"},
 		{`{"workload":"fig5","fastseed":true}`, `unknown field "fastseed"`}, // the retired PCG stream
 		{`{not json`, "invalid request body"},
+		// One JSON value and nothing after it but white space.
+		{`{"workload":"fig5"}{"workload":"table1"}`, "invalid request body: data after the JSON value"},
+		{`{"workload":"fig5"} garbage`, "invalid request body"},
+		{`{"workload":"fig5"}}`, "invalid request body"},
 	}
 	for _, c := range cases {
 		resp, b := postRun(t, ts, "", c.body)
@@ -272,6 +275,9 @@ func TestSubmitValidation(t *testing.T) {
 		if err := json.Unmarshal(b, &env); err != nil || !strings.Contains(env.Error, c.want) {
 			t.Errorf("%s: error %q missing %q", c.body, env.Error, c.want)
 		}
+	}
+	if resp, b := postRun(t, ts, "", "{\"workload\":\"table1\"} \n"); resp.StatusCode != http.StatusOK {
+		t.Errorf("request followed by a newline: status %d (%s)", resp.StatusCode, b)
 	}
 }
 
@@ -736,25 +742,26 @@ func TestListenAndServe(t *testing.T) {
 	}
 }
 
-// TestDrainRemovesShardScratch: every server's shard-worker role makes a
-// temporary scratch directory; Drain removes it, so a server leaves
-// nothing behind in TMPDIR.
+// TestDrainRemovesShardScratch: a server keeps no shard scratch in
+// TMPDIR — its shard-worker role streams checkpoints as frames — so
+// TMPDIR is empty right after New and again after Drain.
 func TestDrainRemovesShardScratch(t *testing.T) {
 	leakcheck.Check(t) // points TMPDIR at a fresh directory
 	tmp := os.TempDir()
-	s := New(Config{})
-	made, _ := filepath.Glob(filepath.Join(tmp, "mpvar-shardwork-*"))
-	if len(made) != 1 {
-		t.Fatalf("server made %d shard scratch dirs, want 1", len(made))
+	empty := func(when string) {
+		t.Helper()
+		if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+			t.Fatalf("%s: %d entries under TMPDIR (%v)", when, len(left), err)
+		}
 	}
+	s := New(Config{})
+	empty("after New")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if left, _ := filepath.Glob(filepath.Join(tmp, "mpvar-shardwork-*")); len(left) != 0 {
-		t.Fatalf("drain left shard scratch behind: %v", left)
-	}
+	empty("after Drain")
 	// A second Drain (the CLI path drains after its own beginDrain) is a
 	// no-op.
 	if err := s.Drain(ctx); err != nil {
