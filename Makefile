@@ -66,11 +66,16 @@ bench-smoke:
 # FuzzLegacySource proves the engine's lazily seeded legacy PRNG
 # (internal/mc/legacy.go) draws rand.NewSource's stream bit for bit, for
 # any seed and stream length. FuzzRunRequest feeds arbitrary bytes to
-# serve's POST /v1/runs decoding, Normalize and Key: no panic, the
+# serve's POST /v1/runs decoding and core.RunSpec.Resolve: no panic, the
 # decoding within the same allocation bound, an accepted body is one
-# JSON value (json.Valid), an accepted spec normalizes to itself under
-# one key, and no accepted spec carries an out-of-range n, ol, thk or
-# sizes. FuzzShardRequest does the same for a remote worker's POST
+# JSON value (json.Valid), an accepted spec resolves to itself under one
+# key, the SHA-256 of the pre-image the fmt-based renderer spelled, and
+# no accepted spec carries an out-of-range n, ol, thk or sizes.
+# FuzzSpecJSONRoundTrip builds specs from a fuzzed workload index,
+# parameter bit patterns, process, seed and budget, as the CLI can: every
+# one Resolve accepts has a shard header and a POST /v1/runs body that
+# encode as JSON and decode to the same key, so a run key names only
+# specs every front end can carry. FuzzShardRequest does the same for a remote worker's POST
 # /v1/shards dispatch body (decodeShardRequest): no panic, the same
 # allocation bound, an accepted body is one JSON value, Validate on the
 # shard coordinates, a spec that Normalize accepts normalizes to itself
@@ -95,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCouplingPow' -fuzztime 10s ./internal/extract
 	$(GO) test -run '^$$' -fuzz 'FuzzLegacySource' -fuzztime 10s ./internal/mc
 	$(GO) test -run '^$$' -fuzz 'FuzzRunRequest' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz 'FuzzSpecJSONRoundTrip' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzShardRequest' -fuzztime 10s ./internal/remote
 	$(GO) test -run '^$$' -fuzz 'FuzzTableEncoders' -fuzztime 10s ./internal/report
 

@@ -147,7 +147,10 @@
 // version), so that tuple's canonical SHA-256 (core.RunSpec.Key — after
 // normalization: schema defaults filled, process names case-folded,
 // zero seed/samples resolved to the paper seed and the workload's
-// budget hint) is simultaneously the run id, the single-flight identity
+// budget hint; core.RunSpec.Resolve returns the normalized spec and its
+// key in one pass, hashing the pre-image in a stack buffer, and the
+// submit handler, the remote worker and the shard runner call it once
+// per request) is simultaneously the run id, the single-flight identity
 // that coalesces identical concurrent submissions into one execution,
 // and the address in a bounded LRU of rendered result bodies. Equal
 // keys imply byte-identical responses — cache disposition and timing

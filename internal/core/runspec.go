@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"mpsram/internal/exp"
@@ -114,25 +115,50 @@ func (s RunSpec) EstimatedCost() (float64, error) {
 	return float64(n.Samples) * w.Hints.Cost, nil
 }
 
-// canonical renders a normalized spec as the frozen pre-image of Key.
-func (s RunSpec) canonical() string {
-	return fmt.Sprintf("mpsram-run|engine=%s|workload=%s|process=%s|seed=%d|samples=%d|params=%s",
-		EngineVersion, s.Workload, s.Process, s.Seed, s.Samples,
-		exp.CanonicalParams(s.Params))
-}
-
-// Key normalizes the spec and returns its content address: the SHA-256
-// hex digest of the canonical rendering. Equal keys guarantee
-// byte-identical results (same engines, same inputs, same PRNG stream),
-// which is the whole contract the serve layer's result cache and
-// single-flight dedup rest on.
-func (s RunSpec) Key() (string, error) {
+// Resolve normalizes the spec and returns it with its content address:
+// the SHA-256 hex digest of the normalized spec's frozen pre-image
+// (appendKeyPreimage). Equal keys guarantee byte-identical results (same
+// engines, same inputs, same PRNG stream), which is the whole contract
+// the serve layer's result cache and single-flight dedup rest on. It is
+// the one pass a caller that needs both the spec and its key makes: the
+// pre-image is rendered into a stack buffer and hashed there, so the
+// returned key is the only allocation beyond Normalize's.
+func (s RunSpec) Resolve() (RunSpec, string, error) {
 	n, err := s.Normalize()
 	if err != nil {
-		return "", err
+		return RunSpec{}, "", err
 	}
-	sum := sha256.Sum256([]byte(n.canonical()))
-	return hex.EncodeToString(sum[:]), nil
+	var buf [256]byte
+	sum := sha256.Sum256(n.appendKeyPreimage(buf[:0]))
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return n, string(key[:]), nil
+}
+
+// appendKeyPreimage appends a normalized spec's key pre-image to dst:
+//
+//	mpsram-run|engine=<EngineVersion>|workload=<name>|process=<name>|seed=<seed>|samples=<budget>|params=<exp.AppendCanonicalParams>
+//
+// The format is frozen: changing a byte moves every run id, cache entry
+// and shard artifact's key (TestRunSpecKeyPinned).
+func (s RunSpec) appendKeyPreimage(dst []byte) []byte {
+	dst = append(dst, "mpsram-run|engine="+EngineVersion+"|workload="...)
+	dst = append(dst, s.Workload...)
+	dst = append(dst, "|process="...)
+	dst = append(dst, s.Process...)
+	dst = append(dst, "|seed="...)
+	dst = strconv.AppendInt(dst, s.Seed, 10)
+	dst = append(dst, "|samples="...)
+	dst = strconv.AppendInt(dst, int64(s.Samples), 10)
+	dst = append(dst, "|params="...)
+	return exp.AppendCanonicalParams(dst, s.Params)
+}
+
+// Key is Resolve's content address alone, for a caller that keeps the
+// spec it already holds.
+func (s RunSpec) Key() (string, error) {
+	_, key, err := s.Resolve()
+	return key, err
 }
 
 // Run normalizes the spec, builds the Study it describes (process

@@ -279,11 +279,7 @@ func RunShardTo(spec RunSpec, shard mc.ShardSpec, resume *ShardArtifact, opt Sha
 	if err := shard.Validate(); err != nil {
 		return err
 	}
-	n, err := spec.Normalize()
-	if err != nil {
-		return err
-	}
-	key, err := n.Key()
+	n, key, err := spec.Resolve()
 	if err != nil {
 		return err
 	}

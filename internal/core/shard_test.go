@@ -77,7 +77,7 @@ func TestShardReduceMatchesDirect(t *testing.T) {
 	}
 	for _, tc := range specs {
 		spec, parts := tc.spec, tc.parts
-		t.Run(spec.Workload+"/"+exp.CanonicalParams(spec.Params), func(t *testing.T) {
+		t.Run(spec.Workload+"/"+string(exp.AppendCanonicalParams(nil, spec.Params)), func(t *testing.T) {
 			t.Parallel()
 			direct, err := spec.Run()
 			if err != nil {

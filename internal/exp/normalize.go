@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // NormalizeParams resolves p against the named workload's schema exactly
@@ -20,7 +19,7 @@ import (
 // omitted is filled with its schema default. The result is the canonical
 // parameter set — a defaulted-equivalent submission ({"n": 64} versus
 // nothing for a workload whose n defaults to 64) normalizes to the same
-// map, which is what makes it safe to hash (see CanonicalParams).
+// map, which is what makes it safe to hash (see AppendCanonicalParams).
 func NormalizeParams(name string, p Params) (Params, error) {
 	w, err := LookupWorkload(name)
 	if err != nil {
@@ -29,41 +28,42 @@ func NormalizeParams(name string, p Params) (Params, error) {
 	return resolveParams(w, p)
 }
 
-// CanonicalParams renders a parameter map as one deterministic string:
-// keys sorted, each value in a kind-stable spelling (floats at full
+// AppendCanonicalParams appends a parameter map's one deterministic
+// rendering to dst: "name=value" pairs joined by commas, names sorted,
+// each value in a kind-stable spelling (ints in decimal, floats at full
 // precision via strconv 'g', strings quoted). It is the parameter part of
-// the run-key hashing contract (core.RunSpec.Key) — changing the
+// the run-key hashing contract (core.RunSpec.Resolve) — changing the
 // rendering invalidates every cached result, so treat the format as
-// frozen and bump core.EngineVersion if it ever has to move.
-func CanonicalParams(p Params) string {
-	keys := make([]string, 0, len(p))
+// frozen and bump core.EngineVersion if it ever has to move. A schema's
+// handful of names sort in a stack array, so a dst with room allocates
+// nothing.
+func AppendCanonicalParams(dst []byte, p Params) []byte {
+	var buf [8]string
+	keys := buf[:0]
 	for k := range p {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	parts := make([]string, len(keys))
 	for i, k := range keys {
-		parts[i] = k + "=" + canonicalValue(p[k])
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, k...)
+		dst = append(dst, '=')
+		switch x := p[k].(type) {
+		case int:
+			dst = strconv.AppendInt(dst, int64(x), 10)
+		case float64:
+			dst = strconv.AppendFloat(dst, x, 'g', -1, 64)
+		case bool:
+			dst = strconv.AppendBool(dst, x)
+		case string:
+			dst = strconv.AppendQuote(dst, x)
+		default:
+			// Unreachable after coercion (NormalizeParams); a future kind
+			// must fail loudly rather than hash %v of a pointer.
+			panic(fmt.Sprintf("exp: param %s has no canonical spelling for %T", k, x))
+		}
 	}
-	return strings.Join(parts, ",")
-}
-
-// canonicalValue spells one post-coercion parameter value
-// deterministically; it is the per-value half of CanonicalParams and
-// shares its frozen-format contract.
-func canonicalValue(v any) string {
-	switch x := v.(type) {
-	case int:
-		return strconv.Itoa(x)
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	case bool:
-		return strconv.FormatBool(x)
-	case string:
-		return strconv.Quote(x)
-	default:
-		// Unreachable after coercion; kept total so a future kind fails
-		// loudly in tests rather than silently hashing %v of a pointer.
-		return fmt.Sprintf("%v", x)
-	}
+	return dst
 }

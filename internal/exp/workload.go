@@ -13,6 +13,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"mpsram/internal/report"
 )
@@ -259,6 +260,11 @@ func coerceParam(ps ParamSpec, v any) (any, error) {
 		}
 	case StringParam:
 		if x, ok := v.(string); ok {
+			if !utf8.ValidString(x) {
+				// JSON would spell it with U+FFFD: no JSON front end
+				// could submit the run this value keys.
+				return nil, fmt.Errorf("param %s: %q is not valid UTF-8", ps.Name, x)
+			}
 			return x, nil
 		}
 	}
@@ -308,14 +314,21 @@ func resolveParams(w Workload, p Params) (Params, error) {
 // checkRanges refuses values of the registry-wide parameters that no run
 // can mean, so no run key ever names them: an array has at least one
 // word line, an overlay or thickness 3σ budget is not negative, and a
-// size list must parse (ParseSizes).
+// size list must parse (ParseSizes). It also refuses what a JSON front
+// end (serve, the shard fabric) cannot carry, so every key names a spec
+// each front end can submit: a budget of +Inf, and an n past 2^53, the
+// last integer up to which every integer is a JSON number (a float64).
 func checkRanges(p Params) error {
 	if n, ok := p["n"].(int); ok && n < 1 {
 		return fmt.Errorf("param n must be at least 1, got %d", n)
+	} else if ok && int64(n) > 1<<53 {
+		return fmt.Errorf("param n must be at most 2^53 (9007199254740992), got %d", n)
 	}
 	for _, name := range []string{"ol", "thk"} {
 		if v, ok := p[name].(float64); ok && !(v >= 0) {
 			return fmt.Errorf("param %s must not be negative, got %v", name, v)
+		} else if ok && v > math.MaxFloat64 {
+			return fmt.Errorf("param %s must be finite, got %v", name, v)
 		}
 	}
 	if s, ok := p["sizes"].(string); ok && s != "" {

@@ -166,12 +166,7 @@ func (w *Worker) ServeShard(ctx context.Context, rw http.ResponseWriter, req *ht
 		jsonError(rw, http.StatusBadRequest, "%v", err)
 		return
 	}
-	spec, err := sr.Spec().Normalize()
-	if err != nil {
-		jsonError(rw, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key, err := spec.Key()
+	spec, key, err := sr.Spec().Resolve()
 	if err != nil {
 		jsonError(rw, http.StatusBadRequest, "%v", err)
 		return

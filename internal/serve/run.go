@@ -3,9 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"strconv"
 	"sync"
-	"time"
 
 	"mpsram/internal/core"
 	"mpsram/internal/exp"
@@ -350,10 +348,4 @@ func (s *Server) submit(key string, spec core.RunSpec) (*run, submitOutcome) {
 	default:
 		return nil, submitShed
 	}
-}
-
-// elapsedMS renders a duration for the X-Mpvar-Elapsed-Ms header with
-// sub-millisecond resolution (cache hits finish in microseconds).
-func elapsedMS(d time.Duration) string {
-	return strconv.FormatFloat(d.Seconds()*1e3, 'f', 3, 64)
 }

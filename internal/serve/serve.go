@@ -253,11 +253,25 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorEnvelope{Error: fmt.Sprintf(format, args...)})
 }
 
-// writeBody serves a rendered result body with its cache disposition.
-func writeBody(w http.ResponseWriter, cache string, started time.Time, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Mpvar-Cache", cache)
-	w.Header().Set("X-Mpvar-Elapsed-Ms", elapsedMS(time.Since(started)))
+// The constant header values writeBody assigns straight into the header
+// map, under keys already in canonical form, where Header().Set would
+// allocate a fresh slice per response. Each has len == cap, so a later
+// Header().Add reallocates and never writes into a shared array.
+var (
+	jsonContentType = []string{"application/json"}
+	cacheHit        = []string{"hit"}
+	cacheMiss       = []string{"miss"}
+)
+
+// writeBody serves a rendered result body with its cache disposition
+// (cacheHit or cacheMiss) and the time since started, in milliseconds
+// to three decimals (cache hits finish in microseconds).
+func writeBody(w http.ResponseWriter, cache []string, started time.Time, body []byte) {
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["X-Mpvar-Cache"] = cache
+	var ms [32]byte
+	h["X-Mpvar-Elapsed-Ms"] = []string{string(strconv.AppendFloat(ms[:0], time.Since(started).Seconds()*1e3, 'f', 3, 64))}
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
 }
@@ -410,18 +424,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
-	spec, err := raw.Normalize()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key, err := spec.Key()
+	spec, key, err := raw.Resolve()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if body, _, _, ok := s.cache.Get(key); ok {
-		writeBody(w, "hit", started, body)
+		writeBody(w, cacheHit, started, body)
 		return
 	}
 	r, outcome := s.submit(key, spec)
@@ -456,7 +465,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		// the body (which stays byte-identical to direct execution).
 		w.Header().Set("X-Mpvar-Fanout", strconv.Itoa(n))
 	}
-	writeBody(w, "miss", started, r.body)
+	writeBody(w, cacheMiss, started, r.body)
 }
 
 // ------------------------------------------------------------ run fetch
@@ -470,7 +479,7 @@ func (s *Server) handleRun(w http.ResponseWriter, req *http.Request) {
 	started := time.Now()
 	id := req.PathValue("id")
 	if body, _, _, ok := s.cache.Get(id); ok {
-		writeBody(w, "hit", started, body)
+		writeBody(w, cacheHit, started, body)
 		return
 	}
 	s.mu.Lock()

@@ -768,3 +768,50 @@ func TestDrainRemovesShardScratch(t *testing.T) {
 		t.Fatalf("second drain: %v", err)
 	}
 }
+
+// TestSubmitHitAllocations holds a cached hit's handler to its one pass
+// over the run's identity. A POST /v1/runs answered from the cache,
+// through Handler(), allocates at most what building its request and
+// recorder and decoding its body (decodeRunRequest) allocate, each
+// measured here on the same body, plus hitHandlerAllocs: the body's
+// size cap, Resolve, the elapsed-time header and the recorder's header
+// snapshot and body. That is 14 on Go 1.24; the bound leaves two for
+// another Go release. Measuring the decoder beside the handler keeps
+// encoding/json's own count, which moves between Go releases, out of the
+// bound.
+func TestSubmitHitAllocations(t *testing.T) {
+	const hitHandlerAllocs = 16
+	s := New(Config{})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		_ = s.Drain(ctx)
+	})
+	h := s.Handler()
+	const body = `{"workload":"fig5","params":{"n":64}}`
+	s.cache.Add(specKey(t, core.RunSpec{Workload: "fig5", Params: exp.Params{"n": 64}}), "fig5", []byte("[]\n"), progressPoint{})
+
+	setup := testing.AllocsPerRun(100, func() {
+		httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(body))
+		httptest.NewRecorder()
+	})
+	rd := strings.NewReader(body)
+	decode := testing.AllocsPerRun(100, func() {
+		rd.Reset(body)
+		if _, err := decodeRunRequest(rd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	hit := testing.AllocsPerRun(100, func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(body)))
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Mpvar-Cache") != "hit" {
+			t.Fatalf("status %d, cache %q", rec.Code, rec.Header().Get("X-Mpvar-Cache"))
+		}
+	})
+	t.Logf("hit %v allocations: request and recorder %v, decode %v, handler %v", hit, setup, decode, hit-setup-decode)
+	if hit > setup+decode+hitHandlerAllocs {
+		t.Errorf("a cached hit allocated %v times, want at most %v (request and recorder) + %v (decode) + %d",
+			hit, setup, decode, hitHandlerAllocs)
+	}
+}
