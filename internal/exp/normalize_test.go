@@ -86,7 +86,7 @@ func TestCanonicalParamsDeterministic(t *testing.T) {
 
 // TestCanonicalParamsFullPrecision: float values hash at full precision —
 // two parameters differing past %.6g must produce different keys — and
-// in 'g”s exponent form outside [1e-4, 1e6).
+// in the 'g' format's exponent form outside [1e-4, 1e6).
 func TestCanonicalParamsFullPrecision(t *testing.T) {
 	x := canonical(Params{"ol": 1.0 / 3.0})
 	y := canonical(Params{"ol": 1.0/3.0 + 1e-12})

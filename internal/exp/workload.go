@@ -229,26 +229,46 @@ func LookupWorkload(name string) (Workload, error) {
 // coerceParam checks one value against a spec, accepting the natural
 // cross-type spellings (ints where floats are declared, integral floats
 // where ints are — what JSON decoding and literal Params maps produce).
+// It also refuses, by kind, what a JSON front end (serve, the shard
+// fabric) cannot carry, so every run key names a spec each front end can
+// submit: an int past ±2^53, the last integer up to which every integer
+// is a JSON number (a float64), a float of +Inf, and a string that is not
+// valid UTF-8. A float's NaN and -Inf fall to its range check
+// (checkRanges), which keeps their "must not be negative" text.
 func coerceParam(ps ParamSpec, v any) (any, error) {
 	switch ps.Kind {
 	case IntParam:
+		var n int64
 		switch x := v.(type) {
 		case int:
-			return x, nil
+			n = int64(x)
 		case int64:
-			return int(x), nil
+			n = x
 		case float64:
 			if x != math.Trunc(x) {
 				return nil, fmt.Errorf("param %s: %v is not an integer", ps.Name, x)
 			}
-			return int(x), nil
+			// Clamped first: int64(x) is undefined past int64's range,
+			// and either clamp is refused below.
+			n = int64(max(-1<<54, min(x, 1<<54)))
+		default:
+			return nil, fmt.Errorf("param %s: want %v, got %T", ps.Name, ps.Kind, v)
 		}
+		if n > 1<<53 {
+			return nil, fmt.Errorf("param %s must be at most 2^53 (9007199254740992), got %v", ps.Name, v)
+		} else if n < -1<<53 {
+			return nil, fmt.Errorf("param %s must be at least -2^53 (-9007199254740992), got %v", ps.Name, v)
+		}
+		return int(n), nil
 	case FloatParam:
 		switch x := v.(type) {
 		case float64:
+			if x > math.MaxFloat64 {
+				return nil, fmt.Errorf("param %s must be finite, got %v", ps.Name, x)
+			}
 			return x, nil
 		case float32:
-			return float64(x), nil
+			return coerceParam(ps, float64(x))
 		case int:
 			return float64(x), nil
 		case int64:
@@ -261,8 +281,7 @@ func coerceParam(ps ParamSpec, v any) (any, error) {
 	case StringParam:
 		if x, ok := v.(string); ok {
 			if !utf8.ValidString(x) {
-				// JSON would spell it with U+FFFD: no JSON front end
-				// could submit the run this value keys.
+				// JSON would spell it with U+FFFD.
 				return nil, fmt.Errorf("param %s: %q is not valid UTF-8", ps.Name, x)
 			}
 			return x, nil
@@ -313,22 +332,15 @@ func resolveParams(w Workload, p Params) (Params, error) {
 
 // checkRanges refuses values of the registry-wide parameters that no run
 // can mean, so no run key ever names them: an array has at least one
-// word line, an overlay or thickness 3σ budget is not negative, and a
-// size list must parse (ParseSizes). It also refuses what a JSON front
-// end (serve, the shard fabric) cannot carry, so every key names a spec
-// each front end can submit: a budget of +Inf, and an n past 2^53, the
-// last integer up to which every integer is a JSON number (a float64).
+// word line, an overlay or thickness 3σ budget is not negative (nor NaN),
+// and a size list must parse (ParseSizes).
 func checkRanges(p Params) error {
 	if n, ok := p["n"].(int); ok && n < 1 {
 		return fmt.Errorf("param n must be at least 1, got %d", n)
-	} else if ok && int64(n) > 1<<53 {
-		return fmt.Errorf("param n must be at most 2^53 (9007199254740992), got %d", n)
 	}
 	for _, name := range []string{"ol", "thk"} {
 		if v, ok := p[name].(float64); ok && !(v >= 0) {
 			return fmt.Errorf("param %s must not be negative, got %v", name, v)
-		} else if ok && v > math.MaxFloat64 {
-			return fmt.Errorf("param %s must be finite, got %v", name, v)
 		}
 	}
 	if s, ok := p["sizes"].(string); ok && s != "" {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"encoding/json"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -236,6 +237,8 @@ func TestParamKindsAndCoercion(t *testing.T) {
 		{ParamSpec{Name: "f", Kind: FloatParam}, int64(2), 2.0},
 		{ParamSpec{Name: "b", Kind: BoolParam}, true, true},
 		{ParamSpec{Name: "s", Kind: StringParam}, "x", "x"},
+		{ParamSpec{Name: "i", Kind: IntParam}, 1 << 53, 1 << 53},
+		{ParamSpec{Name: "i", Kind: IntParam}, -float64(1 << 53), -1 << 53},
 	}
 	for _, c := range ok {
 		got, err := coerceParam(c.spec, c.in)
@@ -246,13 +249,24 @@ func TestParamKindsAndCoercion(t *testing.T) {
 	for _, c := range []struct {
 		spec ParamSpec
 		in   any
+		want string
 	}{
-		{ParamSpec{Name: "b", Kind: BoolParam}, "true"},
-		{ParamSpec{Name: "s", Kind: StringParam}, 1},
-		{ParamSpec{Name: "i", Kind: IntParam}, true},
+		{ParamSpec{Name: "b", Kind: BoolParam}, "true", "want bool"},
+		{ParamSpec{Name: "s", Kind: StringParam}, 1, "want string"},
+		{ParamSpec{Name: "i", Kind: IntParam}, true, "want int"},
+		// What no JSON front end can carry is refused by kind, whatever
+		// the parameter is called.
+		{ParamSpec{Name: "x", Kind: IntParam}, 1<<53 + 1, "param x must be at most 2^53"},
+		{ParamSpec{Name: "x", Kind: IntParam}, int64(-1<<53 - 1), "param x must be at least -2^53"},
+		{ParamSpec{Name: "x", Kind: IntParam}, 1e300, "param x must be at most 2^53"},
+		{ParamSpec{Name: "x", Kind: IntParam}, math.Inf(-1), "param x must be at least -2^53"},
+		{ParamSpec{Name: "x", Kind: IntParam}, math.NaN(), "param x: NaN is not an integer"},
+		{ParamSpec{Name: "y", Kind: FloatParam}, math.Inf(1), "param y must be finite, got +Inf"},
+		{ParamSpec{Name: "y", Kind: FloatParam}, float32(math.Inf(1)), "param y must be finite, got +Inf"},
+		{ParamSpec{Name: "z", Kind: StringParam}, "\xd8", "param z: \"\\xd8\" is not valid UTF-8"},
 	} {
-		if _, err := coerceParam(c.spec, c.in); err == nil {
-			t.Fatalf("coerce %v(%v) accepted", c.spec.Kind, c.in)
+		if _, err := coerceParam(c.spec, c.in); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("coerce %v(%v): %v, want an error naming %q", c.spec.Kind, c.in, err, c.want)
 		}
 	}
 	p := Params{"b": true, "s": "v", "i": 3, "f": 0.5}

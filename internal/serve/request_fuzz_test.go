@@ -90,8 +90,8 @@ func FuzzRunRequest(f *testing.F) {
 		`{not json`,
 		`{"workload":"fig5"} garbage`,
 		// Appended last, so the seeds above keep their numbers: float
-		// spellings in both of 'g''s notations, then an n past 2^53 and
-		// an ol past the largest float64.
+		// spellings in both of the 'g' format's notations, then an n
+		// past 2^53 and an ol past the largest float64.
 		`{"workload":"ext","params":{"thk":1e6}}`,
 		`{"workload":"fig5","params":{"ol":2.5e-7,"n":1024}}`,
 		`{"workload":"mcspicenodes","params":{"ol":0.3333333333333333,"adaptive":true},"process":" n7 ","seed":-3,"samples":12}`,
@@ -177,11 +177,13 @@ func FuzzSpecJSONRoundTrip(f *testing.F) {
 		{"mcspicex", 7, 1, 0, " 8, 16", "n10", 2015, 120},
 		{"mcspice", 15, 16, 1, "16,64", "", 1, 4},
 		{"mcspicenodes", 7, 8, math.Float64bits(2.5e-7), "", "", 0, 0},
-		// Values no JSON front end can carry: +Inf budgets, and an n
-		// past 2^53 that a float64 rounds to its even neighbour.
+		// Values no JSON front end can carry: +Inf budgets, and an int
+		// past 2^53 that a float64 rounds to its even neighbour, in n and
+		// in a test-only workload's x alike.
 		{"fig5", 2, 0, math.Float64bits(math.Inf(1)), "", "", 0, 0},
 		{"ext", 2, 0, math.Float64bits(math.Inf(1)), "", "", 0, 0},
 		{"fig5", 1, 1<<53 + 1, 0, "", "", 0, 0},
+		{"testcheap", 1, 1<<53 + 1, 0, "", "", 0, 0},
 		// And a string that is not UTF-8, which JSON spells as U+FFFD:
 		// the test-only workloads' tag takes any string.
 		{"testslow", 1, 0, 0, "\xd8", "", 0, 0},
