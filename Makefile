@@ -134,11 +134,12 @@ run-examples:
 # function's instantiations, take[go.shape.float64] and the like, count
 # under its declared name), and
 # compare the functions declared in non-test files under internal/ that
-# none of them links with tools/unlinked/keep.txt: test oracles,
-# accessors tests read results through, API kept by design and the
-# deletion candidates not yet removed. Fails on any difference in either
-# direction, so new dead code and a listed entry that became linked or
-# was deleted both need a keep-list edit.
+# none of them links with tools/unlinked/keep.txt: accessors tests read
+# results through, interface methods kept by design, test support and
+# sparse's old solver, the one test oracle still in non-test code (every
+# other oracle lives in a _test.go file beside its tests). Fails on any
+# difference in either direction, so new dead code and a listed entry
+# that became linked or was deleted both need a keep-list edit.
 unlinked:
 	@set -e; export LC_ALL=C; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/bin"; \
 	$(GO) build -gcflags=all=-l -o "$$tmp/bin/mpvar" ./cmd/mpvar; \
@@ -161,12 +162,13 @@ unlinked:
 # rounding where amd64 computes two, so a contractible expression in the
 # engine gives other bits on an arm64 host. Cross-build ./cmd/mpvar and
 # the test binaries of mpsram/internal/{sparse,spice,device,sram,tech,
-# extract,stats,exp} for GOARCH=arm64, so code that only tests link (the
-# sparse.Solver oracle, sram.LadderTotals) is checked too, disassemble
-# those packages' symbols with go tool objdump and fail on any
-# FMADD/FMSUB/FNMADD/FNMSUB outside _test.go files. A symbol whose own
-# file, on its TEXT line, is a _test.go is skipped whole: non-test code
-# inlined into a test oracle (geom.go inside extract's oracleEUV) is the
+# extract,stats,exp} for GOARCH=arm64, so non-test code that only tests
+# link (sparse's old solver, extract's per-call closed forms) is checked
+# too, disassemble those packages' symbols with go tool objdump and fail
+# on any FMADD/FMSUB/FNMADD/FNMSUB outside _test.go files. A symbol whose
+# own file, on its TEXT line, is a _test.go is skipped whole: a test
+# oracle (extract's field solver and oracleEUV, sram's LadderTotals) and
+# non-test code inlined into it (geom.go inside oracleEUV) are the
 # oracle's arithmetic. Otherwise an inlined callee counts under the file
 # it came from, e.g. tech.go inside sram's read window. Write such an
 # expression as float64(x*y) ± z: the Go spec rounds an explicit

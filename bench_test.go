@@ -12,10 +12,8 @@ import (
 	"mpsram/internal/device"
 	"mpsram/internal/exp"
 	"mpsram/internal/extract"
-	"mpsram/internal/field"
 	"mpsram/internal/litho"
 	"mpsram/internal/mc"
-	"mpsram/internal/rctree"
 	"mpsram/internal/sparse"
 	"mpsram/internal/spice"
 	"mpsram/internal/sram"
@@ -237,7 +235,8 @@ func BenchmarkAblationIntegrator(b *testing.B) {
 }
 
 // BenchmarkAblationDiscretization compares lumped vs distributed bit-line
-// models and the Elmore analytical refinement.
+// models; analytic's BenchmarkTdElmore reports the Elmore refinement's
+// td_ps at the same n.
 func BenchmarkAblationDiscretization(b *testing.B) {
 	e := env(b)
 	nom, err := sram.NominalParasitics(e.Proc, e.Cap)
@@ -268,18 +267,6 @@ func BenchmarkAblationDiscretization(b *testing.B) {
 			}
 		})
 	}
-	b.Run("elmore-analytic", func(b *testing.B) {
-		m, err := analytic.Derive(e.Proc, nom.Rbl, nom.Cbl)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			td := m.TdElmore(256, 1, 1)
-			if i == 0 {
-				b.ReportMetric(td*1e12, "td_ps")
-			}
-		}
-	})
 }
 
 // tdpStream runs option o's analytic trial at sizes on the engine, the
@@ -471,20 +458,6 @@ func BenchmarkExtraction(b *testing.B) {
 	})
 }
 
-// BenchmarkFieldSolver measures the 2-D Laplace reference at 1 nm grid.
-func BenchmarkFieldSolver(b *testing.B) {
-	p := tech.N10()
-	var win litho.Window
-	if err := litho.Realize(&p, litho.EUV, litho.Nominal, &win); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := field.VictimCaps(p, win, 1e-9, 20000, 1e-7); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSparseLadderSolve measures the sparse kernel on a 2048-node
 // tridiagonal system (the bit-line ladder pattern).
 func BenchmarkSparseLadderSolve(b *testing.B) {
@@ -630,20 +603,6 @@ func BenchmarkExtensionWritePenalty(b *testing.B) {
 		if i == 0 {
 			b.Logf("\n%s", exp.FormatWritePenalty(rows))
 		}
-	}
-}
-
-// BenchmarkElmoreLadder measures the RC-tree Elmore sweep at the largest
-// DOE bit line.
-func BenchmarkElmoreLadder(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr, end, err := rctree.BuildLadder(7e3, 0.4e-15, 1024, 6.2, 40e-18, 6e-15)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tau := tr.ElmoreDelays()
-		_ = tau[end]
 	}
 }
 

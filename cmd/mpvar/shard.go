@@ -66,7 +66,7 @@ flags:
 	spec := f.parse(fs, wl, nil)
 	path := *out
 	if path == "" {
-		path = fmt.Sprintf("%s.shard%d-of%d", wl.Name, *index, *of)
+		path = core.ShardArtifactName(wl.Name, *index, *of)
 	}
 
 	ctx, stop := interruptContext()

@@ -7,8 +7,8 @@
 // (tech) — a process registry whose N7- and N5-class presets are derived
 // from the calibrated N10 node by a validated shrink (tech.Derive), so
 // the process is a first-class sweep axis — patterning engines (litho),
-// parasitic extraction (extract) with
-// a finite-difference field-solver reference (field), a nodal SPICE engine
+// parasitic extraction (extract), whose tests check its closed forms
+// against a finite-difference field solver, a nodal SPICE engine
 // (circuit, device, sparse, spice), the SRAM column builder with its
 // reusable build/simulate sessions (sram), the sharded SPICE sweep engine
 // that parallelizes the simulation-driven tables (sweep),
@@ -95,7 +95,7 @@
 // table into one buffer; the paper-style text is a function on the
 // Result that only a text rendering calls, so a run rendered as JSON
 // (serve, the shard reducer, bench) formats no text at all. core.Study.Run dispatches by
-// name, Study.Workloads lists the registry, and the "all" workload is a
+// name, exp.Workloads lists the registry, and the "all" workload is a
 // plan over the workloads marked for the paper-order report. The mpvar
 // CLI generates its usage, per-workload flags and smoke coverage from
 // the registry; registering a workload (one file with an init block — see

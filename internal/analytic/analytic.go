@@ -21,8 +21,10 @@
 // missing RVSS anti-correlation is why the formula underestimates SADP at
 // n > 64 (paper Table III).
 //
-// The package also provides the Elmore-delay refinement the paper points
-// to as the better approximation for the distributed line.
+// The package's tests keep eq. (5)'s coefficients, the n→∞ limit of tdp
+// and the Elmore-delay refinement the paper points to as the better
+// approximation for the distributed line, and check the formula against
+// them.
 package analytic
 
 import (
@@ -90,50 +92,6 @@ func (m Params) TdNom(n int) float64 { return m.Td(n, 1, 1) }
 // TdpPct returns the read-time penalty in percent: (td/tdnom − 1)·100.
 func (m Params) TdpPct(n int, rvar, cvar float64) float64 {
 	return (m.Td(n, rvar, cvar)/m.TdNom(n) - 1) * 100
-}
-
-// PolyCoeffs returns the eq. (5) polynomial coefficients (c2, c1, c0) such
-// that td = c2·n² + c1·n + c0 at the given variation ratios (with the
-// n-dependence of Cpre frozen at the supplied n, as in the paper's
-// "almost-linear / almost-constant" reading).
-func (m Params) PolyCoeffs(n int, rvar, cvar float64) (c2, c1, c0 float64) {
-	cpre := m.CPre(n)
-	ceff := m.Cbl*cvar + m.CFE
-	c2 = m.A * m.Rbl * rvar * ceff
-	c1 = m.A * (m.RFE*ceff + m.Rbl*rvar*cpre)
-	c0 = m.A * m.RFE * cpre
-	return c2, c1, c0
-}
-
-// TdElmore is the distributed-line refinement the paper names (Section
-// III-A): the Elmore delay from the cell at the far end through the
-// uniform RC ladder to the sense node, with the front-end resistance in
-// series with the whole line charge and the wire resistance seeing the
-// downstream capacitance:
-//
-//	τ = RFE·(n·C + Cpre) + n·Rbl·(n·C/2 + Cpre)
-//
-// scaled by the same discharge constant.
-func (m Params) TdElmore(n int, rvar, cvar float64) float64 {
-	nn := float64(n)
-	ctot := nn * (m.Cbl*cvar + m.CFE)
-	cpre := m.CPre(n)
-	tau := m.RFE*(ctot+cpre) + nn*m.Rbl*rvar*(ctot/2+cpre)
-	return m.A * tau
-}
-
-// AsymptoticTdpPct returns the n→∞ limit of the penalty — the quantity
-// that explains the paper's sign flips at large arrays. In the limit the
-// n² term dominates the resistance factor while the capacitance per cell
-// includes the variation-free CFE and the per-cell slope of Cpre(n):
-// lim tdp = Rvar·(Cbl·Cvar + CFE + c′pre)/(Cbl + CFE + c′pre) − 1 (·100).
-func (m Params) AsymptoticTdpPct(rvar, cvar float64) float64 {
-	// Per-cell precharge slope estimated over a wide span; exact for the
-	// affine Cpre(n) scaling the N10 preset uses.
-	slope := (m.CPre(1<<20) - m.CPre(1<<10)) / float64(1<<20-1<<10)
-	num := rvar * (m.Cbl*cvar + m.CFE + slope)
-	den := m.Cbl + m.CFE + slope
-	return (num/den - 1) * 100
 }
 
 // Validate sanity-checks the parameter set.

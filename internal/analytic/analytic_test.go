@@ -7,6 +7,7 @@ import (
 
 	"mpsram/internal/extract"
 	"mpsram/internal/litho"
+	"mpsram/internal/sram"
 	"mpsram/internal/tech"
 )
 
@@ -91,6 +92,19 @@ func TestTdNomGrowsSuperlinearly(t *testing.T) {
 	}
 }
 
+// PolyCoeffs returns the eq. (5) polynomial coefficients (c2, c1, c0) such
+// that td = c2·n² + c1·n + c0 at the given variation ratios (with the
+// n-dependence of Cpre frozen at the supplied n, as in the paper's
+// "almost-linear / almost-constant" reading).
+func (m Params) PolyCoeffs(n int, rvar, cvar float64) (c2, c1, c0 float64) {
+	cpre := m.CPre(n)
+	ceff := m.Cbl*cvar + m.CFE
+	c2 = m.A * m.Rbl * rvar * ceff
+	c1 = m.A * (m.RFE*ceff + m.Rbl*rvar*cpre)
+	c0 = m.A * m.RFE * cpre
+	return c2, c1, c0
+}
+
 func TestPolynomialFormMatchesEq4(t *testing.T) {
 	// Eq. (5) is the exact expansion of eq. (4): c2·n² + c1·n + c0 must
 	// reproduce Td for every n and ratio pair.
@@ -139,6 +153,20 @@ func TestTdpMonotoneInCvar(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// AsymptoticTdpPct returns the n→∞ limit of the penalty — the quantity
+// that explains the paper's sign flips at large arrays. In the limit the
+// n² term dominates the resistance factor while the capacitance per cell
+// includes the variation-free CFE and the per-cell slope of Cpre(n):
+// lim tdp = Rvar·(Cbl·Cvar + CFE + c′pre)/(Cbl + CFE + c′pre) − 1 (·100).
+func (m Params) AsymptoticTdpPct(rvar, cvar float64) float64 {
+	// Per-cell precharge slope estimated over a wide span; exact for the
+	// affine Cpre(n) scaling the N10 preset uses.
+	slope := (m.CPre(1<<20) - m.CPre(1<<10)) / float64(1<<20-1<<10)
+	num := rvar * (m.Cbl*cvar + m.CFE + slope)
+	den := m.Cbl + m.CFE + slope
+	return (num/den - 1) * 100
 }
 
 func TestEUVSignFlipAtLargeN(t *testing.T) {
@@ -196,6 +224,23 @@ func TestLE3TdpBand(t *testing.T) {
 	}
 }
 
+// TdElmore is the distributed-line refinement the paper names (Section
+// III-A): the Elmore delay from the cell at the far end through the
+// uniform RC ladder to the sense node, with the front-end resistance in
+// series with the whole line charge and the wire resistance seeing the
+// downstream capacitance:
+//
+//	τ = RFE·(n·C + Cpre) + n·Rbl·(n·C/2 + Cpre)
+//
+// scaled by the same discharge constant.
+func (m Params) TdElmore(n int, rvar, cvar float64) float64 {
+	nn := float64(n)
+	ctot := nn * (m.Cbl*cvar + m.CFE)
+	cpre := m.CPre(n)
+	tau := m.RFE*(ctot+cpre) + nn*m.Rbl*rvar*(ctot/2+cpre)
+	return m.A * tau
+}
+
 func TestElmoreExceedsLumpedForLongLines(t *testing.T) {
 	// The Elmore refinement adds the distributed wire term, so it must
 	// exceed the lumped eq. (4) increasingly with n... both use the same
@@ -213,6 +258,27 @@ func TestElmoreExceedsLumpedForLongLines(t *testing.T) {
 	}
 	if m.TdElmore(64, 1, 1) <= 0 {
 		t.Fatal("Elmore td must be positive")
+	}
+}
+
+// BenchmarkTdElmore times the Elmore refinement at n = 256 on the N10
+// nominal parasitics, beside the lumped and segmented SPICE columns of the
+// root BenchmarkAblationDiscretization.
+func BenchmarkTdElmore(b *testing.B) {
+	p := tech.N10()
+	nom, err := sram.NominalParasitics(p, extract.SakuraiTamaru{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := Derive(p, nom.Rbl, nom.Cbl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		td := m.TdElmore(256, 1, 1)
+		if i == 0 {
+			b.ReportMetric(td*1e12, "td_ps")
+		}
 	}
 }
 

@@ -1,7 +1,3 @@
-// SPICE-deck parsing: the inverse of WriteSpice. The parser accepts the
-// element subset this library emits (R, C, V with DC/PULSE, I, M) plus
-// comments, .end, and engineering-notation values, so decks can be
-// round-tripped, hand-edited and re-simulated.
 package circuit
 
 import (
@@ -15,9 +11,12 @@ import (
 	"mpsram/internal/device"
 )
 
-// ModelResolver maps a model name in a deck to a device card. The sram
-// package registers its NMOS/PMOS cards; hand-written decks can provide
-// their own.
+// This file keeps a SPICE-deck parser, the inverse of WriteSpice, that
+// parse_test.go round-trips the writer through. It accepts the element
+// subset this library emits (R, C, V with DC/PULSE, I, M) plus comments,
+// .end, and engineering-notation values.
+
+// ModelResolver maps a model name in a deck to a device card.
 type ModelResolver func(name string) (*device.MOS, error)
 
 // ParseSpice reads a SPICE-flavoured deck (as produced by WriteSpice) and

@@ -5,13 +5,12 @@
 //
 // Experiments are addressed through the workload registry: Run executes
 // any registered workload by name with typed, schema-validated
-// parameters — "all" is the paper-order plan — and Workloads lists the
-// registry. Typical use:
+// parameters — "all" is the paper-order plan — and exp.Workloads lists
+// the registry. Typical use:
 //
 //	study, _ := core.NewStudy()
 //	res, _ := study.Run("table4", nil)        // Table IV as a Result
 //	res.Write(os.Stdout, report.FormatJSON)   // any format, one encoder
-//	r, _ := study.Ratios(litho.LE3, s)        // one sample's variability ratios
 //	all, _ := study.Run("all", nil)           // every table and figure
 //	fmt.Print(all.Text())                     // as the paper-style report
 //
@@ -26,7 +25,6 @@ import (
 	"mpsram/internal/analytic"
 	"mpsram/internal/exp"
 	"mpsram/internal/extract"
-	"mpsram/internal/litho"
 	"mpsram/internal/mc"
 	"mpsram/internal/tech"
 )
@@ -121,13 +119,5 @@ func (s *Study) Run(name string, p exp.Params) (*exp.Result, error) {
 	return exp.Run(s.Env, name, p)
 }
 
-// Workloads lists the experiment registry in listing order.
-func (s *Study) Workloads() []exp.Workload { return exp.Workloads() }
-
 // Model returns the analytical formula parameters for this study.
 func (s *Study) Model() (analytic.Params, error) { return s.Env.Model() }
-
-// Ratios extracts the variability ratios for a sample.
-func (s *Study) Ratios(o litho.Option, smp litho.Sample) (extract.Ratios, error) {
-	return extract.VarRatios(s.Env.Proc, o, smp, s.Env.Cap)
-}

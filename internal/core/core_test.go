@@ -61,20 +61,6 @@ func TestNewStudyRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestStudyRatios(t *testing.T) {
-	s, err := NewStudy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.Ratios(litho.EUV, litho.Sample{CDEUV: 3e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Cvar <= 1 || r.Rvar >= 1 {
-		t.Fatalf("ratios %+v", r)
-	}
-}
-
 // TestStudyFig5Distribution: the facade's Monte-Carlo tdp distribution
 // is the fig5 workload — one full-budget summary per option.
 func TestStudyFig5Distribution(t *testing.T) {

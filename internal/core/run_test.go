@@ -59,7 +59,7 @@ func TestStudyRunSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := s.Workloads()
+	ws := exp.Workloads()
 	if len(ws) < 15 {
 		t.Fatalf("registry too small: %d", len(ws))
 	}
@@ -119,7 +119,7 @@ func TestAllWorkloadsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range s.Workloads() {
+	for _, w := range exp.Workloads() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			res, err := s.Run(w.Name, w.Hints.Smoke)

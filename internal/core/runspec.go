@@ -96,25 +96,6 @@ func (s RunSpec) Normalize() (RunSpec, error) {
 	return out, nil
 }
 
-// EstimatedCost scores a spec's execution cost in analytic-trial
-// equivalents: the normalized sample budget times the workload's
-// Hints.Cost weight. Zero means the workload declared no per-sample cost
-// — its runtime is not dominated by the shardable Monte-Carlo stream
-// (analytic corner studies, pure SPICE sweeps, registry listings) — so
-// schedulers deciding whether to fan a run out over shards should leave
-// it single-process.
-func (s RunSpec) EstimatedCost() (float64, error) {
-	n, err := s.Normalize()
-	if err != nil {
-		return 0, err
-	}
-	w, err := exp.LookupWorkload(n.Workload)
-	if err != nil {
-		return 0, err
-	}
-	return float64(n.Samples) * w.Hints.Cost, nil
-}
-
 // Resolve normalizes the spec and returns it with its content address:
 // the SHA-256 hex digest of the normalized spec's frozen pre-image
 // (appendKeyPreimage). Equal keys guarantee byte-identical results (same

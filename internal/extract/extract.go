@@ -8,8 +8,8 @@
 // Resistance uses the trapezoidal conductor cross-section minus barrier
 // liners. Capacitance offers two closed-form models — the Sakurai–Tamaru
 // empirical fit (default) and a cruder parallel-plate + constant-fringe
-// model — both validated against the 2-D finite-difference field solver in
-// internal/field.
+// model — both validated against the 2-D finite-difference field solver
+// that fieldsolver_test.go keeps.
 //
 // A Monte-Carlo stream extracts thousands of windows of one option on one
 // process, and most of the arithmetic depends only on the metal thickness

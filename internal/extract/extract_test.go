@@ -171,6 +171,18 @@ func TestVarRatiosNominalIsUnity(t *testing.T) {
 	}
 }
 
+// TestVarRatiosWiderEUVLine: an EUV line drawn 3 nm wider than nominal
+// carries more capacitance and less resistance.
+func TestVarRatiosWiderEUVLine(t *testing.T) {
+	r, err := VarRatios(tech.N10(), litho.EUV, litho.Sample{CDEUV: 3e-9}, SakuraiTamaru{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Cvar <= 1 || r.Rvar >= 1 {
+		t.Fatalf("ratios %+v", r)
+	}
+}
+
 // TestVarRatiosAllocationFree pins the one-shot extraction at zero heap
 // allocations: the RatioModel it builds is a stack value and both windows
 // are fixed-size arrays.

@@ -1,10 +1,9 @@
-package field
+package extract
 
 import (
 	"math"
 	"testing"
 
-	"mpsram/internal/extract"
 	"mpsram/internal/litho"
 	"mpsram/internal/tech"
 	"mpsram/internal/units"
@@ -79,7 +78,7 @@ func TestFieldVsSakuraiTamaru(t *testing.T) {
 	// TestSensitivityAgreement below, require the ratios to agree tightly.
 	p := tech.N10()
 	win, res := solveNominal(t, p)
-	st := extract.ExtractVictim(p, win, extract.SakuraiTamaru{})
+	st := ExtractVictim(p, win, SakuraiTamaru{})
 	ratio := st.CTotalPerM() / res.CTotalPerM
 	if ratio < 1.2 || ratio > 1.8 {
 		t.Errorf("total: field %.4g vs S-T %.4g (ratio %.2f outside [1.2,1.8])",
@@ -99,7 +98,7 @@ func TestSensitivityAgreement(t *testing.T) {
 		t.Skip("field sweeps are slow")
 	}
 	p := tech.N10()
-	cm := extract.SakuraiTamaru{}
+	cm := SakuraiTamaru{}
 	cases := []struct {
 		name string
 		o    litho.Option
@@ -127,8 +126,8 @@ func TestSensitivityAgreement(t *testing.T) {
 			t.Fatal(err)
 		}
 		cvarFD := fdAct.CTotalPerM / fdNom.CTotalPerM
-		cvarST := extract.ExtractVictim(p, win, cm).CTotalPerM() /
-			extract.ExtractVictim(p, nomWin, cm).CTotalPerM()
+		cvarST := ExtractVictim(p, win, cm).CTotalPerM() /
+			ExtractVictim(p, nomWin, cm).CTotalPerM()
 		if math.Abs(cvarFD-cvarST) > 0.06 {
 			t.Errorf("%s: Cvar field %.4f vs S-T %.4f", c.name, cvarFD, cvarST)
 		}
@@ -213,6 +212,20 @@ func TestSolveConverges(t *testing.T) {
 	for _, v := range s.pot {
 		if v < -1e-6 || v > 1+1e-6 {
 			t.Fatalf("potential %g outside [0,1]", v)
+		}
+	}
+}
+
+// BenchmarkFieldSolver measures the 2-D Laplace reference at 1 nm grid.
+func BenchmarkFieldSolver(b *testing.B) {
+	p := tech.N10()
+	var win litho.Window
+	if err := litho.Realize(&p, litho.EUV, litho.Nominal, &win); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := VictimCaps(p, win, 1e-9, 20000, 1e-7); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -1,6 +1,16 @@
-// Package field implements a 2-D electrostatic field solver on the wire
-// cross-section, used as the golden reference for the closed-form
-// capacitance models in internal/extract.
+package extract
+
+import (
+	"fmt"
+	"math"
+
+	"mpsram/internal/litho"
+	"mpsram/internal/tech"
+)
+
+// This file keeps a 2-D electrostatic field solver on the wire
+// cross-section, the golden reference field_test.go checks the closed-form
+// capacitance models against.
 //
 // The solver discretizes the Laplace equation ∇²V = 0 on a uniform grid
 // over the cross-section of a parallel-wire array between two conducting
@@ -14,15 +24,6 @@
 // This is deliberately a from-scratch, dependency-free replacement for the
 // field-solver step inside the paper's proprietary LPE flow: slow but
 // trustworthy, and only used to validate the fast empirical models.
-package field
-
-import (
-	"fmt"
-	"math"
-
-	"mpsram/internal/litho"
-	"mpsram/internal/tech"
-)
 
 // Solver holds the discretized cross-section.
 type Solver struct {

@@ -34,13 +34,14 @@ import (
 	"time"
 
 	"mpsram/internal/core"
+	"mpsram/internal/exp"
 	"mpsram/internal/mc"
 	"mpsram/internal/remote"
 )
 
 const (
 	// defaultFanoutMinSamples is the cost threshold (in analytic-trial
-	// equivalents, see core.RunSpec.EstimatedCost) below which runs stay
+	// equivalents: normalized samples × Hints.Cost) below which runs stay
 	// single-process: default-budget analytic workloads (fig5 at 10 000
 	// samples × cost 1) and smoke-sized SPICE runs fall under it, while a
 	// default mcspice (200 samples × cost 4000) clears it comfortably.
@@ -132,8 +133,8 @@ func (s *Server) fanoutShards(spec core.RunSpec) int {
 	if width < 2 {
 		return 0
 	}
-	cost, err := spec.EstimatedCost()
-	if err != nil || cost < float64(s.cfg.FanoutMinSamples) {
+	w, err := exp.LookupWorkload(spec.Workload)
+	if err != nil || float64(spec.Samples)*w.Hints.Cost < float64(s.cfg.FanoutMinSamples) {
 		return 0
 	}
 	return width

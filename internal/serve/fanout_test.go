@@ -113,6 +113,33 @@ func TestFanoutDegeneratesToDirect(t *testing.T) {
 	}
 }
 
+// TestFanoutShardsDecision pins fanoutShards on normalized specs at the
+// default threshold: the width once samples × Hints.Cost reaches it and
+// the stream has at least two blocks, 0 otherwise.
+func TestFanoutShardsDecision(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		spec   core.RunSpec
+		fanout int
+		want   int
+	}{
+		{"fig5 below threshold", core.RunSpec{Workload: "fig5", Samples: 49999}, 3, 0},
+		{"fig5 at threshold", core.RunSpec{Workload: "fig5", Samples: 50000}, 3, 3},
+		{"one-block default mcspice", core.RunSpec{Workload: "mcspice"}, 3, 0},
+		{"no Cost hint", core.RunSpec{Workload: "table1", Samples: 1000000}, 3, 0},
+		{"fanout 1", core.RunSpec{Workload: "fig5", Samples: 1000000}, 1, 0},
+	} {
+		spec, err := c.spec.Normalize()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		s := &Server{cfg: Config{Fanout: c.fanout}.withDefaults()}
+		if got := s.fanoutShards(spec); got != c.want {
+			t.Errorf("%s: fanoutShards = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 // TestFanoutCappedAtStreamBlocks: the fan-out width is capped at the
 // stream's block count, so a SPICE budget that fits in one block per
 // stream runs direct even on a server whose width and threshold would

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"sync"
 
 	"mpsram/internal/core"
@@ -186,9 +187,13 @@ func (s *Server) execute(r *run) {
 	delete(s.inflight, r.key)
 	if err != nil {
 		s.recordFailedLocked(r)
-	} else {
-		// A success supersedes any stale failure record for the key.
+	} else if i := slices.Index(s.failedOrder, r.key); i >= 0 {
+		// A success supersedes any stale failure record for the key, in
+		// the order too: a stale copy at its front would evict the key's
+		// next failure as soon as it is recorded.
 		delete(s.failed, r.key)
+		copy(s.failedOrder[i:], s.failedOrder[i+1:])
+		s.failedOrder = s.failedOrder[:len(s.failedOrder)-1]
 	}
 	s.mu.Unlock()
 }

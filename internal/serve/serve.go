@@ -81,10 +81,10 @@ type Config struct {
 	// so it is not part of the run key.
 	Fanout int
 	// FanoutMinSamples is the estimated-cost threshold, in
-	// analytic-trial equivalents (core.RunSpec.EstimatedCost =
-	// normalized samples × the workload's Hints.Cost weight), at or
-	// above which a submission fans out (default 50000). Workloads
-	// without a Cost hint never fan out regardless.
+	// analytic-trial equivalents (normalized samples × the workload's
+	// Hints.Cost weight), at or above which a submission fans out
+	// (default 50000). Workloads without a Cost hint never fan out
+	// regardless.
 	FanoutMinSamples int
 	// FanoutExec selects the shard execution vehicle: "goroutine"
 	// (default, in-process) or "remote" (dispatch shards to the peer

@@ -685,6 +685,41 @@ func TestFailedTableBounded(t *testing.T) {
 	}
 }
 
+// TestFailedRecordAfterSuccess: a success drops its key from the failed
+// table's order as well as from the table, so the key's next failure is
+// recorded once and stays queryable until maxFailedRetained newer
+// failures push it out.
+func TestFailedRecordAfterSuccess(t *testing.T) {
+	s := New(Config{})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s.Drain(ctx)
+	})
+	normalized := func(workload string) core.RunSpec {
+		spec, err := core.RunSpec{Workload: workload}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec
+	}
+	fail, cheap := normalized("testfail"), normalized("testcheap")
+	const key = "key-k"
+	s.execute(newRun(key, fail))
+	s.execute(newRun(key, cheap))
+	for i := 1; i < maxFailedRetained; i++ {
+		s.execute(newRun(fmt.Sprintf("key-%03d", i), fail))
+	}
+	s.execute(newRun(key, fail))
+	s.mu.Lock()
+	_, kept := s.failed[key]
+	records, order := len(s.failed), len(s.failedOrder)
+	s.mu.Unlock()
+	if !kept || records != order {
+		t.Fatalf("fresh failure of %s retained=%v, %d records behind a %d-entry order", key, kept, records, order)
+	}
+}
+
 // TestResultCacheLRU pins the eviction order of the bounded cache and
 // that the workload rides along with the body.
 func TestResultCacheLRU(t *testing.T) {

@@ -1,4 +1,4 @@
-package rctree
+package sram
 
 import (
 	"math"
@@ -12,7 +12,7 @@ import (
 
 func TestSingleRC(t *testing.T) {
 	// One segment: τ = Rs·C + r·C.
-	tr := New(100, 0)
+	tr := NewTree(100, 0)
 	n, err := tr.Add(0, 50, 1e-12)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestElmoreAdditivityProperty(t *testing.T) {
 	// over path segments.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := New(rng.Float64()*1e3, rng.Float64()*1e-15)
+		tr := NewTree(rng.Float64()*1e3, rng.Float64()*1e-15)
 		// Random tree of ~30 nodes.
 		for i := 0; i < 30; i++ {
 			parent := rng.Intn(tr.N())
@@ -70,7 +70,7 @@ func TestElmoreAdditivityProperty(t *testing.T) {
 func TestBranchingVsChainDownstreamCap(t *testing.T) {
 	// Two children hanging off the root see only their own subtree's C in
 	// their own R, but the source R sees everything.
-	tr := New(1e3, 0)
+	tr := NewTree(1e3, 0)
 	a, _ := tr.Add(0, 100, 1e-15)
 	b, _ := tr.Add(0, 100, 2e-15)
 	tau := tr.ElmoreDelays()
@@ -173,6 +173,20 @@ func TestElmoreBracketsSpice(t *testing.T) {
 	est, _ := tr.DelayToLevel(end, 0.1)
 	if t10 > est*2.5 || t10 < est/6 {
 		t.Fatalf("10%% delay %g vs estimate %g out of band", t10, est)
+	}
+}
+
+// BenchmarkElmoreLadder measures the RC-tree Elmore sweep at the largest
+// DOE bit line.
+func BenchmarkElmoreLadder(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr, end, err := BuildLadder(7e3, 0.4e-15, 1024, 6.2, 40e-18, 6e-15)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tau := tr.ElmoreDelays()
+		_ = tau[end]
 	}
 }
 

@@ -1,20 +1,21 @@
-// Package rctree implements distributed-RC delay estimation on RC trees:
-// Elmore delays (the first moment of the impulse response) and simple
-// delay bounds built from the Elmore moments. The paper (Section III-A)
-// names the Elmore model as the better approximation for the distributed
-// bit line that its lumped formula ignores; this package provides that
-// refinement for arbitrary tree topologies and is cross-checked against
-// the SPICE engine in its tests.
-//
-// Topology: node 0 is the source (driving point), with an optional source
-// resistance. Every other node hangs off a parent through a resistance
-// and carries a capacitance to ground.
-package rctree
+package sram
 
 import (
 	"fmt"
 	"math"
 )
+
+// This file keeps distributed-RC delay estimation on RC trees, the
+// reference elmore_test.go cross-checks the SPICE engine against: Elmore
+// delays (the first moment of the impulse response) and simple delay
+// bounds built from the Elmore moments. The paper (Section III-A) names
+// the Elmore model as the better approximation for the distributed bit
+// line that its lumped formula ignores; this is that refinement for
+// arbitrary tree topologies.
+//
+// Topology: node 0 is the source (driving point), with an optional source
+// resistance. Every other node hangs off a parent through a resistance
+// and carries a capacitance to ground.
 
 // Tree is an RC tree rooted at the driving point (node 0).
 type Tree struct {
@@ -23,9 +24,9 @@ type Tree struct {
 	c      []float64 // node capacitance to ground
 }
 
-// New returns a tree containing only the driving point with the given
+// NewTree returns a tree containing only the driving point with the given
 // source resistance and loading.
-func New(sourceR, sourceC float64) *Tree {
+func NewTree(sourceR, sourceC float64) *Tree {
 	return &Tree{parent: []int{-1}, r: []float64{sourceR}, c: []float64{sourceC}}
 }
 
@@ -128,7 +129,7 @@ func BuildLadder(sourceR, sourceC float64, n int, rSeg, cSeg, cEnd float64) (*Tr
 	if n < 1 {
 		return nil, 0, fmt.Errorf("rctree: ladder needs ≥1 segment")
 	}
-	t := New(sourceR, sourceC)
+	t := NewTree(sourceR, sourceC)
 	node := 0
 	var err error
 	for i := 0; i < n; i++ {

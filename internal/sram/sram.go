@@ -481,34 +481,3 @@ func (c *Column) SenseMargin(res *spice.Result) float64 {
 	}
 	return peak
 }
-
-// Check that segment lumping conserves totals (used by tests): total
-// ladder R and C for the given build options.
-func LadderTotals(p tech.Process, n int, cp CellParasitics, opt BuildOptions) (rTot, cTot float64) {
-	segs := opt.segments(n)
-	cellsPerSeg := float64(n) / float64(segs)
-	segR := cp.Rbl * cellsPerSeg
-	segC := (cp.Cbl + CFE(p.FEOL)) * cellsPerSeg
-	rTot = segR * float64(segs)
-	total := 0.0
-	for i := 0; i <= segs; i++ {
-		share := 1.0
-		if i == 0 || i == segs {
-			share = 0.5
-		}
-		if segs == 1 {
-			share = 0.5
-		}
-		total += float64(segC * share)
-	}
-	cTot = total
-	return rTot, cTot
-}
-
-// Sanity guard referenced by tests: lumping must conserve C within fp
-// noise: n·(Cbl+CFE) == Σ node caps.
-func ladderCapError(p tech.Process, n int, cp CellParasitics, opt BuildOptions) float64 {
-	_, cTot := LadderTotals(p, n, cp, opt)
-	want := float64(float64(n) * (cp.Cbl + CFE(p.FEOL)))
-	return math.Abs(cTot-want) / want
-}

@@ -77,6 +77,37 @@ func TestSegmentSelection(t *testing.T) {
 	}
 }
 
+// LadderTotals returns the total ladder R and C that segment lumping
+// spreads over the column for the given build options.
+func LadderTotals(p tech.Process, n int, cp CellParasitics, opt BuildOptions) (rTot, cTot float64) {
+	segs := opt.segments(n)
+	cellsPerSeg := float64(n) / float64(segs)
+	segR := cp.Rbl * cellsPerSeg
+	segC := (cp.Cbl + CFE(p.FEOL)) * cellsPerSeg
+	rTot = segR * float64(segs)
+	total := 0.0
+	for i := 0; i <= segs; i++ {
+		share := 1.0
+		if i == 0 || i == segs {
+			share = 0.5
+		}
+		if segs == 1 {
+			share = 0.5
+		}
+		total += float64(segC * share)
+	}
+	cTot = total
+	return rTot, cTot
+}
+
+// ladderCapError is the relative error of the lumped C against
+// n·(Cbl+CFE); lumping must conserve it within fp noise.
+func ladderCapError(p tech.Process, n int, cp CellParasitics, opt BuildOptions) float64 {
+	_, cTot := LadderTotals(p, n, cp, opt)
+	want := float64(float64(n) * (cp.Cbl + CFE(p.FEOL)))
+	return math.Abs(cTot-want) / want
+}
+
 func TestLadderConservesTotals(t *testing.T) {
 	p, cp := nominal(t)
 	for _, n := range []int{1, 16, 64, 1000, 1024} {
